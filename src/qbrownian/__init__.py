@@ -8,14 +8,13 @@ energy prescriptions, direct spectral quadrature, and limit expansions.
 """
 
 from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
-                   FREE_PARTICLE, OSCILLATOR, ReducedParams, Tolerances,
-                   make_reduced, to_physical)
+                   Tolerances)
 from .free_particle import (FreeParticlePoint, drude_specific_heat, drude_z_pm,
                             free_energy_internal, ohmic_lowT_expansion,
                             ohmic_specific_heat)
 from .matsubara import (DampingKernel, FdResult, Prescription, SumResult,
-                        energy_sum, kernel_laplace, position_variance_sum,
-                        prescription_gap, specific_heat_fd)
+                        energy_sum, position_variance_sum, prescription_gap,
+                        specific_heat_fd)
 from .oscillator import (ExpansionResult, LambdaPair, OscillatorPoint,
                          damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy, lambda_pm,
@@ -28,15 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DivergenceError",
-    "DomainError", "ExpansionResult", "FREE_PARTICLE", "FdResult",
-    "FreeParticlePoint", "LambdaPair", "MomentResult", "OSCILLATOR",
-    "OscillatorPoint", "PoleError", "Prescription", "ReducedParams",
-    "SumResult", "Tolerances", "damped_entropy", "damped_specific_heat",
-    "damped_specific_heat_via_entropy", "digamma", "drude_specific_heat",
-    "drude_z_pm", "energy_sum", "f_n_integral", "free_energy_internal",
-    "g_func", "g_func_prime", "kernel_laplace", "lambda_pm", "ln_gamma",
-    "make_reduced", "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
+    "DomainError", "ExpansionResult", "FdResult", "FreeParticlePoint",
+    "LambdaPair", "MomentResult", "OscillatorPoint", "PoleError",
+    "Prescription", "SumResult", "Tolerances", "damped_entropy",
+    "damped_specific_heat", "damped_specific_heat_via_entropy", "digamma",
+    "drude_specific_heat", "drude_z_pm", "energy_sum", "f_n_integral",
+    "free_energy_internal", "g_func", "g_func_prime", "lambda_pm", "ln_gamma",
+    "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
     "oscillator_expansion", "position_variance_sum", "prescription_gap",
-    "specific_heat_fd", "spectral_energy", "to_physical", "trigamma",
-    "undamped_thermo", "__version__",
+    "specific_heat_fd", "spectral_energy", "trigamma", "undamped_thermo",
+    "__version__",
 ]

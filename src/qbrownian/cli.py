@@ -19,14 +19,15 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__
-from .core import ConvergenceError, DivergenceError, DomainError, Tolerances
-from .free_particle import (drude_specific_heat, free_energy_internal,
-                            ohmic_lowT_expansion, ohmic_specific_heat)
+from .core import (ConvergenceError, DivergenceError, DomainError, Tolerances,
+                   check_nonnegative, check_positive)
+from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
+                            ohmic_specific_heat)
 from .matsubara import (DampingKernel, Prescription, energy_sum,
                         prescription_gap, specific_heat_fd)
 from .oscillator import (damped_entropy, damped_specific_heat,
@@ -38,10 +39,27 @@ _KERNELS = ("ohmic", "drude")
 _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
 
+# (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio).  A
+# combination missing here has no closed form: curve differentiates its
+# frequency sum instead and compare reports C_closed as null.  The free
+# particle's closed forms are those of the energy route, its only curve route.
+_CLOSED_HEAT: dict[tuple[str, str, str], Callable[[float, float, float], float]] = {
+    ("oscillator", "ohmic", "energy"): lambda t, a, r: damped_specific_heat(t, a).C,
+    ("oscillator", "ohmic", "partition"):
+        lambda t, a, r: damped_specific_heat_via_entropy(t, a).C,
+    ("free", "ohmic", "energy"): lambda t, a, r: ohmic_specific_heat(t).C,
+    ("free", "drude", "energy"): lambda t, a, r: drude_specific_heat(t, r).C,
+}
+
 
 @dataclasses.dataclass
 class CurveSpec:
-    """Validated description of one curve/compare run."""
+    """Validated description of one run: model, bath, grid and outputs.
+
+    Every subcommand builds one, so all of them share its checks and its
+    temperature grid; construction raises DomainError on invalid input.  A
+    drude kernel without a cutoff ratio gets the default ratio 10.
+    """
 
     model: str
     kernel: str = "ohmic"
@@ -55,7 +73,7 @@ class CurveSpec:
     quantities: tuple[str, ...] = ("C",)
     tol: float = 1e-12
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.model not in _MODELS:
             raise DomainError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.kernel not in _KERNELS:
@@ -82,23 +100,27 @@ class CurveSpec:
             if "S" in self.quantities:
                 raise DomainError("entropy output is available for the oscillator only")
         else:
-            if self.alpha is not None and not (self.alpha >= 0.0
-                                               and math.isfinite(self.alpha)):
-                raise DomainError(f"alpha must be >= 0 and finite, got {self.alpha!r}")
+            if self.alpha is not None:
+                check_nonnegative("alpha", self.alpha)
             if "S" in self.quantities and self.kernel != "ohmic":
                 raise DomainError("entropy has a closed form for the ohmic "
                                   "oscillator only; drop S or use kernel=ohmic")
-        if self.kernel == "ohmic":
-            if self.cutoff_ratio is not None and math.isfinite(self.cutoff_ratio):
-                raise DomainError("a finite cutoff-ratio requires kernel=drude")
-        else:
-            if self.cutoff_ratio is None or not (self.cutoff_ratio > 0.0
-                                                 and math.isfinite(self.cutoff_ratio)):
-                raise DomainError("kernel=drude needs a positive finite cutoff-ratio")
+        if self.kernel == "drude":
+            if self.cutoff_ratio is None:
+                self.cutoff_ratio = 10.0
+            check_positive("cutoff_ratio", self.cutoff_ratio)
+        elif self.cutoff_ratio not in (None, math.inf):
+            # inf is the ohmic limit itself; anything else, nan included, is not
+            raise DomainError("a finite cutoff-ratio requires kernel=drude, "
+                              f"got {self.cutoff_ratio!r}")
 
     @property
     def alpha_value(self) -> float:
         return 1.0 if self.alpha is None else self.alpha
+
+    @property
+    def omega0(self) -> float:
+        return 1.0 if self.model == "oscillator" else 0.0
 
     def grid(self) -> np.ndarray:
         if self.log_grid:
@@ -106,120 +128,93 @@ class CurveSpec:
                                self.points)
         return np.linspace(self.t_min, self.t_max, self.points)
 
-    def tolerances(self) -> Tolerances:
-        return Tolerances(rel_sum_tail=self.tol)
-
     def make_kernel(self) -> DampingKernel:
         gamma = 1.0 if self.model == "free" else self.alpha_value
-        if self.kernel == "ohmic":
+        # at zero coupling there is no bath to cut off
+        if self.kernel == "ohmic" or gamma == 0.0:
             return DampingKernel.ohmic(gamma)
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
-    def params_comment(self) -> str:
-        alpha = "none" if self.alpha is None else _fmt(self.alpha_value)
-        cutoff = "inf" if self.kernel == "ohmic" else _fmt(self.cutoff_ratio)
-        return ("# " + " ".join([
-            f"model={self.model}", f"kernel={self.kernel}", f"alpha={alpha}",
-            f"cutoff_ratio={cutoff}", f"route={self.route}",
-            f"quantities={','.join(self.quantities)}", f"tmin={_fmt(self.t_min)}",
-            f"tmax={_fmt(self.t_max)}", f"points={self.points}",
-            f"log={str(self.log_grid).lower()}", f"tol={_fmt(self.tol)}",
-            f"version={__version__}"]))
+    def energy(self) -> Callable[[float, Prescription], float]:
+        """(theta, prescription) -> frequency-sum internal energy."""
+        kernel, tols = self.make_kernel(), Tolerances(rel_sum_tail=self.tol)
+        omega0 = self.omega0
+        return lambda theta, route: energy_sum(omega0, kernel, 1.0 / theta, route,
+                                               tol=tols).value
+
+    def comment(self, *names: str) -> str:
+        """The comment row: the named parameters, then the library version."""
+        values = {
+            "model": self.model, "kernel": self.kernel,
+            "alpha": "none" if self.alpha is None else _fmt(self.alpha),
+            "cutoff_ratio": "inf" if self.kernel == "ohmic" else _fmt(self.cutoff_ratio),
+            "route": self.route, "quantities": ",".join(self.quantities),
+            "tmin": _fmt(self.t_min), "tmax": _fmt(self.t_max),
+            "points": str(self.points), "log": str(self.log_grid).lower(),
+            "tol": _fmt(self.tol), "version": __version__}
+        return "# " + " ".join(f"{name}={values[name]}" for name in names + ("version",))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _annotate(theta: float):
-    """Re-raise numerical failures tagged with the grid point that caused them."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, ConvergenceError):
-                raise ConvergenceError(f"at theta={theta:g}: {exc}",
-                                       achieved=exc.achieved,
-                                       requested=exc.requested) from exc
-            return False
-    return _Ctx()
+def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
+    """[(theta, evaluate(theta))] over the grid; failures name their theta."""
+    out = []
+    for theta in spec.grid():
+        theta = float(theta)
+        try:
+            out.append((theta, evaluate(theta)))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"at theta={theta:g}: {exc}", achieved=exc.achieved,
+                                   requested=exc.requested) from exc
+    return out
 
 
 def _curve_columns(spec: CurveSpec) -> list[tuple[str, Callable[[float], float]]]:
     """Build (column name, theta -> value) pairs in canonical C, S, E order."""
-    tols = spec.tolerances()
-    kernel = spec.make_kernel()
-    alpha = spec.alpha_value
-    routes = ("energy", "partition") if spec.route == "both" else (spec.route,)
+    energy = spec.energy()
+    alpha, ratio = spec.alpha_value, spec.cutoff_ratio
+    routes = (tuple(Prescription) if spec.route == "both"
+              else (Prescription(spec.route),))
     columns: list[tuple[str, Callable[[float], float]]] = []
 
-    def fd_heat(route_name: str) -> Callable[[float], float]:
-        route = Prescription(route_name)
-
-        def value(theta: float) -> float:
-            return specific_heat_fd(
-                lambda t: energy_sum(1.0, kernel, 1.0 / t, route, tol=tols).value,
-                theta).value
-        return value
-
     if "C" in spec.quantities:
-        for route_name in routes:
-            if spec.model == "free":
-                if spec.kernel == "ohmic":
-                    columns.append(("C_energy",
-                                    lambda t: ohmic_specific_heat(t).C))
-                else:
-                    ratio = spec.cutoff_ratio
-                    columns.append(("C_energy",
-                                    lambda t, r=ratio: drude_specific_heat(t, r).C))
-            elif spec.kernel == "ohmic":
-                if route_name == "energy":
-                    columns.append(("C_energy",
-                                    lambda t, a=alpha: damped_specific_heat(t, a).C))
-                else:
-                    columns.append(
-                        ("C_partition",
-                         lambda t, a=alpha: damped_specific_heat_via_entropy(t, a).C))
+        for route in routes:
+            closed = _CLOSED_HEAT.get((spec.model, spec.kernel, route.value))
+            if closed is None:
+                def heat(t, r=route):
+                    return specific_heat_fd(lambda u: energy(u, r), t).value
             else:
-                columns.append((f"C_{route_name}", fd_heat(route_name)))
+                def heat(t, c=closed):
+                    return c(t, alpha, ratio)
+            columns.append((f"C_{route.value}", heat))
 
     if "S" in spec.quantities:
-        columns.append(("S", lambda t, a=alpha: damped_entropy(t, a).S))
+        columns.append(("S", lambda t: damped_entropy(t, alpha).S))
 
     if "E" in spec.quantities:
-        if spec.model == "free":
-            columns.append(("E", lambda t: free_energy_internal(t, kernel, tols).value))
-        elif spec.kernel == "ohmic":
-            columns.append(("E", lambda t: energy_sum(
-                1.0, kernel, 1.0 / t, Prescription.ENERGY, tol=tols).value))
-        elif spec.route == "both":
-            for route_name in routes:
-                route = Prescription(route_name)
-                columns.append((f"E_{route_name}", lambda t, r=route: energy_sum(
-                    1.0, kernel, 1.0 / t, r, tol=tols).value))
-        else:
-            route = Prescription(spec.route)
-            columns.append(("E", lambda t, r=route: energy_sum(
-                1.0, kernel, 1.0 / t, r, tol=tols).value))
+        # an ohmic kernel has no prescription gap, so one E column serves
+        e_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
+        for route in e_routes:
+            name = "E" if len(e_routes) == 1 else f"E_{route.value}"
+            columns.append((name, lambda t, r=route: energy(t, r)))
     return columns
 
 
 def cmd_curve(spec: CurveSpec) -> list[str]:
     """Render the curve CSV as a list of lines (header, comment, data rows)."""
-    spec.validate()
     columns = _curve_columns(spec)
     lines = ["theta," + ",".join(name for name, _ in columns),
-             spec.params_comment()]
-    for theta in spec.grid():
-        theta = float(theta)
-        with _annotate(theta):
-            values = [fn(theta) for _, fn in columns]
+             spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
+                          "quantities", "tmin", "tmax", "points", "log", "tol")]
+    for theta, values in _on_grid(spec, lambda t: [fn(t) for _, fn in columns]):
         lines.append(",".join([_fmt(theta)] + [_fmt(v) for v in values]))
     return lines
 
 
-_FIG1_RATIOS = (0.01, 0.1, 1.0, math.inf)
+_FIG1_RATIOS = {"0.01": 0.01, "0.1": 0.1, "1": 1.0, "inf": math.inf}
 
 
 def cmd_fig1(t_min: float = 1e-3, t_max: float = 10.0,
@@ -230,71 +225,45 @@ def cmd_fig1(t_min: float = 1e-3, t_max: float = 10.0,
     law.  Inset: C for cutoff ratios 0.01, 0.1, 1, inf (upper to lower at low
     temperature) with the same expansion column.
     """
-    if not (0.0 < t_min < t_max and math.isfinite(t_max)) or points < 2:
-        raise DomainError("fig1 needs 0 < tmin < tmax and points >= 2")
-    grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
-    comment = (f"# model=free kernel=ohmic tmin={_fmt(t_min)} tmax={_fmt(t_max)} "
-               f"points={points} log=true version={__version__}")
-
+    spec = CurveSpec(model="free", t_min=t_min, t_max=t_max, points=points,
+                     log_grid=True)
+    comment = spec.comment("model", "kernel", "tmin", "tmax", "points", "log")
     main = ["theta_gamma,C_exact,C_lowT", comment]
-    for theta in grid:
+    inset = ["theta_gamma," + ",".join(f"C_cutoff_{n}" for n in _FIG1_RATIOS)
+             + ",C_lowT", comment.replace("kernel=ohmic", "kernel=drude_family")]
+    for theta in spec.grid():
         theta = float(theta)
-        main.append(",".join([_fmt(theta), _fmt(ohmic_specific_heat(theta).C),
-                              _fmt(ohmic_lowT_expansion(theta))]))
-
-    ratio_names = ["C_cutoff_0.01", "C_cutoff_0.1", "C_cutoff_1", "C_cutoff_inf"]
-    inset = ["theta_gamma," + ",".join(ratio_names) + ",C_lowT",
-             comment.replace("kernel=ohmic", "kernel=drude_family")]
-    for theta in grid:
-        theta = float(theta)
-        row = [_fmt(theta)]
-        row += [_fmt(drude_specific_heat(theta, r).C) for r in _FIG1_RATIOS]
-        row.append(_fmt(ohmic_lowT_expansion(theta)))
-        inset.append(",".join(row))
+        low_t = _fmt(ohmic_lowT_expansion(theta))
+        main.append(",".join([_fmt(theta), _fmt(ohmic_specific_heat(theta).C), low_t]))
+        inset.append(",".join([_fmt(theta)] + [_fmt(drude_specific_heat(theta, r).C)
+                                               for r in _FIG1_RATIOS.values()] + [low_t]))
     return main, inset
 
 
 def cmd_compare(spec: CurveSpec) -> dict:
     """Evaluate both prescriptions, their gap, and FD cross-checks per point."""
-    spec.validate()
-    tols = spec.tolerances()
+    tols = Tolerances(rel_sum_tail=spec.tol)
     kernel = spec.make_kernel()
-    omega0 = 1.0 if spec.model == "oscillator" else 0.0
-
-    def energy(theta: float, route: Prescription) -> float:
-        return energy_sum(omega0, kernel, 1.0 / theta, route, tol=tols).value
-
-    def closed_heat(theta: float) -> float | None:
-        if spec.model == "oscillator":
-            if spec.kernel == "ohmic":
-                return damped_specific_heat(theta, spec.alpha_value).C
-            return None
-        if spec.kernel == "ohmic":
-            return ohmic_specific_heat(theta).C
-        return drude_specific_heat(theta, spec.cutoff_ratio).C
-
+    energy = spec.energy()
+    closed = _CLOSED_HEAT.get((spec.model, spec.kernel, "energy"))
     regularized = spec.kernel == "ohmic" and kernel.gamma > 0.0
-    rows = []
-    for theta in spec.grid():
-        theta = float(theta)
-        with _annotate(theta):
-            e_direct = energy(theta, Prescription.ENERGY)
-            e_partition = energy(theta, Prescription.PARTITION)
-            gap = prescription_gap(omega0, kernel, 1.0 / theta, tol=tols).value
-            fd_direct = specific_heat_fd(
-                lambda t: energy(t, Prescription.ENERGY), theta).value
-            fd_partition = specific_heat_fd(
-                lambda t: energy(t, Prescription.PARTITION), theta).value
-        rows.append({
+
+    def point(theta: float) -> dict:
+        return {
             "theta": theta,
-            "E_direct": e_direct,
-            "E_partition": e_partition,
-            "gap": gap,
-            "C_closed": closed_heat(theta),
-            "C_fd_direct": fd_direct,
-            "C_fd_partition": fd_partition,
+            "E_direct": energy(theta, Prescription.ENERGY),
+            "E_partition": energy(theta, Prescription.PARTITION),
+            "gap": prescription_gap(spec.omega0, kernel, 1.0 / theta, tol=tols).value,
+            "C_closed": None if closed is None else closed(
+                theta, spec.alpha_value, spec.cutoff_ratio),
+            "C_fd_direct": specific_heat_fd(
+                lambda t: energy(t, Prescription.ENERGY), theta).value,
+            "C_fd_partition": specific_heat_fd(
+                lambda t: energy(t, Prescription.PARTITION), theta).value,
             "status": "regularized" if regularized else "ok",
-        })
+        }
+
+    rows = [row for _, row in _on_grid(spec, point)]
     return {
         "model": spec.model,
         "kernel": spec.kernel,
@@ -307,44 +276,35 @@ def cmd_compare(spec: CurveSpec) -> dict:
 
 
 def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
-                   points: int, log_grid: bool = True) -> list[str]:
+                   points: int) -> list[str]:
     """Exact vs expansion values with halving-grid error exponents, as CSV lines.
 
-    The exponent column is log2(err(theta) / err(theta/2)): near the stated
-    remainder order of each expansion in its own asymptotic regime, and
-    meaningless (reported anyway) outside it.
+    The grid is always log-spaced.  The exponent column is
+    log2(err(theta) / err(theta/2)): near the stated remainder order of each
+    expansion in its own asymptotic regime, and meaningless (reported anyway)
+    outside it.
     """
-    if model not in _MODELS:
-        raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
-    if not (0.0 < t_min < t_max and math.isfinite(t_max)) or points < 2:
-        raise DomainError("expansions needs 0 < tmin < tmax and points >= 2")
+    spec = CurveSpec(model=model, alpha=alpha, t_min=t_min, t_max=t_max,
+                     points=points, log_grid=True)
+    a = spec.alpha_value
+    closed = _CLOSED_HEAT[model, "ohmic", "energy"]
     if model == "free":
-        if alpha is not None:
-            raise DomainError("alpha has no meaning for the free particle")
         kinds = ("free_lowT",)
     else:
-        a = 1.0 if alpha is None else alpha
-        if not (a >= 0.0 and math.isfinite(a)):
-            raise DomainError(f"alpha must be >= 0 and finite, got {alpha!r}")
         kinds = ("undamped_lowT", "undamped_highT")
         if a > 0.0:
             kinds += ("damped_lowT", "damped_highT")
 
     def pair(kind: str, theta: float) -> tuple[float, float]:
         if kind == "free_lowT":
-            return ohmic_specific_heat(theta).C, ohmic_lowT_expansion(theta)
-        if kind.startswith("undamped"):
-            return undamped_thermo(theta).C, oscillator_expansion(kind, theta).value
-        return (damped_specific_heat(theta, a).C,
-                oscillator_expansion(kind, theta, a).value)
+            return closed(theta, a, math.inf), ohmic_lowT_expansion(theta)
+        exact = (undamped_thermo(theta).C if kind.startswith("undamped")
+                 else closed(theta, a, math.inf))
+        return exact, oscillator_expansion(kind, theta, a).value
 
-    grid = (np.logspace(math.log10(t_min), math.log10(t_max), points)
-            if log_grid else np.linspace(t_min, t_max, points))
-    alpha_str = "none" if model == "free" or alpha is None else _fmt(alpha)
+    grid = spec.grid()
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
-             f"# model={model} alpha={alpha_str} tmin={_fmt(t_min)} "
-             f"tmax={_fmt(t_max)} points={points} log={str(log_grid).lower()} "
-             f"version={__version__}"]
+             spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
     for kind in kinds:
         for theta in grid:
             theta = float(theta)
@@ -372,24 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest reduced temperature")
         sp.add_argument("--points", type=int, default=points, help="grid size")
 
-    def add_model(sp):
+    def add_spec(sp, t_min: float, t_max: float, points: int):
         sp.add_argument("--model", choices=_MODELS, required=True)
         sp.add_argument("--kernel", choices=_KERNELS, default="ohmic")
         sp.add_argument("--alpha", type=float, default=None,
                         help="gamma/omega0 (oscillator only; default 1)")
         sp.add_argument("--cutoff-ratio", type=float, default=None,
-                        help="omega_D/gamma (drude kernel only)")
+                        help="omega_D/gamma (drude kernel only; default 10)")
+        add_grid(sp, t_min, t_max, points)
+        sp.add_argument("--log", action="store_true", help="log-spaced grid")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--tol", type=float, default=1e-12,
+                        help="relative tail tolerance for frequency sums")
 
     curve = sub.add_parser("curve", help="thermodynamic quantities on a grid")
-    add_model(curve)
-    add_grid(curve, 0.01, 10.0, 100)
-    curve.add_argument("--log", action="store_true", help="log-spaced grid")
+    add_spec(curve, 0.01, 10.0, 100)
     curve.add_argument("--route", choices=_ROUTES, default="energy")
     curve.add_argument("--quantities", default="C",
                        help="comma-separated subset of C,S,E")
-    curve.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    curve.add_argument("--tol", type=float, default=1e-12,
-                       help="relative tail tolerance for frequency sums")
 
     fig1 = sub.add_parser("fig1", help="free-particle figure data (main + inset)")
     add_grid(fig1, 1e-3, 10.0, 400)
@@ -397,46 +357,37 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output prefix; writes <out>_main.csv and <out>_inset.csv")
 
     compare = sub.add_parser("compare", help="both prescriptions and their gap")
-    add_model(compare)
-    add_grid(compare, 0.1, 10.0, 20)
-    compare.add_argument("--log", action="store_true")
-    compare.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    compare.add_argument("--tol", type=float, default=1e-12)
+    add_spec(compare, 0.1, 10.0, 20)
 
     expansions = sub.add_parser("expansions", help="limit expansions vs exact values")
     expansions.add_argument("--model", choices=_MODELS, required=True)
     expansions.add_argument("--alpha", type=float, default=None)
     add_grid(expansions, 0.01, 20.0, 40)
-    expansions.add_argument("--log", action="store_true", default=True)
+    expansions.add_argument("--log", action="store_true", default=True,
+                            help="no effect: the grid is always log-spaced")
     expansions.add_argument("--out", default=None)
     return parser
 
 
-def _write_lines(lines: Iterable[str], path: str | None, stream: TextIO) -> None:
+def _write_lines(lines: Iterable[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
-        stream.write(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
-    raw = {part.strip() for part in getattr(args, "quantities", "C").split(",")
-           if part.strip()}
-    unknown = raw - set(_QUANTITIES)
-    if unknown:
-        raise DomainError(f"unknown quantities {sorted(unknown)}; "
-                          f"choose from {_QUANTITIES}")
-    quantities = tuple(q for q in _QUANTITIES if q in raw)
-    cutoff = args.cutoff_ratio
-    if args.kernel == "drude" and cutoff is None:
-        cutoff = 10.0
+    names = {part.strip() for part in getattr(args, "quantities", "C").split(",")}
+    # canonical C, S, E order; unknown names stay in for CurveSpec to reject
+    quantities = (tuple(q for q in _QUANTITIES if q in names)
+                  + tuple(sorted(names - set(_QUANTITIES) - {""})))
     return CurveSpec(model=args.model, kernel=args.kernel, alpha=args.alpha,
-                     cutoff_ratio=cutoff, t_min=args.tmin, t_max=args.tmax,
-                     points=args.points, log_grid=getattr(args, "log", True),
+                     cutoff_ratio=args.cutoff_ratio, t_min=args.tmin, t_max=args.tmax,
+                     points=args.points, log_grid=args.log,
                      route=getattr(args, "route", "energy"),
-                     quantities=quantities or ("C",), tol=args.tol)
+                     quantities=quantities, tol=args.tol)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,19 +398,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "curve":
-            _write_lines(cmd_curve(_spec_from_args(args)), args.out, sys.stdout)
+            _write_lines(cmd_curve(_spec_from_args(args)), args.out)
         elif args.command == "fig1":
             main_lines, inset_lines = cmd_fig1(args.tmin, args.tmax, args.points)
-            _write_lines(main_lines, f"{args.out}_main.csv", sys.stdout)
-            _write_lines(inset_lines, f"{args.out}_inset.csv", sys.stdout)
+            _write_lines(main_lines, f"{args.out}_main.csv")
+            _write_lines(inset_lines, f"{args.out}_inset.csv")
         elif args.command == "compare":
             report = cmd_compare(_spec_from_args(args))
             payload = json.dumps(report, indent=2, allow_nan=False)
-            _write_lines([payload], args.out, sys.stdout)
+            _write_lines([payload], args.out)
         else:
-            lines = cmd_expansions(args.model, args.alpha, args.tmin, args.tmax,
-                                   args.points, getattr(args, "log", True))
-            _write_lines(lines, args.out, sys.stdout)
+            _write_lines(cmd_expansions(args.model, args.alpha, args.tmin,
+                                        args.tmax, args.points), args.out)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Reduced-unit conventions, shared tolerances, and error types.
+"""Reduced-unit conventions, shared tolerances, domain checks and error types.
 
 All downstream modules work in units hbar = k_B = M = 1.  An oscillator
 problem is measured against its own frequency: theta = k_B T / (hbar omega0)
@@ -12,11 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-OSCILLATOR = "oscillator"
-FREE_PARTICLE = "free"
-
-_CONVENTIONS = (OSCILLATOR, FREE_PARTICLE)
 
 
 class DomainError(ValueError):
@@ -60,83 +55,16 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """Dimensionless parameter set, tagged by which convention produced it.
-
-    theta         reduced temperature (k_B T / hbar omega0, or / hbar gamma)
-    alpha         gamma / omega0; math.inf for the free particle
-    cutoff_ratio  omega_D / gamma; math.inf means strictly ohmic
-    convention    OSCILLATOR or FREE_PARTICLE
-    """
-
-    theta: float
-    alpha: float
-    cutoff_ratio: float
-    convention: str
-
-    def __post_init__(self):
-        if self.convention not in _CONVENTIONS:
-            raise DomainError(f"unknown convention {self.convention!r}")
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise DomainError(f"theta must be positive and finite, got {self.theta!r}")
-        if self.alpha < 0.0 or math.isnan(self.alpha):
-            raise DomainError(f"alpha must be >= 0, got {self.alpha!r}")
-        if self.cutoff_ratio <= 0.0 or math.isnan(self.cutoff_ratio):
-            raise DomainError(
-                f"cutoff_ratio must be positive (inf = ohmic), got {self.cutoff_ratio!r}")
-        if self.convention == FREE_PARTICLE and self.alpha != math.inf:
-            raise DomainError("free-particle convention requires alpha = inf")
+def check_positive(name: str, value: float) -> None:
+    """Raise DomainError unless value is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def make_reduced(temperature: float, omega0: float, gamma: float,
-                 omega_d: float = math.inf) -> ReducedParams:
-    """Map physical (T, omega0, gamma, omega_D) to a reduced parameter set.
-
-    omega0 > 0 selects the oscillator convention; omega0 == 0 selects the
-    free particle, which then needs gamma > 0 to have a scale at all.
-    """
-    if not (temperature > 0.0 and math.isfinite(temperature)):
-        raise DomainError(f"temperature must be positive and finite, got {temperature!r}")
-    if omega0 < 0.0 or not math.isfinite(omega0):
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0!r}")
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be >= 0 and finite, got {gamma!r}")
-    if omega_d <= 0.0 or math.isnan(omega_d):
-        raise DomainError(f"omega_d must be positive (inf = ohmic), got {omega_d!r}")
-
-    cutoff_ratio = omega_d / gamma if (gamma > 0.0 and math.isfinite(omega_d)) else math.inf
-    if omega0 > 0.0:
-        return ReducedParams(theta=temperature / omega0, alpha=gamma / omega0,
-                             cutoff_ratio=cutoff_ratio, convention=OSCILLATOR)
-    if gamma == 0.0:
-        raise DomainError("a free particle needs gamma > 0 to define a scale")
-    return ReducedParams(theta=temperature / gamma, alpha=math.inf,
-                         cutoff_ratio=cutoff_ratio, convention=FREE_PARTICLE)
-
-
-def to_physical(params: ReducedParams, *, omega0: float | None = None,
-                gamma: float | None = None) -> tuple[float, float, float, float]:
-    """Invert make_reduced given the one scale the reduced set cannot carry.
-
-    Oscillator sets need omega0; free-particle sets need gamma.  Returns
-    (temperature, omega0, gamma, omega_d).
-    """
-    if params.convention == OSCILLATOR:
-        if omega0 is None or not (omega0 > 0.0 and math.isfinite(omega0)):
-            raise DomainError("oscillator convention needs a positive finite omega0")
-        gamma_phys = params.alpha * omega0
-    else:
-        if gamma is None or not (gamma > 0.0 and math.isfinite(gamma)):
-            raise DomainError("free-particle convention needs a positive finite gamma")
-        gamma_phys = gamma
-        omega0 = 0.0
-    temperature = params.theta * (omega0 if params.convention == OSCILLATOR else gamma_phys)
-    if gamma_phys > 0.0 and math.isfinite(params.cutoff_ratio):
-        omega_d = params.cutoff_ratio * gamma_phys
-    else:
-        omega_d = math.inf
-    return temperature, omega0, gamma_phys, omega_d
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise DomainError unless value is >= 0 and finite."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 def real_with_im_check(z: complex, atol: float = 1e-12, what: str = "value") -> float:

@@ -19,7 +19,8 @@ import dataclasses
 import cmath
 import math
 
-from .core import DEFAULT_TOL, DomainError, Tolerances, real_with_im_check
+from .core import (DEFAULT_TOL, DomainError, Tolerances, check_positive,
+                   real_with_im_check)
 from .matsubara import DampingKernel, SumResult, Prescription, energy_sum
 from .specfun import trigamma
 
@@ -44,18 +45,13 @@ class FreeParticlePoint:
     regularized: bool = False
 
 
-def _check_theta(theta: float) -> None:
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-
-
 def ohmic_specific_heat(theta: float) -> FreeParticlePoint:
     """C/k_B = 1/2 - a + a^2 psi'(1 + a), a = 1/(2 pi theta), strict ohmic.
 
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     a = 1.0 / (TWO_PI * theta)
     heat = 0.5 - a + a * a * trigamma(1.0 + a).real
     return FreeParticlePoint(theta=theta, cutoff_ratio=math.inf, C=heat)
@@ -63,7 +59,7 @@ def ohmic_specific_heat(theta: float) -> FreeParticlePoint:
 
 def ohmic_lowT_expansion(theta: float) -> float:
     """Two-term low-temperature series (pi/3) theta - (4 pi^3/15) theta^3."""
-    _check_theta(theta)
+    check_positive("theta", theta)
     return (math.pi / 3.0) * theta - (4.0 * math.pi ** 3 / 15.0) * theta ** 3
 
 
@@ -73,7 +69,7 @@ def drude_z_pm(theta: float, cutoff_ratio: float) -> tuple[complex, complex]:
     Conjugate for cutoff_ratio < 4(underdamped bath response), real above;
     the two coincide at cutoff_ratio = 4.
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     if not (cutoff_ratio > 0.0 and math.isfinite(cutoff_ratio)):
         raise DomainError(
             f"cutoff_ratio must be positive and finite here, got {cutoff_ratio!r}")
@@ -91,7 +87,7 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> FreeParticlePoint:
     2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)] with psi'' from a symmetric
     difference of psi' (step 1e-6, leaving ~1e-10 absolute error in C).
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     if not cutoff_ratio > 0.0:
         raise DomainError(
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")
@@ -124,7 +120,7 @@ def free_energy_internal(theta: float, kernel: DampingKernel,
     scale.  Strictly ohmic kernels give the cutoff-regularized energy with
     the regularized flag set; only its temperature dependence is physical.
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     if kernel.gamma <= 0.0:
         raise DomainError("the free particle needs kernel.gamma > 0 for a scale")
     beta = 1.0 / (theta * kernel.gamma)

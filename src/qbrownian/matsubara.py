@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError, Tolerances
+from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
+                   Tolerances, check_nonnegative, check_positive)
 from .specfun import trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -57,8 +58,7 @@ class DampingKernel:
     omega_d: float = math.inf
 
     def __post_init__(self):
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be >= 0 and finite, got {self.gamma!r}")
+        check_nonnegative("gamma", self.gamma)
         if self.omega_d <= 0.0 or math.isnan(self.omega_d):
             raise DomainError(f"omega_d must be positive, got {self.omega_d!r}")
 
@@ -83,13 +83,6 @@ class DampingKernel:
         q = self.gamma * self.omega_d
         d = z + self.omega_d
         return q / d, -q / (d * d)
-
-
-def kernel_laplace(kernel: DampingKernel, z):
-    """Evaluate (gh(z), gh'(z)) for z > 0."""
-    if np.any(np.asarray(z) <= 0.0):
-        raise DomainError("kernel transforms are evaluated at z > 0 only")
-    return kernel.laplace(z)
 
 
 @dataclass(frozen=True)
@@ -167,11 +160,6 @@ def _accelerated_sum(summand: Callable, rel_tol: float, max_terms: int,
         block = n_done
 
 
-def _check_beta(beta: float) -> None:
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta!r}")
-
-
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
                route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
                regularized: bool = True, max_terms: int = 10 ** 8) -> SumResult:
@@ -182,9 +170,8 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     the cutoff-regularized value described in the module docstring is
     returned and flagged, otherwise DivergenceError is raised.
     """
-    if not (omega0 >= 0.0 and math.isfinite(omega0)):
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0!r}")
-    _check_beta(beta)
+    check_nonnegative("omega0", omega0)
+    check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
 
@@ -249,9 +236,8 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
     when the individual energies need regularization.  Identically zero for
     any strictly ohmic kernel (gh' = 0), returned without summing.
     """
-    if not (omega0 >= 0.0 and math.isfinite(omega0)):
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0!r}")
-    _check_beta(beta)
+    check_nonnegative("omega0", omega0)
+    check_positive("beta", beta)
     if kernel.is_ohmic:
         return SumResult(value=0.0, terms_used=0, tail_bound=0.0,
                          route=Prescription.PARTITION)
@@ -277,10 +263,8 @@ def position_variance_sum(theta: float, alpha: float,
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
     Serves as the frequency-sum counterpart of the spectral-integral moment.
     """
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be >= 0 and finite, got {alpha!r}")
+    check_positive("theta", theta)
+    check_nonnegative("alpha", alpha)
     nu_scale = TWO_PI * theta
 
     def summand(n):
@@ -313,8 +297,7 @@ def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
     """
     if rel_step is None:
         rel_step = DEFAULT_TOL.fd_step
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+    check_positive("theta", theta)
     if not (0.0 < rel_step < 0.5):
         raise DomainError(f"rel_step must lie in (0, 0.5), got {rel_step!r}")
 

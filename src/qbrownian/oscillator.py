@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DomainError, real_with_im_check
-from .matsubara import Prescription
+from .core import (DomainError, check_nonnegative, check_positive,
+                   real_with_im_check)
 from .specfun import g_func, g_func_prime, trigamma
 
 TWO_PI = 2.0 * math.pi
@@ -45,22 +45,11 @@ class OscillatorPoint:
     E: float | None = None
     S: float | None = None
     C: float | None = None
-    route: Prescription | None = None
 
 
 class ExpansionResult(NamedTuple):
     value: float
     last_term: float
-
-
-def _check_theta(theta: float) -> None:
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be >= 0 and finite, got {alpha!r}")
 
 
 def _bose(x: float) -> float:
@@ -76,7 +65,7 @@ def undamped_thermo(theta: float) -> OscillatorPoint:
     Uses expm1-based forms so the deep quantum regime (theta << 1) underflows
     gracefully to the ground state instead of losing digits.
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     x = 1.0 / theta
     occupation = _bose(x)
     energy = 0.5 + occupation
@@ -95,8 +84,8 @@ def undamped_thermo(theta: float) -> OscillatorPoint:
 
 def lambda_pm(theta: float, alpha: float) -> LambdaPair:
     """Characteristic pair; conjugate for alpha < 2, real for alpha >= 2."""
-    _check_theta(theta)
-    _check_alpha(alpha)
+    check_positive("theta", theta)
+    check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
     root = cmath.sqrt(complex(half * half - 1.0, 0.0))
@@ -117,8 +106,7 @@ def damped_specific_heat(theta: float, alpha: float) -> OscillatorPoint:
     total += pair.lam_plus ** 2 * trigamma(1.0 + pair.lam_plus)
     total += pair.lam_minus ** 2 * trigamma(1.0 + pair.lam_minus)
     heat = real_with_im_check(total, what="specific heat")
-    return OscillatorPoint(theta=theta, alpha=alpha, C=heat,
-                           route=Prescription.ENERGY)
+    return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
 
 
 def damped_entropy(theta: float, alpha: float) -> OscillatorPoint:
@@ -132,8 +120,7 @@ def damped_entropy(theta: float, alpha: float) -> OscillatorPoint:
     total = complex(1.0 + math.log(theta) + a, 0.0)
     total += g_func(pair.lam_plus) + g_func(pair.lam_minus)
     entropy = real_with_im_check(total, what="entropy")
-    return OscillatorPoint(theta=theta, alpha=alpha, S=entropy,
-                           route=Prescription.PARTITION)
+    return OscillatorPoint(theta=theta, alpha=alpha, S=entropy)
 
 
 def damped_specific_heat_via_entropy(theta: float, alpha: float) -> OscillatorPoint:
@@ -149,8 +136,7 @@ def damped_specific_heat_via_entropy(theta: float, alpha: float) -> OscillatorPo
     total -= pair.lam_plus * g_func_prime(pair.lam_plus)
     total -= pair.lam_minus * g_func_prime(pair.lam_minus)
     heat = real_with_im_check(total, what="specific heat")
-    return OscillatorPoint(theta=theta, alpha=alpha, C=heat,
-                           route=Prescription.PARTITION)
+    return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")
@@ -168,7 +154,7 @@ def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> Expansi
     enforces; they are meaningless at alpha = 0, where the low-temperature
     behavior is exponential instead.
     """
-    _check_theta(theta)
+    check_positive("theta", theta)
     if kind not in _EXPANSION_KINDS:
         raise DomainError(f"kind must be one of {_EXPANSION_KINDS}, got {kind!r}")
     if kind == "undamped_lowT":
@@ -178,7 +164,7 @@ def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> Expansi
     if kind == "undamped_highT":
         term = 1.0 / (12.0 * theta * theta)
         return ExpansionResult(value=1.0 - term, last_term=term)
-    _check_alpha(alpha)
+    check_nonnegative("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("damped expansions need alpha > 0")
     if kind == "damped_lowT":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .core import ConvergenceError, DEFAULT_TOL, DomainError, Tolerances
+from .core import ConvergenceError, DEFAULT_TOL, DomainError, Tolerances, check_positive
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,6 @@ class MomentResult:
     q2: float
     p2_reg: float
     abs_err: float
-
-
-def _check_args(theta: float, alpha: float) -> None:
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def _den(w: float, alpha: float) -> float:
@@ -73,7 +66,8 @@ def f_n_integral(n: int, theta: float, alpha: float,
     Bose tail sit below the requested absolute tolerance; both residuals are
     folded into the reported error, and an unreachable tolerance raises.
     """
-    _check_args(theta, alpha)
+    check_positive("theta", theta)
+    check_positive("alpha", alpha)
     if n not in (0, 2):
         raise DomainError(f"only the n = 0 and n = 2 moments exist here, got {n!r}")
     target = tol.quad_abs

@@ -53,18 +53,29 @@ def test_curve_values_round_trip_exactly(tmp_path):
         assert float(row[1]) == ohmic_specific_heat(theta).C
 
 
-def test_curve_zero_alpha_matches_undamped(tmp_path):
+@pytest.mark.parametrize("extra, header, c_abs", [
+    (["--quantities", "C,S,E"], ["theta", "C_energy", "S", "E"], 1e-12),
+    # zero coupling leaves no bath to cut off; C comes from FD of the sum
+    (["--kernel", "drude", "--cutoff-ratio", "10", "--route", "both",
+      "--quantities", "C,E"],
+     ["theta", "C_energy", "C_partition", "E_energy", "E_partition"], 1e-8),
+], ids=["ohmic", "drude"])
+def test_curve_zero_alpha_matches_undamped(tmp_path, extra, header, c_abs):
     out = tmp_path / "undamped.csv"
     assert main(["curve", "--model", "oscillator", "--alpha", "0",
-                 "--quantities", "C,S,E", "--tmin", "0.5", "--tmax", "2.0",
-                 "--points", "4", "--out", str(out)]) == 0
-    header, _, rows = read_csv(out)
-    assert header == ["theta", "C_energy", "S", "E"]
+                 "--tmin", "0.5", "--tmax", "2.0", "--points", "4",
+                 "--out", str(out)] + extra) == 0
+    got_header, _, rows = read_csv(out)
+    assert got_header == header
     for row in rows:
         want = undamped_thermo(float(row[0]))
-        assert float(row[1]) == pytest.approx(want.C, abs=1e-12)
-        assert float(row[2]) == pytest.approx(want.S, abs=1e-12)
-        assert float(row[3]) == pytest.approx(want.E, rel=1e-9)
+        for name, value in zip(header[1:], map(float, row[1:])):
+            if name.startswith("C"):
+                assert value == pytest.approx(want.C, abs=c_abs)
+            elif name == "S":
+                assert value == pytest.approx(want.S, abs=1e-12)
+            else:
+                assert value == pytest.approx(want.E, rel=1e-9)
 
 
 def test_curve_both_routes_agree_for_ohmic(tmp_path):
@@ -127,6 +138,17 @@ def test_compare_oscillator_drude(tmp_path):
             assert 0.0 < point[key] < 1.2
 
 
+def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--model", "oscillator", "--kernel", "drude",
+                 "--alpha", "0", "--tmin", "0.5", "--tmax", "2.0",
+                 "--points", "2", "--out", str(out)]) == 0
+    for point in json.loads(out.read_text())["points"]:
+        assert point["gap"] == 0.0
+        assert point["C_fd_direct"] == pytest.approx(
+            undamped_thermo(point["theta"]).C, abs=1e-8)
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "--model", "free", "--route", "partition"],
     ["curve", "--model", "free", "--alpha", "1.0"],
@@ -139,6 +161,8 @@ def test_compare_oscillator_drude(tmp_path):
     ["curve", "--model", "oscillator", "--tmin", "2", "--tmax", "1"],
     ["curve", "--model", "oscillator", "--tol", "2.0"],
     ["expansions", "--model", "free", "--alpha", "1"],
+    ["curve", "--model", "oscillator", "--cutoff-ratio", "nan"],
+    ["curve", "--model", "oscillator", "--quantities", ","],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -1,4 +1,4 @@
-"""Tests for reduced-unit conversion, parameter records, and tolerances."""
+"""Tests for the shared domain checks, tolerances, and real-part collapse."""
 
 from __future__ import annotations
 
@@ -6,88 +6,25 @@ import math
 
 import pytest
 
-from qbrownian.core import (FREE_PARTICLE, OSCILLATOR, DomainError, Tolerances,
-                            make_reduced, real_with_im_check, to_physical)
+from qbrownian.core import (DomainError, Tolerances, check_nonnegative,
+                            check_positive, real_with_im_check)
 
 
-def test_oscillator_reduction():
-    params = make_reduced(temperature=0.5, omega0=1.0, gamma=2.0, omega_d=20.0)
-    assert params.convention == OSCILLATOR
-    assert params.theta == pytest.approx(0.5, rel=1e-15)
-    assert params.alpha == pytest.approx(2.0, rel=1e-15)
-    assert params.cutoff_ratio == pytest.approx(10.0, rel=1e-15)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_check_positive_rejects(value):
+    with pytest.raises(DomainError, match="theta must be positive and finite"):
+        check_positive("theta", value)
 
 
-def test_oscillator_reduction_scales_out_omega0():
-    a = make_reduced(temperature=1.5, omega0=3.0, gamma=6.0, omega_d=30.0)
-    b = make_reduced(temperature=0.5, omega0=1.0, gamma=2.0, omega_d=10.0)
-    assert a.theta == pytest.approx(b.theta, rel=1e-15)
-    assert a.alpha == pytest.approx(b.alpha, rel=1e-15)
-    assert a.cutoff_ratio == pytest.approx(b.cutoff_ratio, rel=1e-15)
+@pytest.mark.parametrize("value", [-1e-300, math.inf, math.nan])
+def test_check_nonnegative_rejects(value):
+    with pytest.raises(DomainError, match="alpha must be >= 0 and finite"):
+        check_nonnegative("alpha", value)
 
 
-def test_free_particle_reduction():
-    params = make_reduced(temperature=2.0, omega0=0.0, gamma=4.0, omega_d=8.0)
-    assert params.convention == FREE_PARTICLE
-    assert params.theta == pytest.approx(0.5, rel=1e-15)
-    assert math.isinf(params.alpha)
-    assert params.cutoff_ratio == pytest.approx(2.0, rel=1e-15)
-
-
-def test_undamped_oscillator_gets_infinite_cutoff_ratio():
-    params = make_reduced(temperature=1.0, omega0=2.0, gamma=0.0)
-    assert params.alpha == 0.0
-    assert math.isinf(params.cutoff_ratio)
-
-
-def test_infinite_omega_d_means_strict_ohmic():
-    params = make_reduced(temperature=1.0, omega0=1.0, gamma=1.0)
-    assert math.isinf(params.cutoff_ratio)
-
-
-def test_physical_round_trip_oscillator():
-    params = make_reduced(temperature=0.7, omega0=2.0, gamma=3.0, omega_d=12.0)
-    temperature, omega0, gamma, omega_d = to_physical(params, omega0=2.0)
-    assert temperature == pytest.approx(0.7, rel=1e-14)
-    assert omega0 == pytest.approx(2.0, rel=1e-14)
-    assert gamma == pytest.approx(3.0, rel=1e-14)
-    assert omega_d == pytest.approx(12.0, rel=1e-14)
-
-
-def test_physical_round_trip_free_particle():
-    params = make_reduced(temperature=2.0, omega0=0.0, gamma=4.0, omega_d=8.0)
-    temperature, omega0, gamma, omega_d = to_physical(params, gamma=4.0)
-    assert temperature == pytest.approx(2.0, rel=1e-14)
-    assert omega0 == 0.0
-    assert gamma == pytest.approx(4.0, rel=1e-14)
-    assert omega_d == pytest.approx(8.0, rel=1e-14)
-
-
-def test_free_particle_requires_damping():
-    with pytest.raises(DomainError):
-        make_reduced(temperature=1.0, omega0=0.0, gamma=0.0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(temperature=0.0, omega0=1.0, gamma=1.0),
-    dict(temperature=-1.0, omega0=1.0, gamma=1.0),
-    dict(temperature=1.0, omega0=-1.0, gamma=1.0),
-    dict(temperature=1.0, omega0=1.0, gamma=-0.5),
-    dict(temperature=1.0, omega0=1.0, gamma=1.0, omega_d=0.0),
-    dict(temperature=1.0, omega0=1.0, gamma=1.0, omega_d=-2.0),
-])
-def test_invalid_physical_inputs_rejected(kwargs):
-    with pytest.raises(DomainError):
-        make_reduced(**kwargs)
-
-
-def test_to_physical_needs_the_right_scale():
-    oscillator = make_reduced(temperature=1.0, omega0=1.0, gamma=1.0)
-    with pytest.raises(DomainError):
-        to_physical(oscillator)
-    free = make_reduced(temperature=1.0, omega0=0.0, gamma=2.0)
-    with pytest.raises(DomainError):
-        to_physical(free, omega0=1.0)
+def test_checks_accept_their_domains():
+    check_positive("theta", 1e-300)
+    check_nonnegative("alpha", 0.0)
 
 
 def test_tolerances_defaults_and_validation():

