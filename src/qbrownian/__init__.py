@@ -3,8 +3,9 @@
 Specific heat, entropy, and internal energy of an ohmically or Drude-damped
 quantum harmonic oscillator and of a free quantum Brownian particle, at
 arbitrary coupling strength, computed through mutually independent routes:
-trigamma-based closed forms, tail-accelerated frequency sums under both
-energy prescriptions, direct spectral quadrature, and limit expansions.
+trigamma-based closed forms, frequency sums under both energy prescriptions
+(in pole form and tail-accelerated term by term), direct spectral
+quadrature, and limit expansions.
 """
 
 from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
@@ -12,29 +13,29 @@ from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
 from .free_particle import (FreeParticlePoint, drude_specific_heat, drude_z_pm,
                             free_energy_internal, ohmic_lowT_expansion,
                             ohmic_specific_heat)
-from .matsubara import (DampingKernel, FdResult, Prescription, SumResult,
-                        energy_sum, position_variance_sum, prescription_gap,
-                        specific_heat_fd)
+from .matsubara import (DampingKernel, FdResult, PoleSum, Prescription,
+                        SumResult, energy_sum, position_variance_sum,
+                        prescription_gap, specific_heat_fd)
 from .oscillator import (ExpansionResult, LambdaPair, OscillatorPoint,
                          damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy, lambda_pm,
                          oscillator_expansion, undamped_thermo)
 from .quadrature import MomentResult, f_n_integral, moments, spectral_energy
 from .specfun import (PoleError, digamma, g_func, g_func_prime, ln_gamma,
-                      trigamma)
+                      polygamma, trigamma)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DivergenceError",
     "DomainError", "ExpansionResult", "FdResult", "FreeParticlePoint",
-    "LambdaPair", "MomentResult", "OscillatorPoint", "PoleError",
+    "LambdaPair", "MomentResult", "OscillatorPoint", "PoleError", "PoleSum",
     "Prescription", "SumResult", "Tolerances", "damped_entropy",
     "damped_specific_heat", "damped_specific_heat_via_entropy", "digamma",
     "drude_specific_heat", "drude_z_pm", "energy_sum", "f_n_integral",
     "free_energy_internal", "g_func", "g_func_prime", "lambda_pm", "ln_gamma",
     "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
-    "oscillator_expansion", "position_variance_sum", "prescription_gap",
-    "specific_heat_fd", "spectral_energy", "trigamma", "undamped_thermo",
-    "__version__",
+    "oscillator_expansion", "polygamma", "position_variance_sum",
+    "prescription_gap", "specific_heat_fd", "spectral_energy", "trigamma",
+    "undamped_thermo", "__version__",
 ]

@@ -6,6 +6,11 @@ Subcommands:
   compare     both energy prescriptions, their gap, and FD cross-checks (JSON)
   expansions  limit expansions against exact values with error exponents (CSV)
 
+curve takes energies, and specific heats without a closed form, from the
+frequency sums in pole form (matsubara.PoleSum); compare evaluates the same
+sums term by term with tail acceleration and differentiates them numerically,
+so it is the sum-based cross-check of curve.
+
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
 parameter set and the library version.  Exit codes: 0 success, 2 usage error,
@@ -28,7 +33,7 @@ from .core import (ConvergenceError, DivergenceError, DomainError, Tolerances,
                    check_nonnegative, check_positive)
 from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
-from .matsubara import (DampingKernel, Prescription, energy_sum,
+from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                         prescription_gap, specific_heat_fd)
 from .oscillator import (damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy,
@@ -40,9 +45,10 @@ _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
 
 # (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio).  A
-# combination missing here has no closed form: curve differentiates its
-# frequency sum instead and compare reports C_closed as null.  The free
-# particle's closed forms are those of the energy route, its only curve route.
+# combination missing here has no closed form: curve takes C from the pole
+# form of its frequency sum instead and compare reports C_closed as null.  The
+# free particle's closed forms are those of the energy route, its only curve
+# route.
 _CLOSED_HEAT: dict[tuple[str, str, str], Callable[[float, float, float], float]] = {
     ("oscillator", "ohmic", "energy"): lambda t, a, r: damped_specific_heat(t, a).C,
     ("oscillator", "ohmic", "partition"):
@@ -136,7 +142,7 @@ class CurveSpec:
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
     def energy(self) -> Callable[[float, Prescription], float]:
-        """(theta, prescription) -> frequency-sum internal energy."""
+        """(theta, prescription) -> internal energy summed term by term."""
         kernel, tols = self.make_kernel(), Tolerances(rel_sum_tail=self.tol)
         omega0 = self.omega0
         return lambda theta, route: energy_sum(omega0, kernel, 1.0 / theta, route,
@@ -173,19 +179,22 @@ def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
 
 
 def _curve_columns(spec: CurveSpec) -> list[tuple[str, Callable[[float], float]]]:
-    """Build (column name, theta -> value) pairs in canonical C, S, E order."""
-    energy = spec.energy()
+    """Build (column name, theta -> value) pairs in canonical C, S, E order.
+
+    E, and C without a closed form, come from the frequency sums' pole form
+    (PoleSum).
+    """
     alpha, ratio = spec.alpha_value, spec.cutoff_ratio
     routes = (tuple(Prescription) if spec.route == "both"
               else (Prescription(spec.route),))
+    kernel = spec.make_kernel()
     columns: list[tuple[str, Callable[[float], float]]] = []
 
     if "C" in spec.quantities:
         for route in routes:
             closed = _CLOSED_HEAT.get((spec.model, spec.kernel, route.value))
             if closed is None:
-                def heat(t, r=route):
-                    return specific_heat_fd(lambda u: energy(u, r), t).value
+                heat = PoleSum(spec.omega0, kernel, route).heat
             else:
                 def heat(t, c=closed):
                     return c(t, alpha, ratio)
@@ -199,7 +208,7 @@ def _curve_columns(spec: CurveSpec) -> list[tuple[str, Callable[[float], float]]
         e_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
         for route in e_routes:
             name = "E" if len(e_routes) == 1 else f"E_{route.value}"
-            columns.append((name, lambda t, r=route: energy(t, r)))
+            columns.append((name, PoleSum(spec.omega0, kernel, route).energy))
     return columns
 
 
@@ -343,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--log", action="store_true", help="log-spaced grid")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--tol", type=float, default=1e-12,
-                        help="relative tail tolerance for frequency sums")
+                        help="relative tail tolerance of compare's frequency "
+                             "sums; curve sums in closed form and ignores it")
 
     curve = sub.add_parser("curve", help="thermodynamic quantities on a grid")
     add_spec(curve, 0.01, 10.0, 100)

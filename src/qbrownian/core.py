@@ -78,3 +78,35 @@ def real_with_im_check(z: complex, atol: float = 1e-12, what: str = "value") -> 
     if abs(z.imag) > atol * max(1.0, abs(z.real)):
         raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
     return z.real
+
+
+# a cancelling sum of terms fails when its roundoff exceeds both of these
+ROUNDOFF_LIMIT = 1e-6       # relative to the result
+ROUNDOFF_FLOOR = 1e-12      # absolute, in the result's units (k_B for C and S)
+_EPS = 2.0 ** -52
+
+
+def roundoff_ok(value: float, magnitude: float) -> bool:
+    """False if cancellation swamped value, or value is not finite.
+
+    magnitude is the sum of the absolute values of the terms that were added
+    up to value, so magnitude * eps estimates the roundoff left in it.  The
+    value fails when that roundoff exceeds ROUNDOFF_LIMIT relative to |value|
+    and ROUNDOFF_FLOOR in absolute terms.  The floor lets a result that is
+    exponentially small in truth, such as the undamped specific heat at low
+    temperature, pass with its tiny absolute error.
+    """
+    err = magnitude * _EPS
+    return math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
+                                     or err <= ROUNDOFF_FLOOR)
+
+
+def roundoff_error(value: float, magnitude: float, what: str,
+                   **params: float) -> ConvergenceError:
+    """The error for a value that failed roundoff_ok; params name the inputs."""
+    loss = magnitude * _EPS / abs(value) if value != 0.0 else math.inf
+    where = ", ".join(f"{name}={x!r}" for name, x in params.items())
+    return ConvergenceError(
+        f"{what} at {where} lost its digits to cancellation: estimated "
+        f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",
+        achieved=loss, requested=ROUNDOFF_LIMIT)

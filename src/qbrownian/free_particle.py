@@ -20,7 +20,7 @@ import cmath
 import math
 
 from .core import (DEFAULT_TOL, DomainError, Tolerances, check_positive,
-                   real_with_im_check)
+                   real_with_im_check, roundoff_error, roundoff_ok)
 from .matsubara import DampingKernel, SumResult, Prescription, energy_sum
 from .specfun import trigamma
 
@@ -53,7 +53,11 @@ def ohmic_specific_heat(theta: float) -> FreeParticlePoint:
     """
     check_positive("theta", theta)
     a = 1.0 / (TWO_PI * theta)
-    heat = 0.5 - a + a * a * trigamma(1.0 + a).real
+    term = a * a * trigamma(1.0 + a).real
+    heat = 0.5 - a + term
+    magnitude = 0.5 + a + abs(term)
+    if not roundoff_ok(heat, magnitude):
+        raise roundoff_error(heat, magnitude, "specific heat", theta=theta)
     return FreeParticlePoint(theta=theta, cutoff_ratio=math.inf, C=heat)
 
 
@@ -85,7 +89,10 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> FreeParticlePoint:
     written through s = sqrt(1 - 4/r).  The s -> 0 degeneracy at r = 4 is a
     removable 0/0; inside a narrow band it is evaluated through the limit
     2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)] with psi'' from a symmetric
-    difference of psi' (step 1e-6, leaving ~1e-10 absolute error in C).
+    difference of psi' (step 1e-6, leaving ~1e-10 absolute error in C at
+    theta ~ 1).  Raises ConvergenceError where roundoff would leave less
+    than six digits: below theta ~ 1e-9 in general, and below theta ~ 0.03
+    inside that band, where the difference quotient cancels.
     """
     check_positive("theta", theta)
     if not cutoff_ratio > 0.0:
@@ -99,15 +106,28 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> FreeParticlePoint:
     disc = 1.0 - 4.0 / cutoff_ratio
     if abs(disc) < _DEGENERATE_BAND:
         h = _PSI2_STEP
-        psi2 = (trigamma(1.0 + z0 + h).real - trigamma(1.0 + z0 - h).real) / (2.0 * h)
-        bracket_over_s = 2.0 * z0 * (trigamma(1.0 + z0).real + z0 * psi2)
+        psi1_hi = trigamma(1.0 + z0 + h).real
+        psi1_lo = trigamma(1.0 + z0 - h).real
+        psi2 = (psi1_hi - psi1_lo) / (2.0 * h)
+        psi1 = trigamma(1.0 + z0).real
+        bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
         heat = 0.5 - a * bracket_over_s
+        # the difference quotient's own terms count: they cancel far more
+        # than the bracket does once z0 is large
+        magnitude = 0.5 + 2.0 * a * z0 * (
+            abs(psi1) + z0 * (abs(psi1_hi) + abs(psi1_lo)) / (2.0 * h))
     else:
         s = cmath.sqrt(complex(disc, 0.0))
         z_plus = z0 * (1.0 + s)
         z_minus = z0 * (1.0 - s)
-        bracket = z_plus * trigamma(1.0 + z_plus) - z_minus * trigamma(1.0 + z_minus)
-        heat = real_with_im_check(0.5 - a * bracket / s, what="specific heat")
+        t_plus = z_plus * trigamma(1.0 + z_plus)
+        t_minus = z_minus * trigamma(1.0 + z_minus)
+        heat = real_with_im_check(0.5 - a * (t_plus - t_minus) / s,
+                                  what="specific heat")
+        magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
+    if not roundoff_ok(heat, magnitude):
+        raise roundoff_error(heat, magnitude, "specific heat", theta=theta,
+                             cutoff_ratio=cutoff_ratio)
     return FreeParticlePoint(theta=theta, cutoff_ratio=cutoff_ratio, C=heat)
 
 

@@ -11,6 +11,9 @@ a complex-conjugate pair below critical damping (alpha < 2) and a real pair
 above it.  The two specific-heat routes, differentiating the internal energy
 and differentiating the entropy, are algebraically identical but are kept as
 separately coded expressions so their agreement stays a meaningful check.
+At low temperature their terms grow like 1/theta while the results vanish
+like theta; each closed form raises ConvergenceError when that cancellation
+would leave fewer than six digits, which happens below theta ~ 1e-5.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (DomainError, check_nonnegative, check_positive,
-                   real_with_im_check)
+                   real_with_im_check, roundoff_error, roundoff_ok)
 from .specfun import g_func, g_func_prime, trigamma
 
 TWO_PI = 2.0 * math.pi
@@ -88,7 +91,11 @@ def lambda_pm(theta: float, alpha: float) -> LambdaPair:
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
-    root = cmath.sqrt(complex(half * half - 1.0, 0.0))
+    square = half * half
+    if square == math.inf:
+        raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
+                          f"precision, got alpha={alpha!r}")
+    root = cmath.sqrt(complex(square - 1.0, 0.0))
     return LambdaPair(lam_plus=scale * (half + root), lam_minus=scale * (half - root))
 
 
@@ -103,9 +110,14 @@ def damped_specific_heat(theta: float, alpha: float) -> OscillatorPoint:
     pair = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     total = complex(1.0 - a, 0.0)
-    total += pair.lam_plus ** 2 * trigamma(1.0 + pair.lam_plus)
-    total += pair.lam_minus ** 2 * trigamma(1.0 + pair.lam_minus)
+    t_plus = pair.lam_plus ** 2 * trigamma(1.0 + pair.lam_plus)
+    t_minus = pair.lam_minus ** 2 * trigamma(1.0 + pair.lam_minus)
+    total += t_plus
+    total += t_minus
     heat = real_with_im_check(total, what="specific heat")
+    magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
+    if not roundoff_ok(heat, magnitude):
+        raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
     return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
 
 
@@ -117,9 +129,14 @@ def damped_entropy(theta: float, alpha: float) -> OscillatorPoint:
     """
     pair = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
-    total = complex(1.0 + math.log(theta) + a, 0.0)
-    total += g_func(pair.lam_plus) + g_func(pair.lam_minus)
+    log_theta = math.log(theta)
+    total = complex(1.0 + log_theta + a, 0.0)
+    g_plus, g_minus = g_func(pair.lam_plus), g_func(pair.lam_minus)
+    total += g_plus + g_minus
     entropy = real_with_im_check(total, what="entropy")
+    magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
+    if not roundoff_ok(entropy, magnitude):
+        raise roundoff_error(entropy, magnitude, "entropy", theta=theta, alpha=alpha)
     return OscillatorPoint(theta=theta, alpha=alpha, S=entropy)
 
 
@@ -133,9 +150,14 @@ def damped_specific_heat_via_entropy(theta: float, alpha: float) -> OscillatorPo
     pair = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     total = complex(1.0 - a, 0.0)
-    total -= pair.lam_plus * g_func_prime(pair.lam_plus)
-    total -= pair.lam_minus * g_func_prime(pair.lam_minus)
+    t_plus = pair.lam_plus * g_func_prime(pair.lam_plus)
+    t_minus = pair.lam_minus * g_func_prime(pair.lam_minus)
+    total -= t_plus
+    total -= t_minus
     heat = real_with_im_check(total, what="specific heat")
+    magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
+    if not roundoff_ok(heat, magnitude):
+        raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
     return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
 
 

@@ -55,7 +55,7 @@ def test_curve_values_round_trip_exactly(tmp_path):
 
 @pytest.mark.parametrize("extra, header, c_abs", [
     (["--quantities", "C,S,E"], ["theta", "C_energy", "S", "E"], 1e-12),
-    # zero coupling leaves no bath to cut off; C comes from FD of the sum
+    # zero coupling leaves no bath to cut off; C comes from the pole form
     (["--kernel", "drude", "--cutoff-ratio", "10", "--route", "both",
       "--quantities", "C,E"],
      ["theta", "C_energy", "C_partition", "E_energy", "E_partition"], 1e-8),
@@ -172,14 +172,44 @@ def test_usage_errors_exit_2(argv, capsys):
 
 def test_unresolvable_sum_exits_3(capsys):
     # at theta = 1e-8 the Drude knee sits beyond the term cap, so the tail
-    # model never applies and the sum must report failure, tagged by point
-    ret = main(["curve", "--model", "oscillator", "--kernel", "drude",
-                "--quantities", "E", "--points", "2",
-                "--tmin", "1e-8", "--tmax", "1e-7"])
+    # model never applies and compare's term-by-term sum must report
+    # failure, tagged by point
+    ret = main(["compare", "--model", "oscillator", "--kernel", "drude",
+                "--points", "2", "--tmin", "1e-8", "--tmax", "1e-7"])
     captured = capsys.readouterr()
     assert ret == 3
     assert "numerical failure:" in captured.err
     assert "theta" in captured.err
+
+
+def test_curve_energy_reaches_far_below_the_sums(tmp_path):
+    # the same inputs in pole form: no term cap, the ground-state energy
+    out = tmp_path / "low.csv"
+    assert main(["curve", "--model", "oscillator", "--kernel", "drude",
+                 "--quantities", "E", "--points", "2", "--tmin", "1e-8",
+                 "--tmax", "1e-7", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    energies = [float(row[1]) for row in rows]
+    assert all(math.isfinite(e) and e > 0.5 for e in energies)
+    assert energies[0] == pytest.approx(energies[1], abs=1e-12)
+
+
+def test_closed_form_cancellation_exits_3(capsys):
+    # C and S at theta = 1e-300 used to come out as nan and 3.5e285
+    ret = main(["curve", "--model", "oscillator", "--tmin", "1e-300",
+                "--tmax", "1e-299", "--points", "2", "--quantities", "C,S"])
+    captured = capsys.readouterr()
+    assert ret == 3
+    assert "numerical failure:" in captured.err
+    assert "theta=1e-300" in captured.err
+
+
+def test_overflowing_alpha_is_a_usage_error(capsys):
+    assert main(["curve", "--model", "oscillator", "--alpha", "1e300",
+                 "--points", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "usage error:" in captured.err
+    assert "alpha" in captured.err
 
 
 def test_fig1_writes_main_and_inset(tmp_path):

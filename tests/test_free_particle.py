@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.core import DomainError, Tolerances
+from qbrownian.core import ConvergenceError, DomainError, Tolerances
 from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
                                      free_energy_internal, ohmic_lowT_expansion,
                                      ohmic_specific_heat)
@@ -141,3 +141,14 @@ def test_free_energy_internal_rejects_zero_gamma():
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("ratio", [0.01, 1.0, 4.0, 10.0, math.inf])
+def test_specific_heat_fails_loudly_below_its_resolution(ratio):
+    for theta in (1e-9, 1e-14, 1e-300):
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            drude_specific_heat(theta, ratio)
+    # at r = 4 itself psi'' is a difference quotient, good down to theta ~ 0.03
+    t_low = -1.5 if ratio == 4.0 else -4.0
+    for theta in np.logspace(t_low, 4.0, 33):
+        assert math.isfinite(drude_specific_heat(float(theta), ratio).C)

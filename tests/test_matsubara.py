@@ -7,6 +7,7 @@ nsum at 40 digits) against the same summand definitions.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from qbrownian.core import (ConvergenceError, DivergenceError, DomainError,
                             Tolerances)
 from qbrownian.free_particle import drude_specific_heat, free_energy_internal
-from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
                                  specific_heat_fd)
 from qbrownian.oscillator import undamped_thermo
@@ -228,6 +229,40 @@ def test_fd_specific_heat_constant_energy():
     fd = specific_heat_fd(lambda t: 3.25, 1.0)
     assert fd.value == 0.0
     assert fd.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("energy, theta, exact", [
+    # the Drude oscillator's partition route, where FD of the sum is worst
+    (lambda t: energy_sum(1.0, DampingKernel.drude(1.0, 10.0), 1.0 / t,
+                          Prescription.PARTITION).value,
+     3e-3,
+     lambda t: PoleSum(1.0, DampingKernel.drude(1.0, 10.0),
+                       Prescription.PARTITION).heat(t)),
+    (lambda t: free_energy_internal(t, DampingKernel.drude(1.0, 1.0)).value,
+     10.0,
+     lambda t: drude_specific_heat(t, 1.0).C),
+], ids=["oscillator-drude-partition", "free-drude"])
+def test_fd_error_estimate_covers_roundoff(energy, theta, exact):
+    # full and half step agree to the last bit here, so only the roundoff
+    # term keeps the estimate above the true error (2.7e-9 and 2.8e-12)
+    fd = specific_heat_fd(energy, theta)
+    error = abs(fd.value - exact(theta))
+    assert error > 0.0
+    assert error <= fd.error_estimate <= 10.0 * error
+
+
+def test_failing_sum_memory_is_bounded():
+    # theta = 1e-8 puts the Drude knee beyond any cap, so the sum runs to
+    # max_terms; its blocks are evaluated a chunk at a time
+    kernel = DampingKernel.drude(1.0, 10.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            energy_sum(1.0, kernel, 1e8, Prescription.ENERGY, max_terms=2 ** 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_fd_specific_heat_free_drude_matches_closed_form():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.core import DomainError
+from qbrownian.core import ConvergenceError, DomainError
 from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy, lambda_pm,
                                   oscillator_expansion, undamped_thermo)
@@ -173,3 +173,38 @@ def test_expansion_rejects_bad_requests():
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_lambda_pair_rejects_overflowing_alpha():
+    with pytest.raises(DomainError, match="alpha"):
+        lambda_pm(1.0, 1e300)
+    with pytest.raises(DomainError, match="alpha"):
+        damped_specific_heat(0.5, 1e200)
+    # an alpha whose square still fits keeps the old arithmetic
+    pair = lambda_pm(1.0, 1e150)
+    assert math.isfinite(pair.lam_plus.real) and math.isfinite(pair.lam_minus.real)
+
+
+CLOSED_FORMS = {
+    "C": lambda t, a: damped_specific_heat(t, a).C,
+    "C_via_entropy": lambda t, a: damped_specific_heat_via_entropy(t, a).C,
+    "S": lambda t, a: damped_entropy(t, a).S,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_forms_fail_loudly_below_their_resolution(name):
+    fn = CLOSED_FORMS[name]
+    # once eps/theta^2 swamps the result the value is garbage (C = 0.0 at
+    # theta = 1e-9, nan at 1e-300); it must raise instead
+    for theta in (1e-9, 1e-12, 1e-18, 1e-300):
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            fn(theta, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_forms_never_fail_above_1e_4(name):
+    fn = CLOSED_FORMS[name]
+    for theta in np.logspace(-4.0, 4.0, 33):
+        for alpha in (0.0, 0.1, 1.0, 2.0, 2.0 + 1e-7, 4.0, 6.0):
+            assert math.isfinite(fn(float(theta), alpha))

@@ -1,0 +1,155 @@
+"""Tests for the pole form of the frequency sums (matsubara.PoleSum).
+
+The tail-accelerated sum energy_sum and the closed forms are independent
+routes to the same numbers, so they serve as the oracle here.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from qbrownian.core import ConvergenceError, DomainError, Tolerances
+from qbrownian.free_particle import drude_specific_heat, ohmic_specific_heat
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
+                                 specific_heat_fd)
+from qbrownian.oscillator import damped_specific_heat, undamped_thermo
+
+TIGHT = Tolerances(rel_sum_tail=1e-13)
+THETAS = [float(t) for t in np.logspace(-3.0, 2.0, 6)]
+# the Drude oscillator's cubic has a triple root at alpha = 8/(3 sqrt 3), r = 27/8
+ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
+RATIO_TRIPLE = 27.0 / 8.0
+
+# (omega0, kernel) covering both models, both kernels, zero coupling and the
+# degenerate points; ids name them
+SYSTEMS = {
+    "osc-ohmic": (1.0, DampingKernel.ohmic(1.0)),
+    "osc-ohmic-overdamped": (1.0, DampingKernel.ohmic(3.0)),
+    "osc-ohmic-critical": (1.0, DampingKernel.ohmic(2.0)),
+    "osc-undamped": (1.0, DampingKernel.ohmic(0.0)),
+    "osc-drude": (1.0, DampingKernel.drude(1.0, 10.0)),
+    "osc-drude-slow": (1.0, DampingKernel.drude(0.3, 0.5)),
+    "osc-drude-fast": (1.0, DampingKernel.drude(1.0, 30.0)),
+    "osc-drude-weak": (1.0, DampingKernel.drude(0.01, 1.0)),
+    "osc-drude-triple": (1.0, DampingKernel.drude(ALPHA_TRIPLE,
+                                                  ALPHA_TRIPLE * RATIO_TRIPLE)),
+    "free-ohmic": (0.0, DampingKernel.ohmic(1.0)),
+    "free-drude": (0.0, DampingKernel.drude(1.0, 10.0)),
+    "free-drude-slow": (0.0, DampingKernel.drude(1.0, 0.5)),
+    "free-drude-fast": (0.0, DampingKernel.drude(1.0, 30.0)),
+    "free-drude-critical": (0.0, DampingKernel.drude(1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_energy_matches_energy_sum(system, route):
+    omega0, kernel = SYSTEMS[system]
+    poles = PoleSum(omega0, kernel, route)
+    assert poles.regularized == (kernel.is_ohmic and kernel.gamma > 0.0)
+    for theta in THETAS:
+        summed = energy_sum(omega0, kernel, 1.0 / theta, route, tol=TIGHT).value
+        # a regularized energy is measured against the size of its constant
+        scale = max(abs(summed), kernel.gamma if poles.regularized else 0.0)
+        assert abs(poles.energy(theta) - summed) <= 1e-11 * scale, theta
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.0, 2.0 + 1e-9, 5.0])
+def test_oscillator_heat_matches_closed_form(alpha):
+    poles = PoleSum(1.0, DampingKernel.ohmic(alpha), Prescription.ENERGY)
+    for theta in THETAS:
+        assert poles.heat(theta) == pytest.approx(
+            damped_specific_heat(theta, alpha).C, abs=1e-11)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 4.0 - 1e-6, 5.0, 10.0, 1e3])
+def test_free_particle_heat_matches_closed_form(ratio):
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, ratio), Prescription.ENERGY)
+    for theta in THETAS:
+        assert poles.heat(theta) == pytest.approx(
+            drude_specific_heat(theta, ratio).C, abs=1e-11)
+    ohmic = PoleSum(0.0, DampingKernel.ohmic(1.0), Prescription.ENERGY)
+    for theta in THETAS:
+        assert ohmic.heat(theta) == pytest.approx(ohmic_specific_heat(theta).C,
+                                                  abs=1e-12)
+
+
+def test_critical_cutoff_heat_is_the_confluent_limit():
+    # at r = 4 the closed form takes psi'' by finite differences; the pole
+    # form agrees with it where that is accurate and stays continuous in r
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 4.0), Prescription.ENERGY)
+    for theta in (0.5, 2.0, 10.0):
+        assert poles.heat(theta) == pytest.approx(
+            drude_specific_heat(theta, 4.0).C, abs=1e-9)
+    near = PoleSum(0.0, DampingKernel.drude(1.0, 4.0 + 1e-7), Prescription.ENERGY)
+    for theta in (1e-3, 0.01, 0.1):
+        assert poles.heat(theta) == pytest.approx(near.heat(theta), abs=1e-9)
+    # the cutoff-independent third-law slope pi/3
+    for theta in (1e-3, 0.01):
+        assert poles.heat(theta) / theta == pytest.approx(math.pi / 3.0, rel=0.01)
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", ["osc-drude", "osc-drude-slow", "osc-drude-fast",
+                                    "osc-drude-triple", "free-drude-slow",
+                                    "free-drude-fast"])
+def test_heat_is_the_derivative_of_the_energy(system, route):
+    omega0, kernel = SYSTEMS[system]
+    poles = PoleSum(omega0, kernel, route)
+    for theta in (0.05, 0.3, 1.0, 4.0):
+        fd = specific_heat_fd(lambda t: energy_sum(omega0, kernel, 1.0 / t, route,
+                                                   tol=TIGHT).value, theta)
+        assert poles.heat(theta) == pytest.approx(fd.value, abs=1e-6)
+        own = specific_heat_fd(poles.energy, theta)
+        assert abs(poles.heat(theta) - own.value) <= 10.0 * own.error_estimate + 1e-9
+
+
+def test_undamped_limit():
+    for kernel in (DampingKernel.ohmic(0.0), DampingKernel.drude(0.0, 3.0)):
+        for route in Prescription:
+            poles = PoleSum(1.0, kernel, route)
+            assert not poles.regularized
+            for theta in (0.1, 1.0, 10.0):
+                want = undamped_thermo(theta)
+                assert poles.energy(theta) == pytest.approx(want.E, rel=1e-13)
+                assert poles.heat(theta) == pytest.approx(want.C, abs=1e-13)
+
+
+def test_free_particle_without_coupling_is_classical():
+    poles = PoleSum(0.0, DampingKernel.ohmic(0.0), Prescription.ENERGY)
+    assert poles.energy(3.0) == 1.5
+    assert poles.heat(3.0) == 0.5
+
+
+def test_cost_does_not_grow_at_low_temperature():
+    # far below the sums' reach: energy_sum stops at its term cap here
+    poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.ENERGY)
+    e_low = poles.energy(1e-8)
+    assert math.isfinite(e_low)
+    # the ground-state energy is reached: E - E0 ~ theta^2
+    assert e_low == pytest.approx(poles.energy(1e-6), abs=1e-9)
+
+
+def test_heat_fails_loudly_when_cancellation_wins():
+    poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION)
+    assert poles.heat(1e-4) > 0.0
+    with pytest.raises(ConvergenceError, match="theta=1e-08"):
+        poles.heat(1e-8)
+
+
+def test_validation():
+    with pytest.raises(DomainError):
+        PoleSum(-1.0, DampingKernel.ohmic(1.0), Prescription.ENERGY)
+    with pytest.raises(DomainError):
+        PoleSum(1.0, DampingKernel.ohmic(1.0), "energy")
+    with pytest.raises(DomainError):
+        PoleSum(1.0, DampingKernel.ohmic(1e300), Prescription.ENERGY)
+    poles = PoleSum(1.0, DampingKernel.ohmic(1.0), Prescription.ENERGY)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            poles.energy(bad)
+        with pytest.raises(DomainError):
+            poles.heat(bad)

@@ -17,7 +17,7 @@ import pytest
 
 from qbrownian.core import DomainError
 from qbrownian.specfun import (PoleError, digamma, g_func, g_func_prime,
-                               ln_gamma, trigamma)
+                               ln_gamma, polygamma, trigamma)
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -149,3 +149,43 @@ def test_against_live_mpmath_grid():
     for z in sample_points(rng, 60):
         assert rel_err(digamma(z), complex(mp.psi(0, z))) < 1e-12
         assert rel_err(trigamma(z), complex(mp.psi(1, z))) < 1e-12
+
+
+def test_polygamma_low_orders_are_digamma_and_trigamma():
+    for z in (0.3, 2.5 + 1.0j, 40.0 - 7.0j):
+        assert polygamma(0, z) == digamma(z)
+        assert polygamma(1, z) == trigamma(z)
+
+
+def test_polygamma_zeta_values():
+    # psi^(n)(1) = (-1)^(n+1) n! zeta(n+1)
+    zeta3 = 1.202056903159594285399738
+    assert polygamma(2, 1.0).real == pytest.approx(-2.0 * zeta3, rel=1e-15)
+    assert polygamma(3, 1.0).real == pytest.approx(math.pi ** 4 / 15.0, rel=1e-15)
+
+
+def test_polygamma_recurrence_and_conjugation():
+    rng = np.random.default_rng(3)
+    for n in range(2, 12):
+        for z in sample_points(rng, 10, re_lo=0.5, re_hi=30.0):
+            value = polygamma(n, z)
+            step = (-1) ** n * math.factorial(n) / z ** (n + 1)
+            assert rel_err(polygamma(n, z + 1.0), value + step) < 1e-13
+            assert polygamma(n, z.conjugate()) == value.conjugate()
+
+
+def test_polygamma_against_live_mpmath():
+    mp.mp.dps = 30
+    rng = np.random.default_rng(11)
+    points = sample_points(rng, 20, re_lo=1.0, re_hi=60.0) + [1.0, 1.0 + 1e6j, 2e8]
+    for n in (2, 3, 5, 8, 13, 20):
+        for z in points:
+            assert rel_err(polygamma(n, z), complex(mp.psi(n, z))) < 1e-14, (n, z)
+
+
+def test_polygamma_rejects_bad_orders_and_poles():
+    for bad in (-1, 1.5, True):
+        with pytest.raises(DomainError):
+            polygamma(bad, 1.0)
+    with pytest.raises(PoleError):
+        polygamma(4, -3.0)
