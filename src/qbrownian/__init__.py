@@ -9,15 +9,12 @@ quadrature, and limit expansions.
 """
 
 from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
-                   Tolerances)
-from .free_particle import (FreeParticlePoint, drude_specific_heat, drude_z_pm,
-                            free_energy_internal, ohmic_lowT_expansion,
+                   Estimate, ThermoPoint, Tolerances)
+from .free_particle import (drude_specific_heat, drude_z_pm, ohmic_lowT_expansion,
                             ohmic_specific_heat)
-from .matsubara import (DampingKernel, FdResult, PoleSum, Prescription,
-                        SumResult, energy_sum, position_variance_sum,
-                        prescription_gap, specific_heat_fd)
-from .oscillator import (ExpansionResult, LambdaPair, OscillatorPoint,
-                         damped_entropy, damped_specific_heat,
+from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
+                        position_variance_sum, prescription_gap, specific_heat_fd)
+from .oscillator import (damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy, lambda_pm,
                          oscillator_expansion, undamped_thermo)
 from .quadrature import MomentResult, f_n_integral, moments, spectral_energy
@@ -28,14 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DivergenceError",
-    "DomainError", "ExpansionResult", "FdResult", "FreeParticlePoint",
-    "LambdaPair", "MomentResult", "OscillatorPoint", "PoleError", "PoleSum",
-    "Prescription", "SumResult", "Tolerances", "damped_entropy",
+    "DomainError", "Estimate", "MomentResult", "PoleError", "PoleSum",
+    "Prescription", "ThermoPoint", "Tolerances", "damped_entropy",
     "damped_specific_heat", "damped_specific_heat_via_entropy", "digamma",
     "drude_specific_heat", "drude_z_pm", "energy_sum", "f_n_integral",
-    "free_energy_internal", "g_func", "g_func_prime", "lambda_pm", "ln_gamma",
-    "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
-    "oscillator_expansion", "polygamma", "position_variance_sum",
-    "prescription_gap", "specific_heat_fd", "spectral_energy", "trigamma",
-    "undamped_thermo", "__version__",
+    "g_func", "g_func_prime", "lambda_pm", "ln_gamma", "moments",
+    "ohmic_lowT_expansion", "ohmic_specific_heat", "oscillator_expansion",
+    "polygamma", "position_variance_sum", "prescription_gap",
+    "specific_heat_fd", "spectral_energy", "trigamma", "undamped_thermo",
+    "__version__",
 ]

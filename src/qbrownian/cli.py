@@ -309,7 +309,7 @@ def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
             return closed(theta, a, math.inf), ohmic_lowT_expansion(theta)
         exact = (undamped_thermo(theta).C if kind.startswith("undamped")
                  else closed(theta, a, math.inf))
-        return exact, oscillator_expansion(kind, theta, a).value
+        return exact, oscillator_expansion(kind, theta, a)
 
     grid = spec.grid()
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
@@ -327,8 +327,16 @@ def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reporting its errors with the same tag as DomainError's."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbrownian",
         description="Equilibrium thermodynamics of damped quantum oscillators "
                     "and free quantum Brownian particles")
@@ -373,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     expansions.add_argument("--model", choices=_MODELS, required=True)
     expansions.add_argument("--alpha", type=float, default=None)
     add_grid(expansions, 0.01, 20.0, 40)
-    expansions.add_argument("--log", action="store_true", default=True,
-                            help="no effect: the grid is always log-spaced")
     expansions.add_argument("--out", default=None)
     return parser
 

@@ -1,4 +1,5 @@
-"""Reduced-unit conventions, shared tolerances, domain checks and error types.
+"""Reduced-unit conventions, shared tolerances, result types, domain checks and
+error types.
 
 All downstream modules work in units hbar = k_B = M = 1.  An oscillator
 problem is measured against its own frequency: theta = k_B T / (hbar omega0)
@@ -32,27 +33,56 @@ class DivergenceError(ArithmeticError):
     """The requested quantity is genuinely divergent at these parameters."""
 
 
+TWO_PI = 2.0 * math.pi
+EPS = 2.0 ** -52            # machine epsilon of a double
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy shared by the summation, quadrature, and FD engines.
+    """Numeric policy shared by the summation and quadrature engines.
 
     rel_sum_tail  relative tail target for frequency sums
     quad_abs      absolute target for spectral integrals
-    fd_step       relative temperature step for finite-difference C
     """
 
     rel_sum_tail: float = 1e-12
     quad_abs: float = 1e-10
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("rel_sum_tail", "quad_abs", "fd_step"):
+        for name in ("rel_sum_tail", "quad_abs"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A numerical estimate with its error bar.
+
+    err is the error bar on value: the tail bound of a frequency sum, or the
+    truncation-plus-roundoff estimate of a finite difference.  terms_used
+    counts the summed terms (0 where nothing was summed); regularized marks a
+    value that is defined only up to a temperature-independent constant.
+    """
+
+    value: float
+    err: float
+    terms_used: int = 0
+    regularized: bool = False
+
+
+@dataclass(frozen=True)
+class ThermoPoint:
+    """A closed-form state at reduced temperature theta; unset quantities stay None."""
+
+    theta: float
+    Z: float | None = None
+    E: float | None = None
+    S: float | None = None
+    C: float | None = None
 
 
 def check_positive(name: str, value: float) -> None:
@@ -83,7 +113,6 @@ def real_with_im_check(z: complex, atol: float = 1e-12, what: str = "value") -> 
 # a cancelling sum of terms fails when its roundoff exceeds both of these
 ROUNDOFF_LIMIT = 1e-6       # relative to the result
 ROUNDOFF_FLOOR = 1e-12      # absolute, in the result's units (k_B for C and S)
-_EPS = 2.0 ** -52
 
 
 def roundoff_ok(value: float, magnitude: float) -> bool:
@@ -96,7 +125,7 @@ def roundoff_ok(value: float, magnitude: float) -> bool:
     exponentially small in truth, such as the undamped specific heat at low
     temperature, pass with its tiny absolute error.
     """
-    err = magnitude * _EPS
+    err = magnitude * EPS
     return math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
                                      or err <= ROUNDOFF_FLOOR)
 
@@ -104,7 +133,7 @@ def roundoff_ok(value: float, magnitude: float) -> bool:
 def roundoff_error(value: float, magnitude: float, what: str,
                    **params: float) -> ConvergenceError:
     """The error for a value that failed roundoff_ok; params name the inputs."""
-    loss = magnitude * _EPS / abs(value) if value != 0.0 else math.inf
+    loss = magnitude * EPS / abs(value) if value != 0.0 else math.inf
     where = ", ".join(f"{name}={x!r}" for name, x in params.items())
     return ConvergenceError(
         f"{what} at {where} lost its digits to cancellation: estimated "

@@ -15,37 +15,17 @@ weakens the effective damping and raises C toward 1/2 everywhere else.
 
 from __future__ import annotations
 
-import dataclasses
 import cmath
 import math
 
-from .core import (DEFAULT_TOL, DomainError, Tolerances, check_positive,
+from .core import (TWO_PI, DomainError, ThermoPoint, check_positive,
                    real_with_im_check, roundoff_error, roundoff_ok)
-from .matsubara import DampingKernel, SumResult, Prescription, energy_sum
-from .specfun import trigamma
-
-TWO_PI = 2.0 * math.pi
+from .specfun import polygamma, trigamma
 
 _DEGENERATE_BAND = 1e-10
-_PSI2_STEP = 1e-6
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeParticlePoint:
-    """One evaluated state of the free particle; unset quantities stay None.
-
-    regularized marks energies that are defined only up to an additive,
-    temperature-independent constant.
-    """
-
-    theta: float
-    cutoff_ratio: float
-    E: float | None = None
-    C: float | None = None
-    regularized: bool = False
-
-
-def ohmic_specific_heat(theta: float) -> FreeParticlePoint:
+def ohmic_specific_heat(theta: float) -> ThermoPoint:
     """C/k_B = 1/2 - a + a^2 psi'(1 + a), a = 1/(2 pi theta), strict ohmic.
 
     Monotonically increasing in theta, bounded by the classical 1/2, and
@@ -58,7 +38,7 @@ def ohmic_specific_heat(theta: float) -> FreeParticlePoint:
     magnitude = 0.5 + a + abs(term)
     if not roundoff_ok(heat, magnitude):
         raise roundoff_error(heat, magnitude, "specific heat", theta=theta)
-    return FreeParticlePoint(theta=theta, cutoff_ratio=math.inf, C=heat)
+    return ThermoPoint(theta=theta, C=heat)
 
 
 def ohmic_lowT_expansion(theta: float) -> float:
@@ -82,40 +62,30 @@ def drude_z_pm(theta: float, cutoff_ratio: float) -> tuple[complex, complex]:
     return z0 * (1.0 + s), z0 * (1.0 - s)
 
 
-def drude_specific_heat(theta: float, cutoff_ratio: float) -> FreeParticlePoint:
+def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
     """Specific heat with a Drude cutoff; dispatches to ohmic at inf.
 
     C/k_B = 1/2 - a [z_+ psi'(1+z_+) - z_- psi'(1+z_-)] / (z_+ - z_-) * 2 z_0,
     written through s = sqrt(1 - 4/r).  The s -> 0 degeneracy at r = 4 is a
     removable 0/0; inside a narrow band it is evaluated through the limit
-    2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)] with psi'' from a symmetric
-    difference of psi' (step 1e-6, leaving ~1e-10 absolute error in C at
-    theta ~ 1).  Raises ConvergenceError where roundoff would leave less
-    than six digits: below theta ~ 1e-9 in general, and below theta ~ 0.03
-    inside that band, where the difference quotient cancels.
+    2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)].  Raises ConvergenceError where
+    roundoff would leave less than six digits, below theta ~ 1e-9.
     """
     check_positive("theta", theta)
     if not cutoff_ratio > 0.0:
         raise DomainError(
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")
     if cutoff_ratio == math.inf:
-        heat = ohmic_specific_heat(theta).C
-        return FreeParticlePoint(theta=theta, cutoff_ratio=math.inf, C=heat)
+        return ohmic_specific_heat(theta)
     a = 1.0 / (TWO_PI * theta)
     z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
     disc = 1.0 - 4.0 / cutoff_ratio
     if abs(disc) < _DEGENERATE_BAND:
-        h = _PSI2_STEP
-        psi1_hi = trigamma(1.0 + z0 + h).real
-        psi1_lo = trigamma(1.0 + z0 - h).real
-        psi2 = (psi1_hi - psi1_lo) / (2.0 * h)
         psi1 = trigamma(1.0 + z0).real
+        psi2 = polygamma(2, 1.0 + z0).real
         bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
         heat = 0.5 - a * bracket_over_s
-        # the difference quotient's own terms count: they cancel far more
-        # than the bracket does once z0 is large
-        magnitude = 0.5 + 2.0 * a * z0 * (
-            abs(psi1) + z0 * (abs(psi1_hi) + abs(psi1_lo)) / (2.0 * h))
+        magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
     else:
         s = cmath.sqrt(complex(disc, 0.0))
         z_plus = z0 * (1.0 + s)
@@ -128,22 +98,4 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> FreeParticlePoint:
     if not roundoff_ok(heat, magnitude):
         raise roundoff_error(heat, magnitude, "specific heat", theta=theta,
                              cutoff_ratio=cutoff_ratio)
-    return FreeParticlePoint(theta=theta, cutoff_ratio=cutoff_ratio, C=heat)
-
-
-def free_energy_internal(theta: float, kernel: DampingKernel,
-                         tol: Tolerances = DEFAULT_TOL) -> SumResult:
-    """Internal energy of the free particle from the frequency sum.
-
-    theta is measured against kernel.gamma, and the returned value is in
-    hbar gamma units, so the kernel can be built in any consistent frequency
-    scale.  Strictly ohmic kernels give the cutoff-regularized energy with
-    the regularized flag set; only its temperature dependence is physical.
-    """
-    check_positive("theta", theta)
-    if kernel.gamma <= 0.0:
-        raise DomainError("the free particle needs kernel.gamma > 0 for a scale")
-    beta = 1.0 / (theta * kernel.gamma)
-    result = energy_sum(0.0, kernel, beta, Prescription.ENERGY, tol=tol)
-    return dataclasses.replace(result, value=result.value / kernel.gamma,
-                               tail_bound=result.tail_bound / kernel.gamma)
+    return ThermoPoint(theta=theta, C=heat)

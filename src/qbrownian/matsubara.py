@@ -48,17 +48,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
-                   Tolerances, check_nonnegative, check_positive, roundoff_error,
-                   roundoff_ok)
+from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DivergenceError,
+                   DomainError, Estimate, Tolerances, check_nonnegative,
+                   check_positive, roundoff_error, roundoff_ok)
 from .specfun import polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
-TWO_PI = 2.0 * math.pi
 
 _FIRST_BLOCK = 1024
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
-_EPS = 2.0 ** -52
 
 # grouping of near-coincident poles in PoleSum (see _group_poles)
 _CLUSTER_REL = 0.1
@@ -108,21 +106,9 @@ class DampingKernel:
         return q / d, -q / (d * d)
 
 
-@dataclass(frozen=True)
-class SumResult:
-    """A converged frequency sum with an a posteriori tail bound.
-
-    tail_bound is a deliberately conservative estimate of the remaining
-    truncation error (successive-refinement difference, which overshoots the
-    true residual of the accelerated estimate).  regularized marks values
-    that are only defined up to a temperature-independent constant.
-    """
-
-    value: float
-    terms_used: int
-    tail_bound: float
-    route: Prescription
-    regularized: bool = False
+def _regularization(gamma: float, beta: float, w_ref: float) -> float:
+    """The ohmic energy's restored cutoff remainder; see the module docstring."""
+    return (gamma / TWO_PI) * (EULER_GAMMA + math.log(beta * w_ref / TWO_PI))
 
 
 def _power_tails(n_last: int) -> tuple[float, float, float]:
@@ -189,13 +175,15 @@ def _accelerated_sum(summand: Callable, rel_tol: float, max_terms: int,
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
                route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
-               regularized: bool = True, max_terms: int = 10 ** 8) -> SumResult:
+               regularized: bool = True, max_terms: int = 10 ** 8) -> Estimate:
     """Internal energy from the frequency sum, under either prescription.
 
     omega0 = 0 selects the free particle.  For a strictly ohmic kernel with
     gamma > 0 the absolute energy diverges; with regularized=True (default)
     the cutoff-regularized value described in the module docstring is
-    returned and flagged, otherwise DivergenceError is raised.
+    returned and flagged, otherwise DivergenceError is raised.  err is the
+    difference of the last two refinements, a deliberately conservative
+    bound that overshoots the true residual of the accelerated estimate.
     """
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
@@ -248,10 +236,9 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
                                        scale_hint=1.0)
     value = pref * (1.0 + est)
     if needs_reg:
-        w_ref = omega0 if omega0 > 0.0 else g0
-        value += (g0 / TWO_PI) * (EULER_GAMMA + math.log(beta * w_ref / TWO_PI))
-    return SumResult(value=value, terms_used=terms, tail_bound=pref * err,
-                     route=route, regularized=needs_reg)
+        value += _regularization(g0, beta, omega0 if omega0 > 0.0 else g0)
+    return Estimate(value=value, err=pref * err, terms_used=terms,
+                    regularized=needs_reg)
 
 
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -373,7 +360,7 @@ class _Cluster:
         order = 0
         if rho > 0.0:
             ratio = rho / sigma
-            order = min(_MAX_TAYLOR, math.ceil(math.log(_EPS) / math.log(ratio)))
+            order = min(_MAX_TAYLOR, math.ceil(math.log(EPS) / math.log(ratio)))
         top = m - 1 + order
         # Taylor coefficients of P about c by repeated synthetic division
         p_coef, rest = [], list(numerator)
@@ -479,9 +466,7 @@ class PoleSum:
         total, _ = self._sum(theta, heat=False)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
-            beta = 1.0 / theta
-            value += (self._gamma / TWO_PI) * (
-                EULER_GAMMA + math.log(beta * self._w_ref / TWO_PI))
+            value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
         return value
 
     def heat(self, theta: float) -> float:
@@ -505,7 +490,7 @@ class PoleSum:
 
 def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
                      tol: Tolerances = DEFAULT_TOL, *,
-                     max_terms: int = 10 ** 8) -> SumResult:
+                     max_terms: int = 10 ** 8) -> Estimate:
     """Partition-route energy minus direct-route energy, summed directly.
 
     The difference isolates the gh' term, so it converges absolutely even
@@ -515,8 +500,7 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
     if kernel.is_ohmic:
-        return SumResult(value=0.0, terms_used=0, tail_bound=0.0,
-                         route=Prescription.PARTITION)
+        return Estimate(value=0.0, err=0.0)
     nu_scale = TWO_PI / beta
     w2 = omega0 * omega0
 
@@ -527,13 +511,12 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
 
     est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms)
     pref = 1.0 / beta
-    return SumResult(value=pref * est, terms_used=terms, tail_bound=pref * err,
-                     route=Prescription.PARTITION)
+    return Estimate(value=pref * est, err=pref * err, terms_used=terms)
 
 
 def position_variance_sum(theta: float, alpha: float,
                           tol: Tolerances = DEFAULT_TOL, *,
-                          max_terms: int = 10 ** 8) -> SumResult:
+                          max_terms: int = 10 ** 8) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
 
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
@@ -549,31 +532,20 @@ def position_variance_sum(theta: float, alpha: float,
 
     est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms,
                                        scale_hint=1.0)
-    return SumResult(value=theta * (1.0 + 2.0 * est), terms_used=terms,
-                     tail_bound=2.0 * theta * err, route=Prescription.ENERGY)
-
-
-@dataclass(frozen=True)
-class FdResult:
-    """Central-difference specific heat with a step-halving error estimate."""
-
-    value: float
-    error_estimate: float
-    step: float
+    return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
+                    terms_used=terms)
 
 
 def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
-                     rel_step: float | None = None) -> FdResult:
+                     rel_step: float = 1e-5) -> Estimate:
     """C = dE/dT by symmetric finite difference in the reduced temperature.
 
     energy_evaluator maps theta to an internal energy; an additive constant
-    in it (a regularized energy, say) drops out exactly.  The error estimate
+    in it (a regularized energy, say) drops out exactly.  The error bar
     compares against a half-step evaluation, which bounds the h^2 truncation
     error of the reported value to leading order, and adds the roundoff
     max(|E(theta(1+h))|, |E(theta(1-h))|) * eps / (theta h) of the difference.
     """
-    if rel_step is None:
-        rel_step = DEFAULT_TOL.fd_step
     check_positive("theta", theta)
     if not (0.0 < rel_step < 0.5):
         raise DomainError(f"rel_step must lie in (0, 0.5), got {rel_step!r}")
@@ -587,11 +559,10 @@ def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
         # roundoff of the energies, amplified by the division; two identical
         # energies (a constant evaluator) difference to an exact zero
         roundoff = (0.0 if e_hi == e_lo
-                    else max(abs(e_hi), abs(e_lo)) * _EPS / (theta * h))
+                    else max(abs(e_hi), abs(e_lo)) * EPS / (theta * h))
         return (e_hi - e_lo) / (2.0 * theta * h), roundoff
 
     c_full, roundoff = slope(rel_step)
     c_half, _ = slope(0.5 * rel_step)
-    return FdResult(value=c_full,
-                    error_estimate=(4.0 / 3.0) * abs(c_full - c_half) + roundoff,
-                    step=rel_step)
+    return Estimate(value=c_full,
+                    err=(4.0 / 3.0) * abs(c_full - c_half) + roundoff)

@@ -20,39 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .core import (DomainError, check_nonnegative, check_positive,
-                   real_with_im_check, roundoff_error, roundoff_ok)
+from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
+                   check_positive, real_with_im_check, roundoff_error,
+                   roundoff_ok)
 from .specfun import g_func, g_func_prime, trigamma
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class LambdaPair:
-    """Characteristic exponents of the damped oscillator, in 2*pi*theta units."""
-
-    lam_plus: complex
-    lam_minus: complex
-
-
-@dataclass(frozen=True)
-class OscillatorPoint:
-    """One evaluated thermodynamic state; unevaluated quantities stay None."""
-
-    theta: float
-    alpha: float
-    Z: float | None = None
-    E: float | None = None
-    S: float | None = None
-    C: float | None = None
-
-
-class ExpansionResult(NamedTuple):
-    value: float
-    last_term: float
 
 
 def _bose(x: float) -> float:
@@ -62,7 +34,7 @@ def _bose(x: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def undamped_thermo(theta: float) -> OscillatorPoint:
+def undamped_thermo(theta: float) -> ThermoPoint:
     """Textbook single-oscillator Z, E, S, C at reduced temperature theta.
 
     Uses expm1-based forms so the deep quantum regime (theta << 1) underflows
@@ -81,12 +53,11 @@ def undamped_thermo(theta: float) -> OscillatorPoint:
         partition = 1.0 / (2.0 * math.sinh(x / 2.0))
     else:
         partition = 0.0
-    return OscillatorPoint(theta=theta, alpha=0.0, Z=partition, E=energy,
-                           S=entropy, C=heat)
+    return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
 
 
-def lambda_pm(theta: float, alpha: float) -> LambdaPair:
-    """Characteristic pair; conjugate for alpha < 2, real for alpha >= 2."""
+def lambda_pm(theta: float, alpha: float) -> tuple[complex, complex]:
+    """Characteristic pair (lam_+, lam_-); conjugate for alpha < 2, else real."""
     check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
@@ -96,10 +67,10 @@ def lambda_pm(theta: float, alpha: float) -> LambdaPair:
         raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
                           f"precision, got alpha={alpha!r}")
     root = cmath.sqrt(complex(square - 1.0, 0.0))
-    return LambdaPair(lam_plus=scale * (half + root), lam_minus=scale * (half - root))
+    return scale * (half + root), scale * (half - root)
 
 
-def damped_specific_heat(theta: float, alpha: float) -> OscillatorPoint:
+def damped_specific_heat(theta: float, alpha: float) -> ThermoPoint:
     """Specific heat of the ohmically damped oscillator, internal-energy route.
 
     C/k_B = 1 - a + lam_+^2 psi'(1 + lam_+) + lam_-^2 psi'(1 + lam_-) with
@@ -107,65 +78,65 @@ def damped_specific_heat(theta: float, alpha: float) -> OscillatorPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
-    pair = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     total = complex(1.0 - a, 0.0)
-    t_plus = pair.lam_plus ** 2 * trigamma(1.0 + pair.lam_plus)
-    t_minus = pair.lam_minus ** 2 * trigamma(1.0 + pair.lam_minus)
+    t_plus = lam_plus ** 2 * trigamma(1.0 + lam_plus)
+    t_minus = lam_minus ** 2 * trigamma(1.0 + lam_minus)
     total += t_plus
     total += t_minus
     heat = real_with_im_check(total, what="specific heat")
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     if not roundoff_ok(heat, magnitude):
         raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
+    return ThermoPoint(theta=theta, C=heat)
 
 
-def damped_entropy(theta: float, alpha: float) -> OscillatorPoint:
+def damped_entropy(theta: float, alpha: float) -> ThermoPoint:
     """Entropy of the ohmically damped oscillator.
 
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
-    pair = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     log_theta = math.log(theta)
     total = complex(1.0 + log_theta + a, 0.0)
-    g_plus, g_minus = g_func(pair.lam_plus), g_func(pair.lam_minus)
+    g_plus, g_minus = g_func(lam_plus), g_func(lam_minus)
     total += g_plus + g_minus
     entropy = real_with_im_check(total, what="entropy")
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     if not roundoff_ok(entropy, magnitude):
         raise roundoff_error(entropy, magnitude, "entropy", theta=theta, alpha=alpha)
-    return OscillatorPoint(theta=theta, alpha=alpha, S=entropy)
+    return ThermoPoint(theta=theta, S=entropy)
 
 
-def damped_specific_heat_via_entropy(theta: float, alpha: float) -> OscillatorPoint:
+def damped_specific_heat_via_entropy(theta: float, alpha: float) -> ThermoPoint:
     """Specific heat obtained by differentiating the entropy instead.
 
     C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-).  Algebraically
     identical to the internal-energy route; evaluated through g_func_prime so
     the two code paths share no intermediate expression.
     """
-    pair = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     total = complex(1.0 - a, 0.0)
-    t_plus = pair.lam_plus * g_func_prime(pair.lam_plus)
-    t_minus = pair.lam_minus * g_func_prime(pair.lam_minus)
+    t_plus = lam_plus * g_func_prime(lam_plus)
+    t_minus = lam_minus * g_func_prime(lam_minus)
     total -= t_plus
     total -= t_minus
     heat = real_with_im_check(total, what="specific heat")
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     if not roundoff_ok(heat, magnitude):
         raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return OscillatorPoint(theta=theta, alpha=alpha, C=heat)
+    return ThermoPoint(theta=theta, C=heat)
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")
 
 
-def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> ExpansionResult:
-    """Truncated limit expansions of C/k_B, returning (value, last kept term).
+def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> float:
+    """Truncated limit expansions of C/k_B.
 
     undamped_lowT   theta^-2 exp(-1/theta)                      error O(e^-1/theta/theta^3)
     undamped_highT  1 - (1/12) theta^-2                         error O(theta^-4)
@@ -181,18 +152,16 @@ def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> Expansi
         raise DomainError(f"kind must be one of {_EXPANSION_KINDS}, got {kind!r}")
     if kind == "undamped_lowT":
         x = 1.0 / theta
-        value = x * x * math.exp(-x) if x < 700.0 else 0.0
-        return ExpansionResult(value=value, last_term=value)
+        return x * x * math.exp(-x) if x < 700.0 else 0.0
     if kind == "undamped_highT":
-        term = 1.0 / (12.0 * theta * theta)
-        return ExpansionResult(value=1.0 - term, last_term=term)
+        return 1.0 - 1.0 / (12.0 * theta * theta)
     check_nonnegative("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("damped expansions need alpha > 0")
     if kind == "damped_lowT":
         t1 = (math.pi / 3.0) * alpha * theta
         t3 = (4.0 * math.pi ** 3 / 15.0) * alpha * (3.0 - alpha * alpha) * theta ** 3
-        return ExpansionResult(value=t1 + t3, last_term=abs(t3))
+        return t1 + t3
     t1 = alpha / (TWO_PI * theta)
     t2 = (alpha * alpha - 2.0) / (24.0 * theta * theta)
-    return ExpansionResult(value=1.0 - t1 + t2, last_term=abs(t2))
+    return 1.0 - t1 + t2

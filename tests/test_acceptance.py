@@ -15,8 +15,7 @@ import numpy as np
 
 from qbrownian.core import Tolerances
 from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
-                                     free_energy_internal, ohmic_lowT_expansion,
-                                     ohmic_specific_heat)
+                                     ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.cli import cmd_fig1
 from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
@@ -100,7 +99,8 @@ def test_04_frequency_sum_reproduces_free_particle_specific_heat():
         kernel = DampingKernel.drude(1.0, ratio)
 
         def sum_energy(t: float, k=kernel) -> float:
-            return free_energy_internal(t, k, tol=TIGHT).value
+            return energy_sum(0.0, k, 1.0 / t, Prescription.ENERGY,
+                              tol=TIGHT).value
 
         for theta in np.logspace(math.log10(0.05), math.log10(50.0), 10):
             fd = specific_heat_fd(sum_energy, float(theta))
@@ -200,15 +200,15 @@ def test_09_expansion_error_exponents_match_stated_remainders():
 
     def damped_low_err(theta: float) -> float:
         return abs(damped_specific_heat(theta, 1.0).C
-                   - oscillator_expansion("damped_lowT", theta, 1.0).value)
+                   - oscillator_expansion("damped_lowT", theta, 1.0))
 
     def damped_high_err(theta: float) -> float:
         return abs(damped_specific_heat(theta, 1.0).C
-                   - oscillator_expansion("damped_highT", theta, 1.0).value)
+                   - oscillator_expansion("damped_highT", theta, 1.0))
 
     def undamped_high_err(theta: float) -> float:
         return abs(undamped_thermo(theta).C
-                   - oscillator_expansion("undamped_highT", theta).value)
+                   - oscillator_expansion("undamped_highT", theta))
 
     def free_low_err(theta: float) -> float:
         return abs(ohmic_specific_heat(theta).C - ohmic_lowT_expansion(theta))
@@ -225,11 +225,11 @@ def test_10_reality_and_continuity_at_critical_parameters():
     real/complex crossover of its characteristic pair."""
     for theta in (0.05, 0.3, 1.0, 5.0):
         for alpha in (0.5, 1.0, 1.5, 1.9, 1.99):
-            pair = lambda_pm(theta, alpha)
-            total = (pair.lam_plus ** 2 * trigamma(1.0 + pair.lam_plus)
-                     + pair.lam_minus ** 2 * trigamma(1.0 + pair.lam_minus))
+            lam_plus, lam_minus = lambda_pm(theta, alpha)
+            total = (lam_plus ** 2 * trigamma(1.0 + lam_plus)
+                     + lam_minus ** 2 * trigamma(1.0 + lam_minus))
             assert abs(total.imag) < 1e-12 * max(1.0, abs(total.real))
-            total_g = g_func(pair.lam_plus) + g_func(pair.lam_minus)
+            total_g = g_func(lam_plus) + g_func(lam_minus)
             assert abs(total_g.imag) < 1e-12 * max(1.0, abs(total_g.real))
         for ratio in (0.5, 1.0, 2.0, 3.9, 3.99):
             z_plus, z_minus = drude_z_pm(theta, ratio)

@@ -6,13 +6,16 @@ it produces, including exit codes for usage and numerical failures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import pytest
 
+import qbrownian.cli
 from qbrownian.cli import main
 from qbrownian.free_particle import ohmic_specific_heat
+from qbrownian.matsubara import DampingKernel, PoleSum, Prescription, energy_sum
 from qbrownian.oscillator import undamped_thermo
 
 
@@ -41,6 +44,20 @@ def test_curve_free_particle_csv(tmp_path):
     assert all(b > a for a, b in zip(heats, heats[1:]))
     # the classical plateau is approached like 1/(2 pi theta)
     assert heats[-1] == pytest.approx(0.5, abs=2.0 / (2.0 * math.pi * 50.0))
+
+
+def test_curve_free_particle_at_critical_cutoff(tmp_path):
+    # r = 4 makes the Drude pair degenerate; the closed form's confluent
+    # limit holds down to the grid's low end and matches the pole form
+    out = tmp_path / "critical.csv"
+    assert main(["curve", "--model", "free", "--kernel", "drude",
+                 "--cutoff-ratio", "4", "--tmin", "0.01", "--tmax", "1",
+                 "--points", "5", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 4.0), Prescription.ENERGY)
+    assert len(rows) == 5
+    for theta, heat in rows:
+        assert float(heat) == pytest.approx(poles.heat(float(theta)), abs=1e-11)
 
 
 def test_curve_values_round_trip_exactly(tmp_path):
@@ -163,6 +180,7 @@ def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
     ["expansions", "--model", "free", "--alpha", "1"],
     ["curve", "--model", "oscillator", "--cutoff-ratio", "nan"],
     ["curve", "--model", "oscillator", "--quantities", ","],
+    ["expansions", "--model", "free", "--log"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -170,10 +188,12 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage error:" in captured.err
 
 
-def test_unresolvable_sum_exits_3(capsys):
+def test_unresolvable_sum_exits_3(capsys, monkeypatch):
     # at theta = 1e-8 the Drude knee sits beyond the term cap, so the tail
     # model never applies and compare's term-by-term sum must report
-    # failure, tagged by point
+    # failure, tagged by point; a lower cap reaches that failure sooner
+    monkeypatch.setattr(qbrownian.cli, "energy_sum",
+                        functools.partial(energy_sum, max_terms=2 ** 20))
     ret = main(["compare", "--model", "oscillator", "--kernel", "drude",
                 "--points", "2", "--tmin", "1e-8", "--tmax", "1e-7"])
     captured = capsys.readouterr()

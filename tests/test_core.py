@@ -31,13 +31,10 @@ def test_tolerances_defaults_and_validation():
     tol = Tolerances()
     assert 0.0 < tol.rel_sum_tail < 1.0
     assert 0.0 < tol.quad_abs < 1.0
-    assert 0.0 < tol.fd_step < 1.0
     with pytest.raises(DomainError):
         Tolerances(rel_sum_tail=0.0)
     with pytest.raises(DomainError):
         Tolerances(quad_abs=-1e-10)
-    with pytest.raises(DomainError):
-        Tolerances(fd_step=1.0)
 
 
 def test_real_with_im_check():
