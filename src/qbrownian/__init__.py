@@ -8,8 +8,8 @@ trigamma-based closed forms, frequency sums under both energy prescriptions
 quadrature, and limit expansions.
 """
 
-from .core import (ConvergenceError, DEFAULT_TOL, DivergenceError, DomainError,
-                   Estimate, ThermoPoint, Tolerances)
+from .core import (ConvergenceError, DEFAULT_TOL, DomainError, Estimate,
+                   ThermoPoint, Tolerances)
 from .free_particle import (drude_specific_heat, drude_z_pm, ohmic_lowT_expansion,
                             ohmic_specific_heat)
 from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
@@ -24,14 +24,13 @@ from .specfun import (PoleError, digamma, g_func, g_func_prime, ln_gamma,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DivergenceError",
-    "DomainError", "Estimate", "MomentResult", "PoleError", "PoleSum",
-    "Prescription", "ThermoPoint", "Tolerances", "damped_entropy",
-    "damped_specific_heat", "damped_specific_heat_via_entropy", "digamma",
-    "drude_specific_heat", "drude_z_pm", "energy_sum", "f_n_integral",
-    "g_func", "g_func_prime", "lambda_pm", "ln_gamma", "moments",
-    "ohmic_lowT_expansion", "ohmic_specific_heat", "oscillator_expansion",
-    "polygamma", "position_variance_sum", "prescription_gap",
-    "specific_heat_fd", "spectral_energy", "trigamma", "undamped_thermo",
-    "__version__",
+    "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DomainError",
+    "Estimate", "MomentResult", "PoleError", "PoleSum", "Prescription",
+    "ThermoPoint", "Tolerances", "damped_entropy", "damped_specific_heat",
+    "damped_specific_heat_via_entropy", "digamma", "drude_specific_heat",
+    "drude_z_pm", "energy_sum", "f_n_integral", "g_func", "g_func_prime",
+    "lambda_pm", "ln_gamma", "moments", "ohmic_lowT_expansion",
+    "ohmic_specific_heat", "oscillator_expansion", "polygamma",
+    "position_variance_sum", "prescription_gap", "specific_heat_fd",
+    "spectral_energy", "trigamma", "undamped_thermo", "__version__",
 ]

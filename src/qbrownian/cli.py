@@ -20,17 +20,19 @@ parameter set and the library version.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .core import (ConvergenceError, DivergenceError, DomainError, Tolerances,
-                   check_nonnegative, check_positive)
+from .core import (ConvergenceError, DomainError, Tolerances, check_nonnegative,
+                   check_positive)
 from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
 from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
@@ -62,19 +64,20 @@ _CLOSED_HEAT: dict[tuple[str, str, str], Callable[[float, float, float], float]]
 class CurveSpec:
     """Validated description of one run: model, bath, grid and outputs.
 
-    Every subcommand builds one, so all of them share its checks and its
+    Every subcommand takes one, so all of them share its checks and its
     temperature grid; construction raises DomainError on invalid input.  A
-    drude kernel without a cutoff ratio gets the default ratio 10.
+    drude kernel without a cutoff ratio gets the default ratio 10.  The field
+    names are those of the command-line flags and of the CSV comment row.
     """
 
     model: str
     kernel: str = "ohmic"
     alpha: float | None = None
     cutoff_ratio: float | None = None
-    t_min: float = 0.01
-    t_max: float = 10.0
+    tmin: float = 0.01
+    tmax: float = 10.0
     points: int = 100
-    log_grid: bool = False
+    log: bool = False
     route: str = "energy"
     quantities: tuple[str, ...] = ("C",)
     tol: float = 1e-12
@@ -84,9 +87,9 @@ class CurveSpec:
             raise DomainError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.kernel not in _KERNELS:
             raise DomainError(f"kernel must be one of {_KERNELS}, got {self.kernel!r}")
-        if not (0.0 < self.t_min < self.t_max and math.isfinite(self.t_max)):
+        if not (0.0 < self.tmin < self.tmax and math.isfinite(self.tmax)):
             raise DomainError(
-                f"need 0 < tmin < tmax, got tmin={self.t_min!r} tmax={self.t_max!r}")
+                f"need 0 < tmin < tmax, got tmin={self.tmin!r} tmax={self.tmax!r}")
         if self.points < 2:
             raise DomainError(f"points must be >= 2, got {self.points!r}")
         if self.route not in _ROUTES:
@@ -129,10 +132,10 @@ class CurveSpec:
         return 1.0 if self.model == "oscillator" else 0.0
 
     def grid(self) -> np.ndarray:
-        if self.log_grid:
-            return np.logspace(math.log10(self.t_min), math.log10(self.t_max),
+        if self.log:
+            return np.logspace(math.log10(self.tmin), math.log10(self.tmax),
                                self.points)
-        return np.linspace(self.t_min, self.t_max, self.points)
+        return np.linspace(self.tmin, self.tmax, self.points)
 
     def make_kernel(self) -> DampingKernel:
         gamma = 1.0 if self.model == "free" else self.alpha_value
@@ -141,12 +144,12 @@ class CurveSpec:
             return DampingKernel.ohmic(gamma)
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
-    def energy(self) -> Callable[[float, Prescription], float]:
-        """(theta, prescription) -> internal energy summed term by term."""
-        kernel, tols = self.make_kernel(), Tolerances(rel_sum_tail=self.tol)
-        omega0 = self.omega0
-        return lambda theta, route: energy_sum(omega0, kernel, 1.0 / theta, route,
-                                               tol=tols).value
+    def closed_heat(self, route: str = "energy") -> Callable[[float], float] | None:
+        """theta -> closed-form C on this route, or None where there is none."""
+        closed = _CLOSED_HEAT.get((self.model, self.kernel, route))
+        if closed is None:
+            return None
+        return lambda theta: closed(theta, self.alpha_value, self.cutoff_ratio)
 
     def comment(self, *names: str) -> str:
         """The comment row: the named parameters, then the library version."""
@@ -155,8 +158,8 @@ class CurveSpec:
             "alpha": "none" if self.alpha is None else _fmt(self.alpha),
             "cutoff_ratio": "inf" if self.kernel == "ohmic" else _fmt(self.cutoff_ratio),
             "route": self.route, "quantities": ",".join(self.quantities),
-            "tmin": _fmt(self.t_min), "tmax": _fmt(self.t_max),
-            "points": str(self.points), "log": str(self.log_grid).lower(),
+            "tmin": _fmt(self.tmin), "tmax": _fmt(self.tmax),
+            "points": str(self.points), "log": str(self.log).lower(),
             "tol": _fmt(self.tol), "version": __version__}
         return "# " + " ".join(f"{name}={values[name]}" for name in names + ("version",))
 
@@ -178,84 +181,75 @@ def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
     return out
 
 
-def _curve_columns(spec: CurveSpec) -> list[tuple[str, Callable[[float], float]]]:
-    """Build (column name, theta -> value) pairs in canonical C, S, E order.
+def _table(spec: CurveSpec, header: str, comment: str,
+           columns: dict[str, Callable[[float], float]]) -> list[str]:
+    """CSV lines: the theta column named header, then one column per entry."""
+    lines = [",".join([header, *columns]), comment]
+    for theta, values in _on_grid(spec, lambda t: [fn(t) for fn in columns.values()]):
+        lines.append(",".join([_fmt(theta)] + [_fmt(v) for v in values]))
+    return lines
+
+
+def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
+    """The curve CSV, with columns in canonical C, S, E order.
 
     E, and C without a closed form, come from the frequency sums' pole form
     (PoleSum).
     """
-    alpha, ratio = spec.alpha_value, spec.cutoff_ratio
     routes = (tuple(Prescription) if spec.route == "both"
               else (Prescription(spec.route),))
     kernel = spec.make_kernel()
-    columns: list[tuple[str, Callable[[float], float]]] = []
+    columns: dict[str, Callable[[float], float]] = {}
 
     if "C" in spec.quantities:
         for route in routes:
-            closed = _CLOSED_HEAT.get((spec.model, spec.kernel, route.value))
-            if closed is None:
-                heat = PoleSum(spec.omega0, kernel, route).heat
-            else:
-                def heat(t, c=closed):
-                    return c(t, alpha, ratio)
-            columns.append((f"C_{route.value}", heat))
+            columns[f"C_{route.value}"] = (spec.closed_heat(route.value)
+                                           or PoleSum(spec.omega0, kernel, route).heat)
 
     if "S" in spec.quantities:
-        columns.append(("S", lambda t: damped_entropy(t, alpha).S))
+        columns["S"] = lambda t: damped_entropy(t, spec.alpha_value).S
 
     if "E" in spec.quantities:
         # an ohmic kernel has no prescription gap, so one E column serves
         e_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
         for route in e_routes:
             name = "E" if len(e_routes) == 1 else f"E_{route.value}"
-            columns.append((name, PoleSum(spec.omega0, kernel, route).energy))
-    return columns
+            columns[name] = PoleSum(spec.omega0, kernel, route).energy
 
-
-def cmd_curve(spec: CurveSpec) -> list[str]:
-    """Render the curve CSV as a list of lines (header, comment, data rows)."""
-    columns = _curve_columns(spec)
-    lines = ["theta," + ",".join(name for name, _ in columns),
-             spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
-                          "quantities", "tmin", "tmax", "points", "log", "tol")]
-    for theta, values in _on_grid(spec, lambda t: [fn(t) for _, fn in columns]):
-        lines.append(",".join([_fmt(theta)] + [_fmt(v) for v in values]))
-    return lines
+    comment = spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
+                           "quantities", "tmin", "tmax", "points", "log", "tol")
+    return {"": _table(spec, "theta", comment, columns)}
 
 
 _FIG1_RATIOS = {"0.01": 0.01, "0.1": 0.1, "1": 1.0, "inf": math.inf}
 
 
-def cmd_fig1(t_min: float = 1e-3, t_max: float = 10.0,
-             points: int = 400) -> tuple[list[str], list[str]]:
-    """Free-particle specific-heat figure data: (main lines, inset lines).
+def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
+    """Free-particle specific-heat figure data: main and inset CSVs.
 
     Main: exact strict-ohmic C against the linear-plus-cubic low-temperature
     law.  Inset: C for cutoff ratios 0.01, 0.1, 1, inf (upper to lower at low
     temperature) with the same expansion column.
     """
-    spec = CurveSpec(model="free", t_min=t_min, t_max=t_max, points=points,
-                     log_grid=True)
     comment = spec.comment("model", "kernel", "tmin", "tmax", "points", "log")
-    main = ["theta_gamma,C_exact,C_lowT", comment]
-    inset = ["theta_gamma," + ",".join(f"C_cutoff_{n}" for n in _FIG1_RATIOS)
-             + ",C_lowT", comment.replace("kernel=ohmic", "kernel=drude_family")]
-    for theta in spec.grid():
-        theta = float(theta)
-        low_t = _fmt(ohmic_lowT_expansion(theta))
-        main.append(",".join([_fmt(theta), _fmt(ohmic_specific_heat(theta).C), low_t]))
-        inset.append(",".join([_fmt(theta)] + [_fmt(drude_specific_heat(theta, r).C)
-                                               for r in _FIG1_RATIOS.values()] + [low_t]))
-    return main, inset
+    main = {"C_exact": spec.closed_heat(), "C_lowT": ohmic_lowT_expansion}
+    inset = {f"C_cutoff_{name}": lambda t, r=ratio: drude_specific_heat(t, r).C
+             for name, ratio in _FIG1_RATIOS.items()}
+    inset["C_lowT"] = ohmic_lowT_expansion
+    return {"_main.csv": _table(spec, "theta_gamma", comment, main),
+            "_inset.csv": _table(spec, "theta_gamma",
+                                 comment.replace("kernel=ohmic", "kernel=drude_family"),
+                                 inset)}
 
 
-def cmd_compare(spec: CurveSpec) -> dict:
-    """Evaluate both prescriptions, their gap, and FD cross-checks per point."""
+def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
+    """Both prescriptions, their gap, and FD cross-checks per point, as JSON."""
     tols = Tolerances(rel_sum_tail=spec.tol)
     kernel = spec.make_kernel()
-    energy = spec.energy()
-    closed = _CLOSED_HEAT.get((spec.model, spec.kernel, "energy"))
-    regularized = spec.kernel == "ohmic" and kernel.gamma > 0.0
+    closed = spec.closed_heat()
+
+    def energy(theta: float, route: Prescription) -> float:
+        return energy_sum(spec.omega0, kernel, 1.0 / theta, route, tol=tols).value
 
     def point(theta: float) -> dict:
         return {
@@ -263,41 +257,39 @@ def cmd_compare(spec: CurveSpec) -> dict:
             "E_direct": energy(theta, Prescription.ENERGY),
             "E_partition": energy(theta, Prescription.PARTITION),
             "gap": prescription_gap(spec.omega0, kernel, 1.0 / theta, tol=tols).value,
-            "C_closed": None if closed is None else closed(
-                theta, spec.alpha_value, spec.cutoff_ratio),
+            "C_closed": None if closed is None else closed(theta),
             "C_fd_direct": specific_heat_fd(
                 lambda t: energy(t, Prescription.ENERGY), theta).value,
             "C_fd_partition": specific_heat_fd(
                 lambda t: energy(t, Prescription.PARTITION), theta).value,
-            "status": "regularized" if regularized else "ok",
+            "status": "regularized" if kernel.regularized else "ok",
         }
 
-    rows = [row for _, row in _on_grid(spec, point)]
-    return {
+    report = {
         "model": spec.model,
         "kernel": spec.kernel,
         "alpha": None if spec.model == "free" else spec.alpha_value,
         "cutoff_ratio": None if spec.kernel == "ohmic" else spec.cutoff_ratio,
         "tol": spec.tol,
         "version": __version__,
-        "points": rows,
+        "points": [row for _, row in _on_grid(spec, point)],
     }
+    return {"": [json.dumps(report, indent=2, allow_nan=False)]}
 
 
-def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
-                   points: int) -> list[str]:
-    """Exact vs expansion values with halving-grid error exponents, as CSV lines.
+def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
+    """Exact vs expansion values with halving-grid error exponents, as CSV.
 
     The grid is always log-spaced.  The exponent column is
     log2(err(theta) / err(theta/2)): near the stated remainder order of each
     expansion in its own asymptotic regime, and meaningless (reported anyway)
     outside it.
     """
-    spec = CurveSpec(model=model, alpha=alpha, t_min=t_min, t_max=t_max,
-                     points=points, log_grid=True)
     a = spec.alpha_value
-    closed = _CLOSED_HEAT[model, "ohmic", "energy"]
-    if model == "free":
+    # the kinds of one family share their exact values at theta and theta/2
+    closed = functools.cache(spec.closed_heat())
+    undamped = functools.cache(lambda theta: undamped_thermo(theta).C)
+    if spec.model == "free":
         kinds = ("free_lowT",)
     else:
         kinds = ("undamped_lowT", "undamped_highT")
@@ -306,16 +298,14 @@ def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
 
     def pair(kind: str, theta: float) -> tuple[float, float]:
         if kind == "free_lowT":
-            return closed(theta, a, math.inf), ohmic_lowT_expansion(theta)
-        exact = (undamped_thermo(theta).C if kind.startswith("undamped")
-                 else closed(theta, a, math.inf))
+            return closed(theta), ohmic_lowT_expansion(theta)
+        exact = undamped(theta) if kind.startswith("undamped") else closed(theta)
         return exact, oscillator_expansion(kind, theta, a)
 
-    grid = spec.grid()
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
              spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
     for kind in kinds:
-        for theta in grid:
+        for theta in spec.grid():
             theta = float(theta)
             exact, approx = pair(kind, theta)
             err = abs(exact - approx)
@@ -324,7 +314,7 @@ def cmd_expansions(model: str, alpha: float | None, t_min: float, t_max: float,
             exponent = math.log2(err / err_h) if err > 0.0 and err_h > 0.0 else math.nan
             lines.append(",".join([kind, _fmt(theta), _fmt(exact), _fmt(approx),
                                    _fmt(err), _fmt(exponent)]))
-    return lines
+    return {"": lines}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,96 +332,81 @@ def build_parser() -> argparse.ArgumentParser:
                     "and free quantum Brownian particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid(sp, t_min: float, t_max: float, points: int):
-        sp.add_argument("--tmin", type=float, default=t_min,
+    def add_grid(sp, tmin: float, tmax: float, points: int):
+        sp.add_argument("--tmin", type=float, default=tmin,
                         help="lowest reduced temperature")
-        sp.add_argument("--tmax", type=float, default=t_max,
+        sp.add_argument("--tmax", type=float, default=tmax,
                         help="highest reduced temperature")
         sp.add_argument("--points", type=int, default=points, help="grid size")
 
-    def add_spec(sp, t_min: float, t_max: float, points: int):
+    def add_spec(sp, tmin: float, tmax: float, points: int):
         sp.add_argument("--model", choices=_MODELS, required=True)
         sp.add_argument("--kernel", choices=_KERNELS, default="ohmic")
         sp.add_argument("--alpha", type=float, default=None,
                         help="gamma/omega0 (oscillator only; default 1)")
         sp.add_argument("--cutoff-ratio", type=float, default=None,
                         help="omega_D/gamma (drude kernel only; default 10)")
-        add_grid(sp, t_min, t_max, points)
+        add_grid(sp, tmin, tmax, points)
         sp.add_argument("--log", action="store_true", help="log-spaced grid")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-12,
-                        help="relative tail tolerance of compare's frequency "
-                             "sums; curve sums in closed form and ignores it")
 
     curve = sub.add_parser("curve", help="thermodynamic quantities on a grid")
     add_spec(curve, 0.01, 10.0, 100)
     curve.add_argument("--route", choices=_ROUTES, default="energy")
     curve.add_argument("--quantities", default="C",
                        help="comma-separated subset of C,S,E")
+    curve.set_defaults(run=cmd_curve)
 
     fig1 = sub.add_parser("fig1", help="free-particle figure data (main + inset)")
     add_grid(fig1, 1e-3, 10.0, 400)
     fig1.add_argument("--out", default="fig1",
                       help="output prefix; writes <out>_main.csv and <out>_inset.csv")
+    fig1.set_defaults(run=cmd_fig1, model="free", log=True)
 
     compare = sub.add_parser("compare", help="both prescriptions and their gap")
     add_spec(compare, 0.1, 10.0, 20)
+    compare.add_argument("--tol", type=float, default=1e-12,
+                         help="relative tail tolerance of the frequency sums")
+    compare.set_defaults(run=cmd_compare)
 
     expansions = sub.add_parser("expansions", help="limit expansions vs exact values")
     expansions.add_argument("--model", choices=_MODELS, required=True)
     expansions.add_argument("--alpha", type=float, default=None)
     add_grid(expansions, 0.01, 20.0, 40)
     expansions.add_argument("--out", default=None)
+    expansions.set_defaults(run=cmd_expansions, log=True)
     return parser
 
 
-def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
-    names = {part.strip() for part in getattr(args, "quantities", "C").split(",")}
-    # canonical C, S, E order; unknown names stay in for CurveSpec to reject
-    quantities = (tuple(q for q in _QUANTITIES if q in names)
-                  + tuple(sorted(names - set(_QUANTITIES) - {""})))
-    return CurveSpec(model=args.model, kernel=args.kernel, alpha=args.alpha,
-                     cutoff_ratio=args.cutoff_ratio, t_min=args.tmin, t_max=args.tmax,
-                     points=args.points, log_grid=args.log,
-                     route=getattr(args, "route", "energy"),
-                     quantities=quantities, tol=args.tol)
+    """The CurveSpec of the parsed arguments that name one of its fields."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(CurveSpec)
+              if hasattr(args, f.name)}
+    if "quantities" in fields:
+        names = {part.strip() for part in fields["quantities"].split(",")}
+        # canonical C, S, E order; unknown names stay in for CurveSpec to reject
+        fields["quantities"] = (tuple(q for q in _QUANTITIES if q in names)
+                                + tuple(sorted(names - set(_QUANTITIES) - {""})))
+    return CurveSpec(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "curve":
-            _write_lines(cmd_curve(_spec_from_args(args)), args.out)
-        elif args.command == "fig1":
-            main_lines, inset_lines = cmd_fig1(args.tmin, args.tmax, args.points)
-            _write_lines(main_lines, f"{args.out}_main.csv")
-            _write_lines(inset_lines, f"{args.out}_inset.csv")
-        elif args.command == "compare":
-            report = cmd_compare(_spec_from_args(args))
-            payload = json.dumps(report, indent=2, allow_nan=False)
-            _write_lines([payload], args.out)
-        else:
-            _write_lines(cmd_expansions(args.model, args.alpha, args.tmin,
-                                        args.tmax, args.points), args.out)
+        files = args.run(_spec_from_args(args))
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, DivergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    for suffix, lines in files.items():
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out + suffix, "w", encoding="utf-8")) as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 

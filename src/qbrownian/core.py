@@ -29,10 +29,6 @@ class ConvergenceError(RuntimeError):
         self.requested = requested
 
 
-class DivergenceError(ArithmeticError):
-    """The requested quantity is genuinely divergent at these parameters."""
-
-
 TWO_PI = 2.0 * math.pi
 EPS = 2.0 ** -52            # machine epsilon of a double
 
@@ -97,45 +93,34 @@ def check_nonnegative(name: str, value: float) -> None:
         raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
-def real_with_im_check(z: complex, atol: float = 1e-12, what: str = "value") -> float:
-    """Collapse a nominally real complex result, failing loud on residue.
-
-    Conjugate-pair combinations in the closed forms are exactly real in IEEE
-    arithmetic; a surviving imaginary part signals a formula or domain bug
-    rather than roundoff, so it raises instead of being silently dropped.
-    """
-    z = complex(z)
-    if abs(z.imag) > atol * max(1.0, abs(z.real)):
-        raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
-    return z.real
-
-
-# a cancelling sum of terms fails when its roundoff exceeds both of these
 ROUNDOFF_LIMIT = 1e-6       # relative to the result
 ROUNDOFF_FLOOR = 1e-12      # absolute, in the result's units (k_B for C and S)
 
 
-def roundoff_ok(value: float, magnitude: float) -> bool:
-    """False if cancellation swamped value, or value is not finite.
+def checked_real(total: complex, magnitude: float, what: str, **params: float) -> float:
+    """The real value of a cancelling sum of terms, or an error saying why not.
 
-    magnitude is the sum of the absolute values of the terms that were added
-    up to value, so magnitude * eps estimates the roundoff left in it.  The
-    value fails when that roundoff exceeds ROUNDOFF_LIMIT relative to |value|
-    and ROUNDOFF_FLOOR in absolute terms.  The floor lets a result that is
-    exponentially small in truth, such as the undamped specific heat at low
-    temperature, pass with its tiny absolute error.
+    Conjugate-pair combinations in the closed forms are exactly real in IEEE
+    arithmetic, so a surviving imaginary part signals a formula or domain bug
+    rather than roundoff and raises DomainError.  magnitude is the sum of the
+    absolute values of the terms added up to total, so magnitude * eps
+    estimates the roundoff left in it.  ConvergenceError, naming params as the
+    inputs, is raised when the value is not finite or that roundoff exceeds
+    both ROUNDOFF_LIMIT relative to |value| and ROUNDOFF_FLOOR.  The floor
+    lets a result that is exponentially small in truth, such as the undamped
+    specific heat at low temperature, pass with its tiny absolute error.
     """
+    z = complex(total)
+    if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
+        raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
+    value = z.real
     err = magnitude * EPS
-    return math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
-                                     or err <= ROUNDOFF_FLOOR)
-
-
-def roundoff_error(value: float, magnitude: float, what: str,
-                   **params: float) -> ConvergenceError:
-    """The error for a value that failed roundoff_ok; params name the inputs."""
-    loss = magnitude * EPS / abs(value) if value != 0.0 else math.inf
+    if math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
+                                 or err <= ROUNDOFF_FLOOR):
+        return value
+    loss = err / abs(value) if value != 0.0 else math.inf
     where = ", ".join(f"{name}={x!r}" for name, x in params.items())
-    return ConvergenceError(
+    raise ConvergenceError(
         f"{what} at {where} lost its digits to cancellation: estimated "
         f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",
         achieved=loss, requested=ROUNDOFF_LIMIT)

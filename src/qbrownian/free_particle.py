@@ -19,7 +19,7 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_positive,
-                   real_with_im_check, roundoff_error, roundoff_ok)
+                   checked_real)
 from .specfun import polygamma, trigamma
 
 _DEGENERATE_BAND = 1e-10
@@ -34,10 +34,8 @@ def ohmic_specific_heat(theta: float) -> ThermoPoint:
     check_positive("theta", theta)
     a = 1.0 / (TWO_PI * theta)
     term = a * a * trigamma(1.0 + a).real
-    heat = 0.5 - a + term
     magnitude = 0.5 + a + abs(term)
-    if not roundoff_ok(heat, magnitude):
-        raise roundoff_error(heat, magnitude, "specific heat", theta=theta)
+    heat = checked_real(0.5 - a + term, magnitude, "specific heat", theta=theta)
     return ThermoPoint(theta=theta, C=heat)
 
 
@@ -69,7 +67,7 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
     written through s = sqrt(1 - 4/r).  The s -> 0 degeneracy at r = 4 is a
     removable 0/0; inside a narrow band it is evaluated through the limit
     2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)].  Raises ConvergenceError where
-    roundoff would leave less than six digits, below theta ~ 1e-9.
+    roundoff would leave less than six digits, below theta ~ 1e-5.
     """
     check_positive("theta", theta)
     if not cutoff_ratio > 0.0:
@@ -84,7 +82,7 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
         psi1 = trigamma(1.0 + z0).real
         psi2 = polygamma(2, 1.0 + z0).real
         bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
-        heat = 0.5 - a * bracket_over_s
+        total = 0.5 - a * bracket_over_s
         magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
     else:
         s = cmath.sqrt(complex(disc, 0.0))
@@ -92,10 +90,8 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
         z_minus = z0 * (1.0 - s)
         t_plus = z_plus * trigamma(1.0 + z_plus)
         t_minus = z_minus * trigamma(1.0 + z_minus)
-        heat = real_with_im_check(0.5 - a * (t_plus - t_minus) / s,
-                                  what="specific heat")
+        total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
-    if not roundoff_ok(heat, magnitude):
-        raise roundoff_error(heat, magnitude, "specific heat", theta=theta,
-                             cutoff_ratio=cutoff_ratio)
+    heat = checked_real(total, magnitude, "specific heat", theta=theta,
+                        cutoff_ratio=cutoff_ratio)
     return ThermoPoint(theta=theta, C=heat)

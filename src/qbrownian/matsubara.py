@@ -48,9 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DivergenceError,
-                   DomainError, Estimate, Tolerances, check_nonnegative,
-                   check_positive, roundoff_error, roundoff_ok)
+from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
+                   Estimate, Tolerances, check_nonnegative, check_positive,
+                   checked_real)
 from .specfun import polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -96,6 +96,11 @@ class DampingKernel:
     @property
     def is_ohmic(self) -> bool:
         return self.omega_d == math.inf
+
+    @property
+    def regularized(self) -> bool:
+        """Strictly ohmic with gamma > 0: the energy needs regularization."""
+        return self.is_ohmic and self.gamma > 0.0
 
     def laplace(self, z):
         """Return (gh(z), gh'(z)); works elementwise on scalars or arrays."""
@@ -175,14 +180,13 @@ def _accelerated_sum(summand: Callable, rel_tol: float, max_terms: int,
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
                route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
-               regularized: bool = True, max_terms: int = 10 ** 8) -> Estimate:
+               max_terms: int = 10 ** 8) -> Estimate:
     """Internal energy from the frequency sum, under either prescription.
 
-    omega0 = 0 selects the free particle.  For a strictly ohmic kernel with
-    gamma > 0 the absolute energy diverges; with regularized=True (default)
-    the cutoff-regularized value described in the module docstring is
-    returned and flagged, otherwise DivergenceError is raised.  err is the
-    difference of the last two refinements, a deliberately conservative
+    omega0 = 0 selects the free particle.  For a regularized kernel (strictly
+    ohmic, gamma > 0) the absolute energy diverges, so the cutoff-regularized
+    value described in the module docstring is returned and flagged.  err is
+    the difference of the last two refinements, a deliberately conservative
     bound that overshoots the true residual of the accelerated estimate.
     """
     check_nonnegative("omega0", omega0)
@@ -191,18 +195,11 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
         raise DomainError(f"route must be a Prescription, got {route!r}")
 
     g0 = kernel.gamma
-    needs_reg = kernel.is_ohmic and g0 > 0.0
-    if needs_reg and not regularized:
-        raise DivergenceError(
-            "the absolute internal energy diverges logarithmically for a "
-            "strictly ohmic kernel; request the regularized value and use "
-            "only temperature differences or derivatives of it")
-
     nu_scale = TWO_PI / beta
     w2 = omega0 * omega0
     part = route is Prescription.PARTITION
 
-    if needs_reg:
+    if kernel.regularized:
         # gamma/nu already subtracted in closed form, so no cancellation;
         # gh' = 0 makes both prescriptions identical here
         if omega0 > 0.0:
@@ -235,10 +232,10 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms,
                                        scale_hint=1.0)
     value = pref * (1.0 + est)
-    if needs_reg:
+    if kernel.regularized:
         value += _regularization(g0, beta, omega0 if omega0 > 0.0 else g0)
     return Estimate(value=value, err=pref * err, terms_used=terms,
-                    regularized=needs_reg)
+                    regularized=kernel.regularized)
 
 
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -253,7 +250,7 @@ def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription
     if g == 0.0:
         # zero coupling: the bare oscillator, or a free particle with no sum
         return ([2.0 * w2], [1.0, 0.0, w2], []) if omega0 > 0.0 else ([], [1.0], [])
-    if kernel.is_ohmic:
+    if kernel.regularized:
         # the regularized summands of energy_sum, with their pole at nu = 0
         if omega0 > 0.0:
             return [2.0 * w2 - g * g, -g * w2], [1.0, g, w2], [0.0]
@@ -433,7 +430,7 @@ class PoleSum:
         if not isinstance(route, Prescription):
             raise DomainError(f"route must be a Prescription, got {route!r}")
         # a strictly ohmic kernel's energy is energy_sum's regularized value
-        self.regularized = kernel.is_ohmic and kernel.gamma > 0.0
+        self.regularized = kernel.regularized
         numerator, core, fixed = _summand_fractions(omega0, kernel, route)
         if not all(math.isfinite(c) for c in numerator + core + fixed):
             raise DomainError("the summand's coefficients overflow double "
@@ -483,9 +480,7 @@ class PoleSum:
             tail = self._gamma / (TWO_PI * theta)
             value -= tail
             magnitude += tail
-        if not roundoff_ok(value, magnitude):
-            raise roundoff_error(value, magnitude, "specific heat", theta=theta)
-        return value
+        return checked_real(value, magnitude, "specific heat", theta=theta)
 
 
 def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,

@@ -22,8 +22,7 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   check_positive, real_with_im_check, roundoff_error,
-                   roundoff_ok)
+                   check_positive, checked_real)
 from .specfun import g_func, g_func_prime, trigamma
 
 
@@ -85,10 +84,8 @@ def damped_specific_heat(theta: float, alpha: float) -> ThermoPoint:
     t_minus = lam_minus ** 2 * trigamma(1.0 + lam_minus)
     total += t_plus
     total += t_minus
-    heat = real_with_im_check(total, what="specific heat")
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
-    if not roundoff_ok(heat, magnitude):
-        raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
+    heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)
 
 
@@ -104,10 +101,8 @@ def damped_entropy(theta: float, alpha: float) -> ThermoPoint:
     total = complex(1.0 + log_theta + a, 0.0)
     g_plus, g_minus = g_func(lam_plus), g_func(lam_minus)
     total += g_plus + g_minus
-    entropy = real_with_im_check(total, what="entropy")
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
-    if not roundoff_ok(entropy, magnitude):
-        raise roundoff_error(entropy, magnitude, "entropy", theta=theta, alpha=alpha)
+    entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, S=entropy)
 
 
@@ -125,10 +120,8 @@ def damped_specific_heat_via_entropy(theta: float, alpha: float) -> ThermoPoint:
     t_minus = lam_minus * g_func_prime(lam_minus)
     total -= t_plus
     total -= t_minus
-    heat = real_with_im_check(total, what="specific heat")
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
-    if not roundoff_ok(heat, magnitude):
-        raise roundoff_error(heat, magnitude, "specific heat", theta=theta, alpha=alpha)
+    heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)
 
 

@@ -20,6 +20,7 @@ merely real up to roundoff.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .core import DomainError
@@ -125,6 +126,13 @@ def trigamma(z) -> complex:
     return _finite(value + shift, z, "trigamma")
 
 
+@functools.cache
+def _bernoulli_terms(n: int) -> tuple[float, ...]:
+    """B_2k (2k+n-1)! / (2k)!, k = 1..8: the coefficients of polygamma's series."""
+    return tuple(b2k * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
+                 for k, b2k in enumerate(_BERNOULLI, start=1))
+
+
 def polygamma(n: int, z) -> complex:
     """psi^(n)(z), the n-th derivative of digamma, for integer n >= 0.
 
@@ -155,8 +163,8 @@ def polygamma(n: int, z) -> complex:
     power = rz ** n
     series = math.factorial(n - 1) * power + 0.5 * math.factorial(n) * power * rz
     power *= rz2
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        series += (b2k * math.factorial(2 * k + n - 1) / math.factorial(2 * k)) * power
+    for coefficient in _bernoulli_terms(n):
+        series += coefficient * power
         power *= rz2
     value = series + math.factorial(n) * shift
     return _finite(value if n % 2 else -value, z, "polygamma")

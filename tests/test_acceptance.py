@@ -16,7 +16,7 @@ import numpy as np
 from qbrownian.core import Tolerances
 from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
-from qbrownian.cli import cmd_fig1
+from qbrownian.cli import CurveSpec, cmd_fig1
 from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
                                  specific_heat_fd)
@@ -151,7 +151,9 @@ def test_07_free_particle_figure_data_properties():
     """The shipped figure data: main curve monotone, bounded by 1/2 and within
     5% of it at theta = 10; cutoff curves strictly ordered below theta = 0.3;
     low-temperature expansion within 1% of exact below theta = 0.05."""
-    main_lines, inset_lines = cmd_fig1()
+    files = cmd_fig1(CurveSpec(model="free", tmin=1e-3, tmax=10.0, points=400,
+                               log=True))
+    main_lines, inset_lines = files["_main.csv"], files["_inset.csv"]
     main = [line.split(",") for line in main_lines[2:]]
     heats = [float(row[1]) for row in main]
     assert all(b > a for a, b in zip(heats, heats[1:]))

@@ -176,11 +176,13 @@ def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
      "--cutoff-ratio", "-1"],
     ["curve", "--model", "oscillator", "--kernel", "drude", "--quantities", "S"],
     ["curve", "--model", "oscillator", "--tmin", "2", "--tmax", "1"],
-    ["curve", "--model", "oscillator", "--tol", "2.0"],
+    ["compare", "--model", "oscillator", "--tol", "2.0"],
     ["expansions", "--model", "free", "--alpha", "1"],
     ["curve", "--model", "oscillator", "--cutoff-ratio", "nan"],
     ["curve", "--model", "oscillator", "--quantities", ","],
     ["expansions", "--model", "free", "--log"],
+    # curve sums in pole form and takes no tolerance
+    ["curve", "--model", "oscillator", "--tol", "1e-10"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -270,6 +272,27 @@ def test_expansions_oscillator(tmp_path):
             assert float(row[5]) == pytest.approx(5.0, abs=1.0)
         if kind == "undamped_lowT" and theta <= 0.1:
             assert approx == pytest.approx(exact, rel=0.1)
+
+
+def test_expansions_evaluates_each_exact_value_once(tmp_path, monkeypatch):
+    # the lowT and highT kinds of a family share their exact values at theta
+    # and theta/2, so each family evaluates two exact values per grid point
+    calls = {"damped": 0, "undamped": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qbrownian.cli, "damped_specific_heat",
+                        counted("damped", qbrownian.cli.damped_specific_heat))
+    monkeypatch.setattr(qbrownian.cli, "undamped_thermo",
+                        counted("undamped", qbrownian.cli.undamped_thermo))
+    points = 7
+    assert main(["expansions", "--model", "oscillator", "--points", str(points),
+                 "--out", str(tmp_path / "exp.csv")]) == 0
+    assert calls == {"damped": 2 * points, "undamped": 2 * points}
 
 
 def test_expansions_free(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the shared domain checks, tolerances, and real-part collapse."""
+"""Tests for the shared domain checks, tolerances, and closed-form result check."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from qbrownian.core import (DomainError, Tolerances, check_nonnegative,
-                            check_positive, real_with_im_check)
+from qbrownian.core import (ConvergenceError, DomainError, Tolerances,
+                            check_nonnegative, check_positive, checked_real)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
@@ -37,8 +37,15 @@ def test_tolerances_defaults_and_validation():
         Tolerances(quad_abs=-1e-10)
 
 
-def test_real_with_im_check():
-    assert real_with_im_check(3.0 + 0.0j) == 3.0
-    assert real_with_im_check(complex(2.0, 1e-15)) == 2.0
-    with pytest.raises(DomainError):
-        real_with_im_check(complex(1.0, 1e-3))
+def test_checked_real():
+    assert checked_real(3.0 + 0.0j, 3.0, "value") == 3.0
+    assert checked_real(complex(2.0, 1e-15), 2.0, "value") == 2.0
+    with pytest.raises(DomainError, match="value should be real"):
+        checked_real(complex(1.0, 1e-3), 1.0, "value")
+    # terms of size 1e10 cancelling to 1e-3 leave ~4e-3 relative roundoff
+    with pytest.raises(ConvergenceError,
+                       match="heat at theta=0.5, alpha=2.0 lost its digits") as info:
+        checked_real(1e-3, 2e10, "heat", theta=0.5, alpha=2.0)
+    assert info.value.achieved == pytest.approx(2e13 * 2.0 ** -52)
+    # a tiny value with a tiny roundoff passes through the absolute floor
+    assert checked_real(1e-20, 1e-5, "heat", theta=1e-3) == 1e-20

@@ -12,8 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbrownian.core import (ConvergenceError, DivergenceError, DomainError,
-                            Tolerances)
+from qbrownian.core import ConvergenceError, DomainError, Tolerances
 from qbrownian.free_particle import drude_specific_heat
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
@@ -147,15 +146,6 @@ def test_prescription_gap_positive_for_drude():
     for ratio in (0.5, 2.0, 50.0):
         gap = prescription_gap(1.0, DampingKernel.drude(1.0, ratio), 1.0)
         assert gap.value > 0.0
-
-
-def test_divergence_refused_without_regularization():
-    with pytest.raises(DivergenceError):
-        energy_sum(1.0, DampingKernel.ohmic(1.0), 1.0,
-                   Prescription.ENERGY, regularized=False)
-    with pytest.raises(DivergenceError):
-        energy_sum(0.0, DampingKernel.ohmic(1.0), 2.0,
-                   Prescription.PARTITION, regularized=False)
 
 
 def test_regularized_value_against_brute_force_sum():
