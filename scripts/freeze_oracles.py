@@ -196,12 +196,20 @@ show("q2_matsubara(1,1)", q2m)
 
 
 # ----------------------------------------------------- spectral integrals
+def spectral_breaks(theta, alpha):
+    # the thermal scale and both sides of the resonance, so that narrow
+    # peaks and low-temperature edges fall on subinterval ends
+    pts = {mp.mpf(0), theta, 10 * theta, 1 - 10 * alpha, 1 - alpha, mp.mpf(1),
+           1 + alpha, 1 + 10 * alpha, mp.mpf(2), 2 + 40 * theta}
+    return sorted(p for p in pts if p >= 0) + [mp.inf]
+
+
 def f0_quad(theta, alpha):
     def ig(w):
         den = (w * w - 1) ** 2 + alpha * alpha * w * w
         return alpha * w * mp.coth(w / (2 * theta)) / den / mp.pi
 
-    return mp.quad(ig, [0, 1, 2, mp.inf])
+    return mp.quad(ig, spectral_breaks(theta, alpha))
 
 
 def f2_reg_quad(theta, alpha):
@@ -210,7 +218,17 @@ def f2_reg_quad(theta, alpha):
         bose = 2 / mp.expm1(w / theta)
         return alpha * w**3 * bose / den / mp.pi
 
-    return mp.quad(ig, [0, 1, 2, mp.inf])
+    return mp.quad(ig, spectral_breaks(theta, alpha))
+
+
+def q2_psi(theta, alpha):
+    # the same f_0 from the frequency sum in digamma form: theta (1 + 2 sum_n
+    # 1/(nu_n^2 + alpha nu_n + 1)) with the denominator split at its roots
+    s = 2 * mp.pi * theta
+    root = mp.sqrt(mp.mpc(alpha * alpha / 4 - 1))
+    a, b = (alpha / 2 + root) / s, (alpha / 2 - root) / s
+    tail = (mp.psi(0, 1 + a) - mp.psi(0, 1 + b)) / ((a - b) * s * s)
+    return mp.re(theta * (1 + 2 * tail))
 
 
 f0 = f0_quad(mp.mpf(1), mp.mpf(1))
@@ -220,6 +238,13 @@ show("f2_reg_quad(1,1)", f2r)
 print("# f0 vs q2_matsubara residual:", mp.nstr(abs(f0 - q2m), 5))
 show("f0_quad(0.5,2)", f0_quad(mp.mpf("0.5"), mp.mpf(2)))
 show("f2_reg_quad(0.5,2)", f2_reg_quad(mp.mpf("0.5"), mp.mpf(2)))
+# narrow resonances, low and high temperature, strong damping
+for th, al in [("1", "1e-3"), ("1", "1e-8"), ("1e-3", "1"), ("20", "1"), ("0.05", "5")]:
+    th, al = mp.mpf(th), mp.mpf(al)
+    f0 = f0_quad(th, al)
+    show(f"f0_quad({th},{al})", f0)
+    show(f"f2_reg_quad({th},{al})", f2_reg_quad(th, al))
+    print("# f0 vs q2_psi residual:", mp.nstr(abs(f0 - q2_psi(th, al)), 5))
 
 
 # ------------------------------------------ misc reference constants

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError, DomainError, Tolerances
+from qbrownian.core import ConvergenceError, DEFAULT_TOL, DomainError, Tolerances
 from qbrownian.matsubara import position_variance_sum, specific_heat_fd
 from qbrownian.oscillator import damped_specific_heat
 from qbrownian.quadrature import f_n_integral, moments, spectral_energy
@@ -19,6 +20,15 @@ F0_REF = {
 F2_REF = {
     (1.0, 1.0): 0.3979378039026031094222691,
     (0.5, 2.0): 0.07142685820839016037978002,
+}
+# (theta, alpha): (f_0, regularized f_2) from scripts/freeze_oracles.py, at
+# narrow resonances, low and high temperature and strong damping
+ORACLES = {
+    (1.0, 1e-3): (1.081967424532537173832703, 0.5817159199367053163590455),
+    (1.0, 1e-8): (1.081976706776490114125813, 0.5819767042603761215218013),
+    (1e-3, 1.0): (0.3849012266614358764913301, 4.134247943324769585017377e-12),
+    (20.0, 1.0): (20.0041424378676888407708, 18.45267366749640233784069),
+    (0.05, 5.0): (0.2290147451654583639176143, 7.545661448108212683729145e-05),
 }
 
 
@@ -38,6 +48,16 @@ def test_f2_frozen(key):
     assert abs(value - F2_REF[key]) <= max(err, 1e-10)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("key", sorted(ORACLES))
+def test_error_bar_covers_oracle(key, n):
+    # at alpha = 1e-8 the nodes' gap at w = 1 holds most of the error
+    theta, alpha = key
+    value, err = f_n_integral(n, theta, alpha)
+    assert type(value) is float and type(err) is float
+    assert abs(value - ORACLES[key][n // 2]) <= err <= DEFAULT_TOL.quad_abs
+
+
 def test_weak_damping_approaches_undamped_variance():
     # alpha -> 0 narrows the susceptibility onto the bare resonance
     value, _ = f_n_integral(0, 1.0, 1e-4)
@@ -49,6 +69,11 @@ def test_equipartition_at_high_temperature():
     # <q^2> -> theta classically
     tol = Tolerances(quad_abs=1e-8)
     value, _ = f_n_integral(0, 1e3, 1.0, tol=tol)
+    assert value / 1e3 == pytest.approx(1.0, abs=1e-5)
+
+
+def test_equipartition_at_default_tolerance():
+    value, _ = f_n_integral(0, 1e3, 1.0)
     assert value / 1e3 == pytest.approx(1.0, abs=1e-5)
 
 
@@ -76,10 +101,28 @@ def test_fd_of_spectral_energy_matches_closed_form():
     assert fd.value == pytest.approx(damped_specific_heat(1.0, 1.0).C, abs=1e-5)
 
 
+def test_fd_of_spectral_energy_at_high_temperature():
+    # the finite-window quadrature raised at theta = 15.8 and 17.4 on this grid
+    tol = Tolerances(quad_abs=1e-11)
+    for theta in [15.0, 20.0, *np.logspace(1.0, math.log10(21.0), 40)]:
+        fd = specific_heat_fd(lambda t: spectral_energy(t, 1.0, tol)[0],
+                              float(theta), rel_step=3e-4)
+        closed = damped_specific_heat(float(theta), 1.0).C
+        assert fd.value == pytest.approx(closed, abs=1e-5), theta
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as exc_info:
         f_n_integral(0, 1.0, 1.0, tol=Tolerances(quad_abs=1e-16))
     assert exc_info.value.requested == pytest.approx(1e-16)
+
+
+def test_unresolved_resonance_raises_after_the_finest_step():
+    # at alpha = 1e-10 the last halving still moves f_0 by ~2e-10
+    with pytest.raises(ConvergenceError) as exc_info:
+        f_n_integral(0, 1.0, 1e-10)
+    assert exc_info.value.requested == DEFAULT_TOL.quad_abs
+    assert exc_info.value.achieved > exc_info.value.requested
 
 
 @pytest.mark.parametrize("call", [
