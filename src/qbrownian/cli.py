@@ -9,7 +9,9 @@ Subcommands:
 curve takes energies, and specific heats without a closed form, from the
 frequency sums in pole form (matsubara.PoleSum); compare evaluates the same
 sums term by term with tail acceleration and differentiates them numerically,
-so it is the sum-based cross-check of curve.
+so it is the sum-based cross-check of curve.  curve, fig1 and expansions
+evaluate each column once over the whole temperature grid, as an array;
+compare works point by point.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -46,12 +47,12 @@ _KERNELS = ("ohmic", "drude")
 _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
 
-# (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio).  A
-# combination missing here has no closed form: curve takes C from the pole
-# form of its frequency sum instead and compare reports C_closed as null.  The
-# free particle's closed forms are those of the energy route, its only curve
-# route.
-_CLOSED_HEAT: dict[tuple[str, str, str], Callable[[float, float, float], float]] = {
+# (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio),
+# theta a float or an array.  A combination missing here has no closed form:
+# curve takes C from the pole form of its frequency sum instead and compare
+# reports C_closed as null.  The free particle's closed forms are those of the
+# energy route, its only curve route.
+_CLOSED_HEAT: dict[tuple[str, str, str], Callable] = {
     ("oscillator", "ohmic", "energy"): lambda t, a, r: damped_specific_heat(t, a).C,
     ("oscillator", "ohmic", "partition"):
         lambda t, a, r: damped_specific_heat_via_entropy(t, a).C,
@@ -144,8 +145,11 @@ class CurveSpec:
             return DampingKernel.ohmic(gamma)
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
-    def closed_heat(self, route: str = "energy") -> Callable[[float], float] | None:
-        """theta -> closed-form C on this route, or None where there is none."""
+    def closed_heat(self, route: str = "energy") -> Callable | None:
+        """theta -> closed-form C on this route, or None where there is none.
+
+        theta may be a float or an array of temperatures.
+        """
         closed = _CLOSED_HEAT.get((self.model, self.kernel, route))
         if closed is None:
             return None
@@ -181,12 +185,29 @@ def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
     return out
 
 
+def _quiet_overflow():
+    """numpy's errstate for evaluating a column on a grid.
+
+    Float arithmetic overflows to inf or nan without a word, and the closed
+    forms' check then raises ConvergenceError naming the theta; this gives a
+    grid's elements that behavior, where numpy would warn first.  Only
+    thetas far outside 1e-9..1e9 overflow.
+    """
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _table(spec: CurveSpec, header: str, comment: str,
-           columns: dict[str, Callable[[float], float]]) -> list[str]:
-    """CSV lines: the theta column named header, then one column per entry."""
+           columns: dict[str, Callable[[np.ndarray], np.ndarray]]) -> list[str]:
+    """CSV lines: the theta column named header, then one column per entry.
+
+    Each column is evaluated once, on the whole grid; a closed form that
+    fails names the first theta at which it failed.
+    """
+    grid = spec.grid()
+    with _quiet_overflow():
+        values = [fn(grid).tolist() for fn in columns.values()]
     lines = [",".join([header, *columns]), comment]
-    for theta, values in _on_grid(spec, lambda t: [fn(t) for fn in columns.values()]):
-        lines.append(",".join([_fmt(theta)] + [_fmt(v) for v in values]))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(grid.tolist(), *values))
     return lines
 
 
@@ -199,7 +220,7 @@ def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
     routes = (tuple(Prescription) if spec.route == "both"
               else (Prescription(spec.route),))
     kernel = spec.make_kernel()
-    columns: dict[str, Callable[[float], float]] = {}
+    columns: dict[str, Callable] = {}
 
     if "C" in spec.quantities:
         for route in routes:
@@ -283,37 +304,48 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
     The grid is always log-spaced.  The exponent column is
     log2(err(theta) / err(theta/2)): near the stated remainder order of each
     expansion in its own asymptotic regime, and meaningless (reported anyway)
-    outside it.
+    outside it.  Each family's exact values are evaluated once on the grid and
+    once on the halved grid, and shared by its kinds.
     """
     a = spec.alpha_value
-    # the kinds of one family share their exact values at theta and theta/2
-    closed = functools.cache(spec.closed_heat())
-    undamped = functools.cache(lambda theta: undamped_thermo(theta).C)
     if spec.model == "free":
         kinds = ("free_lowT",)
     else:
         kinds = ("undamped_lowT", "undamped_highT")
         if a > 0.0:
             kinds += ("damped_lowT", "damped_highT")
+    grid = spec.grid()
+    grids = (grid, grid / 2.0)
+    exact_heat = {"undamped": lambda theta: undamped_thermo(theta).C,
+                  "closed": spec.closed_heat()}
 
-    def pair(kind: str, theta: float) -> tuple[float, float]:
+    def family(kind: str) -> str:
+        return "undamped" if kind.startswith("undamped") else "closed"
+
+    def expansion(kind: str, theta: np.ndarray) -> np.ndarray:
         if kind == "free_lowT":
-            return closed(theta), ohmic_lowT_expansion(theta)
-        exact = undamped(theta) if kind.startswith("undamped") else closed(theta)
-        return exact, oscillator_expansion(kind, theta, a)
+            return ohmic_lowT_expansion(theta)
+        return oscillator_expansion(kind, theta, a)
+
+    columns = []
+    with _quiet_overflow():
+        exact = {name: [exact_heat[name](t) for t in grids]
+                 for name in dict.fromkeys(map(family, kinds))}
+        for kind in kinds:
+            values, values_h = exact[family(kind)]
+            approx, approx_h = (expansion(kind, t) for t in grids)
+            err = np.abs(values - approx)
+            err_h = np.abs(values_h - approx_h)
+            exponent = np.full(grid.shape, math.nan)
+            ok = (err > 0.0) & (err_h > 0.0)
+            exponent[ok] = np.log2(err[ok] / err_h[ok])
+            columns.append((kind, values, approx, err, exponent))
 
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
              spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
-    for kind in kinds:
-        for theta in spec.grid():
-            theta = float(theta)
-            exact, approx = pair(kind, theta)
-            err = abs(exact - approx)
-            exact_h, approx_h = pair(kind, theta / 2.0)
-            err_h = abs(exact_h - approx_h)
-            exponent = math.log2(err / err_h) if err > 0.0 and err_h > 0.0 else math.nan
-            lines.append(",".join([kind, _fmt(theta), _fmt(exact), _fmt(approx),
-                                   _fmt(err), _fmt(exponent)]))
+    for kind, *values in columns:
+        for row in zip(grid.tolist(), *(v.tolist() for v in values)):
+            lines.append(",".join([kind, *map(_fmt, row)]))
     return {"": lines}
 
 

@@ -7,12 +7,19 @@ and alpha = gamma / omega0.  A free Brownian particle has no omega0, so the
 damping rate itself sets the scale and theta = k_B T / (hbar gamma).  A Drude
 bath enters only through cutoff_ratio = omega_D / gamma; math.inf encodes the
 strictly ohmic (memoryless) limit.
+
+The closed forms and PoleSum take theta as a float or as an ndarray of
+temperatures; the helpers below (elementwise, where and the checks) let one
+body of code serve both, with math and plain conditionals for a float, so a
+float in gives exactly the float out that a scalar-only body would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -72,23 +79,61 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """A closed-form state at reduced temperature theta; unset quantities stay None."""
+    """A closed-form state at reduced temperature theta; unset quantities stay None.
 
-    theta: float
-    Z: float | None = None
-    E: float | None = None
-    S: float | None = None
-    C: float | None = None
+    theta and the quantities are floats, or arrays of one shape when the
+    closed form was given an array of temperatures.
+    """
+
+    theta: float | np.ndarray
+    Z: float | np.ndarray | None = None
+    E: float | np.ndarray | None = None
+    S: float | np.ndarray | None = None
+    C: float | np.ndarray | None = None
 
 
-def check_positive(name: str, value: float) -> None:
-    """Raise DomainError unless value is positive and finite."""
+def elementwise(x):
+    """The module of elementwise functions for x: numpy for an array, else math.
+
+    Both provide exp, expm1, log, log1p and sinh under the same names.
+    """
+    return np if isinstance(x, np.ndarray) else math
+
+
+def where(condition, if_true, if_false):
+    """np.where for an array condition, a plain conditional for a bool.
+
+    Both branches are evaluated by the caller, so each must be safe to
+    evaluate where it is not selected.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def _first_failing(value, ok: np.ndarray):
+    # the first element of value where ok is False, as a Python scalar
+    return value[~ok][0].item()
+
+
+def check_positive(name: str, value) -> None:
+    """Raise DomainError unless value, or each element of it, is positive and finite."""
+    if isinstance(value, np.ndarray):
+        ok = (value > 0.0) & np.isfinite(value)
+        if ok.all():
+            return
+        value = _first_failing(value, ok)
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_nonnegative(name: str, value: float) -> None:
-    """Raise DomainError unless value is >= 0 and finite."""
+def check_nonnegative(name: str, value) -> None:
+    """Raise DomainError unless value, or each element of it, is >= 0 and finite."""
+    if isinstance(value, np.ndarray):
+        ok = (value >= 0.0) & np.isfinite(value)
+        if ok.all():
+            return
+        value = _first_failing(value, ok)
     if not (value >= 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
@@ -97,7 +142,7 @@ ROUNDOFF_LIMIT = 1e-6       # relative to the result
 ROUNDOFF_FLOOR = 1e-12      # absolute, in the result's units (k_B for C and S)
 
 
-def checked_real(total: complex, magnitude: float, what: str, **params: float) -> float:
+def checked_real(total, magnitude, what: str, **params):
     """The real value of a cancelling sum of terms, or an error saying why not.
 
     Conjugate-pair combinations in the closed forms are exactly real in IEEE
@@ -109,7 +154,27 @@ def checked_real(total: complex, magnitude: float, what: str, **params: float) -
     both ROUNDOFF_LIMIT relative to |value| and ROUNDOFF_FLOOR.  The floor
     lets a result that is exponentially small in truth, such as the undamped
     specific heat at low temperature, pass with its tiny absolute error.
+
+    total, magnitude and the params may be arrays over a temperature grid,
+    checked elementwise with the same thresholds; the real parts come back
+    as an array.  A failing grid raises the error that the scalar call at
+    its first failing element raises, which names that element's params.
     """
+    if isinstance(total, np.ndarray):
+        value = total.real
+        err = magnitude * EPS
+        ok = (np.isfinite(value)
+              & ((err <= ROUNDOFF_LIMIT * np.abs(value)) | (err <= ROUNDOFF_FLOOR))
+              & (np.abs(total.imag) <= 1e-12 * np.maximum(1.0, np.abs(value))))
+        if ok.all():
+            return value
+        i = int(np.argmin(ok))
+
+        def at_i(x):
+            return np.broadcast_to(x, ok.shape).flat[i].item()
+
+        total, magnitude = at_i(total), at_i(magnitude)
+        params = {name: at_i(x) for name, x in params.items()}
     z = complex(total)
     if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
         raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
@@ -119,8 +184,8 @@ def checked_real(total: complex, magnitude: float, what: str, **params: float) -
                                  or err <= ROUNDOFF_FLOOR):
         return value
     loss = err / abs(value) if value != 0.0 else math.inf
-    where = ", ".join(f"{name}={x!r}" for name, x in params.items())
+    inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
     raise ConvergenceError(
-        f"{what} at {where} lost its digits to cancellation: estimated "
+        f"{what} at {inputs} lost its digits to cancellation: estimated "
         f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",
         achieved=loss, requested=ROUNDOFF_LIMIT)

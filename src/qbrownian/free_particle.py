@@ -11,6 +11,9 @@ complex conjugates for r < 4 and real for r > 4.  C interpolates between the
 classical kinetic value 1/2 at high temperature and a linear-in-T vanishing at
 low temperature with the cutoff-independent slope pi/3; lowering the cutoff
 weakens the effective damping and raises C toward 1/2 everywhere else.
+
+Every function here takes theta as a float or as an ndarray of temperatures
+(the cutoff ratio stays a float) and returns floats or arrays to match.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_positive,
                    checked_real)
-from .specfun import polygamma, trigamma
+from .specfun import _polygamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
 
 
-def ohmic_specific_heat(theta: float) -> ThermoPoint:
+def ohmic_specific_heat(theta) -> ThermoPoint:
     """C/k_B = 1/2 - a + a^2 psi'(1 + a), a = 1/(2 pi theta), strict ohmic.
 
     Monotonically increasing in theta, bounded by the classical 1/2, and
@@ -33,22 +36,22 @@ def ohmic_specific_heat(theta: float) -> ThermoPoint:
     """
     check_positive("theta", theta)
     a = 1.0 / (TWO_PI * theta)
-    term = a * a * trigamma(1.0 + a).real
+    term = a * a * _trigamma(1.0 + a).real
     magnitude = 0.5 + a + abs(term)
     heat = checked_real(0.5 - a + term, magnitude, "specific heat", theta=theta)
     return ThermoPoint(theta=theta, C=heat)
 
 
-def ohmic_lowT_expansion(theta: float) -> float:
+def ohmic_lowT_expansion(theta):
     """Two-term low-temperature series (pi/3) theta - (4 pi^3/15) theta^3."""
     check_positive("theta", theta)
     return (math.pi / 3.0) * theta - (4.0 * math.pi ** 3 / 15.0) * theta ** 3
 
 
-def drude_z_pm(theta: float, cutoff_ratio: float) -> tuple[complex, complex]:
+def drude_z_pm(theta, cutoff_ratio: float) -> tuple[complex, complex]:
     """Characteristic pair of the Drude-damped free particle.
 
-    Conjugate for cutoff_ratio < 4(underdamped bath response), real above;
+    Conjugate for cutoff_ratio < 4 (underdamped bath response), real above;
     the two coincide at cutoff_ratio = 4.
     """
     check_positive("theta", theta)
@@ -60,7 +63,7 @@ def drude_z_pm(theta: float, cutoff_ratio: float) -> tuple[complex, complex]:
     return z0 * (1.0 + s), z0 * (1.0 - s)
 
 
-def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
+def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     """Specific heat with a Drude cutoff; dispatches to ohmic at inf.
 
     C/k_B = 1/2 - a [z_+ psi'(1+z_+) - z_- psi'(1+z_-)] / (z_+ - z_-) * 2 z_0,
@@ -76,20 +79,19 @@ def drude_specific_heat(theta: float, cutoff_ratio: float) -> ThermoPoint:
     if cutoff_ratio == math.inf:
         return ohmic_specific_heat(theta)
     a = 1.0 / (TWO_PI * theta)
-    z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
     disc = 1.0 - 4.0 / cutoff_ratio
     if abs(disc) < _DEGENERATE_BAND:
-        psi1 = trigamma(1.0 + z0).real
-        psi2 = polygamma(2, 1.0 + z0).real
+        z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
+        psi1 = _trigamma(1.0 + z0).real
+        psi2 = _polygamma(2, 1.0 + z0).real
         bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
         total = 0.5 - a * bracket_over_s
         magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
     else:
+        z_plus, z_minus = drude_z_pm(theta, cutoff_ratio)
         s = cmath.sqrt(complex(disc, 0.0))
-        z_plus = z0 * (1.0 + s)
-        z_minus = z0 * (1.0 - s)
-        t_plus = z_plus * trigamma(1.0 + z_plus)
-        t_minus = z_minus * trigamma(1.0 + z_minus)
+        t_plus = z_plus * _trigamma(1.0 + z_plus)
+        t_minus = z_minus * _trigamma(1.0 + z_minus)
         total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
     heat = checked_real(total, magnitude, "specific heat", theta=theta,

@@ -50,8 +50,8 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real)
-from .specfun import polygamma, trigamma
+                   checked_real, elementwise)
+from .specfun import _polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -111,9 +111,10 @@ class DampingKernel:
         return q / d, -q / (d * d)
 
 
-def _regularization(gamma: float, beta: float, w_ref: float) -> float:
+def _regularization(gamma: float, beta, w_ref: float):
     """The ohmic energy's restored cutoff remainder; see the module docstring."""
-    return (gamma / TWO_PI) * (EULER_GAMMA + math.log(beta * w_ref / TWO_PI))
+    log = elementwise(beta).log
+    return (gamma / TWO_PI) * (EULER_GAMMA + log(beta * w_ref / TWO_PI))
 
 
 def _power_tails(n_last: int) -> tuple[float, float, float]:
@@ -378,17 +379,18 @@ class _Cluster:
             homog = _series_product(homog, [d ** k for k in range(order + 1)], order)
         return cls(center=c, weight=weight, size=m, h=tuple(h), homog=tuple(homog))
 
-    def value(self, s: float, heat: bool) -> complex:
+    def value(self, s, heat: bool):
         """The cluster's share of S (heat=False) or of C's sum (heat=True).
 
         S uses f(nu) = -psi(1 - nu/s)/s, C uses f(nu) = -(nu/s^2) psi'(1 - nu/s).
+        s is a float or an array; the share is a complex or a complex array.
         """
         top = len(self.h) - 1
         u = 1.0 - self.center / s
         step = -1.0 / s
         # Taylor coefficients in x = nu - center of psi^(j)(1 - nu/s), j = 0|1
         base = 1 if heat else 0
-        psi = [polygamma(base + k, u) * step ** k / math.factorial(k)
+        psi = [_polygamma(base + k, u) * step ** k / math.factorial(k)
                for k in range(top + 1)]
         if heat:
             f = [-(self.center * psi[k] + (psi[k - 1] if k else 0.0)) / (s * s)
@@ -422,7 +424,8 @@ class PoleSum:
     coincident poles (critical damping, the free particle's r = 4, the Drude
     oscillator's triple root) are summed in confluent form, so E and C stay
     continuous through every degeneracy.  theta is k_B T in the units of
-    omega0 and the kernel's rates, i.e. theta = 1 / beta.
+    omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
+    it as a float or as an ndarray of temperatures, evaluated in one pass.
     """
 
     def __init__(self, omega0: float, kernel: DampingKernel, route: Prescription):
@@ -448,16 +451,17 @@ class PoleSum:
             self._clusters.append(_Cluster.build(
                 group, numerator, others, 2.0 if c.imag > 0.0 else 1.0))
 
-    def _sum(self, theta: float, heat: bool) -> tuple[float, float]:
+    def _sum(self, theta, heat: bool):
         s = TWO_PI * theta
-        total, magnitude = 0.0, 0.0
+        # zeros shaped like theta, so a kernel without poles still gives arrays
+        total = magnitude = 0.0 * s
         for cluster in self._clusters:
             part = cluster.weight * cluster.value(s, heat)
-            total += part.real
-            magnitude += abs(part)
+            total = total + part.real
+            magnitude = magnitude + abs(part)
         return total, magnitude
 
-    def energy(self, theta: float) -> float:
+    def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
         check_positive("theta", theta)
         total, _ = self._sum(theta, heat=False)
@@ -466,7 +470,7 @@ class PoleSum:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
         return value
 
-    def heat(self, theta: float) -> float:
+    def heat(self, theta):
         """Specific heat dE/dtheta, exact; ConvergenceError if cancellation ate it.
 
         At low theta the terms grow like 1/theta while C falls like theta, so

@@ -14,6 +14,9 @@ separately coded expressions so their agreement stays a meaningful check.
 At low temperature their terms grow like 1/theta while the results vanish
 like theta; each closed form raises ConvergenceError when that cancellation
 would leave fewer than six digits, which happens below theta ~ 1e-5.
+
+Every function here takes theta as a float or as an ndarray of temperatures
+(alpha stays a float) and returns floats or arrays to match.
 """
 
 from __future__ import annotations
@@ -22,40 +25,37 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   check_positive, checked_real)
-from .specfun import g_func, g_func_prime, trigamma
+                   check_positive, checked_real, elementwise, where)
+from .specfun import _g, _g_prime, _trigamma
 
 
-def _bose(x: float) -> float:
-    # occupation 1/(e^x - 1) for x > 0, stable at both ends
-    if x > 700.0:
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
-
-
-def undamped_thermo(theta: float) -> ThermoPoint:
+def undamped_thermo(theta) -> ThermoPoint:
     """Textbook single-oscillator Z, E, S, C at reduced temperature theta.
 
     Uses expm1-based forms so the deep quantum regime (theta << 1) underflows
     gracefully to the ground state instead of losing digits.
     """
     check_positive("theta", theta)
+    f = elementwise(theta)
     x = 1.0 / theta
-    occupation = _bose(x)
+    # beyond x = 700 each quantity is its ground-state limit; x is capped
+    # there so that the branch not taken stays finite
+    xw = where(x > 700.0, 700.0, x)
+    # occupation 1/(e^x - 1), stable at both ends
+    occupation = where(x > 700.0, f.exp(-x), 1.0 / f.expm1(xw))
     energy = 0.5 + occupation
+    warm = x < 700.0
     # S = x n(x) - ln(1 - e^-x)
-    entropy = x * occupation - math.log1p(-math.exp(-x)) if x < 700.0 else 0.0
+    entropy = where(warm, xw * occupation - f.log1p(-f.exp(-xw)), 0.0)
     # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x
-    em = math.expm1(-x)
-    heat = x * x * math.exp(-x) / (em * em) if x < 700.0 else 0.0
-    if x / 2.0 < 700.0:
-        partition = 1.0 / (2.0 * math.sinh(x / 2.0))
-    else:
-        partition = 0.0
+    em = f.expm1(-xw)
+    heat = where(warm, xw * xw * f.exp(-xw) / (em * em), 0.0)
+    half = where(x / 2.0 < 700.0, x / 2.0, 700.0)
+    partition = where(x / 2.0 < 700.0, 1.0 / (2.0 * f.sinh(half)), 0.0)
     return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
 
 
-def lambda_pm(theta: float, alpha: float) -> tuple[complex, complex]:
+def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
     """Characteristic pair (lam_+, lam_-); conjugate for alpha < 2, else real."""
     check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
@@ -69,7 +69,7 @@ def lambda_pm(theta: float, alpha: float) -> tuple[complex, complex]:
     return scale * (half + root), scale * (half - root)
 
 
-def damped_specific_heat(theta: float, alpha: float) -> ThermoPoint:
+def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     """Specific heat of the ohmically damped oscillator, internal-energy route.
 
     C/k_B = 1 - a + lam_+^2 psi'(1 + lam_+) + lam_-^2 psi'(1 + lam_-) with
@@ -79,17 +79,15 @@ def damped_specific_heat(theta: float, alpha: float) -> ThermoPoint:
     """
     lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
-    total = complex(1.0 - a, 0.0)
-    t_plus = lam_plus ** 2 * trigamma(1.0 + lam_plus)
-    t_minus = lam_minus ** 2 * trigamma(1.0 + lam_minus)
-    total += t_plus
-    total += t_minus
+    t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
+    t_minus = lam_minus ** 2 * _trigamma(1.0 + lam_minus)
+    total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)
 
 
-def damped_entropy(theta: float, alpha: float) -> ThermoPoint:
+def damped_entropy(theta, alpha: float) -> ThermoPoint:
     """Entropy of the ohmically damped oscillator.
 
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
@@ -97,29 +95,26 @@ def damped_entropy(theta: float, alpha: float) -> ThermoPoint:
     """
     lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
-    log_theta = math.log(theta)
-    total = complex(1.0 + log_theta + a, 0.0)
-    g_plus, g_minus = g_func(lam_plus), g_func(lam_minus)
-    total += g_plus + g_minus
+    log_theta = elementwise(theta).log(theta)
+    g_plus, g_minus = _g(lam_plus), _g(lam_minus)
+    total = (1.0 + log_theta + a) + (g_plus + g_minus)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, S=entropy)
 
 
-def damped_specific_heat_via_entropy(theta: float, alpha: float) -> ThermoPoint:
+def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     """Specific heat obtained by differentiating the entropy instead.
 
     C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-).  Algebraically
-    identical to the internal-energy route; evaluated through g_func_prime so
-    the two code paths share no intermediate expression.
+    identical to the internal-energy route; evaluated through g' so the two
+    code paths share no intermediate expression.
     """
     lam_plus, lam_minus = lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
-    total = complex(1.0 - a, 0.0)
-    t_plus = lam_plus * g_func_prime(lam_plus)
-    t_minus = lam_minus * g_func_prime(lam_minus)
-    total -= t_plus
-    total -= t_minus
+    t_plus = lam_plus * _g_prime(lam_plus)
+    t_minus = lam_minus * _g_prime(lam_minus)
+    total = (1.0 - a) - t_plus - t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)
@@ -128,7 +123,7 @@ def damped_specific_heat_via_entropy(theta: float, alpha: float) -> ThermoPoint:
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")
 
 
-def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> float:
+def oscillator_expansion(kind: str, theta, alpha: float = 0.0):
     """Truncated limit expansions of C/k_B.
 
     undamped_lowT   theta^-2 exp(-1/theta)                      error O(e^-1/theta/theta^3)
@@ -145,7 +140,8 @@ def oscillator_expansion(kind: str, theta: float, alpha: float = 0.0) -> float:
         raise DomainError(f"kind must be one of {_EXPANSION_KINDS}, got {kind!r}")
     if kind == "undamped_lowT":
         x = 1.0 / theta
-        return x * x * math.exp(-x) if x < 700.0 else 0.0
+        xw = where(x < 700.0, x, 700.0)
+        return where(x < 700.0, xw * xw * elementwise(theta).exp(-xw), 0.0)
     if kind == "undamped_highT":
         return 1.0 - 1.0 / (12.0 * theta * theta)
     check_nonnegative("alpha", alpha)

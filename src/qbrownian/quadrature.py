@@ -107,17 +107,20 @@ def f_n_integral(n: int, theta: float, alpha: float,
     total = 0.0
     previous = math.inf             # the coarsest step has nothing to compare with
     nodes = 0
-    for w, w2, u2, weight in _LEVELS:
-        bose = _bose(w / theta)
-        g = w * w2 * bose if n == 2 else w + w * bose
-        # halving the step halves the weights of the nodes already summed
-        total = 0.5 * total + float((g / (u2 + a2 * w2) * weight).sum())
-        nodes += w.size
-        # the integrand and the weights are nonnegative, so total = sum|f w|
-        err = pref * (abs(total - previous) + total * EPS * math.sqrt(nodes)) + gaps
-        if err <= 0.25 * target:
-            break
-        previous = total
+    # at extreme theta or alpha the integrand overflows or divides by zero
+    # on some nodes; the resulting inf or nan error bar raises below
+    with np.errstate(over="ignore", divide="ignore"):
+        for w, w2, u2, weight in _LEVELS:
+            bose = _bose(w / theta)
+            g = w * w2 * bose if n == 2 else w + w * bose
+            # halving the step halves the weights of the nodes already summed
+            total = 0.5 * total + float((g / (u2 + a2 * w2) * weight).sum())
+            nodes += w.size
+            # the integrand and the weights are nonnegative, so total = sum|f w|
+            err = pref * (abs(total - previous) + total * EPS * math.sqrt(nodes)) + gaps
+            if err <= 0.25 * target:
+                break
+            previous = total
     if not err <= target:          # a nan error bar raises too
         raise ConvergenceError(
             f"f_{n} error bar {err:g} exceeds the requested {target:g} at "

@@ -11,8 +11,19 @@ that the damped-oscillator entropy is built from; its derivative is
 g'(z) = -z psi'(1 + z).  polygamma extends digamma and trigamma to every
 order, for the confluent pole sums of matsubara.PoleSum.
 
-Every arithmetic step here is componentwise conjugate-symmetric, so all six
-functions map conjugate inputs to exactly conjugate outputs.  That is what
+Each function has one private kernel (_ln_gamma, _digamma, ...) that takes
+either a Python complex or a complex ndarray.  A scalar is pushed by a while
+loop; an array pushes only its elements still below the threshold, selected
+by index, so a whole temperature grid costs a few dozen numpy operations.
+The recurrence and the series are the same code for both.  The closed forms
+and PoleSum call the kernels; the public functions are thin scalar-only
+wrappers over them.  Scalar and array values of one argument may differ in
+the last bits, because numpy rounds complex products, quotients and logs
+differently from Python's complex type.
+
+Every arithmetic step here is componentwise conjugate-symmetric, in Python's
+complex arithmetic and in numpy's alike, so all six functions map conjugate
+inputs to exactly conjugate outputs, for scalars and arrays.  That is what
 makes conjugate-pair sums in the thermodynamic formulas exactly real, not
 merely real up to roundoff.
 """
@@ -23,7 +34,9 @@ import cmath
 import functools
 import math
 
-from .core import DomainError
+import numpy as np
+
+from .core import DomainError, where
 
 __all__ = ["PoleError", "ln_gamma", "digamma", "trigamma", "polygamma", "g_func",
            "g_func_prime"]
@@ -61,67 +74,108 @@ def _checked(z) -> complex:
     return z
 
 
-def _finite(value: complex, z: complex, name: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"{name}({z!r}) overflowed double precision")
-    return value
+def _checked_array(z: np.ndarray) -> np.ndarray:
+    """_checked for each element: a complex copy of z, or the first element's error."""
+    z = z.astype(complex)
+    bad = ~np.isfinite(z) | ((z.imag == 0.0) & (z.real <= 0.0)
+                             & (z.real == np.round(z.real)))
+    if bad.any():
+        _checked(z[bad][0])
+    return z
 
 
-def ln_gamma(z) -> complex:
-    """Principal-series log-Gamma, continuous along the recurrence path.
+def _finite(value, z, name: str):
+    if isinstance(value, complex):
+        if math.isfinite(value.real) and math.isfinite(value.imag):
+            return value
+    else:
+        bad = ~np.isfinite(value)
+        if not bad.any():
+            return value
+        value, z = complex(value[bad][0]), complex(z[bad][0])
+    raise DomainError(f"{name}({z!r}) overflowed double precision")
 
-    Agrees with the principal branch on the right half plane; for pushed-up
-    arguments the branch is fixed by subtracting the logs of the recurrence
-    factors individually rather than unwinding a product.
+
+def _push_array(z: np.ndarray, bound: float, term) -> tuple[np.ndarray, np.ndarray]:
+    """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= bound.
+
+    Only the elements still below the bound are gathered at each step, so
+    the work is the scalar loop's, element by element, in the same order.
+    z is _checked_array's copy of the argument and is pushed in place.
     """
-    z = _checked(z)
-    shift = 0.0 + 0.0j
-    while z.real < _PUSH:
-        shift += cmath.log(z)
-        z += 1.0
+    shift = np.zeros_like(z)
+    # flat views of the two fresh arrays, so z may have any shape
+    flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
+    index = np.flatnonzero(flat_z.real < bound)
+    while index.size:
+        w = flat_z[index]
+        flat_shift[index] += term(w)
+        w += 1.0
+        flat_z[index] = w
+        index = index[w.real < bound]
+    return z, shift
+
+
+def _ln_gamma(z):
+    if isinstance(z, np.ndarray):
+        z, shift = _push_array(_checked_array(z), _PUSH, np.log)
+        log = np.log
+    else:
+        z = _checked(z)
+        shift = 0.0 + 0.0j
+        while z.real < _PUSH:
+            shift += cmath.log(z)
+            z += 1.0
+        log = cmath.log
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
     power = rz
     for k, b2k in enumerate(_BERNOULLI, start=1):
-        series += b2k / ((2 * k) * (2 * k - 1)) * power
-        power *= rz2
-    value = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI + series
+        series = series + b2k / ((2 * k) * (2 * k - 1)) * power
+        power = power * rz2
+    value = (z - 0.5) * log(z) - z + _HALF_LOG_TWO_PI + series
     return _finite(value - shift, z, "ln_gamma")
 
 
-def digamma(z) -> complex:
-    """psi(z) = d ln Gamma / dz for complex z away from the poles."""
-    z = _checked(z)
-    shift = 0.0 + 0.0j
-    while z.real < _PUSH:
-        shift += 1.0 / z
-        z += 1.0
+def _digamma(z):
+    if isinstance(z, np.ndarray):
+        z, shift = _push_array(_checked_array(z), _PUSH, lambda w: 1.0 / w)
+        log = np.log
+    else:
+        z = _checked(z)
+        shift = 0.0 + 0.0j
+        while z.real < _PUSH:
+            shift += 1.0 / z
+            z += 1.0
+        log = cmath.log
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
     power = rz2
     for k, b2k in enumerate(_BERNOULLI, start=1):
-        series += b2k / (2 * k) * power
-        power *= rz2
-    value = cmath.log(z) - 0.5 * rz - series
+        series = series + b2k / (2 * k) * power
+        power = power * rz2
+    value = log(z) - 0.5 * rz - series
     return _finite(value - shift, z, "digamma")
 
 
-def trigamma(z) -> complex:
-    """psi'(z), the second log-Gamma derivative, for complex z."""
-    z = _checked(z)
-    shift = 0.0 + 0.0j
-    while z.real < _PUSH:
-        shift += 1.0 / (z * z)
-        z += 1.0
+def _trigamma(z):
+    if isinstance(z, np.ndarray):
+        z, shift = _push_array(_checked_array(z), _PUSH, lambda w: 1.0 / (w * w))
+    else:
+        z = _checked(z)
+        shift = 0.0 + 0.0j
+        while z.real < _PUSH:
+            shift += 1.0 / (z * z)
+            z += 1.0
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
     power = rz * rz2
     for b2k in _BERNOULLI:
-        series += b2k * power
-        power *= rz2
+        series = series + b2k * power
+        power = power * rz2
     value = rz + 0.5 * rz2 + series
     return _finite(value + shift, z, "trigamma")
 
@@ -131,6 +185,62 @@ def _bernoulli_terms(n: int) -> tuple[float, ...]:
     """B_2k (2k+n-1)! / (2k)!, k = 1..8: the coefficients of polygamma's series."""
     return tuple(b2k * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
                  for k, b2k in enumerate(_BERNOULLI, start=1))
+
+
+def _polygamma(n: int, z):
+    if n == 0:
+        return _digamma(z)
+    if n == 1:
+        return _trigamma(z)
+    push = _PUSH + 2.0 * n
+    if isinstance(z, np.ndarray):
+        z, shift = _push_array(_checked_array(z), push, lambda w: (1.0 / w) ** (n + 1))
+    else:
+        z = _checked(z)
+        shift = 0.0 + 0.0j
+        while z.real < push:
+            shift += (1.0 / z) ** (n + 1)
+            z += 1.0
+    rz = 1.0 / z
+    rz2 = rz * rz
+    power = rz ** n
+    series = math.factorial(n - 1) * power + 0.5 * math.factorial(n) * power * rz
+    power = power * rz2
+    for coefficient in _bernoulli_terms(n):
+        series = series + coefficient * power
+        power = power * rz2
+    value = series + math.factorial(n) * shift
+    return _finite(value if n % 2 else -value, z, "polygamma")
+
+
+def _g(z):
+    w = 1.0 + z
+    # g(0) = 0 exactly, not the roundoff of ln Gamma(1)
+    return where(z == 0, 0.0j, _ln_gamma(w) - z * _digamma(w))
+
+
+def _g_prime(z):
+    return where(z == 0, 0.0j, -z * _trigamma(1.0 + z))
+
+
+def ln_gamma(z) -> complex:
+    """Principal-series log-Gamma, continuous along the recurrence path.
+
+    Agrees with the principal branch on the right half plane; for pushed-up
+    arguments the branch is fixed by subtracting the logs of the recurrence
+    factors individually rather than unwinding a product.
+    """
+    return _ln_gamma(complex(z))
+
+
+def digamma(z) -> complex:
+    """psi(z) = d ln Gamma / dz for complex z away from the poles."""
+    return _digamma(complex(z))
+
+
+def trigamma(z) -> complex:
+    """psi'(z), the second log-Gamma derivative, for complex z."""
+    return _trigamma(complex(z))
 
 
 def polygamma(n: int, z) -> complex:
@@ -148,40 +258,14 @@ def polygamma(n: int, z) -> complex:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise DomainError(f"order must be an integer >= 0, got {n!r}")
-    if n == 0:
-        return digamma(z)
-    if n == 1:
-        return trigamma(z)
-    z = _checked(z)
-    push = _PUSH + 2.0 * n
-    shift = 0.0 + 0.0j
-    while z.real < push:
-        shift += (1.0 / z) ** (n + 1)
-        z += 1.0
-    rz = 1.0 / z
-    rz2 = rz * rz
-    power = rz ** n
-    series = math.factorial(n - 1) * power + 0.5 * math.factorial(n) * power * rz
-    power *= rz2
-    for coefficient in _bernoulli_terms(n):
-        series += coefficient * power
-        power *= rz2
-    value = series + math.factorial(n) * shift
-    return _finite(value if n % 2 else -value, z, "polygamma")
+    return _polygamma(n, complex(z))
 
 
 def g_func(z) -> complex:
     """g(z) = ln Gamma(1 + z) - z psi(1 + z); g(0) = 0, g(1) = gamma_E - 1."""
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    w = 1.0 + z
-    return ln_gamma(w) - z * digamma(w)
+    return _g(complex(z))
 
 
 def g_func_prime(z) -> complex:
     """d g / dz = -z psi'(1 + z)."""
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    return -z * trigamma(1.0 + z)
+    return _g_prime(complex(z))

@@ -10,6 +10,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 import qbrownian.cli
@@ -276,13 +277,14 @@ def test_expansions_oscillator(tmp_path):
 
 def test_expansions_evaluates_each_exact_value_once(tmp_path, monkeypatch):
     # the lowT and highT kinds of a family share their exact values at theta
-    # and theta/2, so each family evaluates two exact values per grid point
-    calls = {"damped": 0, "undamped": 0}
+    # and theta/2, so each family evaluates two exact values per grid point,
+    # counted as the points of the arrays it is called with
+    points_evaluated = {"damped": 0, "undamped": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def wrapper(theta, *args):
+            points_evaluated[name] += np.size(theta)
+            return fn(theta, *args)
         return wrapper
 
     monkeypatch.setattr(qbrownian.cli, "damped_specific_heat",
@@ -292,7 +294,7 @@ def test_expansions_evaluates_each_exact_value_once(tmp_path, monkeypatch):
     points = 7
     assert main(["expansions", "--model", "oscillator", "--points", str(points),
                  "--out", str(tmp_path / "exp.csv")]) == 0
-    assert calls == {"damped": 2 * points, "undamped": 2 * points}
+    assert points_evaluated == {"damped": 2 * points, "undamped": 2 * points}
 
 
 def test_expansions_free(tmp_path):

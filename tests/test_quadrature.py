@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,28 @@ def test_unresolved_resonance_raises_after_the_finest_step():
         f_n_integral(0, 1.0, 1e-10)
     assert exc_info.value.requested == DEFAULT_TOL.quad_abs
     assert exc_info.value.achieved > exc_info.value.requested
+
+
+@pytest.mark.parametrize("n, theta, alpha, expected", [
+    # the ground-state variance at alpha = 1, the value from before numpy's
+    # warnings were switched off in the level loop
+    (0, 1e-295, 1.0, 0.3849001794597506),
+    (0, 1.0, 1e136, None),
+    (2, 1e300, 1.0, None),
+    (0, 1e300, 1.0, None),
+], ids=["tiny-theta", "huge-alpha", "huge-theta-f2", "huge-theta-f0"])
+def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
+    # the integrand overflows or divides by zero on some nodes here; that
+    # gives the value or a ConvergenceError, never a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            with pytest.raises(ConvergenceError):
+                f_n_integral(n, theta, alpha)
+        else:
+            value, err = f_n_integral(n, theta, alpha)
+            assert value == pytest.approx(expected, abs=1e-13)
+            assert err <= DEFAULT_TOL.quad_abs
 
 
 @pytest.mark.parametrize("call", [
