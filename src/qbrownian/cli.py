@@ -185,17 +185,6 @@ def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
     return out
 
 
-def _quiet_overflow():
-    """numpy's errstate for evaluating a column on a grid.
-
-    Float arithmetic overflows to inf or nan without a word, and the closed
-    forms' check then raises ConvergenceError naming the theta; this gives a
-    grid's elements that behavior, where numpy would warn first.  Only
-    thetas far outside 1e-9..1e9 overflow.
-    """
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def _table(spec: CurveSpec, header: str, comment: str,
            columns: dict[str, Callable[[np.ndarray], np.ndarray]]) -> list[str]:
     """CSV lines: the theta column named header, then one column per entry.
@@ -204,8 +193,7 @@ def _table(spec: CurveSpec, header: str, comment: str,
     fails names the first theta at which it failed.
     """
     grid = spec.grid()
-    with _quiet_overflow():
-        values = [fn(grid).tolist() for fn in columns.values()]
+    values = [fn(grid).tolist() for fn in columns.values()]
     lines = [",".join([header, *columns]), comment]
     lines.extend(",".join(map(_fmt, row)) for row in zip(grid.tolist(), *values))
     return lines
@@ -328,18 +316,25 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
         return oscillator_expansion(kind, theta, a)
 
     columns = []
-    with _quiet_overflow():
-        exact = {name: [exact_heat[name](t) for t in grids]
-                 for name in dict.fromkeys(map(family, kinds))}
-        for kind in kinds:
-            values, values_h = exact[family(kind)]
-            approx, approx_h = (expansion(kind, t) for t in grids)
-            err = np.abs(values - approx)
-            err_h = np.abs(values_h - approx_h)
-            exponent = np.full(grid.shape, math.nan)
-            ok = (err > 0.0) & (err_h > 0.0)
-            exponent[ok] = np.log2(err[ok] / err_h[ok])
-            columns.append((kind, values, approx, err, exponent))
+    exact = {name: [exact_heat[name](t) for t in grids]
+             for name in dict.fromkeys(map(family, kinds))}
+    for kind in kinds:
+        values, values_h = exact[family(kind)]
+        approx, approx_h = (expansion(kind, t) for t in grids)
+        # the float calls raise where these are not finite; name the first theta
+        finite = (np.isfinite(values) & np.isfinite(values_h)
+                  & np.isfinite(approx) & np.isfinite(approx_h))
+        if not finite.all():
+            theta = grid[~finite][0].item()
+            raise ConvergenceError(f"at theta={theta:g}: {kind} exact or expansion value "
+                                   "(at theta or theta/2) is not finite in double "
+                                   "precision")
+        err = np.abs(values - approx)
+        err_h = np.abs(values_h - approx_h)
+        exponent = np.full(grid.shape, math.nan)
+        ok = (err > 0.0) & (err_h > 0.0)
+        exponent[ok] = np.log2(err[ok] / err_h[ok])
+        columns.append((kind, values, approx, err, exponent))
 
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
              spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]

@@ -11,11 +11,14 @@ strictly ohmic (memoryless) limit.
 The closed forms and PoleSum take theta as a float or as an ndarray of
 temperatures; the helpers below (elementwise, where and the checks) let one
 body of code serve both, with math and plain conditionals for a float, so a
-float in gives exactly the float out that a scalar-only body would.
+float in gives exactly the float out that a scalar-only body would, and
+gridwise gives an array's arithmetic the float's silent overflow.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -109,6 +112,28 @@ def where(condition, if_true, if_false):
     if isinstance(condition, np.ndarray):
         return np.where(condition, if_true, if_false)
     return if_true if condition else if_false
+
+
+def gridwise(fn):
+    """Decorate a function of theta so that an array overflows as a float does.
+
+    Float arithmetic overflows to inf or nan without a word, and the checks
+    downstream (specfun's finiteness check, checked_real) then raise their
+    own error; numpy warns first.  A call with an ndarray theta runs with
+    numpy's floating-point warnings off, so each element of a grid meets the
+    check that the float call meets.  A float theta goes straight through.
+    """
+    position = list(inspect.signature(fn).parameters).index("theta")
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        theta = args[position] if len(args) > position else kwargs.get("theta")
+        if isinstance(theta, np.ndarray):
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def _first_failing(value, ok: np.ndarray):

@@ -22,12 +22,13 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_positive,
-                   checked_real)
+                   checked_real, gridwise)
 from .specfun import _polygamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
 
 
+@gridwise
 def ohmic_specific_heat(theta) -> ThermoPoint:
     """C/k_B = 1/2 - a + a^2 psi'(1 + a), a = 1/(2 pi theta), strict ohmic.
 
@@ -42,12 +43,14 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     return ThermoPoint(theta=theta, C=heat)
 
 
+@gridwise
 def ohmic_lowT_expansion(theta):
     """Two-term low-temperature series (pi/3) theta - (4 pi^3/15) theta^3."""
     check_positive("theta", theta)
     return (math.pi / 3.0) * theta - (4.0 * math.pi ** 3 / 15.0) * theta ** 3
 
 
+@gridwise
 def drude_z_pm(theta, cutoff_ratio: float) -> tuple[complex, complex]:
     """Characteristic pair of the Drude-damped free particle.
 
@@ -58,11 +61,19 @@ def drude_z_pm(theta, cutoff_ratio: float) -> tuple[complex, complex]:
     if not (cutoff_ratio > 0.0 and math.isfinite(cutoff_ratio)):
         raise DomainError(
             f"cutoff_ratio must be positive and finite here, got {cutoff_ratio!r}")
+    _, _, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
+    return z_plus, z_minus
+
+
+def _drude_pair(theta, cutoff_ratio: float):
+    # (z0, s, z_+, z_-) with z_pm = z0 (1 +- s) and s = sqrt(1 - 4/r), for
+    # a checked theta and a positive, finite cutoff_ratio
     z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
     s = cmath.sqrt(complex(1.0 - 4.0 / cutoff_ratio, 0.0))
-    return z0 * (1.0 + s), z0 * (1.0 - s)
+    return z0, s, z0 * (1.0 + s), z0 * (1.0 - s)
 
 
+@gridwise
 def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     """Specific heat with a Drude cutoff; dispatches to ohmic at inf.
 
@@ -79,17 +90,14 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     if cutoff_ratio == math.inf:
         return ohmic_specific_heat(theta)
     a = 1.0 / (TWO_PI * theta)
-    disc = 1.0 - 4.0 / cutoff_ratio
-    if abs(disc) < _DEGENERATE_BAND:
-        z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
+    z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
+    if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
         psi1 = _trigamma(1.0 + z0).real
         psi2 = _polygamma(2, 1.0 + z0).real
         bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
         total = 0.5 - a * bracket_over_s
         magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
     else:
-        z_plus, z_minus = drude_z_pm(theta, cutoff_ratio)
-        s = cmath.sqrt(complex(disc, 0.0))
         t_plus = z_plus * _trigamma(1.0 + z_plus)
         t_minus = z_minus * _trigamma(1.0 + z_minus)
         total = 0.5 - a * (t_plus - t_minus) / s

@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real, elementwise)
+                   checked_real, elementwise, gridwise)
 from .specfun import _polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -461,6 +461,7 @@ class PoleSum:
             magnitude = magnitude + abs(part)
         return total, magnitude
 
+    @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
         check_positive("theta", theta)
@@ -470,6 +471,7 @@ class PoleSum:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
         return value
 
+    @gridwise
     def heat(self, theta):
         """Specific heat dE/dtheta, exact; ConvergenceError if cancellation ate it.
 

@@ -25,10 +25,11 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   check_positive, checked_real, elementwise, where)
+                   check_positive, checked_real, elementwise, gridwise, where)
 from .specfun import _g, _g_prime, _trigamma
 
 
+@gridwise
 def undamped_thermo(theta) -> ThermoPoint:
     """Textbook single-oscillator Z, E, S, C at reduced temperature theta.
 
@@ -55,8 +56,15 @@ def undamped_thermo(theta) -> ThermoPoint:
     return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
 
 
+@gridwise
 def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
     """Characteristic pair (lam_+, lam_-); conjugate for alpha < 2, else real."""
+    return _lambda_pm(theta, alpha)
+
+
+def _lambda_pm(theta, alpha: float):
+    # lambda_pm's body: the closed forms are gridwise themselves and call
+    # this, so that a float call pays for one wrapper, not two
     check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
@@ -69,6 +77,7 @@ def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
     return scale * (half + root), scale * (half - root)
 
 
+@gridwise
 def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     """Specific heat of the ohmically damped oscillator, internal-energy route.
 
@@ -77,7 +86,7 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
-    lam_plus, lam_minus = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
     t_minus = lam_minus ** 2 * _trigamma(1.0 + lam_minus)
@@ -87,13 +96,14 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     return ThermoPoint(theta=theta, C=heat)
 
 
+@gridwise
 def damped_entropy(theta, alpha: float) -> ThermoPoint:
     """Entropy of the ohmically damped oscillator.
 
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
-    lam_plus, lam_minus = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     log_theta = elementwise(theta).log(theta)
     g_plus, g_minus = _g(lam_plus), _g(lam_minus)
@@ -103,6 +113,7 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     return ThermoPoint(theta=theta, S=entropy)
 
 
+@gridwise
 def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     """Specific heat obtained by differentiating the entropy instead.
 
@@ -110,7 +121,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     identical to the internal-energy route; evaluated through g' so the two
     code paths share no intermediate expression.
     """
-    lam_plus, lam_minus = lambda_pm(theta, alpha)
+    lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     t_plus = lam_plus * _g_prime(lam_plus)
     t_minus = lam_minus * _g_prime(lam_minus)
@@ -123,6 +134,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")
 
 
+@gridwise
 def oscillator_expansion(kind: str, theta, alpha: float = 0.0):
     """Truncated limit expansions of C/k_B.
 

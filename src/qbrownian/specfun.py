@@ -75,8 +75,12 @@ def _checked(z) -> complex:
 
 
 def _checked_array(z: np.ndarray) -> np.ndarray:
-    """_checked for each element: a complex copy of z, or the first element's error."""
-    z = z.astype(complex)
+    """_checked for each element: a complex copy of z, or the first element's error.
+
+    The copy is C-ordered whatever z's layout, so that _push_array's
+    reshape(-1) are views of it.
+    """
+    z = np.array(z, dtype=complex, order="C")
     bad = ~np.isfinite(z) | ((z.imag == 0.0) & (z.real <= 0.0)
                              & (z.real == np.round(z.real)))
     if bad.any():
@@ -101,10 +105,11 @@ def _push_array(z: np.ndarray, bound: float, term) -> tuple[np.ndarray, np.ndarr
 
     Only the elements still below the bound are gathered at each step, so
     the work is the scalar loop's, element by element, in the same order.
-    z is _checked_array's copy of the argument and is pushed in place.
+    z is _checked_array's C-ordered copy of the argument and is pushed in
+    place.
     """
     shift = np.zeros_like(z)
-    # flat views of the two fresh arrays, so z may have any shape
+    # flat views of the two fresh C-ordered arrays, so z may have any shape
     flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
     index = np.flatnonzero(flat_z.real < bound)
     while index.size:

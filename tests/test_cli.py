@@ -227,6 +227,19 @@ def test_closed_form_cancellation_exits_3(capsys):
     assert "theta=1e-300" in captured.err
 
 
+@pytest.mark.parametrize("model, theta", [("oscillator", "1e+200"), ("free", "1e+150")])
+def test_expansion_overflow_exits_3(model, theta, capsys):
+    # the exact undamped C is nan from theta ~ 1e154 and theta**3 overflows
+    # from theta ~ 1e102, where the float calls raise
+    ret = main(["expansions", "--model", model, "--tmin", "1e100", "--tmax", "1e200",
+                "--points", "3"])
+    captured = capsys.readouterr()
+    assert ret == 3
+    assert "numerical failure:" in captured.err
+    assert f"theta={theta}:" in captured.err
+    assert captured.out == ""
+
+
 def test_overflowing_alpha_is_a_usage_error(capsys):
     assert main(["curve", "--model", "oscillator", "--alpha", "1e300",
                  "--points", "2"]) == 2

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError
+from qbrownian.core import ConvergenceError, DomainError
 from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import DampingKernel, PoleSum, Prescription
@@ -107,11 +107,15 @@ def test_grid_matches_per_theta_floats(fn):
 
 
 def test_grid_of_any_shape():
-    # a 2-d grid gives the values of the flat grid, and fails at the first
-    # failing element in C order
+    # a 2-d grid gives the values of the flat grid, in any memory layout
+    # (C order, Fortran order, strided), and fails at the first failing
+    # element in C order
     flat = GRID[20::9][:24]
     for _, fn in FORMS:
-        assert np.array_equal(fn(flat.reshape(4, 6)), fn(flat).reshape(4, 6))
+        values = fn(flat)
+        assert np.array_equal(fn(flat.reshape(4, 6)), values.reshape(4, 6))
+        assert np.array_equal(fn(flat.reshape(6, 4).T), values.reshape(6, 4).T)
+        assert np.array_equal(fn(flat[::2]), values[::2])
     with pytest.raises(ConvergenceError, match=r"at theta=1e-08\b"):
         damped_specific_heat(CANCELLING.reshape(2, 2), 1.0)
 
@@ -163,6 +167,29 @@ CANCELLING = np.array([2.0, 0.5, 1e-8, 1e-9])
 def test_cancelling_grid_point_is_named(fn):
     with pytest.raises(ConvergenceError, match=r"at theta=1e-08\b"):
         fn(CANCELLING)
+
+
+@pytest.mark.parametrize("theta", [1e-320, 1e-300, 1e300])
+def test_grid_overflows_as_the_float_call_does(theta):
+    # numpy overflows silently inside the closed forms, as float arithmetic
+    # does, so a grid meets the float call's check rather than a RuntimeWarning
+    grid = np.array([1.0, theta])
+    for name, fn in FORMS:
+        try:
+            want = fn(theta)
+        except DomainError:
+            # a non-finite argument met by specfun: its nan parts may differ
+            with pytest.raises(DomainError):
+                fn(grid)
+            continue
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as info:
+                fn(grid)
+            assert str(info.value).split(" lost")[0] == str(exc).split(" lost")[0], name
+            continue
+        except (ArithmeticError, ValueError):
+            continue        # float arithmetic itself raised: no check to meet
+        assert fn(grid)[1] == pytest.approx(want, rel=1e-12), name
 
 
 def test_float_in_gives_python_float_out():
