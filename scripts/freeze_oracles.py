@@ -77,6 +77,9 @@ show("undamped C(1)", (x / (2 * mp.sinh(x / 2))) ** 2)
 show("undamped E(1)", x / x / 2 + 1 / mp.expm1(x))  # hbar*omega0 units
 show("undamped S(1)", x / mp.expm1(x) - mp.log(-mp.expm1(-x)))
 show("undamped Z(1)", 1 / (2 * mp.sinh(x / 2)))
+for th in ("1e6", "1e9", "1e12", "1e16", "1e100"):
+    x = 1 / mp.mpf(th)
+    show(f"undamped S({th})", x / mp.expm1(x) - mp.log(-mp.expm1(-x)))
 
 
 # ---------------------------------------------------------- free particle

@@ -1,0 +1,138 @@
+"""Print one `label repr(value-or-exception)` line per library call.
+
+Diffing the output of two checkouts is a bit-identity check for a refactor:
+a change that keeps every value and every error keeps every line.  The calls
+cover the public special functions on complex numbers and their private
+kernels on arrays, every closed form and expansion as a float call and on a
+grid, and PoleSum.energy/.heat for eight systems under both prescriptions,
+with theta out to 1e-320 and 1e300.  Arrays print through tolist(), so each
+element shows its full repr; an error prints as its class and message.
+
+    PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
+"""
+
+import math
+
+import numpy as np
+
+from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
+                       damped_entropy, damped_specific_heat,
+                       damped_specific_heat_via_entropy, digamma,
+                       drude_specific_heat, drude_z_pm, g_func, g_func_prime,
+                       lambda_pm, ln_gamma, ohmic_lowT_expansion,
+                       ohmic_specific_heat, oscillator_expansion, polygamma,
+                       trigamma, undamped_thermo)
+from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
+                               _trigamma)
+
+ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
+             2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
+BAD_ARGUMENTS = [0.0, -2.0, math.nan, math.inf, complex(math.inf, math.nan)]
+
+THETAS = [1e-320, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155,
+          1e-120, 1e-100, 1e-20, 1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1,
+          0.37, 0.5, 1.0, 1.5, 2.0, 7.3, 10.0, 100.0, 1e4, 1e6, 1e9, 1e12, 1e16,
+          1e17, 1e100, 1e154, 1e200, 1e300]
+BAD_THETAS = [0.0, -1.0, math.inf, math.nan]
+GRID = np.logspace(-4.0, 4.0, 41)
+
+ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
+SYSTEMS = {
+    "osc-ohmic-1": (1.0, DampingKernel.ohmic(1.0)),
+    "osc-ohmic-critical": (1.0, DampingKernel.ohmic(2.0)),
+    "osc-undamped": (1.0, DampingKernel.ohmic(0.0)),
+    "osc-drude": (1.0, DampingKernel.drude(1.0, 10.0)),
+    "osc-drude-triple": (1.0, DampingKernel.drude(ALPHA_TRIPLE, 4.5 / math.sqrt(3.0))),
+    "free-ohmic": (0.0, DampingKernel.ohmic(1.0)),
+    "free-drude-critical": (0.0, DampingKernel.drude(1.0, 4.0)),
+    "free-drude-1": (0.0, DampingKernel.drude(1.0, 1.0)),
+}
+
+
+def show(value) -> str:
+    if isinstance(value, np.ndarray):
+        return repr(value.tolist())
+    if isinstance(value, ThermoPoint):
+        return "ThermoPoint(" + ", ".join(
+            f"{q}={show(getattr(value, q))}" for q in ("Z", "E", "S", "C")) + ")"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(show, value)) + ")"
+    return repr(value)
+
+
+def emit(label: str, fn, *args) -> None:
+    try:
+        text = show(fn(*args))
+    except Exception as exc:
+        text = f"{type(exc).__name__}({str(exc)!r})"
+    print(label, text)
+
+
+def special_functions() -> None:
+    public = [("ln_gamma", ln_gamma), ("digamma", digamma), ("trigamma", trigamma),
+              ("g_func", g_func), ("g_func_prime", g_func_prime)]
+    public += [(f"polygamma_{n}", lambda z, n=n: polygamma(n, z)) for n in range(5)]
+    kernels = [("_ln_gamma", _ln_gamma), ("_digamma", _digamma),
+               ("_trigamma", _trigamma), ("_g", _g), ("_g_prime", _g_prime)]
+    kernels += [(f"_polygamma_{n}", lambda z, n=n: _polygamma(n, z))
+                for n in range(2, 5)]
+    for name, fn in public:
+        for z in ARGUMENTS + BAD_ARGUMENTS:
+            emit(f"{name}({z!r})", fn, z)
+    good = np.array(ARGUMENTS, dtype=complex)
+    for name, fn in kernels:
+        emit(f"{name}[arguments]", fn, good)
+        emit(f"{name}[arguments].T", fn, np.stack([good, good.conj()]).T)
+        for z in BAD_ARGUMENTS:
+            emit(f"{name}[1, {z!r}]", fn, np.array([1.0, z], dtype=complex))
+
+
+def closed_forms() -> list:
+    forms = [("undamped_thermo", undamped_thermo)]
+    for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, 1e3):
+        forms += [
+            (f"lambda_pm alpha={alpha}", lambda t, a=alpha: lambda_pm(t, a)),
+            (f"damped_specific_heat alpha={alpha}",
+             lambda t, a=alpha: damped_specific_heat(t, a)),
+            (f"damped_entropy alpha={alpha}", lambda t, a=alpha: damped_entropy(t, a)),
+            (f"damped_specific_heat_via_entropy alpha={alpha}",
+             lambda t, a=alpha: damped_specific_heat_via_entropy(t, a))]
+    for ratio in (0.01, 1.0, 4.0, 10.0, math.inf):
+        forms.append((f"drude_specific_heat r={ratio}",
+                      lambda t, r=ratio: drude_specific_heat(t, r)))
+        forms.append((f"drude_z_pm r={ratio}", lambda t, r=ratio: drude_z_pm(t, r)))
+    forms += [("ohmic_specific_heat", ohmic_specific_heat),
+              ("ohmic_lowT_expansion", ohmic_lowT_expansion)]
+    for kind in ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT"):
+        for alpha in (0.0, 1.3):
+            forms.append((f"oscillator_expansion {kind} alpha={alpha}",
+                          lambda t, k=kind, a=alpha: oscillator_expansion(k, t, a)))
+    return forms
+
+
+def pole_sums() -> list:
+    forms = []
+    for name, (omega0, kernel) in SYSTEMS.items():
+        for route in Prescription:
+            poles = PoleSum(omega0, kernel, route)
+            forms += [(f"PoleSum {name} {route.value} energy", poles.energy),
+                      (f"PoleSum {name} {route.value} heat", poles.heat)]
+    return forms
+
+
+def functions_of_theta(forms: list) -> None:
+    for name, fn in forms:
+        for theta in THETAS + BAD_THETAS:
+            emit(f"{name} ({theta!r})", fn, theta)
+            emit(f"{name} [1.0, {theta!r}]", fn, np.array([1.0, theta]))
+        emit(f"{name} [grid]", fn, GRID)
+
+
+def main() -> None:
+    special_functions()
+    functions_of_theta(closed_forms())
+    functions_of_theta(pole_sums())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,12 +11,15 @@ strictly ohmic (memoryless) limit.
 The closed forms and PoleSum take theta as a float or as an ndarray of
 temperatures; the helpers below (elementwise, where and the checks) let one
 body of code serve both, with math and plain conditionals for a float, so a
-float in gives exactly the float out that a scalar-only body would, and
-gridwise gives an array's arithmetic the float's silent overflow.
+float in gives exactly the float out that a scalar-only body would.  Where
+float ** and math.exp raise OverflowError, or a float division by zero
+raises, numpy gives inf or nan; gridwise, the decorator of every such
+function, turns both into one ConvergenceError naming the failing theta.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import inspect
 import math
@@ -115,25 +118,53 @@ def where(condition, if_true, if_false):
 
 
 def gridwise(fn):
-    """Decorate a function of theta so that an array overflows as a float does.
+    """Decorate a function of theta: the one boundary of its float and array calls.
 
-    Float arithmetic overflows to inf or nan without a word, and the checks
-    downstream (specfun's finiteness check, checked_real) then raise their
-    own error; numpy warns first.  A call with an ndarray theta runs with
-    numpy's floating-point warnings off, so each element of a grid meets the
-    check that the float call meets.  A float theta goes straight through.
+    theta is checked first.  A result that is not finite (a float, complex or
+    ndarray, a tuple's item or a ThermoPoint's set quantity), and a float
+    call that raised OverflowError or ZeroDivisionError, is refused with a
+    ConvergenceError naming the first failing theta, "at theta=<repr>:".  An
+    array call runs with numpy's warnings off, so that every element meets
+    the checks that its float call meets.
     """
     position = list(inspect.signature(fn).parameters).index("theta")
+
+    def refusal(theta) -> ConvergenceError:
+        return ConvergenceError(f"at theta={theta!r}: {fn.__qualname__} is not "
+                                "finite in double precision")
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         theta = args[position] if len(args) > position else kwargs.get("theta")
+        check_positive("theta", theta)
         if isinstance(theta, np.ndarray):
             with np.errstate(all="ignore"):
-                return fn(*args, **kwargs)
-        return fn(*args, **kwargs)
+                value = fn(*args, **kwargs)
+            ok = np.ones(theta.shape, dtype=bool)
+            for part in _parts(value):
+                if part is not None:
+                    ok &= np.isfinite(part)
+            if not ok.all():
+                raise refusal(_first_failing(theta, ok))
+            return value
+        try:
+            value = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise refusal(theta) from exc
+        for part in _parts(value):
+            if part is not None and not cmath.isfinite(part):
+                raise refusal(theta)
+        return value
 
     return wrapper
+
+
+def _parts(value) -> tuple:
+    # the numbers of a result: a ThermoPoint's quantities (None where unset),
+    # a tuple's items
+    if isinstance(value, ThermoPoint):
+        return (value.Z, value.E, value.S, value.C)
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _first_failing(value, ok: np.ndarray):

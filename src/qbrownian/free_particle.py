@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (TWO_PI, DomainError, ThermoPoint, check_positive,
-                   checked_real, gridwise)
+from .core import TWO_PI, DomainError, ThermoPoint, checked_real, gridwise
 from .specfun import _polygamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
@@ -35,7 +34,6 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
-    check_positive("theta", theta)
     a = 1.0 / (TWO_PI * theta)
     term = a * a * _trigamma(1.0 + a).real
     magnitude = 0.5 + a + abs(term)
@@ -46,7 +44,6 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
 @gridwise
 def ohmic_lowT_expansion(theta):
     """Two-term low-temperature series (pi/3) theta - (4 pi^3/15) theta^3."""
-    check_positive("theta", theta)
     return (math.pi / 3.0) * theta - (4.0 * math.pi ** 3 / 15.0) * theta ** 3
 
 
@@ -57,7 +54,6 @@ def drude_z_pm(theta, cutoff_ratio: float) -> tuple[complex, complex]:
     Conjugate for cutoff_ratio < 4 (underdamped bath response), real above;
     the two coincide at cutoff_ratio = 4.
     """
-    check_positive("theta", theta)
     if not (cutoff_ratio > 0.0 and math.isfinite(cutoff_ratio)):
         raise DomainError(
             f"cutoff_ratio must be positive and finite here, got {cutoff_ratio!r}")
@@ -83,7 +79,6 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)].  Raises ConvergenceError where
     roundoff would leave less than six digits, below theta ~ 1e-5.
     """
-    check_positive("theta", theta)
     if not cutoff_ratio > 0.0:
         raise DomainError(
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")

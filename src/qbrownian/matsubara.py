@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real, elementwise, gridwise)
+                   checked_real, elementwise, gridwise, where)
 from .specfun import _polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -464,7 +465,6 @@ class PoleSum:
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
-        check_positive("theta", theta)
         total, _ = self._sum(theta, heat=False)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
@@ -478,10 +478,13 @@ class PoleSum:
         At low theta the terms grow like 1/theta while C falls like theta, so
         C keeps about -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
         """
-        check_positive("theta", theta)
-        total, magnitude = self._sum(theta, heat=True)
+        # where s * s underflows, C's 1/s^2 terms have no digits left: an inf
+        # magnitude refuses them, summed at theta = 1 to keep specfun finite
+        s = TWO_PI * theta
+        lost = s * s < sys.float_info.min
+        total, magnitude = self._sum(where(lost, 1.0, theta), heat=True)
         value = self._dof * (1.0 + total)
-        magnitude = self._dof * (1.0 + magnitude)
+        magnitude = self._dof * (1.0 + magnitude) + where(lost, math.inf, 0.0)
         if self.regularized:
             tail = self._gamma / (TWO_PI * theta)
             value -= tail

@@ -25,7 +25,7 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   check_positive, checked_real, elementwise, gridwise, where)
+                   checked_real, elementwise, gridwise, where)
 from .specfun import _g, _g_prime, _trigamma
 
 
@@ -36,7 +36,6 @@ def undamped_thermo(theta) -> ThermoPoint:
     Uses expm1-based forms so the deep quantum regime (theta << 1) underflows
     gracefully to the ground state instead of losing digits.
     """
-    check_positive("theta", theta)
     f = elementwise(theta)
     x = 1.0 / theta
     # beyond x = 700 each quantity is its ground-state limit; x is capped
@@ -46,10 +45,14 @@ def undamped_thermo(theta) -> ThermoPoint:
     occupation = where(x > 700.0, f.exp(-x), 1.0 / f.expm1(xw))
     energy = 0.5 + occupation
     warm = x < 700.0
-    # S = x n(x) - ln(1 - e^-x)
-    entropy = where(warm, xw * occupation - f.log1p(-f.exp(-xw)), 0.0)
-    # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x
     em = f.expm1(-xw)
+    # S = x n(x) - ln(1 - e^-x), the log taken of -expm1(-x) below x = 1,
+    # where 1 - e^-x loses digits; there the log1p branch's x is capped at 1
+    # so that it stays finite
+    hot = x < 1.0
+    log_term = where(hot, f.log(-em), f.log1p(-f.exp(-where(hot, 1.0, xw))))
+    entropy = where(warm, xw * occupation - log_term, 0.0)
+    # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x
     heat = where(warm, xw * xw * f.exp(-xw) / (em * em), 0.0)
     half = where(x / 2.0 < 700.0, x / 2.0, 700.0)
     partition = where(x / 2.0 < 700.0, 1.0 / (2.0 * f.sinh(half)), 0.0)
@@ -65,7 +68,6 @@ def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
 def _lambda_pm(theta, alpha: float):
     # lambda_pm's body: the closed forms are gridwise themselves and call
     # this, so that a float call pays for one wrapper, not two
-    check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
@@ -147,7 +149,6 @@ def oscillator_expansion(kind: str, theta, alpha: float = 0.0):
     enforces; they are meaningless at alpha = 0, where the low-temperature
     behavior is exponential instead.
     """
-    check_positive("theta", theta)
     if kind not in _EXPANSION_KINDS:
         raise DomainError(f"kind must be one of {_EXPANSION_KINDS}, got {kind!r}")
     if kind == "undamped_lowT":

@@ -12,8 +12,9 @@ g'(z) = -z psi'(1 + z).  polygamma extends digamma and trigamma to every
 order, for the confluent pole sums of matsubara.PoleSum.
 
 Each function has one private kernel (_ln_gamma, _digamma, ...) that takes
-either a Python complex or a complex ndarray.  A scalar is pushed by a while
-loop; an array pushes only its elements still below the threshold, selected
+either a Python complex or a complex ndarray.  All of them check and push
+their argument through one helper, _push: a complex moves up one step at a
+time, an array moves only its elements still below the threshold, selected
 by index, so a whole temperature grid costs a few dozen numpy operations.
 The recurrence and the series are the same code for both.  The closed forms
 and PoleSum call the kernels; the public functions are thin scalar-only
@@ -74,20 +75,6 @@ def _checked(z) -> complex:
     return z
 
 
-def _checked_array(z: np.ndarray) -> np.ndarray:
-    """_checked for each element: a complex copy of z, or the first element's error.
-
-    The copy is C-ordered whatever z's layout, so that _push_array's
-    reshape(-1) are views of it.
-    """
-    z = np.array(z, dtype=complex, order="C")
-    bad = ~np.isfinite(z) | ((z.imag == 0.0) & (z.real <= 0.0)
-                             & (z.real == np.round(z.real)))
-    if bad.any():
-        _checked(z[bad][0])
-    return z
-
-
 def _finite(value, z, name: str):
     if isinstance(value, complex):
         if math.isfinite(value.real) and math.isfinite(value.imag):
@@ -100,16 +87,34 @@ def _finite(value, z, name: str):
     raise DomainError(f"{name}({z!r}) overflowed double precision")
 
 
-def _push_array(z: np.ndarray, bound: float, term) -> tuple[np.ndarray, np.ndarray]:
+def _log(z):
+    # cmath.log of a complex, np.log of an array
+    return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
+
+
+def _push(z, bound: float, term):
     """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= bound.
 
-    Only the elements still below the bound are gathered at each step, so
-    the work is the scalar loop's, element by element, in the same order.
-    z is _checked_array's C-ordered copy of the argument and is pushed in
-    place.
+    z is checked first: a non-finite argument raises DomainError and a pole
+    PoleError, for an array at its first such element in C order.  A complex
+    is pushed one step at a time.  An array gathers only its elements still
+    below the bound at each step, so the work is the complex's, element by
+    element, in the same order; it is pushed in place in a C-ordered complex
+    copy, whose reshape(-1) are views, so z may have any shape and layout.
     """
+    if not isinstance(z, np.ndarray):
+        z = _checked(z)
+        shift = 0.0 + 0.0j
+        while z.real < bound:
+            shift += term(z)
+            z += 1.0
+        return z, shift
+    z = np.array(z, dtype=complex, order="C")
+    bad = ~np.isfinite(z) | ((z.imag == 0.0) & (z.real <= 0.0)
+                             & (z.real == np.round(z.real)))
+    if bad.any():
+        _checked(z[bad][0])
     shift = np.zeros_like(z)
-    # flat views of the two fresh C-ordered arrays, so z may have any shape
     flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
     index = np.flatnonzero(flat_z.real < bound)
     while index.size:
@@ -122,16 +127,7 @@ def _push_array(z: np.ndarray, bound: float, term) -> tuple[np.ndarray, np.ndarr
 
 
 def _ln_gamma(z):
-    if isinstance(z, np.ndarray):
-        z, shift = _push_array(_checked_array(z), _PUSH, np.log)
-        log = np.log
-    else:
-        z = _checked(z)
-        shift = 0.0 + 0.0j
-        while z.real < _PUSH:
-            shift += cmath.log(z)
-            z += 1.0
-        log = cmath.log
+    z, shift = _push(z, _PUSH, _log)
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
@@ -139,21 +135,12 @@ def _ln_gamma(z):
     for k, b2k in enumerate(_BERNOULLI, start=1):
         series = series + b2k / ((2 * k) * (2 * k - 1)) * power
         power = power * rz2
-    value = (z - 0.5) * log(z) - z + _HALF_LOG_TWO_PI + series
+    value = (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series
     return _finite(value - shift, z, "ln_gamma")
 
 
 def _digamma(z):
-    if isinstance(z, np.ndarray):
-        z, shift = _push_array(_checked_array(z), _PUSH, lambda w: 1.0 / w)
-        log = np.log
-    else:
-        z = _checked(z)
-        shift = 0.0 + 0.0j
-        while z.real < _PUSH:
-            shift += 1.0 / z
-            z += 1.0
-        log = cmath.log
+    z, shift = _push(z, _PUSH, lambda w: 1.0 / w)
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
@@ -161,19 +148,12 @@ def _digamma(z):
     for k, b2k in enumerate(_BERNOULLI, start=1):
         series = series + b2k / (2 * k) * power
         power = power * rz2
-    value = log(z) - 0.5 * rz - series
+    value = _log(z) - 0.5 * rz - series
     return _finite(value - shift, z, "digamma")
 
 
 def _trigamma(z):
-    if isinstance(z, np.ndarray):
-        z, shift = _push_array(_checked_array(z), _PUSH, lambda w: 1.0 / (w * w))
-    else:
-        z = _checked(z)
-        shift = 0.0 + 0.0j
-        while z.real < _PUSH:
-            shift += 1.0 / (z * z)
-            z += 1.0
+    z, shift = _push(z, _PUSH, lambda w: 1.0 / (w * w))
     rz = 1.0 / z
     rz2 = rz * rz
     series = 0.0 + 0.0j
@@ -197,15 +177,7 @@ def _polygamma(n: int, z):
         return _digamma(z)
     if n == 1:
         return _trigamma(z)
-    push = _PUSH + 2.0 * n
-    if isinstance(z, np.ndarray):
-        z, shift = _push_array(_checked_array(z), push, lambda w: (1.0 / w) ** (n + 1))
-    else:
-        z = _checked(z)
-        shift = 0.0 + 0.0j
-        while z.real < push:
-            shift += (1.0 / z) ** (n + 1)
-            z += 1.0
+    z, shift = _push(z, _PUSH + 2.0 * n, lambda w: (1.0 / w) ** (n + 1))
     rz = 1.0 / z
     rz2 = rz * rz
     power = rz ** n

@@ -240,6 +240,19 @@ def test_expansion_overflow_exits_3(model, theta, capsys):
     assert captured.out == ""
 
 
+def test_overflowing_pole_energy_exits_3(capsys):
+    # at the Drude oscillator's triple point the pole-form energy is nan on
+    # this grid; it used to be written as nan rows with exit 0
+    ret = main(["curve", "--model", "oscillator", "--kernel", "drude",
+                "--alpha", "1.5396007178390021", "--cutoff-ratio", "3.375",
+                "--quantities", "E", "--tmin", "1e-160", "--tmax", "1e-150",
+                "--points", "3"])
+    captured = capsys.readouterr()
+    assert ret == 3
+    assert "numerical failure: at theta=1e-160:" in captured.err
+    assert captured.out == ""
+
+
 def test_overflowing_alpha_is_a_usage_error(capsys):
     assert main(["curve", "--model", "oscillator", "--alpha", "1e300",
                  "--points", "2"]) == 2

@@ -11,6 +11,7 @@ an absolute 1e-11 is below the last bit (E and the expansions at theta = 1e4).
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,26 +170,30 @@ def test_cancelling_grid_point_is_named(fn):
         fn(CANCELLING)
 
 
-@pytest.mark.parametrize("theta", [1e-320, 1e-300, 1e300])
+def named_theta(exc) -> str | None:
+    match = re.search(r"theta=([^,:\s]+)", str(exc))
+    return match and match.group(1)
+
+
+@pytest.mark.parametrize("theta", [1e-320, 1e-300, 1e-163, 1e-160, 1e-120, 1e17,
+                                   1e200, 1e300])
 def test_grid_overflows_as_the_float_call_does(theta):
-    # numpy overflows silently inside the closed forms, as float arithmetic
-    # does, so a grid meets the float call's check rather than a RuntimeWarning
+    # a grid meets the float call's check: where the float call raises, the
+    # grid [1, theta] raises the same class naming the same theta, and where
+    # both errors come from checked_real, the same text up to the roundoff
     grid = np.array([1.0, theta])
     for name, fn in FORMS:
         try:
             want = fn(theta)
-        except DomainError:
-            # a non-finite argument met by specfun: its nan parts may differ
-            with pytest.raises(DomainError):
+        except (ConvergenceError, DomainError) as exc:
+            with pytest.raises(type(exc)) as info:
                 fn(grid)
+            assert type(info.value) is type(exc), name
+            assert named_theta(exc) in (None, repr(theta)), name
+            assert named_theta(info.value) == named_theta(exc), name
+            if " lost" in str(exc) and " lost" in str(info.value):
+                assert str(info.value).split(" lost")[0] == str(exc).split(" lost")[0], name
             continue
-        except ConvergenceError as exc:
-            with pytest.raises(ConvergenceError) as info:
-                fn(grid)
-            assert str(info.value).split(" lost")[0] == str(exc).split(" lost")[0], name
-            continue
-        except (ArithmeticError, ValueError):
-            continue        # float arithmetic itself raised: no check to meet
         assert fn(grid)[1] == pytest.approx(want, rel=1e-12), name
 
 

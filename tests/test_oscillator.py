@@ -45,6 +45,24 @@ def test_undamped_frozen_values():
         assert getattr(point, name) == pytest.approx(want, rel=1e-14), name
 
 
+# S at high temperature, where 1 - e^(-1/theta) keeps few digits (and
+# rounds to 0 above theta ~ 1e16)
+UNDAMPED_S_HOT = {
+    1e6: 14.81551055796431577077462,
+    1e9: 21.72326583694641115620359,
+    1e12: 28.6310211159285482082159,
+    1e16: 37.84136148790473094428786,
+    1e100: 231.2585092994045684017991,
+}
+
+
+@pytest.mark.parametrize("theta", sorted(UNDAMPED_S_HOT))
+def test_undamped_entropy_at_high_temperature(theta):
+    want = UNDAMPED_S_HOT[theta]
+    assert undamped_thermo(theta).S == pytest.approx(want, rel=1e-15)
+    assert undamped_thermo(np.array([theta])).S[0] == pytest.approx(want, rel=1e-15)
+
+
 def test_undamped_limits():
     cold = undamped_thermo(1e-4)
     assert cold.E == pytest.approx(0.5, rel=1e-15)
