@@ -80,6 +80,11 @@ show("undamped Z(1)", 1 / (2 * mp.sinh(x / 2)))
 for th in ("1e6", "1e9", "1e12", "1e16", "1e100"):
     x = 1 / mp.mpf(th)
     show(f"undamped S({th})", x / mp.expm1(x) - mp.log(-mp.expm1(-x)))
+for th in ("1e163", "1e200", "1e300"):
+    x = 1 / mp.mpf(th)
+    show(f"undamped Z({th})", 1 / (2 * mp.sinh(x / 2)))
+    show(f"undamped E({th})", mp.mpf(1) / 2 + 1 / mp.expm1(x))
+    show(f"undamped S({th})", x / mp.expm1(x) - mp.log(-mp.expm1(-x)))
 
 
 # ---------------------------------------------------------- free particle

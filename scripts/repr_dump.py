@@ -4,9 +4,10 @@ Diffing the output of two checkouts is a bit-identity check for a refactor:
 a change that keeps every value and every error keeps every line.  The calls
 cover the public special functions on complex numbers and their private
 kernels on arrays, every closed form and expansion as a float call and on a
-grid, and PoleSum.energy/.heat for eight systems under both prescriptions,
-with theta out to 1e-320 and 1e300.  Arrays print through tolist(), so each
-element shows its full repr; an error prints as its class and message.
+grid, PoleSum.energy/.heat for eight systems under both prescriptions, with
+theta out to 1e-320 and 1e300, and the spectral moments and energy of the
+quadrature route.  Arrays print through tolist(), so each element shows its
+full repr; an error prints as its class and message.
 
     PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
 """
@@ -16,12 +17,12 @@ import math
 import numpy as np
 
 from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
-                       damped_entropy, damped_specific_heat,
+                       Tolerances, damped_entropy, damped_specific_heat,
                        damped_specific_heat_via_entropy, digamma,
                        drude_specific_heat, drude_z_pm, g_func, g_func_prime,
                        lambda_pm, ln_gamma, ohmic_lowT_expansion,
-                       ohmic_specific_heat, oscillator_expansion, polygamma,
-                       trigamma, undamped_thermo)
+                       moments, ohmic_specific_heat, oscillator_expansion,
+                       polygamma, spectral_energy, trigamma, undamped_thermo)
 from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
                                _trigamma)
 
@@ -35,6 +36,10 @@ THETAS = [1e-320, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155,
           1e17, 1e100, 1e154, 1e200, 1e300]
 BAD_THETAS = [0.0, -1.0, math.inf, math.nan]
 GRID = np.logspace(-4.0, 4.0, 41)
+
+SPECTRAL_THETAS = [1e-295, 1e-3, 0.05, 0.37, 1.0, 7.3, 15.8, 20.0, 21.0, 1e3, 1e300]
+SPECTRAL_ALPHAS = [1e-10, 1e-3, 1.0, 2.0, 5.0, 1e136]
+QUAD_ABS = [1e-10, 1e-11, 1e-16]
 
 ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
 SYSTEMS = {
@@ -80,11 +85,13 @@ def special_functions() -> None:
         for z in ARGUMENTS + BAD_ARGUMENTS:
             emit(f"{name}({z!r})", fn, z)
     good = np.array(ARGUMENTS, dtype=complex)
-    for name, fn in kernels:
-        emit(f"{name}[arguments]", fn, good)
-        emit(f"{name}[arguments].T", fn, np.stack([good, good.conj()]).T)
-        for z in BAD_ARGUMENTS:
-            emit(f"{name}[1, {z!r}]", fn, np.array([1.0, z], dtype=complex))
+    # the kernels overflow on some of these elements, as the values show
+    with np.errstate(all="ignore"):
+        for name, fn in kernels:
+            emit(f"{name}[arguments]", fn, good)
+            emit(f"{name}[arguments].T", fn, np.stack([good, good.conj()]).T)
+            for z in BAD_ARGUMENTS:
+                emit(f"{name}[1, {z!r}]", fn, np.array([1.0, z], dtype=complex))
 
 
 def closed_forms() -> list:
@@ -128,10 +135,22 @@ def functions_of_theta(forms: list) -> None:
         emit(f"{name} [grid]", fn, GRID)
 
 
+def spectral() -> None:
+    for quad_abs in QUAD_ABS:
+        tol = Tolerances(quad_abs=quad_abs)
+        for alpha in SPECTRAL_ALPHAS:
+            for theta in SPECTRAL_THETAS:
+                at = f"({theta!r}, {alpha!r}, quad_abs={quad_abs!r})"
+                emit(f"moments.q2 {at}", lambda: moments(theta, alpha, tol).q2)
+                emit(f"moments.p2_reg {at}", lambda: moments(theta, alpha, tol).p2_reg)
+                emit(f"spectral_energy {at}", spectral_energy, theta, alpha, tol)
+
+
 def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
     functions_of_theta(pole_sums())
+    spectral()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
 from .oscillator import (damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy, lambda_pm,
                          oscillator_expansion, undamped_thermo)
-from .quadrature import MomentResult, f_n_integral, moments, spectral_energy
+from .quadrature import MomentResult, moments, spectral_energy
 from .specfun import (PoleError, digamma, g_func, g_func_prime, ln_gamma,
                       polygamma, trigamma)
 
@@ -28,9 +28,9 @@ __all__ = [
     "Estimate", "MomentResult", "PoleError", "PoleSum", "Prescription",
     "ThermoPoint", "Tolerances", "damped_entropy", "damped_specific_heat",
     "damped_specific_heat_via_entropy", "digamma", "drude_specific_heat",
-    "drude_z_pm", "energy_sum", "f_n_integral", "g_func", "g_func_prime",
-    "lambda_pm", "ln_gamma", "moments", "ohmic_lowT_expansion",
-    "ohmic_specific_heat", "oscillator_expansion", "polygamma",
-    "position_variance_sum", "prescription_gap", "specific_heat_fd",
-    "spectral_energy", "trigamma", "undamped_thermo", "__version__",
+    "drude_z_pm", "energy_sum", "g_func", "g_func_prime", "lambda_pm",
+    "ln_gamma", "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
+    "oscillator_expansion", "polygamma", "position_variance_sum",
+    "prescription_gap", "specific_heat_fd", "spectral_energy", "trigamma",
+    "undamped_thermo", "__version__",
 ]

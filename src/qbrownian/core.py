@@ -117,6 +117,16 @@ def where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
+def stand_in(theta):
+    """(theta, with 1 where 1/(2 pi theta) overflows; the mask of the others).
+
+    A closed form evaluates at the stand-in, which keeps the special functions'
+    arguments finite, and returns nan off the mask: gridwise refuses that theta.
+    """
+    ok = 1.0 / (TWO_PI * theta) < math.inf
+    return where(ok, theta, 1.0), ok
+
+
 def gridwise(fn):
     """Decorate a function of theta: the one boundary of its float and array calls.
 

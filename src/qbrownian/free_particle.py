@@ -21,7 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import TWO_PI, DomainError, ThermoPoint, checked_real, gridwise
+from .core import (TWO_PI, DomainError, ThermoPoint, checked_real, gridwise,
+                   stand_in, where)
 from .specfun import _polygamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
@@ -34,11 +35,12 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
+    theta, ok = stand_in(theta)
     a = 1.0 / (TWO_PI * theta)
     term = a * a * _trigamma(1.0 + a).real
     magnitude = 0.5 + a + abs(term)
     heat = checked_real(0.5 - a + term, magnitude, "specific heat", theta=theta)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
 
 
 @gridwise
@@ -84,6 +86,7 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")
     if cutoff_ratio == math.inf:
         return ohmic_specific_heat(theta)
+    theta, ok = stand_in(theta)
     a = 1.0 / (TWO_PI * theta)
     z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
     if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
@@ -99,4 +102,4 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
     heat = checked_real(total, magnitude, "specific heat", theta=theta,
                         cutoff_ratio=cutoff_ratio)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))

@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real, elementwise, gridwise, where)
+                   checked_real, elementwise, gridwise, stand_in, where)
 from .specfun import _polygamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -465,11 +465,12 @@ class PoleSum:
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
+        theta, ok = stand_in(theta)
         total, _ = self._sum(theta, heat=False)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
-        return value
+        return where(ok, value, math.nan)
 
     @gridwise
     def heat(self, theta):

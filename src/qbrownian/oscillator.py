@@ -25,7 +25,7 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   checked_real, elementwise, gridwise, where)
+                   checked_real, elementwise, gridwise, stand_in, where)
 from .specfun import _g, _g_prime, _trigamma
 
 
@@ -52,8 +52,11 @@ def undamped_thermo(theta) -> ThermoPoint:
     hot = x < 1.0
     log_term = where(hot, f.log(-em), f.log1p(-f.exp(-where(hot, 1.0, xw))))
     entropy = where(warm, xw * occupation - log_term, 0.0)
-    # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x
-    heat = where(warm, xw * xw * f.exp(-xw) / (em * em), 0.0)
+    # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x; where x^2
+    # underflows to 0, above theta ~ 1e161, x / em = -1 and C = e^-x
+    tiny = xw * xw == 0.0
+    heat = where(tiny, 1.0, xw * xw) * f.exp(-xw) / where(tiny, 1.0, em * em)
+    heat = where(warm, heat, 0.0)
     half = where(x / 2.0 < 700.0, x / 2.0, 700.0)
     partition = where(x / 2.0 < 700.0, 1.0 / (2.0 * f.sinh(half)), 0.0)
     return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
@@ -88,6 +91,7 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
+    theta, ok = stand_in(theta)
     lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
@@ -95,7 +99,7 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
 
 
 @gridwise
@@ -105,6 +109,7 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
+    theta, ok = stand_in(theta)
     lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     log_theta = elementwise(theta).log(theta)
@@ -112,7 +117,7 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     total = (1.0 + log_theta + a) + (g_plus + g_minus)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, S=entropy)
+    return ThermoPoint(theta=theta, S=where(ok, entropy, math.nan))
 
 
 @gridwise
@@ -123,6 +128,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     identical to the internal-energy route; evaluated through g' so the two
     code paths share no intermediate expression.
     """
+    theta, ok = stand_in(theta)
     lam_plus, lam_minus = _lambda_pm(theta, alpha)
     a = alpha / (TWO_PI * theta)
     t_plus = lam_plus * _g_prime(lam_plus)
@@ -130,7 +136,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     total = (1.0 - a) - t_plus - t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")

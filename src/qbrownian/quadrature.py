@@ -19,7 +19,8 @@ Both integrals run over the whole half line with the double-exponential rule
 of Takahasi and Mori (Publ. RIMS 9, 721 (1974)): tanh-sinh on [0, 1] and
 exp-sinh on [1, inf), split at the resonance w = 1, where the nodes of both
 pieces cluster double-exponentially.  The nodes and weights of every step
-size are tabulated once, at import.
+size are tabulated once, at import.  One pass over them gives both moments;
+each stops at its own step size, with its own error bar.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConvergenceError, DEFAULT_TOL, DomainError, EPS, Tolerances,
-                   check_positive)
+from .core import ConvergenceError, DEFAULT_TOL, EPS, Tolerances, check_positive
 
 
 @dataclass(frozen=True)
 class MomentResult:
-    """Position and regularized momentum variances with a combined error bar."""
+    """Position and regularized momentum variances, each with its error bar."""
 
     q2: float
     p2_reg: float
-    abs_err: float
+    q2_err: float
+    p2_err: float
 
 
 _T_MAX = 4.0            # the rule keeps the nodes at |t| <= _T_MAX
@@ -81,12 +82,14 @@ def _bose(y):
     return 2.0 * np.exp(-y) / -np.expm1(-y)
 
 
-def f_n_integral(n: int, theta: float, alpha: float,
-                 tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
-    """Return (f_n, error bar) for n = 0 (full) or n = 2 (regularized).
+def moments(theta: float, alpha: float,
+            tol: Tolerances = DEFAULT_TOL) -> MomentResult:
+    """Both variances in one pass: q2 = f_0 and p2_reg = regularized f_2.
 
-    The step is halved until the error bar is within tol.quad_abs / 4; after
-    the finest step, a bar above tol.quad_abs raises ConvergenceError.  The
+    Each step size evaluates the Bose factor and den once for both moments.
+    Each moment stops at the first step whose error bar is within
+    tol.quad_abs / 4 and keeps that value and bar; after the finest step, a
+    bar above tol.quad_abs raises ConvergenceError, f_0's before f_2's.  The
     bar is the change of the value on the last halving, plus the roundoff
     floor sum|f w| eps sqrt(nodes), plus a bound on the two gaps the nodes
     leave: near w = 0 the integrand is at most its limit there, and near
@@ -94,46 +97,41 @@ def f_n_integral(n: int, theta: float, alpha: float,
     """
     check_positive("theta", theta)
     check_positive("alpha", alpha)
-    if n not in (0, 2):
-        raise DomainError(f"only the n = 0 and n = 2 moments exist here, got {n!r}")
     target = tol.quad_abs
     pref = alpha / math.pi
     bose_1 = float(_bose(1.0 / theta))
-    if n == 0:
-        gaps = _GAP0 * 2.0 * theta * pref + _GAP1 * (1.0 + bose_1) / (math.pi * alpha)
-    else:
-        gaps = _GAP1 * bose_1 / (math.pi * alpha)
+    gaps = (_GAP0 * 2.0 * theta * pref + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
+            _GAP1 * bose_1 / (math.pi * alpha))
     a2 = alpha * alpha
-    total = 0.0
-    previous = math.inf             # the coarsest step has nothing to compare with
+    # the coarsest step has no previous value to compare with
+    totals, previous, errs = [0.0, 0.0], [math.inf] * 2, [math.inf] * 2
     nodes = 0
-    # at extreme theta or alpha the integrand overflows or divides by zero
+    # at extreme theta or alpha the integrands overflow or divide by zero
     # on some nodes; the resulting inf or nan error bar raises below
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for w, w2, u2, weight in _LEVELS:
             bose = _bose(w / theta)
-            g = w * w2 * bose if n == 2 else w + w * bose
-            # halving the step halves the weights of the nodes already summed
-            total = 0.5 * total + float((g / (u2 + a2 * w2) * weight).sum())
+            den = u2 + a2 * w2
             nodes += w.size
-            # the integrand and the weights are nonnegative, so total = sum|f w|
-            err = pref * (abs(total - previous) + total * EPS * math.sqrt(nodes)) + gaps
-            if err <= 0.25 * target:
+            for k in (0, 1):
+                if errs[k] <= 0.25 * target:
+                    continue            # this moment stopped at a coarser step
+                g = w + w * bose if k == 0 else w * w2 * bose
+                # halving the step halves the weights of the nodes already summed
+                total = 0.5 * totals[k] + float((g / den * weight).sum())
+                # the integrand and the weights are nonnegative, so total = sum|f w|
+                change = abs(total - previous[k])
+                errs[k] = pref * (change + total * EPS * math.sqrt(nodes)) + gaps[k]
+                totals[k] = previous[k] = total
+            if all(err <= 0.25 * target for err in errs):
                 break
-            previous = total
-    if not err <= target:          # a nan error bar raises too
-        raise ConvergenceError(
-            f"f_{n} error bar {err:g} exceeds the requested {target:g} at "
-            f"theta={theta!r}, alpha={alpha!r}", achieved=err, requested=target)
-    return pref * total, err
-
-
-def moments(theta: float, alpha: float,
-            tol: Tolerances = DEFAULT_TOL) -> MomentResult:
-    """Both variances at once: q2 = f_0, p2_reg = regularized f_2."""
-    q2, err0 = f_n_integral(0, theta, alpha, tol)
-    p2, err2 = f_n_integral(2, theta, alpha, tol)
-    return MomentResult(q2=q2, p2_reg=p2, abs_err=err0 + err2)
+    for k, err in enumerate(errs):
+        if not err <= target:       # a nan error bar raises too
+            raise ConvergenceError(
+                f"f_{2 * k} error bar {err:g} exceeds the requested {target:g} at "
+                f"theta={theta!r}, alpha={alpha!r}", achieved=err, requested=target)
+    return MomentResult(q2=pref * totals[0], p2_reg=pref * totals[1],
+                        q2_err=errs[0], p2_err=errs[1])
 
 
 def spectral_energy(theta: float, alpha: float,
@@ -144,4 +142,4 @@ def spectral_energy(theta: float, alpha: float,
     only temperature differences and derivatives of it are physical.
     """
     m = moments(theta, alpha, tol)
-    return 0.5 * (m.q2 + m.p2_reg), 0.5 * m.abs_err
+    return 0.5 * (m.q2 + m.p2_reg), 0.5 * (m.q2_err + m.p2_err)

@@ -23,7 +23,7 @@ from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
 from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy, lambda_pm,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.quadrature import f_n_integral, spectral_energy
+from qbrownian.quadrature import moments, spectral_energy
 from qbrownian.specfun import digamma, g_func, g_func_prime, ln_gamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -116,7 +116,7 @@ def test_05_spectral_integrals_cross_check_frequency_sums():
     worst_q2 = 0.0
     for theta in np.logspace(-1.0, 1.0, 7):
         for alpha in (0.5, 1.0, 2.0):
-            from_integral, _ = f_n_integral(0, float(theta), alpha)
+            from_integral = moments(float(theta), alpha).q2
             from_sum = position_variance_sum(float(theta), alpha).value
             worst_q2 = max(worst_q2, abs(from_integral - from_sum))
     assert worst_q2 < 1e-8, f"worst variance route disagreement {worst_q2:g}"

@@ -227,10 +227,10 @@ def test_closed_form_cancellation_exits_3(capsys):
     assert "theta=1e-300" in captured.err
 
 
-@pytest.mark.parametrize("model, theta", [("oscillator", "1e+200"), ("free", "1e+150")])
+@pytest.mark.parametrize("model, theta", [("oscillator", "1e+150"), ("free", "1e+150")])
 def test_expansion_overflow_exits_3(model, theta, capsys):
-    # the exact undamped C is nan from theta ~ 1e154 and theta**3 overflows
-    # from theta ~ 1e102, where the float calls raise
+    # theta**3 overflows from theta ~ 1e102, where the float calls raise; the
+    # exact values stay finite (the undamped C is 1 up to theta = 1e300)
     ret = main(["expansions", "--model", model, "--tmin", "1e100", "--tmax", "1e200",
                 "--points", "3"])
     captured = capsys.readouterr()

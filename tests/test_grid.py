@@ -180,12 +180,16 @@ def named_theta(exc) -> str | None:
 def test_grid_overflows_as_the_float_call_does(theta):
     # a grid meets the float call's check: where the float call raises, the
     # grid [1, theta] raises the same class naming the same theta, and where
-    # both errors come from checked_real, the same text up to the roundoff
+    # both errors come from checked_real, the same text up to the roundoff;
+    # at 1e-320, where 1/(2 pi theta) overflows, that is a ConvergenceError
     grid = np.array([1.0, theta])
     for name, fn in FORMS:
         try:
             want = fn(theta)
         except (ConvergenceError, DomainError) as exc:
+            if theta == 1e-320:
+                assert type(exc) is ConvergenceError, (name, exc)
+                assert named_theta(exc) == "1e-320", (name, exc)
             with pytest.raises(type(exc)) as info:
                 fn(grid)
             assert type(info.value) is type(exc), name

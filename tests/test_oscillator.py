@@ -63,6 +63,22 @@ def test_undamped_entropy_at_high_temperature(theta):
     assert undamped_thermo(np.array([theta])).S[0] == pytest.approx(want, rel=1e-15)
 
 
+# (Z, E, S) where x^2 = theta^-2 underflows to 0; C is 1 to double precision
+UNDAMPED_HOTTEST = {
+    1e163: (1.0e163, 1.0e163, 376.3213701580294464949326),
+    1e200: (1.0e200, 1.0e200, 461.5170185988091368035983),
+    1e300: (1.0e300, 1.0e300, 691.7755278982137052053974),
+}
+
+
+@pytest.mark.parametrize("theta", sorted(UNDAMPED_HOTTEST))
+def test_undamped_thermo_where_x_squared_underflows(theta):
+    for point in (undamped_thermo(theta), undamped_thermo(np.array([theta]))):
+        assert point.C == 1.0
+        for q, want in zip("ZES", UNDAMPED_HOTTEST[theta]):
+            assert getattr(point, q) == pytest.approx(want, rel=1e-15), q
+
+
 def test_undamped_limits():
     cold = undamped_thermo(1e-4)
     assert cold.E == pytest.approx(0.5, rel=1e-15)

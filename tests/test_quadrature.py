@@ -11,7 +11,8 @@ import pytest
 from qbrownian.core import ConvergenceError, DEFAULT_TOL, DomainError, Tolerances
 from qbrownian.matsubara import position_variance_sum, specific_heat_fd
 from qbrownian.oscillator import damped_specific_heat
-from qbrownian.quadrature import f_n_integral, moments, spectral_energy
+import qbrownian.quadrature as quadrature
+from qbrownian.quadrature import moments, spectral_energy
 
 # mpmath references for the same integrals (40-digit adaptive quadrature)
 F0_REF = {
@@ -33,10 +34,15 @@ ORACLES = {
 }
 
 
+def moment(n, m):
+    """(value, error bar) of f_n, n = 0 or 2, from a MomentResult."""
+    return (m.q2, m.q2_err) if n == 0 else (m.p2_reg, m.p2_err)
+
+
 @pytest.mark.parametrize("key", sorted(F0_REF))
 def test_f0_frozen(key):
     theta, alpha = key
-    value, err = f_n_integral(0, theta, alpha)
+    value, err = moment(0, moments(theta, alpha))
     assert value == pytest.approx(F0_REF[key], abs=1e-9)
     assert abs(value - F0_REF[key]) <= max(err, 1e-10)
 
@@ -44,7 +50,7 @@ def test_f0_frozen(key):
 @pytest.mark.parametrize("key", sorted(F2_REF))
 def test_f2_frozen(key):
     theta, alpha = key
-    value, err = f_n_integral(2, theta, alpha)
+    value, err = moment(2, moments(theta, alpha))
     assert value == pytest.approx(F2_REF[key], abs=1e-9)
     assert abs(value - F2_REF[key]) <= max(err, 1e-10)
 
@@ -54,14 +60,14 @@ def test_f2_frozen(key):
 def test_error_bar_covers_oracle(key, n):
     # at alpha = 1e-8 the nodes' gap at w = 1 holds most of the error
     theta, alpha = key
-    value, err = f_n_integral(n, theta, alpha)
+    value, err = moment(n, moments(theta, alpha))
     assert type(value) is float and type(err) is float
     assert abs(value - ORACLES[key][n // 2]) <= err <= DEFAULT_TOL.quad_abs
 
 
 def test_weak_damping_approaches_undamped_variance():
     # alpha -> 0 narrows the susceptibility onto the bare resonance
-    value, _ = f_n_integral(0, 1.0, 1e-4)
+    value = moments(1.0, 1e-4).q2
     want = 0.5 / math.tanh(0.5)
     assert value == pytest.approx(want, abs=1e-3)
 
@@ -69,12 +75,12 @@ def test_weak_damping_approaches_undamped_variance():
 def test_equipartition_at_high_temperature():
     # <q^2> -> theta classically
     tol = Tolerances(quad_abs=1e-8)
-    value, _ = f_n_integral(0, 1e3, 1.0, tol=tol)
+    value = moments(1e3, 1.0, tol=tol).q2
     assert value / 1e3 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_equipartition_at_default_tolerance():
-    value, _ = f_n_integral(0, 1e3, 1.0)
+    value = moments(1e3, 1.0).q2
     assert value / 1e3 == pytest.approx(1.0, abs=1e-5)
 
 
@@ -82,15 +88,16 @@ def test_moments_packaging():
     m = moments(1.0, 1.0)
     assert m.q2 > 0.0
     assert m.p2_reg > 0.0
-    assert 0.0 <= m.abs_err < 1e-9
-    assert m.q2 == f_n_integral(0, 1.0, 1.0)[0]
-    assert m.p2_reg == f_n_integral(2, 1.0, 1.0)[0]
+    assert 0.0 <= m.q2_err < 1e-9
+    assert 0.0 <= m.p2_err < 1e-9
+    assert spectral_energy(1.0, 1.0) == (0.5 * (m.q2 + m.p2_reg),
+                                         0.5 * (m.q2_err + m.p2_err))
 
 
 def test_integral_agrees_with_frequency_sum():
     # same quantity, disjoint numerics: spectral quadrature vs tail-fitted sum
     for theta, alpha in ((1.0, 1.0), (0.4, 2.5), (3.0, 0.7)):
-        from_integral, _ = f_n_integral(0, theta, alpha)
+        from_integral = moments(theta, alpha).q2
         from_sum = position_variance_sum(theta, alpha).value
         assert from_integral == pytest.approx(from_sum, abs=1e-8)
 
@@ -114,14 +121,14 @@ def test_fd_of_spectral_energy_at_high_temperature():
 
 def test_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as exc_info:
-        f_n_integral(0, 1.0, 1.0, tol=Tolerances(quad_abs=1e-16))
+        moments(1.0, 1.0, tol=Tolerances(quad_abs=1e-16))
     assert exc_info.value.requested == pytest.approx(1e-16)
 
 
 def test_unresolved_resonance_raises_after_the_finest_step():
     # at alpha = 1e-10 the last halving still moves f_0 by ~2e-10
     with pytest.raises(ConvergenceError) as exc_info:
-        f_n_integral(0, 1.0, 1e-10)
+        moments(1.0, 1e-10)
     assert exc_info.value.requested == DEFAULT_TOL.quad_abs
     assert exc_info.value.achieved > exc_info.value.requested
 
@@ -133,7 +140,9 @@ def test_unresolved_resonance_raises_after_the_finest_step():
     (0, 1.0, 1e136, None),
     (2, 1e300, 1.0, None),
     (0, 1e300, 1.0, None),
-], ids=["tiny-theta", "huge-alpha", "huge-theta-f2", "huge-theta-f0"])
+    (2, 1e300, 1e136, None),
+], ids=["tiny-theta", "huge-alpha", "huge-theta-f2", "huge-theta-f0",
+        "huge-theta-and-alpha"])
 def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
     # the integrand overflows or divides by zero on some nodes here; that
     # gives the value or a ConvergenceError, never a RuntimeWarning
@@ -141,20 +150,34 @@ def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
         warnings.simplefilter("error")
         if expected is None:
             with pytest.raises(ConvergenceError):
-                f_n_integral(n, theta, alpha)
+                moments(theta, alpha)
         else:
-            value, err = f_n_integral(n, theta, alpha)
+            value, err = moment(n, moments(theta, alpha))
             assert value == pytest.approx(expected, abs=1e-13)
             assert err <= DEFAULT_TOL.quad_abs
 
 
+def test_one_bose_evaluation_per_step_size(monkeypatch):
+    # both moments share each level's Bose factor; one more call bounds the gaps
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return bose(y)
+
+    bose = quadrature._bose
+    monkeypatch.setattr(quadrature, "_bose", counted)
+    for theta, alpha in ((1.0, 1.0), (1e-3, 1.0), (20.0, 1.0), (1.0, 1e-8)):
+        calls.clear()
+        moments(theta, alpha)
+        assert len(calls) <= len(quadrature._LEVELS) + 1, (theta, alpha)
+
+
 @pytest.mark.parametrize("call", [
-    lambda: f_n_integral(1, 1.0, 1.0),
-    lambda: f_n_integral(3, 1.0, 1.0),
-    lambda: f_n_integral(0, 0.0, 1.0),
-    lambda: f_n_integral(0, -1.0, 1.0),
-    lambda: f_n_integral(0, 1.0, 0.0),
-    lambda: f_n_integral(0, 1.0, -2.0),
+    lambda: moments(0.0, 1.0),
+    lambda: moments(-1.0, 1.0),
+    lambda: moments(1.0, 0.0),
+    lambda: moments(1.0, -2.0),
     lambda: moments(1.0, math.inf),
     lambda: spectral_energy(math.nan, 1.0),
 ])
