@@ -203,6 +203,79 @@ q2m = q2_matsubara(mp.mpf(1), mp.mpf(1))
 show("q2_matsubara(1,1)", q2m)
 
 
+# ---------------------------- matsubara sums in digamma pole form, any theta
+def pole_sum(numerator, denominator, s):
+    # sum_{n>=1} P(s n) / Q(s n) = -(1/s) sum_i r_i psi(1 - p_i/s), for
+    # deg Q >= deg P + 2 with simple poles p_i and residues r_i = P/Q'
+    dq = [c * (len(denominator) - 1 - i) for i, c in enumerate(denominator[:-1])]
+    total = 0
+    for p in mp.polyroots(denominator, maxsteps=200, extraprec=200):
+        total += mp.polyval(numerator, p) / mp.polyval(dq, p) * mp.psi(0, 1 - p / s)
+    return mp.re(-total / s)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def e_osc_drude(theta, alpha, r, partition):
+    # omega_0 = 1, gamma = alpha, omega_D = r alpha; the summand multiplied
+    # through by (nu + wd), and once more for the partition route's gh'
+    wd = r * alpha
+    q = alpha * wd
+    cubic = [1, wd, 1 + q, wd]
+    s = 2 * mp.pi * theta
+    if partition:
+        numerator = [2 + 2 * q, 4 * wd + q * wd, 2 * wd * wd]
+        return theta * (1 + pole_sum(numerator, poly_mul(cubic, [1, wd]), s))
+    return theta * (1 + pole_sum([2 + q, 2 * wd], cubic, s))
+
+
+def gap_osc_drude(theta, alpha, r):
+    wd = r * alpha
+    q = alpha * wd
+    quartic = poly_mul([1, wd, 1 + q, wd], [1, wd])
+    return theta * pole_sum([q, 0, 0], quartic, 2 * mp.pi * theta)
+
+
+def e_free_drude_sum(theta, r, partition):
+    # gamma = 1, omega_D = r: twice the oscillator's summand at omega_0 = 0
+    s = 2 * mp.pi * theta
+    quadratic = [1, r, r]
+    if partition:
+        numerator, denominator = [4 * r, 2 * r * r], poly_mul(quadratic, [1, r])
+    else:
+        numerator, denominator = [2 * r], quadratic
+    return theta / 2 * (1 + pole_sum(numerator, denominator, s))
+
+
+def q2_pole_sum(theta, alpha):
+    return theta * (1 + 2 * pole_sum([1], [1, alpha, 1], 2 * mp.pi * theta))
+
+
+for th in ("1e-3", "0.05", "20"):
+    label = th
+    th = mp.mpf(th)
+    for route in ("energy", "partition"):
+        show(f"E_osc_drude({label},1,r10,{route})",
+             e_osc_drude(th, mp.mpf(1), mp.mpf(10), route == "partition"))
+        show(f"E_free_drude({label},r10,{route})",
+             e_free_drude_sum(th, mp.mpf(10), route == "partition"))
+    show(f"gap_osc_drude({label},1,r10)", gap_osc_drude(th, mp.mpf(1), mp.mpf(10)))
+    show(f"E_reg_osc({label},1)", e_reg_osc(th, mp.mpf(1)))
+    show(f"E_reg_free({label})", e_reg_free(th))
+    show(f"q2_pole_sum({label},1)", q2_pole_sum(th, mp.mpf(1)))
+# the pole form against the nsum oracles above, at theta = 1
+print("# pole form vs nsum residuals:",
+      mp.nstr(abs(e_osc_drude(mp.mpf(1), mp.mpf(1), mp.mpf(10), True) - ez), 5),
+      mp.nstr(abs(gap_osc_drude(mp.mpf(1), mp.mpf(1), mp.mpf(10)) - gap), 5),
+      mp.nstr(abs(q2_pole_sum(mp.mpf(1), mp.mpf(1)) - q2m), 5))
+
+
 # ----------------------------------------------------- spectral integrals
 def spectral_breaks(theta, alpha):
     # the thermal scale and both sides of the resonance, so that narrow

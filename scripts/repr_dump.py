@@ -5,7 +5,8 @@ a change that keeps every value and every error keeps every line.  The calls
 cover the public special functions on complex numbers and their private
 kernels on arrays, every closed form and expansion as a float call and on a
 grid, PoleSum.energy/.heat for eight systems under both prescriptions, with
-theta out to 1e-320 and 1e300, and the spectral moments and energy of the
+theta out to 1e-320 and 1e300, the term-by-term frequency sums as
+(value, err, terms_used), and the spectral moments and energy of the
 quadrature route.  Arrays print through tolist(), so each element shows its
 full repr; an error prints as its class and message.
 
@@ -19,10 +20,11 @@ import numpy as np
 from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
                        Tolerances, damped_entropy, damped_specific_heat,
                        damped_specific_heat_via_entropy, digamma,
-                       drude_specific_heat, drude_z_pm, g_func, g_func_prime,
-                       lambda_pm, ln_gamma, ohmic_lowT_expansion,
+                       drude_specific_heat, drude_z_pm, energy_sum, g_func,
+                       g_func_prime, lambda_pm, ln_gamma, ohmic_lowT_expansion,
                        moments, ohmic_specific_heat, oscillator_expansion,
-                       polygamma, spectral_energy, trigamma, undamped_thermo)
+                       polygamma, position_variance_sum, prescription_gap,
+                       spectral_energy, trigamma, undamped_thermo)
 from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
                                _trigamma)
 
@@ -36,6 +38,8 @@ THETAS = [1e-320, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155,
           1e17, 1e100, 1e154, 1e200, 1e300]
 BAD_THETAS = [0.0, -1.0, math.inf, math.nan]
 GRID = np.logspace(-4.0, 4.0, 41)
+
+SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
 
 SPECTRAL_THETAS = [1e-295, 1e-3, 0.05, 0.37, 1.0, 7.3, 15.8, 20.0, 21.0, 1e3, 1e300]
 SPECTRAL_ALPHAS = [1e-10, 1e-3, 1.0, 2.0, 5.0, 1e136]
@@ -135,6 +139,23 @@ def functions_of_theta(forms: list) -> None:
         emit(f"{name} [grid]", fn, GRID)
 
 
+def frequency_sums() -> None:
+    def estimate(result):
+        return result.value, result.err, result.terms_used
+
+    for theta in SUM_THETAS:
+        beta = 1.0 / theta
+        for name, (omega0, kernel) in SYSTEMS.items():
+            for route in Prescription:
+                emit(f"energy_sum {name} {route.value} ({theta!r})",
+                     lambda: estimate(energy_sum(omega0, kernel, beta, route)))
+            emit(f"prescription_gap {name} ({theta!r})",
+                 lambda: estimate(prescription_gap(omega0, kernel, beta)))
+        for alpha in SPECTRAL_ALPHAS:
+            emit(f"position_variance_sum ({theta!r}, {alpha!r})",
+                 lambda: estimate(position_variance_sum(theta, alpha)))
+
+
 def spectral() -> None:
     for quad_abs in QUAD_ABS:
         tol = Tolerances(quad_abs=quad_abs)
@@ -150,6 +171,7 @@ def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
     functions_of_theta(pole_sums())
+    frequency_sums()
     spectral()
 
 

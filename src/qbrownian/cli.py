@@ -8,7 +8,7 @@ Subcommands:
 
 curve takes energies, and specific heats without a closed form, from the
 frequency sums in pole form (matsubara.PoleSum); compare evaluates the same
-sums term by term with tail acceleration and differentiates them numerically,
+sums term by term, with an exact tail, and differentiates them numerically,
 so it is the sum-based cross-check of curve.  curve, fig1 and expansions
 evaluate each column once over the whole temperature grid, as an array;
 compare works point by point.
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="both prescriptions and their gap")
     add_spec(compare, 0.1, 10.0, 20)
     compare.add_argument("--tol", type=float, default=1e-12,
-                         help="relative tail tolerance of the frequency sums")
+                         help="relative target of the frequency sums' error bars")
     compare.set_defaults(run=cmd_compare)
 
     expansions = sub.add_parser("expansions", help="limit expansions vs exact values")

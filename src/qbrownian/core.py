@@ -50,7 +50,7 @@ EPS = 2.0 ** -52            # machine epsilon of a double
 class Tolerances:
     """Numeric policy shared by the summation and quadrature engines.
 
-    rel_sum_tail  relative tail target for frequency sums
+    rel_sum_tail  relative target for the error bar of a term-by-term sum
     quad_abs      absolute target for spectral integrals
     """
 
@@ -117,14 +117,19 @@ def where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def stand_in(theta):
-    """(theta, with 1 where 1/(2 pi theta) overflows; the mask of the others).
+def stand_in(theta, pair):
+    """(theta, pair(theta), mask), with theta 1 where pair(theta) overflows.
 
-    A closed form evaluates at the stand-in, which keeps the special functions'
-    arguments finite, and returns nan off the mask: gridwise refuses that theta.
+    pair maps theta to the numbers that a closed form feeds to the special
+    functions.  Where one is not finite, the form evaluates at the stand-in
+    theta = 1 and puts nan off the mask, which checked_real refuses.
     """
-    ok = 1.0 / (TWO_PI * theta) < math.inf
-    return where(ok, theta, 1.0), ok
+    values = pair(theta)
+    ok = functools.reduce(np.logical_and, map(np.isfinite, values))
+    if ok.all():
+        return theta, values, ok
+    theta = where(ok, theta, 1.0)
+    return theta, pair(theta), ok
 
 
 def gridwise(fn):
@@ -216,8 +221,9 @@ def checked_real(total, magnitude, what: str, **params):
     rather than roundoff and raises DomainError.  magnitude is the sum of the
     absolute values of the terms added up to total, so magnitude * eps
     estimates the roundoff left in it.  ConvergenceError, naming params as the
-    inputs, is raised when the value is not finite or that roundoff exceeds
-    both ROUNDOFF_LIMIT relative to |value| and ROUNDOFF_FLOOR.  The floor
+    inputs, is raised when the value is not finite while the magnitude is,
+    or when that roundoff exceeds both ROUNDOFF_LIMIT relative to |value| and
+    ROUNDOFF_FLOOR (an overflowing magnitude included).  The floor
     lets a result that is exponentially small in truth, such as the undamped
     specific heat at low temperature, pass with its tiny absolute error.
 
@@ -249,8 +255,10 @@ def checked_real(total, magnitude, what: str, **params):
     if math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
                                  or err <= ROUNDOFF_FLOOR):
         return value
-    loss = err / abs(value) if value != 0.0 else math.inf
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
+    if not math.isfinite(value) and math.isfinite(magnitude):
+        raise ConvergenceError(f"{what} at {inputs} is not finite in double precision")
+    loss = err / abs(value) if value != 0.0 else math.inf
     raise ConvergenceError(
         f"{what} at {inputs} lost its digits to cancellation: estimated "
         f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",

@@ -35,12 +35,11 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
-    theta, ok = stand_in(theta)
-    a = 1.0 / (TWO_PI * theta)
+    _, (a,), ok = stand_in(theta, lambda t: (1.0 / (TWO_PI * t),))
     term = a * a * _trigamma(1.0 + a).real
-    magnitude = 0.5 + a + abs(term)
-    heat = checked_real(0.5 - a + term, magnitude, "specific heat", theta=theta)
-    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
+    heat = checked_real(where(ok, 0.5 - a + term, math.nan), 0.5 + a + abs(term),
+                        "specific heat", theta=theta)
+    return ThermoPoint(theta=theta, C=heat)
 
 
 @gridwise
@@ -86,9 +85,8 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")
     if cutoff_ratio == math.inf:
         return ohmic_specific_heat(theta)
-    theta, ok = stand_in(theta)
-    a = 1.0 / (TWO_PI * theta)
-    z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
+    _, (a, z0, s, z_plus, z_minus), ok = stand_in(
+        theta, lambda t: (1.0 / (TWO_PI * t),) + _drude_pair(t, cutoff_ratio))
     if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
         psi1 = _trigamma(1.0 + z0).real
         psi2 = _polygamma(2, 1.0 + z0).real
@@ -100,6 +98,6 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         t_minus = z_minus * _trigamma(1.0 + z_minus)
         total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
-    heat = checked_real(total, magnitude, "specific heat", theta=theta,
-                        cutoff_ratio=cutoff_ratio)
-    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
+    heat = checked_real(where(ok, total, math.nan), magnitude, "specific heat",
+                        theta=theta, cutoff_ratio=cutoff_ratio)
+    return ThermoPoint(theta=theta, C=heat)

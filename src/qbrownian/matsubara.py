@@ -1,6 +1,6 @@
 """Frequency-sum thermodynamics: damping kernels, the two energy prescriptions,
-the sums in pole form, tail-accelerated summation, and finite-difference
-specific heat.
+the sums in pole form and term by term with an exact tail, and
+finite-difference specific heat.
 
 In hbar = k_B = 1 units the internal energy of a dissipative oscillator is
 
@@ -34,13 +34,15 @@ nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 
 PoleSum evaluates E this way, and C = dE/dT through psi', at a cost that does
 not depend on the temperature; near-coincident poles are summed in confluent
-form with higher polygamma functions.  energy_sum adds the terms one by one,
-at a cost growing like beta, and stays as the independent cross-check.
+form with higher polygamma functions.  energy_sum adds the terms one by one
+up to 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
+Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -52,11 +54,10 @@ import numpy as np
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
                    checked_real, elementwise, gridwise, stand_in, where)
-from .specfun import _polygamma, trigamma
+from .specfun import _BERNOULLI, _polygamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
-_FIRST_BLOCK = 1024
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
 
 # grouping of near-coincident poles in PoleSum (see _group_poles)
@@ -118,66 +119,71 @@ def _regularization(gamma: float, beta, w_ref: float):
     return (gamma / TWO_PI) * (EULER_GAMMA + log(beta * w_ref / TWO_PI))
 
 
-def _power_tails(n_last: int) -> tuple[float, float, float]:
-    # sum_{n>N} n^-s for s = 2, 3, 4; s = 2 exactly via trigamma, the others
-    # from the a = N+1 asymptotic series, good to O(a^-6)
-    a = float(n_last + 1)
-    s2 = trigamma(a).real
-    s3 = 0.5 / a ** 2 + 0.5 / a ** 3 + 0.25 / a ** 4
-    s4 = (1.0 / 3.0) / a ** 3 + 0.5 / a ** 4 + (1.0 / 3.0) / a ** 5
-    return s2, s3, s4
+def _pole_bound(omega0: float, kernel: DampingKernel) -> float:
+    """Fujiwara's bound on |nu| at the poles of every term-by-term summand."""
+    wd = 0.0 if kernel.is_ohmic else kernel.omega_d
+    g = kernel.gamma
+    return 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
 
 
-def _tail_fit(summand: Callable, n_last: int) -> float:
-    """Extrapolate sum_{n>n_last} summand(n) for summands with c/n^2 tails.
+_CIRCLE = 32              # samples of the summand on the circle |n| = N
 
-    Fits n^2 summand(n) = c + d/n + e/n^2 at n_last, ~n_last/1.5, n_last/2
-    (rescaled to v = n_last/n for conditioning) and integrates the model with
-    exact power-law tail sums.
+
+@functools.cache
+def _tail_tables():
+    # built on first use, so that programs that never sum hold none: the roots
+    # of unity, the DFT to d_k N^-k, k >= 2 and B_2m/(2m)! (k)_(2m-1), m <= 8
+    roots = np.exp(-2j * np.pi * np.arange(_CIRCLE) / _CIRCLE)
+    dft = roots[np.outer(np.arange(_CIRCLE), np.arange(_CIRCLE)) % _CIRCLE] / _CIRCLE
+    powers = np.arange(2.0, _CIRCLE)
+    return roots, dft, powers, np.array([
+        b2m / math.factorial(2 * m) * np.prod([powers + j for j in range(2 * m - 1)], 0)
+        for m, b2m in enumerate(_BERNOULLI, start=1)])
+
+
+def _summed(summand: Callable, bound: float, rel_tol: float,
+            max_terms: int) -> tuple[float, int, float]:
+    """(sum over n >= 1 of summand(n), the terms summed, an error bound).
+
+    summand is rational in n, real on the real axis and O(n^-2), takes complex
+    n, and has its poles in |n| <= bound.  The terms up to N = 4 bound (64 at
+    least) are added; beyond the poles summand(n) = sum_{k>=2} d_k n^-k, so
+    the rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on
+    |n| = N (aliased at (bound/N)^_CIRCLE) and zeta by Euler-Maclaurin.  A
+    head beyond max_terms raises ConvergenceError before a term is added.
     """
-    m = np.array([n_last, int(round(n_last / 1.5)), n_last // 2], dtype=float)
-    y = m * m * summand(m)
-    v = n_last / m
-    coeff = np.linalg.solve(np.vstack([np.ones(3), v, v * v]).T, y)
-    c, d_hat, e_hat = (float(x) for x in coeff)
-    s2, s3, s4 = _power_tails(n_last)
-    return c * s2 + d_hat * n_last * s3 + e_hat * n_last * n_last * s4
+    reach = max(64.0, 4.0 * bound)
+    if not reach <= max_terms:
+        raise ConvergenceError(f"frequency sum needs {reach:.3g} > {max_terms} terms",
+                               achieved=math.inf, requested=rel_tol)
+    head = math.ceil(reach)
+    partials, magnitude = [], 0.0
+    for start in range(0, head, _CHUNK):
+        terms = summand(np.arange(start + 1, min(start + _CHUNK, head) + 1,
+                                  dtype=float))
+        partials.append(float(terms.sum()))
+        magnitude += float(np.abs(terms).sum())
+    roots, dft, powers, euler_maclaurin = _tail_tables()
+    d = (dft @ summand(head * roots)).real         # d_k N^-k, k = 0.._CIRCLE-1
+    a = head + 1.0
+    # N^k zeta(k, a) = (N/a)^k [a/(k-1) + 1/2 + sum_m B_2m/(2m)! (k)_(2m-1) a^(1-2m)]
+    series = (1.0 / a) * (1.0 / (a * a)) ** np.arange(len(_BERNOULLI))
+    weights = (head / a) ** powers * (a / (powers - 1) + 0.5 + series @ euler_maclaurin)
+    tail = d[2:] * weights
+    # d_0 and d_1 vanish in exact arithmetic: what the DFT makes of them is
+    # its roundoff in every coefficient, which the weights carry into the tail
+    err = float(np.abs(tail[-4:]).max() + (abs(d[0]) + abs(d[1])) * weights.sum()
+                + magnitude * EPS)
+    return math.fsum(partials + tail.tolist()), head, err
 
 
-def _accelerated_sum(summand: Callable, rel_tol: float, max_terms: int,
-                     scale_hint: float = 0.0) -> tuple[float, int, float]:
-    """Sum summand(n) over n >= 1 to a relative tail target.
-
-    Doubles the truncation point per round, correcting each partial sum with
-    the fitted tail; converged when two successive corrected estimates agree.
-    scale_hint widens the relative-tolerance denominator for sums that enter
-    a larger expression (for example a sum that gets added to 1).
-    """
-    partials: list[float] = []
-    n_done = 0
-    block = _FIRST_BLOCK
-    prev = None
-    err = math.inf
-    while True:
-        if n_done + block > max_terms:
-            raise ConvergenceError(
-                f"frequency sum exceeded {max_terms} terms without meeting "
-                f"the relative tail target {rel_tol:g}",
-                achieved=err, requested=rel_tol)
-        # one chunk per block up to _CHUNK terms, so short sums round as
-        # whole-block sums and long ones never hold more than a chunk
-        for start in range(n_done, n_done + block, _CHUNK):
-            n = np.arange(start + 1, min(start + _CHUNK, n_done + block) + 1,
-                          dtype=float)
-            partials.append(float(np.sum(summand(n))))
-        n_done += block
-        estimate = math.fsum(partials) + _tail_fit(summand, n_done)
-        if prev is not None:
-            err = abs(estimate - prev)
-            if err <= rel_tol * max(abs(estimate), scale_hint, 1e-300):
-                return estimate, n_done, err
-        prev = estimate
-        block = n_done
+def _within(err: float, scale: float, rel_tol: float) -> None:
+    """Raise ConvergenceError unless err <= rel_tol * scale."""
+    if not err <= rel_tol * scale:
+        raise ConvergenceError(
+            f"frequency sum error bar {err:.3g} misses the relative tail target "
+            f"{rel_tol:g}", achieved=err / scale if scale else math.inf,
+            requested=rel_tol)
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
@@ -187,55 +193,43 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
 
     omega0 = 0 selects the free particle.  For a regularized kernel (strictly
     ohmic, gamma > 0) the absolute energy diverges, so the cutoff-regularized
-    value described in the module docstring is returned and flagged.  err is
-    the difference of the last two refinements, a deliberately conservative
-    bound that overshoots the true residual of the accelerated estimate.
+    value described in the module docstring is returned and flagged.  err
+    bounds the exact tail's truncation and the sum's roundoff; terms_used
+    counts the head's terms.
     """
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
 
-    g0 = kernel.gamma
+    g = kernel.gamma
     nu_scale = TWO_PI / beta
     w2 = omega0 * omega0
-    part = route is Prescription.PARTITION
+    pref, dof = (1.0 / beta, 1.0) if omega0 > 0.0 else (0.5 / beta, 2.0)
 
+    # the free particle's summand is the oscillator's at omega0 = 0, doubled
     if kernel.regularized:
         # gamma/nu already subtracted in closed form, so no cancellation;
         # gh' = 0 makes both prescriptions identical here
-        if omega0 > 0.0:
-            def summand(n):
-                nu = nu_scale * n
-                return ((2.0 * w2 - g0 * g0) * nu - g0 * w2) / (
-                    nu * (nu * nu + g0 * nu + w2))
-        else:
-            def summand(n):
-                nu = nu_scale * n
-                return -2.0 * g0 * g0 / (nu * (nu + g0))
-    elif omega0 > 0.0:
         def summand(n):
             nu = nu_scale * n
-            gh, ghp = kernel.laplace(nu)
-            num = 2.0 * w2 + nu * gh
-            if part:
-                num = num - nu * nu * ghp
-            return num / (nu * nu + nu * gh + w2)
+            return dof * ((2.0 * w2 - g * g) * nu - g * w2) / (
+                nu * (nu * nu + g * nu + w2))
     else:
         def summand(n):
             nu = nu_scale * n
             gh, ghp = kernel.laplace(nu)
-            num = nu * gh
-            if part:
+            num = 2.0 * w2 + nu * gh
+            if route is Prescription.PARTITION:
                 num = num - nu * nu * ghp
-            return 2.0 * num / (nu * nu + nu * gh)
+            return dof * num / (nu * nu + nu * gh + w2)
 
-    pref = 1.0 / beta if omega0 > 0.0 else 0.5 / beta
-    est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms,
-                                       scale_hint=1.0)
+    est, terms, err = _summed(summand, _pole_bound(omega0, kernel) / nu_scale,
+                              tol.rel_sum_tail, max_terms)
+    _within(err, max(abs(est), 1.0), tol.rel_sum_tail)
     value = pref * (1.0 + est)
     if kernel.regularized:
-        value += _regularization(g0, beta, omega0 if omega0 > 0.0 else g0)
+        value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
     return Estimate(value=value, err=pref * err, terms_used=terms,
                     regularized=kernel.regularized)
 
@@ -451,6 +445,8 @@ class PoleSum:
             others = [p for p in poles if p not in group]
             self._clusters.append(_Cluster.build(
                 group, numerator, others, 2.0 if c.imag > 0.0 else 1.0))
+        # the largest |pole|, 1 at least: energy feeds up to reach / s to psi
+        self._reach = max([1.0] + [abs(c.center) for c in self._clusters])
 
     def _sum(self, theta, heat: bool):
         s = TWO_PI * theta
@@ -465,7 +461,7 @@ class PoleSum:
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
-        theta, ok = stand_in(theta)
+        theta, _, ok = stand_in(theta, lambda t: (self._reach / (TWO_PI * t),))
         total, _ = self._sum(theta, heat=False)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
@@ -514,7 +510,9 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
         gh, ghp = kernel.laplace(nu)
         return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
 
-    est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms)
+    est, terms, err = _summed(summand, _pole_bound(omega0, kernel) / nu_scale,
+                              tol.rel_sum_tail, max_terms)
+    _within(err, abs(est), tol.rel_sum_tail)
     pref = 1.0 / beta
     return Estimate(value=pref * est, err=pref * err, terms_used=terms)
 
@@ -535,8 +533,9 @@ def position_variance_sum(theta: float, alpha: float,
         nu = nu_scale * n
         return 1.0 / (nu * nu + alpha * nu + 1.0)
 
-    est, terms, err = _accelerated_sum(summand, tol.rel_sum_tail, max_terms,
-                                       scale_hint=1.0)
+    est, terms, err = _summed(summand, _pole_bound(1.0, DampingKernel.ohmic(alpha))
+                              / nu_scale, tol.rel_sum_tail, max_terms)
+    _within(err, max(abs(est), 1.0), tol.rel_sum_tail)
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 
@@ -547,9 +546,9 @@ def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
 
     energy_evaluator maps theta to an internal energy; an additive constant
     in it (a regularized energy, say) drops out exactly.  The error bar
-    compares against a half-step evaluation, which bounds the h^2 truncation
-    error of the reported value to leading order, and adds the roundoff
-    max(|E(theta(1+h))|, |E(theta(1-h))|) * eps / (theta h) of the difference.
+    compares against a half-step evaluation, whose difference beyond both
+    slopes' roundoff bounds the h^2 truncation error to leading order, and
+    adds the roundoff max(|E(theta(1+h))|, |E(theta(1-h))|) eps / (theta h).
     """
     check_positive("theta", theta)
     if not (0.0 < rel_step < 0.5):
@@ -568,6 +567,6 @@ def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
         return (e_hi - e_lo) / (2.0 * theta * h), roundoff
 
     c_full, roundoff = slope(rel_step)
-    c_half, _ = slope(0.5 * rel_step)
-    return Estimate(value=c_full,
-                    err=(4.0 / 3.0) * abs(c_full - c_half) + roundoff)
+    c_half, roundoff_half = slope(0.5 * rel_step)
+    truncation = max(abs(c_full - c_half) - roundoff - roundoff_half, 0.0)
+    return Estimate(value=c_full, err=(4.0 / 3.0) * truncation + roundoff)

@@ -65,12 +65,12 @@ def undamped_thermo(theta) -> ThermoPoint:
 @gridwise
 def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
     """Characteristic pair (lam_+, lam_-); conjugate for alpha < 2, else real."""
-    return _lambda_pm(theta, alpha)
+    return _lambda_pm(theta, alpha)[:2]
 
 
 def _lambda_pm(theta, alpha: float):
-    # lambda_pm's body: the closed forms are gridwise themselves and call
-    # this, so that a float call pays for one wrapper, not two
+    # (lam_+, lam_-, a = alpha / (2 pi theta)), the damped forms' arguments;
+    # they call this, so that a float call pays for one gridwise, not two
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
@@ -79,7 +79,7 @@ def _lambda_pm(theta, alpha: float):
         raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
                           f"precision, got alpha={alpha!r}")
     root = cmath.sqrt(complex(square - 1.0, 0.0))
-    return scale * (half + root), scale * (half - root)
+    return scale * (half + root), scale * (half - root), alpha / (TWO_PI * theta)
 
 
 @gridwise
@@ -91,15 +91,13 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
-    theta, ok = stand_in(theta)
-    lam_plus, lam_minus = _lambda_pm(theta, alpha)
-    a = alpha / (TWO_PI * theta)
+    _, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
     t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
     t_minus = lam_minus ** 2 * _trigamma(1.0 + lam_minus)
-    total = (1.0 - a) + t_plus + t_minus
+    total = where(ok, (1.0 - a) + t_plus + t_minus, math.nan)
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
+    return ThermoPoint(theta=theta, C=heat)
 
 
 @gridwise
@@ -109,15 +107,13 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
-    theta, ok = stand_in(theta)
-    lam_plus, lam_minus = _lambda_pm(theta, alpha)
-    a = alpha / (TWO_PI * theta)
-    log_theta = elementwise(theta).log(theta)
+    t, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
+    log_theta = elementwise(t).log(t)
     g_plus, g_minus = _g(lam_plus), _g(lam_minus)
-    total = (1.0 + log_theta + a) + (g_plus + g_minus)
+    total = where(ok, (1.0 + log_theta + a) + (g_plus + g_minus), math.nan)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, S=where(ok, entropy, math.nan))
+    return ThermoPoint(theta=theta, S=entropy)
 
 
 @gridwise
@@ -128,15 +124,13 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     identical to the internal-energy route; evaluated through g' so the two
     code paths share no intermediate expression.
     """
-    theta, ok = stand_in(theta)
-    lam_plus, lam_minus = _lambda_pm(theta, alpha)
-    a = alpha / (TWO_PI * theta)
+    _, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
     t_plus = lam_plus * _g_prime(lam_plus)
     t_minus = lam_minus * _g_prime(lam_minus)
-    total = (1.0 - a) - t_plus - t_minus
+    total = where(ok, (1.0 - a) - t_plus - t_minus, math.nan)
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=where(ok, heat, math.nan))
+    return ThermoPoint(theta=theta, C=heat)
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")

@@ -192,9 +192,9 @@ def test_usage_errors_exit_2(argv, capsys):
 
 
 def test_unresolvable_sum_exits_3(capsys, monkeypatch):
-    # at theta = 1e-8 the Drude knee sits beyond the term cap, so the tail
-    # model never applies and compare's term-by-term sum must report
-    # failure, tagged by point; a lower cap reaches that failure sooner
+    # at theta = 1e-8 the Drude poles sit beyond the term cap, so
+    # compare's term-by-term sum refuses before adding a term and must
+    # report failure, tagged by point; a lower cap refuses just the same
     monkeypatch.setattr(qbrownian.cli, "energy_sum",
                         functools.partial(energy_sum, max_terms=2 ** 20))
     ret = main(["compare", "--model", "oscillator", "--kernel", "drude",

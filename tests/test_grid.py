@@ -175,30 +175,52 @@ def named_theta(exc) -> str | None:
     return match and match.group(1)
 
 
-@pytest.mark.parametrize("theta", [1e-320, 1e-300, 1e-163, 1e-160, 1e-120, 1e17,
-                                   1e200, 1e300])
-def test_grid_overflows_as_the_float_call_does(theta):
-    # a grid meets the float call's check: where the float call raises, the
-    # grid [1, theta] raises the same class naming the same theta, and where
-    # both errors come from checked_real, the same text up to the roundoff;
-    # at 1e-320, where 1/(2 pi theta) overflows, that is a ConvergenceError
-    grid = np.array([1.0, theta])
-    for name, fn in FORMS:
-        try:
-            want = fn(theta)
-        except (ConvergenceError, DomainError) as exc:
-            if theta == 1e-320:
-                assert type(exc) is ConvergenceError, (name, exc)
-                assert named_theta(exc) == "1e-320", (name, exc)
-            with pytest.raises(type(exc)) as info:
-                fn(grid)
-            assert type(info.value) is type(exc), name
-            assert named_theta(exc) in (None, repr(theta)), name
-            assert named_theta(info.value) == named_theta(exc), name
-            if " lost" in str(exc) and " lost" in str(info.value):
-                assert str(info.value).split(" lost")[0] == str(exc).split(" lost")[0], name
+# forms whose arguments overflow at theta = 1e-307 although 1 / (2 pi theta)
+# does not: lambda_+ ~ alpha / (2 pi theta), z_+ ~ r / (2 pi theta), and
+# PoleSum's largest pole over 2 pi theta
+OVERFLOWING = {
+    "C alpha=1e3": lambda t: damped_specific_heat(t, 1e3).C,
+    "S alpha=1e3": lambda t: damped_entropy(t, 1e3).S,
+    "C_S alpha=1e3": lambda t: damped_specific_heat_via_entropy(t, 1e3).C,
+    "drude r=1e4": lambda t: drude_specific_heat(t, 1e4).C,
+    "osc-ohmic-1e3 energy E":
+        PoleSum(1.0, DampingKernel.ohmic(1e3), Prescription.ENERGY).energy,
+}
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(np.array([1.0, theta]), id=repr(theta))
+    for theta in (1e-320, 1e-300, 1e-163, 1e-160, 1e-120, 1e17, 1e200, 1e300, 1e-307)
+] + [pytest.param(np.array([1e-320, 1e-8]), id="1e-320,1e-08")])
+def test_grid_overflows_as_the_float_call_does(grid):
+    # a grid meets the float calls' checks: where a float call raises, the
+    # grid raises the error of its first failing element in C order, the
+    # same class naming the same theta, and where both errors come from
+    # checked_real, the same text up to the roundoff; where 1/(2 pi theta)
+    # or a form's own argument overflows (1e-320, and 1e-307 for the
+    # OVERFLOWING forms), that is a ConvergenceError naming the theta
+    for name, fn in FORMS + list(OVERFLOWING.items()):
+        want = []
+        for theta in grid.tolist():
+            try:
+                want.append(fn(theta))
+            except (ConvergenceError, DomainError) as exc:
+                want = exc
+                break
+        if not isinstance(want, Exception):
+            assert fn(grid) == pytest.approx(want, rel=1e-12), name
             continue
-        assert fn(grid)[1] == pytest.approx(want, rel=1e-12), name
+        if theta == 1e-320 or (theta == 1e-307 and name in OVERFLOWING):
+            assert type(want) is ConvergenceError, (name, want)
+            assert named_theta(want) == repr(theta), (name, want)
+        with pytest.raises(type(want)) as info:
+            fn(grid)
+        assert type(info.value) is type(want), name
+        assert named_theta(want) in (None, repr(theta)), name
+        assert named_theta(info.value) == named_theta(want), name
+        got, want = str(info.value), str(want)
+        if " lost" in want and " lost" in got:
+            assert got.split(" lost")[0] == want.split(" lost")[0], name
 
 
 def test_float_in_gives_python_float_out():

@@ -1,7 +1,8 @@
 """Tests for the frequency-sum engine, damping kernels, and FD specific heat.
 
-Frozen sums were computed independently with mpmath (Richardson-accelerated
-nsum at 40 digits) against the same summand definitions.
+Frozen sums were computed independently with mpmath at 40 digits
+(scripts/freeze_oracles.py): Richardson-accelerated nsum against the same
+summand definitions, and the digamma pole form at any theta.
 """
 
 from __future__ import annotations
@@ -38,6 +39,51 @@ E_FREE_DRUDE_REF = 0.3151516612279330070008962
 Q2_REF = {
     (1.0, 1.0): 1.073820695043754408703719,
     (0.5, 2.0): 0.6127406109897042647625965,
+}
+
+EPS = 2.0 ** -52
+DRUDE = DampingKernel.drude(1.0, 10.0)
+# (sum, theta) -> its value in digamma pole form; the Drude sums at alpha = 1
+# (gamma = 1 for the free particle), r = 10, the ohmic ones at alpha = 1
+SUM_ORACLES = {
+    ("osc-drude-energy", 1e-3): 0.7264104967516793479009104,
+    ("osc-drude-energy", 0.05): 0.7277424101855754951935856,
+    ("osc-drude-energy", 20.0): 20.02385907624533441537475,
+    ("osc-drude-partition", 1e-3): 0.8565629043234029699041564,
+    ("osc-drude-partition", 0.05): 0.8578932260041511793948008,
+    ("osc-drude-partition", 20.0): 20.04249798876811951955395,
+    ("free-drude-energy", 1e-3): 0.4239711166999415118254971,
+    ("free-drude-energy", 0.05): 0.4252696095983237175507124,
+    ("free-drude-energy", 20.0): 10.01969500115942837193007,
+    ("free-drude-partition", 1e-3): 0.5604276891275638481229772,
+    ("free-drude-partition", 0.05): 0.5615965944569181562293524,
+    ("free-drude-partition", 20.0): 10.03833466252859922638666,
+    ("gap", 1e-3): 0.130152407571723622003246,
+    ("gap", 0.05): 0.1301508158185756842012152,
+    ("gap", 20.0): 0.0186389125227851041792058,
+    ("osc-ohmic", 1e-3): 0.2886756581977226896355189,
+    ("osc-ohmic", 0.05): 0.2900104909114577182320363,
+    ("osc-ohmic", 20.0): 19.32463309754698321672393,
+    ("free-ohmic", 1e-3): 5.235967085520448848940679e-7,
+    ("free-ohmic", 0.05): 0.001296630922390711370835035,
+    ("free-ohmic", 20.0): 9.320502602442749532577893,
+    ("q2", 1e-3): 0.3849012266614358764913301,
+    ("q2", 0.05): 0.3875438664544472682753225,
+    ("q2", 20.0): 20.0041424378676888407708,
+}
+SUM_CALLS = {
+    "osc-drude-energy": lambda t: energy_sum(1.0, DRUDE, 1.0 / t, Prescription.ENERGY),
+    "osc-drude-partition":
+        lambda t: energy_sum(1.0, DRUDE, 1.0 / t, Prescription.PARTITION),
+    "free-drude-energy": lambda t: energy_sum(0.0, DRUDE, 1.0 / t, Prescription.ENERGY),
+    "free-drude-partition":
+        lambda t: energy_sum(0.0, DRUDE, 1.0 / t, Prescription.PARTITION),
+    "gap": lambda t: prescription_gap(1.0, DRUDE, 1.0 / t),
+    "osc-ohmic": lambda t: energy_sum(1.0, DampingKernel.ohmic(1.0), 1.0 / t,
+                                      Prescription.ENERGY),
+    "free-ohmic": lambda t: energy_sum(0.0, DampingKernel.ohmic(1.0), 1.0 / t,
+                                       Prescription.ENERGY),
+    "q2": lambda t: position_variance_sum(t, 1.0),
 }
 
 
@@ -167,15 +213,26 @@ def test_regularized_value_against_brute_force_sum():
 
 
 def test_tail_bound_is_sane():
-    result = energy_sum(1.0, DampingKernel.drude(1.0, 10.0), 1.0,
-                        Prescription.ENERGY, tol=TIGHT)
-    assert 0.0 <= result.err < 1e-9
-    assert result.terms_used >= 2048
+    # each sum lies within its bar of the 40-digit pole form, up to the
+    # rounding of the reported value, and the bar is a few ulps wide
+    for (name, theta), oracle in SUM_ORACLES.items():
+        result = SUM_CALLS[name](theta)
+        rounding = 4.0 * EPS * abs(result.value)
+        assert abs(result.value - oracle) <= result.err + rounding, (name, theta)
+        assert 0.0 <= result.err <= 1e-14 * max(abs(result.value), 1.0), (name, theta)
+
+
+def test_low_temperature_sum_is_short():
+    # the exact tail starts beyond the poles, at 4 x 3183 terms here
+    result = energy_sum(1.0, DRUDE, 1e3, Prescription.PARTITION)
+    assert result.terms_used <= 20_000
 
 
 def test_convergence_error_carries_diagnostics():
+    # the tail is exact only beyond 2547 terms here, so the cap of 1000
+    # refuses the sum before any term is added
     with pytest.raises(ConvergenceError) as exc_info:
-        energy_sum(1.0, DampingKernel.ohmic(1.0), 1.0,
+        energy_sum(1.0, DampingKernel.ohmic(1.0), 1e3,
                    Prescription.ENERGY, max_terms=1000)
     assert exc_info.value.requested == pytest.approx(1e-12)
     assert exc_info.value.achieved == math.inf
@@ -233,8 +290,9 @@ def test_fd_specific_heat_constant_energy():
      lambda t: drude_specific_heat(t, 1.0).C),
 ], ids=["oscillator-drude-partition", "free-drude"])
 def test_fd_error_estimate_covers_roundoff(energy, theta, exact):
-    # full and half step agree to the last bit here, so only the roundoff
-    # term keeps the estimate above the true error (2.7e-9 and 2.8e-12)
+    # full and half step differ here by less than their roundoff, so the
+    # roundoff term alone keeps the estimate above the true error (1.0e-9
+    # and 2.8e-12)
     fd = specific_heat_fd(energy, theta)
     error = abs(fd.value - exact(theta))
     assert error > 0.0
@@ -242,8 +300,8 @@ def test_fd_error_estimate_covers_roundoff(energy, theta, exact):
 
 
 def test_failing_sum_memory_is_bounded():
-    # theta = 1e-8 puts the Drude knee beyond any cap, so the sum runs to
-    # max_terms; its blocks are evaluated a chunk at a time
+    # theta = 1e-8 puts the Drude poles beyond any cap, so the sum raises
+    # before it adds a term; a head within the cap is summed a chunk at a time
     kernel = DampingKernel.drude(1.0, 10.0)
     tracemalloc.start()
     try:

@@ -1,6 +1,6 @@
 """Tests for the pole form of the frequency sums (matsubara.PoleSum).
 
-The tail-accelerated sum energy_sum and the closed forms are independent
+The term-by-term sum energy_sum and the closed forms are independent
 routes to the same numbers, so they serve as the oracle here.
 """
 
@@ -55,6 +55,20 @@ def test_energy_matches_energy_sum(system, route):
         # a regularized energy is measured against the size of its constant
         scale = max(abs(summed), kernel.gamma if poles.regularized else 0.0)
         assert abs(poles.energy(theta) - summed) <= 1e-11 * scale, theta
+
+
+def test_unregularized_energy_sum_agrees_to_1e_14():
+    # two independent exact routes: psi at the poles, and a head summed term
+    # by term with its tail in Hurwitz zeta form
+    for omega0, kernel in SYSTEMS.values():
+        if kernel.regularized:
+            continue
+        for route in Prescription:
+            poles = PoleSum(omega0, kernel, route)
+            for theta in np.logspace(-3.0, 2.0, 11):
+                summed = energy_sum(omega0, kernel, 1.0 / theta, route).value
+                assert abs(poles.energy(theta) - summed) <= 1e-14 * abs(summed), (
+                    omega0, kernel, route, theta)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.0, 2.0 + 1e-9, 5.0])
