@@ -32,7 +32,7 @@ ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
 BAD_ARGUMENTS = [0.0, -2.0, math.nan, math.inf, complex(math.inf, math.nan)]
 
-THETAS = [1e-320, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155,
+THETAS = [1e-320, 1e-307, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155,
           1e-120, 1e-100, 1e-20, 1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1,
           0.37, 0.5, 1.0, 1.5, 2.0, 7.3, 10.0, 100.0, 1e4, 1e6, 1e9, 1e12, 1e16,
           1e17, 1e100, 1e154, 1e200, 1e300]

@@ -195,7 +195,8 @@ def _table(spec: CurveSpec, header: str, comment: str,
     grid = spec.grid()
     values = [fn(grid).tolist() for fn in columns.values()]
     lines = [",".join([header, *columns]), comment]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(grid.tolist(), *values))
+    template = ",".join(["%.17g"] * (1 + len(values)))
+    lines.extend(template % row for row in zip(grid.tolist(), *values))
     return lines
 
 
@@ -331,8 +332,9 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
              spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
     for kind, *values in columns:
-        for row in zip(grid.tolist(), *(v.tolist() for v in values)):
-            lines.append(",".join([kind, *map(_fmt, row)]))
+        template = kind + ",%.17g" * (1 + len(values))
+        lines.extend(template % row
+                     for row in zip(grid.tolist(), *(v.tolist() for v in values)))
     return {"": lines}
 
 

@@ -13,8 +13,10 @@ temperatures; the helpers below (elementwise, where and the checks) let one
 body of code serve both, with math and plain conditionals for a float, so a
 float in gives exactly the float out that a scalar-only body would.  Where
 float ** and math.exp raise OverflowError, or a float division by zero
-raises, numpy gives inf or nan; gridwise, the decorator of every such
-function, turns both into one ConvergenceError naming the failing theta.
+raises, numpy gives inf or nan, and the special-function kernels give inf or
+nan wherever their arguments or values overflow.  checked_real and gridwise,
+the decorator of every such function, are the one refusal: each turns what
+is not finite into a ConvergenceError naming the failing theta.
 """
 
 from __future__ import annotations
@@ -117,21 +119,6 @@ def where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def stand_in(theta, pair):
-    """(theta, pair(theta), mask), with theta 1 where pair(theta) overflows.
-
-    pair maps theta to the numbers that a closed form feeds to the special
-    functions.  Where one is not finite, the form evaluates at the stand-in
-    theta = 1 and puts nan off the mask, which checked_real refuses.
-    """
-    values = pair(theta)
-    ok = functools.reduce(np.logical_and, map(np.isfinite, values))
-    if ok.all():
-        return theta, values, ok
-    theta = where(ok, theta, 1.0)
-    return theta, pair(theta), ok
-
-
 def gridwise(fn):
     """Decorate a function of theta: the one boundary of its float and array calls.
 
@@ -223,7 +210,8 @@ def checked_real(total, magnitude, what: str, **params):
     estimates the roundoff left in it.  ConvergenceError, naming params as the
     inputs, is raised when the value is not finite while the magnitude is,
     or when that roundoff exceeds both ROUNDOFF_LIMIT relative to |value| and
-    ROUNDOFF_FLOOR (an overflowing magnitude included).  The floor
+    ROUNDOFF_FLOOR, reported as inf where the value or the magnitude is not
+    finite (an overflowing magnitude included).  The floor
     lets a result that is exponentially small in truth, such as the undamped
     specific heat at low temperature, pass with its tiny absolute error.
 
@@ -258,7 +246,8 @@ def checked_real(total, magnitude, what: str, **params):
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
     if not math.isfinite(value) and math.isfinite(magnitude):
         raise ConvergenceError(f"{what} at {inputs} is not finite in double precision")
-    loss = err / abs(value) if value != 0.0 else math.inf
+    loss = (err / abs(value) if value != 0.0 and math.isfinite(value)
+            and math.isfinite(magnitude) else math.inf)
     raise ConvergenceError(
         f"{what} at {inputs} lost its digits to cancellation: estimated "
         f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",

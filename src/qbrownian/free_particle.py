@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (TWO_PI, DomainError, ThermoPoint, checked_real, gridwise,
-                   stand_in, where)
+from .core import TWO_PI, DomainError, ThermoPoint, checked_real, gridwise
 from .specfun import _polygamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
@@ -35,10 +34,10 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
-    _, (a,), ok = stand_in(theta, lambda t: (1.0 / (TWO_PI * t),))
+    a = 1.0 / (TWO_PI * theta)
     term = a * a * _trigamma(1.0 + a).real
-    heat = checked_real(where(ok, 0.5 - a + term, math.nan), 0.5 + a + abs(term),
-                        "specific heat", theta=theta)
+    heat = checked_real(0.5 - a + term, 0.5 + a + abs(term), "specific heat",
+                        theta=theta)
     return ThermoPoint(theta=theta, C=heat)
 
 
@@ -85,8 +84,8 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")
     if cutoff_ratio == math.inf:
         return ohmic_specific_heat(theta)
-    _, (a, z0, s, z_plus, z_minus), ok = stand_in(
-        theta, lambda t: (1.0 / (TWO_PI * t),) + _drude_pair(t, cutoff_ratio))
+    a = 1.0 / (TWO_PI * theta)
+    z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
     if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
         psi1 = _trigamma(1.0 + z0).real
         psi2 = _polygamma(2, 1.0 + z0).real
@@ -98,6 +97,6 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         t_minus = z_minus * _trigamma(1.0 + z_minus)
         total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
-    heat = checked_real(where(ok, total, math.nan), magnitude, "specific heat",
-                        theta=theta, cutoff_ratio=cutoff_ratio)
+    heat = checked_real(total, magnitude, "specific heat", theta=theta,
+                        cutoff_ratio=cutoff_ratio)
     return ThermoPoint(theta=theta, C=heat)

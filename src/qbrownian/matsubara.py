@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real, elementwise, gridwise, stand_in, where)
+                   checked_real, elementwise, gridwise, where)
 from .specfun import _BERNOULLI, _polygamma
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -445,8 +445,6 @@ class PoleSum:
             others = [p for p in poles if p not in group]
             self._clusters.append(_Cluster.build(
                 group, numerator, others, 2.0 if c.imag > 0.0 else 1.0))
-        # the largest |pole|, 1 at least: energy feeds up to reach / s to psi
-        self._reach = max([1.0] + [abs(c.center) for c in self._clusters])
 
     def _sum(self, theta, heat: bool):
         s = TWO_PI * theta
@@ -461,12 +459,11 @@ class PoleSum:
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
-        theta, _, ok = stand_in(theta, lambda t: (self._reach / (TWO_PI * t),))
         total, _ = self._sum(theta, heat=False)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
-        return where(ok, value, math.nan)
+        return value
 
     @gridwise
     def heat(self, theta):
@@ -476,7 +473,7 @@ class PoleSum:
         C keeps about -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
         """
         # where s * s underflows, C's 1/s^2 terms have no digits left: an inf
-        # magnitude refuses them, summed at theta = 1 to keep specfun finite
+        # magnitude refuses them, summed at theta = 1 to keep the terms finite
         s = TWO_PI * theta
         lost = s * s < sys.float_info.min
         total, magnitude = self._sum(where(lost, 1.0, theta), heat=True)

@@ -25,7 +25,7 @@ import cmath
 import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
-                   checked_real, elementwise, gridwise, stand_in, where)
+                   checked_real, elementwise, gridwise, where)
 from .specfun import _g, _g_prime, _trigamma
 
 
@@ -91,10 +91,10 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
-    _, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
+    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
     t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
     t_minus = lam_minus ** 2 * _trigamma(1.0 + lam_minus)
-    total = where(ok, (1.0 - a) + t_plus + t_minus, math.nan)
+    total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)
@@ -107,10 +107,10 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
-    t, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
-    log_theta = elementwise(t).log(t)
+    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
+    log_theta = elementwise(theta).log(theta)
     g_plus, g_minus = _g(lam_plus), _g(lam_minus)
-    total = where(ok, (1.0 + log_theta + a) + (g_plus + g_minus), math.nan)
+    total = (1.0 + log_theta + a) + (g_plus + g_minus)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, S=entropy)
@@ -124,10 +124,10 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     identical to the internal-energy route; evaluated through g' so the two
     code paths share no intermediate expression.
     """
-    _, (lam_plus, lam_minus, a), ok = stand_in(theta, lambda t: _lambda_pm(t, alpha))
+    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
     t_plus = lam_plus * _g_prime(lam_plus)
     t_minus = lam_minus * _g_prime(lam_minus)
-    total = where(ok, (1.0 - a) - t_plus - t_minus, math.nan)
+    total = (1.0 - a) - t_plus - t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
     return ThermoPoint(theta=theta, C=heat)

@@ -12,15 +12,21 @@ g'(z) = -z psi'(1 + z).  polygamma extends digamma and trigamma to every
 order, for the confluent pole sums of matsubara.PoleSum.
 
 Each function has one private kernel (_ln_gamma, _digamma, ...) that takes
-either a Python complex or a complex ndarray.  All of them check and push
-their argument through one helper, _push: a complex moves up one step at a
-time, an array moves only its elements still below the threshold, selected
-by index, so a whole temperature grid costs a few dozen numpy operations.
-The recurrence and the series are the same code for both.  The closed forms
-and PoleSum call the kernels; the public functions are thin scalar-only
-wrappers over them.  Scalar and array values of one argument may differ in
-the last bits, because numpy rounds complex products, quotients and logs
-differently from Python's complex type.
+either a Python complex or a complex ndarray.  All of them push their
+argument through one helper, _push: a complex moves up one step at a time,
+an array moves only its elements still below the threshold, selected by
+index, so a whole temperature grid costs a few dozen numpy operations.  The
+recurrence and the series are the same code for both.  Scalar and array
+values of one argument may differ in the last bits, because numpy rounds
+complex products, quotients and logs differently from Python's complex type.
+
+The kernels check nothing: a non-finite argument gives nan, and an argument
+whose value overflows gives inf or nan (or, for a complex, Python's
+OverflowError or ZeroDivisionError), which the closed forms and PoleSum
+refuse through core.checked_real and core.gridwise, naming the temperature.
+The public functions are scalar-only wrappers that keep the checks, in one
+helper, _checked: a non-finite argument or value raises DomainError and a
+pole of Gamma PoleError.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
 complex arithmetic and in numpy's alike, so all six functions map conjugate
@@ -66,25 +72,22 @@ class PoleError(ValueError):
         super().__init__(f"gamma-family pole at z = {n}")
 
 
-def _checked(z) -> complex:
+def _checked(name: str, kernel, z, pole_shift: float = 0.0) -> complex:
+    """kernel(z), checked for the public function called name.
+
+    A non-finite z or value raises DomainError, naming z, and a pole of Gamma
+    at z + pole_shift raises PoleError.
+    """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError(f"argument must be finite, got {z!r}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise PoleError(int(z.real))
-    return z
-
-
-def _finite(value, z, name: str):
-    if isinstance(value, complex):
-        if math.isfinite(value.real) and math.isfinite(value.imag):
-            return value
-    else:
-        bad = ~np.isfinite(value)
-        if not bad.any():
-            return value
-        value, z = complex(value[bad][0]), complex(z[bad][0])
-    raise DomainError(f"{name}({z!r}) overflowed double precision")
+    w = z + pole_shift
+    if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
+        raise PoleError(int(w.real))
+    value = kernel(z)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name}({z!r}) overflowed double precision")
+    return value
 
 
 def _log(z):
@@ -95,25 +98,25 @@ def _log(z):
 def _push(z, bound: float, term):
     """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= bound.
 
-    z is checked first: a non-finite argument raises DomainError and a pole
-    PoleError, for an array at its first such element in C order.  A complex
-    is pushed one step at a time.  An array gathers only its elements still
-    below the bound at each step, so the work is the complex's, element by
-    element, in the same order; it is pushed in place in a C-ordered complex
-    copy, whose reshape(-1) are views, so z may have any shape and layout.
+    A non-finite element of z is set to nan first, which is not pushed and
+    makes the kernel's value nan: inf would leave a finite value (psi'(inf)
+    is 0) and -inf would never reach the bound.  A complex is pushed one step
+    at a time.  An array gathers only its elements still below the bound at
+    each step, so the work is the complex's, element by element, in the same
+    order; it is pushed in place in a C-ordered complex copy, whose
+    reshape(-1) are views, so z may have any shape and layout.
     """
     if not isinstance(z, np.ndarray):
-        z = _checked(z)
+        z = complex(z)
+        if not cmath.isfinite(z):
+            z = complex(math.nan, math.nan)
         shift = 0.0 + 0.0j
         while z.real < bound:
             shift += term(z)
             z += 1.0
         return z, shift
     z = np.array(z, dtype=complex, order="C")
-    bad = ~np.isfinite(z) | ((z.imag == 0.0) & (z.real <= 0.0)
-                             & (z.real == np.round(z.real)))
-    if bad.any():
-        _checked(z[bad][0])
+    np.copyto(z, math.nan, where=~np.isfinite(z))
     shift = np.zeros_like(z)
     flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
     index = np.flatnonzero(flat_z.real < bound)
@@ -136,7 +139,7 @@ def _ln_gamma(z):
         series = series + b2k / ((2 * k) * (2 * k - 1)) * power
         power = power * rz2
     value = (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series
-    return _finite(value - shift, z, "ln_gamma")
+    return value - shift
 
 
 def _digamma(z):
@@ -149,7 +152,7 @@ def _digamma(z):
         series = series + b2k / (2 * k) * power
         power = power * rz2
     value = _log(z) - 0.5 * rz - series
-    return _finite(value - shift, z, "digamma")
+    return value - shift
 
 
 def _trigamma(z):
@@ -162,7 +165,7 @@ def _trigamma(z):
         series = series + b2k * power
         power = power * rz2
     value = rz + 0.5 * rz2 + series
-    return _finite(value + shift, z, "trigamma")
+    return value + shift
 
 
 @functools.cache
@@ -187,7 +190,7 @@ def _polygamma(n: int, z):
         series = series + coefficient * power
         power = power * rz2
     value = series + math.factorial(n) * shift
-    return _finite(value if n % 2 else -value, z, "polygamma")
+    return value if n % 2 else -value
 
 
 def _g(z):
@@ -207,17 +210,17 @@ def ln_gamma(z) -> complex:
     arguments the branch is fixed by subtracting the logs of the recurrence
     factors individually rather than unwinding a product.
     """
-    return _ln_gamma(complex(z))
+    return _checked("ln_gamma", _ln_gamma, z)
 
 
 def digamma(z) -> complex:
     """psi(z) = d ln Gamma / dz for complex z away from the poles."""
-    return _digamma(complex(z))
+    return _checked("digamma", _digamma, z)
 
 
 def trigamma(z) -> complex:
     """psi'(z), the second log-Gamma derivative, for complex z."""
-    return _trigamma(complex(z))
+    return _checked("trigamma", _trigamma, z)
 
 
 def polygamma(n: int, z) -> complex:
@@ -235,14 +238,14 @@ def polygamma(n: int, z) -> complex:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise DomainError(f"order must be an integer >= 0, got {n!r}")
-    return _polygamma(n, complex(z))
+    return _checked("polygamma", functools.partial(_polygamma, n), z)
 
 
 def g_func(z) -> complex:
     """g(z) = ln Gamma(1 + z) - z psi(1 + z); g(0) = 0, g(1) = gamma_E - 1."""
-    return _g(complex(z))
+    return _checked("g_func", _g, z, pole_shift=1.0)
 
 
 def g_func_prime(z) -> complex:
     """d g / dz = -z psi'(1 + z)."""
-    return _g_prime(complex(z))
+    return _checked("g_func_prime", _g_prime, z, pole_shift=1.0)

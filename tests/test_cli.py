@@ -217,14 +217,17 @@ def test_curve_energy_reaches_far_below_the_sums(tmp_path):
     assert energies[0] == pytest.approx(energies[1], abs=1e-12)
 
 
-def test_closed_form_cancellation_exits_3(capsys):
-    # C and S at theta = 1e-300 used to come out as nan and 3.5e285
-    ret = main(["curve", "--model", "oscillator", "--tmin", "1e-300",
-                "--tmax", "1e-299", "--points", "2", "--quantities", "C,S"])
+@pytest.mark.parametrize("quantities, tmin, tmax", [
+    ("C,S", "1e-300", "1e-299"), ("S", "1e-307", "1e-306")], ids=["1e-300", "1e-307"])
+def test_closed_form_cancellation_exits_3(quantities, tmin, tmax, capsys):
+    # C and S at theta = 1e-300 used to come out as nan and 3.5e285; at
+    # 1e-307 ln Gamma(1 + lambda_+) overflows, a numerical failure too
+    ret = main(["curve", "--model", "oscillator", "--tmin", tmin,
+                "--tmax", tmax, "--points", "2", "--quantities", quantities])
     captured = capsys.readouterr()
     assert ret == 3
     assert "numerical failure:" in captured.err
-    assert "theta=1e-300" in captured.err
+    assert f"theta={tmin}" in captured.err
 
 
 @pytest.mark.parametrize("model, theta", [("oscillator", "1e+150"), ("free", "1e+150")])

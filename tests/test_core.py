@@ -47,5 +47,13 @@ def test_checked_real():
                        match="heat at theta=0.5, alpha=2.0 lost its digits") as info:
         checked_real(1e-3, 2e10, "heat", theta=0.5, alpha=2.0)
     assert info.value.achieved == pytest.approx(2e13 * 2.0 ** -52)
+    # a value or magnitude that is not finite has lost every digit: the
+    # roundoff reads inf, never nan
+    for total, magnitude in [(complex(math.nan, math.nan), math.nan), (0.5, math.nan),
+                             (math.nan, math.inf)]:
+        with pytest.raises(ConvergenceError,
+                           match="lost its digits.* roundoff inf ") as info:
+            checked_real(total, magnitude, "heat", theta=1e-300)
+        assert info.value.achieved == math.inf
     # a tiny value with a tiny roundoff passes through the absolute floor
     assert checked_real(1e-20, 1e-5, "heat", theta=1e-3) == 1e-20
