@@ -328,6 +328,81 @@ for th, al in [("1", "1e-3"), ("1", "1e-8"), ("1e-3", "1"), ("20", "1"), ("0.05"
     print("# f0 vs q2_psi residual:", mp.nstr(abs(f0 - q2_psi(th, al)), 5))
 
 
+# ------------------------- specific heat at coincident poles, to 1e-25
+def pole_heat(numerator, denominator, theta, c, gamma_reg=0):
+    # C = c (1 - sum_i r_i (p_i/s^2) psi'(1 - p_i/s)) - gamma_reg / (2 pi theta)
+    # for a monic denominator, every root taken as a simple pole with residue
+    # r_i = P(p_i) / prod_{j != i} (p_i - p_j): no grouping of close roots
+    with mp.workdps(60):
+        roots = mp.polyroots(denominator, maxsteps=500, extraprec=400)
+        s = 2 * mp.pi * theta
+        total = 0
+        for i, p in enumerate(roots):
+            others = mp.fprod(p - q for j, q in enumerate(roots) if j != i)
+            total += mp.polyval(numerator, p) / others * p / s**2 * mp.psi(1, 1 - p / s)
+        return mp.re(c * (1 - total) - gamma_reg / (2 * mp.pi * theta))
+
+
+def coincident_heat(system, route, theta):
+    # the test systems' float parameters, each scaled by 1 + 1e-30: that moves
+    # C by ~1e-30 relative and splits the exactly double roots of alpha = 2
+    # and r = 4 by ~4e-15, so that the simple-pole form holds with 30 digits
+    # to spare; the triple point's float parameters split its roots already
+    split = 1 + mp.mpf("1e-30")
+    partition = route == "partition"
+    if system == "osc-ohmic-critical":
+        # the regularized summand, with its pole at nu = 0; both routes agree
+        g = 2 * split
+        return pole_heat([2 - g * g, -g], [1, g, 1, 0], theta, 1, g)
+    if system == "free-drude-critical":
+        wd = 4 * split
+        quadratic = [1, wd, wd]
+        if partition:
+            return pole_heat([4 * wd, 2 * wd * wd], poly_mul(quadratic, [1, wd]),
+                             theta, mp.mpf(1) / 2)
+        return pole_heat([2 * wd], quadratic, theta, mp.mpf(1) / 2)
+    alpha = 8.0 / (3.0 * 3.0 ** 0.5)
+    g, wd = mp.mpf(alpha) * split, mp.mpf(alpha * (27.0 / 8.0)) * split
+    q = g * wd
+    cubic = [1, wd, 1 + q, wd]
+    if partition:
+        return pole_heat([2 + 2 * q, 4 * wd + q * wd, 2 * wd * wd],
+                         poly_mul(cubic, [1, wd]), theta, 1)
+    return pole_heat([2 + q, 2 * wd], cubic, theta, 1)
+
+
+# theta = logspace(-9, -3, 13), as floats
+COINCIDENT_THETAS = [mp.mpf(10.0 ** (-9 + k / 2)) for k in range(13)]
+for system in ("osc-ohmic-critical", "free-drude-critical", "osc-drude-triple"):
+    for route in ("energy", "partition"):
+        print(f'("{system}", "{route}"): [')
+        for th in COINCIDENT_THETAS:
+            print(f"    {mp.nstr(coincident_heat(system, route, th), 17)},")
+        print("],")
+# the pole form against the closed forms at alpha = 2 and r = 4 (psi'')
+print("# coincident pole form vs closed forms, worst relative residual:",
+      mp.nstr(max(max(abs(coincident_heat("osc-ohmic-critical", "energy", th)
+                          / c_damped(th, mp.mpf(2)) - 1),
+                      abs(coincident_heat("free-drude-critical", "energy", th)
+                          / c_free_drude(th, mp.mpf(4)) - 1))
+                  for th in COINCIDENT_THETAS), 5))
+
+
+def osc_drude_ground_energy(alpha, wd):
+    # E(theta -> 0) = (1/2 pi) int_0^inf R(nu) dnu, R the energy-route summand
+    def summand(nu):
+        gh = alpha * wd / (nu + wd)
+        return (2 + nu * gh) / (nu * nu + nu * gh + 1)
+
+    return mp.quad(summand, [0, 1, 10, mp.inf]) / (2 * mp.pi)
+
+
+# the triple point as the CLI gets it: --alpha 1.5396007178390021 --cutoff-ratio 3.375
+ALPHA_CLI = 1.5396007178390021
+show("E0_osc_drude_triple_cli",
+     osc_drude_ground_energy(mp.mpf(ALPHA_CLI), mp.mpf(3.375 * ALPHA_CLI)))
+
+
 # ------------------------------------------ misc reference constants
 show("euler_gamma", mp.euler)
 show("pi^2/6", mp.pi**2 / 6)

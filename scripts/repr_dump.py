@@ -51,7 +51,7 @@ SYSTEMS = {
     "osc-ohmic-critical": (1.0, DampingKernel.ohmic(2.0)),
     "osc-undamped": (1.0, DampingKernel.ohmic(0.0)),
     "osc-drude": (1.0, DampingKernel.drude(1.0, 10.0)),
-    "osc-drude-triple": (1.0, DampingKernel.drude(ALPHA_TRIPLE, 4.5 / math.sqrt(3.0))),
+    "osc-drude-triple": (1.0, DampingKernel.drude(ALPHA_TRIPLE, 3.0 * math.sqrt(3.0))),
     "free-ohmic": (0.0, DampingKernel.ohmic(1.0)),
     "free-drude-critical": (0.0, DampingKernel.drude(1.0, 4.0)),
     "free-drude-1": (0.0, DampingKernel.drude(1.0, 1.0)),

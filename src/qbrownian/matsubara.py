@@ -33,8 +33,9 @@ nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
     sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s).
 
 PoleSum evaluates E this way, and C = dE/dT through psi', at a cost that does
-not depend on the temperature; near-coincident poles are summed in confluent
-form with higher polygamma functions.  energy_sum adds the terms one by one
+not depend on the temperature; the share of a cluster of near-coincident
+poles is the contour integral of R times the psi factor around it, by the
+trapezoid rule on a circle.  energy_sum adds the terms one by one
 up to 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
 Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum.
 """
@@ -54,7 +55,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
                    Estimate, Tolerances, check_nonnegative, check_positive,
                    checked_real, elementwise, gridwise, where)
-from .specfun import _BERNOULLI, _polygamma
+from .specfun import _BERNOULLI, _digamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -63,7 +64,6 @@ _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
 # grouping of near-coincident poles in PoleSum (see _group_poles)
 _CLUSTER_REL = 0.1
 _CLUSTER_RATIO = 0.1
-_MAX_TAYLOR = 24
 
 
 class Prescription(enum.Enum):
@@ -283,12 +283,12 @@ def _conjugate_roots(coeffs) -> list[complex]:
 
 
 def _group_poles(poles: list[complex]) -> list[list[complex]]:
-    """Partition poles into clusters that are summed in confluent form.
+    """Partition poles into clusters that are summed as one (see _share).
 
     Two poles closer than _CLUSTER_REL times the smaller of their magnitudes
     share a cluster, and a cluster absorbs its nearest pole while its radius
-    exceeds _CLUSTER_RATIO times the distance to it, so that the Taylor
-    series about each center converges fast.
+    exceeds _CLUSTER_RATIO times the distance to it, so that a circle about
+    each center stays far from the cluster's poles and from all others.
     """
     groups = [[p] for p in poles]
 
@@ -316,87 +316,36 @@ def _group_poles(poles: list[complex]) -> list[list[complex]]:
     return groups
 
 
-def _series_product(a: list, b: list, order: int) -> list:
-    return [sum(a[i] * b[k - i] for i in range(k + 1)
-                if i < len(a) and k - i < len(b))
-            for k in range(order + 1)]
+def _energy_factor(nu, s):
+    # E's factor in the pole formula: -psi(1 - nu/s) / s
+    return _digamma(1.0 - nu / s) * (-1.0 / s)
 
 
-@dataclass(frozen=True)
-class _Cluster:
-    """m poles near center: their share of the sum as a divided difference.
+def _heat_factor(nu, s):
+    # C's factor in the pole formula: -(nu/s^2) psi'(1 - nu/s)
+    return -(nu * _trigamma(1.0 - nu / s)) / (s * s)
 
-    With h(nu) the summand times the product of (nu - p) over the cluster's
-    poles, the cluster contributes the divided difference (h f)[p_1..p_m] of
-    h times the psi function f of the pole formula.  Expanded about the
-    center, that is sum_k phi_k H_{k-m+1}(d), with phi the Taylor
-    coefficients of h f and H the complete homogeneous symmetric polynomials
-    of the offsets d = p - center.  A single pole (m = 1, one term) is its
-    residue times f.
+
+def _share(nodes, coefficients, s, factor):
+    """A pole group's share of sum_i r_i f(p_i), and the sum of |terms| added.
+
+    A single pole is a complex node, its residue the coefficient: the share is
+    r f(p).  A cluster about c carries the _CIRCLE nodes z_j of a circle about
+    c and the coefficients R(z_j) (z_j - c) / _CIRCLE: the share, the sum of
+    the terms R f (z - c) / _CIRCLE, is the trapezoid rule for the contour
+    integral of R f around the cluster.  f is _energy_factor or _heat_factor;
+    s is a float or an array of any shape, the nodes on a new leading axis.
     """
-
-    center: complex
-    weight: float               # 2 for a complex pole standing in for its conjugate
-    size: int
-    h: tuple[complex, ...]      # Taylor coefficients of h, orders 0..size-1+K
-    homog: tuple[complex, ...]  # H_0..H_K of the offsets
-
-    @classmethod
-    def build(cls, poles: list[complex], numerator, others: list[complex],
-              weight: float) -> "_Cluster":
-        m = len(poles)
-        c = sum(poles) / m if m > 1 else poles[0]
-        offsets = [p - c for p in poles]
-        rho = max(abs(d) for d in offsets)
-        # the psi factor is singular at nu = s > 0, at least |c| away
-        sigma = min([abs(c)] + [abs(c - q) for q in others])
-        order = 0
-        if rho > 0.0:
-            ratio = rho / sigma
-            order = min(_MAX_TAYLOR, math.ceil(math.log(EPS) / math.log(ratio)))
-        top = m - 1 + order
-        # Taylor coefficients of P about c by repeated synthetic division
-        p_coef, rest = [], list(numerator)
-        for _ in range(top + 1):
-            acc, quotient = 0.0 + 0.0j, []
-            for coef in rest:
-                acc = acc * c + coef
-                quotient.append(acc)
-            p_coef.append(quotient.pop() if quotient else 0.0j)
-            rest = quotient
-        h = p_coef
-        for q in others:
-            a = c - q       # 1 / (a + x) = sum_k (-x)^k / a^(k+1)
-            h = _series_product(h, [(-1.0) ** k / a ** (k + 1)
-                                    for k in range(top + 1)], top)
-        homog = [1.0 + 0.0j] + [0.0j] * order
-        for d in offsets:
-            homog = _series_product(homog, [d ** k for k in range(order + 1)], order)
-        return cls(center=c, weight=weight, size=m, h=tuple(h), homog=tuple(homog))
-
-    def value(self, s, heat: bool):
-        """The cluster's share of S (heat=False) or of C's sum (heat=True).
-
-        S uses f(nu) = -psi(1 - nu/s)/s, C uses f(nu) = -(nu/s^2) psi'(1 - nu/s).
-        s is a float or an array; the share is a complex or a complex array.
-        """
-        top = len(self.h) - 1
-        u = 1.0 - self.center / s
-        step = -1.0 / s
-        # Taylor coefficients in x = nu - center of psi^(j)(1 - nu/s), j = 0|1
-        base = 1 if heat else 0
-        psi = [_polygamma(base + k, u) * step ** k / math.factorial(k)
-               for k in range(top + 1)]
-        if heat:
-            f = [-(self.center * psi[k] + (psi[k - 1] if k else 0.0)) / (s * s)
-                 for k in range(top + 1)]
-        else:
-            f = [x * step for x in psi]
-        total = 0.0 + 0.0j
-        for k in range(self.size - 1, top + 1):
-            phi = sum(self.h[k - j] * f[j] for j in range(k + 1))
-            total += phi * self.homog[k - self.size + 1]
-        return total
+    if not isinstance(nodes, np.ndarray):
+        part = coefficients * factor(nodes, s)
+        return part, abs(part)
+    shape = (_CIRCLE,) + (1,) * np.ndim(s)
+    with np.errstate(all="ignore"):
+        terms = coefficients.reshape(shape) * factor(nodes.reshape(shape), s)
+        share, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    if isinstance(s, np.ndarray):
+        return share, size
+    return complex(share), float(size)
 
 
 class PoleSum:
@@ -417,8 +366,11 @@ class PoleSum:
     Poles and residues are computed once per (omega0, kernel, route); each
     theta then costs a few psi evaluations, independent of theta.  Near
     coincident poles (critical damping, the free particle's r = 4, the Drude
-    oscillator's triple root) are summed in confluent form, so E and C stay
-    continuous through every degeneracy.  theta is k_B T in the units of
+    oscillator's triple root) are summed together, as the integral of R
+    times the psi factor around a circle enclosing them, by the trapezoid
+    rule on _CIRCLE points, so E and C stay continuous through every
+    degeneracy and C's check sees the cancellation among the circle's terms
+    as it sees it among simple poles.  theta is k_B T in the units of
     omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
     it as a float or as an ndarray of temperatures, evaluated in one pass.
     """
@@ -437,29 +389,46 @@ class PoleSum:
         self._w_ref = omega0 if omega0 > 0.0 else kernel.gamma
         self._dof = 1.0 if omega0 > 0.0 else 0.5
         poles = _conjugate_roots(core) + [complex(p) for p in fixed]
-        self._clusters = []
+        # (nodes, coefficients) per group, weighted 2 for a complex center
+        # that stands in for its conjugate: see _share
+        self._groups = []
         for group in _group_poles(poles):
             c = sum(group) / len(group)
             if c.imag < 0.0:
                 continue    # summed through its conjugate partner
+            weight = 2.0 if c.imag > 0.0 else 1.0
             others = [p for p in poles if p not in group]
-            self._clusters.append(_Cluster.build(
-                group, numerator, others, 2.0 if c.imag > 0.0 else 1.0))
+            if len(group) == 1:
+                p = group[0]
+                residue = 0.0j
+                for coef in numerator:
+                    residue = residue * p + coef
+                for q in others:
+                    residue = residue * (1.0 / (p - q))
+                self._groups.append((p, weight * residue))
+                continue
+            rho = max(abs(p - c) for p in group)
+            # psi's poles at nu = s, 2s, ... are at least |c| away, as Re c <= 0;
+            # the rule's error is about (rho/radius)^_CIRCLE + (radius/sigma)^_CIRCLE
+            sigma = min([abs(c)] + [abs(c - q) for q in others])
+            z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * _tail_tables()[0]
+            ratio = np.polyval(numerator, z) / np.prod([z - p for p in poles], axis=0)
+            self._groups.append((z, (weight / _CIRCLE) * ratio * (z - c)))
 
-    def _sum(self, theta, heat: bool):
+    def _sum(self, theta, factor):
         s = TWO_PI * theta
         # zeros shaped like theta, so a kernel without poles still gives arrays
         total = magnitude = 0.0 * s
-        for cluster in self._clusters:
-            part = cluster.weight * cluster.value(s, heat)
-            total = total + part.real
-            magnitude = magnitude + abs(part)
+        for nodes, coefficients in self._groups:
+            share, size = _share(nodes, coefficients, s, factor)
+            total = total + share.real
+            magnitude = magnitude + size
         return total, magnitude
 
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
-        total, _ = self._sum(theta, heat=False)
+        total, _ = self._sum(theta, _energy_factor)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
@@ -476,7 +445,7 @@ class PoleSum:
         # magnitude refuses them, summed at theta = 1 to keep the terms finite
         s = TWO_PI * theta
         lost = s * s < sys.float_info.min
-        total, magnitude = self._sum(where(lost, 1.0, theta), heat=True)
+        total, magnitude = self._sum(where(lost, 1.0, theta), _heat_factor)
         value = self._dof * (1.0 + total)
         magnitude = self._dof * (1.0 + magnitude) + where(lost, math.inf, 0.0)
         if self.regularized:

@@ -92,8 +92,9 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     the reduction is a checked property, not a special case.
     """
     lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
-    t_plus = lam_plus ** 2 * _trigamma(1.0 + lam_plus)
-    t_minus = lam_minus ** 2 * _trigamma(1.0 + lam_minus)
+    # not lam ** 2: a Python complex ** raises OverflowError where * gives inf
+    t_plus = lam_plus * lam_plus * _trigamma(1.0 + lam_plus)
+    t_minus = lam_minus * lam_minus * _trigamma(1.0 + lam_minus)
     total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)

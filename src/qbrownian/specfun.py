@@ -9,7 +9,7 @@ relative accuracy in double precision.  g_func is the combination
 
 that the damped-oscillator entropy is built from; its derivative is
 g'(z) = -z psi'(1 + z).  polygamma extends digamma and trigamma to every
-order, for the confluent pole sums of matsubara.PoleSum.
+order; the Drude free particle's critical-cutoff form takes psi'' from it.
 
 Each function has one private kernel (_ln_gamma, _digamma, ...) that takes
 either a Python complex or a complex ndarray.  All of them push their
@@ -25,8 +25,8 @@ whose value overflows gives inf or nan (or, for a complex, Python's
 OverflowError or ZeroDivisionError), which the closed forms and PoleSum
 refuse through core.checked_real and core.gridwise, naming the temperature.
 The public functions are scalar-only wrappers that keep the checks, in one
-helper, _checked: a non-finite argument or value raises DomainError and a
-pole of Gamma PoleError.
+helper, _checked: a non-finite argument or value, or Python's overflow of
+a complex value, raises DomainError and a pole of Gamma PoleError.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
 complex arithmetic and in numpy's alike, so all six functions map conjugate
@@ -75,8 +75,9 @@ class PoleError(ValueError):
 def _checked(name: str, kernel, z, pole_shift: float = 0.0) -> complex:
     """kernel(z), checked for the public function called name.
 
-    A non-finite z or value raises DomainError, naming z, and a pole of Gamma
-    at z + pole_shift raises PoleError.
+    A non-finite z or value raises DomainError, naming z, as does a value
+    whose complex arithmetic raised OverflowError or ZeroDivisionError; a
+    pole of Gamma at z + pole_shift raises PoleError.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -84,7 +85,10 @@ def _checked(name: str, kernel, z, pole_shift: float = 0.0) -> complex:
     w = z + pole_shift
     if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
         raise PoleError(int(w.real))
-    value = kernel(z)
+    try:
+        value = kernel(z)
+    except (OverflowError, ZeroDivisionError):
+        value = complex(math.inf)
     if not cmath.isfinite(value):
         raise DomainError(f"{name}({z!r}) overflowed double precision")
     return value

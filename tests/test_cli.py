@@ -243,16 +243,46 @@ def test_expansion_overflow_exits_3(model, theta, capsys):
     assert captured.out == ""
 
 
+# the Drude oscillator's triple point, alpha = 8/(3 sqrt 3) and ratio 27/8
+TRIPLE_POINT = ["curve", "--model", "oscillator", "--kernel", "drude",
+                "--alpha", "1.5396007178390021", "--cutoff-ratio", "3.375"]
+# its ground-state energy (1/2 pi) int_0^inf R(nu) dnu, R the energy-route
+# summand, by mpmath quadrature (scripts/freeze_oracles.py)
+TRIPLE_POINT_E0 = 0.7351051938957227446185738
+
+
 def test_overflowing_pole_energy_exits_3(capsys):
-    # at the Drude oscillator's triple point the pole-form energy is nan on
-    # this grid; it used to be written as nan rows with exit 0
-    ret = main(["curve", "--model", "oscillator", "--kernel", "drude",
-                "--alpha", "1.5396007178390021", "--cutoff-ratio", "3.375",
-                "--quantities", "E", "--tmin", "1e-160", "--tmax", "1e-150",
-                "--points", "3"])
+    # at theta = 1e-307 the pole form's 1/s overflows; such rows used to be
+    # written as nan with exit 0
+    ret = main(TRIPLE_POINT + ["--quantities", "E", "--tmin", "1e-307",
+                               "--tmax", "1e-300", "--points", "3"])
     captured = capsys.readouterr()
     assert ret == 3
-    assert "numerical failure: at theta=1e-160:" in captured.err
+    assert "numerical failure: at theta=1e-307:" in captured.err
+    assert captured.out == ""
+
+
+def test_triple_point_energy_reaches_the_ground_state(tmp_path):
+    # the coincident poles' energy far below every pole (it was nan here)
+    out = tmp_path / "triple.csv"
+    assert main(TRIPLE_POINT + ["--quantities", "E", "--tmin", "1e-160",
+                                "--tmax", "1e-150", "--points", "3",
+                                "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert float(rows[0][0]) == 1e-160
+    for row in rows:
+        assert float(row[1]) == pytest.approx(TRIPLE_POINT_E0, rel=1e-12)
+
+
+def test_triple_point_heat_cancellation_exits_3(capsys):
+    # C ~ 1.6e-9 at theta = 1e-9 is lost to cancellation among the coincident
+    # poles' terms; it used to be written as 8.2e-8 with exit 0
+    ret = main(TRIPLE_POINT + ["--tmin", "1e-9", "--tmax", "1e-3", "--log",
+                               "--points", "7"])
+    captured = capsys.readouterr()
+    assert ret == 3
+    assert "numerical failure:" in captured.err
+    assert "theta=1e-09" in captured.err
     assert captured.out == ""
 
 

@@ -233,6 +233,17 @@ def test_grid_overflows_as_the_float_call_does(grid):
             assert got.split(" lost")[0] == want.split(" lost")[0], name
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 5.0, 1e3])
+def test_damped_heat_fails_alike_as_float_and_grid(alpha):
+    # lambda_+^2 overflows at theta = 1e-307: the float call squares it as the
+    # grid does, so both reach checked_real and say the same
+    with pytest.raises(ConvergenceError) as as_float:
+        damped_specific_heat(1e-307, alpha)
+    with pytest.raises(ConvergenceError) as on_grid:
+        damped_specific_heat(np.array([1.0, 1e-307]), alpha)
+    assert str(as_float.value) == str(on_grid.value)
+
+
 def test_float_in_gives_python_float_out():
     point = undamped_thermo(0.5)
     assert all(type(getattr(point, q)) is float for q in ("Z", "E", "S", "C"))

@@ -44,6 +44,101 @@ SYSTEMS = {
 }
 
 
+# C at theta = logspace(-9, -3, 13) on each route, at 60 digits from mpmath's
+# roots and psi', every root its own simple pole (scripts/freeze_oracles.py)
+COINCIDENT_HEAT = {
+    ("osc-ohmic-critical", "energy"): [
+        2.0943951023931956e-9,
+        6.6230588438640674e-9,
+        2.0943951023931939e-8,
+        6.6230588438640149e-8,
+        2.09439510239303e-7,
+        6.6230588438588378e-7,
+        2.0943951023766587e-6,
+        6.6230588433411314e-6,
+        2.0943951007395276e-5,
+        6.6230587915704928e-5,
+        0.00020943949370264333,
+        0.00066230536145211566,
+        0.0020943785661785893,
+    ],
+    ("osc-ohmic-critical", "partition"): [
+        2.0943951023931956e-9,
+        6.6230588438640674e-9,
+        2.0943951023931939e-8,
+        6.6230588438640149e-8,
+        2.09439510239303e-7,
+        6.6230588438588378e-7,
+        2.0943951023766587e-6,
+        6.6230588433411314e-6,
+        2.0943951007395276e-5,
+        6.6230587915704928e-5,
+        0.00020943949370264333,
+        0.00066230536145211566,
+        0.0020943785661785893,
+    ],
+    ("free-drude-critical", "energy"): [
+        1.0471975511965978e-9,
+        3.3115294219320338e-9,
+        1.0471975511965974e-8,
+        3.3115294219320205e-8,
+        1.0471975511965564e-7,
+        3.3115294219307263e-7,
+        1.0471975511924635e-6,
+        3.3115294218012997e-6,
+        1.0471975507831808e-5,
+        3.3115294088586399e-5,
+        0.00010471975098548999,
+        0.0003311528114594002,
+        0.00104719341707009,
+    ],
+    ("free-drude-critical", "partition"): [
+        7.8539816339744836e-10,
+        2.4836470664490254e-9,
+        7.8539816339744813e-9,
+        2.4836470664490191e-8,
+        7.853981633974289e-8,
+        2.4836470664484124e-7,
+        7.8539816339551038e-7,
+        2.4836470663877437e-6,
+        7.8539816320365914e-6,
+        2.483647060320872e-5,
+        7.8539814401852686e-5,
+        0.00024836464536341285,
+        0.00078539622551950028,
+    ],
+    ("osc-drude-triple", "energy"): [
+        1.6122661015415271e-9,
+        5.0984330751515351e-9,
+        1.6122661015415271e-8,
+        5.0984330751515346e-8,
+        1.612266101541527e-7,
+        5.0984330751515346e-7,
+        1.612266101541527e-6,
+        5.0984330751515346e-6,
+        1.6122661015415272e-5,
+        5.0984330751515348e-5,
+        0.00016122661015415152,
+        0.00050984330751477511,
+        0.0016122661014218763,
+    ],
+    ("osc-drude-triple", "partition"): [
+        1.6122661015415271e-9,
+        5.098433075151535e-9,
+        1.6122661015415266e-8,
+        5.0984330751515197e-8,
+        1.6122661015414798e-7,
+        5.0984330751500436e-7,
+        1.6122661015368122e-6,
+        5.0984330750024397e-6,
+        1.6122661010700478e-5,
+        5.0984330602420486e-5,
+        0.0001612266054393595,
+        0.00050984315842042847,
+        0.0016122613867926733,
+    ],
+}
+
 @pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_energy_matches_energy_sum(system, route):
@@ -105,6 +200,24 @@ def test_critical_cutoff_heat_is_the_confluent_limit():
     for theta in (1e-3, 0.01):
         assert poles.heat(theta) / theta == pytest.approx(math.pi / 3.0, rel=0.01)
 
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", ["osc-ohmic-critical", "free-drude-critical",
+                                    "osc-drude-triple"])
+def test_coincident_pole_heat_is_right_or_refused(system, route):
+    # the terms of a pole cluster cancel like those of simple poles: C is
+    # within 1e-6 of the oracle, or the cancellation is reported
+    omega0, kernel = SYSTEMS[system]
+    poles = PoleSum(omega0, kernel, route)
+    for theta, want in zip(np.logspace(-9.0, -3.0, 13),
+                           COINCIDENT_HEAT[system, route.value]):
+        try:
+            got = poles.heat(float(theta))
+        except ConvergenceError:
+            assert theta < 1e-4
+            continue
+        assert got > 0.0, theta
+        assert abs(got - want) <= 1e-6 * want, theta
 
 @pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
 @pytest.mark.parametrize("system", ["osc-drude", "osc-drude-slow", "osc-drude-fast",

@@ -3,7 +3,7 @@
 Critical damping alpha = 2 (double root of the ohmic oscillator), the free
 particle's critical cutoff r = 4 (double root) and the Drude oscillator's
 triple root at alpha = 8/(3 sqrt 3), r = 27/8 all switch PoleSum between its
-simple-pole and confluent evaluations.  Energy and specific heat must be
+simple-pole and pole-cluster evaluations.  Energy and specific heat must be
 continuous through them: a step of 1e-10 in the parameter may move them by
 no more than 1e-9, wherever the sweep lands.
 """

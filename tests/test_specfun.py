@@ -140,6 +140,16 @@ def test_non_finite_arguments_rejected(bad):
             fn(bad)
 
 
+@pytest.mark.parametrize("name, fn", [
+    ("trigamma", trigamma), ("polygamma", lambda z: polygamma(1, z)),
+    ("polygamma", lambda z: polygamma(2, z))], ids=["trigamma", "order1", "order2"])
+def test_overflowing_values_raise_domain_error(name, fn):
+    # at z = 1e-300 the push divides by z z, which underflows to zero, and
+    # (1/z)**3 overflows: Python's complex raises where numpy gives inf
+    message = rf"^{name}\(\(1e-300\+0j\)\) overflowed double precision$"
+    with pytest.raises(DomainError, match=message):
+        fn(1e-300)
+
 def test_against_live_mpmath_grid():
     mp.mp.dps = 30
     rng = np.random.default_rng(20260817)
