@@ -5,14 +5,19 @@ a change that keeps every value and every error keeps every line.  The calls
 cover the public special functions on complex numbers and their private
 kernels on arrays, every closed form and expansion as a float call and on a
 grid, PoleSum.energy/.heat for eight systems under both prescriptions, with
-theta out to 1e-320 and 1e300, the term-by-term frequency sums as
-(value, err, terms_used), and the spectral moments and energy of the
-quadrature route.  Arrays print through tolist(), so each element shows its
-full repr; an error prints as its class and message.
+theta out to 1e-320 and 1e300, the term-by-term frequency sums and their
+finite-difference specific heat as (value, err, terms_used), the points of
+`compare` through cli.main (which sums on whole grids), and the spectral
+moments and energy of the quadrature route.  Arrays print through tolist(),
+so each element shows its full repr; an error prints as its class and
+message, and a failing command as its exit code and message.
 
     PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -24,7 +29,9 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
                        g_func_prime, lambda_pm, ln_gamma, ohmic_lowT_expansion,
                        moments, ohmic_specific_heat, oscillator_expansion,
                        polygamma, position_variance_sum, prescription_gap,
-                       spectral_energy, trigamma, undamped_thermo)
+                       specific_heat_fd, spectral_energy, trigamma,
+                       undamped_thermo)
+from qbrownian.cli import main as cli_main
 from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
                                _trigamma)
 
@@ -40,6 +47,24 @@ BAD_THETAS = [0.0, -1.0, math.inf, math.nan]
 GRID = np.logspace(-4.0, 4.0, 41)
 
 SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
+
+# the two golden inputs of compare, the two of the benchmark's sum_datasets
+# at seed 0, and a grid whose sums refuse at their term cap
+COMPARE_ARGS = {
+    "golden-free-ohmic": ["--model", "free", "--tmin", "0.5", "--tmax", "2",
+                          "--points", "5"],
+    "golden-osc-drude": ["--model", "oscillator", "--kernel", "drude",
+                         "--cutoff-ratio", "10", "--log", "--tmin", "0.2",
+                         "--tmax", "5", "--points", "5"],
+    "sum-datasets-osc-drude": ["--model", "oscillator", "--kernel", "drude",
+                               "--alpha", "1.0", "--cutoff-ratio", "10.0", "--log",
+                               "--tmin", "0.1", "--tmax", "10.0", "--points", "20"],
+    "sum-datasets-free-drude": ["--model", "free", "--kernel", "drude",
+                                "--cutoff-ratio", "10.0", "--log", "--tmin", "0.1",
+                                "--tmax", "10.0", "--points", "20"],
+    "refusing": ["--model", "oscillator", "--kernel", "drude", "--points", "2",
+                 "--tmin", "1e-8", "--tmax", "1e-7"],
+}
 
 SPECTRAL_THETAS = [1e-295, 1e-3, 0.05, 0.37, 1.0, 7.3, 15.8, 20.0, 21.0, 1e3, 1e300]
 SPECTRAL_ALPHAS = [1e-10, 1e-3, 1.0, 2.0, 5.0, 1e136]
@@ -149,11 +174,27 @@ def frequency_sums() -> None:
             for route in Prescription:
                 emit(f"energy_sum {name} {route.value} ({theta!r})",
                      lambda: estimate(energy_sum(omega0, kernel, beta, route)))
+                emit(f"specific_heat_fd energy_sum {name} {route.value} ({theta!r})",
+                     lambda: estimate(specific_heat_fd(
+                         lambda t: energy_sum(omega0, kernel, 1.0 / t, route).value,
+                         theta)))
             emit(f"prescription_gap {name} ({theta!r})",
                  lambda: estimate(prescription_gap(omega0, kernel, beta)))
         for alpha in SPECTRAL_ALPHAS:
             emit(f"position_variance_sum ({theta!r}, {alpha!r})",
                  lambda: estimate(position_variance_sum(theta, alpha)))
+
+
+def compare_points() -> None:
+    for name, args in COMPARE_ARGS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["compare", *args])
+        if code != 0:
+            print(f"compare {name} exit {code}", err.getvalue().strip())
+            continue
+        for point in json.loads(out.getvalue())["points"]:
+            print(f"compare {name} ({point['theta']!r})", show(point))
 
 
 def spectral() -> None:
@@ -172,6 +213,7 @@ def main() -> None:
     functions_of_theta(closed_forms())
     functions_of_theta(pole_sums())
     frequency_sums()
+    compare_points()
     spectral()
 
 

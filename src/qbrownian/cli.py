@@ -9,9 +9,8 @@ Subcommands:
 curve takes energies, and specific heats without a closed form, from the
 frequency sums in pole form (matsubara.PoleSum); compare evaluates the same
 sums term by term, with an exact tail, and differentiates them numerically,
-so it is the sum-based cross-check of curve.  curve, fig1 and expansions
-evaluate each column once over the whole temperature grid, as an array;
-compare works point by point.
+so it is the sum-based cross-check of curve.  Every command evaluates each
+column once over the whole temperature grid, as an array.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
@@ -36,8 +35,8 @@ from .core import (ConvergenceError, DomainError, Tolerances, check_nonnegative,
                    check_positive)
 from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
-from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
-                        prescription_gap, specific_heat_fd)
+from .matsubara import (DampingKernel, PoleSum, Prescription, _energy_sum,
+                        _prescription_gap, specific_heat_fd)
 from .oscillator import (damped_entropy, damped_specific_heat,
                          damped_specific_heat_via_entropy,
                          oscillator_expansion, undamped_thermo)
@@ -48,7 +47,7 @@ _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
 
 # (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio),
-# theta a float or an array.  A combination missing here has no closed form:
+# theta an array.  A combination missing here has no closed form:
 # curve takes C from the pole form of its frequency sum instead and compare
 # reports C_closed as null.  The free particle's closed forms are those of the
 # energy route, its only curve route.
@@ -146,10 +145,7 @@ class CurveSpec:
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
     def closed_heat(self, route: str = "energy") -> Callable | None:
-        """theta -> closed-form C on this route, or None where there is none.
-
-        theta may be a float or an array of temperatures.
-        """
+        """theta -> closed-form C on this route, or None where there is none."""
         closed = _CLOSED_HEAT.get((self.model, self.kernel, route))
         if closed is None:
             return None
@@ -170,19 +166,6 @@ class CurveSpec:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _on_grid(spec: CurveSpec, evaluate: Callable[[float], object]) -> list:
-    """[(theta, evaluate(theta))] over the grid; failures name their theta."""
-    out = []
-    for theta in spec.grid():
-        theta = float(theta)
-        try:
-            out.append((theta, evaluate(theta)))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"at theta={theta:g}: {exc}", achieved=exc.achieved,
-                                   requested=exc.requested) from exc
-    return out
 
 
 def _table(spec: CurveSpec, header: str, comment: str,
@@ -253,28 +236,27 @@ def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
 
 
 def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
-    """Both prescriptions, their gap, and FD cross-checks per point, as JSON."""
+    """Both prescriptions, their gap, and FD cross-checks, column by column, as JSON."""
     tols = Tolerances(rel_sum_tail=spec.tol)
     kernel = spec.make_kernel()
     closed = spec.closed_heat()
 
-    def energy(theta: float, route: Prescription) -> float:
-        return energy_sum(spec.omega0, kernel, 1.0 / theta, route, tol=tols).value
+    def energy(route: Prescription) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda t: _energy_sum(spec.omega0, kernel, 1.0 / t, route, tols).value
 
-    def point(theta: float) -> dict:
-        return {
-            "theta": theta,
-            "E_direct": energy(theta, Prescription.ENERGY),
-            "E_partition": energy(theta, Prescription.PARTITION),
-            "gap": prescription_gap(spec.omega0, kernel, 1.0 / theta, tol=tols).value,
-            "C_closed": None if closed is None else closed(theta),
-            "C_fd_direct": specific_heat_fd(
-                lambda t: energy(t, Prescription.ENERGY), theta).value,
-            "C_fd_partition": specific_heat_fd(
-                lambda t: energy(t, Prescription.PARTITION), theta).value,
-            "status": "regularized" if kernel.regularized else "ok",
-        }
-
+    direct, partition = energy(Prescription.ENERGY), energy(Prescription.PARTITION)
+    grid = spec.grid()
+    columns = {
+        "theta": grid,
+        "E_direct": direct(grid),
+        "E_partition": partition(grid),
+        "gap": _prescription_gap(spec.omega0, kernel, 1.0 / grid, tols).value,
+        "C_closed": np.full(grid.shape, None) if closed is None else closed(grid),
+        "C_fd_direct": specific_heat_fd(direct, grid).value,
+        "C_fd_partition": specific_heat_fd(partition, grid).value,
+    }
+    status = "regularized" if kernel.regularized else "ok"
+    rows = zip(*(values.tolist() for values in columns.values()))
     report = {
         "model": spec.model,
         "kernel": spec.kernel,
@@ -282,7 +264,7 @@ def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
         "cutoff_ratio": None if spec.kernel == "ohmic" else spec.cutoff_ratio,
         "tol": spec.tol,
         "version": __version__,
-        "points": [row for _, row in _on_grid(spec, point)],
+        "points": [dict(zip(columns, row), status=status) for row in rows],
     }
     return {"": [json.dumps(report, indent=2, allow_nan=False)]}
 

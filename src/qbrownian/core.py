@@ -77,6 +77,7 @@ class Estimate:
     truncation-plus-roundoff estimate of a finite difference.  terms_used
     counts the summed terms (0 where nothing was summed); regularized marks a
     value that is defined only up to a temperature-independent constant.
+    value and err are arrays of one shape for a grid of temperatures.
     """
 
     value: float

@@ -37,7 +37,8 @@ not depend on the temperature; the share of a cluster of near-coincident
 poles is the contour integral of R times the psi factor around it, by the
 trapezoid rule on a circle.  energy_sum adds the terms one by one
 up to 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
-Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum.
+Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum;
+its kernel _energy_sum, like _prescription_gap, also sums a grid of beta.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .specfun import _BERNOULLI, _digamma, _trigamma
 EULER_GAMMA = 0.5772156649015328606065121
 
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
+_MAX_TERMS = 10 ** 8      # default cap on the head of a term-by-term sum
 
 # grouping of near-coincident poles in PoleSum (see _group_poles)
 _CLUSTER_REL = 0.1
@@ -141,69 +143,79 @@ def _tail_tables():
         for m, b2m in enumerate(_BERNOULLI, start=1)])
 
 
-def _summed(summand: Callable, bound: float, rel_tol: float,
-            max_terms: int) -> tuple[float, int, float]:
-    """(sum over n >= 1 of summand(n), the terms summed, an error bound).
-
-    summand is rational in n, real on the real axis and O(n^-2), takes complex
-    n, and has its poles in |n| <= bound.  The terms up to N = 4 bound (64 at
-    least) are added; beyond the poles summand(n) = sum_{k>=2} d_k n^-k, so
-    the rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on
-    |n| = N (aliased at (bound/N)^_CIRCLE) and zeta by Euler-Maclaurin.  A
-    head beyond max_terms raises ConvergenceError before a term is added.
-    """
-    reach = max(64.0, 4.0 * bound)
-    if not reach <= max_terms:
-        raise ConvergenceError(f"frequency sum needs {reach:.3g} > {max_terms} terms",
-                               achieved=math.inf, requested=rel_tol)
-    head = math.ceil(reach)
-    partials, magnitude = [], 0.0
-    for start in range(0, head, _CHUNK):
-        terms = summand(np.arange(start + 1, min(start + _CHUNK, head) + 1,
-                                  dtype=float))
-        partials.append(float(terms.sum()))
-        magnitude += float(np.abs(terms).sum())
-    roots, dft, powers, euler_maclaurin = _tail_tables()
-    d = (dft @ summand(head * roots)).real         # d_k N^-k, k = 0.._CIRCLE-1
+@functools.lru_cache(maxsize=256)
+def _tail_weights(head: int):
+    # N^k zeta(k, N+1), k = 2.._CIRCLE-1, at N = head and their sum, read-only
+    _, _, powers, euler_maclaurin = _tail_tables()
     a = head + 1.0
     # N^k zeta(k, a) = (N/a)^k [a/(k-1) + 1/2 + sum_m B_2m/(2m)! (k)_(2m-1) a^(1-2m)]
     series = (1.0 / a) * (1.0 / (a * a)) ** np.arange(len(_BERNOULLI))
     weights = (head / a) ** powers * (a / (powers - 1) + 0.5 + series @ euler_maclaurin)
-    tail = d[2:] * weights
+    weights.flags.writeable = False
+    return weights, weights.sum()
+
+
+def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
+            max_terms: int, floor: float = 1.0):
+    """(sum over n >= 1 of summand(s n), the terms summed, an error bound).
+
+    s = 2 pi theta; theta is a float or an ndarray, whose type and shape the
+    sum and the bound take.  summand is rational in nu, real on the real axis
+    and O(nu^-2), takes complex nu, and has its poles in |nu| <= bound.  The
+    terms up to N = 4 bound / s (64 at least) at the coldest theta are added
+    at every theta, in chunks of at most _CHUNK elements; beyond the poles
+    summand(s n) = sum_{k>=2} d_k n^-k, so the rest is sum_k d_k zeta(k, N+1)
+    (DLMF 25.11), d_k from a DFT on |n| = N (aliased at (bound/(s N))^_CIRCLE)
+    and zeta by Euler-Maclaurin.  ConvergenceError names the first failing
+    theta in C order: where N exceeds max_terms, before a term is added, and
+    where the bound misses rel_tol times max(|sum|, floor).
+    """
+    grid = isinstance(theta, np.ndarray)
+    # a float sums along one axis, as fast as a scalar-only body would
+    rows, thetas, scales = ((s.reshape(-1, 1), theta.ravel().tolist(), s.ravel().tolist())
+                            if grid else (s, [theta], [s]))
+    reach = [max(64.0, 4.0 * (bound / x)) for x in scales]
+    for at, needed in zip(thetas, reach):
+        if not needed <= max_terms:
+            raise ConvergenceError(f"at theta={at!r}: frequency sum needs {needed:.3g} "
+                                   f"> {max_terms} terms", achieved=math.inf,
+                                   requested=rel_tol)
+    head = math.ceil(max(reach))
+    width = max(1, _CHUNK // len(thetas))
+    partials, magnitude = [], 0.0
+    for start in range(0, head, width):
+        terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
+                                         dtype=float))
+        partials.append(terms.sum(axis=-1, keepdims=True))
+        magnitude = magnitude + np.abs(terms).sum(axis=-1)
+    roots, dft = _tail_tables()[:2]
+    # d_k N^-k, k = 0.._CIRCLE-1, by the float call's matrix-vector product per row
+    d = (dft @ summand(rows * (head * roots))[..., None])[..., 0].real
+    weights, weight_sum = _tail_weights(head)
+    tail = d[..., 2:] * weights
     # d_0 and d_1 vanish in exact arithmetic: what the DFT makes of them is
     # its roundoff in every coefficient, which the weights carry into the tail
-    err = float(np.abs(tail[-4:]).max() + (abs(d[0]) + abs(d[1])) * weights.sum()
-                + magnitude * EPS)
-    return math.fsum(partials + tail.tolist()), head, err
+    err = (np.abs(tail[..., -4:]).max(axis=-1)
+           + (abs(d[..., 0]) + abs(d[..., 1])) * weight_sum + magnitude * EPS)
+    table = np.concatenate(partials + [tail], axis=-1).reshape(len(thetas), -1)
+    totals = []
+    for at, terms, bar in zip(thetas, table.tolist(), err.reshape(-1).tolist()):
+        totals.append(math.fsum(terms))
+        scale = max(abs(totals[-1]), floor)
+        if not bar <= rel_tol * scale:
+            raise ConvergenceError(
+                f"at theta={at!r}: frequency sum error bar {bar:.3g} misses the "
+                f"relative tail target {rel_tol:g}",
+                achieved=bar / scale if scale else math.inf, requested=rel_tol)
+    if grid:
+        return np.reshape(totals, theta.shape), head, err.reshape(theta.shape)
+    return totals[0], head, float(err)
 
 
-def _within(err: float, scale: float, rel_tol: float) -> None:
-    """Raise ConvergenceError unless err <= rel_tol * scale."""
-    if not err <= rel_tol * scale:
-        raise ConvergenceError(
-            f"frequency sum error bar {err:.3g} misses the relative tail target "
-            f"{rel_tol:g}", achieved=err / scale if scale else math.inf,
-            requested=rel_tol)
-
-
-def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
-               route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
-               max_terms: int = 10 ** 8) -> Estimate:
-    """Internal energy from the frequency sum, under either prescription.
-
-    omega0 = 0 selects the free particle.  For a regularized kernel (strictly
-    ohmic, gamma > 0) the absolute energy diverges, so the cutoff-regularized
-    value described in the module docstring is returned and flagged.  err
-    bounds the exact tail's truncation and the sum's roundoff; terms_used
-    counts the head's terms.
-    """
-    check_nonnegative("omega0", omega0)
-    check_positive("beta", beta)
-    if not isinstance(route, Prescription):
-        raise DomainError(f"route must be a Prescription, got {route!r}")
-
+def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
+                tol: Tolerances = DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> Estimate:
+    # energy_sum without its checks, on a float or an ndarray beta
     g = kernel.gamma
-    nu_scale = TWO_PI / beta
     w2 = omega0 * omega0
     pref, dof = (1.0 / beta, 1.0) if omega0 > 0.0 else (0.5 / beta, 2.0)
 
@@ -211,27 +223,42 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     if kernel.regularized:
         # gamma/nu already subtracted in closed form, so no cancellation;
         # gh' = 0 makes both prescriptions identical here
-        def summand(n):
-            nu = nu_scale * n
+        def summand(nu):
             return dof * ((2.0 * w2 - g * g) * nu - g * w2) / (
                 nu * (nu * nu + g * nu + w2))
     else:
-        def summand(n):
-            nu = nu_scale * n
+        def summand(nu):
             gh, ghp = kernel.laplace(nu)
             num = 2.0 * w2 + nu * gh
             if route is Prescription.PARTITION:
                 num = num - nu * nu * ghp
             return dof * num / (nu * nu + nu * gh + w2)
 
-    est, terms, err = _summed(summand, _pole_bound(omega0, kernel) / nu_scale,
-                              tol.rel_sum_tail, max_terms)
-    _within(err, max(abs(est), 1.0), tol.rel_sum_tail)
+    est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
+                              _pole_bound(omega0, kernel), tol.rel_sum_tail, max_terms)
     value = pref * (1.0 + est)
     if kernel.regularized:
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
     return Estimate(value=value, err=pref * err, terms_used=terms,
                     regularized=kernel.regularized)
+
+
+def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
+               route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
+               max_terms: int = _MAX_TERMS) -> Estimate:
+    """Internal energy from the frequency sum, under either prescription.
+
+    omega0 = 0 selects the free particle.  For a regularized kernel (strictly
+    ohmic, gamma > 0) the absolute energy diverges, so the cutoff-regularized
+    value described in the module docstring is returned and flagged.  err
+    bounds the exact tail's truncation and the sum's roundoff; terms_used
+    counts the head's terms.  A refusal names theta = 1/beta.
+    """
+    check_nonnegative("omega0", omega0)
+    check_positive("beta", beta)
+    if not isinstance(route, Prescription):
+        raise DomainError(f"route must be a Prescription, got {route!r}")
+    return _energy_sum(omega0, kernel, beta, route, tol, max_terms)
 
 
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -455,9 +482,28 @@ class PoleSum:
         return checked_real(value, magnitude, "specific heat", theta=theta)
 
 
+def _prescription_gap(omega0: float, kernel: DampingKernel, beta,
+                      tol: Tolerances = DEFAULT_TOL,
+                      max_terms: int = _MAX_TERMS) -> Estimate:
+    # prescription_gap without its checks, on a float or an ndarray beta
+    if kernel.is_ohmic:
+        return Estimate(value=0.0 * beta, err=0.0 * beta)
+    w2 = omega0 * omega0
+
+    def summand(nu):
+        gh, ghp = kernel.laplace(nu)
+        return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
+
+    est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
+                              _pole_bound(omega0, kernel), tol.rel_sum_tail,
+                              max_terms, floor=0.0)
+    pref = 1.0 / beta
+    return Estimate(value=pref * est, err=pref * err, terms_used=terms)
+
+
 def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
                      tol: Tolerances = DEFAULT_TOL, *,
-                     max_terms: int = 10 ** 8) -> Estimate:
+                     max_terms: int = _MAX_TERMS) -> Estimate:
     """Partition-route energy minus direct-route energy, summed directly.
 
     The difference isolates the gh' term, so it converges absolutely even
@@ -466,26 +512,12 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
     """
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
-    if kernel.is_ohmic:
-        return Estimate(value=0.0, err=0.0)
-    nu_scale = TWO_PI / beta
-    w2 = omega0 * omega0
-
-    def summand(n):
-        nu = nu_scale * n
-        gh, ghp = kernel.laplace(nu)
-        return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
-
-    est, terms, err = _summed(summand, _pole_bound(omega0, kernel) / nu_scale,
-                              tol.rel_sum_tail, max_terms)
-    _within(err, abs(est), tol.rel_sum_tail)
-    pref = 1.0 / beta
-    return Estimate(value=pref * est, err=pref * err, terms_used=terms)
+    return _prescription_gap(omega0, kernel, beta, tol, max_terms)
 
 
 def position_variance_sum(theta: float, alpha: float,
                           tol: Tolerances = DEFAULT_TOL, *,
-                          max_terms: int = 10 ** 8) -> Estimate:
+                          max_terms: int = _MAX_TERMS) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
 
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
@@ -493,20 +525,18 @@ def position_variance_sum(theta: float, alpha: float,
     """
     check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
-    nu_scale = TWO_PI * theta
 
-    def summand(n):
-        nu = nu_scale * n
+    def summand(nu):
         return 1.0 / (nu * nu + alpha * nu + 1.0)
 
-    est, terms, err = _summed(summand, _pole_bound(1.0, DampingKernel.ohmic(alpha))
-                              / nu_scale, tol.rel_sum_tail, max_terms)
-    _within(err, max(abs(est), 1.0), tol.rel_sum_tail)
+    est, terms, err = _summed(summand, TWO_PI * theta, theta,
+                              _pole_bound(1.0, DampingKernel.ohmic(alpha)),
+                              tol.rel_sum_tail, max_terms)
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 
 
-def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
+def specific_heat_fd(energy_evaluator: Callable, theta,
                      rel_step: float = 1e-5) -> Estimate:
     """C = dE/dT by symmetric finite difference in the reduced temperature.
 
@@ -515,24 +545,32 @@ def specific_heat_fd(energy_evaluator: Callable[[float], float], theta: float,
     compares against a half-step evaluation, whose difference beyond both
     slopes' roundoff bounds the h^2 truncation error to leading order, and
     adds the roundoff max(|E(theta(1+h))|, |E(theta(1-h))|) eps / (theta h).
+    theta may also be an ndarray, which the evaluator then takes whole.
     """
     check_positive("theta", theta)
     if not (0.0 < rel_step < 0.5):
         raise DomainError(f"rel_step must lie in (0, 0.5), got {rel_step!r}")
+    array, isfinite = isinstance(theta, np.ndarray), elementwise(theta).isfinite
 
-    def slope(h: float) -> tuple[float, float]:
-        e_hi = float(energy_evaluator(theta * (1.0 + h)))
-        e_lo = float(energy_evaluator(theta * (1.0 - h)))
-        if not (math.isfinite(e_hi) and math.isfinite(e_lo)):
+    def slope(h: float):
+        e_hi = energy_evaluator(theta * (1.0 + h))
+        e_lo = energy_evaluator(theta * (1.0 - h))
+        finite = isfinite(e_hi) & isfinite(e_lo)
+        if not (finite.all() if array else finite):
+            near = (theta[~np.broadcast_to(finite, theta.shape)][0].item() if array
+                    else theta)
             raise DomainError(
-                f"energy evaluator returned a non-finite value near theta={theta!r}")
+                f"energy evaluator returned a non-finite value near theta={near!r}")
         # roundoff of the energies, amplified by the division; two identical
         # energies (a constant evaluator) difference to an exact zero
-        roundoff = (0.0 if e_hi == e_lo
-                    else max(abs(e_hi), abs(e_lo)) * EPS / (theta * h))
+        size = where(abs(e_hi) > abs(e_lo), abs(e_hi), abs(e_lo))
+        roundoff = where(e_hi == e_lo, 0.0, size * EPS / (theta * h))
         return (e_hi - e_lo) / (2.0 * theta * h), roundoff
 
     c_full, roundoff = slope(rel_step)
     c_half, roundoff_half = slope(0.5 * rel_step)
-    truncation = max(abs(c_full - c_half) - roundoff - roundoff_half, 0.0)
-    return Estimate(value=c_full, err=(4.0 / 3.0) * truncation + roundoff)
+    excess = abs(c_full - c_half) - roundoff - roundoff_half
+    err = (4.0 / 3.0) * where(excess < 0.0, 0.0, excess) + roundoff
+    if array:
+        return Estimate(value=c_full, err=err)
+    return Estimate(value=float(c_full), err=float(err))

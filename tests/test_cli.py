@@ -6,7 +6,6 @@ it produces, including exit codes for usage and numerical failures.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -16,7 +15,7 @@ import pytest
 import qbrownian.cli
 from qbrownian.cli import main
 from qbrownian.free_particle import ohmic_specific_heat
-from qbrownian.matsubara import DampingKernel, PoleSum, Prescription, energy_sum
+from qbrownian.matsubara import DampingKernel, PoleSum, Prescription
 from qbrownian.oscillator import undamped_thermo
 
 
@@ -191,18 +190,32 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage error:" in captured.err
 
 
-def test_unresolvable_sum_exits_3(capsys, monkeypatch):
-    # at theta = 1e-8 the Drude poles sit beyond the term cap, so
-    # compare's term-by-term sum refuses before adding a term and must
-    # report failure, tagged by point; a lower cap refuses just the same
-    monkeypatch.setattr(qbrownian.cli, "energy_sum",
-                        functools.partial(energy_sum, max_terms=2 ** 20))
+def test_unresolvable_sum_exits_3(capsys):
+    # at theta = 1e-8 the Drude poles sit beyond the term cap, so compare's
+    # term-by-term sum refuses before adding a term and must report failure,
+    # naming the temperature
     ret = main(["compare", "--model", "oscillator", "--kernel", "drude",
                 "--points", "2", "--tmin", "1e-8", "--tmax", "1e-7"])
     captured = capsys.readouterr()
     assert ret == 3
-    assert "numerical failure:" in captured.err
-    assert "theta" in captured.err
+    assert "numerical failure: at theta=1e-08: frequency sum needs" in captured.err
+    assert captured.out == ""
+
+
+def test_compare_sums_each_column_once(tmp_path, monkeypatch):
+    # E_direct, E_partition and the four energies of each FD column: one
+    # call of the energy sum per column and step, each on the whole grid
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return energy_kernel(*args, **kwargs)
+
+    energy_kernel = qbrownian.cli._energy_sum
+    monkeypatch.setattr(qbrownian.cli, "_energy_sum", counted)
+    assert main(["compare", "--model", "oscillator", "--kernel", "drude",
+                 "--points", "20", "--out", str(tmp_path / "compare.json")]) == 0
+    assert calls == [20] * 10
 
 
 def test_curve_energy_reaches_far_below_the_sums(tmp_path):

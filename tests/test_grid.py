@@ -1,4 +1,4 @@
-"""Whole-grid evaluation: the closed forms and PoleSum on arrays of theta.
+"""Whole-grid evaluation: the closed forms, PoleSum and the sums on arrays of theta.
 
 An array of temperatures must give, element by element, the values of the
 per-theta float calls (up to the last bits, where numpy rounds complex
@@ -10,16 +10,20 @@ an absolute 1e-11 is below the last bit (E and the expansions at theta = 1e4).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError, DomainError
+from qbrownian.core import TWO_PI, ConvergenceError, DomainError, Tolerances
 from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
-from qbrownian.matsubara import DampingKernel, PoleSum, Prescription
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
+                                 _energy_sum, _prescription_gap, _summed, energy_sum,
+                                 position_variance_sum, prescription_gap,
+                                 specific_heat_fd)
 from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy, lambda_pm,
                                   oscillator_expansion, undamped_thermo)
@@ -251,3 +255,109 @@ def test_float_in_gives_python_float_out():
     for name, fn in closed_forms() + [("E", poles.energy), ("C", poles.heat)]:
         assert type(fn(0.5)) is float, name
     assert all(type(z) is complex for z in lambda_pm(0.5, 1.0) + drude_z_pm(0.5, 10.0))
+
+
+# the term-by-term sums on a grid: every row sums the head of the coldest
+# theta, so a row is its float call's value up to the different head and
+# tail, and that value exactly where both heads have the same length
+SUM_GRID = np.logspace(-1.0, 1.0, 20)
+SUM_SYSTEMS = {
+    "osc-ohmic": (1.0, DampingKernel.ohmic(1.0)),
+    "osc-drude": (1.0, DampingKernel.drude(1.0, 10.0)),
+    "free-ohmic": (0.0, DampingKernel.ohmic(1.0)),
+    "free-drude": (0.0, DampingKernel.drude(1.0, 10.0)),
+}
+
+
+def frequency_sums():
+    """(id, (private kernel, public function)) of each sum, both of beta and tol."""
+    out = []
+    for name, (omega0, kernel) in SUM_SYSTEMS.items():
+        for route in Prescription:
+            out.append((f"{name} {route.value} E",
+                        (functools.partial(_energy_sum, omega0, kernel, route=route),
+                         functools.partial(energy_sum, omega0, kernel, route=route))))
+        out.append((f"{name} gap", (functools.partial(_prescription_gap, omega0, kernel),
+                                    functools.partial(prescription_gap, omega0, kernel))))
+    return out
+
+
+SUMS = frequency_sums()
+
+
+@pytest.mark.parametrize("pair", [p for _, p in SUMS], ids=[n for n, _ in SUMS])
+def test_sum_rows_match_their_float_calls(pair):
+    on_grid, alone = pair
+    grid = on_grid(1.0 / SUM_GRID)
+    floats = [alone(1.0 / t) for t in SUM_GRID.tolist()]
+    assert grid.terms_used == max(f.terms_used for f in floats)
+    for value, err, want in zip(grid.value.tolist(), grid.err.tolist(), floats):
+        if want.terms_used == grid.terms_used:
+            assert (value, err) == (want.value, want.err)
+        else:
+            assert abs(value - want.value) <= 4.0 * math.ulp(want.value)
+
+
+# the ohmic gaps are zero without a sum, so nothing refuses them
+SUMMED = [(name, pair) for name, pair in SUMS if not name.endswith("ohmic gap")]
+
+
+@pytest.mark.parametrize("pair", [p for _, p in SUMMED], ids=[n for n, _ in SUMMED])
+def test_sum_refusals_name_the_first_failing_theta(pair):
+    on_grid, alone = pair
+    cold = SUM_GRID.copy()
+    cold[7] = 1e-8
+    with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum needs"):
+        on_grid(1.0 / cold)
+    # no sum meets a relative target below eps: the tail check names theta
+    tight = Tolerances(rel_sum_tail=1e-17)
+    missed = r"^at theta={}: frequency sum error bar"
+    with pytest.raises(ConvergenceError, match=missed.format(r"0\.1")):
+        on_grid(1.0 / SUM_GRID, tol=tight)
+    with pytest.raises(ConvergenceError, match=missed.format(r"0\.37")):
+        alone(1.0 / 0.37, tol=tight)
+
+
+def test_term_cap_refuses_before_a_term_is_added():
+    # the coldest theta's head is beyond the cap: no summand is evaluated
+    evaluated = []
+
+    def summand(nu):
+        evaluated.append(nu)
+        return 1.0 / (nu * nu + 1.0)
+
+    theta = SUM_GRID.copy()
+    theta[7] = 1e-8
+    with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum "
+                                               r"needs 1\.27e\+08 > 100000000 terms$"):
+        _summed(summand, TWO_PI * theta, theta, 2.0, 1e-12, 10 ** 8)
+    assert evaluated == []
+    # the float-only variance sum names its theta too
+    with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):
+        position_variance_sum(0.37, 1e136)
+
+
+def test_fd_on_a_grid_matches_its_float_calls():
+    # the same arithmetic on floats and arrays: the same bits
+    def energy(t):
+        return t * t * t / (1.0 + t)
+
+    grid = specific_heat_fd(energy, SUM_GRID)
+    for i, t in enumerate(SUM_GRID.tolist()):
+        want = specific_heat_fd(energy, t)
+        assert type(want.value) is float and type(want.err) is float
+        assert (grid.value[i], grid.err[i]) == (want.value, want.err)
+    # of the sums, whose rows differ from their float calls in the last
+    # bits: within the two error bars, which carry the energies' roundoff
+    omega0, kernel = SUM_SYSTEMS["osc-drude"]
+    for route in Prescription:
+        grid = specific_heat_fd(
+            lambda t: _energy_sum(omega0, kernel, 1.0 / t, route).value, SUM_GRID)
+        for i, t in enumerate(SUM_GRID.tolist()):
+            want = specific_heat_fd(
+                lambda u: energy_sum(omega0, kernel, 1.0 / u, route).value, t)
+            assert abs(grid.value[i] - want.value) <= grid.err[i] + want.err
+    # a non-finite energy names the first temperature that gave one
+    with pytest.raises(DomainError, match=r"near theta=0\.2$"):
+        specific_heat_fd(lambda t: np.where(t < 0.5, np.nan, t),
+                         np.array([1.0, 0.2, 0.1]))
