@@ -2,8 +2,8 @@
 
 Diffing the output of two checkouts is a bit-identity check for a refactor:
 a change that keeps every value and every error keeps every line.  The calls
-cover the public special functions on complex numbers and their private
-kernels on arrays, every closed form and expansion as a float call and on a
+cover the special-function kernels on complex numbers and on arrays, every
+closed form, characteristic pair and expansion as a float call and on a
 grid, PoleSum.energy/.heat for eight systems under both prescriptions, with
 theta out to 1e-320 and 1e300, the term-by-term frequency sums and their
 finite-difference specific heat as (value, err, terms_used), the points of
@@ -24,15 +24,15 @@ import numpy as np
 
 from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
                        Tolerances, damped_entropy, damped_specific_heat,
-                       damped_specific_heat_via_entropy, digamma,
-                       drude_specific_heat, drude_z_pm, energy_sum, g_func,
-                       g_func_prime, lambda_pm, ln_gamma, ohmic_lowT_expansion,
-                       moments, ohmic_specific_heat, oscillator_expansion,
-                       polygamma, position_variance_sum, prescription_gap,
-                       specific_heat_fd, spectral_energy, trigamma,
-                       undamped_thermo)
+                       damped_specific_heat_via_entropy, drude_specific_heat,
+                       energy_sum, ohmic_lowT_expansion, moments,
+                       ohmic_specific_heat, oscillator_expansion,
+                       position_variance_sum, prescription_gap,
+                       specific_heat_fd, spectral_energy, undamped_thermo)
 from qbrownian.cli import main as cli_main
-from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
+from qbrownian.free_particle import _drude_pair
+from qbrownian.oscillator import _lambda_pm
+from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _tetragamma,
                                _trigamma)
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
@@ -49,7 +49,8 @@ GRID = np.logspace(-4.0, 4.0, 41)
 SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
 
 # the two golden inputs of compare, the two of the benchmark's sum_datasets
-# at seed 0, and a grid whose sums refuse at their term cap
+# at seed 0, a grid over four decades, whose rows sum heads of different
+# lengths, and a grid whose sums refuse at their term cap
 COMPARE_ARGS = {
     "golden-free-ohmic": ["--model", "free", "--tmin", "0.5", "--tmax", "2",
                           "--points", "5"],
@@ -62,6 +63,8 @@ COMPARE_ARGS = {
     "sum-datasets-free-drude": ["--model", "free", "--kernel", "drude",
                                 "--cutoff-ratio", "10.0", "--log", "--tmin", "0.1",
                                 "--tmax", "10.0", "--points", "20"],
+    "multi-decade-osc-drude": ["--model", "oscillator", "--kernel", "drude", "--log",
+                               "--tmin", "1e-3", "--tmax", "10", "--points", "20"],
     "refusing": ["--model", "oscillator", "--kernel", "drude", "--points", "2",
                  "--tmin", "1e-8", "--tmax", "1e-7"],
 }
@@ -103,19 +106,20 @@ def emit(label: str, fn, *args) -> None:
 
 
 def special_functions() -> None:
-    public = [("ln_gamma", ln_gamma), ("digamma", digamma), ("trigamma", trigamma),
-              ("g_func", g_func), ("g_func_prime", g_func_prime)]
-    public += [(f"polygamma_{n}", lambda z, n=n: polygamma(n, z)) for n in range(5)]
+    # labelled, and called on complex(z), as the checked scalar functions
+    # they once backed were, so that a dump lines up with an older checkout's
+    scalars = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
+               ("g_func", _g), ("g_func_prime", _g_prime), ("polygamma_0", _digamma),
+               ("polygamma_1", _trigamma), ("polygamma_2", _tetragamma)]
     kernels = [("_ln_gamma", _ln_gamma), ("_digamma", _digamma),
-               ("_trigamma", _trigamma), ("_g", _g), ("_g_prime", _g_prime)]
-    kernels += [(f"_polygamma_{n}", lambda z, n=n: _polygamma(n, z))
-                for n in range(2, 5)]
-    for name, fn in public:
-        for z in ARGUMENTS + BAD_ARGUMENTS:
-            emit(f"{name}({z!r})", fn, z)
-    good = np.array(ARGUMENTS, dtype=complex)
-    # the kernels overflow on some of these elements, as the values show
+               ("_trigamma", _trigamma), ("_g", _g), ("_g_prime", _g_prime),
+               ("_polygamma_2", _tetragamma)]
+    # the kernels overflow on some of these arguments, as the values show
     with np.errstate(all="ignore"):
+        for name, fn in scalars:
+            for z in ARGUMENTS + BAD_ARGUMENTS:
+                emit(f"{name}({z!r})", fn, complex(z))
+        good = np.array(ARGUMENTS, dtype=complex)
         for name, fn in kernels:
             emit(f"{name}[arguments]", fn, good)
             emit(f"{name}[arguments].T", fn, np.stack([good, good.conj()]).T)
@@ -127,7 +131,7 @@ def closed_forms() -> list:
     forms = [("undamped_thermo", undamped_thermo)]
     for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, 1e3):
         forms += [
-            (f"lambda_pm alpha={alpha}", lambda t, a=alpha: lambda_pm(t, a)),
+            (f"lambda_pm alpha={alpha}", lambda t, a=alpha: _lambda_pm(t, a)[:2]),
             (f"damped_specific_heat alpha={alpha}",
              lambda t, a=alpha: damped_specific_heat(t, a)),
             (f"damped_entropy alpha={alpha}", lambda t, a=alpha: damped_entropy(t, a)),
@@ -136,7 +140,7 @@ def closed_forms() -> list:
     for ratio in (0.01, 1.0, 4.0, 10.0, math.inf):
         forms.append((f"drude_specific_heat r={ratio}",
                       lambda t, r=ratio: drude_specific_heat(t, r)))
-        forms.append((f"drude_z_pm r={ratio}", lambda t, r=ratio: drude_z_pm(t, r)))
+        forms.append((f"drude_z_pm r={ratio}", lambda t, r=ratio: _drude_pair(t, r)[2:]))
     forms += [("ohmic_specific_heat", ohmic_specific_heat),
               ("ohmic_lowT_expansion", ohmic_lowT_expansion)]
     for kind in ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT"):

@@ -10,27 +10,23 @@ quadrature, and limit expansions.
 
 from .core import (ConvergenceError, DEFAULT_TOL, DomainError, Estimate,
                    ThermoPoint, Tolerances)
-from .free_particle import (drude_specific_heat, drude_z_pm, ohmic_lowT_expansion,
+from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
 from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                         position_variance_sum, prescription_gap, specific_heat_fd)
 from .oscillator import (damped_entropy, damped_specific_heat,
-                         damped_specific_heat_via_entropy, lambda_pm,
-                         oscillator_expansion, undamped_thermo)
+                         damped_specific_heat_via_entropy, oscillator_expansion,
+                         undamped_thermo)
 from .quadrature import MomentResult, moments, spectral_energy
-from .specfun import (PoleError, digamma, g_func, g_func_prime, ln_gamma,
-                      polygamma, trigamma)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DomainError",
-    "Estimate", "MomentResult", "PoleError", "PoleSum", "Prescription",
-    "ThermoPoint", "Tolerances", "damped_entropy", "damped_specific_heat",
-    "damped_specific_heat_via_entropy", "digamma", "drude_specific_heat",
-    "drude_z_pm", "energy_sum", "g_func", "g_func_prime", "lambda_pm",
-    "ln_gamma", "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
-    "oscillator_expansion", "polygamma", "position_variance_sum",
-    "prescription_gap", "specific_heat_fd", "spectral_energy", "trigamma",
-    "undamped_thermo", "__version__",
+    "Estimate", "MomentResult", "PoleSum", "Prescription", "ThermoPoint",
+    "Tolerances", "damped_entropy", "damped_specific_heat",
+    "damped_specific_heat_via_entropy", "drude_specific_heat", "energy_sum",
+    "moments", "ohmic_lowT_expansion", "ohmic_specific_heat",
+    "oscillator_expansion", "position_variance_sum", "prescription_gap",
+    "specific_heat_fd", "spectral_energy", "undamped_thermo", "__version__",
 ]

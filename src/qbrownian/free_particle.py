@@ -7,9 +7,10 @@ a Drude cutoff enters through r = omega_D / gamma via the pair
 
     z_pm = (r / (4 pi theta)) * (1 +- sqrt(1 - 4/r)),
 
-complex conjugates for r < 4 and real for r > 4.  C interpolates between the
-classical kinetic value 1/2 at high temperature and a linear-in-T vanishing at
-low temperature with the cutoff-independent slope pi/3; lowering the cutoff
+complex conjugates for r < 4 and real for r > 4, which drude_specific_heat
+takes from the private _drude_pair.  C interpolates between the classical
+kinetic value 1/2 at high temperature and a linear-in-T vanishing at low
+temperature with the cutoff-independent slope pi/3; lowering the cutoff
 weakens the effective damping and raises C toward 1/2 everywhere else.
 
 Every function here takes theta as a float or as an ndarray of temperatures
@@ -22,7 +23,7 @@ import cmath
 import math
 
 from .core import TWO_PI, DomainError, ThermoPoint, checked_real, gridwise
-from .specfun import _polygamma, _trigamma
+from .specfun import _tetragamma, _trigamma
 
 _DEGENERATE_BAND = 1e-10
 
@@ -45,20 +46,6 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
 def ohmic_lowT_expansion(theta):
     """Two-term low-temperature series (pi/3) theta - (4 pi^3/15) theta^3."""
     return (math.pi / 3.0) * theta - (4.0 * math.pi ** 3 / 15.0) * theta ** 3
-
-
-@gridwise
-def drude_z_pm(theta, cutoff_ratio: float) -> tuple[complex, complex]:
-    """Characteristic pair of the Drude-damped free particle.
-
-    Conjugate for cutoff_ratio < 4 (underdamped bath response), real above;
-    the two coincide at cutoff_ratio = 4.
-    """
-    if not (cutoff_ratio > 0.0 and math.isfinite(cutoff_ratio)):
-        raise DomainError(
-            f"cutoff_ratio must be positive and finite here, got {cutoff_ratio!r}")
-    _, _, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
-    return z_plus, z_minus
 
 
 def _drude_pair(theta, cutoff_ratio: float):
@@ -88,7 +75,7 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
     if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
         psi1 = _trigamma(1.0 + z0).real
-        psi2 = _polygamma(2, 1.0 + z0).real
+        psi2 = _tetragamma(1.0 + z0).real
         bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
         total = 0.5 - a * bracket_over_s
         magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))

@@ -157,59 +157,67 @@ def _tail_weights(head: int):
 
 def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
             max_terms: int, floor: float = 1.0):
-    """(sum over n >= 1 of summand(s n), the terms summed, an error bound).
+    """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
 
     s = 2 pi theta; theta is a float or an ndarray, whose type and shape the
     sum and the bound take.  summand is rational in nu, real on the real axis
-    and O(nu^-2), takes complex nu, and has its poles in |nu| <= bound.  The
-    terms up to N = 4 bound / s (64 at least) at the coldest theta are added
-    at every theta, in chunks of at most _CHUNK elements; beyond the poles
-    summand(s n) = sum_{k>=2} d_k n^-k, so the rest is sum_k d_k zeta(k, N+1)
-    (DLMF 25.11), d_k from a DFT on |n| = N (aliased at (bound/(s N))^_CIRCLE)
-    and zeta by Euler-Maclaurin.  ConvergenceError names the first failing
-    theta in C order: where N exceeds max_terms, before a term is added, and
-    where the bound misses rel_tol times max(|sum|, floor).
+    and O(nu^-2), takes complex nu, and has its poles in |nu| <= bound.  A
+    theta needs the terms up to N = 4 bound / s (64 at least).  The coldest
+    theta left adds its head at every theta left that needs at least half of
+    it, so no theta adds more than 2 N terms, in chunks of at most _CHUNK
+    elements; beyond the poles summand(s n) = sum_{k>=2} d_k n^-k, so the
+    rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on |n| = N
+    (aliased at (bound/(s N))^_CIRCLE) and zeta by Euler-Maclaurin.
+    ConvergenceError names the first failing theta in C order: where N
+    exceeds max_terms, before a term is added, and where the bound misses
+    rel_tol times max(|sum|, floor).
     """
     grid = isinstance(theta, np.ndarray)
-    # a float sums along one axis, as fast as a scalar-only body would
-    rows, thetas, scales = ((s.reshape(-1, 1), theta.ravel().tolist(), s.ravel().tolist())
-                            if grid else (s, [theta], [s]))
+    thetas, scales = (theta.ravel().tolist(), s.ravel().tolist()) if grid else ([theta], [s])
     reach = [max(64.0, 4.0 * (bound / x)) for x in scales]
     for at, needed in zip(thetas, reach):
         if not needed <= max_terms:
             raise ConvergenceError(f"at theta={at!r}: frequency sum needs {needed:.3g} "
                                    f"> {max_terms} terms", achieved=math.inf,
                                    requested=rel_tol)
-    head = math.ceil(max(reach))
-    width = max(1, _CHUNK // len(thetas))
-    partials, magnitude = [], 0.0
-    for start in range(0, head, width):
-        terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
-                                         dtype=float))
-        partials.append(terms.sum(axis=-1, keepdims=True))
-        magnitude = magnitude + np.abs(terms).sum(axis=-1)
-    roots, dft = _tail_tables()[:2]
-    # d_k N^-k, k = 0.._CIRCLE-1, by the float call's matrix-vector product per row
-    d = (dft @ summand(rows * (head * roots))[..., None])[..., 0].real
-    weights, weight_sum = _tail_weights(head)
-    tail = d[..., 2:] * weights
-    # d_0 and d_1 vanish in exact arithmetic: what the DFT makes of them is
-    # its roundoff in every coefficient, which the weights carry into the tail
-    err = (np.abs(tail[..., -4:]).max(axis=-1)
-           + (abs(d[..., 0]) + abs(d[..., 1])) * weight_sum + magnitude * EPS)
-    table = np.concatenate(partials + [tail], axis=-1).reshape(len(thetas), -1)
-    totals = []
-    for at, terms, bar in zip(thetas, table.tolist(), err.reshape(-1).tolist()):
-        totals.append(math.fsum(terms))
-        scale = max(abs(totals[-1]), floor)
+    heads = [math.ceil(needed) for needed in reach]
+    totals, bars = [0.0] * len(heads), [0.0] * len(heads)
+    left = list(range(len(heads)))
+    while left:
+        head = max(heads[i] for i in left)
+        group = [i for i in left if 2 * heads[i] >= head]
+        left = [i for i in left if 2 * heads[i] < head]
+        # a float sums along one axis, as fast as a scalar-only body would
+        rows = s.ravel()[group].reshape(-1, 1) if grid else s
+        width = max(1, _CHUNK // len(group))
+        partials, magnitude = [], 0.0
+        for start in range(0, head, width):
+            terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
+                                             dtype=float))
+            partials.append(terms.sum(axis=-1, keepdims=True))
+            magnitude = magnitude + np.abs(terms).sum(axis=-1)
+        roots, dft = _tail_tables()[:2]
+        # d_k N^-k, k = 0.._CIRCLE-1, by the float call's matrix-vector product per row
+        d = (dft @ summand(rows * (head * roots))[..., None])[..., 0].real
+        weights, weight_sum = _tail_weights(head)
+        tail = d[..., 2:] * weights
+        # d_0 and d_1 vanish in exact arithmetic: what the DFT makes of them is
+        # its roundoff in every coefficient, which the weights carry into the tail
+        err = (np.abs(tail[..., -4:]).max(axis=-1)
+               + (abs(d[..., 0]) + abs(d[..., 1])) * weight_sum + magnitude * EPS)
+        table = np.concatenate(partials + [tail], axis=-1).reshape(len(group), -1)
+        for i, terms, bar in zip(group, table.tolist(), err.reshape(-1).tolist()):
+            totals[i], bars[i] = math.fsum(terms), bar
+    for at, total, bar in zip(thetas, totals, bars):
+        scale = max(abs(total), floor)
         if not bar <= rel_tol * scale:
             raise ConvergenceError(
                 f"at theta={at!r}: frequency sum error bar {bar:.3g} misses the "
                 f"relative tail target {rel_tol:g}",
                 achieved=bar / scale if scale else math.inf, requested=rel_tol)
     if grid:
-        return np.reshape(totals, theta.shape), head, err.reshape(theta.shape)
-    return totals[0], head, float(err)
+        return np.reshape(totals, theta.shape), max(heads), np.reshape(bars, theta.shape)
+    return totals[0], heads[0], bars[0]
 
 
 def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,

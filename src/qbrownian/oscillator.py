@@ -5,12 +5,13 @@ ratio alpha = gamma / omega0, energies in hbar omega0, entropy and specific
 heat in k_B.  The damped closed forms hold for strictly ohmic (memoryless)
 damping and are assembled from the characteristic pair
 
-    lambda_pm = (1 / (2 pi theta)) * (alpha/2 +- sqrt((alpha/2)^2 - 1)),
+    lam_pm = (1 / (2 pi theta)) * (alpha/2 +- sqrt((alpha/2)^2 - 1)),
 
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
-above it.  The two specific-heat routes, differentiating the internal energy
-and differentiating the entropy, are algebraically identical but are kept as
-separately coded expressions so their agreement stays a meaningful check.
+above it, which each form takes from the private _lambda_pm.  The two
+specific-heat routes, differentiating the internal energy and differentiating
+the entropy, are algebraically identical but are kept as separately coded
+expressions so their agreement stays a meaningful check.
 At low temperature their terms grow like 1/theta while the results vanish
 like theta; each closed form raises ConvergenceError when that cancellation
 would leave fewer than six digits, which happens below theta ~ 1e-5.
@@ -62,15 +63,9 @@ def undamped_thermo(theta) -> ThermoPoint:
     return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
 
 
-@gridwise
-def lambda_pm(theta, alpha: float) -> tuple[complex, complex]:
-    """Characteristic pair (lam_+, lam_-); conjugate for alpha < 2, else real."""
-    return _lambda_pm(theta, alpha)[:2]
-
-
 def _lambda_pm(theta, alpha: float):
-    # (lam_+, lam_-, a = alpha / (2 pi theta)), the damped forms' arguments;
-    # they call this, so that a float call pays for one gridwise, not two
+    # (lam_+, lam_-, a = alpha / (2 pi theta)), the damped forms' arguments,
+    # for a checked theta
     check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0

@@ -14,17 +14,17 @@ import math
 import numpy as np
 
 from qbrownian.core import Tolerances
-from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
+from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.cli import CurveSpec, cmd_fig1
 from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
                                  specific_heat_fd)
-from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
-                                  damped_specific_heat_via_entropy, lambda_pm,
+from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
+                                  damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
 from qbrownian.quadrature import moments, spectral_energy
-from qbrownian.specfun import digamma, g_func, g_func_prime, ln_gamma, trigamma
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 TIGHT = Tolerances(rel_sum_tail=1e-13)
@@ -33,11 +33,11 @@ TIGHT = Tolerances(rel_sum_tail=1e-13)
 def test_01_gamma_family_identities_and_symmetry():
     """Classic values to 1e-12 relative; conjugation and recurrences to 1e-13
     on 1000 random complex points."""
-    assert abs(trigamma(1.0).real - math.pi ** 2 / 6.0) < 1e-12 * (math.pi ** 2 / 6.0)
-    assert abs(trigamma(0.5).real - math.pi ** 2 / 2.0) < 1e-12 * (math.pi ** 2 / 2.0)
-    assert abs(digamma(1.0).real + EULER_GAMMA) < 1e-12 * EULER_GAMMA
+    assert abs(_trigamma(1.0).real - math.pi ** 2 / 6.0) < 1e-12 * (math.pi ** 2 / 6.0)
+    assert abs(_trigamma(0.5).real - math.pi ** 2 / 2.0) < 1e-12 * (math.pi ** 2 / 2.0)
+    assert abs(_digamma(1.0).real + EULER_GAMMA) < 1e-12 * EULER_GAMMA
     half_log_pi = 0.5 * math.log(math.pi)
-    assert abs(ln_gamma(0.5).real - half_log_pi) < 1e-12 * half_log_pi
+    assert abs(_ln_gamma(0.5).real - half_log_pi) < 1e-12 * half_log_pi
 
     rng = np.random.default_rng(20260817)
     points: list[complex] = []
@@ -47,16 +47,16 @@ def test_01_gamma_family_identities_and_symmetry():
             continue
         points.append(z)
     for z in points:
-        for fn in (digamma, trigamma):
+        for fn in (_digamma, _trigamma):
             assert fn(z.conjugate()) == fn(z).conjugate()
-        psi = digamma(z)
-        assert abs(digamma(z + 1.0) - psi - 1.0 / z) <= 1e-13 * max(1.0, abs(psi))
-        psi1 = trigamma(z)
-        assert abs(trigamma(z + 1.0) - psi1 + 1.0 / (z * z)) <= 1e-13 * max(1.0, abs(psi1))
+        psi = _digamma(z)
+        assert abs(_digamma(z + 1.0) - psi - 1.0 / z) <= 1e-13 * max(1.0, abs(psi))
+        psi1 = _trigamma(z)
+        assert abs(_trigamma(z + 1.0) - psi1 + 1.0 / (z * z)) <= 1e-13 * max(1.0, abs(psi1))
         if z.real > 0.05:
-            assert ln_gamma(z.conjugate()) == ln_gamma(z).conjugate()
-            lg = ln_gamma(z)
-            assert abs(ln_gamma(z + 1.0) - lg - cmath.log(z)) <= 1e-13 * max(1.0, abs(lg))
+            assert _ln_gamma(z.conjugate()) == _ln_gamma(z).conjugate()
+            lg = _ln_gamma(z)
+            assert abs(_ln_gamma(z + 1.0) - lg - cmath.log(z)) <= 1e-13 * max(1.0, abs(lg))
 
 
 def test_02_specific_heat_routes_agree():
@@ -227,17 +227,17 @@ def test_10_reality_and_continuity_at_critical_parameters():
     real/complex crossover of its characteristic pair."""
     for theta in (0.05, 0.3, 1.0, 5.0):
         for alpha in (0.5, 1.0, 1.5, 1.9, 1.99):
-            lam_plus, lam_minus = lambda_pm(theta, alpha)
-            total = (lam_plus ** 2 * trigamma(1.0 + lam_plus)
-                     + lam_minus ** 2 * trigamma(1.0 + lam_minus))
+            lam_plus, lam_minus = _lambda_pm(theta, alpha)[:2]
+            total = (lam_plus ** 2 * _trigamma(1.0 + lam_plus)
+                     + lam_minus ** 2 * _trigamma(1.0 + lam_minus))
             assert abs(total.imag) < 1e-12 * max(1.0, abs(total.real))
-            total_g = g_func(lam_plus) + g_func(lam_minus)
+            total_g = _g(lam_plus) + _g(lam_minus)
             assert abs(total_g.imag) < 1e-12 * max(1.0, abs(total_g.real))
         for ratio in (0.5, 1.0, 2.0, 3.9, 3.99):
-            z_plus, z_minus = drude_z_pm(theta, ratio)
+            z_plus, z_minus = _drude_pair(theta, ratio)[2:]
             s = cmath.sqrt(complex(1.0 - 4.0 / ratio, 0.0))
-            bracket = (z_plus * trigamma(1.0 + z_plus)
-                       - z_minus * trigamma(1.0 + z_minus)) / s
+            bracket = (z_plus * _trigamma(1.0 + z_plus)
+                       - z_minus * _trigamma(1.0 + z_minus)) / s
             assert abs(bracket.imag) < 1e-12 * max(1.0, abs(bracket.real))
         # overdamped and super-critical-cutoff points must evaluate cleanly too
         for alpha in (2.0, 2.01, 3.0, 5.0):

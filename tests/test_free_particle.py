@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qbrownian.core import ConvergenceError, DomainError
-from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
+from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import DampingKernel, Prescription, energy_sum
 
@@ -92,7 +92,7 @@ def test_drude_pair_invariants():
     for _ in range(100):
         theta = float(rng.uniform(0.05, 10.0))
         ratio = float(rng.uniform(0.1, 12.0))
-        z_plus, z_minus = drude_z_pm(theta, ratio)
+        z_plus, z_minus = _drude_pair(theta, ratio)[2:]
         z0 = ratio / (2.0 * TWO_PI * theta)
         assert abs(z_plus + z_minus - 2.0 * z0) <= 1e-13 * z0
         assert abs(z_plus * z_minus - z0 * z0 * (4.0 / ratio)) <= 1e-13 * z0 * z0
@@ -121,7 +121,7 @@ def test_free_energy_sum_frozen_drude():
     lambda: ohmic_specific_heat(math.nan),
     lambda: drude_specific_heat(1.0, 0.0),
     lambda: drude_specific_heat(1.0, -3.0),
-    lambda: drude_z_pm(1.0, math.inf),
+    lambda: drude_specific_heat(1.0, math.nan),
 ])
 def test_domain_errors(call):
     with pytest.raises(DomainError):

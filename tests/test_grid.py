@@ -17,17 +17,18 @@ import re
 import numpy as np
 import pytest
 
+from qbrownian import matsubara
 from qbrownian.core import TWO_PI, ConvergenceError, DomainError, Tolerances
-from qbrownian.free_particle import (drude_specific_heat, drude_z_pm,
+from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
                                  _energy_sum, _prescription_gap, _summed, energy_sum,
                                  position_variance_sum, prescription_gap,
                                  specific_heat_fd)
-from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
-                                  damped_specific_heat_via_entropy, lambda_pm,
+from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
+                                  damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _polygamma,
+from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _tetragamma,
                                _trigamma)
 
 GRID = np.logspace(-4.0, 4.0, 241)
@@ -127,18 +128,17 @@ def test_grid_of_any_shape():
 
 def test_lambda_and_drude_pairs_on_a_grid():
     for alpha in ALPHAS:
-        plus, minus = lambda_pm(GRID, alpha)
+        plus, minus = _lambda_pm(GRID, alpha)[:2]
         for i, t in enumerate(GRID):
-            assert (plus[i], minus[i]) == lambda_pm(float(t), alpha)
+            assert (plus[i], minus[i]) == _lambda_pm(float(t), alpha)[:2]
     for ratio in RATIOS[:-1]:
-        plus, minus = drude_z_pm(GRID, ratio)
+        plus, minus = _drude_pair(GRID, ratio)[2:]
         for i, t in enumerate(GRID):
-            assert (plus[i], minus[i]) == drude_z_pm(float(t), ratio)
+            assert (plus[i], minus[i]) == _drude_pair(float(t), ratio)[2:]
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-           ("g", _g), ("g_prime", _g_prime)]
-KERNELS += [(f"polygamma_{n}", lambda z, n=n: _polygamma(n, z)) for n in range(2, 6)]
+           ("g", _g), ("g_prime", _g_prime), ("polygamma_2", _tetragamma)]
 
 
 @pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=[n for n, _ in KERNELS])
@@ -254,12 +254,14 @@ def test_float_in_gives_python_float_out():
     poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.ENERGY)
     for name, fn in closed_forms() + [("E", poles.energy), ("C", poles.heat)]:
         assert type(fn(0.5)) is float, name
-    assert all(type(z) is complex for z in lambda_pm(0.5, 1.0) + drude_z_pm(0.5, 10.0))
+    assert all(type(z) is complex
+               for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(0.5, 10.0)[2:])
 
 
 # the term-by-term sums on a grid: every row sums the head of the coldest
-# theta, so a row is its float call's value up to the different head and
-# tail, and that value exactly where both heads have the same length
+# theta of its group, at most twice its own, so a row is its float call's
+# value up to the different head and tail, and that value exactly where both
+# heads have the same length
 SUM_GRID = np.logspace(-1.0, 1.0, 20)
 SUM_SYSTEMS = {
     "osc-ohmic": (1.0, DampingKernel.ohmic(1.0)),
@@ -298,6 +300,41 @@ def test_sum_rows_match_their_float_calls(pair):
             assert abs(value - want.value) <= 4.0 * math.ulp(want.value)
 
 
+# five decades, whose heads run from 64 to 127324 terms (Drude oscillator, r = 10)
+DECADES = np.logspace(-4.0, 1.0, 20)
+OSC_DRUDE = [(name, pair) for name, pair in SUMS if name.startswith("osc-drude")]
+
+
+def test_grid_rows_add_at_most_twice_their_own_head(monkeypatch):
+    # the head's terms are the summand's real arguments; its circle's are complex
+    counted = []
+
+    def counting(summand, *args):
+        def counted_summand(nu):
+            if not np.iscomplexobj(nu):
+                counted.append(nu.size)
+            return summand(nu)
+        return _summed(counted_summand, *args)
+
+    monkeypatch.setattr(matsubara, "_summed", counting)
+    omega0, kernel = SUM_SYSTEMS["osc-drude"]
+    _energy_sum(omega0, kernel, 1.0 / DECADES, Prescription.ENERGY)
+    on_grid = sum(counted)
+    counted.clear()
+    for t in DECADES.tolist():
+        energy_sum(omega0, kernel, 1.0 / t, Prescription.ENERGY)
+    assert on_grid <= 2 * sum(counted)
+
+
+@pytest.mark.parametrize("pair", [p for _, p in OSC_DRUDE], ids=[n for n, _ in OSC_DRUDE])
+def test_rows_over_decades_match_their_float_calls(pair):
+    on_grid, alone = pair
+    values = on_grid(1.0 / DECADES).value
+    for value, t in zip(values.tolist(), DECADES.tolist()):
+        want = alone(1.0 / t).value
+        assert abs(value - want) <= 4.0 * math.ulp(want)
+
+
 # the ohmic gaps are zero without a sum, so nothing refuses them
 SUMMED = [(name, pair) for name, pair in SUMS if not name.endswith("ohmic gap")]
 
@@ -314,6 +351,9 @@ def test_sum_refusals_name_the_first_failing_theta(pair):
     missed = r"^at theta={}: frequency sum error bar"
     with pytest.raises(ConvergenceError, match=missed.format(r"0\.1")):
         on_grid(1.0 / SUM_GRID, tol=tight)
+    # and so do the later groups of a grid whose coldest rows are summed first
+    with pytest.raises(ConvergenceError, match=missed.format(r"0\.1")):
+        on_grid(1.0 / np.array([0.1, 1e-3, 1e-2]), tol=tight)
     with pytest.raises(ConvergenceError, match=missed.format(r"0\.37")):
         alone(1.0 / 0.37, tol=tight)
 

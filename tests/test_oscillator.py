@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qbrownian.core import ConvergenceError, DomainError
-from qbrownian.oscillator import (damped_entropy, damped_specific_heat,
-                                  damped_specific_heat_via_entropy, lambda_pm,
+from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
+                                  damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
 
 TWO_PI = 2.0 * math.pi
@@ -108,7 +108,7 @@ def test_lambda_pair_invariants():
     for _ in range(200):
         theta = float(rng.uniform(0.01, 20.0))
         alpha = float(rng.uniform(0.0, 6.0))
-        lam_plus, lam_minus = lambda_pm(theta, alpha)
+        lam_plus, lam_minus = _lambda_pm(theta, alpha)[:2]
         scale = 1.0 / (TWO_PI * theta)
         product = lam_plus * lam_minus
         total = lam_plus + lam_minus
@@ -198,8 +198,8 @@ def test_expansion_rejects_bad_requests():
     lambda: undamped_thermo(0.0),
     lambda: undamped_thermo(-1.0),
     lambda: undamped_thermo(math.inf),
-    lambda: lambda_pm(1.0, -0.5),
-    lambda: lambda_pm(1.0, math.inf),
+    lambda: _lambda_pm(1.0, -0.5),
+    lambda: _lambda_pm(1.0, math.inf),
     lambda: damped_specific_heat(0.0, 1.0),
     lambda: damped_entropy(-2.0, 1.0),
 ])
@@ -210,11 +210,11 @@ def test_domain_errors(call):
 
 def test_lambda_pair_rejects_overflowing_alpha():
     with pytest.raises(DomainError, match="alpha"):
-        lambda_pm(1.0, 1e300)
+        _lambda_pm(1.0, 1e300)
     with pytest.raises(DomainError, match="alpha"):
         damped_specific_heat(0.5, 1e200)
     # an alpha whose square still fits keeps the old arithmetic
-    lam_plus, lam_minus = lambda_pm(1.0, 1e150)
+    lam_plus, lam_minus = _lambda_pm(1.0, 1e150)[:2]
     assert math.isfinite(lam_plus.real) and math.isfinite(lam_minus.real)
 
 
