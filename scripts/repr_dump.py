@@ -4,13 +4,14 @@ Diffing the output of two checkouts is a bit-identity check for a refactor:
 a change that keeps every value and every error keeps every line.  The calls
 cover the special-function kernels on complex numbers and on arrays, every
 closed form, characteristic pair and expansion as a float call and on a
-grid, PoleSum.energy/.heat for eight systems under both prescriptions, with
-theta out to 1e-320 and 1e300, the term-by-term frequency sums and their
-finite-difference specific heat as (value, err, terms_used), the points of
-`compare` through cli.main (which sums on whole grids), and the spectral
-moments and energy of the quadrature route.  Arrays print through tolist(),
-so each element shows its full repr; an error prints as its class and
-message, and a failing command as its exit code and message.
+grid (grids with non-positive elements included), PoleSum.energy/.heat for
+eight systems under both prescriptions, with theta out to 1e-320 and 1e300,
+the term-by-term frequency sums and their finite-difference specific heat as
+(value, err, terms_used), the points of `compare` through cli.main (which
+sums on whole grids), and the spectral moments and energy of the quadrature
+route.  Arrays print through tolist(), so each element shows its full repr;
+an error prints as its class and message, and a failing command as its exit
+code and message.
 
     PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
 """
@@ -45,6 +46,9 @@ THETAS = [1e-320, 1e-307, 1e-300, 1e-200, 1e-163, 3e-163, 1e-162, 1e-160, 1e-155
           1e17, 1e100, 1e154, 1e200, 1e300]
 BAD_THETAS = [0.0, -1.0, math.inf, math.nan]
 GRID = np.logspace(-4.0, 4.0, 41)
+# grids with more than one non-positive element: the error names the first
+# in C order
+NON_POSITIVE_GRIDS = [[0.5, -1.0, 0.0], [[2.0, 0.0], [-1.0, 0.5]]]
 
 SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
 
@@ -166,6 +170,8 @@ def functions_of_theta(forms: list) -> None:
             emit(f"{name} ({theta!r})", fn, theta)
             emit(f"{name} [1.0, {theta!r}]", fn, np.array([1.0, theta]))
         emit(f"{name} [grid]", fn, GRID)
+        for grid in NON_POSITIVE_GRIDS:
+            emit(f"{name} {grid!r}", fn, np.array(grid))
 
 
 def frequency_sums() -> None:

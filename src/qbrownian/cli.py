@@ -275,48 +275,38 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
     The grid is always log-spaced.  The exponent column is
     log2(err(theta) / err(theta/2)): near the stated remainder order of each
     expansion in its own asymptotic regime, and meaningless (reported anyway)
-    outside it.  Each family's exact values are evaluated once on the grid and
-    once on the halved grid, and shared by its kinds.
+    outside it.  Each exact C is evaluated once on the grid and once on the
+    halved grid, and shared by the kinds that it serves.
     """
     a = spec.alpha_value
+    # kind -> (exact C, expansion), in output order
     if spec.model == "free":
-        kinds = ("free_lowT",)
+        table = {"free_lowT": (spec.closed_heat(), ohmic_lowT_expansion)}
     else:
         kinds = ("undamped_lowT", "undamped_highT")
         if a > 0.0:
             kinds += ("damped_lowT", "damped_highT")
+        undamped, damped = (lambda theta: undamped_thermo(theta).C), spec.closed_heat()
+        table = {kind: (undamped if kind.startswith("undamped") else damped,
+                        lambda theta, kind=kind: oscillator_expansion(kind, theta, a))
+                 for kind in kinds}
     grid = spec.grid()
     grids = (grid, grid / 2.0)
-    exact_heat = {"undamped": lambda theta: undamped_thermo(theta).C,
-                  "closed": spec.closed_heat()}
-
-    def family(kind: str) -> str:
-        return "undamped" if kind.startswith("undamped") else "closed"
-
-    def expansion(kind: str, theta: np.ndarray) -> np.ndarray:
-        if kind == "free_lowT":
-            return ohmic_lowT_expansion(theta)
-        return oscillator_expansion(kind, theta, a)
-
-    columns = []
-    exact = {name: [exact_heat[name](t) for t in grids]
-             for name in dict.fromkeys(map(family, kinds))}
-    for kind in kinds:
-        values, values_h = exact[family(kind)]
-        approx, approx_h = (expansion(kind, t) for t in grids)
+    exact = {fn: [fn(t) for t in grids]
+             for fn in dict.fromkeys(fn for fn, _ in table.values())}
+    lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
+             spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
+    for kind, (fn, expansion) in table.items():
+        values, values_h = exact[fn]
+        approx, approx_h = (expansion(t) for t in grids)
         err = np.abs(values - approx)
         err_h = np.abs(values_h - approx_h)
         exponent = np.full(grid.shape, math.nan)
         ok = (err > 0.0) & (err_h > 0.0)
         exponent[ok] = np.log2(err[ok] / err_h[ok])
-        columns.append((kind, values, approx, err, exponent))
-
-    lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
-             spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
-    for kind, *values in columns:
-        template = kind + ",%.17g" * (1 + len(values))
-        lines.extend(template % row
-                     for row in zip(grid.tolist(), *(v.tolist() for v in values)))
+        columns = (grid, values, approx, err, exponent)
+        template = kind + ",%.17g" * len(columns)
+        lines.extend(template % row for row in zip(*(v.tolist() for v in columns)))
     return {"": lines}
 
 

@@ -21,7 +21,6 @@ is not finite into a ConvergenceError naming the failing theta.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import inspect
 import math
@@ -88,13 +87,12 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """A closed-form state at reduced temperature theta; unset quantities stay None.
+    """A closed-form state at one reduced temperature; unset quantities stay None.
 
-    theta and the quantities are floats, or arrays of one shape when the
-    closed form was given an array of temperatures.
+    The quantities are floats, or arrays of theta's shape when the closed
+    form was given an array of temperatures.
     """
 
-    theta: float | np.ndarray
     Z: float | np.ndarray | None = None
     E: float | np.ndarray | None = None
     S: float | np.ndarray | None = None
@@ -123,12 +121,12 @@ def where(condition, if_true, if_false):
 def gridwise(fn):
     """Decorate a function of theta: the one boundary of its float and array calls.
 
-    theta is checked first.  A result that is not finite (a float, complex or
-    ndarray, a tuple's item or a ThermoPoint's set quantity), and a float
-    call that raised OverflowError or ZeroDivisionError, is refused with a
-    ConvergenceError naming the first failing theta, "at theta=<repr>:".  An
-    array call runs with numpy's warnings off, so that every element meets
-    the checks that its float call meets.
+    theta is checked first.  A result that is not finite (a float or an
+    ndarray, or a ThermoPoint's set quantity), and a float call that raised
+    OverflowError or ZeroDivisionError, is refused with a ConvergenceError
+    naming the first failing theta, "at theta=<repr>:".  An array call runs
+    with numpy's warnings off, so that every element meets the checks that
+    its float call meets.
     """
     position = list(inspect.signature(fn).parameters).index("theta")
 
@@ -155,7 +153,7 @@ def gridwise(fn):
         except (OverflowError, ZeroDivisionError) as exc:
             raise refusal(theta) from exc
         for part in _parts(value):
-            if part is not None and not cmath.isfinite(part):
+            if part is not None and not math.isfinite(part):
                 raise refusal(theta)
         return value
 
@@ -163,11 +161,10 @@ def gridwise(fn):
 
 
 def _parts(value) -> tuple:
-    # the numbers of a result: a ThermoPoint's quantities (None where unset),
-    # a tuple's items
+    # the numbers of a result: a ThermoPoint's quantities (None where unset)
     if isinstance(value, ThermoPoint):
         return (value.Z, value.E, value.S, value.C)
-    return value if isinstance(value, tuple) else (value,)
+    return (value,)
 
 
 def _first_failing(value, ok: np.ndarray):
@@ -186,13 +183,8 @@ def check_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_nonnegative(name: str, value) -> None:
-    """Raise DomainError unless value, or each element of it, is >= 0 and finite."""
-    if isinstance(value, np.ndarray):
-        ok = (value >= 0.0) & np.isfinite(value)
-        if ok.all():
-            return
-        value = _first_failing(value, ok)
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise DomainError unless the float value is >= 0 and finite."""
     if not (value >= 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
@@ -209,12 +201,13 @@ def checked_real(total, magnitude, what: str, **params):
     rather than roundoff and raises DomainError.  magnitude is the sum of the
     absolute values of the terms added up to total, so magnitude * eps
     estimates the roundoff left in it.  ConvergenceError, naming params as the
-    inputs, is raised when the value is not finite while the magnitude is,
-    or when that roundoff exceeds both ROUNDOFF_LIMIT relative to |value| and
-    ROUNDOFF_FLOOR, reported as inf where the value or the magnitude is not
-    finite (an overflowing magnitude included).  The floor
-    lets a result that is exponentially small in truth, such as the undamped
-    specific heat at low temperature, pass with its tiny absolute error.
+    inputs, is raised when that roundoff exceeds both ROUNDOFF_LIMIT relative
+    to |value| and ROUNDOFF_FLOOR, reported as inf where the value or the
+    magnitude is not finite.  A value that is not finite comes from a term
+    that is not, or from a sum that overflows, so its magnitude is not
+    finite either.  The floor lets a result that is exponentially small in
+    truth, such as the undamped specific heat at low temperature, pass with
+    its tiny absolute error.
 
     total, magnitude and the params may be arrays over a temperature grid,
     checked elementwise with the same thresholds; the real parts come back
@@ -245,8 +238,6 @@ def checked_real(total, magnitude, what: str, **params):
                                  or err <= ROUNDOFF_FLOOR):
         return value
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
-    if not math.isfinite(value) and math.isfinite(magnitude):
-        raise ConvergenceError(f"{what} at {inputs} is not finite in double precision")
     loss = (err / abs(value) if value != 0.0 and math.isfinite(value)
             and math.isfinite(magnitude) else math.inf)
     raise ConvergenceError(

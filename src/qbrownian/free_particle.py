@@ -39,7 +39,7 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     term = a * a * _trigamma(1.0 + a).real
     heat = checked_real(0.5 - a + term, 0.5 + a + abs(term), "specific heat",
                         theta=theta)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(C=heat)
 
 
 @gridwise
@@ -86,4 +86,4 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
     heat = checked_real(total, magnitude, "specific heat", theta=theta,
                         cutoff_ratio=cutoff_ratio)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(C=heat)

@@ -61,7 +61,7 @@ from .specfun import _BERNOULLI, _digamma, _trigamma
 EULER_GAMMA = 0.5772156649015328606065121
 
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
-_MAX_TERMS = 10 ** 8      # default cap on the head of a term-by-term sum
+_MAX_TERMS = 10 ** 8      # cap on the head of a term-by-term sum
 
 # grouping of near-coincident poles in PoleSum (see _group_poles)
 _CLUSTER_REL = 0.1
@@ -156,7 +156,7 @@ def _tail_weights(head: int):
 
 
 def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
-            max_terms: int, floor: float = 1.0):
+            floor: float = 1.0):
     """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
 
     s = 2 pi theta; theta is a float or an ndarray, whose type and shape the
@@ -169,16 +169,16 @@ def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
     rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on |n| = N
     (aliased at (bound/(s N))^_CIRCLE) and zeta by Euler-Maclaurin.
     ConvergenceError names the first failing theta in C order: where N
-    exceeds max_terms, before a term is added, and where the bound misses
+    exceeds _MAX_TERMS, before a term is added, and where the bound misses
     rel_tol times max(|sum|, floor).
     """
     grid = isinstance(theta, np.ndarray)
     thetas, scales = (theta.ravel().tolist(), s.ravel().tolist()) if grid else ([theta], [s])
     reach = [max(64.0, 4.0 * (bound / x)) for x in scales]
     for at, needed in zip(thetas, reach):
-        if not needed <= max_terms:
+        if not needed <= _MAX_TERMS:
             raise ConvergenceError(f"at theta={at!r}: frequency sum needs {needed:.3g} "
-                                   f"> {max_terms} terms", achieved=math.inf,
+                                   f"> {_MAX_TERMS} terms", achieved=math.inf,
                                    requested=rel_tol)
     heads = [math.ceil(needed) for needed in reach]
     totals, bars = [0.0] * len(heads), [0.0] * len(heads)
@@ -221,7 +221,7 @@ def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
 
 
 def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
-                tol: Tolerances = DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> Estimate:
+                tol: Tolerances = DEFAULT_TOL) -> Estimate:
     # energy_sum without its checks, on a float or an ndarray beta
     g = kernel.gamma
     w2 = omega0 * omega0
@@ -243,7 +243,7 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
             return dof * num / (nu * nu + nu * gh + w2)
 
     est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
-                              _pole_bound(omega0, kernel), tol.rel_sum_tail, max_terms)
+                              _pole_bound(omega0, kernel), tol.rel_sum_tail)
     value = pref * (1.0 + est)
     if kernel.regularized:
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
@@ -252,8 +252,7 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
-               route: Prescription, tol: Tolerances = DEFAULT_TOL, *,
-               max_terms: int = _MAX_TERMS) -> Estimate:
+               route: Prescription, tol: Tolerances = DEFAULT_TOL) -> Estimate:
     """Internal energy from the frequency sum, under either prescription.
 
     omega0 = 0 selects the free particle.  For a regularized kernel (strictly
@@ -266,7 +265,7 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
-    return _energy_sum(omega0, kernel, beta, route, tol, max_terms)
+    return _energy_sum(omega0, kernel, beta, route, tol)
 
 
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -491,8 +490,7 @@ class PoleSum:
 
 
 def _prescription_gap(omega0: float, kernel: DampingKernel, beta,
-                      tol: Tolerances = DEFAULT_TOL,
-                      max_terms: int = _MAX_TERMS) -> Estimate:
+                      tol: Tolerances = DEFAULT_TOL) -> Estimate:
     # prescription_gap without its checks, on a float or an ndarray beta
     if kernel.is_ohmic:
         return Estimate(value=0.0 * beta, err=0.0 * beta)
@@ -504,14 +502,13 @@ def _prescription_gap(omega0: float, kernel: DampingKernel, beta,
 
     est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
                               _pole_bound(omega0, kernel), tol.rel_sum_tail,
-                              max_terms, floor=0.0)
+                              floor=0.0)
     pref = 1.0 / beta
     return Estimate(value=pref * est, err=pref * err, terms_used=terms)
 
 
 def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
-                     tol: Tolerances = DEFAULT_TOL, *,
-                     max_terms: int = _MAX_TERMS) -> Estimate:
+                     tol: Tolerances = DEFAULT_TOL) -> Estimate:
     """Partition-route energy minus direct-route energy, summed directly.
 
     The difference isolates the gh' term, so it converges absolutely even
@@ -520,12 +517,11 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
     """
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
-    return _prescription_gap(omega0, kernel, beta, tol, max_terms)
+    return _prescription_gap(omega0, kernel, beta, tol)
 
 
 def position_variance_sum(theta: float, alpha: float,
-                          tol: Tolerances = DEFAULT_TOL, *,
-                          max_terms: int = _MAX_TERMS) -> Estimate:
+                          tol: Tolerances = DEFAULT_TOL) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
 
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
@@ -539,7 +535,7 @@ def position_variance_sum(theta: float, alpha: float,
 
     est, terms, err = _summed(summand, TWO_PI * theta, theta,
                               _pole_bound(1.0, DampingKernel.ohmic(alpha)),
-                              tol.rel_sum_tail, max_terms)
+                              tol.rel_sum_tail)
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 

@@ -9,9 +9,9 @@ damping and are assembled from the characteristic pair
 
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
 above it, which each form takes from the private _lambda_pm.  The two
-specific-heat routes, differentiating the internal energy and differentiating
-the entropy, are algebraically identical but are kept as separately coded
-expressions so their agreement stays a meaningful check.
+specific-heat routes, differentiating the internal energy and the entropy,
+are one arithmetic in two orders (g'(z) = -z psi'(1 + z) goes through the
+same trigamma), so they agree to roundoff and do not check trigamma.
 At low temperature their terms grow like 1/theta while the results vanish
 like theta; each closed form raises ConvergenceError when that cancellation
 would leave fewer than six digits, which happens below theta ~ 1e-5.
@@ -60,7 +60,7 @@ def undamped_thermo(theta) -> ThermoPoint:
     heat = where(warm, heat, 0.0)
     half = where(x / 2.0 < 700.0, x / 2.0, 700.0)
     partition = where(x / 2.0 < 700.0, 1.0 / (2.0 * f.sinh(half)), 0.0)
-    return ThermoPoint(theta=theta, Z=partition, E=energy, S=entropy, C=heat)
+    return ThermoPoint(Z=partition, E=energy, S=entropy, C=heat)
 
 
 def _lambda_pm(theta, alpha: float):
@@ -93,7 +93,7 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(C=heat)
 
 
 @gridwise
@@ -109,16 +109,16 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     total = (1.0 + log_theta + a) + (g_plus + g_minus)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, S=entropy)
+    return ThermoPoint(S=entropy)
 
 
 @gridwise
 def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     """Specific heat obtained by differentiating the entropy instead.
 
-    C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-).  Algebraically
-    identical to the internal-energy route; evaluated through g' so the two
-    code paths share no intermediate expression.
+    C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-).  As g'(z) is
+    -z psi'(1 + z), this is the internal-energy route's arithmetic in
+    another order: the two agree to roundoff, not as independent code.
     """
     lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
     t_plus = lam_plus * _g_prime(lam_plus)
@@ -126,7 +126,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     total = (1.0 - a) - t_plus - t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(theta=theta, C=heat)
+    return ThermoPoint(C=heat)
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")

@@ -183,6 +183,7 @@ def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
     ["expansions", "--model", "free", "--log"],
     # curve sums in pole form and takes no tolerance
     ["curve", "--model", "oscillator", "--tol", "1e-10"],
+    ["curve", "--model", "oscillator", "--points", "1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -187,6 +187,14 @@ def test_cancelling_grid_point_is_named(fn):
         fn(CANCELLING)
 
 
+@pytest.mark.parametrize("fn", [fn for _, fn in FORMS], ids=[name for name, _ in FORMS])
+def test_non_positive_grid_point_is_named(fn):
+    # the float call's DomainError, naming the first bad element in C order
+    with pytest.raises(DomainError, match=r"theta must be positive and finite, "
+                                          r"got -1\.0$"):
+        fn(np.array([0.5, -1.0, 0.0]))
+
+
 def named_theta(exc) -> str | None:
     match = re.search(r"theta=([^,:\s]+)", str(exc))
     return match and match.group(1)

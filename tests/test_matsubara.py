@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qbrownian.matsubara
 from qbrownian.core import ConvergenceError, DomainError, Tolerances
 from qbrownian.free_particle import drude_specific_heat
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
@@ -228,12 +229,12 @@ def test_low_temperature_sum_is_short():
     assert result.terms_used <= 20_000
 
 
-def test_convergence_error_carries_diagnostics():
-    # the tail is exact only beyond 2547 terms here, so the cap of 1000
+def test_convergence_error_carries_diagnostics(monkeypatch):
+    # the tail is exact only beyond 2547 terms here, so a cap of 1000
     # refuses the sum before any term is added
+    monkeypatch.setattr(qbrownian.matsubara, "_MAX_TERMS", 1000)
     with pytest.raises(ConvergenceError) as exc_info:
-        energy_sum(1.0, DampingKernel.ohmic(1.0), 1e3,
-                   Prescription.ENERGY, max_terms=1000)
+        energy_sum(1.0, DampingKernel.ohmic(1.0), 1e3, Prescription.ENERGY)
     assert exc_info.value.requested == pytest.approx(1e-12)
     assert exc_info.value.achieved == math.inf
 
@@ -299,14 +300,15 @@ def test_fd_error_estimate_covers_roundoff(energy, theta, exact):
     assert error <= fd.err <= 10.0 * error
 
 
-def test_failing_sum_memory_is_bounded():
+def test_failing_sum_memory_is_bounded(monkeypatch):
     # theta = 1e-8 puts the Drude poles beyond any cap, so the sum raises
     # before it adds a term; a head within the cap is summed a chunk at a time
+    monkeypatch.setattr(qbrownian.matsubara, "_MAX_TERMS", 2 ** 22)
     kernel = DampingKernel.drude(1.0, 10.0)
     tracemalloc.start()
     try:
         with pytest.raises(ConvergenceError):
-            energy_sum(1.0, kernel, 1e8, Prescription.ENERGY, max_terms=2 ** 22)
+            energy_sum(1.0, kernel, 1e8, Prescription.ENERGY)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
