@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .core import (ConvergenceError, DomainError, Tolerances, check_nonnegative,
+from . import __version__, matsubara
+from .core import (ConvergenceError, DomainError, check_nonnegative,
                    check_positive)
 from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
@@ -80,7 +80,6 @@ class CurveSpec:
     log: bool = False
     route: str = "energy"
     quantities: tuple[str, ...] = ("C",)
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
@@ -98,8 +97,6 @@ class CurveSpec:
             raise DomainError(
                 f"quantities must be a nonempty subset of {_QUANTITIES}, "
                 f"got {self.quantities!r}")
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError(f"tol must lie in (0, 1), got {self.tol!r}")
         if self.model == "free":
             if self.alpha is not None:
                 raise DomainError("alpha has no meaning for the free particle; "
@@ -152,7 +149,10 @@ class CurveSpec:
         return lambda theta: closed(theta, self.alpha_value, self.cutoff_ratio)
 
     def comment(self, *names: str) -> str:
-        """The comment row: the named parameters, then the library version."""
+        """The comment row: the named parameters, then the library version.
+
+        tol is no field: it is the frequency sums' fixed relative error bar.
+        """
         values = {
             "model": self.model, "kernel": self.kernel,
             "alpha": "none" if self.alpha is None else _fmt(self.alpha),
@@ -160,7 +160,7 @@ class CurveSpec:
             "route": self.route, "quantities": ",".join(self.quantities),
             "tmin": _fmt(self.tmin), "tmax": _fmt(self.tmax),
             "points": str(self.points), "log": str(self.log).lower(),
-            "tol": _fmt(self.tol), "version": __version__}
+            "tol": _fmt(matsubara._REL_TAIL), "version": __version__}
         return "# " + " ".join(f"{name}={values[name]}" for name in names + ("version",))
 
 
@@ -237,12 +237,11 @@ def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
 
 def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
     """Both prescriptions, their gap, and FD cross-checks, column by column, as JSON."""
-    tols = Tolerances(rel_sum_tail=spec.tol)
     kernel = spec.make_kernel()
     closed = spec.closed_heat()
 
     def energy(route: Prescription) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda t: _energy_sum(spec.omega0, kernel, 1.0 / t, route, tols).value
+        return lambda t: _energy_sum(spec.omega0, kernel, 1.0 / t, route).value
 
     direct, partition = energy(Prescription.ENERGY), energy(Prescription.PARTITION)
     grid = spec.grid()
@@ -250,7 +249,7 @@ def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
         "theta": grid,
         "E_direct": direct(grid),
         "E_partition": partition(grid),
-        "gap": _prescription_gap(spec.omega0, kernel, 1.0 / grid, tols).value,
+        "gap": _prescription_gap(spec.omega0, kernel, 1.0 / grid).value,
         "C_closed": np.full(grid.shape, None) if closed is None else closed(grid),
         "C_fd_direct": specific_heat_fd(direct, grid).value,
         "C_fd_partition": specific_heat_fd(partition, grid).value,
@@ -262,7 +261,7 @@ def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
         "kernel": spec.kernel,
         "alpha": None if spec.model == "free" else spec.alpha_value,
         "cutoff_ratio": None if spec.kernel == "ohmic" else spec.cutoff_ratio,
-        "tol": spec.tol,
+        "tol": matsubara._REL_TAIL,
         "version": __version__,
         "points": [dict(zip(columns, row), status=status) for row in rows],
     }
@@ -358,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="both prescriptions and their gap")
     add_spec(compare, 0.1, 10.0, 20)
-    compare.add_argument("--tol", type=float, default=1e-12,
-                         help="relative target of the frequency sums' error bars")
     compare.set_defaults(run=cmd_compare)
 
     expansions = sub.add_parser("expansions", help="limit expansions vs exact values")

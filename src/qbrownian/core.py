@@ -49,20 +49,20 @@ EPS = 2.0 ** -52            # machine epsilon of a double
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy shared by the summation and quadrature engines.
+    """Numeric policy of the quadrature engine.
 
-    rel_sum_tail  relative target for the error bar of a term-by-term sum
-    quad_abs      absolute target for spectral integrals
+    quad_abs  absolute target for spectral integrals
+
+    The term-by-term frequency sums take no tolerance: their work is fixed by
+    the poles, and their error bar is held to matsubara's one relative bar.
     """
 
-    rel_sum_tail: float = 1e-12
     quad_abs: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rel_sum_tail", "quad_abs"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+        value = self.quad_abs
+        if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
+            raise DomainError(f"quad_abs must lie in (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -212,7 +212,8 @@ def checked_real(total, magnitude, what: str, **params):
     total, magnitude and the params may be arrays over a temperature grid,
     checked elementwise with the same thresholds; the real parts come back
     as an array.  A failing grid raises the error that the scalar call at
-    its first failing element raises, which names that element's params.
+    its first failing element raises, which names that element's params;
+    a 0-d array param is named as its float.
     """
     if isinstance(total, np.ndarray):
         value = total.real
@@ -237,6 +238,9 @@ def checked_real(total, magnitude, what: str, **params):
     if math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
                                  or err <= ROUNDOFF_FLOOR):
         return value
+    # a 0-d array theta, whose arithmetic gives numpy scalars, ends up here
+    params = {name: x.item() if isinstance(x, np.ndarray) else x
+              for name, x in params.items()}
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
     loss = (err / abs(value) if value != 0.0 and math.isfinite(value)
             and math.isfinite(magnitude) else math.inf)

@@ -53,15 +53,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, EPS, TWO_PI, ConvergenceError, DomainError,
-                   Estimate, Tolerances, check_nonnegative, check_positive,
-                   checked_real, elementwise, gridwise, where)
+from .core import (EPS, TWO_PI, ConvergenceError, DomainError, Estimate,
+                   check_nonnegative, check_positive, checked_real, elementwise,
+                   gridwise, where)
 from .specfun import _BERNOULLI, _digamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
 _MAX_TERMS = 10 ** 8      # cap on the head of a term-by-term sum
+_REL_TAIL = 1e-12         # largest error bar of a term-by-term sum, relative
 
 # grouping of near-coincident poles in PoleSum (see _group_poles)
 _CLUSTER_REL = 0.1
@@ -155,8 +156,7 @@ def _tail_weights(head: int):
     return weights, weights.sum()
 
 
-def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
-            floor: float = 1.0):
+def _summed(summand: Callable, s, theta, bound: float, floor: float = 1.0):
     """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
 
     s = 2 pi theta; theta is a float or an ndarray, whose type and shape the
@@ -168,9 +168,10 @@ def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
     elements; beyond the poles summand(s n) = sum_{k>=2} d_k n^-k, so the
     rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on |n| = N
     (aliased at (bound/(s N))^_CIRCLE) and zeta by Euler-Maclaurin.
-    ConvergenceError names the first failing theta in C order: where N
-    exceeds _MAX_TERMS, before a term is added, and where the bound misses
-    rel_tol times max(|sum|, floor).
+    The head's length fixes the work; the bar only decides whether the sum
+    answers.  ConvergenceError names the first failing theta in C order:
+    where N exceeds _MAX_TERMS, before a term is added, and where the bound
+    misses _REL_TAIL times max(|sum|, floor).
     """
     grid = isinstance(theta, np.ndarray)
     thetas, scales = (theta.ravel().tolist(), s.ravel().tolist()) if grid else ([theta], [s])
@@ -179,7 +180,7 @@ def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
         if not needed <= _MAX_TERMS:
             raise ConvergenceError(f"at theta={at!r}: frequency sum needs {needed:.3g} "
                                    f"> {_MAX_TERMS} terms", achieved=math.inf,
-                                   requested=rel_tol)
+                                   requested=_REL_TAIL)
     heads = [math.ceil(needed) for needed in reach]
     totals, bars = [0.0] * len(heads), [0.0] * len(heads)
     left = list(range(len(heads)))
@@ -210,18 +211,18 @@ def _summed(summand: Callable, s, theta, bound: float, rel_tol: float,
             totals[i], bars[i] = math.fsum(terms), bar
     for at, total, bar in zip(thetas, totals, bars):
         scale = max(abs(total), floor)
-        if not bar <= rel_tol * scale:
+        if not bar <= _REL_TAIL * scale:
             raise ConvergenceError(
                 f"at theta={at!r}: frequency sum error bar {bar:.3g} misses the "
-                f"relative tail target {rel_tol:g}",
-                achieved=bar / scale if scale else math.inf, requested=rel_tol)
+                f"relative tail target {_REL_TAIL:g}",
+                achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
     if grid:
         return np.reshape(totals, theta.shape), max(heads), np.reshape(bars, theta.shape)
     return totals[0], heads[0], bars[0]
 
 
-def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
-                tol: Tolerances = DEFAULT_TOL) -> Estimate:
+def _energy_sum(omega0: float, kernel: DampingKernel, beta,
+                route: Prescription) -> Estimate:
     # energy_sum without its checks, on a float or an ndarray beta
     g = kernel.gamma
     w2 = omega0 * omega0
@@ -243,7 +244,7 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
             return dof * num / (nu * nu + nu * gh + w2)
 
     est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
-                              _pole_bound(omega0, kernel), tol.rel_sum_tail)
+                              _pole_bound(omega0, kernel))
     value = pref * (1.0 + est)
     if kernel.regularized:
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
@@ -252,7 +253,7 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta, route: Prescription,
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
-               route: Prescription, tol: Tolerances = DEFAULT_TOL) -> Estimate:
+               route: Prescription) -> Estimate:
     """Internal energy from the frequency sum, under either prescription.
 
     omega0 = 0 selects the free particle.  For a regularized kernel (strictly
@@ -265,7 +266,7 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
-    return _energy_sum(omega0, kernel, beta, route, tol)
+    return _energy_sum(omega0, kernel, beta, route)
 
 
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -489,8 +490,7 @@ class PoleSum:
         return checked_real(value, magnitude, "specific heat", theta=theta)
 
 
-def _prescription_gap(omega0: float, kernel: DampingKernel, beta,
-                      tol: Tolerances = DEFAULT_TOL) -> Estimate:
+def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
     # prescription_gap without its checks, on a float or an ndarray beta
     if kernel.is_ohmic:
         return Estimate(value=0.0 * beta, err=0.0 * beta)
@@ -501,14 +501,12 @@ def _prescription_gap(omega0: float, kernel: DampingKernel, beta,
         return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
 
     est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
-                              _pole_bound(omega0, kernel), tol.rel_sum_tail,
-                              floor=0.0)
+                              _pole_bound(omega0, kernel), floor=0.0)
     pref = 1.0 / beta
     return Estimate(value=pref * est, err=pref * err, terms_used=terms)
 
 
-def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
-                     tol: Tolerances = DEFAULT_TOL) -> Estimate:
+def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estimate:
     """Partition-route energy minus direct-route energy, summed directly.
 
     The difference isolates the gh' term, so it converges absolutely even
@@ -517,11 +515,10 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float,
     """
     check_nonnegative("omega0", omega0)
     check_positive("beta", beta)
-    return _prescription_gap(omega0, kernel, beta, tol)
+    return _prescription_gap(omega0, kernel, beta)
 
 
-def position_variance_sum(theta: float, alpha: float,
-                          tol: Tolerances = DEFAULT_TOL) -> Estimate:
+def position_variance_sum(theta: float, alpha: float) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
 
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
@@ -534,8 +531,7 @@ def position_variance_sum(theta: float, alpha: float,
         return 1.0 / (nu * nu + alpha * nu + 1.0)
 
     est, terms, err = _summed(summand, TWO_PI * theta, theta,
-                              _pole_bound(1.0, DampingKernel.ohmic(alpha)),
-                              tol.rel_sum_tail)
+                              _pole_bound(1.0, DampingKernel.ohmic(alpha)))
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 

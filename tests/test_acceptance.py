@@ -12,6 +12,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from qbrownian.core import Tolerances
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
@@ -27,7 +28,6 @@ from qbrownian.quadrature import moments, spectral_energy
 from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
-TIGHT = Tolerances(rel_sum_tail=1e-13)
 
 
 def test_01_gamma_family_identities_and_symmetry():
@@ -71,6 +71,7 @@ def test_02_specific_heat_routes_agree():
     assert worst < 1e-11, f"worst route disagreement {worst:g}"
 
 
+@pytest.mark.usefixtures("tight")
 def test_03_frequency_sum_reproduces_oscillator_specific_heat():
     """Finite-difference C from the regularized frequency sum matches the
     trigamma closed form to 1e-6 for theta in [0.05, 50], alpha in
@@ -80,8 +81,7 @@ def test_03_frequency_sum_reproduces_oscillator_specific_heat():
         kernel = DampingKernel.ohmic(alpha)
 
         def reg_energy(t: float, k=kernel) -> float:
-            return energy_sum(1.0, k, 1.0 / t, Prescription.PARTITION,
-                              tol=TIGHT).value
+            return energy_sum(1.0, k, 1.0 / t, Prescription.PARTITION).value
 
         for theta in np.logspace(math.log10(0.05), math.log10(50.0), 10):
             fd = specific_heat_fd(reg_energy, float(theta))
@@ -90,6 +90,7 @@ def test_03_frequency_sum_reproduces_oscillator_specific_heat():
     assert worst < 1e-6, f"worst FD vs closed-form deviation {worst:g}"
 
 
+@pytest.mark.usefixtures("tight")
 def test_04_frequency_sum_reproduces_free_particle_specific_heat():
     """Finite-difference C from the free-particle frequency sum matches the
     Drude closed form to 1e-6 for theta in [0.05, 50], cutoff ratio in
@@ -99,8 +100,7 @@ def test_04_frequency_sum_reproduces_free_particle_specific_heat():
         kernel = DampingKernel.drude(1.0, ratio)
 
         def sum_energy(t: float, k=kernel) -> float:
-            return energy_sum(0.0, k, 1.0 / t, Prescription.ENERGY,
-                              tol=TIGHT).value
+            return energy_sum(0.0, k, 1.0 / t, Prescription.ENERGY).value
 
         for theta in np.logspace(math.log10(0.05), math.log10(50.0), 10):
             fd = specific_heat_fd(sum_energy, float(theta))
@@ -172,6 +172,7 @@ def test_07_free_particle_figure_data_properties():
             assert ordered[0] > ordered[1] > ordered[2] > ordered[3]
 
 
+@pytest.mark.usefixtures("tight")
 def test_08_prescription_gap_vanishes_only_for_strict_ohmic_damping():
     """The partition-route minus direct-route energy gap: exactly zero for
     memoryless damping, strictly positive with a Drude cutoff, and equal to
@@ -184,12 +185,10 @@ def test_08_prescription_gap_vanishes_only_for_strict_ohmic_damping():
         for ratio in (2.0, 10.0, 100.0):
             kernel = DampingKernel.drude(1.0, ratio)
             beta = 1.0 / theta
-            gap = prescription_gap(1.0, kernel, beta, tol=TIGHT).value
+            gap = prescription_gap(1.0, kernel, beta).value
             assert gap > 0.0
-            direct = energy_sum(1.0, kernel, beta, Prescription.ENERGY,
-                                tol=TIGHT).value
-            partition = energy_sum(1.0, kernel, beta, Prescription.PARTITION,
-                                   tol=TIGHT).value
+            direct = energy_sum(1.0, kernel, beta, Prescription.ENERGY).value
+            partition = energy_sum(1.0, kernel, beta, Prescription.PARTITION).value
             assert abs((partition - direct) - gap) <= 1e-12 * gap
 
 

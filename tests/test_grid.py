@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qbrownian import matsubara
-from qbrownian.core import TWO_PI, ConvergenceError, DomainError, Tolerances
+from qbrownian.core import TWO_PI, ConvergenceError, DomainError
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
@@ -217,22 +217,25 @@ OVERFLOWING = {
 @pytest.mark.parametrize("grid", [
     pytest.param(np.array([1.0, theta]), id=repr(theta))
     for theta in (1e-320, 1e-300, 1e-163, 1e-160, 1e-120, 1e17, 1e200, 1e300, 1e-307)
-] + [pytest.param(np.array([1e-320, 1e-8]), id="1e-320,1e-08")])
+] + [pytest.param(np.array([1e-320, 1e-8]), id="1e-320,1e-08")] + [
+    pytest.param(np.array(theta), id=f"0-d {theta!r}") for theta in (1e-320, 1e-8)
+])
 def test_grid_overflows_as_the_float_call_does(grid):
     # a grid meets the float calls' checks: every float call that raises
     # raises a ConvergenceError naming its theta, and the grid raises the
     # same class naming its first failing element in C order; where both
-    # errors come from checked_real, the same text up to the roundoff
+    # errors come from checked_real, the same text up to the roundoff.  A 0-d
+    # array is a grid of one element
     for name, fn in FORMS + list(OVERFLOWING.items()):
         want = []
-        for theta in grid.tolist():
+        for theta in grid.reshape(-1).tolist():
             try:
                 want.append(fn(theta))
             except (ConvergenceError, DomainError) as exc:
                 want = exc
                 break
         if not isinstance(want, Exception):
-            assert fn(grid) == pytest.approx(want, rel=1e-12), name
+            assert np.reshape(fn(grid), -1) == pytest.approx(want, rel=1e-12), name
             continue
         assert type(want) is ConvergenceError, (name, want)
         assert named_theta(want) == repr(theta), (name, want)
@@ -280,7 +283,7 @@ SUM_SYSTEMS = {
 
 
 def frequency_sums():
-    """(id, (private kernel, public function)) of each sum, both of beta and tol."""
+    """(id, (private kernel, public function)) of each sum, both of beta."""
     out = []
     for name, (omega0, kernel) in SUM_SYSTEMS.items():
         for route in Prescription:
@@ -348,22 +351,22 @@ SUMMED = [(name, pair) for name, pair in SUMS if not name.endswith("ohmic gap")]
 
 
 @pytest.mark.parametrize("pair", [p for _, p in SUMMED], ids=[n for n, _ in SUMMED])
-def test_sum_refusals_name_the_first_failing_theta(pair):
+def test_sum_refusals_name_the_first_failing_theta(pair, monkeypatch):
     on_grid, alone = pair
     cold = SUM_GRID.copy()
     cold[7] = 1e-8
     with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum needs"):
         on_grid(1.0 / cold)
-    # no sum meets a relative target below eps: the tail check names theta
-    tight = Tolerances(rel_sum_tail=1e-17)
+    # no sum meets a relative bar below eps: the tail check names theta
+    monkeypatch.setattr(matsubara, "_REL_TAIL", 1e-17)
     missed = r"^at theta={}: frequency sum error bar"
     with pytest.raises(ConvergenceError, match=missed.format(r"0\.1")):
-        on_grid(1.0 / SUM_GRID, tol=tight)
+        on_grid(1.0 / SUM_GRID)
     # and so do the later groups of a grid whose coldest rows are summed first
     with pytest.raises(ConvergenceError, match=missed.format(r"0\.1")):
-        on_grid(1.0 / np.array([0.1, 1e-3, 1e-2]), tol=tight)
+        on_grid(1.0 / np.array([0.1, 1e-3, 1e-2]))
     with pytest.raises(ConvergenceError, match=missed.format(r"0\.37")):
-        alone(1.0 / 0.37, tol=tight)
+        alone(1.0 / 0.37)
 
 
 def test_term_cap_refuses_before_a_term_is_added():
@@ -378,7 +381,7 @@ def test_term_cap_refuses_before_a_term_is_added():
     theta[7] = 1e-8
     with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum "
                                                r"needs 1\.27e\+08 > 100000000 terms$"):
-        _summed(summand, TWO_PI * theta, theta, 2.0, 1e-12, 10 ** 8)
+        _summed(summand, TWO_PI * theta, theta, 2.0)
     assert evaluated == []
     # the float-only variance sum names its theta too
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):

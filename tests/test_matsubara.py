@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qbrownian.matsubara
-from qbrownian.core import ConvergenceError, DomainError, Tolerances
+from qbrownian.core import ConvergenceError, DomainError
 from qbrownian.free_particle import drude_specific_heat
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
@@ -23,8 +23,6 @@ from qbrownian.oscillator import undamped_thermo
 
 EULER_GAMMA = 0.5772156649015328606065121
 TWO_PI = 2.0 * math.pi
-
-TIGHT = Tolerances(rel_sum_tail=1e-13)
 
 # theta = 1, alpha = 1, strictly ohmic, regularized (omega_ref = omega0)
 E_REG_OSC_REF = 0.8321042943381163864811856
@@ -135,50 +133,53 @@ def test_zero_damping_reproduces_undamped_energy():
         assert not got.regularized
 
 
+@pytest.mark.usefixtures("tight")
 def test_ohmic_routes_are_identical():
     # gh' = 0 for strictly ohmic damping, so the prescriptions coincide
     kernel = DampingKernel.ohmic(1.0)
-    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY, tol=TIGHT)
-    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION, tol=TIGHT)
+    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY)
+    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION)
     assert direct.value == partition.value
     assert direct.terms_used == partition.terms_used
 
 
+@pytest.mark.usefixtures("tight")
 def test_regularized_ohmic_oscillator_frozen():
-    result = energy_sum(1.0, DampingKernel.ohmic(1.0), 1.0,
-                        Prescription.ENERGY, tol=TIGHT)
+    result = energy_sum(1.0, DampingKernel.ohmic(1.0), 1.0, Prescription.ENERGY)
     assert result.regularized
     assert result.value == pytest.approx(E_REG_OSC_REF, rel=1e-11)
 
 
+@pytest.mark.usefixtures("tight")
 def test_regularized_ohmic_free_frozen():
-    result = energy_sum(0.0, DampingKernel.ohmic(1.0), 2.0,
-                        Prescription.ENERGY, tol=TIGHT)
+    result = energy_sum(0.0, DampingKernel.ohmic(1.0), 2.0, Prescription.ENERGY)
     assert result.regularized
     assert result.value == pytest.approx(E_REG_FREE_REF, rel=1e-11)
 
 
+@pytest.mark.usefixtures("tight")
 def test_drude_oscillator_frozen_both_routes():
     kernel = DampingKernel.drude(1.0, 10.0)
-    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY, tol=TIGHT)
-    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION, tol=TIGHT)
+    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY)
+    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION)
     assert direct.value == pytest.approx(E_DRUDE_ENERGY_REF, rel=1e-11)
     assert partition.value == pytest.approx(E_DRUDE_PARTITION_REF, rel=1e-11)
     assert not direct.regularized
 
 
+@pytest.mark.usefixtures("tight")
 def test_free_drude_frozen():
-    result = energy_sum(0.0, DampingKernel.drude(1.0, 1.0), 2.0,
-                        Prescription.ENERGY, tol=TIGHT)
+    result = energy_sum(0.0, DampingKernel.drude(1.0, 1.0), 2.0, Prescription.ENERGY)
     assert result.value == pytest.approx(E_FREE_DRUDE_REF, rel=1e-11)
 
 
+@pytest.mark.usefixtures("tight")
 def test_prescription_gap_matches_energy_difference():
     kernel = DampingKernel.drude(1.0, 10.0)
-    gap = prescription_gap(1.0, kernel, 1.0, tol=TIGHT)
+    gap = prescription_gap(1.0, kernel, 1.0)
     assert gap.value == pytest.approx(GAP_DRUDE_REF, rel=1e-11)
-    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY, tol=TIGHT)
-    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION, tol=TIGHT)
+    direct = energy_sum(1.0, kernel, 1.0, Prescription.ENERGY)
+    partition = energy_sum(1.0, kernel, 1.0, Prescription.PARTITION)
     assert abs((partition.value - direct.value) - gap.value) <= 1e-12 * gap.value
 
 
@@ -195,6 +196,7 @@ def test_prescription_gap_positive_for_drude():
         assert gap.value > 0.0
 
 
+@pytest.mark.usefixtures("tight")
 def test_regularized_value_against_brute_force_sum():
     # theta = 0.4, alpha = 1: sum the cancellation-free summand directly to
     # 2e6 terms, close the tail with the exact 1/n^2 power sum, and add the
@@ -208,8 +210,7 @@ def test_regularized_value_against_brute_force_sum():
     brute = float(np.sum(terms[::-1])) + c_tail * _trigamma(2_000_001.0).real
     e_brute = theta * (1.0 + brute) + (1.0 / TWO_PI) * (
         EULER_GAMMA + math.log(beta / TWO_PI))
-    result = energy_sum(1.0, DampingKernel.ohmic(1.0), beta,
-                        Prescription.ENERGY, tol=TIGHT)
+    result = energy_sum(1.0, DampingKernel.ohmic(1.0), beta, Prescription.ENERGY)
     assert abs(result.value - e_brute) <= result.err + 1e-10
 
 
@@ -240,16 +241,18 @@ def test_convergence_error_carries_diagnostics(monkeypatch):
 
 
 @pytest.mark.parametrize("key", sorted(Q2_REF))
+@pytest.mark.usefixtures("tight")
 def test_position_variance_frozen(key):
     theta, alpha = key
-    result = position_variance_sum(theta, alpha, tol=TIGHT)
+    result = position_variance_sum(theta, alpha)
     assert result.value == pytest.approx(Q2_REF[key], rel=1e-11)
 
 
+@pytest.mark.usefixtures("tight")
 def test_position_variance_undamped_limit():
     # alpha = 0 collapses to the textbook coth form
     want = 0.5 / math.tanh(0.5)
-    got = position_variance_sum(1.0, 0.0, tol=TIGHT)
+    got = position_variance_sum(1.0, 0.0)
     assert got.value == pytest.approx(want, rel=1e-11)
 
 
@@ -315,11 +318,11 @@ def test_failing_sum_memory_is_bounded(monkeypatch):
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.usefixtures("tight")
 def test_fd_specific_heat_free_drude_matches_closed_form():
     kernel = DampingKernel.drude(1.0, 1.0)
     fd = specific_heat_fd(
-        lambda t: energy_sum(0.0, kernel, 1.0 / t, Prescription.ENERGY,
-                             tol=TIGHT).value, 0.5)
+        lambda t: energy_sum(0.0, kernel, 1.0 / t, Prescription.ENERGY).value, 0.5)
     assert fd.value == pytest.approx(drude_specific_heat(0.5, 1.0).C, abs=1e-6)
 
 

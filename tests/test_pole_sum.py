@@ -11,13 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError, DomainError, Tolerances
+from qbrownian.core import ConvergenceError, DomainError
 from qbrownian.free_particle import drude_specific_heat, ohmic_specific_heat
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                                  specific_heat_fd)
 from qbrownian.oscillator import damped_specific_heat, undamped_thermo
 
-TIGHT = Tolerances(rel_sum_tail=1e-13)
 THETAS = [float(t) for t in np.logspace(-3.0, 2.0, 6)]
 # the Drude oscillator's cubic has a triple root at alpha = 8/(3 sqrt 3), r = 27/8
 ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
@@ -141,12 +140,13 @@ COINCIDENT_HEAT = {
 
 @pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.usefixtures("tight")
 def test_energy_matches_energy_sum(system, route):
     omega0, kernel = SYSTEMS[system]
     poles = PoleSum(omega0, kernel, route)
     assert poles.regularized == (kernel.is_ohmic and kernel.gamma > 0.0)
     for theta in THETAS:
-        summed = energy_sum(omega0, kernel, 1.0 / theta, route, tol=TIGHT).value
+        summed = energy_sum(omega0, kernel, 1.0 / theta, route).value
         # a regularized energy is measured against the size of its constant
         scale = max(abs(summed), kernel.gamma if poles.regularized else 0.0)
         assert abs(poles.energy(theta) - summed) <= 1e-11 * scale, theta
@@ -223,12 +223,13 @@ def test_coincident_pole_heat_is_right_or_refused(system, route):
 @pytest.mark.parametrize("system", ["osc-drude", "osc-drude-slow", "osc-drude-fast",
                                     "osc-drude-triple", "free-drude-slow",
                                     "free-drude-fast"])
+@pytest.mark.usefixtures("tight")
 def test_heat_is_the_derivative_of_the_energy(system, route):
     omega0, kernel = SYSTEMS[system]
     poles = PoleSum(omega0, kernel, route)
     for theta in (0.05, 0.3, 1.0, 4.0):
-        fd = specific_heat_fd(lambda t: energy_sum(omega0, kernel, 1.0 / t, route,
-                                                   tol=TIGHT).value, theta)
+        fd = specific_heat_fd(
+            lambda t: energy_sum(omega0, kernel, 1.0 / t, route).value, theta)
         assert poles.heat(theta) == pytest.approx(fd.value, abs=1e-6)
         own = specific_heat_fd(poles.energy, theta)
         assert abs(poles.heat(theta) - own.value) <= 10.0 * own.err + 1e-9
