@@ -6,10 +6,13 @@ cover the special-function kernels on complex numbers and on arrays, every
 closed form, characteristic pair and expansion as a float call and on a
 grid (grids with non-positive elements included), PoleSum.energy/.heat for
 eight systems under both prescriptions, with theta out to 1e-320 and 1e300,
-the term-by-term frequency sums and their finite-difference specific heat as
-(value, err, terms_used), the points of `compare` through cli.main (which
-sums on whole grids), and the spectral moments and energy of the quadrature
-route.  Arrays print through tolist(), so each element shows its full repr;
+each function of theta also at numpy temperatures (float32 and float64
+scalars, a 0-d float32 array, a float32 grid), the term-by-term frequency
+sums and their finite-difference specific heat as (value, err, terms_used),
+the variance sum on grids, the finite difference of energies that are not
+finite or whose difference overflows, the points of `compare` through
+cli.main (which sums on whole grids), and the spectral moments and energy of
+the quadrature route.  Arrays print through tolist(), so each element shows its full repr;
 an error prints as its class and message, and a failing command as its exit
 code and message.
 
@@ -174,6 +177,13 @@ def pole_sums() -> list:
     return forms
 
 
+def numpy_temperatures(name: str, fn) -> None:
+    emit(f"{name} (np.float32(0.3))", fn, np.float32(0.3))
+    emit(f"{name} (np.float64(1e-320))", fn, np.float64(1e-320))
+    emit(f"{name} (0-d float32 0.3)", fn, np.array(0.3, dtype=np.float32))
+    emit(f"{name} [grid float32]", fn, GRID.astype(np.float32))
+
+
 def functions_of_theta(forms: list) -> None:
     for name, fn in forms:
         for theta in THETAS + BAD_THETAS:
@@ -182,6 +192,7 @@ def functions_of_theta(forms: list) -> None:
         emit(f"{name} [grid]", fn, GRID)
         for grid in NON_POSITIVE_GRIDS:
             emit(f"{name} {grid!r}", fn, np.array(grid))
+        numpy_temperatures(name, fn)
 
 
 def frequency_sums() -> None:
@@ -203,6 +214,25 @@ def frequency_sums() -> None:
         for alpha in SPECTRAL_ALPHAS:
             emit(f"position_variance_sum ({theta!r}, {alpha!r})",
                  lambda: estimate(position_variance_sum(theta, alpha)))
+    for alpha in SPECTRAL_ALPHAS:
+        name = f"position_variance_sum alpha={alpha!r}"
+
+        def variance(t, alpha=alpha):
+            return estimate(position_variance_sum(t, alpha))
+
+        for grid in [SUM_THETAS, SUM_THETAS[1:]] + NON_POSITIVE_GRIDS:
+            emit(f"{name} {grid!r}", variance, np.array(grid))
+        numpy_temperatures(name, variance)
+    # energies that are not finite, and finite ones whose difference overflows
+    evaluators = {
+        "nan": (lambda t: t * math.nan, lambda t: np.where(t < 0.5, np.nan, t)),
+        "overflowing": (lambda t: 1e308 if t > 1.0 else -1e308,
+                        lambda t: np.where(t > 1.0, 1e308, -1e308))}
+    for name, (as_float, on_grid) in evaluators.items():
+        emit(f"specific_heat_fd {name} (1.0)",
+             lambda: estimate(specific_heat_fd(as_float, 1.0)))
+        emit(f"specific_heat_fd {name} [2.0, 1.0, 0.2, 0.1]",
+             lambda: estimate(specific_heat_fd(on_grid, np.array([2.0, 1.0, 0.2, 0.1]))))
 
 
 def compare_points() -> None:

@@ -8,8 +8,8 @@ trigamma-based closed forms, frequency sums under both energy prescriptions
 quadrature, and limit expansions.
 """
 
-from .core import (ConvergenceError, DEFAULT_TOL, DomainError, Estimate,
-                   ThermoPoint, Tolerances)
+from .core import (ConvergenceError, DomainError, Estimate, ThermoPoint,
+                   Tolerances)
 from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
                             ohmic_specific_heat)
 from .matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
@@ -22,7 +22,7 @@ from .quadrature import MomentResult, moments, spectral_energy
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DEFAULT_TOL", "DampingKernel", "DomainError",
+    "ConvergenceError", "DampingKernel", "DomainError",
     "Estimate", "MomentResult", "PoleSum", "Prescription", "ThermoPoint",
     "Tolerances", "damped_entropy", "damped_specific_heat",
     "damped_specific_heat_via_entropy", "drude_specific_heat", "energy_sum",

@@ -46,20 +46,6 @@ _KERNELS = ("ohmic", "drude")
 _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
 
-# (model, kernel, route) -> closed-form C of (theta, alpha, cutoff_ratio),
-# theta an array.  A combination missing here has no closed form:
-# curve takes C from the pole form of its frequency sum instead and compare
-# reports C_closed as null.  The free particle's closed forms are those of the
-# energy route, its only curve route.
-_CLOSED_HEAT: dict[tuple[str, str, str], Callable] = {
-    ("oscillator", "ohmic", "energy"): lambda t, a, r: damped_specific_heat(t, a).C,
-    ("oscillator", "ohmic", "partition"):
-        lambda t, a, r: damped_specific_heat_via_entropy(t, a).C,
-    ("free", "ohmic", "energy"): lambda t, a, r: ohmic_specific_heat(t).C,
-    ("free", "drude", "energy"): lambda t, a, r: drude_specific_heat(t, r).C,
-}
-
-
 @dataclasses.dataclass
 class CurveSpec:
     """Validated description of one run: model, bath, grid and outputs.
@@ -143,10 +129,19 @@ class CurveSpec:
 
     def closed_heat(self, route: str = "energy") -> Callable | None:
         """theta -> closed-form C on this route, or None where there is none."""
-        closed = _CLOSED_HEAT.get((self.model, self.kernel, route))
-        if closed is None:
-            return None
-        return lambda theta: closed(theta, self.alpha_value, self.cutoff_ratio)
+        a, r = self.alpha_value, self.cutoff_ratio
+        # (model, kernel, route) -> closed-form C of theta, an array.  A
+        # combination missing here has no closed form: curve takes C from the
+        # pole form of its frequency sum instead and compare reports C_closed
+        # as null.  The free particle's closed forms are those of the energy
+        # route, its only curve route.
+        return {
+            ("oscillator", "ohmic", "energy"): lambda t: damped_specific_heat(t, a).C,
+            ("oscillator", "ohmic", "partition"):
+                lambda t: damped_specific_heat_via_entropy(t, a).C,
+            ("free", "ohmic", "energy"): lambda t: ohmic_specific_heat(t).C,
+            ("free", "drude", "energy"): lambda t: drude_specific_heat(t, r).C,
+        }.get((self.model, self.kernel, route))
 
     def comment(self, *names: str) -> str:
         """The comment row: the named parameters, then the library version.

@@ -8,15 +8,18 @@ damping rate itself sets the scale and theta = k_B T / (hbar gamma).  A Drude
 bath enters only through cutoff_ratio = omega_D / gamma; math.inf encodes the
 strictly ohmic (memoryless) limit.
 
-The closed forms and PoleSum take theta as a float or as an ndarray of
-temperatures; the helpers below (elementwise, where and the checks) let one
-body of code serve both, with math and plain conditionals for a float, so a
-float in gives exactly the float out that a scalar-only body would.  Where
-float ** and math.exp raise OverflowError, or a float division by zero
-raises, numpy gives inf or nan, and the special-function kernels give inf or
-nan wherever their arguments or values overflow.  checked_real and gridwise,
-the decorator of every such function, are the one refusal: each turns what
-is not finite into a ConvergenceError naming the failing theta.
+Every function of theta (the closed forms, the expansions, PoleSum, the
+variance sum and the finite-difference heat) takes a float or an ndarray of
+temperatures through gridwise, the one boundary that checks theta and takes
+it as a double: a numpy scalar or a 0-d array as its Python float, any other
+array as float64.  The helpers below (elementwise, where and the checks) let
+one body serve both, with math and plain conditionals for a float, so a float
+in gives exactly the float out that a scalar-only body would.  Where float **
+and math.exp raise OverflowError, or a float division by zero raises, numpy
+gives inf or nan, as the special-function kernels do wherever their
+arguments or values overflow.  checked_real and gridwise are the one
+refusal: each turns what is not finite into a ConvergenceError naming the
+failing theta.
 """
 
 from __future__ import annotations
@@ -63,9 +66,6 @@ class Tolerances:
         value = self.quad_abs
         if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
             raise DomainError(f"quad_abs must lie in (0, 1), got {value!r}")
-
-
-DEFAULT_TOL = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,13 @@ def where(condition, if_true, if_false):
 def gridwise(fn):
     """Decorate a function of theta: the one boundary of its float and array calls.
 
-    theta is checked first.  A result that is not finite (a float or an
-    ndarray, or a ThermoPoint's set quantity), and a float call that raised
-    OverflowError or ZeroDivisionError, is refused with a ConvergenceError
-    naming the first failing theta, "at theta=<repr>:".  An array call runs
-    with numpy's warnings off, so that every element meets the checks that
-    its float call meets.
+    theta is checked first and passed on as the double that check_positive
+    returns, a Python float or a float64 array.  A result that is not finite
+    (a float or an ndarray, a ThermoPoint's set quantity, an Estimate's value
+    or err), and a float call that raised OverflowError or ZeroDivisionError,
+    is refused with a ConvergenceError naming the first failing theta,
+    "at theta=<repr>:".  An array call runs with numpy's warnings off, so
+    that every element meets the checks that its float call meets.
     """
     position = list(inspect.signature(fn).parameters).index("theta")
 
@@ -136,8 +137,12 @@ def gridwise(fn):
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        theta = args[position] if len(args) > position else kwargs.get("theta")
-        check_positive("theta", theta)
+        if len(args) > position:
+            theta = check_positive("theta", args[position])
+            if theta is not args[position]:
+                args = (*args[:position], theta, *args[position + 1:])
+        else:
+            theta = kwargs["theta"] = check_positive("theta", kwargs.get("theta"))
         if isinstance(theta, np.ndarray):
             with np.errstate(all="ignore"):
                 value = fn(*args, **kwargs)
@@ -161,9 +166,11 @@ def gridwise(fn):
 
 
 def _parts(value) -> tuple:
-    # the numbers of a result: a ThermoPoint's quantities (None where unset)
+    # the numbers of a result: a ThermoPoint's (None where unset), an Estimate's
     if isinstance(value, ThermoPoint):
         return (value.Z, value.E, value.S, value.C)
+    if isinstance(value, Estimate):
+        return (value.value, value.err)
     return (value,)
 
 
@@ -172,15 +179,23 @@ def _first_failing(value, ok: np.ndarray):
     return value[~ok][0].item()
 
 
-def check_positive(name: str, value) -> None:
-    """Raise DomainError unless value, or each element of it, is positive and finite."""
-    if isinstance(value, np.ndarray):
+def check_positive(name: str, value):
+    """value as a double; DomainError unless it, or each element, is positive and finite.
+
+    A Python float comes back as it is, with no call into numpy; any other
+    scalar as its Python float, and an array as float64 (itself if it is one).
+    """
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = np.asarray(value, dtype=float)
         ok = (value > 0.0) & np.isfinite(value)
         if ok.all():
-            return
+            return value
         value = _first_failing(value, ok)
+    elif type(value) is not float:
+        value = float(value)
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def check_nonnegative(name: str, value: float) -> None:
@@ -212,8 +227,7 @@ def checked_real(total, magnitude, what: str, **params):
     total, magnitude and the params may be arrays over a temperature grid,
     checked elementwise with the same thresholds; the real parts come back
     as an array.  A failing grid raises the error that the scalar call at
-    its first failing element raises, which names that element's params;
-    a 0-d array param is named as its float.
+    its first failing element raises, which names that element's params.
     """
     if isinstance(total, np.ndarray):
         value = total.real
@@ -238,9 +252,6 @@ def checked_real(total, magnitude, what: str, **params):
     if math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
                                  or err <= ROUNDOFF_FLOOR):
         return value
-    # a 0-d array theta, whose arithmetic gives numpy scalars, ends up here
-    params = {name: x.item() if isinstance(x, np.ndarray) else x
-              for name, x in params.items()}
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
     loss = (err / abs(value) if value != 0.0 and math.isfinite(value)
             and math.isfinite(magnitude) else math.inf)

@@ -263,7 +263,7 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     counts the head's terms.  A refusal names theta = 1/beta.
     """
     check_nonnegative("omega0", omega0)
-    check_positive("beta", beta)
+    beta = check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
     return _energy_sum(omega0, kernel, beta, route)
@@ -514,17 +514,18 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
     any strictly ohmic kernel (gh' = 0), returned without summing.
     """
     check_nonnegative("omega0", omega0)
-    check_positive("beta", beta)
+    beta = check_positive("beta", beta)
     return _prescription_gap(omega0, kernel, beta)
 
 
-def position_variance_sum(theta: float, alpha: float) -> Estimate:
+@gridwise
+def position_variance_sum(theta, alpha: float) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
 
     theta * (1 + 2 sum_{n>=1} 1/(nu_n^2 + alpha nu_n + 1)), nu_n = 2 pi n theta.
     Serves as the frequency-sum counterpart of the spectral-integral moment.
+    theta may be an ndarray, summed as one grid; value and err take its shape.
     """
-    check_positive("theta", theta)
     check_nonnegative("alpha", alpha)
 
     def summand(nu):
@@ -536,6 +537,7 @@ def position_variance_sum(theta: float, alpha: float) -> Estimate:
                     terms_used=terms)
 
 
+@gridwise
 def specific_heat_fd(energy_evaluator: Callable, theta,
                      rel_step: float = 1e-5) -> Estimate:
     """C = dE/dT by symmetric finite difference in the reduced temperature.
@@ -545,22 +547,15 @@ def specific_heat_fd(energy_evaluator: Callable, theta,
     compares against a half-step evaluation, whose difference beyond both
     slopes' roundoff bounds the h^2 truncation error to leading order, and
     adds the roundoff max(|E(theta(1+h))|, |E(theta(1-h))|) eps / (theta h).
-    theta may also be an ndarray, which the evaluator then takes whole.
+    theta may also be an ndarray, which the evaluator then takes whole;
+    gridwise refuses a value or err that is not finite.
     """
-    check_positive("theta", theta)
     if not (0.0 < rel_step < 0.5):
         raise DomainError(f"rel_step must lie in (0, 0.5), got {rel_step!r}")
-    array, isfinite = isinstance(theta, np.ndarray), elementwise(theta).isfinite
 
     def slope(h: float):
         e_hi = energy_evaluator(theta * (1.0 + h))
         e_lo = energy_evaluator(theta * (1.0 - h))
-        finite = isfinite(e_hi) & isfinite(e_lo)
-        if not (finite.all() if array else finite):
-            near = (theta[~np.broadcast_to(finite, theta.shape)][0].item() if array
-                    else theta)
-            raise DomainError(
-                f"energy evaluator returned a non-finite value near theta={near!r}")
         # roundoff of the energies, amplified by the division; two identical
         # energies (a constant evaluator) difference to an exact zero
         size = where(abs(e_hi) > abs(e_lo), abs(e_hi), abs(e_lo))
@@ -571,6 +566,4 @@ def specific_heat_fd(energy_evaluator: Callable, theta,
     c_half, roundoff_half = slope(0.5 * rel_step)
     excess = abs(c_full - c_half) - roundoff - roundoff_half
     err = (4.0 / 3.0) * where(excess < 0.0, 0.0, excess) + roundoff
-    if array:
-        return Estimate(value=c_full, err=err)
-    return Estimate(value=float(c_full), err=float(err))
+    return Estimate(value=c_full, err=err)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DEFAULT_TOL, EPS, Tolerances, check_positive
+from .core import ConvergenceError, EPS, Tolerances, check_positive
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _bose(y):
 
 
 def moments(theta: float, alpha: float,
-            tol: Tolerances = DEFAULT_TOL) -> MomentResult:
+            tol: Tolerances = Tolerances()) -> MomentResult:
     """Both variances in one pass: q2 = f_0 and p2_reg = regularized f_2.
 
     Each step size evaluates the Bose factor and den once for both moments.
@@ -95,8 +95,8 @@ def moments(theta: float, alpha: float,
     leave: near w = 0 the integrand is at most its limit there, and near
     w = 1 at most its value at 1, g(1) / (pi alpha), since den >= alpha^2 w^2.
     """
-    check_positive("theta", theta)
-    check_positive("alpha", alpha)
+    theta = check_positive("theta", theta)
+    alpha = check_positive("alpha", alpha)
     target = tol.quad_abs
     pref = alpha / math.pi
     bose_1 = float(_bose(1.0 / theta))
@@ -135,7 +135,7 @@ def moments(theta: float, alpha: float,
 
 
 def spectral_energy(theta: float, alpha: float,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+                    tol: Tolerances = Tolerances()) -> tuple[float, float]:
     """Regularized internal energy (q2 + p2_reg)/2 with its error estimate.
 
     Carries the additive offset of the dropped zero-point momentum part, so

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from qbrownian.core import (ConvergenceError, DomainError, Tolerances,
@@ -23,8 +24,16 @@ def test_check_nonnegative_rejects(value):
 
 
 def test_checks_accept_their_domains():
-    check_positive("theta", 1e-300)
+    theta = 1e-300
+    assert check_positive("theta", theta) is theta
     check_nonnegative("alpha", 0.0)
+    # check_positive returns a double: a numpy scalar or a 0-d array as its
+    # float, an array as float64, itself when it is one
+    for x in (np.float32(0.5), np.float64(0.5), np.array(0.5)):
+        assert type(check_positive("theta", x)) is float
+    grid = np.linspace(0.5, 2.0, 4)
+    assert check_positive("theta", grid) is grid
+    assert check_positive("theta", grid.astype(np.float32)).dtype == np.float64
 
 
 def test_tolerances_defaults_and_validation():

@@ -110,6 +110,13 @@ def test_grid_matches_per_theta_floats(fn):
     want = np.array(scalars[start:])
     excess = np.abs(values - want) / np.maximum(1.0, np.abs(want))
     assert np.all(excess <= AGREE_ABS), excess.max()
+    # a float32 grid is computed in double: the float64 grid of its values
+    single = GRID[start:].astype(np.float32)
+    got, want = evaluate(fn, single), evaluate(fn, single.astype(float))
+    if isinstance(want, ConvergenceError):
+        assert type(got) is ConvergenceError and str(got) == str(want)
+    else:
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_grid_of_any_shape():
@@ -187,7 +194,8 @@ def test_cancelling_grid_point_is_named(fn):
         fn(CANCELLING)
 
 
-@pytest.mark.parametrize("fn", [fn for _, fn in FORMS], ids=[name for name, _ in FORMS])
+@pytest.mark.parametrize("fn", [fn for _, fn in FORMS] + [
+    lambda t: position_variance_sum(t, 1.0)], ids=[name for name, _ in FORMS] + ["q2"])
 def test_non_positive_grid_point_is_named(fn):
     # the float call's DomainError, naming the first bad element in C order
     with pytest.raises(DomainError, match=r"theta must be positive and finite, "
@@ -219,13 +227,13 @@ OVERFLOWING = {
     for theta in (1e-320, 1e-300, 1e-163, 1e-160, 1e-120, 1e17, 1e200, 1e300, 1e-307)
 ] + [pytest.param(np.array([1e-320, 1e-8]), id="1e-320,1e-08")] + [
     pytest.param(np.array(theta), id=f"0-d {theta!r}") for theta in (1e-320, 1e-8)
-])
+] + [pytest.param(np.float64(1e-320), id="np.float64(1e-320)")])
 def test_grid_overflows_as_the_float_call_does(grid):
     # a grid meets the float calls' checks: every float call that raises
     # raises a ConvergenceError naming its theta, and the grid raises the
     # same class naming its first failing element in C order; where both
     # errors come from checked_real, the same text up to the roundoff.  A 0-d
-    # array is a grid of one element
+    # array or a numpy scalar is computed as its float, quietly
     for name, fn in FORMS + list(OVERFLOWING.items()):
         want = []
         for theta in grid.reshape(-1).tolist():
@@ -265,6 +273,10 @@ def test_float_in_gives_python_float_out():
     poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.ENERGY)
     for name, fn in closed_forms() + [("E", poles.energy), ("C", poles.heat)]:
         assert type(fn(0.5)) is float, name
+        # a numpy scalar or a 0-d array is computed as its Python float
+        for x in (np.float32(0.3), np.float64(0.3), np.array(0.3)):
+            got, want = fn(x), fn(float(x))
+            assert type(got) is float and repr(got) == repr(want), (name, x)
     assert all(type(z) is complex
                for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(0.5, 10.0)[2:])
 
@@ -283,8 +295,15 @@ SUM_SYSTEMS = {
 
 
 def frequency_sums():
-    """(id, (private kernel, public function)) of each sum, both of beta."""
-    out = []
+    """(id, (grid call, float call)) of each sum, both of beta.
+
+    The energy sums and the gap are on a grid through their private kernels;
+    the variance sum takes a grid of theta itself.
+    """
+    def variance(beta):
+        return position_variance_sum(1.0 / beta, 1.0)
+
+    out = [("osc-ohmic q2", (variance, variance))]
     for name, (omega0, kernel) in SUM_SYSTEMS.items():
         for route in Prescription:
             out.append((f"{name} {route.value} E",
@@ -388,6 +407,16 @@ def test_term_cap_refuses_before_a_term_is_added():
         position_variance_sum(0.37, 1e136)
 
 
+def test_float32_sum_grids_are_computed_in_double():
+    single = SUM_GRID.astype(np.float32)
+    for fn in (lambda t: position_variance_sum(t, 1.0),
+               lambda t: specific_heat_fd(lambda u: u * u * u / (1.0 + u), t)):
+        got, want = fn(single), fn(single.astype(float))
+        assert got.value.dtype == got.err.dtype == np.float64
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.err, want.err)
+
+
 def test_fd_on_a_grid_matches_its_float_calls():
     # the same arithmetic on floats and arrays: the same bits
     def energy(t):
@@ -409,6 +438,6 @@ def test_fd_on_a_grid_matches_its_float_calls():
                 lambda u: energy_sum(omega0, kernel, 1.0 / u, route).value, t)
             assert abs(grid.value[i] - want.value) <= grid.err[i] + want.err
     # a non-finite energy names the first temperature that gave one
-    with pytest.raises(DomainError, match=r"near theta=0\.2$"):
+    with pytest.raises(ConvergenceError, match=r"^at theta=0\.2:"):
         specific_heat_fd(lambda t: np.where(t < 0.5, np.nan, t),
                          np.array([1.0, 0.2, 0.1]))

@@ -327,8 +327,11 @@ def test_fd_specific_heat_free_drude_matches_closed_form():
 
 
 def test_fd_specific_heat_validation():
-    with pytest.raises(DomainError):
-        specific_heat_fd(lambda t: math.nan, 1.0)
+    # a non-finite energy, or a difference of finite ones that overflows, is
+    # refused as every function of theta refuses what is not finite
+    for energy in (lambda t: math.nan, lambda t: 1e308 if t > 1.0 else -1e308):
+        with pytest.raises(ConvergenceError, match=r"^at theta=1\.0: specific_heat_fd"):
+            specific_heat_fd(energy, 1.0)
     with pytest.raises(DomainError):
         specific_heat_fd(lambda t: t, 1.0, rel_step=0.6)
     with pytest.raises(DomainError):

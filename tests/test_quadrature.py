@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError, DEFAULT_TOL, DomainError, Tolerances
+from qbrownian.core import ConvergenceError, DomainError, Tolerances
 from qbrownian.matsubara import position_variance_sum, specific_heat_fd
 from qbrownian.oscillator import damped_specific_heat
 import qbrownian.quadrature as quadrature
@@ -62,7 +62,7 @@ def test_error_bar_covers_oracle(key, n):
     theta, alpha = key
     value, err = moment(n, moments(theta, alpha))
     assert type(value) is float and type(err) is float
-    assert abs(value - ORACLES[key][n // 2]) <= err <= DEFAULT_TOL.quad_abs
+    assert abs(value - ORACLES[key][n // 2]) <= err <= Tolerances().quad_abs
 
 
 def test_weak_damping_approaches_undamped_variance():
@@ -129,7 +129,7 @@ def test_unresolved_resonance_raises_after_the_finest_step():
     # at alpha = 1e-10 the last halving still moves f_0 by ~2e-10
     with pytest.raises(ConvergenceError) as exc_info:
         moments(1.0, 1e-10)
-    assert exc_info.value.requested == DEFAULT_TOL.quad_abs
+    assert exc_info.value.requested == Tolerances().quad_abs
     assert exc_info.value.achieved > exc_info.value.requested
 
 
@@ -154,7 +154,7 @@ def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
         else:
             value, err = moment(n, moments(theta, alpha))
             assert value == pytest.approx(expected, abs=1e-13)
-            assert err <= DEFAULT_TOL.quad_abs
+            assert err <= Tolerances().quad_abs
 
 
 def test_one_bose_evaluation_per_step_size(monkeypatch):
