@@ -93,7 +93,7 @@ class CurveSpec:
                 raise DomainError("entropy output is available for the oscillator only")
         else:
             if self.alpha is not None:
-                check_nonnegative("alpha", self.alpha)
+                self.alpha = check_nonnegative("alpha", self.alpha)
             if "S" in self.quantities and self.kernel != "ohmic":
                 raise DomainError("entropy has a closed form for the ohmic "
                                   "oscillator only; drop S or use kernel=ohmic")

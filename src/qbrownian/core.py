@@ -198,10 +198,16 @@ def check_positive(name: str, value):
     return value
 
 
-def check_nonnegative(name: str, value: float) -> None:
-    """Raise DomainError unless the float value is >= 0 and finite."""
+def check_nonnegative(name: str, value) -> float:
+    """value as a Python float; DomainError unless it is >= 0 and finite.
+
+    A Python float comes back as it is, with no call into numpy.
+    """
+    if type(value) is not float:
+        value = float(value)
     if not (value >= 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
+    return value
 
 
 ROUNDOFF_LIMIT = 1e-6       # relative to the result

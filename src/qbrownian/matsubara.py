@@ -84,7 +84,7 @@ class DampingKernel:
     omega_d: float = math.inf
 
     def __post_init__(self):
-        check_nonnegative("gamma", self.gamma)
+        object.__setattr__(self, "gamma", check_nonnegative("gamma", self.gamma))
         if self.omega_d <= 0.0 or math.isnan(self.omega_d):
             raise DomainError(f"omega_d must be positive, got {self.omega_d!r}")
 
@@ -262,7 +262,7 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     bounds the exact tail's truncation and the sum's roundoff; terms_used
     counts the head's terms.  A refusal names theta = 1/beta.
     """
-    check_nonnegative("omega0", omega0)
+    omega0 = check_nonnegative("omega0", omega0)
     beta = check_positive("beta", beta)
     if not isinstance(route, Prescription):
         raise DomainError(f"route must be a Prescription, got {route!r}")
@@ -411,7 +411,7 @@ class PoleSum:
     """
 
     def __init__(self, omega0: float, kernel: DampingKernel, route: Prescription):
-        check_nonnegative("omega0", omega0)
+        omega0 = check_nonnegative("omega0", omega0)
         if not isinstance(route, Prescription):
             raise DomainError(f"route must be a Prescription, got {route!r}")
         # a strictly ohmic kernel's energy is energy_sum's regularized value
@@ -513,7 +513,7 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
     when the individual energies need regularization.  Identically zero for
     any strictly ohmic kernel (gh' = 0), returned without summing.
     """
-    check_nonnegative("omega0", omega0)
+    omega0 = check_nonnegative("omega0", omega0)
     beta = check_positive("beta", beta)
     return _prescription_gap(omega0, kernel, beta)
 
@@ -526,7 +526,7 @@ def position_variance_sum(theta, alpha: float) -> Estimate:
     Serves as the frequency-sum counterpart of the spectral-integral moment.
     theta may be an ndarray, summed as one grid; value and err take its shape.
     """
-    check_nonnegative("alpha", alpha)
+    alpha = check_nonnegative("alpha", alpha)
 
     def summand(nu):
         return 1.0 / (nu * nu + alpha * nu + 1.0)

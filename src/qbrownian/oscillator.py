@@ -64,9 +64,9 @@ def undamped_thermo(theta) -> ThermoPoint:
 
 
 def _lambda_pm(theta, alpha: float):
-    # (lam_+, lam_-, a = alpha / (2 pi theta)), the damped forms' arguments,
-    # for a checked theta
-    check_nonnegative("alpha", alpha)
+    # (lam_+, lam_-, a = alpha / (2 pi theta), alpha), the damped forms'
+    # arguments for a checked theta, with alpha checked and taken as a double
+    alpha = check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
     square = half * half
@@ -74,7 +74,8 @@ def _lambda_pm(theta, alpha: float):
         raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
                           f"precision, got alpha={alpha!r}")
     root = cmath.sqrt(complex(square - 1.0, 0.0))
-    return scale * (half + root), scale * (half - root), alpha / (TWO_PI * theta)
+    return (scale * (half + root), scale * (half - root), alpha / (TWO_PI * theta),
+            alpha)
 
 
 @gridwise
@@ -86,7 +87,7 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     closed form analytically; it is evaluated through the same expression so
     the reduction is a checked property, not a special case.
     """
-    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
+    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
     # not lam ** 2: a Python complex ** raises OverflowError where * gives inf
     t_plus = lam_plus * lam_plus * _trigamma(1.0 + lam_plus)
     t_minus = lam_minus * lam_minus * _trigamma(1.0 + lam_minus)
@@ -103,7 +104,7 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
     at any damping, with leading slope (pi/3) alpha.
     """
-    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
+    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
     log_theta = elementwise(theta).log(theta)
     g_plus, g_minus = _g(lam_plus), _g(lam_minus)
     total = (1.0 + log_theta + a) + (g_plus + g_minus)
@@ -120,7 +121,7 @@ def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
     -z psi'(1 + z), this is the internal-energy route's arithmetic in
     another order: the two agree to roundoff, not as independent code.
     """
-    lam_plus, lam_minus, a = _lambda_pm(theta, alpha)
+    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
     t_plus = lam_plus * _g_prime(lam_plus)
     t_minus = lam_minus * _g_prime(lam_minus)
     total = (1.0 - a) - t_plus - t_minus
@@ -153,7 +154,7 @@ def oscillator_expansion(kind: str, theta, alpha: float = 0.0):
         return where(x < 700.0, xw * xw * elementwise(theta).exp(-xw), 0.0)
     if kind == "undamped_highT":
         return 1.0 - 1.0 / (12.0 * theta * theta)
-    check_nonnegative("alpha", alpha)
+    alpha = check_nonnegative("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("damped expansions need alpha > 0")
     if kind == "damped_lowT":

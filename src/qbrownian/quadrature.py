@@ -18,19 +18,24 @@ a real cross-check.
 Both integrals run over the whole half line with the double-exponential rule
 of Takahasi and Mori (Publ. RIMS 9, 721 (1974)): tanh-sinh on [0, 1] and
 exp-sinh on [1, inf), split at the resonance w = 1, where the nodes of both
-pieces cluster double-exponentially.  The nodes and weights of every step
-size are tabulated once, at import.  One pass over them gives both moments;
-each stops at its own step size, with its own error bar.
+pieces cluster double-exponentially.  The nodes of every step size and
+their weighted numerators (w, w^3) weight are tabulated once, at import.
+Divided by den, which depends on alpha but not on theta, they are tabulated
+again per damping and step size, on the first call that reaches that step
+at that damping, and kept for the next.  One pass over them gives both
+moments: each step size costs one Bose evaluation and one matrix-vector
+product, and each moment stops at its own step size, with its own error bar.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, EPS, Tolerances, check_positive
+from .core import ConvergenceError, DomainError, EPS, Tolerances, check_positive
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ _STEPS = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
 
 def _level(h: float, first: bool) -> tuple[np.ndarray, ...]:
-    """Nodes w, w^2, (w^2 - 1)^2 and weights that step h adds to the rule.
+    """Nodes w, rows (w, w^3) weight, w^2 and (w^2 - 1)^2 that step h adds.
 
     The coarsest step takes every node j h in [-_T_MAX, _T_MAX]; each finer
     one adds the odd multiples of h, the nodes halfway between the old ones.
@@ -66,7 +71,8 @@ def _level(h: float, first: bool) -> tuple[np.ndarray, ...]:
     s = np.concatenate([-1.0 / (1.0 + e2u), eu])
     w = np.concatenate([e2u / (1.0 + e2u), 1.0 + eu])
     weight = h * np.concatenate([2.0 * du * e2u / (1.0 + e2u) ** 2, du * eu])
-    return w, w * w, (s * (s + 2.0)) ** 2, weight
+    w2 = w * w
+    return w, np.stack([w, w * w2]) * weight, w2, (s * (s + 2.0)) ** 2
 
 
 _LEVELS = tuple(_level(h, i == 0) for i, h in enumerate(_STEPS))
@@ -77,48 +83,71 @@ _GAP0 = 1.0 / (1.0 + math.exp(2.0 * _U_MAX))
 _GAP1 = _GAP0 + math.exp(-_U_MAX)
 
 
+# the (alpha, level) tables kept: five levels for each of the last 25 dampings
+_TABLES_KEPT = 125
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _table(alpha: float, level: int) -> tuple[np.ndarray, float]:
+    """Read-only rows (w, w^3) weight / den of a level, and the first row's sum.
+
+    The sum is the level's share of the "1" in q2's integrand w (1 + bose).
+    """
+    _, numerators, w2, u2 = _LEVELS[level]
+    rows = numerators / (u2 + alpha * alpha * w2)
+    rows.flags.writeable = False
+    return rows, float(rows[0].sum())
+
+
 def _bose(y):
-    """2/(e^y - 1), the coth(y/2) - 1 remainder, without overflow for y > 0."""
-    return 2.0 * np.exp(-y) / -np.expm1(-y)
+    """2/(e^y - 1), the coth(y/2) - 1 remainder; 0 where e^y overflows."""
+    return 2.0 / np.expm1(y)
 
 
 def moments(theta: float, alpha: float,
             tol: Tolerances = Tolerances()) -> MomentResult:
     """Both variances in one pass: q2 = f_0 and p2_reg = regularized f_2.
 
-    Each step size evaluates the Bose factor and den once for both moments.
-    Each moment stops at the first step whose error bar is within
-    tol.quad_abs / 4 and keeps that value and bar; after the finest step, a
-    bar above tol.quad_abs raises ConvergenceError, f_0's before f_2's.  The
-    bar is the change of the value on the last halving, plus the roundoff
-    floor sum|f w| eps sqrt(nodes), plus a bound on the two gaps the nodes
-    leave: near w = 0 the integrand is at most its limit there, and near
-    w = 1 at most its value at 1, g(1) / (pi alpha), since den >= alpha^2 w^2.
+    theta and alpha are single values; an array of them raises DomainError.
+    Each step size evaluates the Bose factor once and takes both moments'
+    sums from it in one product with that damping's table, built on the
+    first call at that damping (see _table).  Each moment stops at the first
+    step whose error bar is within tol.quad_abs / 4 and keeps that value and
+    bar; after the finest step, a bar above tol.quad_abs raises
+    ConvergenceError, f_0's before f_2's.  The bar is the change of the
+    value on the last halving, plus the roundoff floor sum|f w| eps
+    sqrt(nodes), plus a bound on the two gaps the nodes leave: near w = 0
+    the integrand is at most its limit there, and near w = 1 at most its
+    value at 1, g(1) / (pi alpha), since den >= alpha^2 w^2.
     """
     theta = check_positive("theta", theta)
     alpha = check_positive("alpha", alpha)
+    if type(theta) is not float or type(alpha) is not float:
+        # check_positive gives a float unless it was given an array
+        raise DomainError("moments takes one theta and one alpha, not an array")
     target = tol.quad_abs
     pref = alpha / math.pi
-    bose_1 = float(_bose(1.0 / theta))
-    gaps = (_GAP0 * 2.0 * theta * pref + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
-            _GAP1 * bose_1 / (math.pi * alpha))
-    a2 = alpha * alpha
     # the coarsest step has no previous value to compare with
     totals, previous, errs = [0.0, 0.0], [math.inf] * 2, [math.inf] * 2
     nodes = 0
     # at extreme theta or alpha the integrands overflow or divide by zero
     # on some nodes; the resulting inf or nan error bar raises below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for w, w2, u2, weight in _LEVELS:
-            bose = _bose(w / theta)
-            den = u2 + a2 * w2
+        bose_1 = float(_bose(1.0 / theta))
+        gaps = (_GAP0 * 2.0 * theta * pref
+                + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
+                _GAP1 * bose_1 / (math.pi * alpha))
+        for level, (w, _, _, _) in enumerate(_LEVELS):
+            rows, ones = _table(alpha, level)
+            # both moments' Bose-weighted sums in one product
+            bosed = (rows @ _bose(w / theta)).tolist()
+            sums = (ones + bosed[0], bosed[1])
             nodes += w.size
             for k in (0, 1):
                 if errs[k] <= 0.25 * target:
                     continue            # this moment stopped at a coarser step
-                g = w + w * bose if k == 0 else w * w2 * bose
                 # halving the step halves the weights of the nodes already summed
-                total = 0.5 * totals[k] + float((g / den * weight).sum())
+                total = 0.5 * totals[k] + sums[k]
                 # the integrand and the weights are nonnegative, so total = sum|f w|
                 change = abs(total - previous[k])
                 errs[k] = pref * (change + total * EPS * math.sqrt(nodes)) + gaps[k]

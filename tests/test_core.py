@@ -26,11 +26,14 @@ def test_check_nonnegative_rejects(value):
 def test_checks_accept_their_domains():
     theta = 1e-300
     assert check_positive("theta", theta) is theta
-    check_nonnegative("alpha", 0.0)
-    # check_positive returns a double: a numpy scalar or a 0-d array as its
-    # float, an array as float64, itself when it is one
+    alpha = 0.0
+    assert check_nonnegative("alpha", alpha) is alpha
+    # both checks return a double: a numpy scalar or a 0-d array as its
+    # float; check_positive takes an array as float64, itself when it is one
     for x in (np.float32(0.5), np.float64(0.5), np.array(0.5)):
         assert type(check_positive("theta", x)) is float
+        assert type(check_nonnegative("alpha", x)) is float
+        assert check_nonnegative("alpha", x) == float(x)
     grid = np.linspace(0.5, 2.0, 4)
     assert check_positive("theta", grid) is grid
     assert check_positive("theta", grid.astype(np.float32)).dtype == np.float64

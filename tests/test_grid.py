@@ -259,12 +259,16 @@ def test_grid_overflows_as_the_float_call_does(grid):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 5.0, 1e3])
 def test_damped_heat_fails_alike_as_float_and_grid(alpha):
     # lambda_+^2 overflows at theta = 1e-307: the float call squares it as the
-    # grid does, so both reach checked_real and say the same
+    # grid does, so both reach checked_real and say the same; a numpy alpha
+    # is named as its float
     with pytest.raises(ConvergenceError) as as_float:
         damped_specific_heat(1e-307, alpha)
     with pytest.raises(ConvergenceError) as on_grid:
         damped_specific_heat(np.array([1.0, 1e-307]), alpha)
     assert str(as_float.value) == str(on_grid.value)
+    with pytest.raises(ConvergenceError) as numpy_alpha:
+        damped_specific_heat(1e-307, np.float64(alpha))
+    assert str(numpy_alpha.value) == str(as_float.value)
 
 
 def test_float_in_gives_python_float_out():
@@ -279,6 +283,22 @@ def test_float_in_gives_python_float_out():
             assert type(got) is float and repr(got) == repr(want), (name, x)
     assert all(type(z) is complex
                for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(0.5, 10.0)[2:])
+    # so is a numpy damping or frequency: computed as its Python float
+    single = np.float32(0.3)
+    for name, fn in [
+            ("C", lambda a: damped_specific_heat(0.5, a).C),
+            ("S", lambda a: damped_entropy(0.5, a).S),
+            ("C_S", lambda a: damped_specific_heat_via_entropy(0.5, a).C),
+            ("damped_lowT", lambda a: oscillator_expansion("damped_lowT", 0.5, a)),
+            ("q2", lambda a: position_variance_sum(0.5, a).value),
+            ("ohmic E", lambda a: PoleSum(1.0, DampingKernel.ohmic(a),
+                                          Prescription.ENERGY).energy(0.5)),
+            ("free E", lambda a: energy_sum(a, DampingKernel.ohmic(1.0), 2.0,
+                                            Prescription.ENERGY).value),
+            ("gap", lambda a: prescription_gap(a, DampingKernel.drude(1.0, 10.0),
+                                               2.0).value)]:
+        got, want = fn(single), fn(float(single))
+        assert type(got) is float and repr(got) == repr(want), name
 
 
 # the term-by-term sums on a grid: every row sums the head of the coldest

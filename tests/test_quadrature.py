@@ -141,8 +141,10 @@ def test_unresolved_resonance_raises_after_the_finest_step():
     (2, 1e300, 1.0, None),
     (0, 1e300, 1.0, None),
     (2, 1e300, 1e136, None),
+    # e^(w / theta) overflows on every exp-sinh node
+    (2, 1e-3, 1.0, ORACLES[1e-3, 1.0][1]),
 ], ids=["tiny-theta", "huge-alpha", "huge-theta-f2", "huge-theta-f0",
-        "huge-theta-and-alpha"])
+        "huge-theta-and-alpha", "bose-overflow"])
 def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
     # the integrand overflows or divides by zero on some nodes here; that
     # gives the value or a ConvergenceError, never a RuntimeWarning
@@ -180,7 +182,47 @@ def test_one_bose_evaluation_per_step_size(monkeypatch):
     lambda: moments(1.0, -2.0),
     lambda: moments(1.0, math.inf),
     lambda: spectral_energy(math.nan, 1.0),
+    lambda: moments(np.array([0.5, 1.0]), 1.0),
+    lambda: moments(1.0, np.array([[1.0]])),
 ])
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_tables_give_the_same_bits_cold_and_warm():
+    quadrature._table.cache_clear()
+    cold = moments(0.7, 1.3)
+    for alpha in (0.2, 5.0, 40.0):
+        moments(2.0, alpha)
+    assert moments(0.7, 1.3) == cold
+    # cold again, among the tables of other dampings
+    quadrature._table.cache_clear()
+    for alpha in (0.2, 5.0, 40.0):
+        moments(0.7, alpha)
+    assert moments(0.7, 1.3) == cold
+
+
+def test_tables_are_read_only():
+    moments(1.0, 1.0)
+    rows, ones = quadrature._table(1.0, 0)
+    assert type(ones) is float
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+
+
+def test_tables_built_only_for_the_levels_reached():
+    table = quadrature._table
+    table.cache_clear()
+    # (1, 1) stops at a coarse step; the rest of its levels are never built
+    moments(1.0, 1.0)
+    reached = table.cache_info().misses
+    assert 0 < reached < len(quadrature._LEVELS)
+    assert table.cache_info().currsize == reached
+    # the same levels again build nothing
+    spectral_energy(1.0, 1.0)
+    assert table.cache_info().misses == reached
+    assert table.cache_info().hits == reached
+    # a narrow resonance needs every step size
+    moments(1.0, 1e-8)
+    assert table.cache_info().misses == reached + len(quadrature._LEVELS)
