@@ -5,16 +5,17 @@ a change that keeps every value and every error keeps every line.  The calls
 cover the special-function kernels on complex numbers and on arrays, every
 closed form, characteristic pair and expansion as a float call and on a
 grid (grids with non-positive elements included), PoleSum.energy/.heat for
-eight systems under both prescriptions, with theta out to 1e-320 and 1e300,
-each function of theta also at numpy temperatures (float32 and float64
-scalars, a 0-d float32 array, a float32 grid), the term-by-term frequency
-sums and their finite-difference specific heat as (value, err, terms_used),
-the variance sum on grids, the finite difference of energies that are not
-finite or whose difference overflows, the points of `compare` through
-cli.main (which sums on whole grids), and the spectral moments and energy of
-the quadrature route.  Arrays print through tolist(), so each element shows its full repr;
-an error prints as its class and message, and a failing command as its exit
-code and message.
+ten systems under both prescriptions (one with a float32 cutoff), with theta
+out to 1e-320 and 1e300, each function of theta also at numpy temperatures
+(float32 and float64 scalars, a 0-d float32 array, a float32 grid), the
+term-by-term frequency sums and their finite-difference specific heat as
+(value, err, terms_used) out to theta = 1e300, the variance sum on grids,
+the finite difference of energies that are not finite or whose difference
+overflows, the points of `compare` through cli.main (which sums on whole
+grids), and the spectral moments and energy of the quadrature route.  Arrays
+print through tolist(), so each element shows its full repr; an error prints
+as its class and message, and a failing command as its exit code and
+message.
 
     PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
 """
@@ -54,6 +55,8 @@ GRID = np.logspace(-4.0, 4.0, 41)
 NON_POSITIVE_GRIDS = [[0.5, -1.0, 0.0], [[2.0, 0.0], [-1.0, 0.5]]]
 
 SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
+# temperatures at which nu^2 overflows in the head of every sum
+HOT_SUM_THETAS = [1e200, 1e300]
 
 # the two golden inputs of compare, the two of the benchmark's sum_datasets
 # at seed 0, a grid over four decades, whose rows sum heads of different
@@ -90,6 +93,10 @@ SYSTEMS = {
     "free-ohmic": (0.0, DampingKernel.ohmic(1.0)),
     "free-drude-critical": (0.0, DampingKernel.drude(1.0, 4.0)),
     "free-drude-1": (0.0, DampingKernel.drude(1.0, 1.0)),
+    # a single-precision cutoff, taken as the double of its value: the same
+    # lines as its float twin's
+    "osc-drude-0.37": (1.0, DampingKernel.drude(0.37, 10.0)),
+    "osc-drude-0.37-float32": (1.0, DampingKernel.drude(0.37, np.float32(10.0))),
 }
 
 
@@ -199,7 +206,7 @@ def frequency_sums() -> None:
     def estimate(result):
         return result.value, result.err, result.terms_used
 
-    for theta in SUM_THETAS:
+    for theta in SUM_THETAS + HOT_SUM_THETAS:
         beta = 1.0 / theta
         for name, (omega0, kernel) in SYSTEMS.items():
             for route in Prescription:
@@ -220,7 +227,8 @@ def frequency_sums() -> None:
         def variance(t, alpha=alpha):
             return estimate(position_variance_sum(t, alpha))
 
-        for grid in [SUM_THETAS, SUM_THETAS[1:]] + NON_POSITIVE_GRIDS:
+        grids = [SUM_THETAS, SUM_THETAS[1:], [1.0] + HOT_SUM_THETAS] + NON_POSITIVE_GRIDS
+        for grid in grids:
             emit(f"{name} {grid!r}", variance, np.array(grid))
         numpy_temperatures(name, variance)
     # energies that are not finite, and finite ones whose difference overflows

@@ -14,7 +14,8 @@ temperature with the cutoff-independent slope pi/3; lowering the cutoff
 weakens the effective damping and raises C toward 1/2 everywhere else.
 
 Every function here takes theta as a float or as an ndarray of temperatures
-(the cutoff ratio stays a float) and returns floats or arrays to match.
+(the cutoff ratio stays one value, taken as a double) and returns floats or
+arrays to match.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)].  Raises ConvergenceError where
     roundoff would leave less than six digits, below theta ~ 1e-5.
     """
+    if type(cutoff_ratio) is not float:
+        cutoff_ratio = float(cutoff_ratio)
     if not cutoff_ratio > 0.0:
         raise DomainError(
             f"cutoff_ratio must be positive (inf = ohmic), got {cutoff_ratio!r}")

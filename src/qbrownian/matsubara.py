@@ -36,9 +36,16 @@ PoleSum evaluates E this way, and C = dE/dT through psi', at a cost that does
 not depend on the temperature; the share of a cluster of near-coincident
 poles is the contour integral of R times the psi factor around it, by the
 trapezoid rule on a circle.  energy_sum adds the terms one by one
-up to 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
+up to N = 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
 Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum;
 its kernel _energy_sum, like _prescription_gap, also sums a grid of beta.
+The rest needs R's Laurent coefficients beyond the poles, R = sum_k c_k nu^-k.
+They do not depend on the temperature, so each system samples R once, at 32
+points of the circle |nu| = rho = 4 B, and keeps the DFT e_k = c_k rho^-k
+(aliased at (B / rho)^32 = 4^-32) in its record (_system); every theta then
+scales the same table by (rho / (s N))^k <= 1, and the DFT's roundoff enters
+the error bar as (|e_0| + |e_1|) (rho / (s N))^2 times the sum of the tail's
+weights.
 """
 
 from __future__ import annotations
@@ -85,7 +92,9 @@ class DampingKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", check_nonnegative("gamma", self.gamma))
-        if self.omega_d <= 0.0 or math.isnan(self.omega_d):
+        # a double, so that a numpy omega_d is computed, named and keyed as one
+        object.__setattr__(self, "omega_d", float(self.omega_d))
+        if not self.omega_d > 0.0:
             raise DomainError(f"omega_d must be positive, got {self.omega_d!r}")
 
     @classmethod
@@ -129,17 +138,19 @@ def _pole_bound(omega0: float, kernel: DampingKernel) -> float:
     return 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
 
 
-_CIRCLE = 32              # samples of the summand on the circle |n| = N
+_CIRCLE = 32              # samples of a summand on the circle |nu| = 4 B
+_SYSTEMS_KEPT = 64        # the summed systems whose records are kept
 
 
 @functools.cache
 def _tail_tables():
     # built on first use, so that programs that never sum hold none: the roots
-    # of unity, the DFT to d_k N^-k, k >= 2 and B_2m/(2m)! (k)_(2m-1), m <= 8
+    # of unity, the DFT to e_k, the ones whose running product by a ratio
+    # gives its powers 1.._CIRCLE-1, k >= 2 and B_2m/(2m)! (k)_(2m-1), m <= 8
     roots = np.exp(-2j * np.pi * np.arange(_CIRCLE) / _CIRCLE)
     dft = roots[np.outer(np.arange(_CIRCLE), np.arange(_CIRCLE)) % _CIRCLE] / _CIRCLE
     powers = np.arange(2.0, _CIRCLE)
-    return roots, dft, powers, np.array([
+    return roots, dft, np.ones(_CIRCLE - 1), powers, np.array([
         b2m / math.factorial(2 * m) * np.prod([powers + j for j in range(2 * m - 1)], 0)
         for m, b2m in enumerate(_BERNOULLI, start=1)])
 
@@ -147,7 +158,7 @@ def _tail_tables():
 @functools.lru_cache(maxsize=256)
 def _tail_weights(head: int):
     # N^k zeta(k, N+1), k = 2.._CIRCLE-1, at N = head and their sum, read-only
-    _, _, powers, euler_maclaurin = _tail_tables()
+    powers, euler_maclaurin = _tail_tables()[3:]
     a = head + 1.0
     # N^k zeta(k, a) = (N/a)^k [a/(k-1) + 1/2 + sum_m B_2m/(2m)! (k)_(2m-1) a^(1-2m)]
     series = (1.0 / a) * (1.0 / (a * a)) ** np.arange(len(_BERNOULLI))
@@ -156,23 +167,52 @@ def _tail_weights(head: int):
     return weights, weights.sum()
 
 
-def _summed(summand: Callable, s, theta, bound: float, floor: float = 1.0):
+@functools.lru_cache(maxsize=_SYSTEMS_KEPT)
+def _system(summand_of: Callable, *params) -> tuple:
+    """What a term-by-term sum needs of a system, whatever theta is, built once.
+
+    summand_of(*params) gives the summand and the bound on its poles.  The
+    summand is rational in nu, real on the real axis and O(nu^-2), takes
+    complex nu, and has its poles in |nu| <= bound; beyond them it is
+    sum_{k>=2} c_k nu^-k.  The record is (summand, bound, radius, table):
+    table holds e_k = c_k radius^-k, k < _CIRCLE, read-only, from a DFT of
+    the summand on |nu| = radius = 4 bound (1 where bound = 0, a summand
+    without poles, which is zero).
+    """
+    summand, bound = summand_of(*params)
+    radius = 4.0 * bound if bound > 0.0 else 1.0
+    roots, dft = _tail_tables()[:2]
+    # at an extreme bound the circle's nu^2 overflows: a table that is not
+    # finite gives a bar that is not, and every theta it serves refuses
+    with np.errstate(all="ignore"):
+        table = (dft @ summand(radius * roots)).real.copy()
+    table.flags.writeable = False
+    return summand, bound, radius, table
+
+
+def _summed(system: tuple, s, theta, floor: float = 1.0):
     """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
 
-    s = 2 pi theta; theta is a float or an ndarray, whose type and shape the
-    sum and the bound take.  summand is rational in nu, real on the real axis
-    and O(nu^-2), takes complex nu, and has its poles in |nu| <= bound.  A
-    theta needs the terms up to N = 4 bound / s (64 at least).  The coldest
-    theta left adds its head at every theta left that needs at least half of
-    it, so no theta adds more than 2 N terms, in chunks of at most _CHUNK
-    elements; beyond the poles summand(s n) = sum_{k>=2} d_k n^-k, so the
-    rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), d_k from a DFT on |n| = N
-    (aliased at (bound/(s N))^_CIRCLE) and zeta by Euler-Maclaurin.
-    The head's length fixes the work; the bar only decides whether the sum
-    answers.  ConvergenceError names the first failing theta in C order:
-    where N exceeds _MAX_TERMS, before a term is added, and where the bound
-    misses _REL_TAIL times max(|sum|, floor).
+    system is a record of _system; s = 2 pi theta; theta is a float or an
+    ndarray, whose type and shape the sum and the bound take.  A theta needs
+    the terms up to N = 4 bound / s (64 at least).  The coldest theta left
+    adds its head at every theta left that needs at least half of it, so no
+    theta adds more than 2 N terms, in chunks of at most _CHUNK elements;
+    beyond the poles summand(s n) = sum_{k>=2} d_k n^-k with
+    d_k N^-k = e_k (radius / (s N))^k, so the rest is sum_k d_k zeta(k, N+1)
+    (DLMF 25.11), with the system's table e_k (aliased at
+    (bound/radius)^_CIRCLE = 4^-_CIRCLE) and zeta by Euler-Maclaurin.  Every
+    theta scales the same table, since s N >= radius.  The head's length
+    fixes the work; the bar only decides whether the sum answers.  It adds the four last tail terms, the head's roundoff, and the
+    table's: e_0 and e_1 vanish in exact arithmetic, so what the DFT made of
+    them is its roundoff in every coefficient, which the ratio's powers
+    shrink by at least (radius / (s N))^2 before the weights carry it into
+    the tail.  Where nu^2 overflows, numpy stays quiet: a term that is not
+    finite gives a bar that is not.  ConvergenceError names the first
+    failing theta in C order: where N exceeds _MAX_TERMS, before a term is
+    added, and where the bound misses _REL_TAIL times max(|sum|, floor).
     """
+    summand, bound, radius, table = system
     grid = isinstance(theta, np.ndarray)
     thetas, scales = (theta.ravel().tolist(), s.ravel().tolist()) if grid else ([theta], [s])
     reach = [max(64.0, 4.0 * (bound / x)) for x in scales]
@@ -184,31 +224,34 @@ def _summed(summand: Callable, s, theta, bound: float, floor: float = 1.0):
     heads = [math.ceil(needed) for needed in reach]
     totals, bars = [0.0] * len(heads), [0.0] * len(heads)
     left = list(range(len(heads)))
-    while left:
-        head = max(heads[i] for i in left)
-        group = [i for i in left if 2 * heads[i] >= head]
-        left = [i for i in left if 2 * heads[i] < head]
-        # a float sums along one axis, as fast as a scalar-only body would
-        rows = s.ravel()[group].reshape(-1, 1) if grid else s
-        width = max(1, _CHUNK // len(group))
-        partials, magnitude = [], 0.0
-        for start in range(0, head, width):
-            terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
-                                             dtype=float))
-            partials.append(terms.sum(axis=-1, keepdims=True))
-            magnitude = magnitude + np.abs(terms).sum(axis=-1)
-        roots, dft = _tail_tables()[:2]
-        # d_k N^-k, k = 0.._CIRCLE-1, by the float call's matrix-vector product per row
-        d = (dft @ summand(rows * (head * roots))[..., None])[..., 0].real
-        weights, weight_sum = _tail_weights(head)
-        tail = d[..., 2:] * weights
-        # d_0 and d_1 vanish in exact arithmetic: what the DFT makes of them is
-        # its roundoff in every coefficient, which the weights carry into the tail
-        err = (np.abs(tail[..., -4:]).max(axis=-1)
-               + (abs(d[..., 0]) + abs(d[..., 1])) * weight_sum + magnitude * EPS)
-        table = np.concatenate(partials + [tail], axis=-1).reshape(len(group), -1)
-        for i, terms, bar in zip(group, table.tolist(), err.reshape(-1).tolist()):
-            totals[i], bars[i] = math.fsum(terms), bar
+    with np.errstate(all="ignore"):
+        while left:
+            head = max(heads[i] for i in left)
+            group = [i for i in left if 2 * heads[i] >= head]
+            left = [i for i in left if 2 * heads[i] < head]
+            # a float sums along one axis, as fast as a scalar-only body would
+            rows = s.ravel()[group].reshape(-1, 1) if grid else s
+            width = max(1, _CHUNK // len(group))
+            partials, magnitude = [], 0.0
+            for start in range(0, head, width):
+                terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
+                                                 dtype=float))
+                partials.append(terms.sum(axis=-1, keepdims=True))
+                magnitude = magnitude + np.abs(terms).sum(axis=-1)
+            # (radius / (s N))^k, k = 2.._CIRCLE-1, by running products, so
+            # that a row and its float call agree to the bit; the ratio exceeds
+            # 1 only for a summand without poles, whose table is zero
+            ratio = radius / (rows * head)
+            ratio = where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2]
+            scaled = np.multiply.accumulate(ratio, axis=-1)[..., 1:]
+            weights, weight_sum = _tail_weights(head)
+            tail = table[2:] * scaled * weights
+            err = (np.abs(tail[..., -4:]).max(axis=-1)
+                   + (abs(table[0]) + abs(table[1])) * scaled[..., 0] * weight_sum
+                   + magnitude * EPS)
+            parts = np.concatenate(partials + [tail], axis=-1).reshape(len(group), -1)
+            for i, terms, bar in zip(group, parts.tolist(), err.reshape(-1).tolist()):
+                totals[i], bars[i] = math.fsum(terms), bar
     for at, total, bar in zip(thetas, totals, bars):
         scale = max(abs(total), floor)
         if not bar <= _REL_TAIL * scale:
@@ -221,12 +264,11 @@ def _summed(summand: Callable, s, theta, bound: float, floor: float = 1.0):
     return totals[0], heads[0], bars[0]
 
 
-def _energy_sum(omega0: float, kernel: DampingKernel, beta,
-                route: Prescription) -> Estimate:
-    # energy_sum without its checks, on a float or an ndarray beta
+def _energy_summand(omega0: float, kernel: DampingKernel, route: Prescription):
+    # energy_sum's summand and its pole bound
     g = kernel.gamma
     w2 = omega0 * omega0
-    pref, dof = (1.0 / beta, 1.0) if omega0 > 0.0 else (0.5 / beta, 2.0)
+    dof = 1.0 if omega0 > 0.0 else 2.0
 
     # the free particle's summand is the oscillator's at omega0 = 0, doubled
     if kernel.regularized:
@@ -243,10 +285,18 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta,
                 num = num - nu * nu * ghp
             return dof * num / (nu * nu + nu * gh + w2)
 
-    est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
-                              _pole_bound(omega0, kernel))
+    return summand, _pole_bound(omega0, kernel)
+
+
+def _energy_sum(omega0: float, kernel: DampingKernel, beta,
+                route: Prescription) -> Estimate:
+    # energy_sum without its checks, on a float or an ndarray beta
+    pref = 1.0 / beta if omega0 > 0.0 else 0.5 / beta
+    est, terms, err = _summed(_system(_energy_summand, omega0, kernel, route),
+                              TWO_PI / beta, 1.0 / beta)
     value = pref * (1.0 + est)
     if kernel.regularized:
+        g = kernel.gamma
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
     return Estimate(value=value, err=pref * err, terms_used=terms,
                     regularized=kernel.regularized)
@@ -490,18 +540,23 @@ class PoleSum:
         return checked_real(value, magnitude, "specific heat", theta=theta)
 
 
-def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
-    # prescription_gap without its checks, on a float or an ndarray beta
-    if kernel.is_ohmic:
-        return Estimate(value=0.0 * beta, err=0.0 * beta)
+def _gap_summand(omega0: float, kernel: DampingKernel):
+    # prescription_gap's summand and its pole bound
     w2 = omega0 * omega0
 
     def summand(nu):
         gh, ghp = kernel.laplace(nu)
         return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
 
-    est, terms, err = _summed(summand, TWO_PI / beta, 1.0 / beta,
-                              _pole_bound(omega0, kernel), floor=0.0)
+    return summand, _pole_bound(omega0, kernel)
+
+
+def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
+    # prescription_gap without its checks, on a float or an ndarray beta
+    if kernel.is_ohmic:
+        return Estimate(value=0.0 * beta, err=0.0 * beta)
+    est, terms, err = _summed(_system(_gap_summand, omega0, kernel),
+                              TWO_PI / beta, 1.0 / beta, floor=0.0)
     pref = 1.0 / beta
     return Estimate(value=pref * est, err=pref * err, terms_used=terms)
 
@@ -518,6 +573,14 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
     return _prescription_gap(omega0, kernel, beta)
 
 
+def _variance_summand(alpha: float):
+    # position_variance_sum's summand and its pole bound
+    def summand(nu):
+        return 1.0 / (nu * nu + alpha * nu + 1.0)
+
+    return summand, _pole_bound(1.0, DampingKernel.ohmic(alpha))
+
+
 @gridwise
 def position_variance_sum(theta, alpha: float) -> Estimate:
     """<q^2> of the ohmically damped oscillator in reduced units.
@@ -527,12 +590,7 @@ def position_variance_sum(theta, alpha: float) -> Estimate:
     theta may be an ndarray, summed as one grid; value and err take its shape.
     """
     alpha = check_nonnegative("alpha", alpha)
-
-    def summand(nu):
-        return 1.0 / (nu * nu + alpha * nu + 1.0)
-
-    est, terms, err = _summed(summand, TWO_PI * theta, theta,
-                              _pole_bound(1.0, DampingKernel.ohmic(alpha)))
+    est, terms, err = _summed(_system(_variance_summand, alpha), TWO_PI * theta, theta)
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 

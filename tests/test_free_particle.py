@@ -128,6 +128,18 @@ def test_domain_errors(call):
         call()
 
 
+def test_numpy_cutoff_ratio_is_taken_as_a_double():
+    want = drude_specific_heat(0.5, 10.0).C
+    for ratio in (np.float32(10.0), np.float64(10.0), np.array(10.0)):
+        assert repr(drude_specific_heat(0.5, ratio).C) == repr(want)
+    assert drude_specific_heat(0.5, np.float32(math.inf)) == ohmic_specific_heat(0.5)
+
+
+def test_numpy_cutoff_ratio_is_named_as_a_double():
+    with pytest.raises(ConvergenceError, match=r"cutoff_ratio=10\.0 lost"):
+        drude_specific_heat(1e-307, np.float32(10.0))
+
+
 @pytest.mark.parametrize("ratio", [0.01, 1.0, 4.0, 10.0, math.inf])
 def test_specific_heat_fails_loudly_below_its_resolution(ratio):
     for theta in (1e-9, 1e-14, 1e-300):

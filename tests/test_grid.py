@@ -22,9 +22,9 @@ from qbrownian.core import TWO_PI, ConvergenceError, DomainError
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
-                                 _energy_sum, _prescription_gap, _summed, energy_sum,
-                                 position_variance_sum, prescription_gap,
-                                 specific_heat_fd)
+                                 _energy_sum, _prescription_gap, _summed, _system,
+                                 energy_sum, position_variance_sum,
+                                 prescription_gap, specific_heat_fd)
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
@@ -356,15 +356,18 @@ OSC_DRUDE = [(name, pair) for name, pair in SUMS if name.startswith("osc-drude")
 
 
 def test_grid_rows_add_at_most_twice_their_own_head(monkeypatch):
-    # the head's terms are the summand's real arguments; its circle's are complex
+    # the head's terms are the summand's real arguments; its circle was
+    # sampled once, when the system's record was built, so a sum meets none
     counted = []
 
-    def counting(summand, *args):
+    def counting(system, *args):
+        summand, *rest = system
+
         def counted_summand(nu):
-            if not np.iscomplexobj(nu):
-                counted.append(nu.size)
+            assert not np.iscomplexobj(nu)
+            counted.append(nu.size)
             return summand(nu)
-        return _summed(counted_summand, *args)
+        return _summed((counted_summand, *rest), *args)
 
     monkeypatch.setattr(matsubara, "_summed", counting)
     omega0, kernel = SUM_SYSTEMS["osc-drude"]
@@ -411,6 +414,9 @@ def test_sum_refusals_name_the_first_failing_theta(pair, monkeypatch):
 def test_term_cap_refuses_before_a_term_is_added():
     # the coldest theta's head is beyond the cap: no summand is evaluated
     evaluated = []
+    # 1/(nu^2 + 1), with its poles bounded by 2
+    _, bound, radius, table = _system(matsubara._variance_summand, 0.0)
+    assert bound == 2.0
 
     def summand(nu):
         evaluated.append(nu)
@@ -420,7 +426,7 @@ def test_term_cap_refuses_before_a_term_is_added():
     theta[7] = 1e-8
     with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum "
                                                r"needs 1\.27e\+08 > 100000000 terms$"):
-        _summed(summand, TWO_PI * theta, theta, 2.0)
+        _summed((summand, bound, radius, table), TWO_PI * theta, theta)
     assert evaluated == []
     # the float-only variance sum names its theta too
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):

@@ -8,6 +8,7 @@ summand definitions, and the digamma pole form at any theta.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,110 @@ def test_sums_are_deterministic():
     a = energy_sum(1.0, DampingKernel.drude(1.0, 10.0), 1.0, Prescription.ENERGY)
     b = energy_sum(1.0, DampingKernel.drude(1.0, 10.0), 1.0, Prescription.ENERGY)
     assert a == b
+
+
+def _some_sums():
+    # one theta whose head is the minimum 64 terms, one with a longer head
+    return [call(t) for call in SUM_CALLS.values() for t in (0.05, 20.0)]
+
+
+def test_sum_tables_give_the_same_bits_cold_and_warm():
+    system = qbrownian.matsubara._system
+    system.cache_clear()
+    cold = _some_sums()
+    for alpha in (0.2, 5.0, 40.0):
+        position_variance_sum(0.7, alpha)
+        energy_sum(1.0, DampingKernel.drude(alpha, 3.0), 2.0, Prescription.PARTITION)
+    assert _some_sums() == cold
+    # cold again, among the tables of other systems
+    system.cache_clear()
+    for alpha in (0.2, 5.0, 40.0):
+        position_variance_sum(0.7, alpha)
+    assert _some_sums() == cold
+
+
+def test_sum_tables_are_read_only():
+    _, bound, radius, table = qbrownian.matsubara._system(
+        qbrownian.matsubara._energy_summand, 1.0, DRUDE, Prescription.ENERGY)
+    assert table.shape == (qbrownian.matsubara._CIRCLE,)
+    assert radius == 4.0 * bound
+    with pytest.raises(ValueError):
+        table[2] = 0.0
+
+
+def test_one_table_per_system_whatever_theta():
+    system = qbrownian.matsubara._system
+    system.cache_clear()
+    energy_sum(1.0, DRUDE, 2.0, Prescription.ENERGY)
+    assert system.cache_info().misses == 1
+    # a theta scan, the same scan as one grid and a finite difference build none
+    thetas = np.logspace(-3.0, 2.0, 41)
+    for t in thetas.tolist():
+        energy_sum(1.0, DRUDE, 1.0 / t, Prescription.ENERGY)
+    qbrownian.matsubara._energy_sum(1.0, DRUDE, 1.0 / thetas, Prescription.ENERGY)
+    specific_heat_fd(lambda t: energy_sum(1.0, DRUDE, 1.0 / t,
+                                          Prescription.ENERGY).value, 0.5)
+    assert system.cache_info().misses == 1
+    assert system.cache_info().hits == 41 + 1 + 4
+    # the other route, the gap and the variance sum are systems of their own;
+    # an ohmic gap sums nothing and builds nothing
+    energy_sum(1.0, DRUDE, 2.0, Prescription.PARTITION)
+    prescription_gap(1.0, DRUDE, 2.0)
+    prescription_gap(1.0, DampingKernel.ohmic(1.0), 2.0)
+    position_variance_sum(thetas, 1.0)
+    assert system.cache_info().misses == 4
+
+
+def test_sum_tables_stay_bounded():
+    system = qbrownian.matsubara._system
+    system.cache_clear()
+    kept = qbrownian.matsubara._SYSTEMS_KEPT
+    assert system.cache_info().maxsize == kept
+    first = position_variance_sum(1.0, 0.1)
+    for i in range(2, kept + 9):
+        position_variance_sum(1.0, 0.1 * i)
+    assert system.cache_info().currsize == kept
+    # the first table was dropped; it is built again, to the same bits
+    assert position_variance_sum(1.0, 0.1) == first
+    assert system.cache_info().misses == kept + 9
+
+
+def test_numpy_omega_d_is_taken_as_a_double():
+    # np.float32(10.0) == 10.0 and hashes alike, so a single-precision kernel
+    # would share the float kernel's table: built first, it must be the same
+    single = DampingKernel.drude(0.37, np.float32(10.0))
+    assert type(single.omega_d) is float
+    assert type(DampingKernel(0.37, np.float64(math.inf)).omega_d) is float
+    double = DampingKernel.drude(0.37, 10.0)
+
+    def sums(kernel):
+        return [(energy_sum(omega0, kernel, beta, route),
+                 prescription_gap(omega0, kernel, beta))
+                for omega0 in (0.0, 1.0) for beta in (2.0, 300.0) for route in Prescription]
+
+    qbrownian.matsubara._system.cache_clear()
+    assert sums(single) == sums(double)
+
+
+def test_sums_at_the_highest_temperatures_answer_quietly():
+    # nu^2 overflows in the head, whose terms then vanish, and the tail's
+    # (radius / (s N))^k underflows to 0; no numpy warning escapes, which
+    # the suite's filterwarnings would turn into an error
+    for theta in (1e200, 1e300):
+        got = position_variance_sum(theta, 1.0)
+        assert (got.value, got.err) == (theta, 0.0)
+        beta = 1.0 / theta
+        for omega0, pref in ((1.0, 1.0), (0.0, 0.5)):
+            for kernel in (DampingKernel.ohmic(1.0), DRUDE):
+                got = energy_sum(omega0, kernel, beta, Prescription.ENERGY)
+                assert (got.value, got.err) == (pref / beta, 0.0)
+        # the gap's head meets inf * 0 in nu^2 gh'(nu), and refuses
+        with pytest.raises(ConvergenceError, match=r"^at theta={}: frequency sum "
+                           r"error bar nan".format(re.escape(repr(1.0 / beta)))):
+            prescription_gap(1.0, DRUDE, beta)
+    grid = np.array([1e200, 1e300])
+    got = position_variance_sum(grid, 1.0)
+    assert got.value.tolist() == grid.tolist() and got.err.tolist() == [0.0, 0.0]
 
 
 def test_fd_specific_heat_undamped():
