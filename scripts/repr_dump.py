@@ -9,7 +9,8 @@ ten systems under both prescriptions (one with a float32 cutoff), with theta
 out to 1e-320 and 1e300, each function of theta also at numpy temperatures
 (float32 and float64 scalars, a 0-d float32 array, a float32 grid), the
 term-by-term frequency sums and their finite-difference specific heat as
-(value, err, terms_used) out to theta = 1e300, the variance sum on grids,
+(value, err, terms_used) out to theta = 1e300, the same sums at zero
+coupling under either kernel, the variance sum on grids,
 the finite difference of energies that are not finite or whose difference
 overflows, the points of `compare` through cli.main (which sums on whole
 grids), and the spectral moments and energy of the quadrature route.  Arrays
@@ -37,8 +38,7 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
 from qbrownian.cli import main as cli_main
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _tetragamma,
-                               _trigamma)
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -78,6 +78,16 @@ COMPARE_ARGS = {
     "refusing": ["--model", "oscillator", "--kernel", "drude", "--points", "2",
                  "--tmin", "1e-8", "--tmax", "1e-7"],
 }
+
+# zero coupling under either kernel: no bath, so the free particle's sums
+# vanish term by term and the gap is zero
+UNCOUPLED = {
+    "osc-ohmic-0": (1.0, DampingKernel.ohmic(0.0)),
+    "osc-drude-0": (1.0, DampingKernel.drude(0.0, 10.0)),
+    "free-ohmic-0": (0.0, DampingKernel.ohmic(0.0)),
+    "free-drude-0": (0.0, DampingKernel.drude(0.0, 10.0)),
+}
+UNCOUPLED_THETAS = [1e-300, 1e-200, 1e-163, 1e-9, 1e-3, 1.0, 1e200, 1e300]
 
 SPECTRAL_THETAS = [1e-295, 1e-3, 0.05, 0.37, 1.0, 7.3, 15.8, 20.0, 21.0, 1e3, 1e300]
 SPECTRAL_ALPHAS = [1e-10, 1e-3, 1.0, 2.0, 5.0, 1e136]
@@ -123,10 +133,10 @@ def special_functions() -> None:
     # labelled, and called on complex(z), as the checked scalar functions
     # they once backed were, so that a dump lines up with an older checkout's
     scalars = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-               ("g_func", _g), ("g_func_prime", _g_prime), ("polygamma_0", _digamma),
+               ("g_func", _g), ("polygamma_0", _digamma),
                ("polygamma_1", _trigamma), ("polygamma_2", _tetragamma)]
     kernels = [("_ln_gamma", _ln_gamma), ("_digamma", _digamma),
-               ("_trigamma", _trigamma), ("_g", _g), ("_g_prime", _g_prime),
+               ("_trigamma", _trigamma), ("_g", _g),
                ("_polygamma_2", _tetragamma)]
     # the kernels overflow on some of these arguments, as the values show
     with np.errstate(all="ignore"):
@@ -202,10 +212,11 @@ def functions_of_theta(forms: list) -> None:
         numpy_temperatures(name, fn)
 
 
-def frequency_sums() -> None:
-    def estimate(result):
-        return result.value, result.err, result.terms_used
+def estimate(result) -> tuple:
+    return result.value, result.err, result.terms_used
 
+
+def frequency_sums() -> None:
     for theta in SUM_THETAS + HOT_SUM_THETAS:
         beta = 1.0 / theta
         for name, (omega0, kernel) in SYSTEMS.items():
@@ -243,6 +254,17 @@ def frequency_sums() -> None:
              lambda: estimate(specific_heat_fd(on_grid, np.array([2.0, 1.0, 0.2, 0.1]))))
 
 
+def zero_coupling() -> None:
+    for theta in UNCOUPLED_THETAS:
+        beta = 1.0 / theta
+        for name, (omega0, kernel) in UNCOUPLED.items():
+            for route in Prescription:
+                emit(f"energy_sum {name} {route.value} ({theta!r})",
+                     lambda: estimate(energy_sum(omega0, kernel, beta, route)))
+            emit(f"prescription_gap {name} ({theta!r})",
+                 lambda: estimate(prescription_gap(omega0, kernel, beta)))
+
+
 def compare_points() -> None:
     for name, args in COMPARE_ARGS.items():
         out, err = io.StringIO(), io.StringIO()
@@ -271,6 +293,7 @@ def main() -> None:
     functions_of_theta(closed_forms())
     functions_of_theta(pole_sums())
     frequency_sums()
+    zero_coupling()
     compare_points()
     spectral()
 

@@ -38,7 +38,6 @@ from .free_particle import (drude_specific_heat, ohmic_lowT_expansion,
 from .matsubara import (DampingKernel, PoleSum, Prescription, _energy_sum,
                         _prescription_gap, specific_heat_fd)
 from .oscillator import (damped_entropy, damped_specific_heat,
-                         damped_specific_heat_via_entropy,
                          oscillator_expansion, undamped_thermo)
 
 _MODELS = ("oscillator", "free")
@@ -127,21 +126,19 @@ class CurveSpec:
             return DampingKernel.ohmic(gamma)
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
-    def closed_heat(self, route: str = "energy") -> Callable | None:
-        """theta -> closed-form C on this route, or None where there is none."""
+    def closed_heat(self) -> Callable | None:
+        """theta -> closed-form C, or None where there is none."""
         a, r = self.alpha_value, self.cutoff_ratio
-        # (model, kernel, route) -> closed-form C of theta, an array.  A
-        # combination missing here has no closed form: curve takes C from the
-        # pole form of its frequency sum instead and compare reports C_closed
-        # as null.  The free particle's closed forms are those of the energy
-        # route, its only curve route.
+        # (model, kernel) -> closed-form C of theta, an array.  A combination
+        # missing here has no closed form: curve takes C from the pole form of
+        # its frequency sum instead and compare reports C_closed as null.  An
+        # ohmic kernel has no prescription gap, so one form serves both
+        # routes; the free particle's only curve route is energy.
         return {
-            ("oscillator", "ohmic", "energy"): lambda t: damped_specific_heat(t, a).C,
-            ("oscillator", "ohmic", "partition"):
-                lambda t: damped_specific_heat_via_entropy(t, a).C,
-            ("free", "ohmic", "energy"): lambda t: ohmic_specific_heat(t).C,
-            ("free", "drude", "energy"): lambda t: drude_specific_heat(t, r).C,
-        }.get((self.model, self.kernel, route))
+            ("oscillator", "ohmic"): lambda t: damped_specific_heat(t, a).C,
+            ("free", "ohmic"): lambda t: ohmic_specific_heat(t).C,
+            ("free", "drude"): lambda t: drude_specific_heat(t, r).C,
+        }.get((self.model, self.kernel))
 
     def comment(self, *names: str) -> str:
         """The comment row: the named parameters, then the library version.
@@ -191,7 +188,7 @@ def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
 
     if "C" in spec.quantities:
         for route in routes:
-            columns[f"C_{route.value}"] = (spec.closed_heat(route.value)
+            columns[f"C_{route.value}"] = (spec.closed_heat()
                                            or PoleSum(spec.omega0, kernel, route).heat)
 
     if "S" in spec.quantities:

@@ -141,8 +141,10 @@ def gridwise(fn):
             theta = check_positive("theta", args[position])
             if theta is not args[position]:
                 args = (*args[:position], theta, *args[position + 1:])
+        elif "theta" in kwargs:
+            theta = kwargs["theta"] = check_positive("theta", kwargs["theta"])
         else:
-            theta = kwargs["theta"] = check_positive("theta", kwargs.get("theta"))
+            return fn(*args, **kwargs)      # Python's TypeError: theta is missing
         if isinstance(theta, np.ndarray):
             with np.errstate(all="ignore"):
                 value = fn(*args, **kwargs)

@@ -133,7 +133,8 @@ def _regularization(gamma: float, beta, w_ref: float):
 
 def _pole_bound(omega0: float, kernel: DampingKernel) -> float:
     """Fujiwara's bound on |nu| at the poles of every term-by-term summand."""
-    wd = 0.0 if kernel.is_ohmic else kernel.omega_d
+    # at zero coupling there is no bath, and so no pole at the cutoff
+    wd = 0.0 if kernel.is_ohmic or kernel.gamma == 0.0 else kernel.omega_d
     g = kernel.gamma
     return 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
 
@@ -210,7 +211,8 @@ def _summed(system: tuple, s, theta, floor: float = 1.0):
     the tail.  Where nu^2 overflows, numpy stays quiet: a term that is not
     finite gives a bar that is not.  ConvergenceError names the first
     failing theta in C order: where N exceeds _MAX_TERMS, before a term is
-    added, and where the bound misses _REL_TAIL times max(|sum|, floor).
+    added; where the bar is not finite, as a term that is not; and where the
+    bar misses _REL_TAIL times max(|sum|, floor).
     """
     summand, bound, radius, table = system
     grid = isinstance(theta, np.ndarray)
@@ -255,9 +257,11 @@ def _summed(system: tuple, s, theta, floor: float = 1.0):
     for at, total, bar in zip(thetas, totals, bars):
         scale = max(abs(total), floor)
         if not bar <= _REL_TAIL * scale:
+            cause = (f"error bar {bar:.3g} misses the relative tail target "
+                     f"{_REL_TAIL:g}" if math.isfinite(bar) else
+                     "meets a term that is not finite in double precision")
             raise ConvergenceError(
-                f"at theta={at!r}: frequency sum error bar {bar:.3g} misses the "
-                f"relative tail target {_REL_TAIL:g}",
+                f"at theta={at!r}: frequency sum {cause}",
                 achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
     if grid:
         return np.reshape(totals, theta.shape), max(heads), np.reshape(bars, theta.shape)
@@ -277,11 +281,16 @@ def _energy_summand(omega0: float, kernel: DampingKernel, route: Prescription):
         def summand(nu):
             return dof * ((2.0 * w2 - g * g) * nu - g * w2) / (
                 nu * (nu * nu + g * nu + w2))
+    elif g == 0.0 and omega0 == 0.0:
+        # the uncoupled free particle: every term is 0, also where nu^2 underflows
+        def summand(nu):
+            return 0.0 * nu
     else:
         def summand(nu):
             gh, ghp = kernel.laplace(nu)
             num = 2.0 * w2 + nu * gh
-            if route is Prescription.PARTITION:
+            # at zero coupling gh' = 0, and so is nu^2 gh' where nu^2 overflows
+            if route is Prescription.PARTITION and g > 0.0:
                 num = num - nu * nu * ghp
             return dof * num / (nu * nu + nu * gh + w2)
 
@@ -553,7 +562,7 @@ def _gap_summand(omega0: float, kernel: DampingKernel):
 
 def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
     # prescription_gap without its checks, on a float or an ndarray beta
-    if kernel.is_ohmic:
+    if kernel.is_ohmic or kernel.gamma == 0.0:
         return Estimate(value=0.0 * beta, err=0.0 * beta)
     est, terms, err = _summed(_system(_gap_summand, omega0, kernel),
                               TWO_PI / beta, 1.0 / beta, floor=0.0)
@@ -566,7 +575,8 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
 
     The difference isolates the gh' term, so it converges absolutely even
     when the individual energies need regularization.  Identically zero for
-    any strictly ohmic kernel (gh' = 0), returned without summing.
+    any strictly ohmic kernel and at zero coupling (gh' = 0), returned
+    without summing.
     """
     omega0 = check_nonnegative("omega0", omega0)
     beta = check_positive("beta", beta)

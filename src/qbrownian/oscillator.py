@@ -10,8 +10,8 @@ damping and are assembled from the characteristic pair
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
 above it, which each form takes from the private _lambda_pm.  The two
 specific-heat routes, differentiating the internal energy and the entropy,
-are one arithmetic in two orders (g'(z) = -z psi'(1 + z) goes through the
-same trigamma), so they agree to roundoff and do not check trigamma.
+are one sum term by term (g'(z) = -z psi'(1 + z)), so one closed form serves
+both: damped_specific_heat_via_entropy returns damped_specific_heat.
 At low temperature their terms grow like 1/theta while the results vanish
 like theta; each closed form raises ConvergenceError when that cancellation
 would leave fewer than six digits, which happens below theta ~ 1e-5.
@@ -27,7 +27,7 @@ import math
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
                    checked_real, elementwise, gridwise, where)
-from .specfun import _g, _g_prime, _trigamma
+from .specfun import _g, _trigamma
 
 
 @gridwise
@@ -113,21 +113,14 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     return ThermoPoint(S=entropy)
 
 
-@gridwise
 def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
-    """Specific heat obtained by differentiating the entropy instead.
+    """Specific heat obtained by differentiating the entropy: damped_specific_heat.
 
-    C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-).  As g'(z) is
-    -z psi'(1 + z), this is the internal-energy route's arithmetic in
-    another order: the two agree to roundoff, not as independent code.
+    C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-), and g'(z) is
+    -z psi'(1 + z), so the entropy route is the internal-energy route term
+    by term and returns its value, bit for bit.
     """
-    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
-    t_plus = lam_plus * _g_prime(lam_plus)
-    t_minus = lam_minus * _g_prime(lam_minus)
-    total = (1.0 - a) - t_plus - t_minus
-    magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
-    heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
-    return ThermoPoint(C=heat)
+    return damped_specific_heat(theta, alpha)
 
 
 _EXPANSION_KINDS = ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT")

@@ -5,12 +5,12 @@ from.  _ln_gamma, _digamma and _trigamma push the argument up to Re(z) >= 10
 with the standard recurrences and then apply the Stirling-type asymptotic
 series with eight Bernoulli terms, which is enough for ~1e-13 relative
 accuracy in double precision; _tetragamma, psi'', pushes to Re(z) >= 14 for
-the Drude free particle's critical-cutoff form.  _g is the combination
+the Drude free particle's critical-cutoff form.  One loop, _series, sums
+all four series.  _g is the combination
 
     g(z) = ln Gamma(1 + z) - z psi(1 + z)
 
-that the damped-oscillator entropy is built from, and _g_prime its
-derivative g'(z) = -z psi'(1 + z).
+that the damped-oscillator entropy is built from.
 
 Each kernel takes either a Python complex or a complex ndarray.  All of them
 push their argument through one helper, _push: a complex moves up one step
@@ -28,7 +28,7 @@ closed forms and PoleSum refuse through core.checked_real and core.gridwise,
 naming the temperature.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
-complex arithmetic and in numpy's alike, so all six kernels map conjugate
+complex arithmetic and in numpy's alike, so all five kernels map conjugate
 inputs to exactly conjugate outputs, for scalars and arrays.  That is what
 makes conjugate-pair sums in the thermodynamic formulas exactly real, not
 merely real up to roundoff.
@@ -57,7 +57,11 @@ _BERNOULLI = (
     7.0 / 6.0,
     -3617.0 / 510.0,
 )
-# (2k+1)! B_2k / (2k)!, k = 1..8: the coefficients of psi''s series
+# the series' coefficients, k = 1..8: B_2k / (2k (2k-1)) for ln Gamma,
+# B_2k / 2k for psi, B_2k for psi' and (2k+1)! B_2k / (2k)! for psi''
+_LN_GAMMA = tuple(b2k / ((2 * k) * (2 * k - 1))
+                  for k, b2k in enumerate(_BERNOULLI, start=1))
+_DIGAMMA = tuple(b2k / (2 * k) for k, b2k in enumerate(_BERNOULLI, start=1))
 _TETRAGAMMA = tuple(b2k * math.factorial(2 * k + 1) / math.factorial(2 * k)
                     for k, b2k in enumerate(_BERNOULLI, start=1))
 
@@ -101,15 +105,18 @@ def _push(z, bound: float, term):
     return z, shift
 
 
+def _series(value, power, rz2, coefficients):
+    # value + sum_k coefficients[k] power rz2^k, added term by term in that order
+    for coefficient in coefficients:
+        value = value + coefficient * power
+        power = power * rz2
+    return value
+
+
 def _ln_gamma(z):
     z, shift = _push(z, _PUSH, _log)
     rz = 1.0 / z
-    rz2 = rz * rz
-    series = 0.0 + 0.0j
-    power = rz
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        series = series + b2k / ((2 * k) * (2 * k - 1)) * power
-        power = power * rz2
+    series = _series(0.0 + 0.0j, rz, rz * rz, _LN_GAMMA)
     value = (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series
     return value - shift
 
@@ -118,12 +125,7 @@ def _digamma(z):
     z, shift = _push(z, _PUSH, lambda w: 1.0 / w)
     rz = 1.0 / z
     rz2 = rz * rz
-    series = 0.0 + 0.0j
-    power = rz2
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        series = series + b2k / (2 * k) * power
-        power = power * rz2
-    value = _log(z) - 0.5 * rz - series
+    value = _log(z) - 0.5 * rz - _series(0.0 + 0.0j, rz2, rz2, _DIGAMMA)
     return value - shift
 
 
@@ -131,12 +133,7 @@ def _trigamma(z):
     z, shift = _push(z, _PUSH, lambda w: 1.0 / (w * w))
     rz = 1.0 / z
     rz2 = rz * rz
-    series = 0.0 + 0.0j
-    power = rz * rz2
-    for b2k in _BERNOULLI:
-        series = series + b2k * power
-        power = power * rz2
-    value = rz + 0.5 * rz2 + series
+    value = rz + 0.5 * rz2 + _series(0.0 + 0.0j, rz * rz2, rz2, _BERNOULLI)
     return value + shift
 
 
@@ -148,11 +145,7 @@ def _tetragamma(z):
     rz = 1.0 / z
     rz2 = rz * rz
     power = rz ** 2
-    series = power + power * rz
-    power = power * rz2
-    for coefficient in _TETRAGAMMA:
-        series = series + coefficient * power
-        power = power * rz2
+    series = _series(power + power * rz, power * rz2, rz2, _TETRAGAMMA)
     return -(series + 2 * shift)
 
 
@@ -161,6 +154,3 @@ def _g(z):
     # g(0) = 0 exactly, not the roundoff of ln Gamma(1)
     return where(z == 0, 0.0j, _ln_gamma(w) - z * _digamma(w))
 
-
-def _g_prime(z):
-    return where(z == 0, 0.0j, -z * _trigamma(1.0 + z))

@@ -28,8 +28,7 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _tetragamma,
-                               _trigamma)
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -145,7 +144,7 @@ def test_lambda_and_drude_pairs_on_a_grid():
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-           ("g", _g), ("g_prime", _g_prime), ("polygamma_2", _tetragamma)]
+           ("g", _g), ("polygamma_2", _tetragamma)]
 
 
 @pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=[n for n, _ in KERNELS])
@@ -467,3 +466,27 @@ def test_fd_on_a_grid_matches_its_float_calls():
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.2:"):
         specific_heat_fd(lambda t: np.where(t < 0.5, np.nan, t),
                          np.array([1.0, 0.2, 0.1]))
+
+
+def _numbers(result):
+    # a result's numbers as Python values, whose reprs show every bit
+    if hasattr(result, "terms_used"):
+        return _numbers(result.value), _numbers(result.err), result.terms_used
+    if hasattr(result, "C"):
+        return _numbers(result.C)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("fn, params", [
+    (damped_specific_heat, {"alpha": 0.5}),
+    (PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION).heat, {}),
+    (position_variance_sum, {"alpha": 1.0}),
+], ids=["closed form", "PoleSum.heat", "variance sum"])
+def test_theta_by_keyword_is_theta_by_position(fn, params):
+    for theta in (0.37, GRID[::20]):
+        got, want = fn(theta=theta, **params), fn(theta, **params)
+        assert repr(_numbers(got)) == repr(_numbers(want))
+    # and a call without theta is refused as Python refuses it
+    with pytest.raises(TypeError, match=r"missing 1 required positional "
+                                        r"argument: 'theta'"):
+        fn(**params)

@@ -134,6 +134,35 @@ def test_zero_damping_reproduces_undamped_energy():
         assert not got.regularized
 
 
+UNCOUPLED = [DampingKernel.ohmic(0.0), DampingKernel.drude(0.0, 10.0)]
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda route: route.value)
+@pytest.mark.parametrize("kernel", UNCOUPLED, ids=["ohmic", "drude"])
+@pytest.mark.parametrize("theta", [1e-200, 1e-9, 1e200])
+def test_uncoupled_free_particle_has_half_theta(theta, kernel, route):
+    # no bath: nothing to sum, wherever nu^2 underflows or overflows
+    beta = 1.0 / theta
+    got = energy_sum(0.0, kernel, beta, route)
+    assert (got.value, got.err) == (0.5 / beta, 0.0)
+    assert got.value == pytest.approx(theta / 2.0, rel=1e-15)
+
+
+def test_uncoupled_drude_kernel_sums_the_bare_oscillator():
+    # at zero coupling the cutoff bounds no pole: Drude(0, 10) sums the
+    # terms that ohmic(0) sums, to the bit
+    for route in Prescription:
+        got = energy_sum(1.0, DampingKernel.drude(0.0, 10.0), 1e3, route)
+        assert got == energy_sum(1.0, DampingKernel.ohmic(0.0), 1e3, route)
+        assert got.terms_used == 1274
+
+
+def test_uncoupled_drude_gap_is_zero():
+    for omega0 in (0.0, 1.0):
+        gap = prescription_gap(omega0, DampingKernel.drude(0.0, 10.0), 1e9)
+        assert (gap.value, gap.err, gap.terms_used) == (0.0, 0.0, 0)
+
+
 @pytest.mark.usefixtures("tight")
 def test_ohmic_routes_are_identical():
     # gh' = 0 for strictly ohmic damping, so the prescriptions coincide
@@ -360,7 +389,8 @@ def test_sums_at_the_highest_temperatures_answer_quietly():
                 assert (got.value, got.err) == (pref / beta, 0.0)
         # the gap's head meets inf * 0 in nu^2 gh'(nu), and refuses
         with pytest.raises(ConvergenceError, match=r"^at theta={}: frequency sum "
-                           r"error bar nan".format(re.escape(repr(1.0 / beta)))):
+                           r"meets a term that is not finite in double "
+                           r"precision$".format(re.escape(repr(1.0 / beta)))):
             prescription_gap(1.0, DRUDE, beta)
     grid = np.array([1e200, 1e300])
     got = position_variance_sum(grid, 1.0)

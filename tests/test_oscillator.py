@@ -131,6 +131,32 @@ def test_two_specific_heat_routes_agree():
         assert abs(via_energy - via_entropy) < 1e-11
 
 
+def test_entropy_route_returns_the_energy_routes_bits():
+    grid = np.logspace(-4.0, 4.0, 41)
+    for alpha in (0.0, 0.5, 2.0, 5.0):
+        for theta in (1e-3, 0.37, 2.0, 1e3):
+            got = damped_specific_heat_via_entropy(theta, alpha).C
+            assert repr(got) == repr(damped_specific_heat(theta, alpha).C)
+        got = damped_specific_heat_via_entropy(grid, alpha).C
+        assert got.tolist() == damped_specific_heat(grid, alpha).C.tolist()
+
+
+def test_entropy_derivative_is_the_specific_heat():
+    # C = theta dS/dtheta, by a Richardson-extrapolated central difference
+    # of S: the check of the entropy against the specific heat that the two
+    # C routes, one sum term by term, cannot make
+    h = 1e-4
+    thetas = np.logspace(math.log10(0.05), math.log10(20.0), 60)
+    for alpha in (0.0, 0.1, 1.0, 2.0, 5.0):
+        def slope(step, alpha=alpha):
+            return (damped_entropy(thetas * (1.0 + step), alpha).S
+                    - damped_entropy(thetas * (1.0 - step), alpha).S) / (2.0 * step)
+
+        derivative = (4.0 * slope(h / 2.0) - slope(h)) / 3.0
+        worst = np.abs(derivative - damped_specific_heat(thetas, alpha).C).max()
+        assert worst < 1e-9, (alpha, worst)
+
+
 def test_zero_damping_reduces_to_undamped():
     for theta in (0.1, 0.5, 1.0, 3.0, 20.0):
         plain = undamped_thermo(theta)

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from qbrownian.free_particle import _drude_pair
-from qbrownian.specfun import (_digamma, _g, _g_prime, _ln_gamma, _tetragamma,
-                               _trigamma)
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -63,22 +62,23 @@ def test_classic_identities():
 
 def test_g_func_special_values():
     assert _g(0.0) == 0.0
-    assert _g_prime(0.0) == 0.0
     # g(1) = ln 1! - psi(2) = gamma_E - 1
     assert rel_err(_g(1.0), EULER_GAMMA - 1.0) < 1e-12
 
 
 def test_g_func_prime_matches_difference_quotient():
+    # g'(z) = -z psi'(1 + z), the identity that makes the entropy route's
+    # specific heat the internal-energy route's
     h = 1e-6
     for z in (0.7, 2.5, 1.2 + 0.8j, 0.3 - 2.0j):
         numeric = (_g(z + h) - _g(z - h)) / (2.0 * h)
-        assert abs(numeric - _g_prime(z)) < 5e-9
+        assert abs(numeric - -z * _trigamma(1 + z)) < 5e-9
 
 
 def test_conjugate_symmetry_is_exact():
     rng = np.random.default_rng(1702)
     for z in sample_points(rng, 200):
-        for fn in (_ln_gamma, _digamma, _trigamma, _g, _g_prime):
+        for fn in (_ln_gamma, _digamma, _trigamma, _g):
             assert fn(z.conjugate()) == fn(z).conjugate()
 
 
