@@ -54,7 +54,8 @@ GRID = np.logspace(-4.0, 4.0, 41)
 # in C order
 NON_POSITIVE_GRIDS = [[0.5, -1.0, 0.0], [[2.0, 0.0], [-1.0, 0.5]]]
 
-SUM_THETAS = [1e-8, 1e-3, 0.05, 0.37, 1.0, 20.0]
+# at 1e-4 a Drude system's head (127324 terms) is added in two chunks
+SUM_THETAS = [1e-8, 1e-4, 1e-3, 0.05, 0.37, 1.0, 20.0]
 # temperatures at which nu^2 overflows in the head of every sum
 HOT_SUM_THETAS = [1e200, 1e300]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -360,6 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process on first use; parse_args keeps
+    # nothing from one call to the next
+    return build_parser()
+
+
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
     """The CurveSpec of the parsed arguments that name one of its fields."""
     fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(CurveSpec)
@@ -374,7 +382,7 @@ def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

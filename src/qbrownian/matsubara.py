@@ -37,15 +37,10 @@ not depend on the temperature; the share of a cluster of near-coincident
 poles is the contour integral of R times the psi factor around it, by the
 trapezoid rule on a circle.  energy_sum adds the terms one by one
 up to N = 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
-Hurwitz zeta form (see _summed), as the independent cross-check of PoleSum;
-its kernel _energy_sum, like _prescription_gap, also sums a grid of beta.
-The rest needs R's Laurent coefficients beyond the poles, R = sum_k c_k nu^-k.
-They do not depend on the temperature, so each system samples R once, at 32
-points of the circle |nu| = rho = 4 B, and keeps the DFT e_k = c_k rho^-k
-(aliased at (B / rho)^32 = 4^-32) in its record (_system); every theta then
-scales the same table by (rho / (s N))^k <= 1, and the DFT's roundoff enters
-the error bar as (|e_0| + |e_1|) (rho / (s N))^2 times the sum of the tail's
-weights.
+Hurwitz zeta form from R's Laurent coefficients beyond the poles, which each
+system samples once, on a circle (_system, _summed): the independent
+cross-check of PoleSum.  Its kernel _energy_sum, like _prescription_gap,
+also sums a grid of beta.
 """
 
 from __future__ import annotations
@@ -68,6 +63,7 @@ from .specfun import _BERNOULLI, _digamma, _trigamma
 EULER_GAMMA = 0.5772156649015328606065121
 
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
+_SHORT = 1 << 10          # heads up to this long share one index vector
 _MAX_TERMS = 10 ** 8      # cap on the head of a term-by-term sum
 _REL_TAIL = 1e-12         # largest error bar of a term-by-term sum, relative
 
@@ -147,25 +143,26 @@ _SYSTEMS_KEPT = 64        # the summed systems whose records are kept
 def _tail_tables():
     # built on first use, so that programs that never sum hold none: the roots
     # of unity, the DFT to e_k, the ones whose running product by a ratio
-    # gives its powers 1.._CIRCLE-1, k >= 2 and B_2m/(2m)! (k)_(2m-1), m <= 8
+    # gives its powers 1.._CIRCLE-1, k >= 2, B_2m/(2m)! (k)_(2m-1), m <= 8,
+    # and n = 1.._SHORT, which a short head slices
     roots = np.exp(-2j * np.pi * np.arange(_CIRCLE) / _CIRCLE)
     dft = roots[np.outer(np.arange(_CIRCLE), np.arange(_CIRCLE)) % _CIRCLE] / _CIRCLE
     powers = np.arange(2.0, _CIRCLE)
     return roots, dft, np.ones(_CIRCLE - 1), powers, np.array([
         b2m / math.factorial(2 * m) * np.prod([powers + j for j in range(2 * m - 1)], 0)
-        for m, b2m in enumerate(_BERNOULLI, start=1)])
+        for m, b2m in enumerate(_BERNOULLI, start=1)]), np.arange(1.0, _SHORT + 1.0)
 
 
 @functools.lru_cache(maxsize=256)
 def _tail_weights(head: int):
     # N^k zeta(k, N+1), k = 2.._CIRCLE-1, at N = head and their sum, read-only
-    powers, euler_maclaurin = _tail_tables()[3:]
+    powers, euler_maclaurin = _tail_tables()[3:5]
     a = head + 1.0
     # N^k zeta(k, a) = (N/a)^k [a/(k-1) + 1/2 + sum_m B_2m/(2m)! (k)_(2m-1) a^(1-2m)]
     series = (1.0 / a) * (1.0 / (a * a)) ** np.arange(len(_BERNOULLI))
     weights = (head / a) ** powers * (a / (powers - 1) + 0.5 + series @ euler_maclaurin)
     weights.flags.writeable = False
-    return weights, weights.sum()
+    return weights, float(weights.sum())
 
 
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)
@@ -175,10 +172,11 @@ def _system(summand_of: Callable, *params) -> tuple:
     summand_of(*params) gives the summand and the bound on its poles.  The
     summand is rational in nu, real on the real axis and O(nu^-2), takes
     complex nu, and has its poles in |nu| <= bound; beyond them it is
-    sum_{k>=2} c_k nu^-k.  The record is (summand, bound, radius, table):
-    table holds e_k = c_k radius^-k, k < _CIRCLE, read-only, from a DFT of
-    the summand on |nu| = radius = 4 bound (1 where bound = 0, a summand
-    without poles, which is zero).
+    sum_{k>=2} c_k nu^-k.  A DFT of the summand on |nu| = radius = 4 bound
+    (1 where bound = 0, a summand without poles, which is zero) gives
+    e_k = c_k radius^-k, k < _CIRCLE.  The record is (summand, bound,
+    radius, table, roundoff): table holds e_k, k >= 2, read-only, and
+    roundoff is |e_0| + |e_1|, the DFT's roundoff.
     """
     summand, bound = summand_of(*params)
     radius = 4.0 * bound if bound > 0.0 else 1.0
@@ -188,73 +186,91 @@ def _system(summand_of: Callable, *params) -> tuple:
     with np.errstate(all="ignore"):
         table = (dft @ summand(radius * roots)).real.copy()
     table.flags.writeable = False
-    return summand, bound, radius, table
+    return summand, bound, radius, table[2:], float(abs(table[0]) + abs(table[1]))
+
+
+def _head(bound: float, s: float, theta) -> int:
+    # a theta's head length N; a head beyond the cap refuses before any term
+    needed = max(64.0, 4.0 * (bound / s))
+    if not needed <= _MAX_TERMS:
+        raise ConvergenceError(f"at theta={theta!r}: frequency sum needs {needed:.3g} "
+                               f"> {_MAX_TERMS} terms", achieved=math.inf,
+                               requested=_REL_TAIL)
+    return math.ceil(needed)
+
+
+def _rows(system: tuple, s, head: int):
+    # (sum, bar) at s, a float, or a list of them at each s of a column
+    summand, _, radius, table, roundoff = system
+    grid = isinstance(s, np.ndarray)
+    width = max(1, _CHUNK // len(s)) if grid else _CHUNK
+    partials, magnitude = [], 0.0
+    for start in range(0, head, width):
+        stop = min(start + width, head)
+        terms = summand(s * (_tail_tables()[5][start:stop] if stop <= _SHORT else
+                             np.arange(start + 1, stop + 1, dtype=float)))
+        partials.append(np.add.reduce(terms, axis=-1).tolist())
+        magnitude = magnitude + np.add.reduce(np.abs(terms), axis=-1)
+    # (radius / (s N))^k, k = 2.._CIRCLE-1, by running products, so that a
+    # row and its float call agree to the bit; the ratio exceeds 1 only for
+    # a summand without poles, whose table is zero
+    ratio = radius / (s * head)
+    scaled = np.multiply.accumulate(where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2],
+                                    axis=-1)
+    weights, weight_sum = _tail_weights(head)
+    tails = (table * scaled[..., 1:] * weights).tolist()
+    powers, sizes = scaled[..., 1].tolist(), magnitude.tolist()
+    rows = (zip(zip(*partials), tails, powers, sizes) if grid
+            else [(partials, tails, powers, sizes)])
+    # a tail term that is not finite comes from a table that is not, whose
+    # roundoff already makes the bar not finite
+    sums = [(math.fsum([*heads, *tail]),
+             max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS)
+            for heads, tail, power, size in rows]
+    return sums if grid else sums[0]
 
 
 def _summed(system: tuple, s, theta, floor: float = 1.0):
     """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
 
     system is a record of _system; s = 2 pi theta; theta is a float or an
-    ndarray, whose type and shape the sum and the bound take.  A theta needs
-    the terms up to N = 4 bound / s (64 at least).  The coldest theta left
-    adds its head at every theta left that needs at least half of it, so no
-    theta adds more than 2 N terms, in chunks of at most _CHUNK elements;
-    beyond the poles summand(s n) = sum_{k>=2} d_k n^-k with
-    d_k N^-k = e_k (radius / (s N))^k, so the rest is sum_k d_k zeta(k, N+1)
-    (DLMF 25.11), with the system's table e_k (aliased at
-    (bound/radius)^_CIRCLE = 4^-_CIRCLE) and zeta by Euler-Maclaurin.  Every
-    theta scales the same table, since s N >= radius.  The head's length
-    fixes the work; the bar only decides whether the sum answers.  It adds the four last tail terms, the head's roundoff, and the
-    table's: e_0 and e_1 vanish in exact arithmetic, so what the DFT made of
-    them is its roundoff in every coefficient, which the ratio's powers
-    shrink by at least (radius / (s N))^2 before the weights carry it into
-    the tail.  Where nu^2 overflows, numpy stays quiet: a term that is not
-    finite gives a bar that is not.  ConvergenceError names the first
-    failing theta in C order: where N exceeds _MAX_TERMS, before a term is
-    added; where the bar is not finite, as a term that is not; and where the
-    bar misses _REL_TAIL times max(|sum|, floor).
+    ndarray, whose type and shape the sum and the bound take.  A theta adds
+    the terms up to N = 4 bound / s (64 at least).  Beyond the poles
+    summand(s n) = sum_{k>=2} d_k n^-k with d_k N^-k = e_k (radius / (s N))^k,
+    so the rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), zeta by
+    Euler-Maclaurin.  The bar adds the four last tail terms, the head's
+    roundoff, and the table's: e_0 and e_1 vanish in exact arithmetic, so
+    what the DFT made of them is its roundoff in every e_k, which the
+    ratio's powers shrink by at least (radius / (s N))^2 before the weights
+    carry it into the tail.  Fixed per system, in the record: the summand,
+    its table, and the table's roundoff.  Fixed per head, cached and
+    bounded: n = 1..N up to _SHORT terms, the tail's weights and their sum.
+    Per call: the terms, the ratio's powers and the bar.  A float is one
+    row.  A grid's coldest theta left adds its head at every theta left
+    that needs at least half of it, so no theta adds more than 2 N terms,
+    in chunks of at most _CHUNK elements.  numpy stays quiet where nu^2
+    overflows.  ConvergenceError names the first failing theta in C order:
+    where N exceeds _MAX_TERMS, before a term is added; where a term or the
+    bar is not finite; and where the bar misses _REL_TAIL times
+    max(|sum|, floor).
     """
-    summand, bound, radius, table = system
     grid = isinstance(theta, np.ndarray)
-    thetas, scales = (theta.ravel().tolist(), s.ravel().tolist()) if grid else ([theta], [s])
-    reach = [max(64.0, 4.0 * (bound / x)) for x in scales]
-    for at, needed in zip(thetas, reach):
-        if not needed <= _MAX_TERMS:
-            raise ConvergenceError(f"at theta={at!r}: frequency sum needs {needed:.3g} "
-                                   f"> {_MAX_TERMS} terms", achieved=math.inf,
-                                   requested=_REL_TAIL)
-    heads = [math.ceil(needed) for needed in reach]
-    totals, bars = [0.0] * len(heads), [0.0] * len(heads)
-    left = list(range(len(heads)))
     with np.errstate(all="ignore"):
-        while left:
-            head = max(heads[i] for i in left)
-            group = [i for i in left if 2 * heads[i] >= head]
-            left = [i for i in left if 2 * heads[i] < head]
-            # a float sums along one axis, as fast as a scalar-only body would
-            rows = s.ravel()[group].reshape(-1, 1) if grid else s
-            width = max(1, _CHUNK // len(group))
-            partials, magnitude = [], 0.0
-            for start in range(0, head, width):
-                terms = summand(rows * np.arange(start + 1, min(start + width, head) + 1,
-                                                 dtype=float))
-                partials.append(terms.sum(axis=-1, keepdims=True))
-                magnitude = magnitude + np.abs(terms).sum(axis=-1)
-            # (radius / (s N))^k, k = 2.._CIRCLE-1, by running products, so
-            # that a row and its float call agree to the bit; the ratio exceeds
-            # 1 only for a summand without poles, whose table is zero
-            ratio = radius / (rows * head)
-            ratio = where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2]
-            scaled = np.multiply.accumulate(ratio, axis=-1)[..., 1:]
-            weights, weight_sum = _tail_weights(head)
-            tail = table[2:] * scaled * weights
-            err = (np.abs(tail[..., -4:]).max(axis=-1)
-                   + (abs(table[0]) + abs(table[1])) * scaled[..., 0] * weight_sum
-                   + magnitude * EPS)
-            parts = np.concatenate(partials + [tail], axis=-1).reshape(len(group), -1)
-            for i, terms, bar in zip(group, parts.tolist(), err.reshape(-1).tolist()):
-                totals[i], bars[i] = math.fsum(terms), bar
-    for at, total, bar in zip(thetas, totals, bars):
+        if grid:
+            thetas, scales = theta.ravel().tolist(), s.ravel()
+            heads = [_head(system[1], x, at) for x, at in zip(scales.tolist(), thetas)]
+            sums = [None] * len(heads)
+            left = list(range(len(heads)))
+            while left:
+                head = max(heads[i] for i in left)
+                group = [i for i in left if 2 * heads[i] >= head]
+                left = [i for i in left if 2 * heads[i] < head]
+                for i, result in zip(group, _rows(system, scales[group, None], head)):
+                    sums[i] = result
+        else:
+            thetas, heads = [theta], [_head(system[1], s, theta)]
+            sums = [_rows(system, s, heads[0])]
+    for at, (total, bar) in zip(thetas, sums):
         scale = max(abs(total), floor)
         if not bar <= _REL_TAIL * scale:
             cause = (f"error bar {bar:.3g} misses the relative tail target "
@@ -264,8 +280,9 @@ def _summed(system: tuple, s, theta, floor: float = 1.0):
                 f"at theta={at!r}: frequency sum {cause}",
                 achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
     if grid:
-        return np.reshape(totals, theta.shape), max(heads), np.reshape(bars, theta.shape)
-    return totals[0], heads[0], bars[0]
+        return (np.reshape([total for total, _ in sums], theta.shape), max(heads),
+                np.reshape([bar for _, bar in sums], theta.shape))
+    return sums[0][0], heads[0], sums[0][1]
 
 
 def _energy_summand(omega0: float, kernel: DampingKernel, route: Prescription):

@@ -18,7 +18,7 @@ from qbrownian.core import Tolerances
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.cli import CurveSpec, cmd_fig1
-from qbrownian.matsubara import (DampingKernel, Prescription, energy_sum,
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
                                  position_variance_sum, prescription_gap,
                                  specific_heat_fd)
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
@@ -60,14 +60,15 @@ def test_01_gamma_family_identities_and_symmetry():
 
 
 def test_02_specific_heat_routes_agree():
-    """Energy-derivative and entropy-derivative specific heats coincide below
-    1e-11 over six decades of temperature and damping 0 to 5."""
+    """The trigamma closed form and the pole form of the frequency sum give
+    specific heats that coincide below 1e-11 over six decades of temperature
+    and damping 0 to 5."""
     worst = 0.0
-    for theta in np.logspace(-3.0, 3.0, 60):
-        for alpha in (0.0, 0.1, 1.0, 2.0, 5.0):
-            via_energy = damped_specific_heat(float(theta), alpha).C
-            via_entropy = damped_specific_heat_via_entropy(float(theta), alpha).C
-            worst = max(worst, abs(via_energy - via_entropy))
+    for alpha in (0.0, 0.1, 1.0, 2.0, 5.0):
+        poles = PoleSum(1.0, DampingKernel.ohmic(alpha), Prescription.ENERGY)
+        for theta in np.logspace(-3.0, 3.0, 60):
+            closed = damped_specific_heat(float(theta), alpha).C
+            worst = max(worst, abs(closed - poles.heat(float(theta))))
     assert worst < 1e-11, f"worst route disagreement {worst:g}"
 
 

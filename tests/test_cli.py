@@ -116,6 +116,20 @@ def test_curve_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_an_option_does_not_become_the_next_calls_default(tmp_path):
+    # main keeps one parser per process: a call without --alpha after one
+    # with it writes the default alpha's file, as the first call did
+    outputs = []
+    for extra in ([], ["--alpha", "2"], []):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["curve", "--model", "oscillator", "--points", "3", *extra,
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert " alpha=2 " in outputs[1].split("\n")[1]
+    assert " alpha=none " in outputs[2].split("\n")[1]
+    assert outputs[2] == outputs[0] != outputs[1]
+
+
 def test_compare_free_ohmic(tmp_path):
     out = tmp_path / "cmp.json"
     assert main(["compare", "--model", "free", "--tmin", "0.5", "--tmax", "2.0",

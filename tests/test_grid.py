@@ -336,17 +336,23 @@ def frequency_sums():
 SUMS = frequency_sums()
 
 
+# and one-row grids: at theta = 1e-4 the Drude oscillator's head of 127324
+# terms is added in more than one chunk; at 1e6 every head is the minimum 64
+ROW_GRIDS = [SUM_GRID, np.array([1e-4]), np.array([1e6])]
+
+
 @pytest.mark.parametrize("pair", [p for _, p in SUMS], ids=[n for n, _ in SUMS])
 def test_sum_rows_match_their_float_calls(pair):
     on_grid, alone = pair
-    grid = on_grid(1.0 / SUM_GRID)
-    floats = [alone(1.0 / t) for t in SUM_GRID.tolist()]
-    assert grid.terms_used == max(f.terms_used for f in floats)
-    for value, err, want in zip(grid.value.tolist(), grid.err.tolist(), floats):
-        if want.terms_used == grid.terms_used:
-            assert (value, err) == (want.value, want.err)
-        else:
-            assert abs(value - want.value) <= 4.0 * math.ulp(want.value)
+    for thetas in ROW_GRIDS:
+        grid = on_grid(1.0 / thetas)
+        floats = [alone(1.0 / t) for t in thetas.tolist()]
+        assert grid.terms_used == max(f.terms_used for f in floats)
+        for value, err, want in zip(grid.value.tolist(), grid.err.tolist(), floats):
+            if want.terms_used == grid.terms_used:
+                assert (value, err) == (want.value, want.err)
+            else:
+                assert abs(value - want.value) <= 4.0 * math.ulp(want.value)
 
 
 # five decades, whose heads run from 64 to 127324 terms (Drude oscillator, r = 10)
@@ -414,7 +420,7 @@ def test_term_cap_refuses_before_a_term_is_added():
     # the coldest theta's head is beyond the cap: no summand is evaluated
     evaluated = []
     # 1/(nu^2 + 1), with its poles bounded by 2
-    _, bound, radius, table = _system(matsubara._variance_summand, 0.0)
+    _, bound, *rest = _system(matsubara._variance_summand, 0.0)
     assert bound == 2.0
 
     def summand(nu):
@@ -425,7 +431,7 @@ def test_term_cap_refuses_before_a_term_is_added():
     theta[7] = 1e-8
     with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum "
                                                r"needs 1\.27e\+08 > 100000000 terms$"):
-        _summed((summand, bound, radius, table), TWO_PI * theta, theta)
+        _summed((summand, bound, *rest), TWO_PI * theta, theta)
     assert evaluated == []
     # the float-only variance sum names its theta too
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):

@@ -313,10 +313,12 @@ def test_sum_tables_give_the_same_bits_cold_and_warm():
 
 
 def test_sum_tables_are_read_only():
-    _, bound, radius, table = qbrownian.matsubara._system(
+    _, bound, radius, table, roundoff = qbrownian.matsubara._system(
         qbrownian.matsubara._energy_summand, 1.0, DRUDE, Prescription.ENERGY)
-    assert table.shape == (qbrownian.matsubara._CIRCLE,)
+    # e_k for k >= 2; e_0 and e_1, zero in exact arithmetic, are roundoff
+    assert table.shape == (qbrownian.matsubara._CIRCLE - 2,)
     assert radius == 4.0 * bound
+    assert 0.0 <= roundoff <= 1e-12 * abs(table).max()
     with pytest.raises(ValueError):
         table[2] = 0.0
 
@@ -451,6 +453,22 @@ def test_failing_sum_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_a_theta_scan_retains_little_memory():
+    # what a sum keeps per system and per head is bounded in number and size,
+    # however many heads a scan meets (64 to 127324 terms here)
+    matsubara = qbrownian.matsubara
+    for cache in (matsubara._tail_tables, matsubara._tail_weights, matsubara._system):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for theta in np.logspace(-4.0, 0.0, 300).tolist():
+            energy_sum(1.0, DRUDE, 1.0 / theta, Prescription.ENERGY)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 @pytest.mark.usefixtures("tight")

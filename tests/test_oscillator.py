@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qbrownian.core import ConvergenceError, DomainError
+from qbrownian.matsubara import DampingKernel, PoleSum, Prescription
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
@@ -122,13 +123,14 @@ def test_lambda_pair_invariants():
 
 
 def test_two_specific_heat_routes_agree():
+    # the closed form against the pole form of the frequency sum
     rng = np.random.default_rng(977)
     for _ in range(60):
         theta = float(rng.uniform(0.02, 30.0))
         alpha = float(rng.uniform(0.0, 5.0))
-        via_energy = damped_specific_heat(theta, alpha).C
-        via_entropy = damped_specific_heat_via_entropy(theta, alpha).C
-        assert abs(via_energy - via_entropy) < 1e-11
+        closed = damped_specific_heat(theta, alpha).C
+        poles = PoleSum(1.0, DampingKernel.ohmic(alpha), Prescription.ENERGY)
+        assert abs(closed - poles.heat(theta)) < 1e-11
 
 
 def test_entropy_route_returns_the_energy_routes_bits():
