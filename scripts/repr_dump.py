@@ -4,7 +4,9 @@ Diffing the output of two checkouts is a bit-identity check for a refactor:
 a change that keeps every value and every error keeps every line.  The calls
 cover the special-function kernels on complex numbers and on arrays, every
 closed form, characteristic pair and expansion as a float call and on a
-grid (grids with non-positive elements included), PoleSum.energy/.heat for
+grid (grids with non-positive elements included; the damping and cutoff
+ratios on both sides of where the pair stops being conjugate, alpha = 2 and
+r = 4), PoleSum.energy/.heat for
 ten systems under both prescriptions (one with a float32 cutoff), with theta
 out to 1e-320 and 1e300, each function of theta also at numpy temperatures
 (float32 and float64 scalars, a 0-d float32 array, a float32 grid), the
@@ -164,7 +166,9 @@ def quietly(fn):
 def closed_forms() -> list:
     lambda_pm, drude_pair = quietly(_lambda_pm), quietly(_drude_pair)
     forms = [("undamped_thermo", undamped_thermo)]
-    for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, 1e3):
+    # the characteristic pairs are conjugate up to alpha = 2 and below r = 4,
+    # so each edge is dumped on both sides
+    for alpha in (0.0, 0.5, 1.0, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 5.0, 1e3):
         forms += [
             (f"lambda_pm alpha={alpha}", lambda t, a=alpha: lambda_pm(t, a)[:2]),
             (f"damped_specific_heat alpha={alpha}",
@@ -172,7 +176,7 @@ def closed_forms() -> list:
             (f"damped_entropy alpha={alpha}", lambda t, a=alpha: damped_entropy(t, a)),
             (f"damped_specific_heat_via_entropy alpha={alpha}",
              lambda t, a=alpha: damped_specific_heat_via_entropy(t, a))]
-    for ratio in (0.01, 1.0, 4.0, 10.0, math.inf):
+    for ratio in (0.01, 1.0, 4.0 - 1e-7, 4.0, 4.0 + 1e-7, 10.0, math.inf):
         forms.append((f"drude_specific_heat r={ratio}",
                       lambda t, r=ratio: drude_specific_heat(t, r)))
         forms.append((f"drude_z_pm r={ratio}", lambda t, r=ratio: drude_pair(t, r)[2:]))

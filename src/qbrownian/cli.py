@@ -165,11 +165,13 @@ def _table(spec: CurveSpec, header: str, comment: str,
            columns: dict[str, Callable[[np.ndarray], np.ndarray]]) -> list[str]:
     """CSV lines: the theta column named header, then one column per entry.
 
-    Each column is evaluated once, on the whole grid; a closed form that
-    fails names the first theta at which it failed.
+    Each distinct callable is evaluated once, on the whole grid, and serves
+    every column that names it; a closed form that fails names the first
+    theta at which it failed.
     """
     grid = spec.grid()
-    values = [fn(grid).tolist() for fn in columns.values()]
+    computed = {fn: fn(grid).tolist() for fn in dict.fromkeys(columns.values())}
+    values = [computed[fn] for fn in columns.values()]
     lines = [",".join([header, *columns]), comment]
     template = ",".join(["%.17g"] * (1 + len(values)))
     lines.extend(template % row for row in zip(grid.tolist(), *values))
@@ -188,8 +190,10 @@ def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
     columns: dict[str, Callable] = {}
 
     if "C" in spec.quantities:
+        # one closed form, where there is one, serves every route's column
+        closed = spec.closed_heat()
         for route in routes:
-            columns[f"C_{route.value}"] = (spec.closed_heat()
+            columns[f"C_{route.value}"] = (closed
                                            or PoleSum(spec.omega0, kernel, route).heat)
 
     if "S" in spec.quantities:

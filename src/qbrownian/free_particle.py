@@ -8,10 +8,14 @@ a Drude cutoff enters through r = omega_D / gamma via the pair
     z_pm = (r / (4 pi theta)) * (1 +- sqrt(1 - 4/r)),
 
 complex conjugates for r < 4 and real for r > 4, which drude_specific_heat
-takes from the private _drude_pair.  C interpolates between the classical
-kinetic value 1/2 at high temperature and a linear-in-T vanishing at low
-temperature with the cutoff-independent slope pi/3; lowering the cutoff
-weakens the effective damping and raises C toward 1/2 everywhere else.
+takes from the private _drude_pair.  Below r = 4 it evaluates psi' once per
+pair, at z_+, and takes z_-'s term as the conjugate of z_+'s: z_- is z_+'s
+conjugate and the kernels map conjugate arguments to exactly conjugate
+values, so that term has the bits that a second evaluation would give.
+C interpolates between the classical kinetic value 1/2 at high temperature
+and a linear-in-T vanishing at low temperature with the cutoff-independent
+slope pi/3; lowering the cutoff weakens the effective damping and raises C
+toward 1/2 everywhere else.
 
 Every function here takes theta as a float or as an ndarray of temperatures
 (the cutoff ratio stays one value, taken as a double) and returns floats or
@@ -84,7 +88,8 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
     else:
         t_plus = z_plus * _trigamma(1.0 + z_plus)
-        t_minus = z_minus * _trigamma(1.0 + z_minus)
+        t_minus = (t_plus.conjugate() if cutoff_ratio < 4.0
+                   else z_minus * _trigamma(1.0 + z_minus))
         total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
     heat = checked_real(total, magnitude, "specific heat", theta=theta,

@@ -199,35 +199,69 @@ def _head(bound: float, s: float, theta) -> int:
     return math.ceil(needed)
 
 
-def _rows(system: tuple, s, head: int):
-    # (sum, bar) at s, a float, or a list of them at each s of a column
+def _n(start: int, stop: int):
+    # n = start + 1..stop: a slice of the shared index vector up to _SHORT
+    return (_tail_tables()[5][start:stop] if stop <= _SHORT
+            else np.arange(start + 1, stop + 1, dtype=float))
+
+
+def _bar(tail: list, power: float, weight_sum: float, roundoff: float,
+         size: float) -> float:
+    # a row's error bar; a tail term that is not finite comes from a table
+    # that is not, whose roundoff already makes the bar not finite
+    return max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS
+
+
+def _row(system: tuple, s: float, head: int):
+    # (sum, bar) at a float s: one row of _rows, added in the same order
     summand, _, radius, table, roundoff = system
-    grid = isinstance(s, np.ndarray)
-    width = max(1, _CHUNK // len(s)) if grid else _CHUNK
+    partials, magnitude = [], 0.0
+    for start in range(0, head, _CHUNK):
+        terms = summand(s * _n(start, min(start + _CHUNK, head)))
+        partials.append(float(np.add.reduce(terms)))
+        magnitude += float(np.add.reduce(np.abs(terms)))
+    ratio = radius / (s * head)
+    scaled = np.multiply.accumulate(
+        (ratio if ratio < 1.0 else 1.0) * _tail_tables()[2])
+    weights, weight_sum = _tail_weights(head)
+    tail = (table * scaled[1:] * weights).tolist()
+    return (math.fsum([*partials, *tail]),
+            _bar(tail, float(scaled[1]), weight_sum, roundoff, magnitude))
+
+
+def _rows(system: tuple, s: np.ndarray, head: int) -> list:
+    # (sum, bar) at each s of a column, as _row adds them
+    summand, _, radius, table, roundoff = system
+    width = max(1, _CHUNK // len(s))
     partials, magnitude = [], 0.0
     for start in range(0, head, width):
-        stop = min(start + width, head)
-        terms = summand(s * (_tail_tables()[5][start:stop] if stop <= _SHORT else
-                             np.arange(start + 1, stop + 1, dtype=float)))
+        terms = summand(s * _n(start, min(start + width, head)))
         partials.append(np.add.reduce(terms, axis=-1).tolist())
         magnitude = magnitude + np.add.reduce(np.abs(terms), axis=-1)
     # (radius / (s N))^k, k = 2.._CIRCLE-1, by running products, so that a
     # row and its float call agree to the bit; the ratio exceeds 1 only for
     # a summand without poles, whose table is zero
     ratio = radius / (s * head)
-    scaled = np.multiply.accumulate(where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2],
-                                    axis=-1)
+    scaled = np.multiply.accumulate(
+        np.where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2], axis=-1)
     weights, weight_sum = _tail_weights(head)
-    tails = (table * scaled[..., 1:] * weights).tolist()
-    powers, sizes = scaled[..., 1].tolist(), magnitude.tolist()
-    rows = (zip(zip(*partials), tails, powers, sizes) if grid
-            else [(partials, tails, powers, sizes)])
-    # a tail term that is not finite comes from a table that is not, whose
-    # roundoff already makes the bar not finite
-    sums = [(math.fsum([*heads, *tail]),
-             max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS)
+    rows = zip(zip(*partials), (table * scaled[:, 1:] * weights).tolist(),
+               scaled[:, 1].tolist(), magnitude.tolist())
+    return [(math.fsum([*heads, *tail]),
+             _bar(tail, power, weight_sum, roundoff, size))
             for heads, tail, power, size in rows]
-    return sums if grid else sums[0]
+
+
+def _check_bar(theta, total: float, bar: float, floor: float) -> None:
+    # ConvergenceError at theta unless bar meets _REL_TAIL max(|total|, floor)
+    scale = max(abs(total), floor)
+    if not bar <= _REL_TAIL * scale:
+        cause = (f"error bar {bar:.3g} misses the relative tail target "
+                 f"{_REL_TAIL:g}" if math.isfinite(bar) else
+                 "meets a term that is not finite in double precision")
+        raise ConvergenceError(
+            f"at theta={theta!r}: frequency sum {cause}",
+            achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
 
 
 def _summed(system: tuple, s, theta, floor: float = 1.0):
@@ -246,43 +280,37 @@ def _summed(system: tuple, s, theta, floor: float = 1.0):
     its table, and the table's roundoff.  Fixed per head, cached and
     bounded: n = 1..N up to _SHORT terms, the tail's weights and their sum.
     Per call: the terms, the ratio's powers and the bar.  A float is one
-    row.  A grid's coldest theta left adds its head at every theta left
-    that needs at least half of it, so no theta adds more than 2 N terms,
-    in chunks of at most _CHUNK elements.  numpy stays quiet where nu^2
-    overflows.  ConvergenceError names the first failing theta in C order:
-    where N exceeds _MAX_TERMS, before a term is added; where a term or the
-    bar is not finite; and where the bar misses _REL_TAIL times
-    max(|sum|, floor).
+    row, summed by _row without a grid's lists; a grid's rows are summed by
+    _rows in the same order, each equal to its float call to the bit when
+    it adds the same head.  A grid's coldest theta left adds its head at
+    every theta left that needs at least half of it, so no theta adds more
+    than 2 N terms, in chunks of at most _CHUNK elements.  numpy stays
+    quiet where nu^2 overflows.  ConvergenceError names the first failing
+    theta in C order: where N exceeds _MAX_TERMS, before a term is added;
+    where a term or the bar is not finite; and where the bar misses
+    _REL_TAIL times max(|sum|, floor).
     """
-    grid = isinstance(theta, np.ndarray)
+    if not isinstance(theta, np.ndarray):
+        head = _head(system[1], s, theta)
+        with np.errstate(all="ignore"):
+            total, bar = _row(system, s, head)
+        _check_bar(theta, total, bar, floor)
+        return total, head, bar
+    thetas, scales = theta.ravel().tolist(), s.ravel()
+    heads = [_head(system[1], x, at) for x, at in zip(scales.tolist(), thetas)]
+    sums = [None] * len(heads)
+    left = list(range(len(heads)))
     with np.errstate(all="ignore"):
-        if grid:
-            thetas, scales = theta.ravel().tolist(), s.ravel()
-            heads = [_head(system[1], x, at) for x, at in zip(scales.tolist(), thetas)]
-            sums = [None] * len(heads)
-            left = list(range(len(heads)))
-            while left:
-                head = max(heads[i] for i in left)
-                group = [i for i in left if 2 * heads[i] >= head]
-                left = [i for i in left if 2 * heads[i] < head]
-                for i, result in zip(group, _rows(system, scales[group, None], head)):
-                    sums[i] = result
-        else:
-            thetas, heads = [theta], [_head(system[1], s, theta)]
-            sums = [_rows(system, s, heads[0])]
+        while left:
+            head = max(heads[i] for i in left)
+            group = [i for i in left if 2 * heads[i] >= head]
+            left = [i for i in left if 2 * heads[i] < head]
+            for i, result in zip(group, _rows(system, scales[group, None], head)):
+                sums[i] = result
     for at, (total, bar) in zip(thetas, sums):
-        scale = max(abs(total), floor)
-        if not bar <= _REL_TAIL * scale:
-            cause = (f"error bar {bar:.3g} misses the relative tail target "
-                     f"{_REL_TAIL:g}" if math.isfinite(bar) else
-                     "meets a term that is not finite in double precision")
-            raise ConvergenceError(
-                f"at theta={at!r}: frequency sum {cause}",
-                achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
-    if grid:
-        return (np.reshape([total for total, _ in sums], theta.shape), max(heads),
-                np.reshape([bar for _, bar in sums], theta.shape))
-    return sums[0][0], heads[0], sums[0][1]
+        _check_bar(at, total, bar, floor)
+    return (np.reshape([total for total, _ in sums], theta.shape), max(heads),
+            np.reshape([bar for _, bar in sums], theta.shape))
 
 
 def _energy_summand(omega0: float, kernel: DampingKernel, route: Prescription):
@@ -321,11 +349,12 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta,
     est, terms, err = _summed(_system(_energy_summand, omega0, kernel, route),
                               TWO_PI / beta, 1.0 / beta)
     value = pref * (1.0 + est)
-    if kernel.regularized:
+    regularized = kernel.regularized
+    if regularized:
         g = kernel.gamma
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
     return Estimate(value=value, err=pref * err, terms_used=terms,
-                    regularized=kernel.regularized)
+                    regularized=regularized)
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,

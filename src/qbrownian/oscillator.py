@@ -8,7 +8,13 @@ damping and are assembled from the characteristic pair
     lam_pm = (1 / (2 pi theta)) * (alpha/2 +- sqrt((alpha/2)^2 - 1)),
 
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
-above it, which each form takes from the private _lambda_pm.  The two
+above it, which each form takes from the private _lambda_pm.  Up to
+alpha = 2 each form evaluates its kernel once per pair, at lam_+, and takes
+lam_-'s term as the conjugate of lam_+'s: lam_- is lam_+'s conjugate and
+the kernels map conjugate arguments to exactly conjugate values, so that
+term has the bits that a second evaluation would give (at alpha = 2, where
+lam_+ = lam_-, up to the sign of a zero imaginary part, which the real
+result drops).  The two
 specific-heat routes, differentiating the internal energy and the entropy,
 are one sum term by term (g'(z) = -z psi'(1 + z)), so one closed form serves
 both: damped_specific_heat_via_entropy returns damped_specific_heat.
@@ -90,7 +96,8 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
     # not lam ** 2: a Python complex ** raises OverflowError where * gives inf
     t_plus = lam_plus * lam_plus * _trigamma(1.0 + lam_plus)
-    t_minus = lam_minus * lam_minus * _trigamma(1.0 + lam_minus)
+    t_minus = (t_plus.conjugate() if alpha <= 2.0
+               else lam_minus * lam_minus * _trigamma(1.0 + lam_minus))
     total = (1.0 - a) + t_plus + t_minus
     magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
     heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
@@ -106,7 +113,8 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
     """
     lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
     log_theta = elementwise(theta).log(theta)
-    g_plus, g_minus = _g(lam_plus), _g(lam_minus)
+    g_plus = _g(lam_plus)
+    g_minus = g_plus.conjugate() if alpha <= 2.0 else _g(lam_minus)
     total = (1.0 + log_theta + a) + (g_plus + g_minus)
     magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
     entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)

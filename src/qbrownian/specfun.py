@@ -31,7 +31,9 @@ Every arithmetic step here is componentwise conjugate-symmetric, in Python's
 complex arithmetic and in numpy's alike, so all five kernels map conjugate
 inputs to exactly conjugate outputs, for scalars and arrays.  That is what
 makes conjugate-pair sums in the thermodynamic formulas exactly real, not
-merely real up to roundoff.
+merely real up to roundoff, and what lets a closed form evaluate a kernel
+at one member of a conjugate pair and take the other's value as the
+conjugate of the first.
 """
 
 from __future__ import annotations

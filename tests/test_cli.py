@@ -106,6 +106,26 @@ def test_curve_both_routes_agree_for_ohmic(tmp_path):
         assert abs(float(row[1]) - float(row[2])) < 1e-11
 
 
+def test_curve_evaluates_a_shared_closed_form_once(tmp_path, monkeypatch):
+    # an ohmic kernel has one closed-form C for both routes: it is evaluated
+    # once, on the whole grid, and fills both columns
+    calls = []
+
+    def counted(theta, *args):
+        calls.append(np.size(theta))
+        return heat(theta, *args)
+
+    heat = qbrownian.cli.damped_specific_heat
+    monkeypatch.setattr(qbrownian.cli, "damped_specific_heat", counted)
+    out = tmp_path / "both.csv"
+    assert main(["curve", "--model", "oscillator", "--route", "both",
+                 "--quantities", "C,S", "--points", "9", "--out", str(out)]) == 0
+    header, _, rows = read_csv(out)
+    assert header == ["theta", "C_energy", "C_partition", "S"]
+    assert calls == [9]
+    assert all(row[1] == row[2] for row in rows)
+
+
 def test_curve_is_deterministic(tmp_path):
     argv = ["curve", "--model", "oscillator", "--kernel", "drude",
             "--cutoff-ratio", "5", "--quantities", "C,E", "--points", "3",
