@@ -58,8 +58,9 @@ NON_POSITIVE_GRIDS = [[0.5, -1.0, 0.0], [[2.0, 0.0], [-1.0, 0.5]]]
 
 # at 1e-4 a Drude system's head (127324 terms) is added in two chunks
 SUM_THETAS = [1e-8, 1e-4, 1e-3, 0.05, 0.37, 1.0, 20.0]
-# temperatures at which nu^2 overflows in the head of every sum
-HOT_SUM_THETAS = [1e200, 1e300]
+# temperatures at which nu^2 overflows in the head of every sum, from about
+# theta = 1e154 on
+HOT_SUM_THETAS = [1e154, 1e200, 1e300]
 
 # the two golden inputs of compare, the two of the benchmark's sum_datasets
 # at seed 0, a grid over four decades, whose rows sum heads of different

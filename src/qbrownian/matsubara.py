@@ -35,12 +35,12 @@ nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 PoleSum evaluates E this way, and C = dE/dT through psi', at a cost that does
 not depend on the temperature; the share of a cluster of near-coincident
 poles is the contour integral of R times the psi factor around it, by the
-trapezoid rule on a circle.  energy_sum adds the terms one by one
-up to N = 4 B beta / (2 pi), B a bound on the poles, and the rest exactly in
-Hurwitz zeta form from R's Laurent coefficients beyond the poles, which each
-system samples once, on a circle (_system, _summed): the independent
-cross-check of PoleSum.  Its kernel _energy_sum, like _prescription_gap,
-also sums a grid of beta.
+trapezoid rule on a circle.  energy_sum adds the terms one by one, by
+Horner's rule in 1/nu, up to N = 4 B beta / (2 pi), B a bound on the poles,
+and the rest exactly in Hurwitz zeta form from R's Laurent coefficients,
+which series division of PoleSum's P by its Q gives once per system
+(_system, _summed): a cross-check that shares no roots or residues with
+PoleSum.  Its kernel _energy_sum, like _prescription_gap, sums a grid too.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,13 +63,14 @@ from .specfun import _BERNOULLI, _digamma, _trigamma
 EULER_GAMMA = 0.5772156649015328606065121
 
 _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
-_SHORT = 1 << 10          # heads up to this long share one index vector
+_SHORT = 1 << 10          # heads up to this long share one vector of 1/n
 _MAX_TERMS = 10 ** 8      # cap on the head of a term-by-term sum
 _REL_TAIL = 1e-12         # largest error bar of a term-by-term sum, relative
 
-# grouping of near-coincident poles in PoleSum (see _group_poles)
+# PoleSum's clusters of near-coincident poles (_group_poles) and their circles (_share)
 _CLUSTER_REL = 0.1
 _CLUSTER_RATIO = 0.1
+_CLUSTER_NODES = 32
 
 
 class Prescription(enum.Enum):
@@ -127,66 +128,101 @@ def _regularization(gamma: float, beta, w_ref: float):
     return (gamma / TWO_PI) * (EULER_GAMMA + log(beta * w_ref / TWO_PI))
 
 
-def _pole_bound(omega0: float, kernel: DampingKernel) -> float:
-    """Fujiwara's bound on |nu| at the poles of every term-by-term summand."""
+def _pole_bound(omega0: float, kernel: DampingKernel) -> tuple:
+    """The bound on |nu| at a summand's poles (Fujiwara's), and its record's radius."""
     # at zero coupling there is no bath, and so no pole at the cutoff
     wd = 0.0 if kernel.is_ohmic or kernel.gamma == 0.0 else kernel.omega_d
     g = kernel.gamma
-    return 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
+    bound = 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
+    return bound, math.ldexp(1.0, math.frexp(4.0 * bound)[1] - 1)
 
 
-_CIRCLE = 32              # samples of a summand on the circle |nu| = 4 B
+_LAURENT = 32             # Laurent coefficients e_k, k < _LAURENT, in a sum's tail
 _SYSTEMS_KEPT = 64        # the summed systems whose records are kept
 
 
+class _Tables(NamedTuple):
+    # what every sum shares, built on first use: programs that never sum hold none
+    ones: np.ndarray        # whose running product by a ratio gives its powers
+    zeta_terms: np.ndarray  # B_2m/(2m)! (k)_(2m-1), m <= 8, by k = 2.._LAURENT-1
+    inverse_n: np.ndarray   # 1/n, n = 1.._SHORT, which a short head slices
+
+
 @functools.cache
-def _tail_tables():
-    # built on first use, so that programs that never sum hold none: the roots
-    # of unity, the DFT to e_k, the ones whose running product by a ratio
-    # gives its powers 1.._CIRCLE-1, k >= 2, B_2m/(2m)! (k)_(2m-1), m <= 8,
-    # and n = 1.._SHORT, which a short head slices
-    roots = np.exp(-2j * np.pi * np.arange(_CIRCLE) / _CIRCLE)
-    dft = roots[np.outer(np.arange(_CIRCLE), np.arange(_CIRCLE)) % _CIRCLE] / _CIRCLE
-    powers = np.arange(2.0, _CIRCLE)
-    return roots, dft, np.ones(_CIRCLE - 1), powers, np.array([
+def _tail_tables() -> _Tables:
+    powers = np.arange(2.0, _LAURENT)
+    return _Tables(np.ones(_LAURENT - 1), np.array([
         b2m / math.factorial(2 * m) * np.prod([powers + j for j in range(2 * m - 1)], 0)
-        for m, b2m in enumerate(_BERNOULLI, start=1)]), np.arange(1.0, _SHORT + 1.0)
+        for m, b2m in enumerate(_BERNOULLI, start=1)]), 1.0 / np.arange(1.0, _SHORT + 1))
 
 
 @functools.lru_cache(maxsize=256)
 def _tail_weights(head: int):
-    # N^k zeta(k, N+1), k = 2.._CIRCLE-1, at N = head and their sum, read-only
-    powers, euler_maclaurin = _tail_tables()[3:5]
-    a = head + 1.0
+    # N^k zeta(k, N+1), k = 2.._LAURENT-1, at N = head and their sum, read-only
+    powers, a = np.arange(2.0, _LAURENT), head + 1.0
     # N^k zeta(k, a) = (N/a)^k [a/(k-1) + 1/2 + sum_m B_2m/(2m)! (k)_(2m-1) a^(1-2m)]
     series = (1.0 / a) * (1.0 / (a * a)) ** np.arange(len(_BERNOULLI))
-    weights = (head / a) ** powers * (a / (powers - 1) + 0.5 + series @ euler_maclaurin)
+    weights = (head / a) ** powers * (
+        a / (powers - 1) + 0.5 + series @ _tail_tables().zeta_terms)
     weights.flags.writeable = False
     return weights, float(weights.sum())
 
 
+class _System(NamedTuple):
+    numerator: tuple      # P(t), t = radius / nu, from t^0 up
+    denominator: tuple    # Q(t), from t^0 up
+    order: int            # deg Q - deg P, so that R = t^order P(t) / Q(t)
+    bound: float          # on |nu| at the poles
+    radius: float         # 4 bound rounded down to a power of two: scales exactly
+    table: np.ndarray     # e_k = c_k radius^-k, k = 2.._LAURENT-1, read-only
+    roundoff: float       # on each e_k, from the series division
+    underflow: float      # a term's least rounding over eps, 0 where R = 0
+
+
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)
-def _system(summand_of: Callable, *params) -> tuple:
+def _system(fraction_of: Callable, *params) -> _System:
     """What a term-by-term sum needs of a system, whatever theta is, built once.
 
-    summand_of(*params) gives the summand and the bound on its poles.  The
-    summand is rational in nu, real on the real axis and O(nu^-2), takes
-    complex nu, and has its poles in |nu| <= bound; beyond them it is
-    sum_{k>=2} c_k nu^-k.  A DFT of the summand on |nu| = radius = 4 bound
-    (1 where bound = 0, a summand without poles, which is zero) gives
-    e_k = c_k radius^-k, k < _CIRCLE.  The record is (summand, bound,
-    radius, table, roundoff): table holds e_k, k >= 2, read-only, and
-    roundoff is |e_0| + |e_1|, the DFT's roundoff.
+    fraction_of(*params) gives R(radius x) = P(x) / Q(x) as coefficient lists,
+    highest power first, Q monic, deg Q >= deg P + 2, then the bound on the
+    poles and the radius, as _pole_bound gives them: in units of the radius
+    nothing overflows or underflows.  Read from t^0 up without their zeros at
+    the top, the lists are P(t), Q(t) in t = radius / nu, and
+    R = t^order P(t) / Q(t) = sum_{k>=2} e_k t^k beyond the poles, with
+    e_k = c_k radius^-k, which series division gives for k < _LAURENT;
+    roundoff = eps sum |e_k| bounds its rounding in each.  Below the
+    smallest normal double, rounding is absolute: eps underflow per term.
     """
-    summand, bound = summand_of(*params)
-    radius = 4.0 * bound if bound > 0.0 else 1.0
-    roots, dft = _tail_tables()[:2]
-    # at an extreme bound the circle's nu^2 overflows: a table that is not
-    # finite gives a bar that is not, and every theta it serves refuses
-    with np.errstate(all="ignore"):
-        table = (dft @ summand(radius * roots)).real.copy()
+    numerator, denominator, bound, radius = fraction_of(*params)
+    p, q = (tuple(np.trim_zeros(c, "b")) for c in (numerator, denominator))
+    order = len(denominator) - len(numerator)
+    series = ([0.0] * order + list(p) + [0.0] * _LAURENT)[:_LAURENT]
+    for k in range(1, _LAURENT):
+        series[k] -= sum(c * e for c, e in zip(q[1:], reversed(series[:k])))
+    table = np.array(series[2:])
     table.flags.writeable = False
-    return summand, bound, radius, table[2:], float(abs(table[0]) + abs(table[1]))
+    size = float(abs(table).sum())
+    return _System(p, q, order, bound, radius, table, EPS * size,
+                   sys.float_info.min * (1.0 + size) if p else 0.0)
+
+
+def _terms(system: _System, t):
+    """R at nu = radius / t elementwise, by Horner's rule, which cannot overflow."""
+    p, q = system.numerator, system.denominator
+    if not p:
+        return np.zeros_like(t)
+    top, bottom = p[-1] * t, q[-1] * t
+    for c in p[-2::-1]:
+        top += c
+        top *= t
+    for _ in range(system.order - 1):
+        top *= t
+    for c in q[-2:0:-1]:
+        bottom += c
+        bottom *= t
+    bottom += q[0]
+    top /= bottom
+    return top
 
 
 def _head(bound: float, s: float, theta) -> int:
@@ -199,10 +235,10 @@ def _head(bound: float, s: float, theta) -> int:
     return math.ceil(needed)
 
 
-def _n(start: int, stop: int):
-    # n = start + 1..stop: a slice of the shared index vector up to _SHORT
-    return (_tail_tables()[5][start:stop] if stop <= _SHORT
-            else np.arange(start + 1, stop + 1, dtype=float))
+def _t(start: int, stop: int, unit: float):
+    # t = radius / (s n), n = start + 1..stop, unit = s / radius; 1/n shared to _SHORT
+    return (_tail_tables().inverse_n[start:stop] if stop <= _SHORT
+            else 1.0 / np.arange(start + 1, stop + 1, dtype=float)) / unit
 
 
 def _bar(tail: list, power: float, weight_sum: float, roundoff: float,
@@ -212,43 +248,38 @@ def _bar(tail: list, power: float, weight_sum: float, roundoff: float,
     return max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS
 
 
-def _row(system: tuple, s: float, head: int):
+def _row(system: _System, s: float, head: int):
     # (sum, bar) at a float s: one row of _rows, added in the same order
-    summand, _, radius, table, roundoff = system
-    partials, magnitude = [], 0.0
+    weights, weight_sum = _tail_weights(head)
+    partials, magnitude = [], (head + weight_sum) * system.underflow
     for start in range(0, head, _CHUNK):
-        terms = summand(s * _n(start, min(start + _CHUNK, head)))
+        terms = _terms(system, _t(start, min(start + _CHUNK, head), s / system.radius))
         partials.append(float(np.add.reduce(terms)))
         magnitude += float(np.add.reduce(np.abs(terms)))
-    ratio = radius / (s * head)
-    scaled = np.multiply.accumulate(
-        (ratio if ratio < 1.0 else 1.0) * _tail_tables()[2])
-    weights, weight_sum = _tail_weights(head)
-    tail = (table * scaled[1:] * weights).tolist()
+    ratio = system.radius / (s * head)
+    scaled = np.multiply.accumulate((ratio if ratio < 1.0 else 1.0) * _tail_tables().ones)
+    tail = (system.table * scaled[1:] * weights).tolist()
     return (math.fsum([*partials, *tail]),
-            _bar(tail, float(scaled[1]), weight_sum, roundoff, magnitude))
+            _bar(tail, float(scaled[1]), weight_sum, system.roundoff, magnitude))
 
 
-def _rows(system: tuple, s: np.ndarray, head: int) -> list:
+def _rows(system: _System, s: np.ndarray, head: int) -> list:
     # (sum, bar) at each s of a column, as _row adds them
-    summand, _, radius, table, roundoff = system
     width = max(1, _CHUNK // len(s))
-    partials, magnitude = [], 0.0
+    weights, weight_sum = _tail_weights(head)
+    partials, magnitude = [], (head + weight_sum) * system.underflow
     for start in range(0, head, width):
-        terms = summand(s * _n(start, min(start + width, head)))
+        terms = _terms(system, _t(start, min(start + width, head), s / system.radius))
         partials.append(np.add.reduce(terms, axis=-1).tolist())
         magnitude = magnitude + np.add.reduce(np.abs(terms), axis=-1)
-    # (radius / (s N))^k, k = 2.._CIRCLE-1, by running products, so that a
-    # row and its float call agree to the bit; the ratio exceeds 1 only for
-    # a summand without poles, whose table is zero
-    ratio = radius / (s * head)
+    # running products, as in _row: N >= radius / s keeps the ratio <= 1 but where R = 0
+    ratio = system.radius / (s * head)
     scaled = np.multiply.accumulate(
-        np.where(ratio < 1.0, ratio, 1.0) * _tail_tables()[2], axis=-1)
-    weights, weight_sum = _tail_weights(head)
-    rows = zip(zip(*partials), (table * scaled[:, 1:] * weights).tolist(),
+        np.where(ratio < 1.0, ratio, 1.0) * _tail_tables().ones, axis=-1)
+    rows = zip(zip(*partials), (system.table * scaled[:, 1:] * weights).tolist(),
                scaled[:, 1].tolist(), magnitude.tolist())
     return [(math.fsum([*heads, *tail]),
-             _bar(tail, power, weight_sum, roundoff, size))
+             _bar(tail, power, weight_sum, system.roundoff, size))
             for heads, tail, power, size in rows]
 
 
@@ -264,40 +295,36 @@ def _check_bar(theta, total: float, bar: float, floor: float) -> None:
             achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
 
 
-def _summed(system: tuple, s, theta, floor: float = 1.0):
-    """(sum over n >= 1 of summand(s n), the coldest theta's terms, an error bound).
+def _summed(system: _System, s, theta, floor: float = 1.0):
+    """(sum over n >= 1 of R(s n), the coldest theta's terms, an error bound).
 
     system is a record of _system; s = 2 pi theta; theta is a float or an
     ndarray, whose type and shape the sum and the bound take.  A theta adds
-    the terms up to N = 4 bound / s (64 at least).  Beyond the poles
-    summand(s n) = sum_{k>=2} d_k n^-k with d_k N^-k = e_k (radius / (s N))^k,
-    so the rest is sum_k d_k zeta(k, N+1) (DLMF 25.11), zeta by
-    Euler-Maclaurin.  The bar adds the four last tail terms, the head's
-    roundoff, and the table's: e_0 and e_1 vanish in exact arithmetic, so
-    what the DFT made of them is its roundoff in every e_k, which the
-    ratio's powers shrink by at least (radius / (s N))^2 before the weights
-    carry it into the tail.  Fixed per system, in the record: the summand,
-    its table, and the table's roundoff.  Fixed per head, cached and
-    bounded: n = 1..N up to _SHORT terms, the tail's weights and their sum.
-    Per call: the terms, the ratio's powers and the bar.  A float is one
-    row, summed by _row without a grid's lists; a grid's rows are summed by
-    _rows in the same order, each equal to its float call to the bit when
-    it adds the same head.  A grid's coldest theta left adds its head at
-    every theta left that needs at least half of it, so no theta adds more
-    than 2 N terms, in chunks of at most _CHUNK elements.  numpy stays
-    quiet where nu^2 overflows.  ConvergenceError names the first failing
-    theta in C order: where N exceeds _MAX_TERMS, before a term is added;
-    where a term or the bar is not finite; and where the bar misses
-    _REL_TAIL times max(|sum|, floor).
+    the terms up to N = 4 bound / s (64 at least), each at t = radius / (s n).
+    Beyond the poles R(s n) = sum_{k>=2} d_k n^-k, where
+    d_k N^-k = e_k (radius / (s N))^k: the rest is sum_k d_k zeta(k, N+1)
+    (DLMF 25.11), zeta by Euler-Maclaurin.  The bar adds the four last tail
+    terms, the head's roundoff, eps per term and at least eps times the
+    smallest normal double, and the table's, which the ratio's powers
+    shrink by at least (radius / (s N))^2 before the weights carry it into
+    the tail.  A float is one row, summed by _row without a grid's lists; a
+    grid's rows are summed by _rows in the same order, each equal to its
+    float call to the bit when it adds the same head.  A grid's coldest
+    theta left adds its head at every theta left that needs at least half
+    of it, so no theta adds more than 2 N terms, in chunks of at most
+    _CHUNK elements; numpy stays quiet where a term underflows.
+    ConvergenceError names the first failing theta in C order: where N
+    exceeds _MAX_TERMS, before a term is added; where a term or the bar is
+    not finite; and where the bar misses _REL_TAIL times max(|sum|, floor).
     """
     if not isinstance(theta, np.ndarray):
-        head = _head(system[1], s, theta)
+        head = _head(system.bound, s, theta)
         with np.errstate(all="ignore"):
             total, bar = _row(system, s, head)
         _check_bar(theta, total, bar, floor)
         return total, head, bar
     thetas, scales = theta.ravel().tolist(), s.ravel()
-    heads = [_head(system[1], x, at) for x, at in zip(scales.tolist(), thetas)]
+    heads = [_head(system.bound, x, at) for x, at in zip(scales.tolist(), thetas)]
     sums = [None] * len(heads)
     left = list(range(len(heads)))
     with np.errstate(all="ignore"):
@@ -313,40 +340,11 @@ def _summed(system: tuple, s, theta, floor: float = 1.0):
             np.reshape([bar for _, bar in sums], theta.shape))
 
 
-def _energy_summand(omega0: float, kernel: DampingKernel, route: Prescription):
-    # energy_sum's summand and its pole bound
-    g = kernel.gamma
-    w2 = omega0 * omega0
-    dof = 1.0 if omega0 > 0.0 else 2.0
-
-    # the free particle's summand is the oscillator's at omega0 = 0, doubled
-    if kernel.regularized:
-        # gamma/nu already subtracted in closed form, so no cancellation;
-        # gh' = 0 makes both prescriptions identical here
-        def summand(nu):
-            return dof * ((2.0 * w2 - g * g) * nu - g * w2) / (
-                nu * (nu * nu + g * nu + w2))
-    elif g == 0.0 and omega0 == 0.0:
-        # the uncoupled free particle: every term is 0, also where nu^2 underflows
-        def summand(nu):
-            return 0.0 * nu
-    else:
-        def summand(nu):
-            gh, ghp = kernel.laplace(nu)
-            num = 2.0 * w2 + nu * gh
-            # at zero coupling gh' = 0, and so is nu^2 gh' where nu^2 overflows
-            if route is Prescription.PARTITION and g > 0.0:
-                num = num - nu * nu * ghp
-            return dof * num / (nu * nu + nu * gh + w2)
-
-    return summand, _pole_bound(omega0, kernel)
-
-
 def _energy_sum(omega0: float, kernel: DampingKernel, beta,
                 route: Prescription) -> Estimate:
     # energy_sum without its checks, on a float or an ndarray beta
     pref = 1.0 / beta if omega0 > 0.0 else 0.5 / beta
-    est, terms, err = _summed(_system(_energy_summand, omega0, kernel, route),
+    est, terms, err = _summed(_system(_energy_fraction, omega0, kernel, route),
                               TWO_PI / beta, 1.0 / beta)
     value = pref * (1.0 + est)
     regularized = kernel.regularized
@@ -374,16 +372,18 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     return _energy_sum(omega0, kernel, beta, route)
 
 
-def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
-    """energy_sum's summand as P(nu) / (D(nu) prod_j (nu - fixed_j)).
+def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription,
+                       scale: float = 1.0):
+    """energy_sum's summand as P(x) / (D(x) prod_j (x - fixed_j)), x = nu / scale.
 
     Returns (P, D, fixed): coefficient lists, highest power first, of the
     numerator and of a monic denominator factor whose roots still have to be
     found, plus the roots known exactly.  In every case the denominator's
-    degree exceeds the numerator's by at least two.
+    degree exceeds the numerator's by at least two.  The summand is
+    homogeneous of degree 0 in nu and the rates, which enter over scale.
     """
-    g, w2 = kernel.gamma, omega0 * omega0
-    if g == 0.0:
+    g, w2 = kernel.gamma / scale, omega0 / scale * (omega0 / scale)
+    if kernel.gamma == 0.0:
         # zero coupling: the bare oscillator, or a free particle with no sum
         return ([2.0 * w2], [1.0, 0.0, w2], []) if omega0 > 0.0 else ([], [1.0], [])
     if kernel.regularized:
@@ -391,7 +391,7 @@ def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription
         if omega0 > 0.0:
             return [2.0 * w2 - g * g, -g * w2], [1.0, g, w2], [0.0]
         return [-2.0 * g * g], [1.0], [0.0, -g]
-    wd = kernel.omega_d
+    wd = kernel.omega_d / scale
     q = g * wd
     part = route is Prescription.PARTITION
     # multiplying through by (nu + wd), twice for the partition route's gh'
@@ -405,6 +405,12 @@ def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription
     if part:
         return [4.0 * q, 2.0 * q * wd], quadratic, [-wd]
     return [2.0 * q], quadratic, []
+
+
+def _energy_fraction(omega0: float, kernel: DampingKernel, route: Prescription):
+    bound, radius = _pole_bound(omega0, kernel)
+    numerator, core, fixed = _summand_fractions(omega0, kernel, route, radius)
+    return numerator, np.polymul(core, np.poly(fixed)).tolist(), bound, radius
 
 
 def _conjugate_roots(coeffs) -> list[complex]:
@@ -470,16 +476,16 @@ def _share(nodes, coefficients, s, factor):
     """A pole group's share of sum_i r_i f(p_i), and the sum of |terms| added.
 
     A single pole is a complex node, its residue the coefficient: the share is
-    r f(p).  A cluster about c carries the _CIRCLE nodes z_j of a circle about
-    c and the coefficients R(z_j) (z_j - c) / _CIRCLE: the share, the sum of
-    the terms R f (z - c) / _CIRCLE, is the trapezoid rule for the contour
+    r f(p).  A cluster about c carries the M = _CLUSTER_NODES nodes z_j of a
+    circle about c and the coefficients R(z_j) (z_j - c) / M: the share, the
+    sum of the terms R f (z - c) / M, is the trapezoid rule for the contour
     integral of R f around the cluster.  f is _energy_factor or _heat_factor;
     s is a float or an array of any shape, the nodes on a new leading axis.
     """
     if not isinstance(nodes, np.ndarray):
         part = coefficients * factor(nodes, s)
         return part, abs(part)
-    shape = (_CIRCLE,) + (1,) * np.ndim(s)
+    shape = (_CLUSTER_NODES,) + (1,) * np.ndim(s)
     with np.errstate(all="ignore"):
         terms = coefficients.reshape(shape) * factor(nodes.reshape(shape), s)
         share, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
@@ -508,7 +514,7 @@ class PoleSum:
     coincident poles (critical damping, the free particle's r = 4, the Drude
     oscillator's triple root) are summed together, as the integral of R
     times the psi factor around a circle enclosing them, by the trapezoid
-    rule on _CIRCLE points, so E and C stay continuous through every
+    rule on _CLUSTER_NODES points, so E and C stay continuous through every
     degeneracy and C's check sees the cancellation among the circle's terms
     as it sees it among simple poles.  theta is k_B T in the units of
     omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
@@ -549,11 +555,12 @@ class PoleSum:
                 continue
             rho = max(abs(p - c) for p in group)
             # psi's poles at nu = s, 2s, ... are at least |c| away, as Re c <= 0;
-            # the rule's error is about (rho/radius)^_CIRCLE + (radius/sigma)^_CIRCLE
+            # with M nodes the rule's error is about (rho/radius)^M + (radius/sigma)^M
             sigma = min([abs(c)] + [abs(c - q) for q in others])
-            z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * _tail_tables()[0]
+            z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * np.exp(
+                -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
             ratio = np.polyval(numerator, z) / np.prod([z - p for p in poles], axis=0)
-            self._groups.append((z, (weight / _CIRCLE) * ratio * (z - c)))
+            self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
 
     def _sum(self, theta, factor):
         s = TWO_PI * theta
@@ -595,22 +602,18 @@ class PoleSum:
         return checked_real(value, magnitude, "specific heat", theta=theta)
 
 
-def _gap_summand(omega0: float, kernel: DampingKernel):
-    # prescription_gap's summand and its pole bound
-    w2 = omega0 * omega0
-
-    def summand(nu):
-        gh, ghp = kernel.laplace(nu)
-        return (-nu * nu * ghp) / (nu * nu + nu * gh + w2)
-
-    return summand, _pole_bound(omega0, kernel)
+def _gap_fraction(omega0: float, kernel: DampingKernel):
+    # prescription_gap's summand, -nu^2 gh' / (nu^2 + nu gh + w0^2), over the partition Q
+    _, den, bound, radius = _energy_fraction(omega0, kernel, Prescription.PARTITION)
+    q = kernel.gamma / radius * (kernel.omega_d / radius)
+    return ([q, 0.0, 0.0] if omega0 > 0.0 else [q, 0.0]), den, bound, radius
 
 
 def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
     # prescription_gap without its checks, on a float or an ndarray beta
     if kernel.is_ohmic or kernel.gamma == 0.0:
         return Estimate(value=0.0 * beta, err=0.0 * beta)
-    est, terms, err = _summed(_system(_gap_summand, omega0, kernel),
+    est, terms, err = _summed(_system(_gap_fraction, omega0, kernel),
                               TWO_PI / beta, 1.0 / beta, floor=0.0)
     pref = 1.0 / beta
     return Estimate(value=pref * est, err=pref * err, terms_used=terms)
@@ -629,12 +632,9 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
     return _prescription_gap(omega0, kernel, beta)
 
 
-def _variance_summand(alpha: float):
-    # position_variance_sum's summand and its pole bound
-    def summand(nu):
-        return 1.0 / (nu * nu + alpha * nu + 1.0)
-
-    return summand, _pole_bound(1.0, DampingKernel.ohmic(alpha))
+def _variance_fraction(alpha: float):
+    bound, radius = _pole_bound(1.0, DampingKernel.ohmic(alpha))
+    return [1.0 / radius ** 2], [1.0, alpha / radius, 1.0 / radius ** 2], bound, radius
 
 
 @gridwise
@@ -646,7 +646,7 @@ def position_variance_sum(theta, alpha: float) -> Estimate:
     theta may be an ndarray, summed as one grid; value and err take its shape.
     """
     alpha = check_nonnegative("alpha", alpha)
-    est, terms, err = _summed(_system(_variance_summand, alpha), TWO_PI * theta, theta)
+    est, terms, err = _summed(_system(_variance_fraction, alpha), TWO_PI * theta, theta)
     return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
                     terms_used=terms)
 

@@ -360,21 +360,20 @@ DECADES = np.logspace(-4.0, 1.0, 20)
 OSC_DRUDE = [(name, pair) for name, pair in SUMS if name.startswith("osc-drude")]
 
 
+def _count_terms(monkeypatch) -> list:
+    # the sizes of the t = radius / nu that each evaluation of head terms gets
+    counted, terms = [], matsubara._terms
+
+    def counting(system, t):
+        counted.append(t.size)
+        return terms(system, t)
+
+    monkeypatch.setattr(matsubara, "_terms", counting)
+    return counted
+
+
 def test_grid_rows_add_at_most_twice_their_own_head(monkeypatch):
-    # the head's terms are the summand's real arguments; its circle was
-    # sampled once, when the system's record was built, so a sum meets none
-    counted = []
-
-    def counting(system, *args):
-        summand, *rest = system
-
-        def counted_summand(nu):
-            assert not np.iscomplexobj(nu)
-            counted.append(nu.size)
-            return summand(nu)
-        return _summed((counted_summand, *rest), *args)
-
-    monkeypatch.setattr(matsubara, "_summed", counting)
+    counted = _count_terms(monkeypatch)
     omega0, kernel = SUM_SYSTEMS["osc-drude"]
     _energy_sum(omega0, kernel, 1.0 / DECADES, Prescription.ENERGY)
     on_grid = sum(counted)
@@ -416,22 +415,17 @@ def test_sum_refusals_name_the_first_failing_theta(pair, monkeypatch):
         alone(1.0 / 0.37)
 
 
-def test_term_cap_refuses_before_a_term_is_added():
-    # the coldest theta's head is beyond the cap: no summand is evaluated
-    evaluated = []
+def test_term_cap_refuses_before_a_term_is_added(monkeypatch):
+    # the coldest theta's head is beyond the cap: no term is evaluated
+    evaluated = _count_terms(monkeypatch)
     # 1/(nu^2 + 1), with its poles bounded by 2
-    _, bound, *rest = _system(matsubara._variance_summand, 0.0)
-    assert bound == 2.0
-
-    def summand(nu):
-        evaluated.append(nu)
-        return 1.0 / (nu * nu + 1.0)
-
+    system = _system(matsubara._variance_fraction, 0.0)
+    assert system.bound == 2.0
     theta = SUM_GRID.copy()
     theta[7] = 1e-8
     with pytest.raises(ConvergenceError, match=r"^at theta=1e-08: frequency sum "
                                                r"needs 1\.27e\+08 > 100000000 terms$"):
-        _summed((summand, bound, *rest), TWO_PI * theta, theta)
+        _summed(system, TWO_PI * theta, theta)
     assert evaluated == []
     # the float-only variance sum names its theta too
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -312,15 +313,122 @@ def test_sum_tables_give_the_same_bits_cold_and_warm():
     assert _some_sums() == cold
 
 
+def _kernel_summand(omega0: float, kernel: DampingKernel, route: Prescription):
+    # the module docstring's energy summand, written from the kernel's laplace
+    dof = 1.0 if omega0 > 0.0 else 2.0
+    w2 = omega0 * omega0
+    part = 1.0 if route is Prescription.PARTITION else 0.0
+
+    def summand(nu):
+        gh, ghp = kernel.laplace(nu)
+        value = (2.0 * w2 + nu * gh - part * nu * nu * ghp) / (nu * nu + nu * gh + w2)
+        # the regularized summand has gamma / nu subtracted
+        return dof * (value - kernel.gamma / nu if kernel.regularized else value)
+    return summand
+
+
+def _kernel_gap(omega0: float, kernel: DampingKernel):
+    def summand(nu):
+        gh, ghp = kernel.laplace(nu)
+        return -nu * nu * ghp / (nu * nu + nu * gh + omega0 * omega0)
+    return summand
+
+
+def _kernel_variance(alpha: float):
+    def summand(nu):
+        gh, _ = DampingKernel.ohmic(alpha).laplace(nu)
+        return 1.0 / (nu * nu + nu * gh + 1.0)
+    return summand
+
+
 def test_sum_tables_are_read_only():
-    _, bound, radius, table, roundoff = qbrownian.matsubara._system(
-        qbrownian.matsubara._energy_summand, 1.0, DRUDE, Prescription.ENERGY)
-    # e_k for k >= 2; e_0 and e_1, zero in exact arithmetic, are roundoff
-    assert table.shape == (qbrownian.matsubara._CIRCLE - 2,)
-    assert radius == 4.0 * bound
-    assert 0.0 <= roundoff <= 1e-12 * abs(table).max()
+    # e_k = c_k radius^-k, k >= 2, which a DFT of the kernel's summand on the
+    # circle |nu| = radius also gives, up to its roundoff; the radius is a
+    # power of two in (2 bound, 4 bound]
+    matsubara = qbrownian.matsubara
+    record = matsubara._system(matsubara._energy_fraction, 1.0, DRUDE,
+                               Prescription.ENERGY)
+    assert record.table.shape == (matsubara._LAURENT - 2,)
+    assert 2.0 * record.bound < record.radius <= 4.0 * record.bound
+    assert math.frexp(record.radius)[0] == 0.5
+    nodes = record.radius * np.exp(2j * np.pi * np.arange(32) / 32)
+    dft = np.fft.ifft(_kernel_summand(1.0, DRUDE, Prescription.ENERGY)(nodes)).real
+    largest = abs(record.table).max()
+    assert abs(dft[:2]).max() <= 1e-15 * largest
+    assert abs(record.table - dft[2:]).max() <= 1e-15 * largest
+    assert 0.0 < record.roundoff <= 1e-15 * largest
     with pytest.raises(ValueError):
-        table[2] = 0.0
+        record.table[2] = 0.0
+
+
+ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
+# (omega0, kernel): ohmic (regularized), Drude and zero coupling for both
+# models, with critical damping, r = 4, the Drude triple point and a stiff
+# oscillator whose poles span 1e-4 to 1e6
+RECORD_SYSTEMS = [
+    (omega0, kernel) for omega0 in (0.0, 1.0)
+    for kernel in (DampingKernel.ohmic(1.0), DampingKernel.ohmic(2.0), DRUDE,
+                   DampingKernel.drude(1.0, 4.0), DampingKernel.ohmic(0.0),
+                   DampingKernel.drude(0.0, 10.0))
+] + [(1.0, DampingKernel.drude(ALPHA_TRIPLE, ALPHA_TRIPLE * 27.0 / 8.0)),
+     (1.0, DampingKernel.drude(1e4, 1e6))]
+
+
+def _records_and_summands():
+    # (record, its summand from laplace, the size of what that subtracts)
+    matsubara = qbrownian.matsubara
+    for omega0, kernel in RECORD_SYSTEMS:
+        subtracted = (1.0 if omega0 > 0.0 else 2.0) * kernel.gamma * kernel.regularized
+        for route in Prescription:
+            yield (matsubara._system(matsubara._energy_fraction, omega0, kernel, route),
+                   _kernel_summand(omega0, kernel, route), subtracted)
+        if not kernel.is_ohmic and kernel.gamma > 0.0:
+            yield (matsubara._system(matsubara._gap_fraction, omega0, kernel),
+                   _kernel_gap(omega0, kernel), 0.0)
+    for alpha in (0.0, 0.5, 2.0, 5.0):
+        yield (matsubara._system(matsubara._variance_fraction, alpha),
+               _kernel_variance(alpha), 0.0)
+
+
+def test_records_are_the_kernel_summands():
+    # the sums share P and Q with PoleSum, so the summands written from the
+    # kernel's laplace check both derivations; nu in |arg nu| <= pi/4, away
+    # from every pole, over six decades about the poles
+    rng = np.random.default_rng(7)
+    checked = 0
+    for record, summand, subtracted in _records_and_summands():
+        scale = record.bound if record.bound > 0.0 else 1.0
+        nu = scale * 10.0 ** rng.uniform(-3.0, 3.0, 200) * np.exp(
+            1j * rng.uniform(-0.25 * np.pi, 0.25 * np.pi, 200))
+        got = qbrownian.matsubara._terms(record, record.radius / nu)
+        want = summand(nu)
+        # a regularized summand keeps the rounding of the gamma / nu it subtracts
+        size = abs(want) + subtracted / abs(nu)
+        assert np.all(abs(got - want) <= 1e-13 * size), record
+        checked += 1
+    assert checked == 2 * len(RECORD_SYSTEMS) + 6 + 4
+
+
+def test_records_bound_their_poles():
+    # the exact tail needs every pole of Q within the record's bound
+    matsubara = qbrownian.matsubara
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        gamma, omega_d = 10.0 ** rng.uniform(-4.0, 6.0), 10.0 ** rng.uniform(-4.0, 8.0)
+        for omega0 in (0.0, 1.0, 10.0 ** rng.uniform(-3.0, 3.0)):
+            records = [matsubara._system(matsubara._energy_fraction, omega0, kernel,
+                                         route)
+                       for kernel in (DampingKernel.ohmic(gamma),
+                                      DampingKernel.drude(gamma, omega_d))
+                       for route in Prescription]
+            records.append(matsubara._system(matsubara._gap_fraction, omega0,
+                                             DampingKernel.drude(gamma, omega_d)))
+            records.append(matsubara._system(matsubara._variance_fraction, gamma))
+            for record in records:
+                # read highest power first, Q(t)'s coefficients are those of
+                # Q(nu / radius), without the trimmed roots at 0
+                poles = record.radius * np.roots(record.denominator)
+                assert np.all(abs(poles) <= record.bound), record
 
 
 def test_one_table_per_system_whatever_theta():
@@ -360,6 +468,26 @@ def test_sum_tables_stay_bounded():
     assert system.cache_info().misses == kept + 9
 
 
+@pytest.mark.parametrize("scale", [1e-250, 1e150])
+def test_sums_do_not_depend_on_the_unit_of_frequency(scale):
+    # each summand is homogeneous of degree 0 in nu and the rates, and its
+    # record is built in units of its radius: rates and theta scaled by one
+    # factor scale the energies and the gap by it, head and bar included
+    for omega0 in (0.0, 1.0):
+        for kernel in (DRUDE, DampingKernel.ohmic(1.0)):
+            scaled = DampingKernel(kernel.gamma * scale, kernel.omega_d * scale)
+            for theta in (0.05, 1.0, 20.0):
+                calls = [lambda k, w0, t, route=route: energy_sum(w0, k, 1.0 / t, route)
+                         for route in Prescription]
+                calls.append(lambda k, w0, t: prescription_gap(w0, k, 1.0 / t))
+                for call in calls:
+                    want = call(kernel, omega0, theta)
+                    got = call(scaled, omega0 * scale, theta * scale)
+                    assert got.terms_used == want.terms_used
+                    assert abs(got.value / scale - want.value) <= (
+                        got.err / scale + want.err + 4.0 * math.ulp(want.value))
+
+
 def test_numpy_omega_d_is_taken_as_a_double():
     # np.float32(10.0) == 10.0 and hashes alike, so a single-precision kernel
     # would share the float kernel's table: built first, it must be the same
@@ -378,25 +506,41 @@ def test_numpy_omega_d_is_taken_as_a_double():
 
 
 def test_sums_at_the_highest_temperatures_answer_quietly():
-    # nu^2 overflows in the head, whose terms then vanish, and the tail's
-    # (radius / (s N))^k underflows to 0; no numpy warning escapes, which
-    # the suite's filterwarnings would turn into an error
+    # the head's terms, t^2 P(t) / Q(t) in t = 1/nu, underflow to 0, and so
+    # does the tail's (radius / (s N))^k; no numpy warning escapes, which
+    # the suite's filterwarnings would turn into an error.  Each term may be
+    # off by eps times the smallest normal double, which the bar counts
     for theta in (1e200, 1e300):
         got = position_variance_sum(theta, 1.0)
-        assert (got.value, got.err) == (theta, 0.0)
+        assert got.value == theta and 0.0 < got.err <= 1e-300 * theta
         beta = 1.0 / theta
         for omega0, pref in ((1.0, 1.0), (0.0, 0.5)):
             for kernel in (DampingKernel.ohmic(1.0), DRUDE):
-                got = energy_sum(omega0, kernel, beta, Prescription.ENERGY)
-                assert (got.value, got.err) == (pref / beta, 0.0)
-        # the gap's head meets inf * 0 in nu^2 gh'(nu), and refuses
-        with pytest.raises(ConvergenceError, match=r"^at theta={}: frequency sum "
-                           r"meets a term that is not finite in double "
-                           r"precision$".format(re.escape(repr(1.0 / beta)))):
-            prescription_gap(1.0, DRUDE, beta)
+                for route in Prescription:
+                    got = energy_sum(omega0, kernel, beta, route)
+                    assert got.value == pref / beta and 0.0 < got.err <= 1e-300 * theta
+            # the gap, about gamma omega_d / (24 theta), is a sum of terms
+            # that underflow to 0: its bar cannot vouch for the 0 they add to
+            with pytest.raises(ConvergenceError, match=r"^at theta={}: frequency sum "
+                               r"error bar \S+ misses the relative tail target "
+                               r"1e-12$".format(re.escape(repr(1.0 / beta)))):
+                prescription_gap(omega0, DRUDE, beta)
     grid = np.array([1e200, 1e300])
     got = position_variance_sum(grid, 1.0)
-    assert got.value.tolist() == grid.tolist() and got.err.tolist() == [0.0, 0.0]
+    assert got.value.tolist() == grid.tolist()
+    assert np.all((0.0 < got.err) & (got.err <= 1e-300 * grid))
+
+
+def test_the_gap_answers_or_refuses_as_its_terms_underflow():
+    # from theta ~ 1e154 the gap's terms lose digits as they underflow: the
+    # bar vouches for the gap at 1e154 and refuses it by 1e156
+    kernel = DampingKernel.drude(1.0, 10.0)
+    got = prescription_gap(1.0, kernel, 1e-154)
+    assert got.value == pytest.approx(10.0 / 24.0 * 1e-154, rel=1e-13)
+    assert abs(got.value - 10.0 / 24.0 * 1e-154) <= got.err <= 1e-12 * got.value
+    with pytest.raises(ConvergenceError, match=r"^at theta=1e\+156: frequency sum "
+                                               r"error bar"):
+        prescription_gap(1.0, kernel, 1e-156)
 
 
 def test_fd_specific_heat_undamped():
