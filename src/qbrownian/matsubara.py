@@ -66,6 +66,8 @@ _CHUNK = 1 << 16          # terms evaluated per numpy call, bounding memory
 _SHORT = 1 << 10          # heads up to this long share one vector of 1/n
 _MAX_TERMS = 10 ** 8      # cap on the head of a term-by-term sum
 _REL_TAIL = 1e-12         # largest error bar of a term-by-term sum, relative
+_LAURENT = 32             # Laurent coefficients e_k, k < _LAURENT, in a sum's tail
+_SYSTEMS_KEPT = 64        # the summed systems whose records are kept
 
 # PoleSum's clusters of near-coincident poles (_group_poles) and their circles (_share)
 _CLUSTER_REL = 0.1
@@ -124,8 +126,11 @@ class DampingKernel:
 
 def _regularization(gamma: float, beta, w_ref: float):
     """The ohmic energy's restored cutoff remainder; see the module docstring."""
-    log = elementwise(beta).log
-    return (gamma / TWO_PI) * (EULER_GAMMA + log(beta * w_ref / TWO_PI))
+    log, x = elementwise(beta).log, beta * w_ref / TWO_PI
+    lost = x < sys.float_info.min   # x lost digits, which its factors' logs keep
+    ln = log(x) if lost is False else where(   # a float that lost none: one log
+        lost, log(beta) + math.log(w_ref) - math.log(TWO_PI), log(where(lost, 1.0, x)))
+    return (gamma / TWO_PI) * (EULER_GAMMA + ln)
 
 
 def _pole_bound(omega0: float, kernel: DampingKernel) -> tuple:
@@ -135,10 +140,6 @@ def _pole_bound(omega0: float, kernel: DampingKernel) -> tuple:
     g = kernel.gamma
     bound = 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
     return bound, math.ldexp(1.0, math.frexp(4.0 * bound)[1] - 1)
-
-
-_LAURENT = 32             # Laurent coefficients e_k, k < _LAURENT, in a sum's tail
-_SYSTEMS_KEPT = 64        # the summed systems whose records are kept
 
 
 class _Tables(NamedTuple):
@@ -176,22 +177,20 @@ class _System(NamedTuple):
     radius: float         # 4 bound rounded down to a power of two: scales exactly
     table: np.ndarray     # e_k = c_k radius^-k, k = 2.._LAURENT-1, read-only
     roundoff: float       # on each e_k, from the series division
-    underflow: float      # a term's least rounding over eps, 0 where R = 0
+    underflow: float      # a term's least rounding over eps, 0 where P has no terms
 
 
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)
 def _system(fraction_of: Callable, *params) -> _System:
     """What a term-by-term sum needs of a system, whatever theta is, built once.
 
-    fraction_of(*params) gives R(radius x) = P(x) / Q(x) as coefficient lists,
-    highest power first, Q monic, deg Q >= deg P + 2, then the bound on the
-    poles and the radius, as _pole_bound gives them: in units of the radius
-    nothing overflows or underflows.  Read from t^0 up without their zeros at
-    the top, the lists are P(t), Q(t) in t = radius / nu, and
-    R = t^order P(t) / Q(t) = sum_{k>=2} e_k t^k beyond the poles, with
-    e_k = c_k radius^-k, which series division gives for k < _LAURENT;
-    roundoff = eps sum |e_k| bounds its rounding in each.  Below the
-    smallest normal double, rounding is absolute: eps underflow per term.
+    fraction_of(*params) gives P(x), Q(x), highest power first, with
+    R(radius x) = P(x) / Q(x), Q monic, deg Q >= deg P + 2, and the pole bound
+    and radius of _pole_bound.  Read from t^0 up, the lists are P(t), Q(t) in
+    t = radius / nu, and R = t^order P(t) / Q(t) = sum_{k>=2} e_k t^k beyond
+    the poles: series division gives e_k = c_k radius^-k, k < _LAURENT, each
+    rounded by at most roundoff = eps sum |e_k|.  Below the smallest normal
+    double rounding is absolute: eps underflow per term, 0 where P has no terms.
     """
     numerator, denominator, bound, radius = fraction_of(*params)
     p, q = (tuple(np.trim_zeros(c, "b")) for c in (numerator, denominator))
@@ -203,7 +202,7 @@ def _system(fraction_of: Callable, *params) -> _System:
     table.flags.writeable = False
     size = float(abs(table).sum())
     return _System(p, q, order, bound, radius, table, EPS * size,
-                   sys.float_info.min * (1.0 + size) if p else 0.0)
+                   sys.float_info.min * (1.0 + size) if numerator else 0.0)
 
 
 def _terms(system: _System, t):
@@ -241,8 +240,7 @@ def _t(start: int, stop: int, unit: float):
             else 1.0 / np.arange(start + 1, stop + 1, dtype=float)) / unit
 
 
-def _bar(tail: list, power: float, weight_sum: float, roundoff: float,
-         size: float) -> float:
+def _bar(tail: list, power: float, weight_sum: float, roundoff: float, size: float):
     # a row's error bar; a tail term that is not finite comes from a table
     # that is not, whose roundoff already makes the bar not finite
     return max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS
@@ -299,23 +297,21 @@ def _summed(system: _System, s, theta, floor: float = 1.0):
     """(sum over n >= 1 of R(s n), the coldest theta's terms, an error bound).
 
     system is a record of _system; s = 2 pi theta; theta is a float or an
-    ndarray, whose type and shape the sum and the bound take.  A theta adds
-    the terms up to N = 4 bound / s (64 at least), each at t = radius / (s n).
-    Beyond the poles R(s n) = sum_{k>=2} d_k n^-k, where
-    d_k N^-k = e_k (radius / (s N))^k: the rest is sum_k d_k zeta(k, N+1)
+    ndarray, whose type and shape the sum and the bound take.  A theta adds the
+    terms up to N = 4 bound / s (64 at least), each at t = radius / (s n), and
+    the rest, sum_k d_k zeta(k, N+1) with d_k N^-k = e_k (radius / (s N))^k
     (DLMF 25.11), zeta by Euler-Maclaurin.  The bar adds the four last tail
-    terms, the head's roundoff, eps per term and at least eps times the
-    smallest normal double, and the table's, which the ratio's powers
-    shrink by at least (radius / (s N))^2 before the weights carry it into
-    the tail.  A float is one row, summed by _row without a grid's lists; a
-    grid's rows are summed by _rows in the same order, each equal to its
-    float call to the bit when it adds the same head.  A grid's coldest
-    theta left adds its head at every theta left that needs at least half
-    of it, so no theta adds more than 2 N terms, in chunks of at most
-    _CHUNK elements; numpy stays quiet where a term underflows.
-    ConvergenceError names the first failing theta in C order: where N
-    exceeds _MAX_TERMS, before a term is added; where a term or the bar is
-    not finite; and where the bar misses _REL_TAIL times max(|sum|, floor).
+    terms, the head's roundoff (eps per term, each at least eps underflow) and
+    the table's, which the ratio's powers shrink by at least (radius / (s N))^2
+    before the weights carry it into the tail.  A float is one row, summed by
+    _row without a grid's lists; a grid's rows are summed by _rows in the same
+    order, each equal to its float call to the bit when it adds the same head.
+    A grid's coldest theta left adds its head at every theta left that needs at
+    least half of it, so no theta adds more than 2 N terms, in chunks of at
+    most _CHUNK elements; numpy stays quiet where a term underflows.
+    ConvergenceError names the first failing theta in C order: where N exceeds
+    _MAX_TERMS, before a term is added; where a term or the bar is not finite;
+    and where the bar misses _REL_TAIL times max(|sum|, floor).
     """
     if not isinstance(theta, np.ndarray):
         head = _head(system.bound, s, theta)
@@ -372,17 +368,22 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     return _energy_sum(omega0, kernel, beta, route)
 
 
+def _rates(omega0: float, kernel: DampingKernel, scale: float):
+    # gamma, omega0^2, omega_d, q = gamma omega_d over scale (omega_d, q unread if ohmic)
+    g, w0, wd = kernel.gamma / scale, omega0 / scale, kernel.omega_d / scale
+    return g, w0 * w0, wd, g * wd
+
+
 def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription,
                        scale: float = 1.0):
     """energy_sum's summand as P(x) / (D(x) prod_j (x - fixed_j)), x = nu / scale.
 
     Returns (P, D, fixed): coefficient lists, highest power first, of the
     numerator and of a monic denominator factor whose roots still have to be
-    found, plus the roots known exactly.  In every case the denominator's
-    degree exceeds the numerator's by at least two.  The summand is
-    homogeneous of degree 0 in nu and the rates, which enter over scale.
+    found, plus the roots known exactly; deg D + len(fixed) >= deg P + 2.  The
+    summand is homogeneous of degree 0 in nu and the rates, here over scale.
     """
-    g, w2 = kernel.gamma / scale, omega0 / scale * (omega0 / scale)
+    g, w2, wd, q = _rates(omega0, kernel, scale)
     if kernel.gamma == 0.0:
         # zero coupling: the bare oscillator, or a free particle with no sum
         return ([2.0 * w2], [1.0, 0.0, w2], []) if omega0 > 0.0 else ([], [1.0], [])
@@ -391,8 +392,6 @@ def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription
         if omega0 > 0.0:
             return [2.0 * w2 - g * g, -g * w2], [1.0, g, w2], [0.0]
         return [-2.0 * g * g], [1.0], [0.0, -g]
-    wd = kernel.omega_d / scale
-    q = g * wd
     part = route is Prescription.PARTITION
     # multiplying through by (nu + wd), twice for the partition route's gh'
     if omega0 > 0.0:
@@ -605,7 +604,7 @@ class PoleSum:
 def _gap_fraction(omega0: float, kernel: DampingKernel):
     # prescription_gap's summand, -nu^2 gh' / (nu^2 + nu gh + w0^2), over the partition Q
     _, den, bound, radius = _energy_fraction(omega0, kernel, Prescription.PARTITION)
-    q = kernel.gamma / radius * (kernel.omega_d / radius)
+    q = _rates(omega0, kernel, radius)[3]
     return ([q, 0.0, 0.0] if omega0 > 0.0 else [q, 0.0]), den, bound, radius
 
 
@@ -634,7 +633,8 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
 
 def _variance_fraction(alpha: float):
     bound, radius = _pole_bound(1.0, DampingKernel.ohmic(alpha))
-    return [1.0 / radius ** 2], [1.0, alpha / radius, 1.0 / radius ** 2], bound, radius
+    g, w2, _, _ = _rates(1.0, DampingKernel.ohmic(alpha), radius)
+    return [w2], [1.0, g, w2], bound, radius
 
 
 @gridwise

@@ -430,6 +430,12 @@ def test_term_cap_refuses_before_a_term_is_added(monkeypatch):
     # the float-only variance sum names its theta too
     with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):
         position_variance_sum(0.37, 1e136)
+    # beyond alpha ~ 1e153 the radius is at least 2^512: its record is built
+    # all the same, so the cap refuses cold and a hot theta answers
+    with pytest.raises(ConvergenceError, match=r"^at theta=0\.37: frequency sum needs"):
+        position_variance_sum(0.37, 1e154)
+    hot = position_variance_sum(1e160, 1e154)
+    assert hot.value == 1e160 and hot.err <= 1e-12 * hot.value
 
 
 def test_float32_sum_grids_are_computed_in_double():

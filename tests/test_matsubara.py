@@ -542,6 +542,43 @@ def test_the_gap_answers_or_refuses_as_its_terms_underflow():
                                                r"error bar"):
         prescription_gap(1.0, kernel, 1e-156)
 
+    # a coupling so weak that the gap's numerator underflows in units of the
+    # radius is no exact zero: its bar refuses it, as it refuses a numerator
+    # that is subnormal (gamma = 1e-210) and terms that lost their digits
+    for gamma in (1e-300, 1e-210):
+        with pytest.raises(ConvergenceError, match=r"^at theta=1\.0: frequency sum "
+                                                   r"error bar"):
+            prescription_gap(1.0, DampingKernel.drude(gamma, 1e-100), 1.0)
+    # while the uncoupled free particle's summand is zero by construction
+    for route in Prescription:
+        assert energy_sum(0.0, DampingKernel.drude(0.0, 10.0), 0.5, route) == (
+            energy_sum(0.0, DampingKernel.ohmic(0.0), 0.5, route))
+        assert energy_sum(0.0, DampingKernel.drude(0.0, 10.0), 0.5, route).err == 0.0
+
+
+def test_regularization_survives_an_underflowing_ratio():
+    # beta w_ref / (2 pi) underflows at gamma = 1e-300, theta = 1e100: the
+    # remainder is then summed from the logs of its factors
+    regularization = qbrownian.matsubara._regularization
+    gamma, euler = 1e-300, qbrownian.matsubara.EULER_GAMMA
+    want = gamma / (2.0 * math.pi) * (euler - 400.0 * math.log(10.0)
+                                      - math.log(2.0 * math.pi))
+    assert regularization(gamma, 1e-100, gamma) == pytest.approx(want, rel=1e-14)
+    grid = regularization(gamma, np.array([1e-100, 2.0]), gamma)
+    assert grid.tolist() == pytest.approx([regularization(gamma, 1e-100, gamma),
+                                           regularization(gamma, 2.0, gamma)], rel=1e-15)
+    # where the ratio is a normal double, the remainder is its log's, to the bit
+    ratio = 2.0 * 0.37 / (2.0 * math.pi)
+    assert regularization(0.37, 2.0, 0.37) == (0.37 / (2.0 * math.pi)) * (
+        euler + math.log(ratio))
+    kernel = DampingKernel.ohmic(gamma)
+    for omega0, pref in ((1.0, 1.0), (0.0, 0.5)):
+        for route in Prescription:
+            got = energy_sum(omega0, kernel, 1e-100, route)
+            assert got.regularized and got.value == pref * 1e100
+            assert got.err <= 1e-12 * got.value
+            assert PoleSum(omega0, kernel, route).energy(1e100) == got.value
+
 
 def test_fd_specific_heat_undamped():
     fd = specific_heat_fd(lambda t: undamped_thermo(t).E, 1.0)
