@@ -12,7 +12,9 @@ out to 1e-320 and 1e300, each function of theta also at numpy temperatures
 (float32 and float64 scalars, a 0-d float32 array, a float32 grid), the
 term-by-term frequency sums and their finite-difference specific heat as
 (value, err, terms_used) out to theta = 1e300, the same sums at zero
-coupling under either kernel, the variance sum on grids,
+coupling under either kernel, the variance sum on grids, PoleSum.energy/.heat
+of eight of the systems with rates and theta scaled by 2^+-500 and 1e+-150,
+and their term-by-term sums and gap scaled by 1e250 and 1e300,
 the finite difference of energies that are not finite or whose difference
 overflows, the points of `compare` through cli.main (which sums on whole
 grids), and the spectral moments and energy of the quadrature route.  Arrays
@@ -112,6 +114,12 @@ SYSTEMS = {
     "osc-drude-0.37": (1.0, DampingKernel.drude(0.37, 10.0)),
     "osc-drude-0.37-float32": (1.0, DampingKernel.drude(0.37, np.float32(10.0))),
 }
+
+# rates and theta scaled by one factor scale the energies and the gap by it
+# and leave C as it is; the float32 cutoff's twin would overflow
+SCALED_SYSTEMS = list(SYSTEMS)[:8]
+POLE_SCALES = [2.0 ** 500, 2.0 ** -500, 1e150, 1e-150]
+SUM_SCALES = [1e250, 1e300]
 
 
 def show(value) -> str:
@@ -271,6 +279,30 @@ def zero_coupling() -> None:
                  lambda: estimate(prescription_gap(omega0, kernel, beta)))
 
 
+def scaled_pole_sum(omega0, kernel, route, what, theta):
+    return getattr(PoleSum(omega0, kernel, route), what)(theta)
+
+
+def scaled_systems() -> None:
+    for name in SCALED_SYSTEMS:
+        omega0, kernel = SYSTEMS[name]
+        for k in POLE_SCALES + SUM_SCALES:
+            w0, scaled = omega0 * k, DampingKernel(kernel.gamma * k, kernel.omega_d * k)
+            for theta in SUM_THETAS:
+                at, t = f"x{k!r} ({theta!r})", theta * k
+                for route in Prescription:
+                    if k in SUM_SCALES:
+                        emit(f"energy_sum {name} {route.value} {at}",
+                             lambda: estimate(energy_sum(w0, scaled, 1.0 / t, route)))
+                        continue
+                    for what in ("energy", "heat"):
+                        emit(f"PoleSum {name} {route.value} {what} {at}",
+                             scaled_pole_sum, w0, scaled, route, what, t)
+                if k in SUM_SCALES:
+                    emit(f"prescription_gap {name} {at}",
+                         lambda: estimate(prescription_gap(w0, scaled, 1.0 / t)))
+
+
 def compare_points() -> None:
     for name, args in COMPARE_ARGS.items():
         out, err = io.StringIO(), io.StringIO()
@@ -300,6 +332,7 @@ def main() -> None:
     functions_of_theta(pole_sums())
     frequency_sums()
     zero_coupling()
+    scaled_systems()
     compare_points()
     spectral()
 

@@ -32,15 +32,14 @@ nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 
     sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s).
 
-PoleSum evaluates E this way, and C = dE/dT through psi', at a cost that does
-not depend on the temperature; the share of a cluster of near-coincident
-poles is the contour integral of R times the psi factor around it, by the
-trapezoid rule on a circle.  energy_sum adds the terms one by one, by
-Horner's rule in 1/nu, up to N = 4 B beta / (2 pi), B a bound on the poles,
-and the rest exactly in Hurwitz zeta form from R's Laurent coefficients,
-which series division of PoleSum's P by its Q gives once per system
-(_system, _summed): a cross-check that shares no roots or residues with
-PoleSum.  Its kernel _energy_sum, like _prescription_gap, sums a grid too.
+PoleSum evaluates E this way, and C = dE/dT through psi', at a cost flat in
+theta; a cluster of near-coincident poles adds the contour integral of R times
+the psi factor around it (trapezoid rule).  energy_sum adds the terms one by
+one, by Horner's rule in 1/nu, up to N = 4 B beta / (2 pi), B a bound on the
+poles, and the rest exactly in Hurwitz zeta form from R's Laurent coefficients
+(series division, once per system: _system, _summed), sharing no roots with
+PoleSum; it and the gap sum grids too.  Both routes read P and Q in units of a
+power-of-two radius (_rates): a power-of-two unit of frequency changes no bit.
 """
 
 from __future__ import annotations
@@ -133,15 +132,6 @@ def _regularization(gamma: float, beta, w_ref: float):
     return (gamma / TWO_PI) * (EULER_GAMMA + ln)
 
 
-def _pole_bound(omega0: float, kernel: DampingKernel) -> tuple:
-    """The bound on |nu| at a summand's poles (Fujiwara's), and its record's radius."""
-    # at zero coupling there is no bath, and so no pole at the cutoff
-    wd = 0.0 if kernel.is_ohmic or kernel.gamma == 0.0 else kernel.omega_d
-    g = kernel.gamma
-    bound = 2.0 * max(wd, math.sqrt(omega0 * omega0 + g * wd), g + omega0)
-    return bound, math.ldexp(1.0, math.frexp(4.0 * bound)[1] - 1)
-
-
 class _Tables(NamedTuple):
     # what every sum shares, built on first use: programs that never sum hold none
     ones: np.ndarray        # whose running product by a ratio gives its powers
@@ -186,7 +176,7 @@ def _system(fraction_of: Callable, *params) -> _System:
 
     fraction_of(*params) gives P(x), Q(x), highest power first, with
     R(radius x) = P(x) / Q(x), Q monic, deg Q >= deg P + 2, and the pole bound
-    and radius of _pole_bound.  Read from t^0 up, the lists are P(t), Q(t) in
+    and radius of _rates.  Read from t^0 up, the lists are P(t), Q(t) in
     t = radius / nu, and R = t^order P(t) / Q(t) = sum_{k>=2} e_k t^k beyond
     the poles: series division gives e_k = c_k radius^-k, k < _LAURENT, each
     rounded by at most roundoff = eps sum |e_k|.  Below the smallest normal
@@ -282,15 +272,15 @@ def _rows(system: _System, s: np.ndarray, head: int) -> list:
 
 
 def _check_bar(theta, total: float, bar: float, floor: float) -> None:
-    # ConvergenceError at theta unless bar meets _REL_TAIL max(|total|, floor)
+    # ConvergenceError at theta unless bar meets _REL_TAIL max(|total|, floor) < inf
     scale = max(abs(total), floor)
-    if not bar <= _REL_TAIL * scale:
+    if not bar <= _REL_TAIL * scale < math.inf:
         cause = (f"error bar {bar:.3g} misses the relative tail target "
-                 f"{_REL_TAIL:g}" if math.isfinite(bar) else
+                 f"{_REL_TAIL:g}" if math.isfinite(bar + total) else
                  "meets a term that is not finite in double precision")
         raise ConvergenceError(
-            f"at theta={theta!r}: frequency sum {cause}",
-            achieved=bar / scale if scale else math.inf, requested=_REL_TAIL)
+            f"at theta={theta!r}: frequency sum {cause}", requested=_REL_TAIL,
+            achieved=bar / scale if 0.0 < scale < math.inf else math.inf)
 
 
 def _summed(system: _System, s, theta, floor: float = 1.0):
@@ -368,55 +358,65 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     return _energy_sum(omega0, kernel, beta, route)
 
 
-def _rates(omega0: float, kernel: DampingKernel, scale: float):
-    # gamma, omega0^2, omega_d, q = gamma omega_d over scale (omega_d, q unread if ohmic)
-    g, w0, wd = kernel.gamma / scale, omega0 / scale, kernel.omega_d / scale
-    return g, w0 * w0, wd, g * wd
+def _rates(omega0: float, kernel: DampingKernel):
+    """gamma, omega0^2, omega_d, q = gamma omega_d over the radius (omega_d, q
+    unread if ohmic), Fujiwara's bound B on |nu| at the poles, formed in units
+    of a power of two above every rate, and the radius, 4 B rounded down to a
+    power of two; both are inf where the radius would pass the doubles."""
+    # at zero coupling there is no bath, and so no pole at the cutoff
+    wd = 0.0 if kernel.is_ohmic or kernel.gamma == 0.0 else kernel.omega_d
+    unit = math.frexp(max(omega0, kernel.gamma, wd))[1]
+    g, w0, wd = (math.ldexp(x, -unit) for x in (kernel.gamma, omega0, wd))
+    bound = 2.0 * max(wd, math.sqrt(w0 * w0 + g * wd), g + w0)
+    power = unit + math.frexp(bound)[1] + 1
+    bound, radius = ((math.ldexp(bound, unit), math.ldexp(1.0, power))
+                     if power < sys.float_info.max_exp else (math.inf, math.inf))
+    g, w0, wd = kernel.gamma / radius, omega0 / radius, kernel.omega_d / radius
+    return g, w0 * w0, wd, g * wd, bound, radius
 
 
-def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription,
-                       scale: float = 1.0):
-    """energy_sum's summand as P(x) / (D(x) prod_j (x - fixed_j)), x = nu / scale.
+def _summand_fractions(omega0: float, kernel: DampingKernel, route: Prescription):
+    """energy_sum's summand as P(x) / (D(x) prod_j (x - fixed_j)), x = nu / radius.
 
-    Returns (P, D, fixed): coefficient lists, highest power first, of the
-    numerator and of a monic denominator factor whose roots still have to be
-    found, plus the roots known exactly; deg D + len(fixed) >= deg P + 2.  The
-    summand is homogeneous of degree 0 in nu and the rates, here over scale.
+    Returns (P, D, fixed, bound, radius): coefficient lists, highest power
+    first, of the numerator and of a monic denominator factor whose roots
+    still have to be found, the roots known exactly, and _rates' pole bound
+    and radius; deg D + len(fixed) >= deg P + 2, and R is homogeneous of degree 0.
     """
-    g, w2, wd, q = _rates(omega0, kernel, scale)
+    g, w2, wd, q, bound, radius = _rates(omega0, kernel)
+    part = route is Prescription.PARTITION
     if kernel.gamma == 0.0:
         # zero coupling: the bare oscillator, or a free particle with no sum
-        return ([2.0 * w2], [1.0, 0.0, w2], []) if omega0 > 0.0 else ([], [1.0], [])
-    if kernel.regularized:
+        fraction = ([2.0 * w2], [1.0, 0.0, w2], []) if omega0 > 0.0 else ([], [1.0], [])
+    elif kernel.regularized:
         # the regularized summands of energy_sum, with their pole at nu = 0
-        if omega0 > 0.0:
-            return [2.0 * w2 - g * g, -g * w2], [1.0, g, w2], [0.0]
-        return [-2.0 * g * g], [1.0], [0.0, -g]
-    part = route is Prescription.PARTITION
-    # multiplying through by (nu + wd), twice for the partition route's gh'
-    if omega0 > 0.0:
+        fraction = (([2.0 * w2 - g * g, -g * w2], [1.0, g, w2], [0.0]) if omega0 > 0.0
+                    else ([-2.0 * g * g], [1.0], [0.0, -g]))
+    elif omega0 > 0.0:
+        # multiplying through by (nu + wd), twice for the partition route's gh'
         cubic = [1.0, wd, w2 + q, w2 * wd]
-        if part:
-            numerator = [2.0 * (w2 + q), wd * (4.0 * w2 + q), 2.0 * w2 * wd * wd]
-            return numerator, cubic, [-wd]
-        return [2.0 * w2 + q, 2.0 * w2 * wd], cubic, []
-    quadratic = [1.0, wd, q]
-    if part:
-        return [4.0 * q, 2.0 * q * wd], quadratic, [-wd]
-    return [2.0 * q], quadratic, []
+        fraction = (([2.0 * (w2 + q), wd * (4.0 * w2 + q), 2.0 * w2 * wd * wd], cubic,
+                     [-wd]) if part else ([2.0 * w2 + q, 2.0 * w2 * wd], cubic, []))
+    else:
+        quadratic = [1.0, wd, q]
+        fraction = (([4.0 * q, 2.0 * q * wd], quadratic, [-wd]) if part
+                    else ([2.0 * q], quadratic, []))
+    return (*fraction, bound, radius)
 
 
 def _energy_fraction(omega0: float, kernel: DampingKernel, route: Prescription):
-    bound, radius = _pole_bound(omega0, kernel)
-    numerator, core, fixed = _summand_fractions(omega0, kernel, route, radius)
+    numerator, core, fixed, bound, radius = _summand_fractions(omega0, kernel, route)
     return numerator, np.polymul(core, np.poly(fixed)).tolist(), bound, radius
 
 
 def _conjugate_roots(coeffs) -> list[complex]:
-    """Roots of a real polynomial, complex ones in exactly conjugate pairs."""
-    if len(coeffs) < 2:
-        return []
-    found = np.roots(np.array(coeffs, dtype=float))
+    """Roots of a real monic polynomial, complex ones in exactly conjugate pairs."""
+    # the companion matrix stops balancing below a product of min / eps: there
+    # the roots are found in units of a power of two near its geometric mean
+    unit = (math.frexp(coeffs[-1])[1] // (len(coeffs) - 1)
+            if abs(coeffs[-1]) < sys.float_info.min / EPS else 0)
+    found = np.roots([math.ldexp(c, -k * unit) for k, c in enumerate(coeffs)])
+    found *= math.ldexp(1.0, unit)
     upper = [complex(p) for p in found if p.imag > 0.0]
     roots = ([complex(p.real, 0.0) for p in found if p.imag == 0.0]
              + upper + [p.conjugate() for p in upper])
@@ -518,6 +518,7 @@ class PoleSum:
     as it sees it among simple poles.  theta is k_B T in the units of
     omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
     it as a float or as an ndarray of temperatures, evaluated in one pass.
+    Poles, residues, circles and s are in units of _rates' radius.
     """
 
     def __init__(self, omega0: float, kernel: DampingKernel, route: Prescription):
@@ -526,13 +527,13 @@ class PoleSum:
             raise DomainError(f"route must be a Prescription, got {route!r}")
         # a strictly ohmic kernel's energy is energy_sum's regularized value
         self.regularized = kernel.regularized
-        numerator, core, fixed = _summand_fractions(omega0, kernel, route)
-        if not all(math.isfinite(c) for c in numerator + core + fixed):
-            raise DomainError("the summand's coefficients overflow double "
-                              f"precision at omega0={omega0!r}, kernel={kernel!r}")
-        self._gamma = kernel.gamma
-        self._w_ref = omega0 if omega0 > 0.0 else kernel.gamma
-        self._dof = 1.0 if omega0 > 0.0 else 0.5
+        numerator, core, fixed, _, radius = _summand_fractions(omega0, kernel, route)
+        # D's constant term is the product of its roots: subnormal, one is lost
+        if not (core[-1] >= sys.float_info.min and radius < math.inf):
+            raise DomainError(f"a pole of the summand underflows in units of its radius "
+                              f"{radius!r} at omega0={omega0!r}, kernel={kernel!r}")
+        self._radius, self._gamma = radius, kernel.gamma
+        self._w_ref, self._dof = (omega0, 1.0) if omega0 > 0.0 else (kernel.gamma, 0.5)
         poles = _conjugate_roots(core) + [complex(p) for p in fixed]
         # (nodes, coefficients) per group, weighted 2 for a complex center
         # that stands in for its conjugate: see _share
@@ -554,7 +555,7 @@ class PoleSum:
                 continue
             rho = max(abs(p - c) for p in group)
             # psi's poles at nu = s, 2s, ... are at least |c| away, as Re c <= 0;
-            # with M nodes the rule's error is about (rho/radius)^M + (radius/sigma)^M
+            # with M nodes on a circle of radius a the error is (rho/a)^M + (a/sigma)^M
             sigma = min([abs(c)] + [abs(c - q) for q in others])
             z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * np.exp(
                 -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
@@ -562,9 +563,9 @@ class PoleSum:
             self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
 
     def _sum(self, theta, factor):
-        s = TWO_PI * theta
-        # zeros shaped like theta, so a kernel without poles still gives arrays
-        total = magnitude = 0.0 * s
+        s = TWO_PI * (theta / self._radius)
+        # zeros shaped like theta (s is inf where theta / radius overflows)
+        total = magnitude = 0.0 * theta
         for nodes, coefficients in self._groups:
             share, size = _share(nodes, coefficients, s, factor)
             total = total + share.real
@@ -588,10 +589,10 @@ class PoleSum:
         C keeps about -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
         """
         # where s * s underflows, C's 1/s^2 terms have no digits left: an inf
-        # magnitude refuses them, summed at theta = 1 to keep the terms finite
-        s = TWO_PI * theta
+        # magnitude refuses them, summed at s = 2 pi to keep the terms finite
+        s = TWO_PI * (theta / self._radius)
         lost = s * s < sys.float_info.min
-        total, magnitude = self._sum(where(lost, 1.0, theta), _heat_factor)
+        total, magnitude = self._sum(where(lost, self._radius, theta), _heat_factor)
         value = self._dof * (1.0 + total)
         magnitude = self._dof * (1.0 + magnitude) + where(lost, math.inf, 0.0)
         if self.regularized:
@@ -604,7 +605,7 @@ class PoleSum:
 def _gap_fraction(omega0: float, kernel: DampingKernel):
     # prescription_gap's summand, -nu^2 gh' / (nu^2 + nu gh + w0^2), over the partition Q
     _, den, bound, radius = _energy_fraction(omega0, kernel, Prescription.PARTITION)
-    q = _rates(omega0, kernel, radius)[3]
+    q = _rates(omega0, kernel)[3]
     return ([q, 0.0, 0.0] if omega0 > 0.0 else [q, 0.0]), den, bound, radius
 
 
@@ -632,8 +633,7 @@ def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estim
 
 
 def _variance_fraction(alpha: float):
-    bound, radius = _pole_bound(1.0, DampingKernel.ohmic(alpha))
-    g, w2, _, _ = _rates(1.0, DampingKernel.ohmic(alpha), radius)
+    g, w2, _, _, bound, radius = _rates(1.0, DampingKernel.ohmic(alpha))
     return [w2], [1.0, g, w2], bound, radius
 
 

@@ -271,6 +271,21 @@ def test_convergence_error_carries_diagnostics(monkeypatch):
     assert exc_info.value.achieved == math.inf
 
 
+def test_a_sum_that_overflows_refuses():
+    # R = 1e308 t^2 overflows in every head term; its infinite bar must not
+    # pass against an infinite total, as a float or on a grid
+    matsubara = qbrownian.matsubara
+    zeros = np.zeros(matsubara._LAURENT - 2)
+    record = matsubara._System((1e308,), (1.0,), 2, 1.0, 64.0, zeros, 0.0, 0.0)
+    theta = 0.01 / TWO_PI
+    cause = f"at theta={theta!r}: frequency sum meets a term that is not finite"
+    grid = (np.array([0.01, 0.02]), np.array([theta, 2.0 * theta]))
+    for s, thetas in ((0.01, theta), grid):
+        with pytest.raises(ConvergenceError, match=re.escape(cause)) as info:
+            matsubara._summed(record, s, thetas)
+        assert info.value.achieved == math.inf
+
+
 @pytest.mark.parametrize("key", sorted(Q2_REF))
 @pytest.mark.usefixtures("tight")
 def test_position_variance_frozen(key):
@@ -468,11 +483,13 @@ def test_sum_tables_stay_bounded():
     assert system.cache_info().misses == kept + 9
 
 
-@pytest.mark.parametrize("scale", [1e-250, 1e150])
+@pytest.mark.parametrize("scale", [1e-250, 1e150, 1e250, 1e300, 2.0 ** -900, 2.0 ** 900])
 def test_sums_do_not_depend_on_the_unit_of_frequency(scale):
-    # each summand is homogeneous of degree 0 in nu and the rates, and its
-    # record is built in units of its radius: rates and theta scaled by one
-    # factor scale the energies and the gap by it, head and bar included
+    # each summand is homogeneous of degree 0 in nu and the rates, and every
+    # route reads it in units of its radius: rates and theta scaled by one
+    # factor scale the energies and the gap by it, head and bar included, and
+    # leave C as it is; a power of two changes no bit
+    exact = math.frexp(scale)[0] == 0.5
     for omega0 in (0.0, 1.0):
         for kernel in (DRUDE, DampingKernel.ohmic(1.0)):
             scaled = DampingKernel(kernel.gamma * scale, kernel.omega_d * scale)
@@ -484,8 +501,22 @@ def test_sums_do_not_depend_on_the_unit_of_frequency(scale):
                     want = call(kernel, omega0, theta)
                     got = call(scaled, omega0 * scale, theta * scale)
                     assert got.terms_used == want.terms_used
+                    if exact:
+                        assert got.value == want.value * scale
+                        assert got.err == want.err * scale
+                        continue
                     assert abs(got.value / scale - want.value) <= (
                         got.err / scale + want.err + 4.0 * math.ulp(want.value))
+                for route in Prescription:
+                    want = PoleSum(omega0, kernel, route)
+                    got = PoleSum(omega0 * scale, scaled, route)
+                    pairs = [(got.energy(theta * scale) / scale, want.energy(theta)),
+                             (got.heat(theta * scale), want.heat(theta))]
+                    for value, reference in pairs:
+                        if exact:
+                            assert value == reference
+                        else:
+                            assert value == pytest.approx(reference, rel=1e-14)
 
 
 def test_numpy_omega_d_is_taken_as_a_double():

@@ -246,6 +246,26 @@ def test_undamped_limit():
                 assert poles.heat(theta) == pytest.approx(want.C, abs=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-155])
+def test_weak_coupling_answers_as_the_undamped_oscillator(alpha):
+    # in units of the radius (8) gamma omega_D underflows below the normal
+    # doubles, but D's constant term omega0^2 omega_D does not: no pole is lost
+    want = undamped_thermo(0.37)
+    for route in Prescription:
+        poles = PoleSum(1.0, DampingKernel.drude(alpha, 10.0 * alpha), route)
+        assert poles.energy(0.37) == pytest.approx(want.E, rel=1e-15)
+        assert poles.heat(0.37) == pytest.approx(want.C, rel=1e-14)
+
+
+def test_poles_300_decades_apart_are_found():
+    # in units of its radius the free particle at cutoff ratio 1e300 has poles
+    # near -0.19 and -1.9e-301, whose product the companion matrix cannot
+    # balance; references: the pole form at 400 digits (mpmath)
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 1e300), Prescription.ENERGY)
+    assert poles.energy(0.37) == pytest.approx(109.99599272665347, rel=1e-14)
+    assert poles.energy(3.0) == pytest.approx(111.05147484252356, rel=1e-14)
+
+
 def test_free_particle_without_coupling_is_classical():
     poles = PoleSum(0.0, DampingKernel.ohmic(0.0), Prescription.ENERGY)
     assert poles.energy(3.0) == 1.5

@@ -1,4 +1,5 @@
-"""The repository's scripts run against the package as it stands."""
+"""The repository's scripts and the benchmark's tracer run against the package
+as it stands."""
 
 from __future__ import annotations
 
@@ -22,3 +23,42 @@ def test_repr_dump_runs_quietly():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.count("\n") > 1000
+
+
+def test_benchmark_tracer_sees_the_library_calls(tmp_path):
+    # benchmarks/tracing.py wraps every public function of the library's
+    # layers, and its hooks read their positional arguments (energy_sum's
+    # third as a float beta), so a call the untraced run takes can fail only
+    # when traced: run the canonical commands and the library calls of the
+    # benchmark's route cross-check under it.  A change to the tracer on the
+    # benchmark's side updates this test.
+    import importlib.util
+
+    # the tracer wraps the layers imported when it is installed
+    from qbrownian import (cli, free_particle, matsubara, oscillator,  # noqa: F401
+                           quadrature)
+
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(ROOT, "benchmarks", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["compare", "--model", "oscillator", "--kernel", "drude",
+                         "--cutoff-ratio", "10", "--log", "--tmin", "0.2", "--tmax", "5",
+                         "--points", "5", "--out", str(tmp_path / "compare.json")]) == 0
+        assert cli.main(["curve", "--model", "free", "--kernel", "drude", "--quantities",
+                         "C,E", "--out", str(tmp_path / "curve.csv")]) == 0
+        kernel = matsubara.DampingKernel
+        ohmic, drude = kernel.ohmic(1.0), kernel.drude(1.0, 10.0)
+        for theta in (0.05, 1.0, 20.0):
+            matsubara.specific_heat_fd(lambda u: matsubara.energy_sum(
+                1.0, ohmic, 1.0 / u, matsubara.Prescription.ENERGY).value, theta)
+            matsubara.prescription_gap(1.0, drude, 1.0 / theta)
+            matsubara.position_variance_sum(theta, 1.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, 1.0)
+    assert metrics["matsubara.energy_sum.calls"] > 0
+    assert metrics["matsubara.failures"] == 0
