@@ -20,6 +20,11 @@ gives inf or nan, as the special-function kernels do wherever their
 arguments or values overflow.  checked_real and gridwise are the one
 refusal: each turns what is not finite into a ConvergenceError naming the
 failing theta.
+
+The result types Estimate and ThermoPoint (and quadrature's MomentResult)
+are NamedTuples: immutable, read by field name or unpacked, and compared as
+tuples, so an Estimate equals the plain tuple of its fields.  A float call
+builds one in a fraction of the time a frozen dataclass takes.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +74,7 @@ class Tolerances:
             raise DomainError(f"quad_abs must lie in (0, 1), got {value!r}")
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A numerical estimate with its error bar.
 
     err is the error bar on value: the tail bound of a frequency sum, or the
@@ -85,8 +90,7 @@ class Estimate:
     regularized: bool = False
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """A closed-form state at one reduced temperature; unset quantities stay None.
 
     The quantities are floats, or arrays of theta's shape when the closed
@@ -138,8 +142,10 @@ def gridwise(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if len(args) > position:
-            theta = check_positive("theta", args[position])
-            if theta is not args[position]:
+            theta = args[position]
+            # a positive, finite Python float passes as it is, without the call
+            if type(theta) is not float or not 0.0 < theta < math.inf:
+                theta = check_positive("theta", theta)
                 args = (*args[:position], theta, *args[position + 1:])
         elif "theta" in kwargs:
             theta = kwargs["theta"] = check_positive("theta", kwargs["theta"])
@@ -159,7 +165,7 @@ def gridwise(fn):
             value = fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise refusal(theta) from exc
-        for part in _parts(value):
+        for part in (value,) if type(value) is float else _parts(value):
             if part is not None and not math.isfinite(part):
                 raise refusal(theta)
         return value
@@ -170,9 +176,9 @@ def gridwise(fn):
 def _parts(value) -> tuple:
     # the numbers of a result: a ThermoPoint's (None where unset), an Estimate's
     if isinstance(value, ThermoPoint):
-        return (value.Z, value.E, value.S, value.C)
+        return value
     if isinstance(value, Estimate):
-        return (value.value, value.err)
+        return value[:2]
     return (value,)
 
 
@@ -252,7 +258,7 @@ def checked_real(total, magnitude, what: str, **params):
 
         total, magnitude = at_i(total), at_i(magnitude)
         params = {name: at_i(x) for name, x in params.items()}
-    z = complex(total)
+    z = total if type(total) is complex else complex(total)
     if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
         raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
     value = z.real

@@ -160,6 +160,8 @@ def _tail_weights(head: int):
 
 
 class _System(NamedTuple):
+    # P and Q as float64 0-d arrays, which an in-place Horner step on an array
+    # takes faster than a Python float, with the same bits
     numerator: tuple      # P(t), t = radius / nu, from t^0 up
     denominator: tuple    # Q(t), from t^0 up
     order: int            # deg Q - deg P, so that R = t^order P(t) / Q(t)
@@ -191,6 +193,7 @@ def _system(fraction_of: Callable, *params) -> _System:
     table = np.array(series[2:])
     table.flags.writeable = False
     size = float(abs(table).sum())
+    p, q = (tuple(np.array(c, float) for c in fraction) for fraction in (p, q))
     return _System(p, q, order, bound, radius, table, EPS * size,
                    sys.float_info.min * (1.0 + size) if numerator else 0.0)
 
@@ -243,7 +246,7 @@ def _row(system: _System, s: float, head: int):
     for start in range(0, head, _CHUNK):
         terms = _terms(system, _t(start, min(start + _CHUNK, head), s / system.radius))
         partials.append(float(np.add.reduce(terms)))
-        magnitude += float(np.add.reduce(np.abs(terms)))
+        magnitude += float(np.add.reduce(np.abs(terms, out=terms)))
     ratio = system.radius / (s * head)
     scaled = np.multiply.accumulate((ratio if ratio < 1.0 else 1.0) * _tail_tables().ones)
     tail = (system.table * scaled[1:] * weights).tolist()
@@ -337,8 +340,7 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta,
     if regularized:
         g = kernel.gamma
         value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
-    return Estimate(value=value, err=pref * err, terms_used=terms,
-                    regularized=regularized)
+    return Estimate(value, pref * err, terms, regularized)
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
@@ -616,7 +618,7 @@ def _prescription_gap(omega0: float, kernel: DampingKernel, beta) -> Estimate:
     est, terms, err = _summed(_system(_gap_fraction, omega0, kernel),
                               TWO_PI / beta, 1.0 / beta, floor=0.0)
     pref = 1.0 / beta
-    return Estimate(value=pref * est, err=pref * err, terms_used=terms)
+    return Estimate(pref * est, pref * err, terms)
 
 
 def prescription_gap(omega0: float, kernel: DampingKernel, beta: float) -> Estimate:
@@ -647,8 +649,7 @@ def position_variance_sum(theta, alpha: float) -> Estimate:
     """
     alpha = check_nonnegative("alpha", alpha)
     est, terms, err = _summed(_system(_variance_fraction, alpha), TWO_PI * theta, theta)
-    return Estimate(value=theta * (1.0 + 2.0 * est), err=2.0 * theta * err,
-                    terms_used=terms)
+    return Estimate(theta * (1.0 + 2.0 * est), 2.0 * theta * err, terms)
 
 
 @gridwise
@@ -680,4 +681,4 @@ def specific_heat_fd(energy_evaluator: Callable, theta,
     c_half, roundoff_half = slope(0.5 * rel_step)
     excess = abs(c_full - c_half) - roundoff - roundoff_half
     err = (4.0 / 3.0) * where(excess < 0.0, 0.0, excess) + roundoff
-    return Estimate(value=c_full, err=err)
+    return Estimate(c_full, err)

@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ConvergenceError, DomainError, EPS, Tolerances, check_positive
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     """Position and regularized momentum variances, each with its error bar."""
 
     q2: float
@@ -126,25 +125,29 @@ def moments(theta: float, alpha: float,
         # check_positive gives a float unless it was given an array
         raise DomainError("moments takes one theta and one alpha, not an array")
     target = tol.quad_abs
+    stop = 0.25 * target
     pref = alpha / math.pi
     # the coarsest step has no previous value to compare with
     totals, previous, errs = [0.0, 0.0], [math.inf] * 2, [math.inf] * 2
     nodes = 0
     # at extreme theta or alpha the integrands overflow or divide by zero
     # on some nodes; the resulting inf or nan error bar raises below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         bose_1 = float(_bose(1.0 / theta))
         gaps = (_GAP0 * 2.0 * theta * pref
                 + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
                 _GAP1 * bose_1 / (math.pi * alpha))
         for level, (w, _, _, _) in enumerate(_LEVELS):
             rows, ones = _table(alpha, level)
-            # both moments' Bose-weighted sums in one product
-            bosed = (rows @ _bose(w / theta)).tolist()
+            # both moments' Bose-weighted sums in one product, the Bose
+            # factor 2/(e^y - 1) formed in place
+            bose = w / theta
+            np.divide(2.0, np.expm1(bose, out=bose), out=bose)
+            bosed = (rows @ bose).tolist()
             sums = (ones + bosed[0], bosed[1])
             nodes += w.size
             for k in (0, 1):
-                if errs[k] <= 0.25 * target:
+                if errs[k] <= stop:
                     continue            # this moment stopped at a coarser step
                 # halving the step halves the weights of the nodes already summed
                 total = 0.5 * totals[k] + sums[k]
@@ -152,15 +155,14 @@ def moments(theta: float, alpha: float,
                 change = abs(total - previous[k])
                 errs[k] = pref * (change + total * EPS * math.sqrt(nodes)) + gaps[k]
                 totals[k] = previous[k] = total
-            if all(err <= 0.25 * target for err in errs):
+            if errs[0] <= stop and errs[1] <= stop:
                 break
     for k, err in enumerate(errs):
         if not err <= target:       # a nan error bar raises too
             raise ConvergenceError(
                 f"f_{2 * k} error bar {err:g} exceeds the requested {target:g} at "
                 f"theta={theta!r}, alpha={alpha!r}", achieved=err, requested=target)
-    return MomentResult(q2=pref * totals[0], p2_reg=pref * totals[1],
-                        q2_err=errs[0], p2_err=errs[1])
+    return MomentResult(pref * totals[0], pref * totals[1], errs[0], errs[1])
 
 
 def spectral_energy(theta: float, alpha: float,

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qbrownian.core import (ConvergenceError, DomainError, Tolerances,
-                            check_nonnegative, check_positive, checked_real)
+from qbrownian.core import (ConvergenceError, DomainError, Estimate, ThermoPoint,
+                            Tolerances, check_nonnegative, check_positive,
+                            checked_real, gridwise)
+from qbrownian.quadrature import MomentResult
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
@@ -66,3 +68,53 @@ def test_checked_real():
         assert info.value.achieved == math.inf
     # a tiny value with a tiny roundoff passes through the absolute floor
     assert checked_real(1e-20, 1e-5, "heat", theta=1e-3) == 1e-20
+
+
+def test_result_types_keep_their_fields_defaults_and_repr():
+    # the three result types: built by keyword, read by field, immutable, and
+    # printed as scripts/repr_dump.py and the docs show them
+    est = Estimate(value=1.5, err=2e-16)
+    assert (est.value, est.err, est.terms_used, est.regularized) == (1.5, 2e-16, 0, False)
+    assert repr(est) == "Estimate(value=1.5, err=2e-16, terms_used=0, regularized=False)"
+    assert repr(Estimate(value=-0.25, err=0.0, terms_used=64, regularized=True)) == (
+        "Estimate(value=-0.25, err=0.0, terms_used=64, regularized=True)")
+    point = ThermoPoint(C=0.5)
+    assert (point.Z, point.E, point.S, point.C) == (None, None, None, 0.5)
+    assert repr(point) == "ThermoPoint(Z=None, E=None, S=None, C=0.5)"
+    moment = MomentResult(q2=0.5, p2_reg=0.25, q2_err=1e-12, p2_err=2e-12)
+    assert (moment.q2, moment.p2_reg, moment.q2_err, moment.p2_err) == (
+        0.5, 0.25, 1e-12, 2e-12)
+    assert repr(moment) == "MomentResult(q2=0.5, p2_reg=0.25, q2_err=1e-12, p2_err=2e-12)"
+    for result, field in ((est, "err"), (point, "C"), (moment, "q2")):
+        with pytest.raises(AttributeError):
+            setattr(result, field, 1.0)
+    # NamedTuples: they unpack, and compare as the tuples of their fields
+    _, err, terms_used, _ = est
+    assert (err, terms_used) == (2e-16, 0)
+    assert est == (1.5, 2e-16, 0, False)
+    assert point == (None, None, None, 0.5)
+
+
+def test_gridwise_refuses_a_result_that_is_not_finite():
+    @gridwise
+    def estimate(theta, err):
+        return Estimate(value=theta, err=err)
+
+    @gridwise
+    def heat(theta, value):
+        return ThermoPoint(C=value)
+
+    assert estimate(0.5, 1e-16) == Estimate(value=0.5, err=1e-16)
+    assert heat(0.5, 0.25) == ThermoPoint(C=0.25)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConvergenceError, match=r"^at theta=0\.5: .*estimate is not "
+                                                   r"finite in double precision$"):
+            estimate(0.5, bad)
+        with pytest.raises(ConvergenceError, match=r"^at theta=0\.5: .*heat is not "
+                                                   r"finite in double precision$"):
+            heat(0.5, bad)
+    # on a grid, the first theta whose err or C is not finite
+    with pytest.raises(ConvergenceError, match=r"^at theta=2\.0: "):
+        estimate(np.array([1.0, 2.0, 3.0]), np.array([0.0, math.inf, math.nan]))
+    with pytest.raises(ConvergenceError, match=r"^at theta=3\.0: "):
+        heat(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, math.nan]))

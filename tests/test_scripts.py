@@ -10,19 +10,38 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    # a script of scripts/ on the package's source, with every warning shown
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "default", os.path.join(ROOT, "scripts", name), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_repr_dump_runs_quietly():
     # the dump is the bit-identity check of a refactor: it must still import
     # the private names it calls, and write nothing but its lines, so that a
     # warning or a traceback cannot hide among thousands of them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", os.path.join(ROOT, "scripts", "repr_dump.py")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_script("repr_dump.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.count("\n") > 1000
+
+
+def test_call_costs_prints_one_time_per_call():
+    # scripts/call_costs.py is the source of the per-call costs quoted in the
+    # docs: one `name us` line per float call, here with one repeat
+    proc = _run_script("call_costs.py", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    costs = dict(line.split(" ") for line in proc.stdout.splitlines())
+    assert {"energy_sum", "specific_heat_fd(energy_sum)", "prescription_gap",
+            "position_variance_sum", "moments", "specific_heat_fd(spectral_energy)",
+            "damped_specific_heat", "damped_entropy", "ohmic_specific_heat",
+            "drude_specific_heat", "PoleSum.energy", "PoleSum.heat"} <= set(costs)
+    assert all(0.0 < float(us) < 1e6 for us in costs.values())
 
 
 def test_benchmark_tracer_sees_the_library_calls(tmp_path):
