@@ -409,3 +409,22 @@ show("pi^2/6", mp.pi**2 / 6)
 show("pi^2/2", mp.pi**2 / 2)
 show("0.5*ln(pi)", mp.log(mp.pi) / 2)
 show("ln(2pi)/2", mp.log(2 * mp.pi) / 2)
+
+
+# ------------------------- small roots and underflow-prone forms, exact
+# drude_specific_heat at large cutoff ratios, from the defining formula, where
+# 1 - sqrt(1 - 4/r) cancels: worked with 2 log10(r) + 40 digits; theta = 1
+# and 1e3 at r = 1e300 check PoleSum.heat for the same free particle
+for r in (1e6, 1e10, 1e16, 1e17, 1e300):
+    with mp.workdps(int(2 * mp.log10(r)) + 40):
+        for th in (1e-3, 0.37) + ((1.0, 1e3) if r == 1e300 else ()):
+            show(f"C_free_drude({th!r},{r!r})", c_free_drude(mp.mpf(th), mp.mpf(r)))
+# the undamped S and C and the expansion x^2 e^-x just below the smallest
+# normal double, at the double theta = 1/x; ln(1 - e^-x) keeps e^-x ~ 1e-313
+# only with more than 313 digits
+for x in (705, 710, 720):
+    with mp.workdps(400):
+        xx = 1 / mp.mpf(1.0 / x)
+        show(f"undamped S(1/{x})", xx / mp.expm1(xx) - mp.log(-mp.expm1(-xx)))
+        show(f"undamped C(1/{x})", (xx / (2 * mp.sinh(xx / 2))) ** 2)
+        show(f"undamped_lowT(1/{x})", xx * xx * mp.exp(-xx))

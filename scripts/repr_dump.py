@@ -17,7 +17,11 @@ of eight of the systems with rates and theta scaled by 2^+-500 and 1e+-150,
 and their term-by-term sums and gap scaled by 1e250 and 1e300,
 the finite difference of energies that are not finite or whose difference
 overflows, the points of `compare` through cli.main (which sums on whole
-grids), and the spectral moments and energy of the quadrature route.  Arrays
+grids), and the spectral moments and energy of the quadrature route.  Last
+come the forms whose small root or underflow-prone factor once lost digits:
+drude_specific_heat at cutoff ratios 1e10, 1e17 and 1e300, PoleSum for the
+free particle at 1e300, and undamped_thermo at 1/theta = 705, 710 and 720;
+appended, so that a dump still lines up with an older checkout's.  Arrays
 print through tolist(), so each element shows its full repr; an error prints
 as its class and message, and a failing command as its exit code and
 message.
@@ -98,6 +102,11 @@ UNCOUPLED_THETAS = [1e-300, 1e-200, 1e-163, 1e-9, 1e-3, 1.0, 1e200, 1e300]
 SPECTRAL_THETAS = [1e-295, 1e-3, 0.05, 0.37, 1.0, 7.3, 15.8, 20.0, 21.0, 1e3, 1e300]
 SPECTRAL_ALPHAS = [1e-10, 1e-3, 1.0, 2.0, 5.0, 1e136]
 QUAD_ABS = [1e-10, 1e-11, 1e-16]
+
+# cutoff ratios where 1 - sqrt(1 - 4/r) would cancel, and 1/theta where the
+# undamped S and C are (nearly) the smallest normal doubles
+LARGE_RATIOS = [1e10, 1e17, 1e300]
+COLD_X = [705, 710, 720]
 
 ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
 SYSTEMS = {
@@ -326,6 +335,20 @@ def spectral() -> None:
                 emit(f"spectral_energy {at}", spectral_energy, theta, alpha, tol)
 
 
+def small_roots_and_underflow() -> None:
+    forms = [(f"drude_specific_heat r={ratio}",
+              lambda t, r=ratio: drude_specific_heat(t, r)) for ratio in LARGE_RATIOS]
+    for route in Prescription:
+        poles = PoleSum(0.0, DampingKernel.drude(1.0, 1e300), route)
+        forms += [(f"PoleSum free-drude-1e300 {route.value} energy", poles.energy),
+                  (f"PoleSum free-drude-1e300 {route.value} heat", poles.heat)]
+    functions_of_theta(forms)
+    for x in COLD_X:
+        emit(f"undamped_thermo (1/{x})", undamped_thermo, 1.0 / x)
+    emit(f"undamped_thermo [1/x for x in {COLD_X!r}]", undamped_thermo,
+         np.array([1.0 / x for x in COLD_X]))
+
+
 def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
@@ -335,6 +358,7 @@ def main() -> None:
     scaled_systems()
     compare_points()
     spectral()
+    small_roots_and_underflow()
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ class ThermoPoint(NamedTuple):
 def elementwise(x):
     """The module of elementwise functions for x: numpy for an array, else math.
 
-    Both provide exp, expm1, log, log1p and sinh under the same names.
+    Both provide exp, expm1, log and log1p under the same names.
     """
     return np if isinstance(x, np.ndarray) else math
 

@@ -7,11 +7,12 @@ a Drude cutoff enters through r = omega_D / gamma via the pair
 
     z_pm = (r / (4 pi theta)) * (1 +- sqrt(1 - 4/r)),
 
-complex conjugates for r < 4 and real for r > 4, which drude_specific_heat
-takes from the private _drude_pair.  Below r = 4 it evaluates psi' once per
-pair, at z_+, and takes z_-'s term as the conjugate of z_+'s: z_- is z_+'s
-conjugate and the kernels map conjugate arguments to exactly conjugate
-values, so that term has the bits that a second evaluation would give.
+complex conjugates for r < 4 and real for r > 4, where z_- is taken from
+the product z_+ z_- = r / (2 pi theta)^2, as 1 - sqrt(1 - 4/r) would cancel;
+drude_specific_heat takes the pair from the private _drude_pair.  Below
+r = 4 it evaluates psi' once per pair, at z_+, and takes z_-'s term as the
+conjugate of z_+'s: the kernels are exactly conjugate-symmetric, so that
+term has the bits that a second evaluation would give.
 C interpolates between the classical kinetic value 1/2 at high temperature
 and a linear-in-T vanishing at low temperature with the cutoff-independent
 slope pi/3; lowering the cutoff weakens the effective damping and raises C
@@ -58,7 +59,11 @@ def _drude_pair(theta, cutoff_ratio: float):
     # a checked theta and a positive, finite cutoff_ratio
     z0 = cutoff_ratio / (2.0 * TWO_PI * theta)
     s = cmath.sqrt(complex(1.0 - 4.0 / cutoff_ratio, 0.0))
-    return z0, s, z0 * (1.0 + s), z0 * (1.0 - s)
+    # z_- = r / (2 pi theta)^2 / z_+ above r = 4; a float times a complex factor,
+    # as z_+ is, so that a grid has the bits of its float calls
+    z_minus = (z0 * (1.0 - s) if cutoff_ratio <= 4.0
+               else (1.0 / (math.pi * theta)) * (1.0 / (1.0 + s)))
+    return z0, s, z0 * (1.0 + s), z_minus
 
 
 @gridwise

@@ -469,8 +469,9 @@ def _energy_factor(nu, s):
 
 
 def _heat_factor(nu, s):
-    # C's factor in the pole formula: -(nu/s^2) psi'(1 - nu/s)
-    return -(nu * _trigamma(1.0 - nu / s)) / (s * s)
+    # C's factor in the pole formula, -(nu/s^2) psi'(1 - nu/s), in z = nu/s: no s^2
+    z = nu / s
+    return -(z * _trigamma(1.0 - z)) / s
 
 
 def _share(nodes, coefficients, s, factor):
@@ -587,16 +588,14 @@ class PoleSum:
     def heat(self, theta):
         """Specific heat dE/dtheta, exact; ConvergenceError if cancellation ate it.
 
-        At low theta the terms grow like 1/theta while C falls like theta, so
-        C keeps about -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
+        Each term is -r z psi'(1 - z)/s in z = p/s, so no s^2 is formed to
+        underflow, at any cutoff ratio.  At low theta the terms grow like
+        1/theta while C falls like theta, so C keeps about
+        -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
         """
-        # where s * s underflows, C's 1/s^2 terms have no digits left: an inf
-        # magnitude refuses them, summed at s = 2 pi to keep the terms finite
-        s = TWO_PI * (theta / self._radius)
-        lost = s * s < sys.float_info.min
-        total, magnitude = self._sum(where(lost, self._radius, theta), _heat_factor)
+        total, magnitude = self._sum(theta, _heat_factor)
         value = self._dof * (1.0 + total)
-        magnitude = self._dof * (1.0 + magnitude) + where(lost, math.inf, 0.0)
+        magnitude = self._dof * (1.0 + magnitude)
         if self.regularized:
             tail = self._gamma / (TWO_PI * theta)
             value -= tail

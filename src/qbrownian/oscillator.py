@@ -8,13 +8,13 @@ damping and are assembled from the characteristic pair
     lam_pm = (1 / (2 pi theta)) * (alpha/2 +- sqrt((alpha/2)^2 - 1)),
 
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
-above it, which each form takes from the private _lambda_pm.  Up to
-alpha = 2 each form evaluates its kernel once per pair, at lam_+, and takes
-lam_-'s term as the conjugate of lam_+'s: lam_- is lam_+'s conjugate and
+above it, whose small root lam_- is taken from the product lam_+ lam_- =
+(2 pi theta)^-2, where the difference would cancel; each form takes the pair
+from the private _lambda_pm.  Up to alpha = 2 each form evaluates its kernel
+once per pair, at lam_+, and takes lam_-'s term as the conjugate of lam_+'s:
 the kernels map conjugate arguments to exactly conjugate values, so that
-term has the bits that a second evaluation would give (at alpha = 2, where
-lam_+ = lam_-, up to the sign of a zero imaginary part, which the real
-result drops).  The two
+term has the bits that a second evaluation would give (at alpha = 2 up to
+the sign of a zero imaginary part, which the real result drops).  The two
 specific-heat routes, differentiating the internal energy and the entropy,
 are one sum term by term (g'(z) = -z psi'(1 + z)), so one closed form serves
 both: damped_specific_heat_via_entropy returns damped_specific_heat.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
                    checked_real, elementwise, gridwise, where)
@@ -40,33 +41,24 @@ from .specfun import _g, _trigamma
 def undamped_thermo(theta) -> ThermoPoint:
     """Textbook single-oscillator Z, E, S, C at reduced temperature theta.
 
-    Uses expm1-based forms so the deep quantum regime (theta << 1) underflows
-    gracefully to the ground state instead of losing digits.
+    In x = 1/theta and g = 1 - e^-x = -expm1(-x) every exponential is taken at
+    -x <= 0, where none overflows: Z = e^(-x/2)/g, E = 1/2 + e^-x/g,
+    C = (x e^(-x/2)/g)^2 and S = x e^-x/g - ln g, with ln g = log1p(-e^-x)
+    from x = 1 on.  Wherever one is a normal double it is within a few x eps,
+    the error that rounding x leaves in e^-x.
     """
     f = elementwise(theta)
+    # 1/theta overflows below theta ~ 5.6e-309, and x e^-x would be inf * 0
     x = 1.0 / theta
-    # beyond x = 700 each quantity is its ground-state limit; x is capped
-    # there so that the branch not taken stays finite
-    xw = where(x > 700.0, 700.0, x)
-    # occupation 1/(e^x - 1), stable at both ends
-    occupation = where(x > 700.0, f.exp(-x), 1.0 / f.expm1(xw))
-    energy = 0.5 + occupation
-    warm = x < 700.0
-    em = f.expm1(-xw)
-    # S = x n(x) - ln(1 - e^-x), the log taken of -expm1(-x) below x = 1,
-    # where 1 - e^-x loses digits; there the log1p branch's x is capped at 1
-    # so that it stays finite
+    x = where(x < math.inf, x, sys.float_info.max)
+    g, em, half = -f.expm1(-x), f.exp(-x), f.exp(-0.5 * x)
+    # log1p(-e^-x) at 0 where it is not taken: e^-x rounds to 1 below x ~ 1e-16
     hot = x < 1.0
-    log_term = where(hot, f.log(-em), f.log1p(-f.exp(-where(hot, 1.0, xw))))
-    entropy = where(warm, xw * occupation - log_term, 0.0)
-    # C = x^2 e^-x / (1 - e^-x)^2 written through expm1 for small x; where x^2
-    # underflows to 0, above theta ~ 1e161, x / em = -1 and C = e^-x
-    tiny = xw * xw == 0.0
-    heat = where(tiny, 1.0, xw * xw) * f.exp(-xw) / where(tiny, 1.0, em * em)
-    heat = where(warm, heat, 0.0)
-    half = where(x / 2.0 < 700.0, x / 2.0, 700.0)
-    partition = where(x / 2.0 < 700.0, 1.0 / (2.0 * f.sinh(half)), 0.0)
-    return ThermoPoint(Z=partition, E=energy, S=entropy, C=heat)
+    log_g = where(hot, f.log(g), f.log1p(-where(hot, 0.0, em)))
+    # x e^-x/g from C's root, in one rounding where it is subnormal
+    root_c = x * half / g
+    return ThermoPoint(Z=half / g, E=0.5 + em / g, S=root_c * half - log_g,
+                       C=root_c * root_c)
 
 
 def _lambda_pm(theta, alpha: float):
@@ -80,8 +72,10 @@ def _lambda_pm(theta, alpha: float):
         raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
                           f"precision, got alpha={alpha!r}")
     root = cmath.sqrt(complex(square - 1.0, 0.0))
-    return (scale * (half + root), scale * (half - root), alpha / (TWO_PI * theta),
-            alpha)
+    # lam_- = scale^2 / lam_+ above alpha = 2; scale times a complex factor, as
+    # lam_+ is, so that a grid has the bits of its float calls
+    lam_minus = scale * (half - root if alpha <= 2.0 else 1.0 / (half + root))
+    return scale * (half + root), lam_minus, alpha / (TWO_PI * theta), alpha
 
 
 @gridwise
@@ -151,8 +145,9 @@ def oscillator_expansion(kind: str, theta, alpha: float = 0.0):
         raise DomainError(f"kind must be one of {_EXPANSION_KINDS}, got {kind!r}")
     if kind == "undamped_lowT":
         x = 1.0 / theta
-        xw = where(x < 700.0, x, 700.0)
-        return where(x < 700.0, xw * xw * elementwise(theta).exp(-xw), 0.0)
+        x = where(x < math.inf, x, sys.float_info.max)
+        term = x * elementwise(theta).exp(-0.5 * x)
+        return term * term
     if kind == "undamped_highT":
         return 1.0 - 1.0 / (12.0 * theta * theta)
     alpha = check_nonnegative("alpha", alpha)

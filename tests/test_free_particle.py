@@ -68,6 +68,44 @@ def test_drude_specific_heat_frozen(key):
         C_DRUDE_REF[key], rel=1e-13)
 
 
+# (theta, r) -> C at large cutoff ratios, from scripts/freeze_oracles.py (the
+# defining closed form at 2 log10(r) + 40 digits), where z_- = z0 (1 - s)
+# would cancel
+C_DRUDE_LARGE_RATIO = {
+    (1e-3, 1e6): 0.00104718928310583040598972,
+    (0.37, 1e6): 0.2542024355076362868874438,
+    (1e-3, 1e10): 0.001047189283089296311221805,
+    (0.37, 1e10): 0.2542023172896607460571317,
+    (1e-3, 1e16): 0.001047189283089294657648624,
+    (0.37, 1e16): 0.2542023172778377811590453,
+    (1e-3, 1e17): 0.001047189283089294657647136,
+    (0.37, 1e17): 0.2542023172778377705183662,
+    (1e-3, 1e300): 0.00104718928308929465764697,
+    (0.37, 1e300): 0.2542023172778377693360686,
+}
+
+
+@pytest.mark.parametrize("key", sorted(C_DRUDE_LARGE_RATIO))
+def test_drude_specific_heat_at_large_cutoff_ratios(key):
+    # at theta = 1e-3 the terms are 1e5 times C, and their roundoff with them
+    theta, ratio = key
+    rel = 1e-10 if theta < 0.01 else 1e-13
+    for got in (drude_specific_heat(theta, ratio).C,
+                drude_specific_heat(np.array([theta]), ratio).C[0]):
+        assert got == pytest.approx(C_DRUDE_LARGE_RATIO[key], rel=rel, abs=0.0)
+
+
+def test_small_drude_root_is_taken_from_the_product():
+    # z_- = z0 (1 - sqrt(1 - 4/r)) is 1/(2 pi theta) (1 + 1/r + ...): z0 (1 - s)
+    # rounds it to 0 from r ~ 1e17
+    for ratio in (1e8, 1e17, 1e300):
+        for theta in (1e-3, 1.0):
+            z_minus = _drude_pair(theta, ratio)[3]
+            want = (1.0 + 1.0 / ratio) / (TWO_PI * theta)
+            assert z_minus.real == pytest.approx(want, rel=1e-15)
+            assert z_minus.imag == 0.0
+
+
 def test_drude_degenerate_cutoff():
     (theta, ratio), want = C_DRUDE_DEGENERATE
     assert drude_specific_heat(theta, ratio).C == pytest.approx(want, rel=1e-13)

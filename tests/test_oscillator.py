@@ -80,6 +80,27 @@ def test_undamped_thermo_where_x_squared_underflows(theta):
             assert getattr(point, q) == pytest.approx(want, rel=1e-15), q
 
 
+# S and C of 1/theta in (700, ~720), where they are normal doubles (S at 720
+# subnormal) that forms through e^x and expm1(x) flushed to 0, and the
+# expansion x^2 e^-x there; from scripts/freeze_oracles.py at 400 digits
+UNDAMPED_COLD = {
+    705: (4.690238845386776655122612e-304, 3.301934790550088540484319e-301),
+    710: (3.182639506455137766464043e-306, 2.256495886362918231185274e-303),
+    720: (1.465238408547955569225254e-310, 1.053508447976782438360102e-307),
+}
+
+
+@pytest.mark.parametrize("x", sorted(UNDAMPED_COLD))
+def test_undamped_thermo_near_the_smallest_normal_double(x):
+    theta = 1.0 / x
+    entropy, heat = UNDAMPED_COLD[x]
+    for point in (undamped_thermo(theta), undamped_thermo(np.array([theta]))):
+        assert point.S == pytest.approx(entropy, rel=1e-13, abs=0.0)
+        assert point.C == pytest.approx(heat, rel=1e-13, abs=0.0)
+    expansion = oscillator_expansion("undamped_lowT", theta)
+    assert expansion == pytest.approx(heat, rel=1e-13, abs=0.0)
+
+
 def test_undamped_limits():
     cold = undamped_thermo(1e-4)
     assert cold.E == pytest.approx(0.5, rel=1e-15)
@@ -119,6 +140,18 @@ def test_lambda_pair_invariants():
             assert lam_minus == lam_plus.conjugate()
         else:
             assert lam_plus.imag == 0.0
+            assert lam_minus.imag == 0.0
+
+
+def test_small_root_is_taken_from_the_product():
+    # lam_- = (2 pi theta)^-1 / (alpha/2 + sqrt(alpha^2/4 - 1)), which is
+    # (2 pi theta)^-1 (1/alpha + 1/alpha^3 + ...); alpha/2 - sqrt(...) would
+    # keep none of its digits at alpha = 1e8
+    for alpha in (1e4, 1e8, 1e150):
+        for theta in (1e-3, 1.0):
+            lam_minus = _lambda_pm(theta, alpha)[1]
+            want = (1.0 + 1.0 / (alpha * alpha)) / alpha
+            assert lam_minus.real * (TWO_PI * theta) == pytest.approx(want, rel=1e-15)
             assert lam_minus.imag == 0.0
 
 

@@ -266,6 +266,24 @@ def test_poles_300_decades_apart_are_found():
     assert poles.energy(3.0) == pytest.approx(111.05147484252356, rel=1e-14)
 
 
+# the free particle's C at cutoff ratio 1e300 from scripts/freeze_oracles.py
+# (the defining closed form at 640 digits)
+C_FREE_DRUDE_1E300 = {
+    1e-3: 0.00104718928308929465764697,
+    1.0: 0.3745489281290333881492902,
+    1e3: 0.4998408867138848093400302,
+}
+
+
+@pytest.mark.parametrize("theta", sorted(C_FREE_DRUDE_1E300))
+def test_heat_answers_where_s_squared_underflows(theta):
+    # s = 2 pi theta / radius is about 1e-299 here, so s^2 underflows; C's
+    # terms are formed in z = nu / s and never square s
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 1e300), Prescription.ENERGY)
+    want = C_FREE_DRUDE_1E300[theta]
+    assert poles.heat(theta) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_free_particle_without_coupling_is_classical():
     poles = PoleSum(0.0, DampingKernel.ohmic(0.0), Prescription.ENERGY)
     assert poles.energy(3.0) == 1.5

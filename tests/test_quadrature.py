@@ -160,19 +160,34 @@ def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
 
 
 def test_one_bose_evaluation_per_step_size(monkeypatch):
-    # both moments share each level's Bose factor; one more call bounds the gaps
-    calls = []
+    # both moments share each level's Bose factor 2/(e^y - 1), formed inline
+    # with np.expm1: one call per level reached (one _table call each), and one
+    # more for the factor at w = 1 that bounds the gaps
+    class CountingNumpy:
+        expm1_calls = 0
 
-    def counted(y):
-        calls.append(y)
-        return bose(y)
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    bose = quadrature._bose
-    monkeypatch.setattr(quadrature, "_bose", counted)
+        def expm1(self, *args, **kwargs):
+            self.expm1_calls += 1
+            return np.expm1(*args, **kwargs)
+
+    levels = []
+
+    def counted_table(alpha, level):
+        levels.append(level)
+        return table(alpha, level)
+
+    table = quadrature._table
+    monkeypatch.setattr(quadrature, "_table", counted_table)
     for theta, alpha in ((1.0, 1.0), (1e-3, 1.0), (20.0, 1.0), (1.0, 1e-8)):
-        calls.clear()
+        counting = CountingNumpy()
+        monkeypatch.setattr(quadrature, "np", counting)
+        levels.clear()
         moments(theta, alpha)
-        assert len(calls) <= len(quadrature._LEVELS) + 1, (theta, alpha)
+        assert counting.expm1_calls == len(levels) + 1, (theta, alpha)
+        assert len(levels) <= len(quadrature._LEVELS), (theta, alpha)
 
 
 @pytest.mark.parametrize("call", [
