@@ -428,3 +428,11 @@ for x in (705, 710, 720):
         show(f"undamped S(1/{x})", xx / mp.expm1(xx) - mp.log(-mp.expm1(-xx)))
         show(f"undamped C(1/{x})", (xx / (2 * mp.sinh(xx / 2))) ** 2)
         show(f"undamped_lowT(1/{x})", xx * xx * mp.exp(-xx))
+# drude_specific_heat at and just below the critical cutoff r = 4, where the
+# pair's terms cancel 1e4-fold at theta = 1e-4: the pair form at the double
+# r = 4 (1 - 10^-k), and its s -> 0 limit at r = 4, with 60 digits
+with mp.workdps(60):
+    for th, k in ((1e-4, 6), (1e-4, 8), (1e-4, 10), (1e-3, 10)):
+        r = 4.0 * (1.0 - 10.0 ** -k)
+        show(f"C_free_drude({th!r},{r!r})", c_free_drude(mp.mpf(th), mp.mpf(r)))
+    show("C_free_drude(0.0001,4.0)", c_free_drude(mp.mpf(1e-4), mp.mpf(4)))

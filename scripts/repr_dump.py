@@ -20,11 +20,12 @@ overflows, the points of `compare` through cli.main (which sums on whole
 grids), and the spectral moments and energy of the quadrature route.  Last
 come the forms whose small root or underflow-prone factor once lost digits:
 drude_specific_heat at cutoff ratios 1e10, 1e17 and 1e300, PoleSum for the
-free particle at 1e300, and undamped_thermo at 1/theta = 705, 710 and 720;
-appended, so that a dump still lines up with an older checkout's.  Arrays
-print through tolist(), so each element shows its full repr; an error prints
-as its class and message, and a failing command as its exit code and
-message.
+free particle at 1e300, and undamped_thermo at 1/theta = 705, 710 and 720,
+then drude_specific_heat at r = 4 (1 +- 10^-k), k = 6, 8, 10 and 12, for
+theta = 1e-4, 1e-3 and 1e-2; appended, so that a dump still lines up with an
+older checkout's.  Arrays print through tolist(), so each element shows its
+full repr; an error prints as its class and message, and a failing command
+as its exit code and message.
 
     PYTHONPATH=src python3 scripts/repr_dump.py > dump.txt
 """
@@ -46,7 +47,7 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
 from qbrownian.cli import main as cli_main
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -107,6 +108,11 @@ QUAD_ABS = [1e-10, 1e-11, 1e-16]
 # undamped S and C are (nearly) the smallest normal doubles
 LARGE_RATIOS = [1e10, 1e17, 1e300]
 COLD_X = [705, 710, 720]
+# cutoff ratios within 1e-6 to 1e-12 of the critical r = 4, on either side,
+# at the temperatures where the pair's terms cancel most
+NEAR_CRITICAL_RATIOS = [4.0 * (1.0 + sign * 10.0 ** -k)
+                        for k in (6, 8, 10, 12) for sign in (-1.0, 1.0)]
+NEAR_CRITICAL_THETAS = [1e-4, 1e-3, 1e-2]
 
 ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
 SYSTEMS = {
@@ -155,10 +161,9 @@ def special_functions() -> None:
     # they once backed were, so that a dump lines up with an older checkout's
     scalars = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
                ("g_func", _g), ("polygamma_0", _digamma),
-               ("polygamma_1", _trigamma), ("polygamma_2", _tetragamma)]
+               ("polygamma_1", _trigamma)]
     kernels = [("_ln_gamma", _ln_gamma), ("_digamma", _digamma),
-               ("_trigamma", _trigamma), ("_g", _g),
-               ("_polygamma_2", _tetragamma)]
+               ("_trigamma", _trigamma), ("_g", _g)]
     # the kernels overflow on some of these arguments, as the values show
     with np.errstate(all="ignore"):
         for name, fn in scalars:
@@ -349,6 +354,15 @@ def small_roots_and_underflow() -> None:
          np.array([1.0 / x for x in COLD_X]))
 
 
+def near_critical_cutoff() -> None:
+    for ratio in NEAR_CRITICAL_RATIOS:
+        for theta in NEAR_CRITICAL_THETAS:
+            emit(f"drude_specific_heat r={ratio!r} ({theta!r})",
+                 drude_specific_heat, theta, ratio)
+        emit(f"drude_specific_heat r={ratio!r} {NEAR_CRITICAL_THETAS!r}",
+             drude_specific_heat, np.array(NEAR_CRITICAL_THETAS), ratio)
+
+
 def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
@@ -359,6 +373,7 @@ def main() -> None:
     compare_points()
     spectral()
     small_roots_and_underflow()
+    near_critical_cutoff()
 
 
 if __name__ == "__main__":

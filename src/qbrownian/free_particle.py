@@ -10,9 +10,12 @@ a Drude cutoff enters through r = omega_D / gamma via the pair
 complex conjugates for r < 4 and real for r > 4, where z_- is taken from
 the product z_+ z_- = r / (2 pi theta)^2, as 1 - sqrt(1 - 4/r) would cancel;
 drude_specific_heat takes the pair from the private _drude_pair.  Below
-r = 4 it evaluates psi' once per pair, at z_+, and takes z_-'s term as the
-conjugate of z_+'s: the kernels are exactly conjugate-symmetric, so that
-term has the bits that a second evaluation would give.
+r = 4 it evaluates psi' once per pair, at z_+ = z0 (1 + i h) with h = |s|:
+the kernels are exactly conjugate-symmetric, so z_-'s term is the conjugate
+of z_+'s, and their difference, 2i Im(z_+ psi'(1+z_+)), is formed without
+cancellation.  At r = 4 and in a narrow band above it the same evaluation
+with h = 1e-10 gives the confluent limit; a real pair takes one evaluation
+per member.
 C interpolates between the classical kinetic value 1/2 at high temperature
 and a linear-in-T vanishing at low temperature with the cutoff-independent
 slope pi/3; lowering the cutoff weakens the effective damping and raises C
@@ -27,9 +30,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .core import TWO_PI, DomainError, ThermoPoint, checked_real, gridwise
-from .specfun import _tetragamma, _trigamma
+from .specfun import _trigamma
 
 _DEGENERATE_BAND = 1e-10
 
@@ -71,10 +75,13 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     """Specific heat with a Drude cutoff; dispatches to ohmic at inf.
 
     C/k_B = 1/2 - a [z_+ psi'(1+z_+) - z_- psi'(1+z_-)] / (z_+ - z_-) * 2 z_0,
-    written through s = sqrt(1 - 4/r).  The s -> 0 degeneracy at r = 4 is a
-    removable 0/0; inside a narrow band it is evaluated through the limit
-    2 z_0 [psi'(1+z_0) + z_0 psi''(1+z_0)].  Raises ConvergenceError where
-    roundoff would leave less than six digits, below theta ~ 1e-5.
+    written through s = sqrt(1 - 4/r).  A complex pair (r < 4) is
+    evaluated once, at z = z_+ = z0 (1 + i h) with h = |s|: its terms are
+    conjugates, so the bracket over s is exactly 2 Im(z psi'(1+z)) / h.  The
+    s -> 0 degeneracy at r = 4 is a removable 0/0; there and in a narrow
+    band above it, 0 <= 1 - 4/r < 1e-10, the same evaluation with h = 1e-10
+    gives the limit to O(h^2).  Raises ConvergenceError where roundoff would
+    leave less than six digits, below theta ~ 1e-5.
     """
     if type(cutoff_ratio) is not float:
         cutoff_ratio = float(cutoff_ratio)
@@ -85,16 +92,20 @@ def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
         return ohmic_specific_heat(theta)
     a = 1.0 / (TWO_PI * theta)
     z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
-    if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
-        psi1 = _trigamma(1.0 + z0).real
-        psi2 = _tetragamma(1.0 + z0).real
-        bracket_over_s = 2.0 * z0 * (psi1 + z0 * psi2)
-        total = 0.5 - a * bracket_over_s
-        magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
+    if 1.0 - 4.0 / cutoff_ratio < _DEGENERATE_BAND:
+        # s = i|s| for a complex pair, and real and below 1e-5 in the band
+        h = s.imag or _DEGENERATE_BAND
+        z = z0 * complex(1.0, h)
+        psi = _trigamma(1.0 + z)
+        t = z * psi
+        total = 0.5 - a * (2.0 * t.imag) / h
+        # the two products that form Im t; the smallest normal double stands
+        # in for an Im psi' that underflowed, so that such a value refuses
+        magnitude = 0.5 + 2.0 * a * (z.real * (abs(psi.imag) + sys.float_info.min)
+                                     + z.imag * abs(psi)) / h
     else:
         t_plus = z_plus * _trigamma(1.0 + z_plus)
-        t_minus = (t_plus.conjugate() if cutoff_ratio < 4.0
-                   else z_minus * _trigamma(1.0 + z_minus))
+        t_minus = z_minus * _trigamma(1.0 + z_minus)
         total = 0.5 - a * (t_plus - t_minus) / s
         magnitude = 0.5 + a * (abs(t_plus) + abs(t_minus)) / abs(s)
     heat = checked_real(total, magnitude, "specific heat", theta=theta,

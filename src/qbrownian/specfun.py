@@ -4,9 +4,8 @@ These are the private kernels that the closed forms and PoleSum are built
 from.  _ln_gamma, _digamma and _trigamma push the argument up to Re(z) >= 10
 with the standard recurrences and then apply the Stirling-type asymptotic
 series with eight Bernoulli terms, which is enough for ~1e-13 relative
-accuracy in double precision; _tetragamma, psi'', pushes to Re(z) >= 14 for
-the Drude free particle's critical-cutoff form.  One loop, _series, sums
-all four series.  _g is the combination
+accuracy in double precision.  One loop, _series, sums all three series.  _g
+is the combination
 
     g(z) = ln Gamma(1 + z) - z psi(1 + z)
 
@@ -28,7 +27,7 @@ closed forms and PoleSum refuse through core.checked_real and core.gridwise,
 naming the temperature.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
-complex arithmetic and in numpy's alike, so all five kernels map conjugate
+complex arithmetic and in numpy's alike, so all four kernels map conjugate
 inputs to exactly conjugate outputs, for scalars and arrays.  That is what
 makes conjugate-pair sums in the thermodynamic formulas exactly real, not
 merely real up to roundoff, and what lets a closed form evaluate a kernel
@@ -60,12 +59,10 @@ _BERNOULLI = (
     -3617.0 / 510.0,
 )
 # the series' coefficients, k = 1..8: B_2k / (2k (2k-1)) for ln Gamma,
-# B_2k / 2k for psi, B_2k for psi' and (2k+1)! B_2k / (2k)! for psi''
+# B_2k / 2k for psi and B_2k for psi'
 _LN_GAMMA = tuple(b2k / ((2 * k) * (2 * k - 1))
                   for k, b2k in enumerate(_BERNOULLI, start=1))
 _DIGAMMA = tuple(b2k / (2 * k) for k, b2k in enumerate(_BERNOULLI, start=1))
-_TETRAGAMMA = tuple(b2k * math.factorial(2 * k + 1) / math.factorial(2 * k)
-                    for k, b2k in enumerate(_BERNOULLI, start=1))
 
 
 def _log(z):
@@ -73,13 +70,13 @@ def _log(z):
     return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
 
 
-def _push(z, bound: float, term):
-    """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= bound.
+def _push(z, term):
+    """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= _PUSH.
 
     A non-finite element of z is set to nan first, which is not pushed and
     makes the kernel's value nan: inf would leave a finite value (psi'(inf)
-    is 0) and -inf would never reach the bound.  A complex is pushed one step
-    at a time.  An array gathers only its elements still below the bound at
+    is 0) and -inf would never reach _PUSH.  A complex is pushed one step
+    at a time.  An array gathers only its elements still below _PUSH at
     each step, so the work is the complex's, element by element, in the same
     order; it is pushed in place in a C-ordered complex copy, whose
     reshape(-1) are views, so z may have any shape and layout.
@@ -89,7 +86,7 @@ def _push(z, bound: float, term):
         if not cmath.isfinite(z):
             z = complex(math.nan, math.nan)
         shift = 0.0 + 0.0j
-        while z.real < bound:
+        while z.real < _PUSH:
             shift += term(z)
             z += 1.0
         return z, shift
@@ -97,13 +94,13 @@ def _push(z, bound: float, term):
     np.copyto(z, math.nan, where=~np.isfinite(z))
     shift = np.zeros_like(z)
     flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
-    index = np.flatnonzero(flat_z.real < bound)
+    index = np.flatnonzero(flat_z.real < _PUSH)
     while index.size:
         w = flat_z[index]
         flat_shift[index] += term(w)
         w += 1.0
         flat_z[index] = w
-        index = index[w.real < bound]
+        index = index[w.real < _PUSH]
     return z, shift
 
 
@@ -116,7 +113,7 @@ def _series(value, power, rz2, coefficients):
 
 
 def _ln_gamma(z):
-    z, shift = _push(z, _PUSH, _log)
+    z, shift = _push(z, _log)
     rz = 1.0 / z
     series = _series(0.0 + 0.0j, rz, rz * rz, _LN_GAMMA)
     value = (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series
@@ -124,7 +121,7 @@ def _ln_gamma(z):
 
 
 def _digamma(z):
-    z, shift = _push(z, _PUSH, lambda w: 1.0 / w)
+    z, shift = _push(z, lambda w: 1.0 / w)
     rz = 1.0 / z
     rz2 = rz * rz
     value = _log(z) - 0.5 * rz - _series(0.0 + 0.0j, rz2, rz2, _DIGAMMA)
@@ -132,23 +129,11 @@ def _digamma(z):
 
 
 def _trigamma(z):
-    z, shift = _push(z, _PUSH, lambda w: 1.0 / (w * w))
+    z, shift = _push(z, lambda w: 1.0 / (w * w))
     rz = 1.0 / z
     rz2 = rz * rz
     value = rz + 0.5 * rz2 + _series(0.0 + 0.0j, rz * rz2, rz2, _BERNOULLI)
     return value + shift
-
-
-def _tetragamma(z):
-    # psi''(z), pushed further than _trigamma, to Re(z) >= 14, where the
-    # eight-term series -[1/z^2 + 1/z^3 + sum_k (2k+1) B_2k / z^(2k+2)] keeps
-    # double precision
-    z, shift = _push(z, _PUSH + 4.0, lambda w: (1.0 / w) ** 3)
-    rz = 1.0 / z
-    rz2 = rz * rz
-    power = rz ** 2
-    series = _series(power + power * rz, power * rz2, rz2, _TETRAGAMMA)
-    return -(series + 2 * shift)
 
 
 def _g(z):

@@ -11,6 +11,8 @@ refusals included, and count the pushes that the pair saves.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qbrownian import free_particle, oscillator, specfun
 from qbrownian.core import TWO_PI, ThermoPoint, checked_real, elementwise, gridwise
 from qbrownian.free_particle import _DEGENERATE_BAND, _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _g, _tetragamma, _trigamma
+from qbrownian.specfun import _g, _trigamma
 
 ALPHAS = [0.0, 1e-8, 0.5, 1.0, 2.0 - 1e-12, 2.0, 2.0 + 1e-9, 5.0]
 RATIOS = [0.01, 1.0, 4.0 - 1e-7, 4.0, 4.0 + 1e-7, 10.0]
@@ -57,11 +59,18 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
 def drude_specific_heat(theta, cutoff_ratio: float) -> ThermoPoint:
     a = 1.0 / (TWO_PI * theta)
     z0, s, z_plus, z_minus = _drude_pair(theta, cutoff_ratio)
-    if abs(1.0 - 4.0 / cutoff_ratio) < _DEGENERATE_BAND:
-        psi1 = _trigamma(1.0 + z0).real
-        psi2 = _tetragamma(1.0 + z0).real
-        total = 0.5 - a * (2.0 * z0 * (psi1 + z0 * psi2))
-        magnitude = 0.5 + 2.0 * a * z0 * (abs(psi1) + z0 * abs(psi2))
+    if 1.0 - 4.0 / cutoff_ratio < _DEGENERATE_BAND:
+        # z0 (1 +- i h), with h = |s| below r = 4 and the band's width above
+        h = s.imag or _DEGENERATE_BAND
+        z_plus = z0 * complex(1.0, h)
+        z_minus = z_plus.conjugate()
+        psi_plus, psi_minus = _trigamma(1.0 + z_plus), _trigamma(1.0 + z_minus)
+        t_plus, t_minus = z_plus * psi_plus, z_minus * psi_minus
+        total = 0.5 - a * (t_plus - t_minus).imag / h
+        magnitude = 0.5 + a * (
+            z_plus.real * (abs(psi_plus.imag) + abs(psi_minus.imag)
+                           + 2.0 * sys.float_info.min)
+            + z_plus.imag * (abs(psi_plus) + abs(psi_minus))) / h
     else:
         t_plus = z_plus * _trigamma(1.0 + z_plus)
         t_minus = z_minus * _trigamma(1.0 + z_minus)
@@ -130,8 +139,8 @@ def test_one_kernel_evaluation_per_conjugate_pair(monkeypatch):
     # g pushes twice, for ln Gamma and for psi
     forms += [(oscillator.damped_entropy, alpha, 2 if alpha <= 2.0 else 4)
               for alpha in ALPHAS]
-    # r = 4 is inside the degenerate band, which pushes for psi' and psi''
-    forms += [(free_particle.drude_specific_heat, ratio, 1 if ratio < 4.0 else 2)
+    # r = 4 is inside the degenerate band, which evaluates z0 (1 + i h) alone
+    forms += [(free_particle.drude_specific_heat, ratio, 1 if ratio <= 4.0 else 2)
               for ratio in RATIOS]
     for form, parameter, count in forms:
         for theta in (0.37, np.logspace(-2.0, 2.0, 21)):

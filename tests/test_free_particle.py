@@ -25,8 +25,11 @@ C_DRUDE_REF = {
     (0.5, 0.5): 0.4379570148315922012682936,
 }
 
-# r = 4 makes the characteristic pair degenerate; the closed form becomes 0/0
-C_DRUDE_DEGENERATE = ((0.5, 4.0), 0.3337003712427578241072997)
+# r = 4 makes the characteristic pair degenerate; the closed form becomes 0/0.
+# theta -> (C, rel); at theta = 1e-4 the terms are 1e4 times C (the s -> 0
+# limit at 60 digits, from scripts/freeze_oracles.py)
+C_DRUDE_DEGENERATE = {0.5: (0.3337003712427578241072997, 1e-13),
+                      1e-4: (0.000104719750985489992764695, 2e-9)}
 
 E_REG_OHMIC_REF = 0.09146439575357593840115226   # theta = 0.5
 E_DRUDE_REF = 0.3151516612279330070008962        # theta = 0.5, r = 1
@@ -107,8 +110,31 @@ def test_small_drude_root_is_taken_from_the_product():
 
 
 def test_drude_degenerate_cutoff():
-    (theta, ratio), want = C_DRUDE_DEGENERATE
-    assert drude_specific_heat(theta, ratio).C == pytest.approx(want, rel=1e-13)
+    for theta, (want, rel) in C_DRUDE_DEGENERATE.items():
+        for got in (drude_specific_heat(theta, 4.0).C,
+                    drude_specific_heat(np.array([2.0, theta]), 4.0).C[1]):
+            assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+# (theta, r) -> C just below the critical cutoff, r = 4 (1 - 10^-k) for k = 6,
+# 8 and 10, from scripts/freeze_oracles.py (the pair form at 60 digits); at
+# theta = 1e-4 the pair's terms are 1e4 times C
+C_DRUDE_NEAR_CRITICAL = {
+    (1e-4, 4.0 * (1.0 - 1e-6)): 0.0001047197509854941269375961,
+    (1e-4, 4.0 * (1.0 - 1e-8)): 0.0001047197509854900341063833,
+    (1e-4, 4.0 * (1.0 - 1e-10)): 0.0001047197509854899931781119,
+    (1e-3, 4.0 * (1.0 - 1e-10)): 0.001047193417070090433817119,
+}
+
+
+@pytest.mark.parametrize("key", sorted(C_DRUDE_NEAR_CRITICAL))
+def test_drude_specific_heat_just_below_the_critical_cutoff(key):
+    # one evaluation at z_+ = z0 (1 + i|s|) forms z_+'s term minus its
+    # conjugate without cancellation, however small |s| is
+    theta, ratio = key
+    for got in (drude_specific_heat(theta, ratio).C,
+                drude_specific_heat(np.array([0.5, theta]), ratio).C[1]):
+        assert got == pytest.approx(C_DRUDE_NEAR_CRITICAL[key], rel=1e-8, abs=0.0)
 
 
 def test_drude_dispatches_to_ohmic_at_infinite_cutoff():

@@ -28,7 +28,7 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -144,7 +144,7 @@ def test_lambda_and_drude_pairs_on_a_grid():
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-           ("g", _g), ("polygamma_2", _tetragamma)]
+           ("g", _g)]
 
 
 @pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=[n for n, _ in KERNELS])

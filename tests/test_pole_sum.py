@@ -187,8 +187,8 @@ def test_free_particle_heat_matches_closed_form(ratio):
 
 
 def test_critical_cutoff_heat_is_the_confluent_limit():
-    # at r = 4 the closed form takes its limit through psi''; the pole form
-    # agrees with it and stays continuous in r
+    # at r = 4 the closed form takes its limit from z0 (1 + 1e-10 i); the pole
+    # form agrees with it and stays continuous in r
     poles = PoleSum(0.0, DampingKernel.drude(1.0, 4.0), Prescription.ENERGY)
     for theta in (1e-3, 0.01, 0.5, 2.0, 10.0):
         assert poles.heat(theta) == pytest.approx(

@@ -13,10 +13,8 @@ import math
 
 import mpmath as mp
 import numpy as np
-import pytest
 
-from qbrownian.free_particle import _drude_pair
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _tetragamma, _trigamma
+from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -127,27 +125,3 @@ def test_against_live_mpmath_grid():
     for z in sample_points(rng, 60):
         assert rel_err(_digamma(z), complex(mp.psi(0, z))) < 1e-12
         assert rel_err(_trigamma(z), complex(mp.psi(1, z))) < 1e-12
-
-
-def test_polygamma_zeta_values():
-    # psi''(1) = -2 zeta(3)
-    zeta3 = 1.202056903159594285399738
-    assert _tetragamma(1.0).real == pytest.approx(-2.0 * zeta3, rel=1e-15)
-
-
-def test_polygamma_recurrence_and_conjugation():
-    rng = np.random.default_rng(3)
-    for z in sample_points(rng, 100, re_lo=0.5, re_hi=30.0):
-        value = _tetragamma(z)
-        assert rel_err(_tetragamma(z + 1.0), value + 2.0 / z ** 3) < 1e-13
-        assert _tetragamma(z.conjugate()) == value.conjugate()
-
-
-def test_polygamma_against_live_mpmath():
-    mp.mp.dps = 30
-    rng = np.random.default_rng(11)
-    points = sample_points(rng, 20, re_lo=1.0, re_hi=60.0) + [1.0, 1.0 + 1e6j, 2e8]
-    # the arguments of the critical-cutoff form, the kernel's only caller
-    points += [1.0 + _drude_pair(theta, 4.0)[0] for theta in np.logspace(-4.0, 4.0, 17)]
-    for z in points:
-        assert rel_err(_tetragamma(z), complex(mp.psi(2, z))) < 1e-14, z
