@@ -2,11 +2,12 @@
 
 The calls are those that the benchmark's route cross-check makes, at its
 central draw (alpha = 1, cutoff ratio 10, theta = 1, where a frequency sum
-adds its 64-term minimum head), plus the free particle's closed forms and
-PoleSum's energy and heat.  Each call runs once before it is timed, so that
-its caches are full, and each of the N repeats times a fixed number of calls;
-the line gives the best repeat's time per call.  Comparing two checkouts on
-one host shows the fixed cost per float call that a change saves or adds.
+adds its 64-term minimum head), plus the free particle's closed forms,
+building the Drude oscillator's PoleSum, and its energy and heat.  Each call
+runs once before it is timed, so that its caches are full, and each of the N
+repeats times a fixed number of calls; the line gives the best repeat's time
+per call.  Comparing two checkouts on one host shows the fixed cost per float
+call that a change saves or adds.
 
     PYTHONPATH=src python3 scripts/call_costs.py [N]      # N defaults to 7
 """
@@ -50,6 +51,7 @@ def calls() -> list:
         ("prescription_gap", lambda: prescription_gap(1.0, drude, beta)),
         ("ohmic_specific_heat", lambda: ohmic_specific_heat(THETA)),
         ("drude_specific_heat", lambda: drude_specific_heat(THETA, RATIO)),
+        ("PoleSum", lambda: PoleSum(1.0, drude, energy)),
         ("PoleSum.energy", lambda: poles.energy(THETA)),
         ("PoleSum.heat", lambda: poles.heat(THETA)),
     ]

@@ -204,12 +204,18 @@ show("q2_matsubara(1,1)", q2m)
 
 
 # ---------------------------- matsubara sums in digamma pole form, any theta
+def roots(denominator):
+    # poles 100 decades apart, and a pole near -omega_D next to the partition
+    # route's own, converge with four times the working precision to spare
+    return mp.polyroots(denominator, maxsteps=500, extraprec=max(400, 4 * mp.mp.prec))
+
+
 def pole_sum(numerator, denominator, s):
     # sum_{n>=1} P(s n) / Q(s n) = -(1/s) sum_i r_i psi(1 - p_i/s), for
     # deg Q >= deg P + 2 with simple poles p_i and residues r_i = P/Q'
     dq = [c * (len(denominator) - 1 - i) for i, c in enumerate(denominator[:-1])]
     total = 0
-    for p in mp.polyroots(denominator, maxsteps=200, extraprec=200):
+    for p in roots(denominator):
         total += mp.polyval(numerator, p) / mp.polyval(dq, p) * mp.psi(0, 1 - p / s)
     return mp.re(-total / s)
 
@@ -222,17 +228,20 @@ def poly_mul(a, b):
     return out
 
 
-def e_osc_drude(theta, alpha, r, partition):
-    # omega_0 = 1, gamma = alpha, omega_D = r alpha; the summand multiplied
+def osc_drude_fraction(gamma, wd, partition):
+    # omega_0 = 1: the summand's numerator and monic denominator, multiplied
     # through by (nu + wd), and once more for the partition route's gh'
-    wd = r * alpha
-    q = alpha * wd
+    q = gamma * wd
     cubic = [1, wd, 1 + q, wd]
-    s = 2 * mp.pi * theta
     if partition:
-        numerator = [2 + 2 * q, 4 * wd + q * wd, 2 * wd * wd]
-        return theta * (1 + pole_sum(numerator, poly_mul(cubic, [1, wd]), s))
-    return theta * (1 + pole_sum([2 + q, 2 * wd], cubic, s))
+        return [2 + 2 * q, 4 * wd + q * wd, 2 * wd * wd], poly_mul(cubic, [1, wd])
+    return [2 + q, 2 * wd], cubic
+
+
+def e_osc_drude(theta, alpha, r, partition):
+    # omega_0 = 1, gamma = alpha, omega_D = r alpha
+    numerator, denominator = osc_drude_fraction(alpha, r * alpha, partition)
+    return theta * (1 + pole_sum(numerator, denominator, 2 * mp.pi * theta))
 
 
 def gap_osc_drude(theta, alpha, r):
@@ -332,13 +341,14 @@ for th, al in [("1", "1e-3"), ("1", "1e-8"), ("1e-3", "1"), ("20", "1"), ("0.05"
 def pole_heat(numerator, denominator, theta, c, gamma_reg=0):
     # C = c (1 - sum_i r_i (p_i/s^2) psi'(1 - p_i/s)) - gamma_reg / (2 pi theta)
     # for a monic denominator, every root taken as a simple pole with residue
-    # r_i = P(p_i) / prod_{j != i} (p_i - p_j): no grouping of close roots
-    with mp.workdps(60):
-        roots = mp.polyroots(denominator, maxsteps=500, extraprec=400)
+    # r_i = P(p_i) / prod_{j != i} (p_i - p_j): no grouping of close roots;
+    # with 60 digits at least
+    with mp.workdps(max(60, mp.mp.dps)):
+        poles = roots(denominator)
         s = 2 * mp.pi * theta
         total = 0
-        for i, p in enumerate(roots):
-            others = mp.fprod(p - q for j, q in enumerate(roots) if j != i)
+        for i, p in enumerate(poles):
+            others = mp.fprod(p - q for j, q in enumerate(poles) if j != i)
             total += mp.polyval(numerator, p) / others * p / s**2 * mp.psi(1, 1 - p / s)
         return mp.re(c * (1 - total) - gamma_reg / (2 * mp.pi * theta))
 
@@ -363,12 +373,7 @@ def coincident_heat(system, route, theta):
         return pole_heat([2 * wd], quadratic, theta, mp.mpf(1) / 2)
     alpha = 8.0 / (3.0 * 3.0 ** 0.5)
     g, wd = mp.mpf(alpha) * split, mp.mpf(alpha * (27.0 / 8.0)) * split
-    q = g * wd
-    cubic = [1, wd, 1 + q, wd]
-    if partition:
-        return pole_heat([2 + 2 * q, 4 * wd + q * wd, 2 * wd * wd],
-                         poly_mul(cubic, [1, wd]), theta, 1)
-    return pole_heat([2 + q, 2 * wd], cubic, theta, 1)
+    return pole_heat(*osc_drude_fraction(g, wd, partition), theta, 1)
 
 
 # theta = logspace(-9, -3, 13), as floats
@@ -436,3 +441,16 @@ with mp.workdps(60):
         r = 4.0 * (1.0 - 10.0 ** -k)
         show(f"C_free_drude({th!r},{r!r})", c_free_drude(mp.mpf(th), mp.mpf(r)))
     show("C_free_drude(0.0001,4.0)", c_free_drude(mp.mpf(1e-4), mp.mpf(4)))
+# PoleSum for Drude oscillators (omega_0 = 1) whose slow pair lies 44 to 100
+# decades below omega_D, from the pole form with 2 log10(omega_D) + 41 digits:
+# E at theta = 1e-3, 0.37 and 30, C at 0.37 and 30
+for gamma, wd in ((1.0, 1e44), (1e-3, 1e100), (1e3, 1e54)):
+    with mp.workdps(2 * round(mp.log10(wd)) + 41):
+        for route in ("energy", "partition"):
+            fraction = osc_drude_fraction(mp.mpf(gamma), mp.mpf(wd), route == "partition")
+            for th in (1e-3, 0.37, 30.0):
+                label = f"(gamma={gamma!r},wd={wd!r},{route},{th!r})"
+                show(f"E_osc_drude{label}",
+                     th * (1 + pole_sum(*fraction, 2 * mp.pi * mp.mpf(th))))
+                if th > 1e-3:
+                    show(f"C_osc_drude{label}", pole_heat(*fraction, mp.mpf(th), 1))

@@ -26,9 +26,9 @@ is flagged so callers cannot mistake it for an absolute energy.
 
 Every summand above is a rational function R(nu) = P(nu)/Q(nu) with
 deg Q >= deg P + 2.  For a Drude kernel gh = gamma wd/(nu + wd), Q is a cubic
-(oscillator) or a quadratic (free particle), times (nu + wd) on the partition
-route; the regularized ohmic summands carry a pole at nu = 0.  Summed over
-nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
+(oscillator) or a quadratic (free particle), rooted by formula, times (nu + wd)
+on the partition route; the regularized ohmic summands carry a pole at nu = 0.
+Summed over nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 
     sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s).
 
@@ -411,22 +411,43 @@ def _energy_fraction(omega0: float, kernel: DampingKernel, route: Prescription):
     return numerator, np.polymul(core, np.poly(fixed)).tolist(), bound, radius
 
 
-def _conjugate_roots(coeffs) -> list[complex]:
-    """Roots of a real monic polynomial, complex ones in exactly conjugate pairs."""
-    # the companion matrix stops balancing below a product of min / eps: there
-    # the roots are found in units of a power of two near its geometric mean
-    unit = (math.frexp(coeffs[-1])[1] // (len(coeffs) - 1)
-            if abs(coeffs[-1]) < sys.float_info.min / EPS else 0)
-    found = np.roots([math.ldexp(c, -k * unit) for k, c in enumerate(coeffs)])
-    found *= math.ldexp(1.0, unit)
-    upper = [complex(p) for p in found if p.imag > 0.0]
-    roots = ([complex(p.real, 0.0) for p in found if p.imag == 0.0]
-             + upper + [p.conjugate() for p in upper])
-    if len(roots) != len(coeffs) - 1 or not all(
-            math.isfinite(p.real) and math.isfinite(p.imag) for p in roots):
-        raise DomainError(
-            f"no finite conjugate-paired roots for coefficients {coeffs!r}")
-    return roots
+def _roots(d) -> list[complex]:
+    """The roots of _summand_fractions' D = x^n + d_1 x^(n-1) + ... + d_n,
+    n = 0, 2 or 3, every d_j >= 0, a complex pair exactly conjugate.
+
+    A cubic's real root in [-d_1, 0] (D(-d_1) = -q d_1 <= 0 < D(0)) takes
+    Newton steps until one changes no bit, bisecting where one leaves the
+    bracket, and is divided out backward if it is the largest root, else
+    forward (Wilkinson 1963); a quadratic's small root is c / big (Higham 1.8).
+    """
+    if len(d) < 3:
+        return []
+    if len(d) == 4:
+        _, d1, d2, d3 = d
+        x, lo, hi = -d1, -d1, 0.0
+        while value := ((x + d1) * x + d2) * x + d3:
+            lo, hi = (x, hi) if value < 0.0 else (lo, x)
+            slope = (3.0 * x + 2.0 * d1) * x + d2
+            step = x - value / slope if slope else math.inf
+            step = step if step == x or lo < step < hi else 0.5 * (lo + hi)
+            if step == x:
+                break
+            x = step
+        return [complex(x)] + _roots([1.0, d1 + x, d2 + x * (d1 + x)] if x * x * x > -d3
+                                     else [1.0, (-d3 / x - d2) / x, -d3 / x])
+    _, b, c = d
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        pair = complex(-0.5 * b, 0.5 * math.sqrt(-disc))
+        return [pair, pair.conjugate()]
+    big = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [complex(big), complex(c / big)]
+
+
+def _ratio(numerator, x, poles):
+    # P(x) / prod (x - p), one factor at a time, so that no product underflows
+    value = functools.reduce(lambda v, coef: v * x + coef, numerator)
+    return functools.reduce(lambda v, p: v / (x - p), poles, value)
 
 
 def _group_poles(poles: list[complex]) -> list[list[complex]]:
@@ -511,8 +532,8 @@ class PoleSum:
         C = dE/dtheta = c (1 - sum_i r_i (p_i/s^2) psi'(1 - p_i/s))
                         - gamma / (2 pi theta)  [regularized only].
 
-    Poles and residues are computed once per (omega0, kernel, route); each
-    theta then costs a few psi evaluations, independent of theta.  Near
+    Poles (by formula: _roots) and residues are computed once per (omega0,
+    kernel, route); each theta then costs a few psi evaluations.  Near
     coincident poles (critical damping, the free particle's r = 4, the Drude
     oscillator's triple root) are summed together, as the integral of R
     times the psi factor around a circle enclosing them, by the trapezoid
@@ -537,7 +558,7 @@ class PoleSum:
                               f"{radius!r} at omega0={omega0!r}, kernel={kernel!r}")
         self._radius, self._gamma = radius, kernel.gamma
         self._w_ref, self._dof = (omega0, 1.0) if omega0 > 0.0 else (kernel.gamma, 0.5)
-        poles = _conjugate_roots(core) + [complex(p) for p in fixed]
+        poles = _roots(core) + [complex(p) for p in fixed]
         # (nodes, coefficients) per group, weighted 2 for a complex center
         # that stands in for its conjugate: see _share
         self._groups = []
@@ -548,13 +569,7 @@ class PoleSum:
             weight = 2.0 if c.imag > 0.0 else 1.0
             others = [p for p in poles if p not in group]
             if len(group) == 1:
-                p = group[0]
-                residue = 0.0j
-                for coef in numerator:
-                    residue = residue * p + coef
-                for q in others:
-                    residue = residue * (1.0 / (p - q))
-                self._groups.append((p, weight * residue))
+                self._groups.append((c, weight * _ratio(numerator, c, others)))
                 continue
             rho = max(abs(p - c) for p in group)
             # psi's poles at nu = s, 2s, ... are at least |c| away, as Re c <= 0;
@@ -562,7 +577,7 @@ class PoleSum:
             sigma = min([abs(c)] + [abs(c - q) for q in others])
             z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * np.exp(
                 -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
-            ratio = np.polyval(numerator, z) / np.prod([z - p for p in poles], axis=0)
+            ratio = _ratio(numerator, z, poles)
             self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
 
     def _sum(self, theta, factor):

@@ -6,15 +6,17 @@ routes to the same numbers, so they serve as the oracle here.
 
 from __future__ import annotations
 
+import decimal
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qbrownian.core import ConvergenceError, DomainError
+from qbrownian.core import EPS, ConvergenceError, DomainError
 from qbrownian.free_particle import drude_specific_heat, ohmic_specific_heat
-from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, energy_sum,
-                                 specific_heat_fd)
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, _roots,
+                                 _summand_fractions, energy_sum, specific_heat_fd)
 from qbrownian.oscillator import damped_specific_heat, undamped_thermo
 
 THETAS = [float(t) for t in np.logspace(-3.0, 2.0, 6)]
@@ -259,11 +261,117 @@ def test_weak_coupling_answers_as_the_undamped_oscillator(alpha):
 
 def test_poles_300_decades_apart_are_found():
     # in units of its radius the free particle at cutoff ratio 1e300 has poles
-    # near -0.19 and -1.9e-301, whose product the companion matrix cannot
-    # balance; references: the pole form at 400 digits (mpmath)
+    # near -0.19 and -1.9e-301; the small one is their product over the large
+    # one, where the quadratic formula's difference would cancel; references:
+    # the pole form at 400 digits (mpmath)
     poles = PoleSum(0.0, DampingKernel.drude(1.0, 1e300), Prescription.ENERGY)
     assert poles.energy(0.37) == pytest.approx(109.99599272665347, rel=1e-14)
     assert poles.energy(3.0) == pytest.approx(111.05147484252356, rel=1e-14)
+
+
+# E and C of Drude oscillators (omega0 = 1) whose slow pair lies 44 to 100
+# decades below omega_D, by (gamma, omega_D, route, theta), from
+# scripts/freeze_oracles.py (the pole form with 2 log10(omega_D) + 41 digits)
+E_DRUDE_FAST = {
+    (1.0, 1e44, "energy", 1e-3): 16.4132588335451330028765,
+    (1.0, 1e44, "energy", 0.37): 16.50976057046704696216502,
+    (1.0, 1e44, "energy", 30.0): 45.38400345180918592216175,
+    (1.0, 1e44, "partition", 1e-3): 16.57241377663702833864538,
+    (1.0, 1e44, "partition", 0.37): 16.6689155135589422979339,
+    (1.0, 1e44, "partition", 30.0): 45.54315839490108125793064,
+    (1e-3, 1e100, "energy", 1e-3): 0.5364875630377434765159551,
+    (1e-3, 1e100, "energy", 0.37): 0.6083596874254898586533411,
+    (1e-3, 1e100, "energy", 30.0): 30.03868253087190770600964,
+    (1e-3, 1e100, "partition", 1e-3): 0.536646717980835371855037,
+    (1e-3, 1e100, "partition", 0.37): 0.608518842368581753992423,
+    (1e-3, 1e100, "partition", 30.0): 30.03884168581499960134872,
+    (1e3, 1e54, "energy", 1e-3): 18689.86039132570082852507,
+    (1e3, 1e54, "energy", 0.37): 18690.04405915268363297561,
+    (1e3, 1e54, "energy", 30.0): 18705.32788038451840731038,
+    (1e3, 1e54, "partition", 1e-3): 18849.01533441759616429395,
+    (1e3, 1e54, "partition", 0.37): 18849.1990022445789687445,
+    (1e3, 1e54, "partition", 30.0): 18864.48282347641374307927,
+}
+# C at theta = 1e-3 is left out: there it keeps about -log10(eps / theta^2) digits
+C_DRUDE_FAST = {
+    (1.0, 1e44, "energy", 0.37): 0.5214971550847977082309669,
+    (1.0, 1e44, "energy", 30.0): 0.9946492542740051731594448,
+    (1.0, 1e44, "partition", 0.37): 0.5214971550847977082309669,
+    (1.0, 1e44, "partition", 30.0): 0.9946492542740051731594448,
+    (1e-3, 1e100, "energy", 0.37): 0.5623794622388858074020143,
+    (1e-3, 1e100, "energy", 30.0): 0.999902108509536181124172,
+    (1e-3, 1e100, "partition", 0.37): 0.5623794622388858074020143,
+    (1e-3, 1e100, "partition", 30.0): 0.999902108509536181124172,
+    (1e3, 1e54, "energy", 0.37): 0.4999576183053881453794845,
+    (1e3, 1e54, "energy", 30.0): 0.5311928113222981431524796,
+    (1e3, 1e54, "partition", 0.37): 0.4999576183053881453794845,
+    (1e3, 1e54, "partition", 30.0): 0.5311928113222981431524796,
+}
+
+
+@pytest.mark.parametrize("point", sorted(E_DRUDE_FAST))
+def test_energy_keeps_the_slow_pair_far_below_the_cutoff(point):
+    gamma, omega_d, route, theta = point
+    poles = PoleSum(1.0, DampingKernel.drude(gamma, omega_d), Prescription(route))
+    assert poles.energy(theta) == pytest.approx(E_DRUDE_FAST[point], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("point", sorted(C_DRUDE_FAST))
+def test_heat_keeps_the_slow_pair_far_below_the_cutoff(point):
+    gamma, omega_d, route, theta = point
+    poles = PoleSum(1.0, DampingKernel.drude(gamma, omega_d), Prescription(route))
+    assert poles.heat(theta) == pytest.approx(C_DRUDE_FAST[point], rel=1e-12, abs=0.0)
+
+
+def _backward_error(d, p) -> float:
+    # |D(p)| / sum_j |d_j| |p|^j in units of eps, with 40 decimal digits
+    # from the doubles' exact values, and no underflow
+    with decimal.localcontext(decimal.Context(prec=40)):
+        re, im = decimal.Decimal(p.real), decimal.Decimal(p.imag)
+        size = (re * re + im * im).sqrt()
+        u = v = bound = decimal.Decimal(0)
+        for c in map(decimal.Decimal, d):
+            u, v = u * re - v * im + c, u * im + v * re
+            bound = bound * size + abs(c)
+        return float((u * u + v * v).sqrt() / bound) / EPS
+
+
+def _swept_systems():
+    # omega_D log-uniform over [1e6, 1e300] and, where the cubic's real root
+    # is the small one and deflates forward, over [1e-300, 1e-6], drawn with
+    # a fixed seed; then the double roots of alpha = 2 and r = 4 and the
+    # weakest couplings
+    rng = random.Random(33)
+    fast = [10.0 ** rng.uniform(6.0, 300.0) for _ in range(100)]
+    for omega_d in fast + [10.0 ** rng.uniform(-300.0, -6.0) for _ in range(30)]:
+        for gamma in (1e-3, 1.0, 1e3):
+            for omega0 in (0.0, 1.0):
+                yield omega0, DampingKernel.drude(gamma, omega_d)
+    yield 1.0, DampingKernel.ohmic(2.0)
+    yield 0.0, DampingKernel.drude(1.0, 4.0)
+    for alpha in (1e-155, 1e-300):
+        yield 1.0, DampingKernel.drude(alpha, 10.0 * alpha)
+
+
+def test_every_root_has_a_backward_error_below_8_eps():
+    # every D that PoleSum accepts: deg D roots, complex ones in exactly
+    # conjugate pairs, each with |D(p)| <= 8 eps sum_j |d_j| |p|^j
+    checked = 0
+    for omega0, kernel in _swept_systems():
+        try:
+            for route in Prescription:
+                PoleSum(omega0, kernel, route)
+        except DomainError:
+            continue
+        # D is the same on both routes: the partition route adds -omega_D
+        d = _summand_fractions(omega0, kernel, Prescription.PARTITION)[1]
+        roots = _roots(d)
+        assert len(roots) == len(d) - 1, (omega0, kernel)
+        assert all(p.imag == 0.0 or p.conjugate() in roots for p in roots), roots
+        for p in roots:
+            assert _backward_error(d, p) <= 8.0, (omega0, kernel, p)
+        checked += 1
+    assert checked > 500
 
 
 # the free particle's C at cutoff ratio 1e300 from scripts/freeze_oracles.py

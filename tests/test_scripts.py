@@ -40,7 +40,8 @@ def test_call_costs_prints_one_time_per_call():
     assert {"energy_sum", "specific_heat_fd(energy_sum)", "prescription_gap",
             "position_variance_sum", "moments", "specific_heat_fd(spectral_energy)",
             "damped_specific_heat", "damped_entropy", "ohmic_specific_heat",
-            "drude_specific_heat", "PoleSum.energy", "PoleSum.heat"} <= set(costs)
+            "drude_specific_heat", "PoleSum", "PoleSum.energy",
+            "PoleSum.heat"} <= set(costs)
     assert all(0.0 < float(us) < 1e6 for us in costs.values())
 
 
