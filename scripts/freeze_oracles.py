@@ -454,3 +454,92 @@ for gamma, wd in ((1.0, 1e44), (1e-3, 1e100), (1e3, 1e54)):
                      th * (1 + pole_sum(*fraction, 2 * mp.pi * mp.mpf(th))))
                 if th > 1e-3:
                     show(f"C_osc_drude{label}", pole_heat(*fraction, mp.mpf(th), 1))
+
+
+# ---------------- h, G and the forms built on them, to theta = 1e-300
+# h(z) = z^2 psi'(1+z) - z + 1/2 and G(z) = g(z) - ln(2 pi z)/2 + z + 1/2 from
+# their definitions, with 2 log10|z| + 40 digits where |z| > 1, so that the
+# cancelling terms of size |z| leave 40; the closed forms likewise take
+# 2 log10(1/theta) + 40 digits below theta = 1
+def h_def(z):
+    z = mp.mpc(z)
+    return z * z * mp.psi(1, 1 + z) - z + mp.mpf(1) / 2
+
+
+def G_def(z):
+    z = mp.mpc(z)
+    return (mp.loggamma(1 + z) - z * mp.psi(0, 1 + z) - mp.log(2 * mp.pi * z) / 2
+            + z + mp.mpf(1) / 2)
+
+
+def digits(x):
+    # the working precision for an argument of size x or a theta of 1/x
+    return int(2 * max(0, mp.log10(abs(x)))) + 40
+
+
+H_G_POINTS = [0.5, 3.0, 11.9, 12.1, 1e3, 1e300, complex(3.0, 4.0), complex(8.0, -9.0),
+              complex(1e-3, 5.0), complex(1e-9, 11.5), complex(1e-3, 12.5),
+              complex(1e-8, 1e5), complex(2.0, 1e300)]
+for z in H_G_POINTS:
+    with mp.workdps(digits(abs(z))):
+        show(f"h({z!r})", h_def(z))
+        show(f"G({z!r})", G_def(z))
+
+
+def at_theta(fn, theta, *args):
+    with mp.workdps(digits(1 / mp.mpf(theta))):
+        return fn(mp.mpf(theta), *(mp.mpf(x) for x in args))
+
+
+def c_free(theta, r):
+    return c_free_ohmic(theta) if r == mp.inf else c_free_drude(theta, r)
+
+
+# low thetas, where the psi' and ln Gamma terms of the definitions cancel to O(theta)
+for th in (1e-9, 1e-12, 1e-18, 1e-300):
+    show(f"C_damped({th!r},1)", at_theta(c_damped, th, 1.0))
+    show(f"S_damped({th!r},1)", at_theta(s_damped, th, 1.0))
+for r in (0.01, 1.0, 4.0, 10.0, mp.inf):
+    for th in (1e-9, 1e-14, 1e-300, 1e-307):
+        show(f"C_free({th!r},{r!r})", at_theta(c_free, th, r))
+# test_grid.py's CANCELLING grid, for each of its six forms
+for th in (2.0, 0.5, 1e-8, 1e-9):
+    show(f"C_damped({th!r},1)", at_theta(c_damped, th, 1.0))
+    show(f"S_damped({th!r},0.5)", at_theta(s_damped, th, 0.5))
+    show(f"C_damped({th!r},2)", at_theta(c_damped, th, 2.0))
+    show(f"C_free({th!r},inf)", at_theta(c_free_ohmic, th))
+    show(f"C_free({th!r},10.0)", at_theta(c_free_drude, th, 10.0))
+    show(f"C_osc_drude({th!r},1,r10,partition)",
+         pole_heat(*osc_drude_fraction(mp.mpf(1), mp.mpf(10), True), mp.mpf(th), 1))
+for alpha in (0.5, 2.0, 5.0):
+    show(f"C_damped(1e-307,{alpha!r})", at_theta(c_damped, 1e-307, alpha))
+# tests/test_cli.py's curve rows at alpha = 1
+for th in (1e-300, 1e-299):
+    show(f"C_damped({th!r},1)", at_theta(c_damped, th, 1.0))
+    show(f"S_damped({th!r},1)", at_theta(s_damped, th, 1.0))
+for th in (1e-307, 1e-306):
+    show(f"S_damped({th!r},1)", at_theta(s_damped, th, 1.0))
+# PoleSum.heat where the psi' terms of its definition cancel: the Drude oscillator (1, 10)
+# on both routes, the free particle at r = 1 and the stiff oscillator
+# (1e4, 1e6), each root its own simple pole
+for th in (1e-3, 1e-8):
+    for route in ("energy", "partition"):
+        show(f"C_osc_drude({th!r},1,r10,{route})",
+             pole_heat(*osc_drude_fraction(mp.mpf(1), mp.mpf(10), route == "partition"),
+                       mp.mpf(th), 1))
+show("C_free_drude_partition(1e-3,r1)",
+     pole_heat([4, 2], poly_mul([1, 1, 1], [1, 1]), mp.mpf(1e-3), mp.mpf(1) / 2))
+for route in ("energy", "partition"):
+    show(f"C_osc_drude(1e-4,gamma=1e4,wd=1e6,{route})",
+         pole_heat(*osc_drude_fraction(mp.mpf(1e4), mp.mpf(1e6), route == "partition"),
+                   mp.mpf(1e-4), 1))
+# scripts/theta_scaling.py's references: the closed C and S at theta = 10^k
+print("ORACLES = {")
+for k in range(-9, 10):
+    th = 10.0 ** k
+    print(f"    ({k}, 'damped_specific_heat'): {mp.nstr(at_theta(c_damped, th, 1.0), 17)},")
+    print(f"    ({k}, 'damped_entropy'): {mp.nstr(at_theta(s_damped, th, 1.0), 17)},")
+    print(f"    ({k}, 'ohmic_specific_heat'): {mp.nstr(at_theta(c_free_ohmic, th), 17)},")
+    print(f"    ({k}, 'drude_specific_heat'): "
+          f"{mp.nstr(at_theta(c_free_drude, th, 10.0), 17)},")
+print("}")

@@ -47,7 +47,7 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
 from qbrownian.cli import main as cli_main
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -163,7 +163,7 @@ def special_functions() -> None:
                ("g_func", _g), ("polygamma_0", _digamma),
                ("polygamma_1", _trigamma)]
     kernels = [("_ln_gamma", _ln_gamma), ("_digamma", _digamma),
-               ("_trigamma", _trigamma), ("_g", _g)]
+               ("_trigamma", _trigamma), ("_g", _g), ("_h", _h), ("_G", _G)]
     # the kernels overflow on some of these arguments, as the values show
     with np.errstate(all="ignore"):
         for name, fn in scalars:
@@ -202,7 +202,7 @@ def closed_forms() -> list:
     for ratio in (0.01, 1.0, 4.0 - 1e-7, 4.0, 4.0 + 1e-7, 10.0, math.inf):
         forms.append((f"drude_specific_heat r={ratio}",
                       lambda t, r=ratio: drude_specific_heat(t, r)))
-        forms.append((f"drude_z_pm r={ratio}", lambda t, r=ratio: drude_pair(t, r)[2:]))
+        forms.append((f"drude_x_pm r={ratio}", lambda t, r=ratio: drude_pair(r)[1:]))
     forms += [("ohmic_specific_heat", ohmic_specific_heat),
               ("ohmic_lowT_expansion", ohmic_lowT_expansion)]
     for kind in ("undamped_lowT", "undamped_highT", "damped_lowT", "damped_highT"):

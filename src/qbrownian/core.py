@@ -219,24 +219,19 @@ def check_nonnegative(name: str, value) -> float:
 
 
 ROUNDOFF_LIMIT = 1e-6       # relative to the result
-ROUNDOFF_FLOOR = 1e-12      # absolute, in the result's units (k_B for C and S)
 
 
 def checked_real(total, magnitude, what: str, **params):
-    """The real value of a cancelling sum of terms, or an error saying why not.
+    """The real value of a sum of terms, or an error saying why not.
 
     Conjugate-pair combinations in the closed forms are exactly real in IEEE
     arithmetic, so a surviving imaginary part signals a formula or domain bug
     rather than roundoff and raises DomainError.  magnitude is the sum of the
     absolute values of the terms added up to total, so magnitude * eps
     estimates the roundoff left in it.  ConvergenceError, naming params as the
-    inputs, is raised when that roundoff exceeds both ROUNDOFF_LIMIT relative
-    to |value| and ROUNDOFF_FLOOR, reported as inf where the value or the
-    magnitude is not finite.  A value that is not finite comes from a term
-    that is not, or from a sum that overflows, so its magnitude is not
-    finite either.  The floor lets a result that is exponentially small in
-    truth, such as the undamped specific heat at low temperature, pass with
-    its tiny absolute error.
+    inputs, is raised when that roundoff exceeds ROUNDOFF_LIMIT relative to
+    |value|, and where the value or the magnitude is not finite in double
+    precision, as a term that is not or a sum that overflows leaves them.
 
     total, magnitude and the params may be arrays over a temperature grid,
     checked elementwise with the same thresholds; the real parts come back
@@ -245,9 +240,7 @@ def checked_real(total, magnitude, what: str, **params):
     """
     if isinstance(total, np.ndarray):
         value = total.real
-        err = magnitude * EPS
-        ok = (np.isfinite(value)
-              & ((err <= ROUNDOFF_LIMIT * np.abs(value)) | (err <= ROUNDOFF_FLOOR))
+        ok = (np.isfinite(value) & (magnitude * EPS <= ROUNDOFF_LIMIT * np.abs(value))
               & (np.abs(total.imag) <= 1e-12 * np.maximum(1.0, np.abs(value))))
         if ok.all():
             return value
@@ -263,13 +256,13 @@ def checked_real(total, magnitude, what: str, **params):
         raise DomainError(f"{what} should be real, got imaginary part {z.imag!r}")
     value = z.real
     err = magnitude * EPS
-    if math.isfinite(value) and (err <= ROUNDOFF_LIMIT * abs(value)
-                                 or err <= ROUNDOFF_FLOOR):
+    if math.isfinite(value) and err <= ROUNDOFF_LIMIT * abs(value):
         return value
     inputs = ", ".join(f"{name}={x!r}" for name, x in params.items())
-    loss = (err / abs(value) if value != 0.0 and math.isfinite(value)
-            and math.isfinite(magnitude) else math.inf)
-    raise ConvergenceError(
-        f"{what} at {inputs} lost its digits to cancellation: estimated "
-        f"relative roundoff {loss:.3g} exceeds {ROUNDOFF_LIMIT:g}",
-        achieved=loss, requested=ROUNDOFF_LIMIT)
+    finite = math.isfinite(value) and math.isfinite(magnitude)
+    loss = err / abs(value) if finite and value != 0.0 else math.inf
+    cause = (f"lost its digits to cancellation: estimated relative roundoff "
+             f"{loss:.3g} exceeds {ROUNDOFF_LIMIT:g}" if finite
+             else "is not finite in double precision")
+    raise ConvergenceError(f"{what} at {inputs} {cause}", achieved=loss,
+                           requested=ROUNDOFF_LIMIT)

@@ -32,7 +32,7 @@ Summed over nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 
     sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s).
 
-PoleSum evaluates E this way, and C = dE/dT through psi', at a cost flat in
+PoleSum evaluates E this way, C = dE/dT through specfun's h, at a cost flat in
 theta; a cluster of near-coincident poles adds the contour integral of R times
 the psi factor around it (trapezoid rule).  energy_sum adds the terms one by
 one, by Horner's rule in 1/nu, up to N = 4 B beta / (2 pi), B a bound on the
@@ -57,7 +57,8 @@ import numpy as np
 from .core import (EPS, TWO_PI, ConvergenceError, DomainError, Estimate,
                    check_nonnegative, check_positive, checked_real, elementwise,
                    gridwise, where)
-from .specfun import _BERNOULLI, _digamma, _trigamma
+from .oscillator import undamped_thermo
+from .specfun import _BERNOULLI, _digamma, _h
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -490,9 +491,8 @@ def _energy_factor(nu, s):
 
 
 def _heat_factor(nu, s):
-    # C's factor in the pole formula, -(nu/s^2) psi'(1 - nu/s), in z = nu/s: no s^2
-    z = nu / s
-    return -(z * _trigamma(1.0 - z)) / s
+    # C's factor in the pole formula, -h(-nu/s)/nu: no s^2 is formed
+    return _h(-nu / s) / -nu
 
 
 def _share(nodes, coefficients, s, factor):
@@ -527,10 +527,12 @@ class PoleSum:
 
     and E = c theta (1 + that sum) plus the same regularization constant as
     energy_sum, with c = 1 for the oscillator and 1/2 for the free particle.
-    Its theta derivative needs psi' only:
+    Its theta derivative, with specfun's h(z) = z^2 psi'(1 + z) - z + 1/2, is
 
-        C = dE/dtheta = c (1 - sum_i r_i (p_i/s^2) psi'(1 - p_i/s))
-                        - gamma / (2 pi theta)  [regularized only].
+        C = dE/dtheta = -c sum_i r_i h(-p_i/s) / p_i,
+
+    as sum_i r_i = 0 and R(0) = 2 wherever there is a coupling; the
+    regularized summands' pole at nu = 0 adds exactly 0 and stays out.
 
     Poles (by formula: _roots) and residues are computed once per (omega0,
     kernel, route); each theta then costs a few psi evaluations.  Near
@@ -538,7 +540,7 @@ class PoleSum:
     oscillator's triple root) are summed together, as the integral of R
     times the psi factor around a circle enclosing them, by the trapezoid
     rule on _CLUSTER_NODES points, so E and C stay continuous through every
-    degeneracy and C's check sees the cancellation among the circle's terms
+    degeneracy and C's check sees any cancellation among the circle's terms
     as it sees it among simple poles.  theta is k_B T in the units of
     omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
     it as a float or as an ndarray of temperatures, evaluated in one pass.
@@ -579,12 +581,14 @@ class PoleSum:
                 -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
             ratio = _ratio(numerator, z, poles)
             self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
+        # the regularized summands' pole at nu = 0 adds exactly 0 to C
+        self._heat_groups = [g for g in self._groups if type(g[0]) is not complex or g[0]]
 
-    def _sum(self, theta, factor):
+    def _sum(self, theta, factor, groups):
         s = TWO_PI * (theta / self._radius)
         # zeros shaped like theta (s is inf where theta / radius overflows)
         total = magnitude = 0.0 * theta
-        for nodes, coefficients in self._groups:
+        for nodes, coefficients in groups:
             share, size = _share(nodes, coefficients, s, factor)
             total = total + share.real
             magnitude = magnitude + size
@@ -593,7 +597,7 @@ class PoleSum:
     @gridwise
     def energy(self, theta):
         """Internal energy at theta; regularized like energy_sum's value."""
-        total, _ = self._sum(theta, _energy_factor)
+        total, _ = self._sum(theta, _energy_factor, self._groups)
         value = self._dof * theta * (1.0 + total)
         if self.regularized:
             value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
@@ -601,21 +605,17 @@ class PoleSum:
 
     @gridwise
     def heat(self, theta):
-        """Specific heat dE/dtheta, exact; ConvergenceError if cancellation ate it.
+        """Specific heat dE/dtheta, exact; ConvergenceError if roundoff ate it.
 
-        Each term is -r z psi'(1 - z)/s in z = p/s, so no s^2 is formed to
-        underflow, at any cutoff ratio.  At low theta the terms grow like
-        1/theta while C falls like theta, so C keeps about
-        -log10(eps / theta^2) digits and fails below theta ~ 1e-5.
+        Each term, -r h(-p/s)/p, is O(theta) where C is.  At zero coupling
+        their real part is exactly 0 at low theta: the bare C answers.
         """
-        total, magnitude = self._sum(theta, _heat_factor)
-        value = self._dof * (1.0 + total)
-        magnitude = self._dof * (1.0 + magnitude)
-        if self.regularized:
-            tail = self._gamma / (TWO_PI * theta)
-            value -= tail
-            magnitude += tail
-        return checked_real(value, magnitude, "specific heat", theta=theta)
+        if self._gamma == 0.0:
+            return (undamped_thermo(theta / self._w_ref).C if self._dof == 1.0
+                    else 0.5 + 0.0 * theta)
+        total, magnitude = self._sum(theta, _heat_factor, self._heat_groups)
+        return checked_real(self._dof * total, self._dof * magnitude, "specific heat",
+                            theta=theta)
 
 
 def _gap_fraction(omega0: float, kernel: DampingKernel):

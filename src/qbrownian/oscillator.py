@@ -18,9 +18,9 @@ the sign of a zero imaginary part, which the real result drops).  The two
 specific-heat routes, differentiating the internal energy and the entropy,
 are one sum term by term (g'(z) = -z psi'(1 + z)), so one closed form serves
 both: damped_specific_heat_via_entropy returns damped_specific_heat.
-At low temperature their terms grow like 1/theta while the results vanish
-like theta; each closed form raises ConvergenceError when that cancellation
-would leave fewer than six digits, which happens below theta ~ 1e-5.
+Each form is a sum of h(lam) or G(lam) (specfun), whose terms are O(theta)
+where the results are, so each refuses (ConvergenceError) only where lam is
+not finite or, at small alpha, where Re lam is small, its roundoff does.
 
 Every function here takes theta as a float or as an ndarray of temperatures
 (alpha stays a float) and returns floats or arrays to match.
@@ -34,7 +34,7 @@ import sys
 
 from .core import (TWO_PI, DomainError, ThermoPoint, check_nonnegative,
                    checked_real, elementwise, gridwise, where)
-from .specfun import _g, _trigamma
+from .specfun import _G, _h
 
 
 @gridwise
@@ -62,8 +62,8 @@ def undamped_thermo(theta) -> ThermoPoint:
 
 
 def _lambda_pm(theta, alpha: float):
-    # (lam_+, lam_-, a = alpha / (2 pi theta), alpha), the damped forms'
-    # arguments for a checked theta, with alpha checked and taken as a double
+    # (lam_+, lam_-, alpha), the damped forms' arguments for a checked theta,
+    # with alpha checked and taken as a double
     alpha = check_nonnegative("alpha", alpha)
     scale = 1.0 / (TWO_PI * theta)
     half = alpha / 2.0
@@ -75,26 +75,24 @@ def _lambda_pm(theta, alpha: float):
     # lam_- = scale^2 / lam_+ above alpha = 2; scale times a complex factor, as
     # lam_+ is, so that a grid has the bits of its float calls
     lam_minus = scale * (half - root if alpha <= 2.0 else 1.0 / (half + root))
-    return scale * (half + root), lam_minus, alpha / (TWO_PI * theta), alpha
+    return scale * (half + root), lam_minus, alpha
 
 
 @gridwise
 def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
     """Specific heat of the ohmically damped oscillator, internal-energy route.
 
-    C/k_B = 1 - a + lam_+^2 psi'(1 + lam_+) + lam_-^2 psi'(1 + lam_-) with
-    a = alpha / (2 pi theta).  At alpha = 0 this reduces to the undamped
-    closed form analytically; it is evaluated through the same expression so
-    the reduction is a checked property, not a special case.
+    C/k_B = h(lam_+) + h(lam_-) = 1 - a + sum lam^2 psi'(1 + lam), as
+    lam_+ + lam_- = a = alpha / (2 pi theta).  At alpha = 0 the real part
+    of an imaginary pair's series is exactly 0: the undamped form answers.
     """
-    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
-    # not lam ** 2: a Python complex ** raises OverflowError where * gives inf
-    t_plus = lam_plus * lam_plus * _trigamma(1.0 + lam_plus)
-    t_minus = (t_plus.conjugate() if alpha <= 2.0
-               else lam_minus * lam_minus * _trigamma(1.0 + lam_minus))
-    total = (1.0 - a) + t_plus + t_minus
-    magnitude = 1.0 + a + abs(t_plus) + abs(t_minus)
-    heat = checked_real(total, magnitude, "specific heat", theta=theta, alpha=alpha)
+    lam_plus, lam_minus, alpha = _lambda_pm(theta, alpha)
+    if alpha == 0.0:
+        return ThermoPoint(C=undamped_thermo(theta).C)
+    h_plus = _h(lam_plus)
+    h_minus = h_plus.conjugate() if alpha <= 2.0 else _h(lam_minus)
+    heat = checked_real(h_plus + h_minus, abs(h_plus) + abs(h_minus), "specific heat",
+                        theta=theta, alpha=alpha)
     return ThermoPoint(C=heat)
 
 
@@ -102,16 +100,18 @@ def damped_specific_heat(theta, alpha: float) -> ThermoPoint:
 def damped_entropy(theta, alpha: float) -> ThermoPoint:
     """Entropy of the ohmically damped oscillator.
 
-    S/k_B = 1 + ln theta + a + g(lam_+) + g(lam_-).  Vanishes for theta -> 0
-    at any damping, with leading slope (pi/3) alpha.
+    S/k_B = G(lam_+) + G(lam_-) = 1 + ln theta + a + g(lam_+) + g(lam_-), as
+    lam_+ lam_- = (2 pi theta)^-2.  Vanishes for theta -> 0 at any damping,
+    with leading slope (pi/3) alpha; at alpha = 0 as for C.
     """
-    lam_plus, lam_minus, a, alpha = _lambda_pm(theta, alpha)
-    log_theta = elementwise(theta).log(theta)
-    g_plus = _g(lam_plus)
-    g_minus = g_plus.conjugate() if alpha <= 2.0 else _g(lam_minus)
-    total = (1.0 + log_theta + a) + (g_plus + g_minus)
-    magnitude = 1.0 + abs(log_theta) + a + abs(g_plus) + abs(g_minus)
-    entropy = checked_real(total, magnitude, "entropy", theta=theta, alpha=alpha)
+    lam_plus, lam_minus, alpha = _lambda_pm(theta, alpha)
+    if alpha == 0.0:
+        return ThermoPoint(S=undamped_thermo(theta).S)
+    g_plus, size_plus = _G(lam_plus)
+    g_minus, size_minus = ((g_plus.conjugate(), size_plus) if alpha <= 2.0
+                           else _G(lam_minus))
+    entropy = checked_real(g_plus + g_minus, size_plus + size_minus, "entropy",
+                           theta=theta, alpha=alpha)
     return ThermoPoint(S=entropy)
 
 

@@ -1,18 +1,15 @@
 """Gamma-family special functions for complex arguments.
 
 These are the private kernels that the closed forms and PoleSum are built
-from.  _ln_gamma, _digamma and _trigamma push the argument up to Re(z) >= 10
-with the standard recurrences and then apply the Stirling-type asymptotic
-series with eight Bernoulli terms, which is enough for ~1e-13 relative
-accuracy in double precision.  One loop, _series, sums all three series.  _g
-is the combination
-
-    g(z) = ln Gamma(1 + z) - z psi(1 + z)
-
-that the damped-oscillator entropy is built from.
+from.  _ln_gamma and _digamma push the argument up to Re(z) >= 10 with the
+standard recurrences, then apply the Stirling series with eight Bernoulli
+terms (~1e-13 relative), summed by one loop, _series.  The closed forms' C
+and S are sums of h(z) = z^2 psi'(1 + z) - z + 1/2 and G(z) = g(z) -
+ln(2 pi z)/2 + z + 1/2, g(z) = ln Gamma(1 + z) - z psi(1 + z): O(1/z) where
+their terms are O(z), and -z G'(z) = h(z) (DLMF 5.11.1, 5.15.8).
 
 Each kernel takes either a Python complex or a complex ndarray.  All of them
-push their argument through one helper, _push: a complex moves up one step
+push their argument through one helper, _push: a complex moves up a step
 at a time, an array moves only its elements still below the threshold,
 selected by index, so a whole temperature grid costs a few dozen numpy
 operations.  The recurrence and the series are the same code for both.
@@ -27,7 +24,7 @@ closed forms and PoleSum refuse through core.checked_real and core.gridwise,
 naming the temperature.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
-complex arithmetic and in numpy's alike, so all four kernels map conjugate
+complex arithmetic and in numpy's alike, so every kernel maps conjugate
 inputs to exactly conjugate outputs, for scalars and arrays.  That is what
 makes conjugate-pair sums in the thermodynamic formulas exactly real, not
 merely real up to roundoff, and what lets a closed form evaluate a kernel
@@ -42,7 +39,7 @@ import math
 
 import numpy as np
 
-from .core import where
+from .core import TWO_PI, where
 
 _PUSH = 10.0
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297
@@ -63,6 +60,9 @@ _BERNOULLI = (
 _LN_GAMMA = tuple(b2k / ((2 * k) * (2 * k - 1))
                   for k, b2k in enumerate(_BERNOULLI, start=1))
 _DIGAMMA = tuple(b2k / (2 * k) for k, b2k in enumerate(_BERNOULLI, start=1))
+# B_2k, k = 1..10 (h falls from B_2 / w, not 1 / w), and B_2k / (2k - 1) for G
+_H_SERIES = _BERNOULLI + (43867.0 / 798.0, -174611.0 / 330.0)
+_G_SERIES = tuple(b2k / (2 * k - 1) for k, b2k in enumerate(_H_SERIES, start=1))
 
 
 def _log(z):
@@ -70,8 +70,8 @@ def _log(z):
     return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
 
 
-def _push(z, term):
-    """(z + k, sum of term(z + j) for j < k), k the steps to Re(z + k) >= _PUSH.
+def _push(z, term, step=1.0):
+    """(z + k, sum of term(z + j) for j = 0, step, .. < k), Re(z + k) >= _PUSH.
 
     A non-finite element of z is set to nan first, which is not pushed and
     makes the kernel's value nan: inf would leave a finite value (psi'(inf)
@@ -88,7 +88,7 @@ def _push(z, term):
         shift = 0.0 + 0.0j
         while z.real < _PUSH:
             shift += term(z)
-            z += 1.0
+            z += step
         return z, shift
     z = np.array(z, dtype=complex, order="C")
     np.copyto(z, math.nan, where=~np.isfinite(z))
@@ -98,7 +98,7 @@ def _push(z, term):
     while index.size:
         w = flat_z[index]
         flat_shift[index] += term(w)
-        w += 1.0
+        w += step
         flat_z[index] = w
         index = index[w.real < _PUSH]
     return z, shift
@@ -129,11 +129,8 @@ def _digamma(z):
 
 
 def _trigamma(z):
-    z, shift = _push(z, lambda w: 1.0 / (w * w))
-    rz = 1.0 / z
-    rz2 = rz * rz
-    value = rz + 0.5 * rz2 + _series(0.0 + 0.0j, rz * rz2, rz2, _BERNOULLI)
-    return value + shift
+    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
+    return (1.0 + (0.5 + _h(z)) / z) / z
 
 
 def _g(z):
@@ -141,3 +138,38 @@ def _g(z):
     # g(0) = 0 exactly, not the roundoff of ln Gamma(1)
     return where(z == 0, 0.0j, _ln_gamma(w) - z * _digamma(w))
 
+
+def _h(z):
+    """h(z), Re z >= 0, to a few eps: (1+z)^2 h(z) = z^2 h(1+z) + 1/2 pushed to
+    w = 1 + z + k, every term positive for a real z, and h(w) by its series."""
+    # two steps per term, (x (x+1))^-2 + ((x+1) (x+2))^-2, by quotients
+    w, shift = _push((one := 1.0 + z), lambda x: (u := (r := 1.0 / (x + 1.0)) / x) * u
+                     + (v := r / (x + 2.0)) * v, 2.0)
+    r1, rw = 1.0 / one, 1.0 / w
+    rw2, ratio = rw * rw, z * rw
+    series = _H_SERIES[-1]
+    for coefficient in _H_SERIES[-2::-1]:     # Horner's rule in 1/w^2
+        series = series * rw2 + coefficient
+    return 0.5 * (r1 * r1 + z * shift * z) + ratio * ratio * rw * series
+
+
+def _G(z):
+    """(G(z), Re z >= 0, and the sum of |terms| it is formed from): the series
+    from |z| = 12, else the direct formula on _g, each on its own elements."""
+    def series(z):
+        rz = 1.0 / z
+        value = _series(0.0 + 0.0j, rz, rz * rz, _G_SERIES)
+        return value, abs(value)
+
+    def direct(z):
+        terms = (_g(z), -0.5 * _log(TWO_PI * z), z + 0.5)
+        return sum(terms), sum(map(abs, terms))
+
+    if not isinstance(z, np.ndarray):
+        # G(0) is inf, where cmath.log raises: a complex 0 is taken as nan
+        return (series if 12.0 <= abs(z) < math.inf else direct)(z or math.nan)
+    far = (12.0 <= np.abs(z)) & np.isfinite(z)
+    value, magnitude = np.empty(z.shape, complex), np.empty(z.shape)
+    value[far], magnitude[far] = series(z[far])
+    value[~far], magnitude[~far] = direct(z[~far])
+    return value, magnitude

@@ -25,7 +25,7 @@ from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_he
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
 from qbrownian.quadrature import moments, spectral_energy
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _digamma, _h, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -228,16 +228,14 @@ def test_10_reality_and_continuity_at_critical_parameters():
     for theta in (0.05, 0.3, 1.0, 5.0):
         for alpha in (0.5, 1.0, 1.5, 1.9, 1.99):
             lam_plus, lam_minus = _lambda_pm(theta, alpha)[:2]
-            total = (lam_plus ** 2 * _trigamma(1.0 + lam_plus)
-                     + lam_minus ** 2 * _trigamma(1.0 + lam_minus))
+            total = _h(lam_plus) + _h(lam_minus)
             assert abs(total.imag) < 1e-12 * max(1.0, abs(total.real))
-            total_g = _g(lam_plus) + _g(lam_minus)
+            total_g = _G(lam_plus)[0] + _G(lam_minus)[0]
             assert abs(total_g.imag) < 1e-12 * max(1.0, abs(total_g.real))
         for ratio in (0.5, 1.0, 2.0, 3.9, 3.99):
-            z_plus, z_minus = _drude_pair(theta, ratio)[2:]
-            s = cmath.sqrt(complex(1.0 - 4.0 / ratio, 0.0))
-            bracket = (z_plus * _trigamma(1.0 + z_plus)
-                       - z_minus * _trigamma(1.0 + z_minus)) / s
+            s, x_plus, x_minus = _drude_pair(ratio)
+            a = 1.0 / (2.0 * math.pi * theta)
+            bracket = (_h(a * x_plus) / x_plus - _h(a * x_minus) / x_minus) / s
             assert abs(bracket.imag) < 1e-12 * max(1.0, abs(bracket.real))
         # overdamped and super-critical-cutoff points must evaluate cleanly too
         for alpha in (2.0, 2.01, 3.0, 5.0):

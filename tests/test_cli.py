@@ -268,17 +268,38 @@ def test_curve_energy_reaches_far_below_the_sums(tmp_path):
     assert energies[0] == pytest.approx(energies[1], abs=1e-12)
 
 
+# C and S at alpha = 1 (scripts/freeze_oracles.py), where the terms of their
+# definitions cancel; each is (pi/3) theta to every digit a double holds
+LOW_THETA_CS = {
+    ("C", 1e-300): 1.047197551196597772396034e-300,
+    ("S", 1e-300): 1.047197551196597772396034e-300,
+    ("C", 1e-299): 1.047197551196597737674959e-299,
+    ("S", 1e-299): 1.047197551196597737674959e-299,
+    ("S", 1e-307): 1.047197551196597651201279e-307,
+    ("S", 1e-306): 1.047197551196597775373519e-306,
+}
+
+
 @pytest.mark.parametrize("quantities, tmin, tmax", [
     ("C,S", "1e-300", "1e-299"), ("S", "1e-307", "1e-306")], ids=["1e-300", "1e-307"])
-def test_closed_form_cancellation_exits_3(quantities, tmin, tmax, capsys):
-    # C and S at theta = 1e-300 used to come out as nan and 3.5e285; at
-    # 1e-307 ln Gamma(1 + lambda_+) overflows, a numerical failure too
-    ret = main(["curve", "--model", "oscillator", "--tmin", tmin,
+def test_closed_form_cancellation_exits_3(quantities, tmin, tmax, tmp_path, capsys):
+    # as sums of h and G, C and S keep their digits at theta = 1e-300 and
+    # 1e-307; where 1/(2 pi theta) overflows, at 1e-320, the command exits 3
+    out = tmp_path / "low.csv"
+    assert main(["curve", "--model", "oscillator", "--tmin", tmin, "--tmax", tmax,
+                 "--points", "2", "--quantities", quantities, "--out", str(out)]) == 0
+    header, _, rows = read_csv(out)
+    assert [float(row[0]) for row in rows] == [float(tmin), float(tmax)]
+    for row in rows:
+        for name, value in zip(header[1:], row[1:]):
+            want = LOW_THETA_CS[name[0], float(row[0])]
+            assert float(value) == pytest.approx(want, rel=1e-13, abs=0.0), name
+    ret = main(["curve", "--model", "oscillator", "--tmin", "1e-320",
                 "--tmax", tmax, "--points", "2", "--quantities", quantities])
     captured = capsys.readouterr()
     assert ret == 3
     assert "numerical failure:" in captured.err
-    assert f"theta={tmin}" in captured.err
+    assert "theta=1e-320," in captured.err
 
 
 @pytest.mark.parametrize("model, theta", [("oscillator", "1e+150"), ("free", "1e+150")])
@@ -325,16 +346,24 @@ def test_triple_point_energy_reaches_the_ground_state(tmp_path):
         assert float(row[1]) == pytest.approx(TRIPLE_POINT_E0, rel=1e-12)
 
 
-def test_triple_point_heat_cancellation_exits_3(capsys):
-    # C ~ 1.6e-9 at theta = 1e-9 is lost to cancellation among the coincident
-    # poles' terms; it used to be written as 8.2e-8 with exit 0
-    ret = main(TRIPLE_POINT + ["--tmin", "1e-9", "--tmax", "1e-3", "--log",
-                               "--points", "7"])
-    captured = capsys.readouterr()
-    assert ret == 3
-    assert "numerical failure:" in captured.err
-    assert "theta=1e-09" in captured.err
-    assert captured.out == ""
+# the triple point's C on the energy route at theta = 1e-9, 1e-8, .., 1e-3:
+# the coincident-pole oracles of scripts/freeze_oracles.py (every root its own
+# simple pole, 60 digits), as in tests/test_pole_sum.py
+TRIPLE_POINT_C = [1.6122661015415271e-9, 1.6122661015415271e-8, 1.612266101541527e-7,
+                  1.612266101541527e-6, 1.6122661015415272e-5, 0.00016122661015415152,
+                  0.0016122661014218763]
+
+
+def test_triple_point_heat_cancellation_exits_3(tmp_path, capsys):
+    # the coincident poles' circle terms -R h(-nu/s)/nu are O(theta), as
+    # C ~ 1.6e-9 at theta = 1e-9 is, so C keeps its digits down to there
+    out = tmp_path / "triple.csv"
+    assert main(TRIPLE_POINT + ["--tmin", "1e-9", "--tmax", "1e-3", "--log",
+                                "--points", "7", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    for (theta, heat), want in zip(rows, TRIPLE_POINT_C):
+        assert float(heat) == pytest.approx(want, rel=1e-13, abs=0.0), theta
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_alpha_is_a_usage_error(capsys):

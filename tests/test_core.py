@@ -58,16 +58,22 @@ def test_checked_real():
                        match="heat at theta=0.5, alpha=2.0 lost its digits") as info:
         checked_real(1e-3, 2e10, "heat", theta=0.5, alpha=2.0)
     assert info.value.achieved == pytest.approx(2e13 * 2.0 ** -52)
-    # a value or magnitude that is not finite has lost every digit: the
-    # roundoff reads inf, never nan
+    # a value or magnitude that is not finite is named so, with the roundoff
+    # read as inf, never nan
     for total, magnitude in [(complex(math.nan, math.nan), math.nan), (0.5, math.nan),
-                             (math.nan, math.inf)]:
+                             (math.nan, math.inf), (math.inf, 1.0)]:
         with pytest.raises(ConvergenceError,
-                           match="lost its digits.* roundoff inf ") as info:
+                           match="heat at theta=1e-300 is not finite in double "
+                                 "precision$") as info:
             checked_real(total, magnitude, "heat", theta=1e-300)
         assert info.value.achieved == math.inf
-    # a tiny value with a tiny roundoff passes through the absolute floor
-    assert checked_real(1e-20, 1e-5, "heat", theta=1e-3) == 1e-20
+    # the one limit is relative, however small the value: a roundoff of 2e-21
+    # is a fifth of 1e-20, and an exact zero with any roundoff has lost it all
+    with pytest.raises(ConvergenceError, match=r"roundoff 0\.222 exceeds 1e-06"):
+        checked_real(1e-20, 1e-5, "heat", theta=1e-3)
+    assert checked_real(1e-20, 1e-11, "heat", theta=1e-3) == 1e-20
+    with pytest.raises(ConvergenceError, match="roundoff inf exceeds"):
+        checked_real(0.0, 1.0, "heat", theta=1e-3)
 
 
 def test_result_types_keep_their_fields_defaults_and_repr():

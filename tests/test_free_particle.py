@@ -99,14 +99,12 @@ def test_drude_specific_heat_at_large_cutoff_ratios(key):
 
 
 def test_small_drude_root_is_taken_from_the_product():
-    # z_- = z0 (1 - sqrt(1 - 4/r)) is 1/(2 pi theta) (1 + 1/r + ...): z0 (1 - s)
-    # rounds it to 0 from r ~ 1e17
+    # x_- = (r/2) (1 - sqrt(1 - 4/r)) is 1 + 1/r + ...: (r/2) (1 - s) rounds
+    # it to 0 from r ~ 1e17
     for ratio in (1e8, 1e17, 1e300):
-        for theta in (1e-3, 1.0):
-            z_minus = _drude_pair(theta, ratio)[3]
-            want = (1.0 + 1.0 / ratio) / (TWO_PI * theta)
-            assert z_minus.real == pytest.approx(want, rel=1e-15)
-            assert z_minus.imag == 0.0
+        x_minus = _drude_pair(ratio)[2]
+        assert x_minus.real == pytest.approx(1.0 + 1.0 / ratio, rel=1e-15)
+        assert x_minus.imag == 0.0
 
 
 def test_drude_degenerate_cutoff():
@@ -152,18 +150,18 @@ def test_finite_cutoff_raises_c_toward_classical():
 
 
 def test_drude_pair_invariants():
+    # x_pm are the roots of x^2 - r x + r, whatever theta is
     rng = np.random.default_rng(314)
     for _ in range(100):
-        theta = float(rng.uniform(0.05, 10.0))
         ratio = float(rng.uniform(0.1, 12.0))
-        z_plus, z_minus = _drude_pair(theta, ratio)[2:]
-        z0 = ratio / (2.0 * TWO_PI * theta)
-        assert abs(z_plus + z_minus - 2.0 * z0) <= 1e-13 * z0
-        assert abs(z_plus * z_minus - z0 * z0 * (4.0 / ratio)) <= 1e-13 * z0 * z0
+        s, x_plus, x_minus = _drude_pair(ratio)
+        assert abs(x_plus + x_minus - ratio) <= 1e-13 * ratio
+        assert abs(x_plus * x_minus - ratio) <= 1e-13 * ratio
+        assert x_plus - x_minus == pytest.approx(ratio * s, rel=1e-13)
         if ratio < 4.0:
-            assert z_minus == z_plus.conjugate()
+            assert x_minus == x_plus.conjugate()
         else:
-            assert z_plus.imag == 0.0 and z_minus.imag == 0.0
+            assert x_plus.imag == 0.0 and x_minus.imag == 0.0
 
 
 def test_free_energy_sum_frozen_ohmic():
@@ -200,14 +198,46 @@ def test_numpy_cutoff_ratio_is_taken_as_a_double():
 
 
 def test_numpy_cutoff_ratio_is_named_as_a_double():
-    with pytest.raises(ConvergenceError, match=r"cutoff_ratio=10\.0 lost"):
-        drude_specific_heat(1e-307, np.float32(10.0))
+    # a numpy cutoff is computed and named as its double: at theta = 1e-307
+    # C is within a few eps of (pi/3) theta; at 1e-320, where
+    # a = 1/(2 pi theta) overflows, the refusal names the cutoff
+    got = drude_specific_heat(1e-307, np.float32(10.0)).C
+    assert got == pytest.approx(C_LOW_THETA[1e-307, 10.0], rel=1e-13, abs=0.0)
+    with pytest.raises(ConvergenceError, match=r"cutoff_ratio=10\.0 is not finite"):
+        drude_specific_heat(1e-320, np.float32(10.0))
+
+
+# C where the pair's psi' terms, of size 1/theta, cancel to O(theta), from the
+# definitions with 2 log10(1/theta) + 40 digits (scripts/freeze_oracles.py)
+C_LOW_THETA = {
+    (1e-9, 0.01): 1.047197551196599456775094e-9,
+    (1e-14, 0.01): 1.047197551196597744917798e-14,
+    (1e-300, 0.01): 1.047197551196597772396034e-300,
+    (1e-9, 1.0): 1.047197551196597819643685e-9,
+    (1e-14, 1.0): 1.047197551196597744917798e-14,
+    (1e-300, 1.0): 1.047197551196597772396034e-300,
+    (1e-9, 4.0): 1.047197551196597807241174e-9,
+    (1e-14, 4.0): 1.047197551196597744917798e-14,
+    (1e-300, 4.0): 1.047197551196597772396034e-300,
+    (1e-9, 10.0): 1.047197551196597804760672e-9,
+    (1e-14, 10.0): 1.047197551196597744917798e-14,
+    (1e-300, 10.0): 1.047197551196597772396034e-300,
+    (1e-307, 10.0): 1.047197551196597651201279e-307,
+    (1e-9, math.inf): 1.047197551196597803107004e-9,
+    (1e-14, math.inf): 1.047197551196597744917798e-14,
+    (1e-300, math.inf): 1.047197551196597772396034e-300,
+}
 
 
 @pytest.mark.parametrize("ratio", [0.01, 1.0, 4.0, 10.0, math.inf])
 def test_specific_heat_fails_loudly_below_its_resolution(ratio):
+    # C = h(a) and the x_pm form keep their digits wherever a x_pm is a
+    # double; at r = 4 theta = 1e-300 makes Im h(a x) subnormal, whose
+    # rounding the relative bound allows; where a overflows C must raise
     for theta in (1e-9, 1e-14, 1e-300):
-        with pytest.raises(ConvergenceError, match="cancellation"):
-            drude_specific_heat(theta, ratio)
+        assert drude_specific_heat(theta, ratio).C == pytest.approx(
+            C_LOW_THETA[theta, ratio], rel=1e-13, abs=0.0)
+    with pytest.raises(ConvergenceError, match=r"at theta=1e-320\b.* not finite"):
+        drude_specific_heat(1e-320, ratio)
     for theta in np.logspace(-4.0, 4.0, 33):
         assert math.isfinite(drude_specific_heat(float(theta), ratio).C)

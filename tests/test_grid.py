@@ -28,7 +28,7 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -128,23 +128,24 @@ def test_grid_of_any_shape():
         assert np.array_equal(fn(flat.reshape(4, 6)), values.reshape(4, 6))
         assert np.array_equal(fn(flat.reshape(6, 4).T), values.reshape(6, 4).T)
         assert np.array_equal(fn(flat[::2]), values[::2])
-    with pytest.raises(ConvergenceError, match=r"at theta=1e-08\b"):
-        damped_specific_heat(CANCELLING.reshape(2, 2), 1.0)
+    # a 2-d grid gives the oracle's values down to theta = 1e-9; where
+    # 1/(2 pi theta) overflows it fails at its first such element
+    got = damped_specific_heat(CANCELLING.reshape(2, 2), 1.0).C
+    assert got == pytest.approx(np.reshape(CANCELLING_C["C"], (2, 2)), rel=1e-13, abs=0.0)
+    with pytest.raises(ConvergenceError, match=r"at theta=1e-320\b"):
+        damped_specific_heat(OVERFLOWING_AT.reshape(2, 2), 1.0)
 
 
 def test_lambda_and_drude_pairs_on_a_grid():
+    # the Drude pair x_pm is free of theta, and a x_pm is formed per element
     for alpha in ALPHAS:
         plus, minus = _lambda_pm(GRID, alpha)[:2]
         for i, t in enumerate(GRID):
             assert (plus[i], minus[i]) == _lambda_pm(float(t), alpha)[:2]
-    for ratio in RATIOS[:-1]:
-        plus, minus = _drude_pair(GRID, ratio)[2:]
-        for i, t in enumerate(GRID):
-            assert (plus[i], minus[i]) == _drude_pair(float(t), ratio)[2:]
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-           ("g", _g)]
+           ("g", _g), ("h", _h), ("G", lambda z: _G(z)[0])]
 
 
 @pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=[n for n, _ in KERNELS])
@@ -178,19 +179,40 @@ def test_kernels_pass_non_finite_arguments_through(kernel):
 
 
 CANCELLING = np.array([2.0, 0.5, 1e-8, 1e-9])
+OVERFLOWING_AT = np.array([2.0, 0.5, 1e-320, 1e-321])
+# each form at CANCELLING, whose low thetas cancel the terms of its definition,
+# from the definitions with 2 log10(1/theta) + 40 digits and the pole form with
+# 60 (scripts/freeze_oracles.py)
+CANCELLING_C = {
+    "C": [0.9122878804922648378052238, 0.6314738690725160502261376,
+          1.047197551196599421732359e-8, 1.047197551196597827912025e-9],
+    "S": [1.741465676611806005404147, 0.5722621620362974327746379,
+          5.235987755982992629977383e-9, 5.235987755982989094773283e-10],
+    "C_S": [0.8594916832321662372277291, 0.588861449611827186449658,
+            2.094395102393193882460448e-8, 2.094395102393195606214008e-9],
+    "ohmic": [0.4297458416160831186138646, 0.294430724805913593224829,
+              1.047197551196596941230224e-8, 1.047197551196597803107004e-9],
+    "drude": [0.456110139885696320189952, 0.3108360903892679161196991,
+              1.047197551196597106597033e-8, 1.047197551196597804760672e-9],
+    "pole": [0.9186912333805249815357416, 0.6147921276572973994758721,
+             1.047197551196599148877124e-8, 1.047197551196597825183473e-9],
+}
 
 
-@pytest.mark.parametrize("fn", [
-    lambda t: damped_specific_heat(t, 1.0).C,
-    lambda t: damped_entropy(t, 0.5).S,
-    lambda t: damped_specific_heat_via_entropy(t, 2.0).C,
-    lambda t: ohmic_specific_heat(t).C,
-    lambda t: drude_specific_heat(t, 10.0).C,
-    PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION).heat,
+@pytest.mark.parametrize("name, fn", [
+    ("C", lambda t: damped_specific_heat(t, 1.0).C),
+    ("S", lambda t: damped_entropy(t, 0.5).S),
+    ("C_S", lambda t: damped_specific_heat_via_entropy(t, 2.0).C),
+    ("ohmic", lambda t: ohmic_specific_heat(t).C),
+    ("drude", lambda t: drude_specific_heat(t, 10.0).C),
+    ("pole", PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION).heat),
 ], ids=["C", "S", "C_S", "ohmic", "drude", "pole"])
-def test_cancelling_grid_point_is_named(fn):
-    with pytest.raises(ConvergenceError, match=r"at theta=1e-08\b"):
-        fn(CANCELLING)
+def test_cancelling_grid_point_is_named(name, fn):
+    # the grid down to theta = 1e-9 answers the oracle; one where
+    # 1/(2 pi theta) overflows is refused at its first such point
+    assert fn(CANCELLING) == pytest.approx(CANCELLING_C[name], rel=1e-13, abs=0.0)
+    with pytest.raises(ConvergenceError, match=r"at theta=1e-320\b"):
+        fn(OVERFLOWING_AT)
 
 
 @pytest.mark.parametrize("fn", [fn for _, fn in FORMS] + [
@@ -255,11 +277,25 @@ def test_grid_overflows_as_the_float_call_does(grid):
             assert got.split(" lost")[0] == want.split(" lost")[0], name
 
 
+# C at theta = 1e-307, where lambda_+ ~ alpha / (2 pi theta) is a double up to
+# alpha ~ 1e2 (scripts/freeze_oracles.py); at alpha = 0 it is e^-(1e307)
+C_AT_1E_307 = {0.0: 0.0, 0.5: 5.235987755982988256006393e-308,
+               2.0: 2.094395102393195302402557e-307,
+               5.0: 5.235987755982988256006393e-307}
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 5.0, 1e3])
 def test_damped_heat_fails_alike_as_float_and_grid(alpha):
-    # lambda_+^2 overflows at theta = 1e-307: the float call squares it as the
-    # grid does, so both reach checked_real and say the same; a numpy alpha
-    # is named as its float
+    # at theta = 1e-307 the float call and the grid answer alike where
+    # lambda_+ is a double, and where lambda_+ overflows both reach
+    # checked_real and say the same; a numpy alpha is named as its float
+    if alpha in C_AT_1E_307:
+        want = C_AT_1E_307[alpha]
+        for got in (damped_specific_heat(1e-307, alpha).C,
+                    damped_specific_heat(np.array([1.0, 1e-307]), alpha).C[1],
+                    damped_specific_heat(1e-307, np.float64(alpha)).C):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        return
     with pytest.raises(ConvergenceError) as as_float:
         damped_specific_heat(1e-307, alpha)
     with pytest.raises(ConvergenceError) as on_grid:
@@ -281,7 +317,7 @@ def test_float_in_gives_python_float_out():
             got, want = fn(x), fn(float(x))
             assert type(got) is float and repr(got) == repr(want), (name, x)
     assert all(type(z) is complex
-               for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(0.5, 10.0)[2:])
+               for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(10.0)[1:])
     # so is a numpy damping or frequency: computed as its Python float
     single = np.float32(0.3)
     for name, fn in [

@@ -286,14 +286,28 @@ CLOSED_FORMS = {
 }
 
 
+# (C, S) at alpha = 1 where the terms of 1 - a + sum lam^2 psi'(1 + lam) and
+# 1 + ln theta + a + sum g(lam) cancel to O(theta), from the definitions
+# with 2 log10(1/theta) + 40 digits (scripts/freeze_oracles.py)
+LOW_THETA = {
+    1e-9: (1.047197551196597827912025e-9, 1.047197551196597816887571e-9),
+    1e-12: (1.047197551196597725091578e-12, 1.047197551196597725091567e-12),
+    1e-18: (1.047197551196597821073266e-18, 1.047197551196597821073266e-18),
+    1e-300: (1.047197551196597772396034e-300, 1.047197551196597772396034e-300),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_closed_forms_fail_loudly_below_their_resolution(name):
     fn = CLOSED_FORMS[name]
-    # once eps/theta^2 swamps the result the value is garbage (C = 0.0 at
-    # theta = 1e-9, nan at 1e-300); it must raise instead
-    for theta in (1e-9, 1e-12, 1e-18, 1e-300):
-        with pytest.raises(ConvergenceError, match="cancellation"):
-            fn(theta, 1.0)
+    # as sums of h or G the forms keep their digits wherever lambda is a
+    # double; where 1/(2 pi theta) overflows they must raise
+    for theta, (heat, entropy) in LOW_THETA.items():
+        want = entropy if name == "S" else heat
+        assert fn(theta, 1.0) == pytest.approx(want, rel=1e-13, abs=0.0), theta
+    with pytest.raises(ConvergenceError, match=r"at theta=1e-320, alpha=1\.0 is not "
+                                               r"finite in double precision"):
+        fn(1e-320, 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))

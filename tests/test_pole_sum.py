@@ -408,10 +408,51 @@ def test_cost_does_not_grow_at_low_temperature():
 
 
 def test_heat_fails_loudly_when_cancellation_wins():
+    # each pole's term -r h(-p/s)/p is O(theta), as C is, so C keeps its
+    # digits at theta = 1e-8; where s = 2 pi theta / radius makes -p/s
+    # overflow, C must raise
     poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION)
-    assert poles.heat(1e-4) > 0.0
-    with pytest.raises(ConvergenceError, match="theta=1e-08"):
-        poles.heat(1e-8)
+    assert poles.heat(1e-8) == pytest.approx(C_OSC_DRUDE_LOW[1e-8, "partition"],
+                                             rel=1e-13, abs=0.0)
+    with pytest.raises(ConvergenceError, match="theta=1e-320 is not finite"):
+        poles.heat(1e-320)
+
+
+# C where the terms of c (1 - sum_i r_i (p_i/s^2) psi'(1 - p_i/s)) cancel,
+# with 60 digits from mpmath's roots and psi', each root its own simple pole
+# (scripts/freeze_oracles.py): the Drude oscillator (1, 10) and the stiff
+# one (1e4, 1e6), on both routes
+C_OSC_DRUDE_LOW = {
+    (1e-3, "energy"): 0.001047212351673833559829412,
+    (1e-3, "partition"): 0.001047211359455819826376369,
+    (1e-8, "energy"): 1.047197551196599248097209e-8,
+    (1e-8, "partition"): 1.047197551196599148877124e-8,
+}
+C_STIFF = {"energy": 0.3745489375906168374524785,
+           "partition": 0.3745489375233519740739346}
+# the free particle at r = 1 on the partition route, where C's leading
+# (pi/3)(1 - 1/r) theta vanishes and the O(theta) terms cancel 4e4-fold
+C_FREE_R1_PARTITION = 2.480502134423638899426061e-8
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+def test_heat_keeps_its_digits_where_its_definition_cancels(route):
+    # where the psi' terms of the definition cancel 1e3-fold (theta = 1e-3),
+    # 1e13-fold (1e-8) and, among poles from 1e-4 to 1e6, at theta = 1e-4
+    poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), route)
+    for theta in (1e-3, 1e-8):
+        assert poles.heat(theta) == pytest.approx(C_OSC_DRUDE_LOW[theta, route.value],
+                                                  rel=1e-13, abs=0.0)
+    stiff = PoleSum(1.0, DampingKernel.drude(1e4, 1e6), route)
+    assert stiff.heat(1e-4) == pytest.approx(C_STIFF[route.value], rel=1e-13, abs=0.0)
+
+
+def test_heat_is_within_its_bound_where_it_is_ill_conditioned():
+    # C ~ theta^3 here while its terms are O(theta): rounding the poles and
+    # residues to doubles alone moves C by ~1e-11, and its own roundoff
+    # estimate, magnitude * eps, reads 2.8e-11
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 1.0), Prescription.PARTITION)
+    assert poles.heat(1e-3) == pytest.approx(C_FREE_R1_PARTITION, rel=1e-10, abs=0.0)
 
 
 def test_validation():

@@ -14,7 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from qbrownian.specfun import _digamma, _g, _ln_gamma, _trigamma
+from qbrownian.core import EPS
+from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -23,6 +24,37 @@ DIGAMMA_REF = complex(1.607759321607187866120233, 1.570796326794825270487004)
 TRIGAMMA_REF = complex(0.3521320605925588026514951, 0.2225353233424034436888091)
 G_REAL_REF = -8.413113317591695781248852
 G_COMPLEX_REF = complex(-0.2851014133040513546200775, -0.178933379510820016711143)
+# h and G from their definitions at 40 digits, with 2 log10|z| + 40 where
+# |z| > 1 (scripts/freeze_oracles.py): real, on both sides of |z| = 12,
+# near the imaginary axis, and up to |z| = 1e300
+H_G_REF = {
+    0.5: ((0.23370055013616983+0j),
+          (0.28860783245076643+0j)),
+    3.0: ((0.054406601634037925+0j),
+          (0.05516178639392599+0j)),
+    11.9: ((0.013985920516492821+0j),
+           (0.013999028547394545+0j)),
+    12.1: ((0.013755379817101707+0j),
+           (0.013767850985934285+0j)),
+    1000.0: ((0.00016666663333335713+0j),
+             (0.00016666665555556032+0j)),
+    1e+300: ((1.6666666666666665e-301+0j),
+             (1.6666666666666665e-301+0j)),
+    (3+4j): ((0.02024859079273887-0.026565151987750543j),
+             (0.020083023152538407-0.026633849856312966j)),
+    (8-9j): ((0.009211014395648037+0.010333822068401248j),
+             (0.009200612410398835+0.010341170068190821j)),
+    (0.001+5j): ((6.834978855769868e-06-0.033608089602575456j),
+                 (6.721618294862429e-06-0.03342381050559596j)),
+    (1e-09+11.5j): ((1.2660092256888748e-12-0.014514790481571742j),
+                    (1.2621556940497167e-12-0.014500083215648349j)),
+    (0.001+12.5j): ((1.0707942663578976e-06-0.013350478642494085j),
+                    (1.0680382914231538e-06-0.01333903784149288j)),
+    (1e-08+100000j): ((1.6666666667666668e-19-1.6666666667e-06j),
+                      (1.6666666667e-19-1.6666666666777778e-06j)),
+    (2+1e+300j): (complex(0.0, -1.6666666666666665e-301),
+                  complex(0.0, -1.6666666666666665e-301)),
+}
 
 
 def rel_err(got: complex, want: complex) -> float:
@@ -47,6 +79,15 @@ def test_frozen_complex_references():
     assert rel_err(_trigamma(2.5 - 1.3j), TRIGAMMA_REF) < 1e-13
     assert rel_err(_g(10.0), G_REAL_REF) < 1e-13
     assert rel_err(_g(0.8 + 0.3j), G_COMPLEX_REF) < 1e-13
+
+
+def test_h_and_G_against_frozen_references():
+    # h within a few eps of |h| in both parts, also where Re h is 1e-10 of
+    # it; G within 1e-12, and within 64 eps of the sum of |terms| it reports
+    for z, (h, G) in H_G_REF.items():
+        assert abs(_h(z) - h) <= 4.0 * EPS * abs(h), z
+        value, magnitude = _G(z)
+        assert abs(value - G) <= min(1e-12 * abs(G), 64.0 * EPS * magnitude), z
 
 
 def test_classic_identities():
