@@ -543,3 +543,138 @@ for k in range(-9, 10):
     print(f"    ({k}, 'drude_specific_heat'): "
           f"{mp.nstr(at_theta(c_free_drude, th, 10.0), 17)},")
 print("}")
+
+
+# ------------- PoleSum's E as E0 plus a K sum, and its S, to theta = 1e-9..1e9
+# K(z) = ln z + 1/(2z) - psi(1+z) from its definition, on both sides of |z| = 12
+def K_def(z):
+    z = mp.mpc(z)
+    return mp.log(z) + 1 / (2 * z) - mp.psi(0, 1 + z)
+
+
+for z in H_G_POINTS:
+    if abs(z) < 1e300:
+        with mp.workdps(digits(abs(z))):
+            show(f"K({z!r})", K_def(z))
+
+# the regularized energies from their closed forms, 2 log10(1/theta) + 40 digits
+E_THETAS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e3, 1e9)
+print("E_REGULARIZED = {")
+for th in E_THETAS:
+    print(f"    ('free', {th!r}): {mp.nstr(at_theta(e_reg_free, th), 25)},")
+    for alpha in (1.0, 2.0, 5.0):
+        print(f"    ({alpha!r}, {th!r}): {mp.nstr(at_theta(e_reg_osc, th, alpha), 25)},")
+print("}")
+
+
+def drude_fraction(omega0, gamma, wd, partition):
+    # the energy summand of a Drude system as (numerator, monic denominator),
+    # c: the oscillator's for omega0 = 1, the free particle's (twice its
+    # own, c = 1/2) for omega0 = 0
+    if omega0:
+        return (*osc_drude_fraction(gamma, wd, partition), 1)
+    q, quadratic = gamma * wd, [1, wd, gamma * wd]
+    if partition:
+        return [4 * q, 2 * q * wd], poly_mul(quadratic, [1, wd]), mp.mpf(1) / 2
+    return [2 * q], quadratic, mp.mpf(1) / 2
+
+
+def ground_energy_quad(gamma, wd, partition):
+    # E(theta -> 0) = (1/2 pi) int_0^inf R(nu) dnu of the oscillator (omega0 = 1),
+    # breaking the range at every decade its poles may sit at
+    def summand(nu):
+        gh = gamma * wd / (nu + wd)
+        num = 2 + nu * gh + (nu * nu * gh / (nu + wd) if partition else 0)
+        return num / (nu * nu + nu * gh + 1)
+
+    breaks = [0] + [mp.mpf(10) ** k for k in range(-8, 11)] + [mp.inf]
+    return mp.quad(summand, breaks) / (2 * mp.pi)
+
+
+def ground_energy_poles(numerator, denominator, c):
+    # E0 = -(c / 2 pi) sum_i r_i ln(-p_i), every root a simple pole
+    dq = [x * (len(denominator) - 1 - i) for i, x in enumerate(denominator[:-1])]
+    return mp.re(-c / (2 * mp.pi) * sum(
+        mp.polyval(numerator, p) / mp.polyval(dq, p) * mp.log(-p)
+        for p in roots(denominator)))
+
+
+# E0 of the Drude oscillators (1, 10), the triple point and the stiff (1e4, 1e6)
+print("E0_DRUDE = {")
+residual = 0
+for gamma, wd in ((1.0, 10.0), (ALPHA_CLI, ALPHA_CLI * 3.375), (1e4, 1e6)):
+    with mp.workdps(40):
+        for route in ("energy", "partition"):
+            g, w = mp.mpf(gamma), mp.mpf(wd)
+            e0 = ground_energy_quad(g, w, route == "partition")
+            if gamma != ALPHA_CLI:   # the triple root is no simple pole
+                residual = max(residual, abs(e0 - ground_energy_poles(
+                    *drude_fraction(1, g, w, route == "partition"))) / abs(e0))
+            print(f"    ({gamma!r}, {wd!r}, {route!r}): {mp.nstr(e0, 25)},")
+print("}")
+print("# E0 quadrature vs pole form, worst relative residual:", mp.nstr(residual, 5))
+
+
+def ln_z_drude(theta, gamma, wd):
+    # ln Z = ln theta + sum_i ln Gamma(1 - p_i/s) - ln Gamma(1 + wd/s), the
+    # product over Matsubara frequencies of the oscillator (omega0 = 1)
+    s = 2 * mp.pi * theta
+    poles = roots([1, wd, 1 + gamma * wd, wd])
+    return mp.re(mp.log(theta) + sum(mp.loggamma(1 - p / s) for p in poles)
+                 - mp.loggamma(1 + wd / s))
+
+
+# S = ln Z + E / theta = d(theta ln Z)/d theta, the partition route's entropy
+print("S_PARTITION_DRUDE = {")
+for th in (1e-3, 0.01, 0.1, 1.0, 100.0):
+    with mp.workdps(digits(1 / mp.mpf(th)) + 20):
+        g, w = mp.mpf(1), mp.mpf(10)
+        value = mp.diff(lambda t: t * ln_z_drude(t, g, w), mp.mpf(th))
+    print(f"    {th!r}: {mp.nstr(value, 25)},")
+print("}")
+
+
+def pole_entropy(numerator, denominator, theta, c):
+    # S = -c sum_i r_i G(-p_i/s) / p_i, every root a simple pole
+    s = 2 * mp.pi * theta
+    dq = [x * (len(denominator) - 1 - i) for i, x in enumerate(denominator[:-1])]
+    return mp.re(-c * sum(mp.polyval(numerator, p) / mp.polyval(dq, p) * G_def(-p / s) / p
+                          for p in roots(denominator)))
+
+
+def pole_energy(numerator, denominator, theta, c):
+    # E = c theta (1 - (1/s) sum_i r_i psi(1 - p_i/s)): the psi form
+    return c * theta * (1 + pole_sum(numerator, denominator, 2 * mp.pi * theta))
+
+
+# E and S where poles coincide: the free particle at r = 4 and the triple
+# point, each float parameter scaled by 1 + 1e-30 as in coincident_heat, so
+# that every root is a simple pole; 60 digits and 2 log10(1/theta) more
+print("COINCIDENT_E_S = {")
+split = 1 + mp.mpf("1e-30")
+for system, (omega0, gamma, wd) in (
+        ("free-drude-critical", (0, 1.0, 4.0)),
+        ("osc-drude-triple", (1, 8.0 / (3.0 * 3.0 ** 0.5),
+                              8.0 / (3.0 * 3.0 ** 0.5) * (27.0 / 8.0)))):
+    for route in ("energy", "partition"):
+        for th in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e9):
+            with mp.workdps(max(60, digits(1 / mp.mpf(th)) + 20)):
+                numerator, denominator, c = drude_fraction(
+                    omega0, mp.mpf(gamma) * split, mp.mpf(wd) * split, route == "partition")
+                e = pole_energy(numerator, denominator, mp.mpf(th), c)
+                s = pole_entropy(numerator, denominator, mp.mpf(th), c)
+            print(f"    ({system!r}, {route!r}, {th!r}): "
+                  f"({mp.nstr(e, 20)}, {mp.nstr(s, 20)}),")
+print("}")
+# scripts/theta_scaling.py's references for PoleSum: E and S of the Drude
+# oscillator (1, 10) on the energy route at theta = 10^k
+print("ORACLES (PoleSum) = {")
+for k in range(-9, 10):
+    th = mp.mpf(10.0 ** k)
+    with mp.workdps(max(60, digits(1 / th) + 20)):
+        numerator, denominator, c = drude_fraction(1, mp.mpf(1), mp.mpf(10), False)
+        print(f"    ({k}, 'PoleSum.energy'): "
+              f"{mp.nstr(pole_energy(numerator, denominator, th, c), 17)},")
+        print(f"    ({k}, 'PoleSum.entropy'): "
+              f"{mp.nstr(pole_entropy(numerator, denominator, th, c), 17)},")
+print("}")

@@ -4,15 +4,15 @@ For each route and each decade theta = 10^k, k = -9..9 (or the k given as
 arguments), one line `route k answered us_float us_grid rel_err`: whether a
 float call at theta answered or refused, its best time in us, the best time
 of one call on the 20-point grid logspace(k, k + 1, 20, endpoint=False), and,
-for the closed C and S, the relative error at theta against the 40-digit
-mpmath references in ORACLES, frozen by scripts/freeze_oracles.py ("-" where
-there is none or no answer).  Then one line per route, `route decades=<k
+for the closed C and S and PoleSum's E and S, the relative error at theta
+against the mpmath references in ORACLES, frozen by scripts/freeze_oracles.py
+("-" where there is none or no answer).  Then one line per route, `route decades=<k
 that answered> exponent=<e>`, e the least-squares slope of log us_float
 against log(1/theta) over the answered decades with theta <= 1, where the
 north star asks for cost flat in 1/theta.  The routes are the closed forms
 at alpha = 1 and cutoff ratio 10 and, for the Drude oscillator
-(gamma, omega_D) = (1, 10) on the energy route, PoleSum.heat, PoleSum.energy
-and the term-by-term energy_sum.
+(gamma, omega_D) = (1, 10) on the energy route, PoleSum.heat, PoleSum.energy,
+PoleSum.entropy and the term-by-term energy_sum.
 
     PYTHONPATH=src python3 scripts/theta_scaling.py [K ...] [--repeats N]
 """
@@ -30,7 +30,8 @@ from qbrownian import (ConvergenceError, DampingKernel, PoleSum, Prescription,
 KERNEL = DampingKernel.drude(1.0, 10.0)
 BUDGET_S = 0.02         # each timing repeats a call until it has run this long
 
-# (k, route) -> the value at theta = 10^k, from scripts/freeze_oracles.py
+# (k, route) -> the value at theta = 10^k, from scripts/freeze_oracles.py: the
+# closed forms' C and S, and the Drude oscillator's E and S from the pole form
 ORACLES = {
     (-9, 'damped_specific_heat'): 1.0471975511965978e-9,
     (-9, 'damped_entropy'): 1.0471975511965978e-9,
@@ -108,6 +109,44 @@ ORACLES = {
     (9, 'damped_entropy'): 21.723265837105566,
     (9, 'ohmic_specific_heat'): 0.49999999984084506,
     (9, 'drude_specific_heat'): 0.5,
+    (-9, 'PoleSum.energy'): 0.72640997314920364,
+    (-9, 'PoleSum.entropy'): 1.0471975511965978e-9,
+    (-8, 'PoleSum.energy'): 0.72640997314920369,
+    (-8, 'PoleSum.entropy'): 1.0471975511965983e-8,
+    (-7, 'PoleSum.energy'): 0.72640997314920888,
+    (-7, 'PoleSum.entropy'): 1.047197551196647e-7,
+    (-6, 'PoleSum.energy'): 0.72640997314972724,
+    (-6, 'PoleSum.entropy'): 1.0471975512015311e-6,
+    (-5, 'PoleSum.energy'): 0.72640997320156352,
+    (-5, 'PoleSum.entropy'): 1.0471975516899421e-5,
+    (-4, 'PoleSum.energy'): 0.72640997838519177,
+    (-4, 'PoleSum.entropy'): 0.00010471976005310321,
+    (-3, 'PoleSum.energy'): 0.72641049675167935,
+    (-3, 'PoleSum.entropy'): 0.0010472024846692992,
+    (-2, 'PoleSum.energy'): 0.72646237005208063,
+    (-2, 'PoleSum.entropy'): 0.010476911895184524,
+    (-1, 'PoleSum.energy'): 0.73201943308367413,
+    (-1, 'PoleSum.entropy'): 0.10970712583240958,
+    (0, 'PoleSum.energy'): 1.2750390794764446,
+    (0, 'PoleSum.entropy'): 1.1754824372656067,
+    (1, 'PoleSum.energy'): 10.045685148035767,
+    (1, 'PoleSum.entropy'): 3.3677724289992908,
+    (2, 'PoleSum.energy'): 100.00495213451147,
+    (2, 'PoleSum.entropy'): 5.6681657617023562,
+    (3, 'PoleSum.energy'): 1000.0004995159997,
+    (3, 'PoleSum.entropy'): 7.9707264229854128,
+    (4, 'PoleSum.energy'): 10000.000049995155,
+    (4, 'PoleSum.entropy'): 10.273311268801752,
+    (5, 'PoleSum.energy'): 100000.00000499995,
+    (5, 'PoleSum.entropy'): 12.575896359321121,
+    (6, 'PoleSum.energy'): 1000000.0000005,
+    (6, 'PoleSum.entropy'): 14.878481452290417,
+    (7, 'PoleSum.energy'): 10000000.00000005,
+    (7, 'PoleSum.entropy'): 17.181066545284215,
+    (8, 'PoleSum.energy'): 100000000.0,
+    (8, 'PoleSum.entropy'): 19.483651638278258,
+    (9, 'PoleSum.energy'): 1000000000.0,
+    (9, 'PoleSum.entropy'): 21.786236731272304,
 }
 
 
@@ -120,6 +159,7 @@ def routes() -> list:
         ("drude_specific_heat", lambda t: drude_specific_heat(t, 10.0).C),
         ("PoleSum.heat", poles.heat),
         ("PoleSum.energy", poles.energy),
+        ("PoleSum.entropy", poles.entropy),
         ("energy_sum", lambda t: energy_sum(1.0, KERNEL, 1.0 / t,
                                             Prescription.ENERGY).value),
     ]

@@ -6,11 +6,11 @@ Subcommands:
   compare     both energy prescriptions, their gap, and FD cross-checks (JSON)
   expansions  limit expansions against exact values with error exponents (CSV)
 
-curve takes energies, and specific heats without a closed form, from the
-frequency sums in pole form (matsubara.PoleSum); compare evaluates the same
-sums term by term, with an exact tail, and differentiates them numerically,
-so it is the sum-based cross-check of curve.  Every command evaluates each
-column once over the whole temperature grid, as an array.
+curve takes energies, and specific heats and entropies without a closed
+form, from the frequency sums in pole form (matsubara.PoleSum); compare
+evaluates the same sums term by term, with an exact tail, and differentiates
+them numerically, so it is the sum-based cross-check of curve.  Every command
+evaluates each column once over the whole temperature grid, as an array.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
@@ -89,14 +89,8 @@ class CurveSpec:
                                   "its temperature scale is the damping rate itself")
             if self.route != "energy":
                 raise DomainError("the free particle supports route=energy only")
-            if "S" in self.quantities:
-                raise DomainError("entropy output is available for the oscillator only")
-        else:
-            if self.alpha is not None:
-                self.alpha = check_nonnegative("alpha", self.alpha)
-            if "S" in self.quantities and self.kernel != "ohmic":
-                raise DomainError("entropy has a closed form for the ohmic "
-                                  "oscillator only; drop S or use kernel=ohmic")
+        elif self.alpha is not None:
+            self.alpha = check_nonnegative("alpha", self.alpha)
         if self.kernel == "drude":
             if self.cutoff_ratio is None:
                 self.cutoff_ratio = 10.0
@@ -181,30 +175,32 @@ def _table(spec: CurveSpec, header: str, comment: str,
 def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
     """The curve CSV, with columns in canonical C, S, E order.
 
-    E, and C without a closed form, come from the frequency sums' pole form
-    (PoleSum).
+    E, and C and S without a closed form, come from the frequency sums' pole
+    form (PoleSum).
     """
     routes = (tuple(Prescription) if spec.route == "both"
               else (Prescription(spec.route),))
     kernel = spec.make_kernel()
     columns: dict[str, Callable] = {}
 
+    pole_sum = functools.cache(lambda route: PoleSum(spec.omega0, kernel, route))
+
     if "C" in spec.quantities:
         # one closed form, where there is one, serves every route's column
         closed = spec.closed_heat()
         for route in routes:
-            columns[f"C_{route.value}"] = (closed
-                                           or PoleSum(spec.omega0, kernel, route).heat)
+            columns[f"C_{route.value}"] = closed or pole_sum(route).heat
 
-    if "S" in spec.quantities:
-        columns["S"] = lambda t: damped_entropy(t, spec.alpha_value).S
-
-    if "E" in spec.quantities:
-        # an ohmic kernel has no prescription gap, so one E column serves
-        e_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
-        for route in e_routes:
-            name = "E" if len(e_routes) == 1 else f"E_{route.value}"
-            columns[name] = PoleSum(spec.omega0, kernel, route).energy
+    # an ohmic kernel has no prescription gap, so one S and one E column serve;
+    # the ohmic oscillator's S has a closed form
+    one_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
+    closed_entropy = ((lambda t: damped_entropy(t, spec.alpha_value).S)
+                      if (spec.model, spec.kernel) == ("oscillator", "ohmic") else None)
+    for quantity in ("S", "E"):
+        for route in one_routes if quantity in spec.quantities else ():
+            name = quantity if len(one_routes) == 1 else f"{quantity}_{route.value}"
+            columns[name] = (pole_sum(route).energy if quantity == "E"
+                             else closed_entropy or pole_sum(route).entropy)
 
     comment = spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
                            "quantities", "tmin", "tmax", "points", "log", "tol")

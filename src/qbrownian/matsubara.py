@@ -32,9 +32,10 @@ Summed over nu_n = s n, s = 2 pi / beta, with poles p_i and residues r_i,
 
     sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s).
 
-PoleSum evaluates E this way, C = dE/dT through specfun's h, at a cost flat in
-theta; a cluster of near-coincident poles adds the contour integral of R times
-the psi factor around it (trapezoid rule).  energy_sum adds the terms one by
+PoleSum takes E, C = dE/dT and S from these poles, each a residue sum of a
+specfun kernel with nothing to cancel, at a cost flat in theta; a cluster of
+near-coincident poles adds the contour integral of R times the kernel around
+it (trapezoid rule).  energy_sum adds the terms one by
 one, by Horner's rule in 1/nu, up to N = 4 B beta / (2 pi), B a bound on the
 poles, and the rest exactly in Hurwitz zeta form from R's Laurent coefficients
 (series division, once per system: _system, _summed), sharing no roots with
@@ -58,7 +59,7 @@ from .core import (EPS, TWO_PI, ConvergenceError, DomainError, Estimate,
                    check_nonnegative, check_positive, checked_real, elementwise,
                    gridwise, where)
 from .oscillator import undamped_thermo
-from .specfun import _BERNOULLI, _digamma, _h
+from .specfun import _BERNOULLI, _G, _K, _h, _log, _sized
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -336,12 +337,14 @@ def _energy_sum(omega0: float, kernel: DampingKernel, beta,
     pref = 1.0 / beta if omega0 > 0.0 else 0.5 / beta
     est, terms, err = _summed(_system(_energy_fraction, omega0, kernel, route),
                               TWO_PI / beta, 1.0 / beta)
-    value = pref * (1.0 + est)
+    value, err = pref * (1.0 + est), pref * err
     regularized = kernel.regularized
     if regularized:
         g = kernel.gamma
-        value += _regularization(g, beta, omega0 if omega0 > 0.0 else g)
-    return Estimate(value, pref * err, terms, regularized)
+        constant = _regularization(g, beta, omega0 if omega0 > 0.0 else g)
+        # the rounding of the constant and of the sum that cancels against it
+        value, err = value + constant, err + EPS * (abs(constant) + abs(value))
+    return Estimate(value, err, terms, regularized)
 
 
 def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
@@ -351,8 +354,8 @@ def energy_sum(omega0: float, kernel: DampingKernel, beta: float,
     omega0 = 0 selects the free particle.  For a regularized kernel (strictly
     ohmic, gamma > 0) the absolute energy diverges, so the cutoff-regularized
     value described in the module docstring is returned and flagged.  err
-    bounds the exact tail's truncation and the sum's roundoff; terms_used
-    counts the head's terms.  A refusal names theta = 1/beta.
+    bounds the exact tail's truncation and the roundoff, the constant's too;
+    terms_used counts the head's terms.  A refusal names theta = 1/beta.
     """
     omega0 = check_nonnegative("omega0", omega0)
     beta = check_positive("beta", beta)
@@ -485,66 +488,72 @@ def _group_poles(poles: list[complex]) -> list[list[complex]]:
     return groups
 
 
-def _energy_factor(nu, s):
-    # E's factor in the pole formula: -psi(1 - nu/s) / s
-    return _digamma(1.0 - nu / s) * (-1.0 / s)
+def _energy_terms(nu, s):
+    # E's factor K(z), z = -nu/s, and the sum of |terms| it is formed from
+    return _K(-nu / s)
 
 
-def _heat_factor(nu, s):
-    # C's factor in the pole formula, -h(-nu/s)/nu: no s^2 is formed
-    return _h(-nu / s) / -nu
+def _heat_terms(nu, s):
+    # C's factor h(z) / -nu: no s^2 is formed
+    return _sized(_h(-nu / s) / -nu)
 
 
-def _share(nodes, coefficients, s, factor):
+def _entropy_terms(nu, s):
+    value, size = _G(-nu / s)
+    return value / -nu, size / abs(nu)
+
+
+def _share(nodes, coefficients, s, terms):
     """A pole group's share of sum_i r_i f(p_i), and the sum of |terms| added.
 
     A single pole is a complex node, its residue the coefficient: the share is
     r f(p).  A cluster about c carries the M = _CLUSTER_NODES nodes z_j of a
     circle about c and the coefficients R(z_j) (z_j - c) / M: the share, the
     sum of the terms R f (z - c) / M, is the trapezoid rule for the contour
-    integral of R f around the cluster.  f is _energy_factor or _heat_factor;
-    s is a float or an array of any shape, the nodes on a new leading axis.
+    integral of R f around the cluster.  terms(nu, s) gives f and its sum of
+    |terms|; s is a float or an array of any shape, the nodes on a new axis 0.
     """
     if not isinstance(nodes, np.ndarray):
-        part = coefficients * factor(nodes, s)
-        return part, abs(part)
+        value, size = terms(nodes, s)
+        return coefficients * value, abs(coefficients) * size
     shape = (_CLUSTER_NODES,) + (1,) * np.ndim(s)
     with np.errstate(all="ignore"):
-        terms = coefficients.reshape(shape) * factor(nodes.reshape(shape), s)
-        share, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+        value, size = terms(nodes.reshape(shape), s)
+        weights = coefficients.reshape(shape)
+        share, size = (weights * value).sum(axis=0), (abs(weights) * size).sum(axis=0)
     if isinstance(s, np.ndarray):
         return share, size
     return complex(share), float(size)
 
 
 class PoleSum:
-    """energy_sum in closed form: the frequency sum as psi at its poles.
+    """energy_sum in closed form: one residue sum per quantity over one pole list.
 
     Every summand R(nu) of energy_sum is rational with deg Q >= deg P + 2, so
-    with poles p_i, residues r_i and s = 2 pi theta,
+    with poles p_i, residues r_i, s = 2 pi theta and z_i = -p_i/s, sum_{n>=1}
+    R(s n) = -(1/s) sum_i r_i psi(1 + z_i), and E = c theta (1 + that sum),
+    c = 1 for the oscillator and 1/2 for the free particle.  As sum_i r_i = 0
+    and R(0) = 2 wherever there is a coupling, with specfun's K, h and G,
 
-        sum_{n>=1} R(s n) = -(1/s) sum_i r_i psi(1 - p_i/s),
+        E = E0 + (c/2 pi) sum_i r_i K(z_i),    E0 = -(c/2 pi) sum_i r_i ln(-p_i),
+        C = dE/dtheta = -c sum_i r_i h(z_i) / p_i,    S = -c sum_i r_i G(z_i) / p_i,
 
-    and E = c theta (1 + that sum) plus the same regularization constant as
-    energy_sum, with c = 1 for the oscillator and 1/2 for the free particle.
-    Its theta derivative, with specfun's h(z) = z^2 psi'(1 + z) - z + 1/2, is
-
-        C = dE/dtheta = -c sum_i r_i h(-p_i/s) / p_i,
-
-    as sum_i r_i = 0 and R(0) = 2 wherever there is a coupling; the
-    regularized summands' pole at nu = 0 adds exactly 0 and stays out.
+    each term as small as E - E0, C or S, and theta dS/dtheta = C, S(0) = 0.
+    The regularized summands' pole at nu = 0 stays out: in E its psi(1) and
+    energy_sum's regularization cancel exactly, and E0 is closed.  At zero
+    coupling the bare oscillator, or the classical free particle, answers.
 
     Poles (by formula: _roots) and residues are computed once per (omega0,
-    kernel, route); each theta then costs a few psi evaluations.  Near
+    kernel, route); each theta then costs a few kernel evaluations.  Near
     coincident poles (critical damping, the free particle's r = 4, the Drude
     oscillator's triple root) are summed together, as the integral of R
-    times the psi factor around a circle enclosing them, by the trapezoid
-    rule on _CLUSTER_NODES points, so E and C stay continuous through every
-    degeneracy and C's check sees any cancellation among the circle's terms
-    as it sees it among simple poles.  theta is k_B T in the units of
-    omega0 and the kernel's rates, i.e. theta = 1 / beta; energy and heat take
-    it as a float or as an ndarray of temperatures, evaluated in one pass.
-    Poles, residues, circles and s are in units of _rates' radius.
+    times the quantity's factor around a circle enclosing them, by the
+    trapezoid rule on _CLUSTER_NODES points, so each quantity stays
+    continuous through every degeneracy, and checked_real, against the sum
+    of |terms| (and |E0|), sees any cancellation among the circle's terms as
+    among simple poles.  theta = 1 / beta, k_B T in the units of omega0 and
+    the kernel's rates, is a float or an ndarray of temperatures, evaluated in
+    one pass.  Poles, residues, circles and s are in units of _rates' radius.
     """
 
     def __init__(self, omega0: float, kernel: DampingKernel, route: Prescription):
@@ -558,16 +567,16 @@ class PoleSum:
         if not (core[-1] >= sys.float_info.min and radius < math.inf):
             raise DomainError(f"a pole of the summand underflows in units of its radius "
                               f"{radius!r} at omega0={omega0!r}, kernel={kernel!r}")
-        self._radius, self._gamma = radius, kernel.gamma
-        self._w_ref, self._dof = (omega0, 1.0) if omega0 > 0.0 else (kernel.gamma, 0.5)
+        self._radius, self._gamma, self._omega0 = radius, kernel.gamma, omega0
+        self._dof = 1.0 if omega0 > 0.0 else 0.5
         poles = _roots(core) + [complex(p) for p in fixed]
         # (nodes, coefficients) per group, weighted 2 for a complex center
         # that stands in for its conjugate: see _share
         self._groups = []
         for group in _group_poles(poles):
             c = sum(group) / len(group)
-            if c.imag < 0.0:
-                continue    # summed through its conjugate partner
+            if c.imag < 0.0 or c == 0.0:
+                continue    # summed through its conjugate partner, or nu = 0
             weight = 2.0 if c.imag > 0.0 else 1.0
             others = [p for p in poles if p not in group]
             if len(group) == 1:
@@ -581,41 +590,57 @@ class PoleSum:
                 -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
             ratio = _ratio(numerator, z, poles)
             self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
-        # the regularized summands' pole at nu = 0 adds exactly 0 to C
-        self._heat_groups = [g for g in self._groups if type(g[0]) is not complex or g[0]]
+        self._scale = self._dof * radius / TWO_PI
+        # E0 by its residue sum, or closed where regularized: 0 for the free
+        # particle, else (omega0/pi) sqrt(1 - a^2) arccos a, a = alpha/2, continued
+        if not self.regularized:
+            ground, _ = self._sum(1.0, lambda nu, s: _sized(_log(-nu)))
+            self._ground = -self._scale * ground
+        else:
+            a = 0.5 * kernel.gamma / omega0 if omega0 > 0.0 else 1.0
+            root = math.sqrt(abs((1.0 - a) * (1.0 + a)))
+            self._ground = omega0 / math.pi * root * (
+                math.acos(a) if a <= 1.0 else -math.acosh(a))
 
-    def _sum(self, theta, factor, groups):
-        s = TWO_PI * (theta / self._radius)
-        # zeros shaped like theta (s is inf where theta / radius overflows)
-        total = magnitude = 0.0 * theta
-        for nodes, coefficients in groups:
-            share, size = _share(nodes, coefficients, s, factor)
+    def _sum(self, s, terms):
+        # (sum_i Re r_i f(p_i), the sum of |terms|), f by terms at s
+        total = magnitude = 0.0 * s   # zeros shaped like s
+        for nodes, coefficients in self._groups:
+            share, size = _share(nodes, coefficients, s, terms)
             total = total + share.real
             magnitude = magnitude + size
         return total, magnitude
 
+    def _quantity(self, theta, quantity: str, terms, name: str):
+        if self._gamma == 0.0:
+            # zero coupling: the bare oscillator, or the classical free particle
+            if self._dof == 1.0:
+                value = getattr(undamped_thermo(theta / self._omega0), quantity)
+                return self._omega0 * value if quantity == "E" else value
+            if quantity == "S":
+                raise DomainError("the uncoupled free particle has no S(0) = 0 entropy")
+            return 0.5 * theta if quantity == "E" else 0.5 + 0.0 * theta
+        # s is inf where theta / radius overflows
+        total, magnitude = self._sum(TWO_PI * (theta / self._radius), terms)
+        ground, scale = ((self._ground, self._scale) if quantity == "E"
+                         else (0.0, self._dof))
+        return checked_real(ground + scale * total, abs(ground) + scale * magnitude,
+                            name, theta=theta)
+
     @gridwise
     def energy(self, theta):
-        """Internal energy at theta; regularized like energy_sum's value."""
-        total, _ = self._sum(theta, _energy_factor, self._groups)
-        value = self._dof * theta * (1.0 + total)
-        if self.regularized:
-            value += _regularization(self._gamma, 1.0 / theta, self._w_ref)
-        return value
+        """Internal energy at theta, regularized like energy_sum's value."""
+        return self._quantity(theta, "E", _energy_terms, "energy")
 
     @gridwise
     def heat(self, theta):
-        """Specific heat dE/dtheta, exact; ConvergenceError if roundoff ate it.
+        """Specific heat dE/dtheta at theta."""
+        return self._quantity(theta, "C", _heat_terms, "specific heat")
 
-        Each term, -r h(-p/s)/p, is O(theta) where C is.  At zero coupling
-        their real part is exactly 0 at low theta: the bare C answers.
-        """
-        if self._gamma == 0.0:
-            return (undamped_thermo(theta / self._w_ref).C if self._dof == 1.0
-                    else 0.5 + 0.0 * theta)
-        total, magnitude = self._sum(theta, _heat_factor, self._heat_groups)
-        return checked_real(self._dof * total, self._dof * magnitude, "specific heat",
-                            theta=theta)
+    @gridwise
+    def entropy(self, theta):
+        """Entropy at theta; DomainError for a free particle without coupling."""
+        return self._quantity(theta, "S", _entropy_terms, "entropy")
 
 
 def _gap_fraction(omega0: float, kernel: DampingKernel):

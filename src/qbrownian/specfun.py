@@ -3,10 +3,11 @@
 These are the private kernels that the closed forms and PoleSum are built
 from.  _ln_gamma and _digamma push the argument up to Re(z) >= 10 with the
 standard recurrences, then apply the Stirling series with eight Bernoulli
-terms (~1e-13 relative), summed by one loop, _series.  The closed forms' C
-and S are sums of h(z) = z^2 psi'(1 + z) - z + 1/2 and G(z) = g(z) -
-ln(2 pi z)/2 + z + 1/2, g(z) = ln Gamma(1 + z) - z psi(1 + z): O(1/z) where
-their terms are O(z), and -z G'(z) = h(z) (DLMF 5.11.1, 5.15.8).
+terms (~1e-13 relative), summed by one loop, _series.  C, S and E are sums of
+h(z) = z^2 psi'(1 + z) - z + 1/2, G(z) = g(z) - ln(2 pi z)/2 + z + 1/2, g(z) =
+ln Gamma(1 + z) - z psi(1 + z), and K(z) = ln z + 1/(2z) - psi(1 + z): O(1/z)
+or O(1/z^2) where their terms are O(z), -z G'(z) = h(z) (DLMF 5.11.1-2,
+5.15.8); G and K switch to their series at |z| = 12 in one place, _asymptotic.
 
 Each kernel takes either a Python complex or a complex ndarray.  All of them
 push their argument through one helper, _push: a complex moves up a step
@@ -153,23 +154,37 @@ def _h(z):
     return 0.5 * (r1 * r1 + z * shift * z) + ratio * ratio * rw * series
 
 
-def _G(z):
-    """(G(z), Re z >= 0, and the sum of |terms| it is formed from): the series
-    from |z| = 12, else the direct formula on _g, each on its own elements."""
+def _asymptotic(z, coefficients, power: int, direct):
+    """(value, sum of |terms|) of a kernel: sum_k coefficients[k] z^-(power+2k)
+    from |z| = 12, else direct(z), each on its own elements of an array."""
     def series(z):
         rz = 1.0 / z
-        value = _series(0.0 + 0.0j, rz, rz * rz, _G_SERIES)
+        value = _series(0.0 + 0.0j, rz if power == 1 else rz * rz, rz * rz, coefficients)
         return value, abs(value)
 
-    def direct(z):
-        terms = (_g(z), -0.5 * _log(TWO_PI * z), z + 0.5)
-        return sum(terms), sum(map(abs, terms))
-
     if not isinstance(z, np.ndarray):
-        # G(0) is inf, where cmath.log raises: a complex 0 is taken as nan
+        # 0 is a pole of G and K, where cmath.log raises: a complex 0 is taken as nan
         return (series if 12.0 <= abs(z) < math.inf else direct)(z or math.nan)
     far = (12.0 <= np.abs(z)) & np.isfinite(z)
     value, magnitude = np.empty(z.shape, complex), np.empty(z.shape)
     value[far], magnitude[far] = series(z[far])
     value[~far], magnitude[~far] = direct(z[~far])
     return value, magnitude
+
+
+def _sized(*terms):
+    # a direct formula's value and the sum of |terms| it is formed from
+    return sum(terms), sum(map(abs, terms))
+
+
+def _G(z):
+    """(G(z), Re z >= 0, and its sum of |terms|), on _g below |z| = 12."""
+    return _asymptotic(z, _G_SERIES, 1,
+                       lambda z: _sized(_g(z), -0.5 * _log(TWO_PI * z), z + 0.5))
+
+
+def _K(z):
+    """(K(z) = ln z + 1/(2z) - psi(1 + z), Re z >= 0, and its sum of |terms|):
+    sum_k B_2k / (2k z^2k) from |z| = 12, DLMF 5.11.2."""
+    return _asymptotic(z, _DIGAMMA, 2,
+                       lambda z: _sized(_log(z), 0.5 / z, -_digamma(1.0 + z)))

@@ -95,6 +95,31 @@ def test_curve_zero_alpha_matches_undamped(tmp_path, extra, header, c_abs):
                 assert value == pytest.approx(want.E, rel=1e-9)
 
 
+@pytest.mark.parametrize("extra, omega0, kernel, routes", [
+    (["--model", "free"], 0.0, DampingKernel.ohmic(1.0), {"S": "energy"}),
+    (["--model", "free", "--kernel", "drude", "--cutoff-ratio", "0.1"], 0.0,
+     DampingKernel.drude(1.0, 0.1), {"S": "energy"}),
+    (["--model", "oscillator", "--kernel", "drude"], 1.0,
+     DampingKernel.drude(1.0, 10.0), {"S": "energy"}),
+    (["--model", "oscillator", "--kernel", "drude", "--route", "both"], 1.0,
+     DampingKernel.drude(1.0, 10.0), {"S_energy": "energy", "S_partition": "partition"}),
+], ids=["free-ohmic", "free-drude", "osc-drude", "osc-drude-both"])
+def test_curve_entropy_for_every_model_and_kernel(tmp_path, extra, omega0, kernel,
+                                                  routes):
+    # S columns follow the E columns' rule, from the pole form; a grid and a
+    # float call may differ by G's roundoff, some 1e-13 relative below |z| = 12
+    out = tmp_path / "entropy.csv"
+    assert main(["curve", *extra, "--quantities", "S", "--log", "--tmin", "1e-3",
+                 "--tmax", "10", "--points", "5", "--out", str(out)]) == 0
+    header, _, rows = read_csv(out)
+    assert header == ["theta", *routes]
+    for row in rows:
+        theta = float(row[0])
+        for route, value in zip(routes.values(), map(float, row[1:])):
+            want = PoleSum(omega0, kernel, Prescription(route)).entropy(theta)
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_curve_both_routes_agree_for_ohmic(tmp_path):
     out = tmp_path / "both.csv"
     assert main(["curve", "--model", "oscillator", "--route", "both",
@@ -203,12 +228,13 @@ def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["curve", "--model", "free", "--route", "partition"],
     ["curve", "--model", "free", "--alpha", "1.0"],
-    ["curve", "--model", "free", "--quantities", "S"],
+    ["curve", "--model", "free", "--route", "both", "--quantities", "S"],
     ["curve", "--model", "oscillator", "--quantities", "C,X"],
     ["curve", "--model", "oscillator", "--cutoff-ratio", "5"],
     ["curve", "--model", "oscillator", "--kernel", "drude",
      "--cutoff-ratio", "-1"],
-    ["curve", "--model", "oscillator", "--kernel", "drude", "--quantities", "S"],
+    ["curve", "--model", "oscillator", "--kernel", "drude", "--quantities", "S",
+     "--cutoff-ratio", "0"],
     ["curve", "--model", "oscillator", "--tmin", "2", "--tmax", "1"],
     # the sums' error bar is fixed, so compare takes no tolerance either
     ["compare", "--model", "oscillator", "--tol", "2.0"],
@@ -323,15 +349,16 @@ TRIPLE_POINT = ["curve", "--model", "oscillator", "--kernel", "drude",
 TRIPLE_POINT_E0 = 0.7351051938957227446185738
 
 
-def test_overflowing_pole_energy_exits_3(capsys):
-    # at theta = 1e-307 the pole form's 1/s overflows; such rows used to be
-    # written as nan with exit 0
-    ret = main(TRIPLE_POINT + ["--quantities", "E", "--tmin", "1e-307",
-                               "--tmax", "1e-300", "--points", "3"])
-    captured = capsys.readouterr()
-    assert ret == 3
-    assert "numerical failure: at theta=1e-307:" in captured.err
-    assert captured.out == ""
+def test_pole_energy_at_theta_1e_307_is_the_ground_state(tmp_path):
+    # E - E0 ~ theta^2: the K sum's terms underflow to 0 and E0 is left
+    out = tmp_path / "triple.csv"
+    assert main(TRIPLE_POINT + ["--quantities", "E", "--tmin", "1e-307",
+                                "--tmax", "1e-300", "--points", "3",
+                                "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert float(rows[0][0]) == 1e-307
+    for row in rows:
+        assert float(row[1]) == pytest.approx(TRIPLE_POINT_E0, rel=1e-13)
 
 
 def test_triple_point_energy_reaches_the_ground_state(tmp_path):

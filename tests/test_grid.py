@@ -28,7 +28,7 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _K, _digamma, _g, _h, _ln_gamma, _trigamma
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -59,7 +59,7 @@ def closed_forms():
 
 
 def pole_sums():
-    """(id, theta -> value) of PoleSum.energy and .heat over both models."""
+    """(id, theta -> value) of PoleSum.energy, .heat and .entropy over both models."""
     systems = {
         "osc-ohmic-0.5": (1.0, DampingKernel.ohmic(0.5)),
         "osc-ohmic-critical": (1.0, DampingKernel.ohmic(2.0)),
@@ -78,7 +78,8 @@ def pole_sums():
         for route in Prescription:
             poles = PoleSum(omega0, kernel, route)
             out += [(f"{name} {route.value} E", poles.energy),
-                    (f"{name} {route.value} C", poles.heat)]
+                    (f"{name} {route.value} C", poles.heat),
+                    (f"{name} {route.value} S", poles.entropy)]
     return out
 
 
@@ -145,7 +146,7 @@ def test_lambda_and_drude_pairs_on_a_grid():
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
-           ("g", _g), ("h", _h), ("G", lambda z: _G(z)[0])]
+           ("g", _g), ("h", _h), ("G", lambda z: _G(z)[0]), ("K", lambda z: _K(z)[0])]
 
 
 @pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=[n for n, _ in KERNELS])
@@ -310,7 +311,8 @@ def test_float_in_gives_python_float_out():
     point = undamped_thermo(0.5)
     assert all(type(getattr(point, q)) is float for q in ("Z", "E", "S", "C"))
     poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.ENERGY)
-    for name, fn in closed_forms() + [("E", poles.energy), ("C", poles.heat)]:
+    for name, fn in closed_forms() + [("E", poles.energy), ("C", poles.heat),
+                                      ("S", poles.entropy)]:
         assert type(fn(0.5)) is float, name
         # a numpy scalar or a 0-d array is computed as its Python float
         for x in (np.float32(0.3), np.float64(0.3), np.array(0.3)):

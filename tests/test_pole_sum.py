@@ -17,7 +17,7 @@ from qbrownian.core import EPS, ConvergenceError, DomainError
 from qbrownian.free_particle import drude_specific_heat, ohmic_specific_heat
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, _roots,
                                  _summand_fractions, energy_sum, specific_heat_fd)
-from qbrownian.oscillator import damped_specific_heat, undamped_thermo
+from qbrownian.oscillator import damped_entropy, damped_specific_heat, undamped_thermo
 
 THETAS = [float(t) for t in np.logspace(-3.0, 2.0, 6)]
 # the Drude oscillator's cubic has a triple root at alpha = 8/(3 sqrt 3), r = 27/8
@@ -468,3 +468,216 @@ def test_validation():
             poles.energy(bad)
         with pytest.raises(DomainError):
             poles.heat(bad)
+
+
+# PoleSum's E and S against mpmath (scripts/freeze_oracles.py).  The
+# regularized energies from their closed forms with 2 log10(1/theta) + 40
+# digits, by (system, theta): "free" is the ohmic free particle, a number
+# the ohmic oscillator's alpha
+E_REGULARIZED = {
+    ('free', 1e-09): 5.235987755982989362311522e-19,
+    (1.0, 1e-09): 0.2886751345948128827781732,
+    (2.0, 1e-09): 1.047197551196597872462304e-18,
+    (5.0, 1e-09): -1.142728687950808501445365,
+    ('free', 1e-08): 5.235987755982986882786505e-17,
+    (1.0, 1e-08): 0.288675134594812934614452,
+    (2.0, 1e-08): 1.047197551196597376557301e-16,
+    (5.0, 1e-08): -1.142728687950808242263971,
+    ('free', 1e-07): 5.235987755982781548383206e-15,
+    (1.0, 1e-07): 0.2886751345948181182423304,
+    (2.0, 1e-07): 1.047197551196556309676641e-14,
+    (5.0, 1e-07): -1.142728687950782324124579,
+    ('free', 1e-06): 5.235987755962317405774596e-13,
+    (1.0, 1e-06): 0.2886751345953364810301768,
+    (2.0, 1e-06): 1.047197551192463481154919e-12,
+    (5.0, 1e-06): -1.142728687948190510185594,
+    ('free', 1e-05): 5.235987753915904479276625e-11,
+    (1.0, 1e-05): 0.288675134647172759855746,
+    (2.0, 1e-05): 1.047197550783180895855325e-10,
+    (5.0, 1e-05): -1.142728687689009118538003,
+    ('free', 0.0001): 5.235987549274516890233882e-9,
+    (1.0, 0.0001): 0.2886751398308010516546249,
+    (2.0, 0.0001): 1.047197509854903378046776e-8,
+    (5.0, 0.0001): -1.142728661770892461986525,
+    ('free', 0.001): 0.0000005235967085520449066930739,
+    (1.0, 0.001): 0.2886756581977226896355407,
+    (2.0, 0.001): 0.000001047193417104089813386148,
+    (5.0, 0.001): -1.142726070184211847511628,
+    ('free', 1.0): 0.2619360234739540258380538,
+    (1.0, 1.0): 0.8321042943381163864811856,
+    (2.0, 1.0): 0.5238720469479080516761077,
+    (5.0, 1.0): -0.6411296425076408588178475,
+    ('free', 1000.0): 498.699914446244394898973,
+    (1.0, 1000.0): 998.6999977650410497700849,
+    (2.0, 1000.0): 997.399828892488789797946,
+    (5.0, 1000.0): 993.4988227396920984225905,
+    ('free', 1000000000.0): 499999996.5011493113857836,
+    (1.0, 1000000000.0): 999999996.5011493114691169,
+    (2.0, 1000000000.0): 999999993.0022986227715671,
+    (5.0, 1000000000.0): 999999982.5057465561789178,
+}
+# E0 = E(theta -> 0) of the Drude oscillators (1, 10), the triple point and
+# (1e4, 1e6), by (gamma, omega_D, route): (1/2 pi) int_0^inf R, by quadrature
+E0_DRUDE = {
+    (1.0, 10.0, 'energy'): 0.7264099731492036426120806,
+    (1.0, 10.0, 'partition'): 0.8565623807211753176887819,
+    (1.539600717839002, 5.196152422706632, 'energy'): 0.7351051938957227446185738,
+    (1.539600717839002, 5.196152422706632, 'partition'): 0.9085450494122938189458124,
+    (10000.0, 1000000.0, 'energy'): 7447.507141909111496874236,
+    (10000.0, 1000000.0, 'partition'): 8987.47178823243815642504,
+}
+# S = d(theta ln Z)/d theta = ln Z + E/theta of the Drude oscillator (1, 10),
+# Z from the Gamma functions at its poles: the partition route's S
+S_PARTITION_DRUDE = {
+    0.001: 0.001047202153932249259551243,
+    0.01: 0.01047658081901822288839229,
+    0.1: 0.1093561411942732911983111,
+    1.0: 1.144404627483945199404648,
+    100.0: 5.605215069319745688837333,
+}
+# (E, S) where poles coincide, each root a simple pole of the parameters
+# scaled by 1 + 1e-30, with 60 digits or more
+COINCIDENT_E_S = {
+    ('free-drude-critical', 'energy', 1e-09): (0.31830988618379067206, 1.04719755119659781e-9),
+    ('free-drude-critical', 'energy', 1e-06): (0.31830988618431427031, 1.047197551195219642e-6),
+    ('free-drude-critical', 'energy', 0.001): (0.31831040978153273457, 0.0010471961731485997258),
+    ('free-drude-critical', 'energy', 1.0): (0.61274061098970426476, 0.70239089180897227625),
+    ('free-drude-critical', 'energy', 1000.0): (500.00016658916362725, 4.1073041324927632877),
+    ('free-drude-critical', 'energy', 1000000000.0): (500000000.00000000017, 11.015059328193232923),
+    ('free-drude-critical', 'partition', 1e-09): (0.44127120030530318719, 7.8539816339744835789e-10),
+    ('free-drude-critical', 'partition', 1e-06): (0.44127120030569588587, 7.8539816339680230998e-7),
+    ('free-drude-critical', 'partition', 0.001): (0.44127159300390041483, 0.00078539751743621972561),
+    ('free-drude-critical', 'partition', 1.0): (0.69457741952747789617, 0.57981593070855347201),
+    ('free-drude-critical', 'partition', 1000.0): (500.00033310087970968, 3.9538778060027790597),
+    ('free-drude-critical', 'partition', 1000000000.0): (500000000.00000000033, 10.861632918473205578),
+    ('osc-drude-triple', 'energy', 1e-09): (0.73510519389572274542, 1.6122661015415271403e-9),
+    ('osc-drude-triple', 'energy', 1e-06): (0.73510519389652887767, 1.612266101541526967e-6),
+    ('osc-drude-triple', 'energy', 0.001): (0.73510600002877349544, 0.0016122661015175965798),
+    ('osc-drude-triple', 'energy', 1.0): (1.2772993533847912449, 1.2369430331080400862),
+    ('osc-drude-triple', 'energy', 1000.0): (1000.0004164653087611, 8.0251160095138508918),
+    ('osc-drude-triple', 'energy', 1000000000.0): (1000000000.0000000004, 21.84062635927902298),
+    ('osc-drude-triple', 'partition', 1e-09): (0.90854504941229381975, 1.6122661015415271388e-9),
+    ('osc-drude-triple', 'partition', 1e-06): (0.908545049413099952, 1.6122661015399553691e-6),
+    ('osc-drude-triple', 'partition', 0.001): (0.90854585554416589876, 0.0016122645299526013394),
+    ('osc-drude-triple', 'partition', 1.0): (1.4150271301037019925, 1.1669953036481169267),
+    ('osc-drude-triple', 'partition', 1000.0): (1000.0007493961509931, 7.9077556535796116197),
+    ('osc-drude-triple', 'partition', 1000000000.0): (1000000000.0000000007, 21.723265836946411157),
+}
+
+REGULARIZED_SYSTEMS = {"free": (0.0, DampingKernel.ohmic(1.0))}
+REGULARIZED_SYSTEMS.update({alpha: (1.0, DampingKernel.ohmic(alpha)) for alpha in (1.0, 2.0, 5.0)})
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", list(REGULARIZED_SYSTEMS), ids=str)
+def test_regularized_energy_keeps_its_thermal_part(system, route):
+    # E0 is closed (0 for the free particle and alpha = 2), and the K sum's
+    # terms are O(theta^2), as E - E0 is: no digit is lost down to 1e-9
+    poles = PoleSum(*REGULARIZED_SYSTEMS[system], route)
+    thetas = sorted(theta for name, theta in E_REGULARIZED if name == system)
+    want = [E_REGULARIZED[system, theta] for theta in thetas]
+    assert poles.energy(np.array(thetas)).tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
+    for theta, value in zip(thetas, want):
+        assert poles.energy(theta) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+def test_energy_sum_bar_holds_the_regularization_constant():
+    # the sum cancels against the constant: its bar counts the rounding of both
+    for system in ("free", 1.0, 2.0):
+        omega0, kernel = REGULARIZED_SYSTEMS[system]
+        for theta in (1e-3, 1e-4, 1e-5, 1e-6):
+            got = energy_sum(omega0, kernel, 1.0 / theta, Prescription.ENERGY)
+            assert abs(got.value - E_REGULARIZED[system, theta]) <= got.err, (system, theta)
+
+
+@pytest.mark.parametrize("point", sorted(E0_DRUDE))
+def test_ground_energy_is_the_integral_of_the_summand(point):
+    gamma, omega_d, route = point
+    poles = PoleSum(1.0, DampingKernel.drude(gamma, omega_d), Prescription(route))
+    # E - E0 ~ theta^2 is below the last digit of E0 at theta = 1e-9
+    assert poles.energy(1e-9) == pytest.approx(E0_DRUDE[point], rel=1e-13, abs=0.0)
+
+
+def test_partition_entropy_is_ln_z_plus_e_over_theta():
+    # the Third-Law normalization S(0) = 0 of PoleSum's S is the partition
+    # function's, at the temperatures where Z's Gamma functions cancel most
+    poles = PoleSum(1.0, DampingKernel.drude(1.0, 10.0), Prescription.PARTITION)
+    for theta, want in S_PARTITION_DRUDE.items():
+        assert poles.entropy(theta) == pytest.approx(want, rel=1e-13, abs=0.0), theta
+
+
+@pytest.mark.parametrize("point", sorted(COINCIDENT_E_S))
+def test_coincident_pole_energy_and_entropy(point):
+    system, route, theta = point
+    poles = PoleSum(*SYSTEMS[system], Prescription(route))
+    energy, entropy = COINCIDENT_E_S[point]
+    assert poles.energy(theta) == pytest.approx(energy, rel=1e-13, abs=0.0)
+    assert poles.entropy(theta) == pytest.approx(entropy, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0, 5.0])
+def test_oscillator_entropy_matches_closed_form(alpha, route):
+    # the regularized summands' pole at nu = 0 adds nothing to S
+    poles = PoleSum(1.0, DampingKernel.ohmic(alpha), route)
+    thetas = np.logspace(-9.0, 9.0, 37)
+    want = damped_entropy(thetas, alpha).S
+    assert poles.entropy(thetas).tolist() == pytest.approx(want.tolist(), rel=1e-13, abs=0.0)
+
+
+ENTROPY_SYSTEMS = ["osc-drude", "osc-drude-slow", "osc-drude-triple", "osc-ohmic-critical",
+                   "free-ohmic", "free-drude", "free-drude-slow", "free-drude-critical"]
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", ENTROPY_SYSTEMS)
+def test_entropy_derivative_is_the_heat(system, route):
+    # theta dS/dtheta = C: central difference quotients of S in theta at
+    # steps h and h/2, Richardson-combined, whose truncation (h^4) and
+    # roundoff (S's, some 1e-12 relative, over h) stay below 1e-8
+    poles, h = PoleSum(*SYSTEMS[system], route), 1e-3
+
+    def quotient(step):
+        return (poles.entropy(theta * (1.0 + step))
+                - poles.entropy(theta * (1.0 - step))) / (2.0 * step)
+
+    for theta in (1e-3, 0.05, 0.3, 1.0, 4.0):
+        derivative = (4.0 * quotient(0.5 * h) - quotient(h)) / 3.0
+        assert derivative == pytest.approx(poles.heat(theta), rel=1e-8), theta
+
+
+def _entropy_by_quadrature(poles, theta):
+    # S = int_0^theta C(t) / t dt = int_-inf^ln theta C(e^x) dx, by 16-point
+    # Gauss-Legendre on unit panels in x down to ln theta - 45, where C is
+    # O(e^-45) of itself and its rest, C(e^x), is below the last digit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    lows = math.log(theta) - np.arange(1.0, 46.0)
+    x = (lows[:, None] + 0.5 * (nodes + 1.0)).ravel()
+    return 0.5 * float(np.tile(weights, len(lows)) @ poles.heat(np.exp(x)))
+
+
+@pytest.mark.parametrize("route", list(Prescription), ids=lambda r: r.value)
+@pytest.mark.parametrize("system", ["osc-drude", "free-ohmic", "free-drude",
+                                    "free-drude-slow"])
+def test_entropy_is_the_integral_of_heat_over_temperature(system, route):
+    poles = PoleSum(*SYSTEMS[system], route)
+    for theta in (1e-3, 0.1, 2.0):
+        assert poles.entropy(theta) == pytest.approx(
+            _entropy_by_quadrature(poles, theta), rel=1e-12), theta
+
+
+def test_free_particle_entropy_is_negative_below_r_1_on_the_partition_route():
+    # S ~ (pi/3)(1 - 1/r) theta: the prescription dependence at r = 0.1
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 0.1), Prescription.PARTITION)
+    assert poles.entropy(1e-3) == pytest.approx(-9.42e-3, rel=1e-3)
+    energy = PoleSum(0.0, DampingKernel.drude(1.0, 0.1), Prescription.ENERGY)
+    assert energy.entropy(1e-3) > 0.0
+
+
+def test_entropy_without_coupling():
+    for route in Prescription:
+        bare = PoleSum(1.0, DampingKernel.drude(0.0, 3.0), route)
+        for theta in (0.1, 1.0, 10.0):
+            assert bare.entropy(theta) == undamped_thermo(theta).S
+        with pytest.raises(DomainError, match=r"no S\(0\) = 0 entropy"):
+            PoleSum(0.0, DampingKernel.ohmic(0.0), route).entropy(1.0)

@@ -38,6 +38,7 @@ def assert_continuous(build, x: float, theta: float) -> None:
     here, there = build(x), build(x + STEP)
     assert abs(there.energy(theta) - here.energy(theta)) <= 1e-9
     assert abs(there.heat(theta) - here.heat(theta)) <= 1e-9
+    assert abs(there.entropy(theta) - here.entropy(theta)) <= 1e-9
 
 
 @SWEEP

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from qbrownian.core import EPS
-from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _K, _digamma, _g, _h, _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -56,6 +56,23 @@ H_G_REF = {
                   complex(0.0, -1.6666666666666665e-301)),
 }
 
+# K(z) = ln z + 1/(2z) - psi(1 + z) from its definition at 40 digits, with
+# 2 log10|z| + 40 where |z| > 1 (scripts/freeze_oracles.py), at H_G_REF's
+# points below |z| = 1e300
+K_REF = {
+    0.5: complex(0.27036284546147815, 0.0),
+    3.0: complex(0.009161286902975886, 0.0),
+    11.9: complex(0.0005880565122571709, 0.0),
+    12.1: complex(0.0005687903787713667, 0.0),
+    1000.0: complex(8.333332500000397e-08, 0.0),
+    (3+4j): complex(-0.0009219048993105381, -0.0032069911844322205),
+    (8-9j): complex(-6.699420472738904e-05, 0.0005708401795534715),
+    (0.001+5j): complex(-0.0033469317760817033, -1.3443236026261327e-06),
+    (1e-09+11.5j): complex(-0.0006305979131832478, -1.0975266904780145e-13),
+    (0.001+12.5j): complex(-0.0005336757037319865, -8.544306276654636e-08),
+    (1e-08+100000j): complex(-8.333333333416667e-12, -1.6666666667e-24),
+}
+
 
 def rel_err(got: complex, want: complex) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
@@ -88,6 +105,15 @@ def test_h_and_G_against_frozen_references():
         assert abs(_h(z) - h) <= 4.0 * EPS * abs(h), z
         value, magnitude = _G(z)
         assert abs(value - G) <= min(1e-12 * abs(G), 64.0 * EPS * magnitude), z
+
+
+def test_K_against_frozen_references():
+    # on both sides of |z| = 12, where K switches from its direct formula to
+    # its series: within 1e-12, and within 64 eps of the sum of |terms|
+    for z, want in K_REF.items():
+        value, magnitude = _K(z)
+        assert abs(value - want) <= min(1e-12 * abs(want), 64.0 * EPS * magnitude), z
+        assert value.conjugate() == _K(complex(z).conjugate())[0]
 
 
 def test_classic_identities():
