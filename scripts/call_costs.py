@@ -1,13 +1,16 @@
 """Print one `name us` line per float library call: its best time of N, in us.
 
-The calls are those that the benchmark's route cross-check makes, at its
-central draw (alpha = 1, cutoff ratio 10, theta = 1, where a frequency sum
-adds its 64-term minimum head), plus the free particle's closed forms,
-building the Drude oscillator's PoleSum, and its energy and heat.  Each call
-runs once before it is timed, so that its caches are full, and each of the N
-repeats times a fixed number of calls; the line gives the best repeat's time
-per call.  Comparing two checkouts on one host shows the fixed cost per float
-call that a change saves or adds.
+The calls are those that the benchmark's route cross-check makes (alpha = 1,
+cutoff ratio 10), each at theta = 0.05, 1 and 10: the ends of the
+cross-check's range (at 0.05 the Drude gap adds a 255-term head, past the
+64-term minimum; at 10 the moments reach a third step size) and its central
+draw.  After them come the free particle's closed forms,
+building the Drude oscillator's PoleSum, and its energy and heat, at
+theta = 1.  A line is named `name[theta=x]`, or `PoleSum` for the build.
+Each call runs once before it is timed, so that its caches are full, and
+each of the N repeats times a fixed number of calls; the line gives the best
+repeat's time per call.  Comparing two checkouts on one host shows the fixed
+cost per float call that a change saves or adds.
 
     PYTHONPATH=src python3 scripts/call_costs.py [N]      # N defaults to 7
 """
@@ -22,39 +25,45 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, Tolerances,
                        position_variance_sum, prescription_gap, specific_heat_fd,
                        spectral_energy)
 
-THETA, ALPHA, RATIO = 1.0, 1.0, 10.0
+THETAS, ALPHA, RATIO = (0.05, 1.0, 10.0), 1.0, 10.0
 CALLS_PER_REPEAT = 1000
 # the benchmark's spectral finite difference: its quadrature target and step
 SPECTRAL_TOL, SPECTRAL_STEP = Tolerances(quad_abs=1e-11), 3e-4
 
 
-def calls() -> list:
+def crosscheck_calls(theta: float) -> list:
     ohmic = DampingKernel.ohmic(ALPHA)
     drude = DampingKernel.drude(ALPHA, RATIO * ALPHA)
     energy = Prescription.ENERGY
-    poles = PoleSum(1.0, drude, energy)
-    beta = 1.0 / THETA
-    return [
-        ("damped_specific_heat", lambda: damped_specific_heat(THETA, ALPHA)),
+    beta = 1.0 / theta
+    calls = [
+        ("damped_specific_heat", lambda: damped_specific_heat(theta, ALPHA)),
         ("damped_specific_heat_via_entropy",
-         lambda: damped_specific_heat_via_entropy(THETA, ALPHA)),
-        ("damped_entropy", lambda: damped_entropy(THETA, ALPHA)),
+         lambda: damped_specific_heat_via_entropy(theta, ALPHA)),
+        ("damped_entropy", lambda: damped_entropy(theta, ALPHA)),
         ("energy_sum", lambda: energy_sum(1.0, ohmic, beta, energy)),
         ("specific_heat_fd(energy_sum)", lambda: specific_heat_fd(
-            lambda u: energy_sum(1.0, ohmic, 1.0 / u, energy).value, THETA)),
-        ("spectral_energy", lambda: spectral_energy(THETA, ALPHA, SPECTRAL_TOL)),
+            lambda u: energy_sum(1.0, ohmic, 1.0 / u, energy).value, theta)),
+        ("spectral_energy", lambda: spectral_energy(theta, ALPHA, SPECTRAL_TOL)),
         ("specific_heat_fd(spectral_energy)", lambda: specific_heat_fd(
-            lambda u: spectral_energy(u, ALPHA, SPECTRAL_TOL)[0], THETA,
+            lambda u: spectral_energy(u, ALPHA, SPECTRAL_TOL)[0], theta,
             rel_step=SPECTRAL_STEP)),
-        ("position_variance_sum", lambda: position_variance_sum(THETA, ALPHA)),
-        ("moments", lambda: moments(THETA, ALPHA)),
+        ("position_variance_sum", lambda: position_variance_sum(theta, ALPHA)),
+        ("moments", lambda: moments(theta, ALPHA)),
         ("prescription_gap", lambda: prescription_gap(1.0, drude, beta)),
-        ("ohmic_specific_heat", lambda: ohmic_specific_heat(THETA)),
-        ("drude_specific_heat", lambda: drude_specific_heat(THETA, RATIO)),
-        ("PoleSum", lambda: PoleSum(1.0, drude, energy)),
-        ("PoleSum.energy", lambda: poles.energy(THETA)),
-        ("PoleSum.heat", lambda: poles.heat(THETA)),
     ]
+    return [(f"{name}[theta={theta:g}]", call) for name, call in calls]
+
+
+def calls() -> list:
+    drude = DampingKernel.drude(ALPHA, RATIO * ALPHA)
+    poles = PoleSum(1.0, drude, Prescription.ENERGY)
+    return [*(call for theta in THETAS for call in crosscheck_calls(theta)),
+            ("ohmic_specific_heat[theta=1]", lambda: ohmic_specific_heat(1.0)),
+            ("drude_specific_heat[theta=1]", lambda: drude_specific_heat(1.0, RATIO)),
+            ("PoleSum", lambda: PoleSum(1.0, drude, Prescription.ENERGY)),
+            ("PoleSum.energy[theta=1]", lambda: poles.energy(1.0)),
+            ("PoleSum.heat[theta=1]", lambda: poles.heat(1.0))]
 
 
 def main(argv: list) -> int:

@@ -678,3 +678,14 @@ for k in range(-9, 10):
         print(f"    ({k}, 'PoleSum.entropy'): "
               f"{mp.nstr(pole_entropy(numerator, denominator, th, c), 17)},")
 print("}")
+# S of the free particle at r = 0.1 where G's direct formula cancels most
+# against S, on the energy route at theta = 0.01 and the partition route at
+# theta = 0.316, 60 digits
+print("S_FREE_SLOW_CUTOFF = {")
+for route, th in (("energy", 0.01), ("partition", 0.316)):
+    with mp.workdps(60):
+        numerator, denominator, c = drude_fraction(0, mp.mpf(1), mp.mpf(0.1),
+                                                   route == "partition")
+        value = pole_entropy(numerator, denominator, mp.mpf(th), c)
+    print(f"    ({route!r}, {th!r}): {mp.nstr(value, 25)},")
+print("}")

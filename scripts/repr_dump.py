@@ -47,7 +47,7 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
 from qbrownian.cli import main as cli_main
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -154,6 +154,11 @@ def emit(label: str, fn, *args) -> None:
     except Exception as exc:
         text = f"{type(exc).__name__}({str(exc)!r})"
     print(label, text)
+
+
+def _trigamma(z):
+    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
+    return (1.0 + (0.5 + _h(z)) / z) / z
 
 
 def special_functions() -> None:

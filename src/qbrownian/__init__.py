@@ -3,7 +3,7 @@
 Specific heat, entropy, and internal energy of an ohmically or Drude-damped
 quantum harmonic oscillator and of a free quantum Brownian particle, at
 arbitrary coupling strength, computed through mutually independent routes:
-trigamma-based closed forms, frequency sums under both energy prescriptions
+closed forms in the Gamma family, frequency sums under both energy prescriptions
 (in pole form, and term by term with an exact tail), direct spectral
 quadrature, and limit expansions.
 """

@@ -127,10 +127,14 @@ class DampingKernel:
 
 def _regularization(gamma: float, beta, w_ref: float):
     """The ohmic energy's restored cutoff remainder; see the module docstring."""
-    log, x = elementwise(beta).log, beta * w_ref / TWO_PI
-    lost = x < sys.float_info.min   # x lost digits, which its factors' logs keep
-    ln = log(x) if lost is False else where(   # a float that lost none: one log
-        lost, log(beta) + math.log(w_ref) - math.log(TWO_PI), log(where(lost, 1.0, x)))
+    x = beta * w_ref / TWO_PI
+    if type(x) is float and x >= sys.float_info.min:
+        ln = math.log(x)        # a float that lost no digits: one log
+    else:
+        log = elementwise(beta).log
+        lost = x < sys.float_info.min   # x lost digits, which its factors' logs keep
+        ln = where(lost, log(beta) + math.log(w_ref) - math.log(TWO_PI),
+                   log(where(lost, 1.0, x)))
     return (gamma / TWO_PI) * (EULER_GAMMA + ln)
 
 
@@ -241,21 +245,30 @@ def _bar(tail: list, power: float, weight_sum: float, roundoff: float, size: flo
     return max(map(abs, tail[-4:])) + roundoff * power * weight_sum + size * EPS
 
 
+@np.errstate(all="ignore")
 def _row(system: _System, s: float, head: int):
-    # (sum, bar) at a float s: one row of _rows, added in the same order
-    weights, weight_sum = _tail_weights(head)
+    # (sum, bar) at a float s: one row of _rows, added in the same order; a
+    # head that the shared 1/n covers is one chunk, its t sliced straight from it
+    tables, (weights, weight_sum) = _tail_tables(), _tail_weights(head)
+    unit = s / system.radius
+    chunks = ([tables.inverse_n[:head] / unit] if head <= _SHORT else
+              (_t(start, min(start + _CHUNK, head), unit)
+               for start in range(0, head, _CHUNK)))
     partials, magnitude = [], (head + weight_sum) * system.underflow
-    for start in range(0, head, _CHUNK):
-        terms = _terms(system, _t(start, min(start + _CHUNK, head), s / system.radius))
+    for t in chunks:
+        terms = _terms(system, t)
         partials.append(float(np.add.reduce(terms)))
         magnitude += float(np.add.reduce(np.abs(terms, out=terms)))
     ratio = system.radius / (s * head)
-    scaled = np.multiply.accumulate((ratio if ratio < 1.0 else 1.0) * _tail_tables().ones)
+    ratio = ratio if ratio < 1.0 else 1.0
+    # the running product's second power is the ratio squared, to the bit
+    scaled = np.multiply.accumulate(ratio * tables.ones)
     tail = (system.table * scaled[1:] * weights).tolist()
     return (math.fsum([*partials, *tail]),
-            _bar(tail, float(scaled[1]), weight_sum, system.roundoff, magnitude))
+            _bar(tail, ratio * ratio, weight_sum, system.roundoff, magnitude))
 
 
+@np.errstate(all="ignore")
 def _rows(system: _System, s: np.ndarray, head: int) -> list:
     # (sum, bar) at each s of a column, as _row adds them
     width = max(1, _CHUNK // len(s))
@@ -276,16 +289,15 @@ def _rows(system: _System, s: np.ndarray, head: int) -> list:
             for heads, tail, power, size in rows]
 
 
-def _check_bar(theta, total: float, bar: float, floor: float) -> None:
-    # ConvergenceError at theta unless bar meets _REL_TAIL max(|total|, floor) < inf
+def _refusal(theta, total: float, bar: float, floor: float) -> ConvergenceError:
+    # why a sum at theta whose bar misses _REL_TAIL max(|total|, floor) < inf is refused
     scale = max(abs(total), floor)
-    if not bar <= _REL_TAIL * scale < math.inf:
-        cause = (f"error bar {bar:.3g} misses the relative tail target "
-                 f"{_REL_TAIL:g}" if math.isfinite(bar + total) else
-                 "meets a term that is not finite in double precision")
-        raise ConvergenceError(
-            f"at theta={theta!r}: frequency sum {cause}", requested=_REL_TAIL,
-            achieved=bar / scale if 0.0 < scale < math.inf else math.inf)
+    cause = (f"error bar {bar:.3g} misses the relative tail target "
+             f"{_REL_TAIL:g}" if math.isfinite(bar + total) else
+             "meets a term that is not finite in double precision")
+    return ConvergenceError(
+        f"at theta={theta!r}: frequency sum {cause}", requested=_REL_TAIL,
+        achieved=bar / scale if 0.0 < scale < math.inf else math.inf)
 
 
 def _summed(system: _System, s, theta, floor: float = 1.0):
@@ -299,34 +311,37 @@ def _summed(system: _System, s, theta, floor: float = 1.0):
     terms, the head's roundoff (eps per term, each at least eps underflow) and
     the table's, which the ratio's powers shrink by at least (radius / (s N))^2
     before the weights carry it into the tail.  A float is one row, summed by
-    _row without a grid's lists; a grid's rows are summed by _rows in the same
-    order, each equal to its float call to the bit when it adds the same head.
-    A grid's coldest theta left adds its head at every theta left that needs at
-    least half of it, so no theta adds more than 2 N terms, in chunks of at
-    most _CHUNK elements; numpy stays quiet where a term underflows.
+    _row without a grid's lists: a head of at most _SHORT terms is one chunk,
+    its t sliced straight from the shared 1/n, and the bar is one comparison
+    that builds a refusal only where it fails.  A grid's rows are summed by
+    _rows in the same order, each equal to its float call to the bit when it
+    adds the same head.  A grid's coldest theta left adds its head at every
+    theta left that needs at least half of it, so no theta adds more than 2 N
+    terms, in chunks of at most _CHUNK elements.  _row and _rows keep numpy
+    quiet where a term underflows (np.errstate as their decorator).
     ConvergenceError names the first failing theta in C order: where N exceeds
     _MAX_TERMS, before a term is added; where a term or the bar is not finite;
     and where the bar misses _REL_TAIL times max(|sum|, floor).
     """
     if not isinstance(theta, np.ndarray):
         head = _head(system.bound, s, theta)
-        with np.errstate(all="ignore"):
-            total, bar = _row(system, s, head)
-        _check_bar(theta, total, bar, floor)
+        total, bar = _row(system, s, head)
+        if not bar <= _REL_TAIL * max(abs(total), floor) < math.inf:
+            raise _refusal(theta, total, bar, floor)
         return total, head, bar
     thetas, scales = theta.ravel().tolist(), s.ravel()
     heads = [_head(system.bound, x, at) for x, at in zip(scales.tolist(), thetas)]
     sums = [None] * len(heads)
     left = list(range(len(heads)))
-    with np.errstate(all="ignore"):
-        while left:
-            head = max(heads[i] for i in left)
-            group = [i for i in left if 2 * heads[i] >= head]
-            left = [i for i in left if 2 * heads[i] < head]
-            for i, result in zip(group, _rows(system, scales[group, None], head)):
-                sums[i] = result
+    while left:
+        head = max(heads[i] for i in left)
+        group = [i for i in left if 2 * heads[i] >= head]
+        left = [i for i in left if 2 * heads[i] < head]
+        for i, result in zip(group, _rows(system, scales[group, None], head)):
+            sums[i] = result
     for at, (total, bar) in zip(thetas, sums):
-        _check_bar(at, total, bar, floor)
+        if not bar <= _REL_TAIL * max(abs(total), floor) < math.inf:
+            raise _refusal(at, total, bar, floor)
     return (np.reshape([total for total, _ in sums], theta.shape), max(heads),
             np.reshape([bar for _, bar in sums], theta.shape))
 

@@ -23,8 +23,10 @@ their weighted numerators (w, w^3) weight are tabulated once, at import.
 Divided by den, which depends on alpha but not on theta, they are tabulated
 again per damping and step size, on the first call that reaches that step
 at that damping, and kept for the next.  One pass over them gives both
-moments: each step size costs one Bose evaluation and one matrix-vector
-product, and each moment stops at its own step size, with its own error bar.
+moments: the first two step sizes, which every call sums, share one Bose
+evaluation over their nodes, tabulated as one vector; each finer step size
+costs one more; each step size costs one matrix-vector product; and each
+moment stops at its own step size, with its own error bar.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ def _level(h: float, first: bool) -> tuple[np.ndarray, ...]:
 
 
 _LEVELS = tuple(_level(h, i == 0) for i, h in enumerate(_STEPS))
+# every call sums the first two step sizes, as the coarsest has no previous
+# value to stop on: their nodes, as one vector, take one Bose evaluation
+_FIRST_TWO = np.concatenate([_LEVELS[0][0], _LEVELS[1][0]])
+_FIRST_TWO_PARTS = (slice(0, _LEVELS[0][0].size), slice(_LEVELS[0][0].size, None))
 # The nodes stop short of w = 0 by _GAP0 and straddle w = 1 with a gap of
 # _GAP1 in all; what the integrand holds there is bounded, not sampled.
 _U_MAX = 0.5 * math.pi * math.sinh(_T_MAX)
@@ -98,26 +104,30 @@ def _table(alpha: float, level: int) -> tuple[np.ndarray, float]:
     return rows, float(rows[0].sum())
 
 
-def _bose(y):
-    """2/(e^y - 1), the coth(y/2) - 1 remainder; 0 where e^y overflows."""
-    return 2.0 / np.expm1(y)
+def _bose(y: np.ndarray) -> np.ndarray:
+    """2/(e^y - 1), the coth(y/2) - 1 remainder, formed in y; 0 where e^y overflows."""
+    return np.divide(2.0, np.expm1(y, out=y), out=y)
 
 
+@np.errstate(all="ignore")
 def moments(theta: float, alpha: float,
             tol: Tolerances = Tolerances()) -> MomentResult:
     """Both variances in one pass: q2 = f_0 and p2_reg = regularized f_2.
 
     theta and alpha are single values; an array of them raises DomainError.
-    Each step size evaluates the Bose factor once and takes both moments'
-    sums from it in one product with that damping's table, built on the
-    first call at that damping (see _table).  Each moment stops at the first
-    step whose error bar is within tol.quad_abs / 4 and keeps that value and
-    bar; after the finest step, a bar above tol.quad_abs raises
+    The Bose factor is evaluated once for the first two step sizes together
+    and once for each finer one reached, and each step size takes both
+    moments' sums from it in one product with that damping's table, built on
+    the first call at that damping (see _table).  Each moment stops at the
+    first step whose error bar is within tol.quad_abs / 4 and keeps that
+    value and bar; after the finest step, a bar above tol.quad_abs raises
     ConvergenceError, f_0's before f_2's.  The bar is the change of the
     value on the last halving, plus the roundoff floor sum|f w| eps
     sqrt(nodes), plus a bound on the two gaps the nodes leave: near w = 0
     the integrand is at most its limit there, and near w = 1 at most its
-    value at 1, g(1) / (pi alpha), since den >= alpha^2 w^2.
+    value at 1, g(1) / (pi alpha), since den >= alpha^2 w^2.  At extreme
+    theta or alpha the integrands overflow or divide by zero on some nodes,
+    with numpy kept quiet; the resulting inf or nan error bar raises.
     """
     theta = check_positive("theta", theta)
     alpha = check_positive("alpha", alpha)
@@ -130,33 +140,31 @@ def moments(theta: float, alpha: float,
     # the coarsest step has no previous value to compare with
     totals, previous, errs = [0.0, 0.0], [math.inf] * 2, [math.inf] * 2
     nodes = 0
-    # at extreme theta or alpha the integrands overflow or divide by zero
-    # on some nodes; the resulting inf or nan error bar raises below
-    with np.errstate(all="ignore"):
-        bose_1 = float(_bose(1.0 / theta))
-        gaps = (_GAP0 * 2.0 * theta * pref
-                + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
-                _GAP1 * bose_1 / (math.pi * alpha))
-        for level, (w, _, _, _) in enumerate(_LEVELS):
-            rows, ones = _table(alpha, level)
-            # both moments' Bose-weighted sums in one product, the Bose
-            # factor 2/(e^y - 1) formed in place
-            bose = w / theta
-            np.divide(2.0, np.expm1(bose, out=bose), out=bose)
-            bosed = (rows @ bose).tolist()
-            sums = (ones + bosed[0], bosed[1])
-            nodes += w.size
-            for k in (0, 1):
-                if errs[k] <= stop:
-                    continue            # this moment stopped at a coarser step
-                # halving the step halves the weights of the nodes already summed
-                total = 0.5 * totals[k] + sums[k]
-                # the integrand and the weights are nonnegative, so total = sum|f w|
-                change = abs(total - previous[k])
-                errs[k] = pref * (change + total * EPS * math.sqrt(nodes)) + gaps[k]
-                totals[k] = previous[k] = total
-            if errs[0] <= stop and errs[1] <= stop:
-                break
+    bose_1 = float(2.0 / np.expm1(1.0 / theta))
+    gaps = (_GAP0 * 2.0 * theta * pref
+            + _GAP1 * (1.0 + bose_1) / (math.pi * alpha),
+            _GAP1 * bose_1 / (math.pi * alpha))
+    # the first two step sizes' Bose factors in one pass, each finer one's
+    # where it is reached
+    first_two = _bose(_FIRST_TWO / theta)
+    for level, (w, _, _, _) in enumerate(_LEVELS):
+        rows, ones = _table(alpha, level)
+        bose = first_two[_FIRST_TWO_PARTS[level]] if level < 2 else _bose(w / theta)
+        # both moments' Bose-weighted sums in one product
+        bosed = (rows @ bose).tolist()
+        sums = (ones + bosed[0], bosed[1])
+        nodes += w.size
+        for k in (0, 1):
+            if errs[k] <= stop:
+                continue            # this moment stopped at a coarser step
+            # halving the step halves the weights of the nodes already summed
+            total = 0.5 * totals[k] + sums[k]
+            # the integrand and the weights are nonnegative, so total = sum|f w|
+            change = abs(total - previous[k])
+            errs[k] = pref * (change + total * EPS * math.sqrt(nodes)) + gaps[k]
+            totals[k] = previous[k] = total
+        if errs[0] <= stop and errs[1] <= stop:
+            break
     for k, err in enumerate(errs):
         if not err <= target:       # a nan error bar raises too
             raise ConvergenceError(

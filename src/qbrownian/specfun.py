@@ -8,6 +8,9 @@ h(z) = z^2 psi'(1 + z) - z + 1/2, G(z) = g(z) - ln(2 pi z)/2 + z + 1/2, g(z) =
 ln Gamma(1 + z) - z psi(1 + z), and K(z) = ln z + 1/(2z) - psi(1 + z): O(1/z)
 or O(1/z^2) where their terms are O(z), -z G'(z) = h(z) (DLMF 5.11.1-2,
 5.15.8); G and K switch to their series at |z| = 12 in one place, _asymptotic.
+Below it G's sum of |terms| counts ln Gamma(1 + z) as its Stirling series and
+its recurrence sum, and z psi(1 + z) apart, all from one evaluation each:
+these cancel where |z| is small, and the size must carry what that costs.
 
 Each kernel takes either a Python complex or a complex ndarray.  All of them
 push their argument through one helper, _push: a complex moves up a step
@@ -113,12 +116,18 @@ def _series(value, power, rz2, coefficients):
     return value
 
 
-def _ln_gamma(z):
+def _ln_gamma_terms(z):
+    # ln Gamma(z) as Stirling's series at z + k and -sum_j ln(z + j), j < k,
+    # which cancel where |ln Gamma(z)| is small
     z, shift = _push(z, _log)
     rz = 1.0 / z
     series = _series(0.0 + 0.0j, rz, rz * rz, _LN_GAMMA)
-    value = (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series
-    return value - shift
+    return (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series, -shift
+
+
+def _ln_gamma(z):
+    stirling, minus_logs = _ln_gamma_terms(z)
+    return stirling + minus_logs
 
 
 def _digamma(z):
@@ -129,15 +138,16 @@ def _digamma(z):
     return value - shift
 
 
-def _trigamma(z):
-    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
-    return (1.0 + (0.5 + _h(z)) / z) / z
+def _g_terms(z):
+    # g(z)'s terms: ln Gamma(1 + z)'s two (_ln_gamma_terms) and -z psi(1 + z)
+    w = 1.0 + z
+    return (*_ln_gamma_terms(w), -(z * _digamma(w)))
 
 
 def _g(z):
-    w = 1.0 + z
     # g(0) = 0 exactly, not the roundoff of ln Gamma(1)
-    return where(z == 0, 0.0j, _ln_gamma(w) - z * _digamma(w))
+    stirling, minus_logs, minus_z_psi = _g_terms(z)
+    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 
 def _h(z):
@@ -178,9 +188,9 @@ def _sized(*terms):
 
 
 def _G(z):
-    """(G(z), Re z >= 0, and its sum of |terms|), on _g below |z| = 12."""
+    """(G(z), Re z >= 0, and its sum of |terms|), on g's terms below |z| = 12."""
     return _asymptotic(z, _G_SERIES, 1,
-                       lambda z: _sized(_g(z), -0.5 * _log(TWO_PI * z), z + 0.5))
+                       lambda z: _sized(*_g_terms(z), -0.5 * _log(TWO_PI * z), z + 0.5))
 
 
 def _K(z):

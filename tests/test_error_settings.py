@@ -13,14 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qbrownian import (DampingKernel, PoleSum, Prescription, damped_specific_heat,
-                       energy_sum, moments, position_variance_sum, prescription_gap,
-                       specific_heat_fd)
+from qbrownian import (DampingKernel, PoleSum, Prescription, Tolerances,
+                       damped_specific_heat, energy_sum, moments,
+                       position_variance_sum, prescription_gap, specific_heat_fd,
+                       spectral_energy)
 
 OHMIC = DampingKernel.ohmic(1.0)
 DRUDE = DampingKernel.drude(1.0, 10.0)
 ENERGY, PARTITION = Prescription.ENERGY, Prescription.PARTITION
 NUMPY_DEFAULTS = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+# the route cross-check's spectral finite difference: its quadrature target
+SPECTRAL_TOL = Tolerances(quad_abs=1e-11)
 
 CALLS = {
     "energy_sum ohmic theta=1e300": lambda: energy_sum(1.0, OHMIC, 1e-300, ENERGY),
@@ -31,6 +34,13 @@ CALLS = {
     "position_variance_sum theta=1e250": lambda: position_variance_sum(1e250, 1.0),
     "moments theta=0.05": lambda: moments(0.05, 1.0),
     "moments theta=1e5": lambda: moments(1e5, 1.0),
+    "moments theta=1e-3": lambda: moments(1e-3, 1.0),
+    "moments theta=5 quad_abs=1e-11": lambda: moments(5.0, 1.0, SPECTRAL_TOL),
+    "specific_heat_fd(spectral_energy) theta=10": lambda: specific_heat_fd(
+        lambda u: spectral_energy(u, 1.0, SPECTRAL_TOL)[0], 10.0, rel_step=3e-4),
+    # the cross-check's coldest sums: the gap's 255-term head is one chunk
+    "position_variance_sum theta=0.05": lambda: position_variance_sum(0.05, 1.0),
+    "prescription_gap drude theta=0.05": lambda: prescription_gap(1.0, DRUDE, 1.0 / 0.05),
     "damped_specific_heat theta=0.37": lambda: damped_specific_heat(0.37, 1.0),
     "PoleSum.heat theta=0.37": lambda: PoleSum(1.0, DRUDE, PARTITION).heat(0.37),
     "specific_heat_fd(energy_sum) theta=0.37": lambda: specific_heat_fd(

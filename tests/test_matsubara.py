@@ -237,8 +237,10 @@ def test_regularized_value_against_brute_force_sum():
     nu = TWO_PI * theta * n
     terms = (nu - 1.0) / (nu * (nu * nu + nu + 1.0))
     c_tail = 1.0 / (TWO_PI * theta) ** 2
-    from qbrownian.specfun import _trigamma
-    brute = float(np.sum(terms[::-1])) + c_tail * _trigamma(2_000_001.0).real
+    from qbrownian.specfun import _h
+    # the tail sum_{n > N} 1/n^2 = psi'(N + 1) = (1 + (1/2 + h(x))/x)/x, x = N + 1
+    x = 2_000_001.0
+    brute = float(np.sum(terms[::-1])) + c_tail * ((1.0 + (0.5 + _h(x)) / x) / x).real
     e_brute = theta * (1.0 + brute) + (1.0 / TWO_PI) * (
         EULER_GAMMA + math.log(beta / TWO_PI))
     result = energy_sum(1.0, DampingKernel.ohmic(1.0), beta, Prescription.ENERGY)

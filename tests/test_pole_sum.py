@@ -13,10 +13,11 @@ import random
 import numpy as np
 import pytest
 
-from qbrownian.core import EPS, ConvergenceError, DomainError
+from qbrownian.core import EPS, TWO_PI, ConvergenceError, DomainError
 from qbrownian.free_particle import drude_specific_heat, ohmic_specific_heat
-from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, _roots,
-                                 _summand_fractions, energy_sum, specific_heat_fd)
+from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription, _entropy_terms,
+                                 _roots, _summand_fractions, energy_sum,
+                                 specific_heat_fd)
 from qbrownian.oscillator import damped_entropy, damped_specific_heat, undamped_thermo
 
 THETAS = [float(t) for t in np.logspace(-3.0, 2.0, 6)]
@@ -672,6 +673,27 @@ def test_free_particle_entropy_is_negative_below_r_1_on_the_partition_route():
     assert poles.entropy(1e-3) == pytest.approx(-9.42e-3, rel=1e-3)
     energy = PoleSum(0.0, DampingKernel.drude(1.0, 0.1), Prescription.ENERGY)
     assert energy.entropy(1e-3) > 0.0
+
+
+# S of the free particle at r = 0.1, 60 digits from its pole form
+# (scripts/freeze_oracles.py), where G's direct formula cancels most against S
+S_FREE_SLOW_CUTOFF = {
+    ('energy', 0.01): 0.01052561966238445460487292,
+    ('partition', 0.316): -0.03805414160053998188876039,
+}
+
+
+@pytest.mark.parametrize("route, theta", list(S_FREE_SLOW_CUTOFF), ids=str)
+def test_entropy_is_within_its_roundoff_estimate(route, theta):
+    # G's size counts ln Gamma(1 + z)'s Stirling part and recurrence sum and
+    # z psi(1 + z) apart, so magnitude * eps covers what their cancellation
+    # costs; a float and a grid call round differently, and each is covered
+    poles = PoleSum(0.0, DampingKernel.drude(1.0, 0.1), Prescription(route))
+    s = TWO_PI * (theta / poles._radius)
+    for at, scale in ((theta, s), (np.array([theta]), np.array([s]))):
+        _, size = poles._sum(scale, _entropy_terms)
+        error = abs(poles.entropy(at) - S_FREE_SLOW_CUTOFF[route, theta])
+        assert error <= poles._dof * size * EPS, type(at)
 
 
 def test_entropy_without_coupling():

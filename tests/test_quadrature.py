@@ -161,8 +161,9 @@ def test_extreme_inputs_raise_no_numpy_warnings(n, theta, alpha, expected):
 
 def test_one_bose_evaluation_per_step_size(monkeypatch):
     # both moments share each level's Bose factor 2/(e^y - 1), formed inline
-    # with np.expm1: one call per level reached (one _table call each), and one
-    # more for the factor at w = 1 that bounds the gaps
+    # with np.expm1: one call for the first two levels, which every call sums,
+    # one per finer level reached (one _table call each), and one more for the
+    # factor at w = 1 that bounds the gaps
     class CountingNumpy:
         expm1_calls = 0
 
@@ -186,7 +187,8 @@ def test_one_bose_evaluation_per_step_size(monkeypatch):
         monkeypatch.setattr(quadrature, "np", counting)
         levels.clear()
         moments(theta, alpha)
-        assert counting.expm1_calls == len(levels) + 1, (theta, alpha)
+        assert levels[:2] == [0, 1], (theta, alpha)
+        assert counting.expm1_calls == len(levels), (theta, alpha)
         assert len(levels) <= len(quadrature._LEVELS), (theta, alpha)
 
 

@@ -37,11 +37,14 @@ def test_call_costs_prints_one_time_per_call():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     costs = dict(line.split(" ") for line in proc.stdout.splitlines())
-    assert {"energy_sum", "specific_heat_fd(energy_sum)", "prescription_gap",
-            "position_variance_sum", "moments", "specific_heat_fd(spectral_energy)",
-            "damped_specific_heat", "damped_entropy", "ohmic_specific_heat",
-            "drude_specific_heat", "PoleSum", "PoleSum.energy",
-            "PoleSum.heat"} <= set(costs)
+    crosscheck = ["energy_sum", "specific_heat_fd(energy_sum)", "prescription_gap",
+                  "position_variance_sum", "moments", "spectral_energy",
+                  "specific_heat_fd(spectral_energy)", "damped_specific_heat",
+                  "damped_specific_heat_via_entropy", "damped_entropy"]
+    assert {f"{name}[theta={theta}]" for name in crosscheck
+            for theta in ("0.05", "1", "10")} | {
+        "ohmic_specific_heat[theta=1]", "drude_specific_heat[theta=1]", "PoleSum",
+        "PoleSum.energy[theta=1]", "PoleSum.heat[theta=1]"} == set(costs)
     assert all(0.0 < float(us) < 1e6 for us in costs.values())
 
 

@@ -15,9 +15,14 @@ import mpmath as mp
 import numpy as np
 
 from qbrownian.core import EPS
-from qbrownian.specfun import _G, _K, _digamma, _g, _h, _ln_gamma, _trigamma
+from qbrownian.specfun import _G, _K, _digamma, _g, _h, _ln_gamma
 
 EULER_GAMMA = 0.5772156649015328606065121
+
+
+def _trigamma(z):
+    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
+    return (1.0 + (0.5 + _h(z)) / z) / z
 
 LN_GAMMA_REF = complex(0.7853469580738222014792393, 2.583012925115262026571724)
 DIGAMMA_REF = complex(1.607759321607187866120233, 1.570796326794825270487004)
