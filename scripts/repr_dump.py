@@ -45,9 +45,10 @@ from qbrownian import (DampingKernel, PoleSum, Prescription, ThermoPoint,
                        position_variance_sum, prescription_gap,
                        specific_heat_fd, spectral_energy, undamped_thermo)
 from qbrownian.cli import main as cli_main
+from qbrownian.core import where
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _G, _digamma, _g, _h, _ln_gamma
+from qbrownian.specfun import _G, _digamma, _g_terms, _h, _ln_gamma_terms
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -159,6 +160,19 @@ def emit(label: str, fn, *args) -> None:
 def _trigamma(z):
     # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
     return (1.0 + (0.5 + _h(z)) / z) / z
+
+
+def _ln_gamma(z):
+    # ln Gamma(z), the sum of _ln_gamma_terms
+    stirling, minus_logs = _ln_gamma_terms(z)
+    return stirling + minus_logs
+
+
+def _g(z):
+    # g(z) = ln Gamma(1 + z) - z psi(1 + z), the sum of _g_terms; g(0) = 0
+    # exactly, not the roundoff of ln Gamma(1)
+    stirling, minus_logs, minus_z_psi = _g_terms(z)
+    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 
 def special_functions() -> None:

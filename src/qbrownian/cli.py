@@ -10,17 +10,20 @@ curve takes energies, and specific heats and entropies without a closed
 form, from the frequency sums in pole form (matsubara.PoleSum); compare
 evaluates the same sums term by term, with an exact tail, and differentiates
 them numerically, so it is the sum-based cross-check of curve.  Every command
-evaluates each column once over the whole temperature grid, as an array.
+evaluates each distinct column once over the whole temperature grid, as an
+array, and formats it once, across all the files it writes; fig1's inset
+C_cutoff_inf is its main file's C_exact column.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
-parameter set and the library version.  Exit codes: 0 success, 2 usage error,
-3 numerical failure.
+parameter set and the library version.  Exit codes: 0 success, 2 usage error
+(an --out path that cannot be written included), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -151,25 +154,39 @@ class CurveSpec:
         return "# " + " ".join(f"{name}={values[name]}" for name in names + ("version",))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_FMT = "%.17g"
+_fmt = _FMT.__mod__
 
 
-def _table(spec: CurveSpec, header: str, comment: str,
-           columns: dict[str, Callable[[np.ndarray], np.ndarray]]) -> list[str]:
-    """CSV lines: the theta column named header, then one column per entry.
+def _cells(values: list[float], shared: bool) -> tuple[str, list]:
+    """A column's field in a row template and its values: a column written in
+    more than one place is formatted once, into strings; others inline."""
+    return ("%s", list(map(_fmt, values))) if shared else (_FMT, values)
 
-    Each distinct callable is evaluated once, on the whole grid, and serves
-    every column that names it; a closed form that fails names the first
-    theta at which it failed.
+
+def _tables(spec: CurveSpec, header: str,
+            files: dict[str, tuple[str, dict[str, Callable[[np.ndarray], np.ndarray]]]]
+            ) -> dict[str, list[str]]:
+    """CSV lines per file suffix, from {suffix: (comment, columns)}.
+
+    Each file is the theta column, named header, then its columns.  Each
+    distinct callable is evaluated once, on the whole grid, for all the
+    files of a command, and each column written more than once, theta
+    included, is formatted once (fig1's C_cutoff_inf is its C_exact
+    column); a closed form that fails names the first theta at which it
+    failed.
     """
     grid = spec.grid()
-    computed = {fn: fn(grid).tolist() for fn in dict.fromkeys(columns.values())}
-    values = [computed[fn] for fn in columns.values()]
-    lines = [",".join([header, *columns]), comment]
-    template = ",".join(["%.17g"] * (1 + len(values)))
-    lines.extend(template % row for row in zip(grid.tolist(), *values))
-    return lines
+    uses = collections.Counter(fn for _, columns in files.values() for fn in columns.values())
+    cells = {fn: _cells(fn(grid).tolist(), n > 1) for fn, n in uses.items()}
+    theta = _cells(grid.tolist(), len(files) > 1)
+    tables = {}
+    for suffix, (comment, columns) in files.items():
+        fields, values = zip(theta, *(cells[fn] for fn in columns.values()))
+        template = ",".join(fields)
+        tables[suffix] = [",".join([header, *columns]), comment,
+                          *(template % row for row in zip(*values))]
+    return tables
 
 
 def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
@@ -204,10 +221,10 @@ def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
 
     comment = spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
                            "quantities", "tmin", "tmax", "points", "log", "tol")
-    return {"": _table(spec, "theta", comment, columns)}
+    return _tables(spec, "theta", {"": (comment, columns)})
 
 
-_FIG1_RATIOS = {"0.01": 0.01, "0.1": 0.1, "1": 1.0, "inf": math.inf}
+_FIG1_RATIOS = {"0.01": 0.01, "0.1": 0.1, "1": 1.0}
 
 
 def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
@@ -215,17 +232,17 @@ def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
 
     Main: exact strict-ohmic C against the linear-plus-cubic low-temperature
     law.  Inset: C for cutoff ratios 0.01, 0.1, 1, inf (upper to lower at low
-    temperature) with the same expansion column.
+    temperature) with the same expansion column.  The ratio inf is the strict
+    ohmic kernel, so C_cutoff_inf is the main file's C_exact column.
     """
     comment = spec.comment("model", "kernel", "tmin", "tmax", "points", "log")
-    main = {"C_exact": spec.closed_heat(), "C_lowT": ohmic_lowT_expansion}
+    exact = spec.closed_heat()
     inset = {f"C_cutoff_{name}": lambda t, r=ratio: drude_specific_heat(t, r).C
              for name, ratio in _FIG1_RATIOS.items()}
-    inset["C_lowT"] = ohmic_lowT_expansion
-    return {"_main.csv": _table(spec, "theta_gamma", comment, main),
-            "_inset.csv": _table(spec, "theta_gamma",
-                                 comment.replace("kernel=ohmic", "kernel=drude_family"),
-                                 inset)}
+    inset |= {"C_cutoff_inf": exact, "C_lowT": ohmic_lowT_expansion}
+    return _tables(spec, "theta_gamma", {
+        "_main.csv": (comment, {"C_exact": exact, "C_lowT": ohmic_lowT_expansion}),
+        "_inset.csv": (comment.replace("kernel=ohmic", "kernel=drude_family"), inset)})
 
 
 def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
@@ -268,7 +285,8 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
     log2(err(theta) / err(theta/2)): near the stated remainder order of each
     expansion in its own asymptotic regime, and meaningless (reported anyway)
     outside it.  Each exact C is evaluated once on the grid and once on the
-    halved grid, and shared by the kinds that it serves.
+    halved grid, and shared by the kinds that it serves; the theta column and
+    each shared exact column are formatted once.
     """
     a = spec.alpha_value
     # kind -> (exact C, expansion), in output order
@@ -284,8 +302,10 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
                  for kind in kinds}
     grid = spec.grid()
     grids = (grid, grid / 2.0)
-    exact = {fn: [fn(t) for t in grids]
-             for fn in dict.fromkeys(fn for fn, _ in table.values())}
+    uses = collections.Counter(fn for fn, _ in table.values())
+    exact = {fn: [fn(t) for t in grids] for fn in uses}
+    theta = _cells(grid.tolist(), len(table) > 1)
+    exact_cells = {fn: _cells(exact[fn][0].tolist(), n > 1) for fn, n in uses.items()}
     lines = ["kind,theta,exact,expansion,abs_error,error_exponent",
              spec.comment("model", "alpha", "tmin", "tmax", "points", "log")]
     for kind, (fn, expansion) in table.items():
@@ -296,9 +316,10 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
         exponent = np.full(grid.shape, math.nan)
         ok = (err > 0.0) & (err_h > 0.0)
         exponent[ok] = np.log2(err[ok] / err_h[ok])
-        columns = (grid, values, approx, err, exponent)
-        template = kind + ",%.17g" * len(columns)
-        lines.extend(template % row for row in zip(*(v.tolist() for v in columns)))
+        fields, columns = zip(theta, exact_cells[fn],
+                              *((_FMT, v.tolist()) for v in (approx, err, exponent)))
+        template = ",".join((kind, *fields))
+        lines.extend(template % row for row in zip(*columns))
     return {"": lines}
 
 
@@ -393,10 +414,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    for suffix, lines in files.items():
-        with (contextlib.nullcontext(sys.stdout) if args.out is None
-              else open(args.out + suffix, "w", encoding="utf-8")) as fh:
-            fh.write("\n".join(lines) + "\n")
+    try:
+        for suffix, lines in files.items():
+            path = "stdout" if args.out is None else args.out + suffix
+            with (contextlib.nullcontext(sys.stdout) if args.out is None
+                  else open(path, "w", encoding="utf-8")) as fh:
+                fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"usage error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

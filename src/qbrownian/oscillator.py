@@ -116,11 +116,11 @@ def damped_entropy(theta, alpha: float) -> ThermoPoint:
 
 
 def damped_specific_heat_via_entropy(theta, alpha: float) -> ThermoPoint:
-    """Specific heat obtained by differentiating the entropy: damped_specific_heat.
+    """An alias that returns damped_specific_heat(theta, alpha).
 
-    C/k_B = 1 - a - lam_+ g'(lam_+) - lam_- g'(lam_-), and g'(z) is
-    -z psi'(1 + z), so the entropy route is the internal-energy route term
-    by term and returns its value, bit for bit.
+    The entropy route is the energy route term by term (module docstring),
+    so it has no formula of its own; the alias stays while the benchmark's
+    route_crosscheck workload calls it.
     """
     return damped_specific_heat(theta, alpha)
 

@@ -1,8 +1,8 @@
 """Gamma-family special functions for complex arguments.
 
 These are the private kernels that the closed forms and PoleSum are built
-from.  _ln_gamma and _digamma push the argument up to Re(z) >= 10 with the
-standard recurrences, then apply the Stirling series with eight Bernoulli
+from.  _ln_gamma_terms and _digamma push the argument up to Re(z) >= 10 with
+the standard recurrences, then apply the Stirling series with eight Bernoulli
 terms (~1e-13 relative), summed by one loop, _series.  C, S and E are sums of
 h(z) = z^2 psi'(1 + z) - z + 1/2, G(z) = g(z) - ln(2 pi z)/2 + z + 1/2, g(z) =
 ln Gamma(1 + z) - z psi(1 + z), and K(z) = ln z + 1/(2z) - psi(1 + z): O(1/z)
@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .core import TWO_PI, where
+from .core import TWO_PI
 
 _PUSH = 10.0
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297
@@ -125,11 +125,6 @@ def _ln_gamma_terms(z):
     return (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series, -shift
 
 
-def _ln_gamma(z):
-    stirling, minus_logs = _ln_gamma_terms(z)
-    return stirling + minus_logs
-
-
 def _digamma(z):
     z, shift = _push(z, lambda w: 1.0 / w)
     rz = 1.0 / z
@@ -142,12 +137,6 @@ def _g_terms(z):
     # g(z)'s terms: ln Gamma(1 + z)'s two (_ln_gamma_terms) and -z psi(1 + z)
     w = 1.0 + z
     return (*_ln_gamma_terms(w), -(z * _digamma(w)))
-
-
-def _g(z):
-    # g(0) = 0 exactly, not the roundoff of ln Gamma(1)
-    stirling, minus_logs, minus_z_psi = _g_terms(z)
-    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 
 def _h(z):

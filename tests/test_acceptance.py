@@ -25,7 +25,7 @@ from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_he
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
 from qbrownian.quadrature import moments, spectral_energy
-from qbrownian.specfun import _G, _digamma, _h, _ln_gamma
+from qbrownian.specfun import _G, _digamma, _h, _ln_gamma_terms
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -33,6 +33,12 @@ EULER_GAMMA = 0.5772156649015328606065121
 def _trigamma(z):
     # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
     return (1.0 + (0.5 + _h(z)) / z) / z
+
+
+def _ln_gamma(z):
+    # ln Gamma(z), the sum of _ln_gamma_terms
+    stirling, minus_logs = _ln_gamma_terms(z)
+    return stirling + minus_logs
 
 
 def test_01_gamma_family_identities_and_symmetry():

@@ -151,6 +151,48 @@ def test_curve_evaluates_a_shared_closed_form_once(tmp_path, monkeypatch):
     assert all(row[1] == row[2] for row in rows)
 
 
+def test_fig1_evaluates_each_shared_column_once(tmp_path, monkeypatch):
+    # the strict-ohmic C fills C_exact and C_cutoff_inf, and the expansion
+    # C_lowT in both files: each is evaluated once, on the whole grid, and
+    # the columns the two files share are written as the same strings
+    calls = {"ohmic": [], "drude": [], "lowT": []}
+
+    def counted(name, fn):
+        def wrapper(theta, *args):
+            calls[name].append((np.size(theta), *args))
+            return fn(theta, *args)
+        return wrapper
+
+    for name, attr in (("ohmic", "ohmic_specific_heat"), ("drude", "drude_specific_heat"),
+                       ("lowT", "ohmic_lowT_expansion")):
+        monkeypatch.setattr(qbrownian.cli, attr, counted(name, getattr(qbrownian.cli, attr)))
+    points = 11
+    assert main(["fig1", "--points", str(points), "--out", str(tmp_path / "fig1")]) == 0
+    assert calls["ohmic"] == [(points,)]
+    assert calls["drude"] == [(points, 0.01), (points, 0.1), (points, 1.0)]
+    assert calls["lowT"] == [(points,)]
+    main_header, _, main_rows = read_csv(tmp_path / "fig1_main.csv")
+    inset_header, _, inset_rows = read_csv(tmp_path / "fig1_inset.csv")
+    pairs = [("theta_gamma", "theta_gamma"), ("C_lowT", "C_lowT"),
+             ("C_exact", "C_cutoff_inf")]
+    for main_name, inset_name in pairs:
+        i, j = main_header.index(main_name), inset_header.index(inset_name)
+        assert [row[i] for row in main_rows] == [row[j] for row in inset_rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--model", "free", "--points", "3"],
+    ["fig1", "--points", "3"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: cannot write {out}")
+    assert "No such file or directory" in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_curve_is_deterministic(tmp_path):
     argv = ["curve", "--model", "oscillator", "--kernel", "drude",
             "--cutoff-ratio", "5", "--quantities", "C,E", "--points", "3",

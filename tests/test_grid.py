@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qbrownian import matsubara
-from qbrownian.core import TWO_PI, ConvergenceError, DomainError
+from qbrownian.core import TWO_PI, ConvergenceError, DomainError, where
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
@@ -28,7 +28,7 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import _G, _K, _digamma, _g, _h, _ln_gamma
+from qbrownian.specfun import _G, _K, _digamma, _g_terms, _h, _ln_gamma_terms
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -148,6 +148,19 @@ def test_lambda_and_drude_pairs_on_a_grid():
 def _trigamma(z):
     # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
     return (1.0 + (0.5 + _h(z)) / z) / z
+
+
+def _ln_gamma(z):
+    # ln Gamma(z), the sum of _ln_gamma_terms
+    stirling, minus_logs = _ln_gamma_terms(z)
+    return stirling + minus_logs
+
+
+def _g(z):
+    # g(z) = ln Gamma(1 + z) - z psi(1 + z), the sum of _g_terms; g(0) = 0
+    # exactly, not the roundoff of ln Gamma(1)
+    stirling, minus_logs, minus_z_psi = _g_terms(z)
+    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),
