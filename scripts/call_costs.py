@@ -1,4 +1,5 @@
-"""Print one `name us` line per float library call: its best time of N, in us.
+"""Print one `name us cal_us` line per float library call: its best time of N,
+in us as measured and in calibrated us.
 
 The calls are those that the benchmark's route cross-check makes (alpha = 1,
 cutoff ratio 10), each at theta = 0.05, 1 and 10: the ends of the
@@ -9,16 +10,27 @@ building the Drude oscillator's PoleSum, and its energy and heat, at
 theta = 1.  A line is named `name[theta=x]`, or `PoleSum` for the build.
 Each call runs once before it is timed, so that its caches are full, and
 each of the N repeats times a fixed number of calls; the line gives the best
-repeat's time per call.  Comparing two checkouts on one host shows the fixed
-cost per float call that a change saves or adds.
+repeat's time per call.  The benchmark's calibration kernel
+(benchmarks/run.py) is timed before the first repeat and after each one, and
+cal_us scales the best time by the kernel's best as the benchmark scales
+wall_s: to a host on which the kernel takes CAL_NOMINAL_S.  A stretch in
+which a shared host runs slower slows the kernel too, so cal_us compares two
+checkouts on one host where the raw us may not.
 
     PYTHONPATH=src python3 scripts/call_costs.py [N]      # N defaults to 7
 """
 
+import os
 import sys
 import timeit
 
-from qbrownian import (DampingKernel, PoleSum, Prescription, Tolerances,
+# benchmarks/run.py's calibration kernel, imported before numpy is: run.py
+# sets numpy's thread count on import, as the benchmark runs it
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "benchmarks"))
+from run import calibrated, calibration_s  # noqa: E402
+
+from qbrownian import (DampingKernel, PoleSum, Prescription, Tolerances,  # noqa: E402
                        damped_entropy, damped_specific_heat,
                        damped_specific_heat_via_entropy, drude_specific_heat,
                        energy_sum, moments, ohmic_specific_heat,
@@ -72,8 +84,12 @@ def main(argv: list) -> int:
         raise SystemExit(f"N must be a positive count, got {repeats}")
     for name, call in calls():
         call()
-        best = min(timeit.repeat(call, number=CALLS_PER_REPEAT, repeat=repeats))
-        print(f"{name} {best / CALLS_PER_REPEAT * 1e6:.2f}")
+        kernels, times = [calibration_s()], []
+        for _ in range(repeats):
+            times.append(timeit.timeit(call, number=CALLS_PER_REPEAT))
+            kernels.append(calibration_s())
+        us = min(times) / CALLS_PER_REPEAT * 1e6
+        print(f"{name} {us:.2f} {calibrated(us, min(kernels)):.2f}")
     return 0
 
 

@@ -48,7 +48,8 @@ from qbrownian.cli import main as cli_main
 from qbrownian.core import where
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import _G, _digamma, _g_terms, _h, _ln_gamma_terms
+from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _LN_GAMMA, _digamma, _g_terms, _h,
+                               _log, _push, _series)
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -163,9 +164,13 @@ def _trigamma(z):
 
 
 def _ln_gamma(z):
-    # ln Gamma(z), the sum of _ln_gamma_terms
-    stirling, minus_logs = _ln_gamma_terms(z)
-    return stirling + minus_logs
+    # ln Gamma(z): Stirling's series at z + k less sum_j ln(z + j), j < k,
+    # from a push of its own, in an older checkout's order, so that a dump
+    # lines up with its
+    w, logs = _push(z, _log)
+    rw = 1.0 / w
+    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
+            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)) - logs
 
 
 def _g(z):

@@ -16,8 +16,10 @@ C_cutoff_inf is its main file's C_exact column.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
-parameter set and the library version.  Exit codes: 0 success, 2 usage error
-(an --out path that cannot be written included), 3 numerical failure.
+parameter set and the library version.  An --out file is written over in
+place and cut to length, not truncated first (a device is written as it is);
+exit codes: 0 success, 2 usage error (an --out path that cannot be written or
+written to included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Callable
 
@@ -417,9 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for suffix, lines in files.items():
             path = "stdout" if args.out is None else args.out + suffix
-            with (contextlib.nullcontext(sys.stdout) if args.out is None
-                  else open(path, "w", encoding="utf-8")) as fh:
+            with (contextlib.nullcontext(sys.stdout) if args.out is None else open(
+                    path, "w", encoding="utf-8",
+                    opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666))) as fh:
                 fh.write("\n".join(lines) + "\n")
+                if args.out is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     except OSError as exc:
         print(f"usage error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2

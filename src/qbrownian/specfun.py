@@ -1,25 +1,26 @@
 """Gamma-family special functions for complex arguments.
 
 These are the private kernels that the closed forms and PoleSum are built
-from.  _ln_gamma_terms and _digamma push the argument up to Re(z) >= 10 with
-the standard recurrences, then apply the Stirling series with eight Bernoulli
-terms (~1e-13 relative), summed by one loop, _series.  C, S and E are sums of
+from.  _g_terms and _digamma push the argument up to Re(z) >= 10 with the
+standard recurrences, then apply the Stirling series with eight Bernoulli
+terms (~1e-13 relative), summed by one loop, _series; g's ln Gamma and psi
+share one push, which carries both recurrence sums.  C, S and E are sums of
 h(z) = z^2 psi'(1 + z) - z + 1/2, G(z) = g(z) - ln(2 pi z)/2 + z + 1/2, g(z) =
 ln Gamma(1 + z) - z psi(1 + z), and K(z) = ln z + 1/(2z) - psi(1 + z): O(1/z)
 or O(1/z^2) where their terms are O(z), -z G'(z) = h(z) (DLMF 5.11.1-2,
 5.15.8); G and K switch to their series at |z| = 12 in one place, _asymptotic.
 Below it G's sum of |terms| counts ln Gamma(1 + z) as its Stirling series and
-its recurrence sum, and z psi(1 + z) apart, all from one evaluation each:
+its recurrence sum, and z psi(1 + z) apart, all from one push of 1 + z:
 these cancel where |z| is small, and the size must carry what that costs.
 
 Each kernel takes either a Python complex or a complex ndarray.  All of them
-push their argument through one helper, _push: a complex moves up a step
-at a time, an array moves only its elements still below the threshold,
-selected by index, so a whole temperature grid costs a few dozen numpy
-operations.  The recurrence and the series are the same code for both.
-Scalar and array values of one argument may differ in the last bits, because
-numpy rounds complex products, quotients and logs differently from Python's
-complex type.
+push their argument through one helper, _push, which carries one recurrence
+sum or two in one pass: a complex moves up a step at a time, an array moves
+only its elements still below the threshold, selected by index, so a whole
+temperature grid costs a few dozen numpy operations.  The recurrence and the
+series are the same code for both.  Scalar and array values of one argument
+may differ in the last bits, because numpy rounds complex products, quotients
+and logs differently from Python's complex type.
 
 The kernels check nothing: a non-finite argument gives nan, and an argument
 at a pole or whose value overflows gives inf or nan (or, for a complex, one
@@ -74,8 +75,9 @@ def _log(z):
     return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
 
 
-def _push(z, term, step=1.0):
-    """(z + k, sum of term(z + j) for j = 0, step, .. < k), Re(z + k) >= _PUSH.
+def _push(z, term, other=None, step=1.0):
+    """(z + k, sum of term(z + j) for j = 0, step, .. < k), Re(z + k) >= _PUSH,
+    and the same sum of other after it if given: one push, two recurrences.
 
     A non-finite element of z is set to nan first, which is not pushed and
     makes the kernel's value nan: inf would leave a finite value (psi'(inf)
@@ -89,23 +91,32 @@ def _push(z, term, step=1.0):
         z = complex(z)
         if not cmath.isfinite(z):
             z = complex(math.nan, math.nan)
-        shift = 0.0 + 0.0j
+        shift = other_shift = 0.0 + 0.0j
         while z.real < _PUSH:
             shift += term(z)
+            if other is not None:
+                other_shift += other(z)
             z += step
-        return z, shift
+        return (z, shift) if other is None else (z, shift, other_shift)
     z = np.array(z, dtype=complex, order="C")
     np.copyto(z, math.nan, where=~np.isfinite(z))
     shift = np.zeros_like(z)
-    flat_z, flat_shift = z.reshape(-1), shift.reshape(-1)
+    other_shift = shift if other is None else np.zeros_like(z)
+    flat_z, flat_shift, flat_other = z.reshape(-1), shift.reshape(-1), other_shift.reshape(-1)
     index = np.flatnonzero(flat_z.real < _PUSH)
     while index.size:
         w = flat_z[index]
         flat_shift[index] += term(w)
+        if other is not None:
+            flat_other[index] += other(w)
         w += step
         flat_z[index] = w
         index = index[w.real < _PUSH]
-    return z, shift
+    return (z, shift) if other is None else (z, shift, other_shift)
+
+
+def _reciprocal(w):
+    return 1.0 / w
 
 
 def _series(value, power, rz2, coefficients):
@@ -116,17 +127,8 @@ def _series(value, power, rz2, coefficients):
     return value
 
 
-def _ln_gamma_terms(z):
-    # ln Gamma(z) as Stirling's series at z + k and -sum_j ln(z + j), j < k,
-    # which cancel where |ln Gamma(z)| is small
-    z, shift = _push(z, _log)
-    rz = 1.0 / z
-    series = _series(0.0 + 0.0j, rz, rz * rz, _LN_GAMMA)
-    return (z - 0.5) * _log(z) - z + _HALF_LOG_TWO_PI + series, -shift
-
-
 def _digamma(z):
-    z, shift = _push(z, lambda w: 1.0 / w)
+    z, shift = _push(z, _reciprocal)
     rz = 1.0 / z
     rz2 = rz * rz
     value = _log(z) - 0.5 * rz - _series(0.0 + 0.0j, rz2, rz2, _DIGAMMA)
@@ -134,9 +136,17 @@ def _digamma(z):
 
 
 def _g_terms(z):
-    # g(z)'s terms: ln Gamma(1 + z)'s two (_ln_gamma_terms) and -z psi(1 + z)
-    w = 1.0 + z
-    return (*_ln_gamma_terms(w), -(z * _digamma(w)))
+    # g(z)'s terms from one push of w = 1 + z: ln Gamma(w) as Stirling's series at
+    # w + k and -sum_j ln(w + j), j < k, which cancel where |ln Gamma(w)| is
+    # small, and -z psi(w), whose series shares ln(w + k) and 1/(w + k); the
+    # log is picked once, not at every step as _log would
+    log = np.log if isinstance(z, np.ndarray) else cmath.log
+    w, logs, reciprocals = _push(1.0 + z, log, _reciprocal)
+    rw = 1.0 / w
+    rw2, log_w = rw * rw, log(w)
+    psi = log_w - 0.5 * rw - _series(0.0 + 0.0j, rw2, rw2, _DIGAMMA) - reciprocals
+    return ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI + _series(0.0 + 0.0j, rw, rw2, _LN_GAMMA),
+            -logs, -(z * psi))
 
 
 def _h(z):
@@ -144,7 +154,7 @@ def _h(z):
     w = 1 + z + k, every term positive for a real z, and h(w) by its series."""
     # two steps per term, (x (x+1))^-2 + ((x+1) (x+2))^-2, by quotients
     w, shift = _push((one := 1.0 + z), lambda x: (u := (r := 1.0 / (x + 1.0)) / x) * u
-                     + (v := r / (x + 2.0)) * v, 2.0)
+                     + (v := r / (x + 2.0)) * v, None, 2.0)
     r1, rw = 1.0 / one, 1.0 / w
     rw2, ratio = rw * rw, z * rw
     series = _H_SERIES[-1]

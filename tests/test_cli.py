@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,59 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.err.startswith(f"usage error: cannot write {out}")
     assert "No such file or directory" in captured.err
     assert not (tmp_path / "missing").exists()
+
+
+# curve writes one file at the --out path, fig1 two at --out plus a suffix
+OUT_COMMANDS = {"curve": (["curve", "--model", "free", "--points", "40"], [""]),
+                "fig1": (["fig1", "--points", "30"], ["_main.csv", "_inset.csv"])}
+
+
+@pytest.mark.parametrize("old_size", [5_000_000, 3])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_over_other_bytes_gets_a_fresh_paths_bytes(command, old_size, tmp_path):
+    # an --out file is written over in place and cut to length, so whatever it
+    # held before, longer or shorter, it ends up with a fresh path's bytes
+    argv, suffixes = OUT_COMMANDS[command]
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    for suffix in suffixes:
+        (tmp_path / f"used{suffix}").write_bytes(b"\xff" * old_size)
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert main(argv + ["--out", str(used)]) == 0
+    for suffix in suffixes:
+        want = (tmp_path / f"fresh{suffix}").read_bytes()
+        assert (tmp_path / f"used{suffix}").read_bytes() == want
+
+
+def test_rewritten_out_keeps_its_inode_and_mode(tmp_path):
+    # as open(path, "w") does: the same file, written over, with its mode bits
+    argv, _ = OUT_COMMANDS["curve"]
+    out = tmp_path / "c.csv"
+    out.write_bytes(b"x" * 100_000)
+    out.chmod(0o640)
+    before = os.stat(out)
+    assert main(argv + ["--out", str(out)]) == 0
+    after = os.stat(out)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert after.st_size < before.st_size
+    assert out.read_text().startswith("theta,C_energy\n# ")
+
+
+def test_symlinked_out_writes_through_to_its_target(tmp_path):
+    argv, _ = OUT_COMMANDS["curve"]
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"y" * 1_000_000)
+    link.symlink_to(target)
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_the_null_device_succeeds():
+    # a device is written as it is and not cut to length, which would fail
+    argv, _ = OUT_COMMANDS["curve"]
+    assert main(argv + ["--out", os.devnull]) == 0
 
 
 def test_curve_is_deterministic(tmp_path):

@@ -137,8 +137,8 @@ def test_one_kernel_evaluation_per_conjugate_pair(monkeypatch):
     # alpha = 0 takes the undamped closed form, which pushes nothing
     forms = [(oscillator.damped_specific_heat, alpha, 1 if alpha <= 2.0 else 2)
              for alpha in ALPHAS if alpha > 0.0]
-    # G pushes twice below |z| = 12, for ln Gamma and for psi
-    forms += [(oscillator.damped_entropy, alpha, 2 if alpha <= 2.0 else 4)
+    # G pushes once below |z| = 12: ln Gamma's and psi's recurrences share it
+    forms += [(oscillator.damped_entropy, alpha, 1 if alpha <= 2.0 else 2)
               for alpha in ALPHAS if alpha > 0.0]
     # r = 4 is inside the degenerate band, which evaluates (r/2) (1 + i w) alone
     forms += [(free_particle.drude_specific_heat, ratio, 1 if ratio <= 4.0 else 2)

@@ -28,7 +28,8 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import _G, _K, _digamma, _g_terms, _h, _ln_gamma_terms
+from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _K, _LN_GAMMA, _digamma, _g_terms,
+                               _h, _log, _push, _series)
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -151,9 +152,12 @@ def _trigamma(z):
 
 
 def _ln_gamma(z):
-    # ln Gamma(z), the sum of _ln_gamma_terms
-    stirling, minus_logs = _ln_gamma_terms(z)
-    return stirling + minus_logs
+    # ln Gamma(z): Stirling's series at z + k less sum_j ln(z + j), j < k,
+    # from a push of its own
+    w, logs = _push(z, _log)
+    rw = 1.0 / w
+    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
+            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)) - logs
 
 
 def _g(z):

@@ -13,9 +13,11 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from qbrownian.core import EPS, where
-from qbrownian.specfun import _G, _K, _digamma, _g_terms, _h, _ln_gamma_terms
+from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _K, _LN_GAMMA, _PUSH, _digamma,
+                               _g_terms, _h, _log, _push, _series)
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -23,6 +25,15 @@ EULER_GAMMA = 0.5772156649015328606065121
 def _trigamma(z):
     # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
     return (1.0 + (0.5 + _h(z)) / z) / z
+
+
+def _ln_gamma_terms(z):
+    # ln Gamma(z)'s two terms from a push of its own, which g's shared push
+    # must match: Stirling's series at z + k and -sum_j ln(z + j), j < k
+    w, logs = _push(z, _log)
+    rw = 1.0 / w
+    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
+            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)), -logs
 
 
 def _ln_gamma(z):
@@ -210,3 +221,39 @@ def test_against_live_mpmath_grid():
     for z in sample_points(rng, 60):
         assert rel_err(_digamma(z), complex(mp.psi(0, z))) < 1e-12
         assert rel_err(_trigamma(z), complex(mp.psi(1, z))) < 1e-12
+
+
+def _bits(value):
+    # a complex or an array as its type, shape and bytes: equal bit for bit,
+    # nan payloads and signed zeros included
+    return type(value), np.shape(value), np.asarray(value, dtype=complex).tobytes()
+
+
+# Python complex numbers below _PUSH, at it (1 + z = 10) and past it, and
+# non-finite ones, which _push sets to nan
+G_TERMS_POINTS = [0.0, 0.37, 1e-10j, 0.5 - 5.0j, 3.7 + 2.1j, -0.5 + 0.1j, 8.25 + 1.0j,
+                  _PUSH - 1.0, _PUSH - 1.0 + 3.0j, 25.5, 1e8 + 1e8j, complex(math.nan, 0.0),
+                  complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("z", [complex(z) for z in G_TERMS_POINTS], ids=repr)
+def test_g_terms_push_ln_gamma_and_psi_together_bit_for_bit(z):
+    # one push of 1 + z carries ln Gamma's log sum and psi's reciprocal sum:
+    # each term is what its own recurrence gives, to the bit
+    want = (*_ln_gamma_terms(1.0 + z), -(z * _digamma(1.0 + z)))
+    assert list(map(_bits, _g_terms(z))) == list(map(_bits, want))
+
+
+def test_g_terms_on_arrays_are_their_own_recurrences_bit_for_bit():
+    # several shapes, a non-C-ordered view, non-finite elements and elements
+    # at or past _PUSH, each array against ln Gamma and psi pushed apart
+    points = np.array(G_TERMS_POINTS, dtype=complex)
+    grid = np.linspace(0.0, 14.0, 30) + 1j * np.linspace(-3.0, 3.0, 30)
+    arrays = [points, points.reshape(3, 5).T, grid, grid.reshape(5, 6),
+              grid.reshape(5, 6).T, grid.reshape(2, 3, 5)[:, ::2], grid[:0]]
+    with np.errstate(all="ignore"):
+        for z in arrays:
+            want = (*_ln_gamma_terms(1.0 + z), -(z * _digamma(1.0 + z)))
+            got = _g_terms(z)
+            assert [x.shape for x in got] == [z.shape] * 3
+            assert list(map(_bits, got)) == list(map(_bits, want))
