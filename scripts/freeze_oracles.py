@@ -689,3 +689,14 @@ for route, th in (("energy", 0.01), ("partition", 0.316)):
         value = pole_entropy(numerator, denominator, mp.mpf(th), c)
     print(f"    ({route!r}, {th!r}): {mp.nstr(value, 25)},")
 print("}")
+# tests/test_cli.py's prescription pins: C of the Drude free particle at
+# theta = 1e-3 on both routes, for cutoff ratios 0.01, 0.1, 1 and 10, each
+# root its own simple pole
+print("C_FREE_DRUDE_ROUTES = {")
+for r in (0.01, 0.1, 1.0, 10.0):
+    for route in ("energy", "partition"):
+        numerator, denominator, c = drude_fraction(0, mp.mpf(1), mp.mpf(r),
+                                                   route == "partition")
+        value = pole_heat(numerator, denominator, mp.mpf(1e-3), c)
+        print(f"    ({r!r}, {route!r}): {mp.nstr(value, 25)},")
+print("}")

@@ -22,8 +22,11 @@ come the forms whose small root or underflow-prone factor once lost digits:
 drude_specific_heat at cutoff ratios 1e10, 1e17 and 1e300, PoleSum for the
 free particle at 1e300, and undamped_thermo at 1/theta = 705, 710 and 720,
 then drude_specific_heat at r = 4 (1 +- 10^-k), k = 6, 8, 10 and 12, for
-theta = 1e-4, 1e-3 and 1e-2; appended, so that a dump still lines up with an
-older checkout's.  Arrays print through tolist(), so each element shows its
+theta = 1e-4, 1e-3 and 1e-2, and the lines of `curve --quantities C,S,E`
+through cli.main for each model, kernel (Drude ratios 0.1, 4 and 10) and
+route on a 5-point log grid over [1e-4, 1e4], which show the closed form or
+pole form that curve picks per column; each appended, so that a dump still
+lines up with an older checkout's.  Arrays print through tolist(), so each element shows its
 full repr; an error prints as its class and message, and a failing command
 as its exit code and message.
 
@@ -115,6 +118,10 @@ COLD_X = [705, 710, 720]
 NEAR_CRITICAL_RATIOS = [4.0 * (1.0 + sign * 10.0 ** -k)
                         for k in (6, 8, 10, 12) for sign in (-1.0, 1.0)]
 NEAR_CRITICAL_THETAS = [1e-4, 1e-3, 1e-2]
+
+CURVE_KERNELS = {"ohmic": [], **{f"drude-r{ratio}": ["--kernel", "drude",
+                                                    "--cutoff-ratio", ratio]
+                                 for ratio in ("0.1", "4", "10")}}
 
 ALPHA_TRIPLE = 8.0 / (3.0 * math.sqrt(3.0))
 SYSTEMS = {
@@ -341,15 +348,21 @@ def scaled_systems() -> None:
                          lambda: estimate(prescription_gap(w0, scaled, 1.0 / t)))
 
 
+def cli(argv: list) -> tuple:
+    """(exit code, stdout, stripped stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue().strip()
+
+
 def compare_points() -> None:
     for name, args in COMPARE_ARGS.items():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(["compare", *args])
+        code, out, err = cli(["compare", *args])
         if code != 0:
-            print(f"compare {name} exit {code}", err.getvalue().strip())
+            print(f"compare {name} exit {code}", err)
             continue
-        for point in json.loads(out.getvalue())["points"]:
+        for point in json.loads(out)["points"]:
             print(f"compare {name} ({point['theta']!r})", show(point))
 
 
@@ -387,6 +400,20 @@ def near_critical_cutoff() -> None:
              drude_specific_heat, np.array(NEAR_CRITICAL_THETAS), ratio)
 
 
+def curve_columns() -> None:
+    for model in ("oscillator", "free"):
+        for kernel, args in CURVE_KERNELS.items():
+            for route in ("energy", "partition", "both"):
+                label = f"curve {model} {kernel} {route}"
+                code, out, err = cli(["curve", "--model", model, *args, "--route", route,
+                                      "--quantities", "C,S,E", "--log", "--tmin", "1e-4",
+                                      "--tmax", "1e4", "--points", "5"])
+                if code != 0:
+                    print(f"{label} exit {code}", err)
+                for line in out.splitlines():
+                    print(label, line)
+
+
 def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
@@ -398,6 +425,7 @@ def main() -> None:
     spectral()
     small_roots_and_underflow()
     near_critical_cutoff()
+    curve_columns()
 
 
 if __name__ == "__main__":

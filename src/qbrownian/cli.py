@@ -6,13 +6,17 @@ Subcommands:
   compare     both energy prescriptions, their gap, and FD cross-checks (JSON)
   expansions  limit expansions against exact values with error exponents (CSV)
 
-curve takes energies, and specific heats and entropies without a closed
-form, from the frequency sums in pole form (matsubara.PoleSum); compare
-evaluates the same sums term by term, with an exact tail, and differentiates
-them numerically, so it is the sum-based cross-check of curve.  Every command
-evaluates each distinct column once over the whole temperature grid, as an
-array, and formats it once, across all the files it writes; fig1's inset
-C_cutoff_inf is its main file's C_exact column.
+Every command reads the closed forms of its system from one table,
+CurveSpec.closed.  curve writes a column from the closed form where that is
+the prescription's value (on every route for an ohmic kernel, which has no
+prescription gap, and on the energy route for a Drude kernel), and from the
+frequency sums in pole form (matsubara.PoleSum) otherwise, so it shows both
+prescriptions for either model; compare evaluates the same sums term by term,
+with an exact tail, and differentiates them numerically, so it is the
+sum-based cross-check of curve.
+Every command evaluates each distinct column once over the whole temperature
+grid, as an array, and formats it once, across all the files it writes;
+fig1's inset C_cutoff_inf is its main file's C_exact column.
 
 All numeric output uses 17 significant digits (round-trip exact for doubles);
 CSV files start with a header line followed by a comment row carrying the full
@@ -52,15 +56,18 @@ _MODELS = ("oscillator", "free")
 _KERNELS = ("ohmic", "drude")
 _ROUTES = ("energy", "partition", "both")
 _QUANTITIES = ("C", "S", "E")
+_POLE_METHODS = {"C": "heat", "S": "entropy", "E": "energy"}
 
 @dataclasses.dataclass
 class CurveSpec:
     """Validated description of one run: model, bath, grid and outputs.
 
-    Every subcommand takes one, so all of them share its checks and its
-    temperature grid; construction raises DomainError on invalid input.  A
-    drude kernel without a cutoff ratio gets the default ratio 10.  The field
-    names are those of the command-line flags and of the CSV comment row.
+    Every subcommand takes one, so all of them share its checks, its
+    temperature grid and its table of closed forms; construction raises
+    DomainError on invalid input.  Every model, kernel, route and quantity
+    combines; alpha is the oscillator's only.  A drude kernel without a cutoff
+    ratio gets the default ratio 10.  The field names are those of the
+    command-line flags and of the CSV comment row.
     """
 
     model: str
@@ -94,8 +101,6 @@ class CurveSpec:
             if self.alpha is not None:
                 raise DomainError("alpha has no meaning for the free particle; "
                                   "its temperature scale is the damping rate itself")
-            if self.route != "energy":
-                raise DomainError("the free particle supports route=energy only")
         elif self.alpha is not None:
             self.alpha = check_nonnegative("alpha", self.alpha)
         if self.kernel == "drude":
@@ -128,19 +133,20 @@ class CurveSpec:
             return DampingKernel.ohmic(gamma)
         return DampingKernel.drude(gamma, self.cutoff_ratio * gamma)
 
-    def closed_heat(self) -> Callable | None:
-        """theta -> closed-form C, or None where there is none."""
+    def closed(self, quantity: str) -> Callable | None:
+        """theta -> the closed form of C or S, an array, or None where there is
+        none (curve then takes PoleSum's, compare reports C_closed as null).
+
+        A Drude kernel's closed form is its energy route's value, an ohmic
+        kernel's every route's.
+        """
         a, r = self.alpha_value, self.cutoff_ratio
-        # (model, kernel) -> closed-form C of theta, an array.  A combination
-        # missing here has no closed form: curve takes C from the pole form of
-        # its frequency sum instead and compare reports C_closed as null.  An
-        # ohmic kernel has no prescription gap, so one form serves both
-        # routes; the free particle's only curve route is energy.
         return {
-            ("oscillator", "ohmic"): lambda t: damped_specific_heat(t, a).C,
-            ("free", "ohmic"): lambda t: ohmic_specific_heat(t).C,
-            ("free", "drude"): lambda t: drude_specific_heat(t, r).C,
-        }.get((self.model, self.kernel))
+            ("oscillator", "ohmic", "C"): lambda t: damped_specific_heat(t, a).C,
+            ("oscillator", "ohmic", "S"): lambda t: damped_entropy(t, a).S,
+            ("free", "ohmic", "C"): lambda t: ohmic_specific_heat(t).C,
+            ("free", "drude", "C"): lambda t: drude_specific_heat(t, r).C,
+        }.get((self.model, self.kernel, quantity))
 
     def comment(self, *names: str) -> str:
         """The comment row: the named parameters, then the library version.
@@ -196,32 +202,22 @@ def _tables(spec: CurveSpec, header: str,
 def cmd_curve(spec: CurveSpec) -> dict[str, list[str]]:
     """The curve CSV, with columns in canonical C, S, E order.
 
-    E, and C and S without a closed form, come from the frequency sums' pole
-    form (PoleSum).
+    C has a column per route; S and E have one, unless a Drude kernel is
+    asked for two routes.  A column is the closed form where that is its
+    route's value, else PoleSum's heat, entropy or energy on its route.
     """
     routes = (tuple(Prescription) if spec.route == "both"
               else (Prescription(spec.route),))
     kernel = spec.make_kernel()
-    columns: dict[str, Callable] = {}
-
     pole_sum = functools.cache(lambda route: PoleSum(spec.omega0, kernel, route))
-
-    if "C" in spec.quantities:
-        # one closed form, where there is one, serves every route's column
-        closed = spec.closed_heat()
-        for route in routes:
-            columns[f"C_{route.value}"] = closed or pole_sum(route).heat
-
-    # an ohmic kernel has no prescription gap, so one S and one E column serve;
-    # the ohmic oscillator's S has a closed form
-    one_routes = routes if spec.kernel == "drude" else (Prescription.ENERGY,)
-    closed_entropy = ((lambda t: damped_entropy(t, spec.alpha_value).S)
-                      if (spec.model, spec.kernel) == ("oscillator", "ohmic") else None)
-    for quantity in ("S", "E"):
-        for route in one_routes if quantity in spec.quantities else ():
-            name = quantity if len(one_routes) == 1 else f"{quantity}_{route.value}"
-            columns[name] = (pole_sum(route).energy if quantity == "E"
-                             else closed_entropy or pole_sum(route).entropy)
+    columns: dict[str, Callable] = {}
+    for quantity in (q for q in _QUANTITIES if q in spec.quantities):
+        split = quantity == "C" or (spec.kernel == "drude" and len(routes) > 1)
+        closed = spec.closed(quantity)
+        for route in routes if split else routes[:1]:
+            serves = closed is not None and (spec.kernel == "ohmic" or route is Prescription.ENERGY)
+            columns[f"{quantity}_{route.value}" if split else quantity] = (
+                closed if serves else getattr(pole_sum(route), _POLE_METHODS[quantity]))
 
     comment = spec.comment("model", "kernel", "alpha", "cutoff_ratio", "route",
                            "quantities", "tmin", "tmax", "points", "log", "tol")
@@ -240,7 +236,7 @@ def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
     ohmic kernel, so C_cutoff_inf is the main file's C_exact column.
     """
     comment = spec.comment("model", "kernel", "tmin", "tmax", "points", "log")
-    exact = spec.closed_heat()
+    exact = spec.closed("C")
     inset = {f"C_cutoff_{name}": lambda t, r=ratio: drude_specific_heat(t, r).C
              for name, ratio in _FIG1_RATIOS.items()}
     inset |= {"C_cutoff_inf": exact, "C_lowT": ohmic_lowT_expansion}
@@ -252,7 +248,7 @@ def cmd_fig1(spec: CurveSpec) -> dict[str, list[str]]:
 def cmd_compare(spec: CurveSpec) -> dict[str, list[str]]:
     """Both prescriptions, their gap, and FD cross-checks, column by column, as JSON."""
     kernel = spec.make_kernel()
-    closed = spec.closed_heat()
+    closed = spec.closed("C")
 
     def energy(route: Prescription) -> Callable[[np.ndarray], np.ndarray]:
         return lambda t: _energy_sum(spec.omega0, kernel, 1.0 / t, route).value
@@ -295,12 +291,12 @@ def cmd_expansions(spec: CurveSpec) -> dict[str, list[str]]:
     a = spec.alpha_value
     # kind -> (exact C, expansion), in output order
     if spec.model == "free":
-        table = {"free_lowT": (spec.closed_heat(), ohmic_lowT_expansion)}
+        table = {"free_lowT": (spec.closed("C"), ohmic_lowT_expansion)}
     else:
         kinds = ("undamped_lowT", "undamped_highT")
         if a > 0.0:
             kinds += ("damped_lowT", "damped_highT")
-        undamped, damped = (lambda theta: undamped_thermo(theta).C), spec.closed_heat()
+        undamped, damped = (lambda theta: undamped_thermo(theta).C), spec.closed("C")
         table = {kind: (undamped if kind.startswith("undamped") else damped,
                         lambda theta, kind=kind: oscillator_expansion(kind, theta, a))
                  for kind in kinds}

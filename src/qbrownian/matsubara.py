@@ -85,7 +85,8 @@ class Prescription(enum.Enum):
 
 @dataclass(frozen=True)
 class DampingKernel:
-    """Laplace-space damping kernel gh(z); omega_d = inf means strictly ohmic."""
+    """Laplace-space damping kernel gh(z) = gamma omega_d / (z + omega_d);
+    omega_d = inf means strictly ohmic, gh(z) = gamma."""
 
     gamma: float
     omega_d: float = math.inf
@@ -115,14 +116,6 @@ class DampingKernel:
     def regularized(self) -> bool:
         """Strictly ohmic with gamma > 0: the energy needs regularization."""
         return self.is_ohmic and self.gamma > 0.0
-
-    def laplace(self, z):
-        """Return (gh(z), gh'(z)); works elementwise on scalars or arrays."""
-        if self.is_ohmic:
-            return 0.0 * z + self.gamma, 0.0 * z
-        q = self.gamma * self.omega_d
-        d = z + self.omega_d
-        return q / d, -q / (d * d)
 
 
 def _regularization(gamma: float, beta, w_ref: float):

@@ -25,24 +25,11 @@ from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_he
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
 from qbrownian.quadrature import moments, spectral_energy
-from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _LN_GAMMA, _digamma, _h, _log,
-                               _push, _series)
+from qbrownian.specfun import _G, _digamma, _h
+
+from gamma_family import _ln_gamma, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
-
-
-def _trigamma(z):
-    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
-    return (1.0 + (0.5 + _h(z)) / z) / z
-
-
-def _ln_gamma(z):
-    # ln Gamma(z): Stirling's series at z + k less sum_j ln(z + j), j < k,
-    # from a push of its own
-    w, logs = _push(z, _log)
-    rw = 1.0 / w
-    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
-            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)) - logs
 
 
 def test_01_gamma_family_identities_and_symmetry():

@@ -121,6 +121,78 @@ def test_curve_entropy_for_every_model_and_kernel(tmp_path, extra, omega0, kerne
             assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+# C of the Drude free particle at theta = 1e-3, 40-digit pole form
+# (scripts/freeze_oracles.py): near (pi/3) theta on the energy route for every
+# cutoff ratio r, and below r = 1 negative on the partition route, the
+# specific-heat anomaly of Haenggi, Ingold and Talkner (NJP 10, 115008 (2008))
+C_FREE_DRUDE_ROUTES = {
+    (0.01, "energy"): 0.001048849903480874460489089,
+    (0.01, "partition"): -0.09699573521729640865004326,
+    (0.1, "energy"): 0.001047354710558768593185566,
+    (0.1, "partition"): -0.009416292921281900887222551,
+    (1.0, "energy"): 0.001047205819537032960165286,
+    (1.0, "partition"): 2.480502134423638899426061e-8,
+    (10.0, "energy"): 0.001047190936671122361393857,
+    (10.0, "partition"): 0.0009424720166351936924879813,
+}
+
+
+@pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0])
+def test_curve_free_particle_on_both_prescriptions(ratio, capsys):
+    assert main(["curve", "--model", "free", "--kernel", "drude", "--cutoff-ratio",
+                 repr(ratio), "--route", "both", "--quantities", "C,S",
+                 "--tmin", "1e-3", "--tmax", "1", "--points", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    assert header == ["theta", "C_energy", "C_partition", "S_energy", "S_partition"]
+    row = dict(zip(header, map(float, lines[2].split(","))))
+    assert row["theta"] == 1e-3
+    unit = math.pi / 3.0 * 1e-3
+    for route in ("energy", "partition"):
+        # at r = 1 the partition route's C is O(theta^3) from O(theta) terms
+        rel = 1e-9 if (ratio, route) == (1.0, "partition") else 1e-12
+        assert row[f"C_{route}"] / unit == pytest.approx(
+            C_FREE_DRUDE_ROUTES[ratio, route] / unit, rel=rel, abs=0.0), route
+    assert row["C_energy"] / unit == pytest.approx(1.0, abs=2e-3)
+    if ratio < 1.0:
+        assert row["C_partition"] < 0.0 and row["S_partition"] < 0.0
+
+
+# every model and kernel: the free particle, and the oscillator at the default
+# alpha, at zero coupling and at critical damping; Drude ratios on both sides
+# of the free particle's r = 4
+CURVE_MODELS = {"free": ["--model", "free"], "osc": ["--model", "oscillator"],
+                "osc-alpha0": ["--model", "oscillator", "--alpha", "0"],
+                "osc-alpha2": ["--model", "oscillator", "--alpha", "2"]}
+CURVE_KERNELS = {"ohmic": [], "drude": ["--kernel", "drude"],
+                 "drude-r0.3": ["--kernel", "drude", "--cutoff-ratio", "0.3"],
+                 "drude-r4": ["--kernel", "drude", "--cutoff-ratio", "4"]}
+CURVE_SYSTEMS = {f"{model}-{kernel}": model_argv + kernel_argv
+                 for model, model_argv in CURVE_MODELS.items()
+                 for kernel, kernel_argv in CURVE_KERNELS.items()}
+
+
+@pytest.mark.parametrize("route", ["energy", "partition", "both"])
+@pytest.mark.parametrize("system", sorted(CURVE_SYSTEMS))
+def test_curve_answers_for_every_combination(system, route, capsys):
+    # C has a column per route; S and E one, unless a Drude kernel is asked
+    # for both routes
+    argv = CURVE_SYSTEMS[system]
+    routes = ["energy", "partition"] if route == "both" else [route]
+    split = "--kernel" in argv and route == "both"
+    for quantities in ("C", "S", "E", "C,S,E"):
+        assert main(["curve", *argv, "--route", route, "--quantities", quantities,
+                     "--log", "--tmin", "1e-4", "--tmax", "1e4", "--points", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = [f"C_{r}" for r in routes] if "C" in quantities else []
+        for q in "SE":
+            if q in quantities:
+                want += [f"{q}_{r}" for r in routes] if split else [q]
+        assert lines[0].split(",") == ["theta", *want]
+        cells = [list(map(float, line.split(","))) for line in lines[2:]]
+        assert len(cells) == 5 and all(map(math.isfinite, sum(cells, []))), quantities
+
+
 def test_curve_both_routes_agree_for_ohmic(tmp_path):
     out = tmp_path / "both.csv"
     assert main(["curve", "--model", "oscillator", "--route", "both",
@@ -322,9 +394,12 @@ def test_compare_drude_zero_alpha_has_no_gap(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["curve", "--model", "free", "--route", "partition"],
+    # the free particle takes every route, but an ohmic kernel no finite
+    # cutoff and a Drude kernel no zero ratio on any of them
+    ["curve", "--model", "free", "--route", "partition", "--cutoff-ratio", "0.1"],
     ["curve", "--model", "free", "--alpha", "1.0"],
-    ["curve", "--model", "free", "--route", "both", "--quantities", "S"],
+    ["curve", "--model", "free", "--kernel", "drude", "--route", "both",
+     "--quantities", "S", "--cutoff-ratio", "0"],
     ["curve", "--model", "oscillator", "--quantities", "C,X"],
     ["curve", "--model", "oscillator", "--cutoff-ratio", "5"],
     ["curve", "--model", "oscillator", "--kernel", "drude",

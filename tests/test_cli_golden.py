@@ -35,6 +35,10 @@ CASES = {
         ["curve", "--model", "free", "--kernel", "drude", "--cutoff-ratio", "10",
          "--quantities", "C,E", "--log", "--tmin", "0.05", "--tmax", "5",
          "--points", "6"], [".csv"]),
+    "curve_free_drude_both": (
+        ["curve", "--model", "free", "--kernel", "drude", "--cutoff-ratio", "0.1",
+         "--route", "both", "--quantities", "C,S,E", "--log", "--tmin", "1e-3",
+         "--tmax", "1", "--points", "6"], [".csv"]),
     "fig1": (["fig1", "--points", "7"], ["_main.csv", "_inset.csv"]),
     "compare_free_ohmic": (
         ["compare", "--model", "free", "--tmin", "0.5", "--tmax", "2",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qbrownian import matsubara
-from qbrownian.core import TWO_PI, ConvergenceError, DomainError, where
+from qbrownian.core import TWO_PI, ConvergenceError, DomainError
 from qbrownian.free_particle import (_drude_pair, drude_specific_heat,
                                      ohmic_lowT_expansion, ohmic_specific_heat)
 from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
@@ -28,8 +28,9 @@ from qbrownian.matsubara import (DampingKernel, PoleSum, Prescription,
 from qbrownian.oscillator import (_lambda_pm, damped_entropy, damped_specific_heat,
                                   damped_specific_heat_via_entropy,
                                   oscillator_expansion, undamped_thermo)
-from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _K, _LN_GAMMA, _digamma, _g_terms,
-                               _h, _log, _push, _series)
+from qbrownian.specfun import _G, _K, _digamma, _h
+
+from gamma_family import _g, _ln_gamma, _trigamma
 
 GRID = np.logspace(-4.0, 4.0, 241)
 ALPHAS = (0.0, 0.5, 2.0, 5.0)
@@ -144,27 +145,6 @@ def test_lambda_and_drude_pairs_on_a_grid():
         plus, minus = _lambda_pm(GRID, alpha)[:2]
         for i, t in enumerate(GRID):
             assert (plus[i], minus[i]) == _lambda_pm(float(t), alpha)[:2]
-
-
-def _trigamma(z):
-    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
-    return (1.0 + (0.5 + _h(z)) / z) / z
-
-
-def _ln_gamma(z):
-    # ln Gamma(z): Stirling's series at z + k less sum_j ln(z + j), j < k,
-    # from a push of its own
-    w, logs = _push(z, _log)
-    rw = 1.0 / w
-    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
-            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)) - logs
-
-
-def _g(z):
-    # g(z) = ln Gamma(1 + z) - z psi(1 + z), the sum of _g_terms; g(0) = 0
-    # exactly, not the roundoff of ln Gamma(1)
-    stirling, minus_logs, minus_z_psi = _g_terms(z)
-    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 
 KERNELS = [("ln_gamma", _ln_gamma), ("digamma", _digamma), ("trigamma", _trigamma),

@@ -88,33 +88,6 @@ SUM_CALLS = {
 }
 
 
-def test_kernel_laplace_ohmic():
-    gh, ghp = DampingKernel.ohmic(2.0).laplace(5.0)
-    assert gh == 2.0
-    assert ghp == 0.0
-
-
-def test_kernel_laplace_drude():
-    gh, ghp = DampingKernel.drude(2.0, 8.0).laplace(8.0)
-    assert gh == pytest.approx(1.0, rel=1e-15)
-    assert ghp == pytest.approx(-0.0625, rel=1e-15)
-
-
-def test_kernel_laplace_drude_approaches_ohmic():
-    gh, ghp = DampingKernel.drude(2.0, 1e9).laplace(5.0)
-    assert gh == pytest.approx(2.0, rel=1e-8)
-    assert abs(ghp) < 1e-8
-
-
-def test_kernel_laplace_vectorized():
-    z = np.array([1.0, 2.0, 4.0])
-    gh, ghp = DampingKernel.drude(3.0, 6.0).laplace(z)
-    assert gh.shape == z.shape
-    for zi, gi, gpi in zip(z, gh, ghp):
-        si, spi = DampingKernel.drude(3.0, 6.0).laplace(float(zi))
-        assert gi == si and gpi == spi
-
-
 def test_kernel_validation():
     with pytest.raises(DomainError):
         DampingKernel(gamma=-1.0)
@@ -330,14 +303,23 @@ def test_sum_tables_give_the_same_bits_cold_and_warm():
     assert _some_sums() == cold
 
 
+def _laplace(kernel: DampingKernel, nu):
+    # the kernel's definition: gh(nu) = gamma omega_D / (nu + omega_D) and
+    # gh'(nu), gamma and 0 for a strictly ohmic kernel, elementwise
+    if kernel.is_ohmic:
+        return 0.0 * nu + kernel.gamma, 0.0 * nu
+    q, d = kernel.gamma * kernel.omega_d, nu + kernel.omega_d
+    return q / d, -q / (d * d)
+
+
 def _kernel_summand(omega0: float, kernel: DampingKernel, route: Prescription):
-    # the module docstring's energy summand, written from the kernel's laplace
+    # the module docstring's energy summand, written from the kernel's gh
     dof = 1.0 if omega0 > 0.0 else 2.0
     w2 = omega0 * omega0
     part = 1.0 if route is Prescription.PARTITION else 0.0
 
     def summand(nu):
-        gh, ghp = kernel.laplace(nu)
+        gh, ghp = _laplace(kernel, nu)
         value = (2.0 * w2 + nu * gh - part * nu * nu * ghp) / (nu * nu + nu * gh + w2)
         # the regularized summand has gamma / nu subtracted
         return dof * (value - kernel.gamma / nu if kernel.regularized else value)
@@ -346,14 +328,14 @@ def _kernel_summand(omega0: float, kernel: DampingKernel, route: Prescription):
 
 def _kernel_gap(omega0: float, kernel: DampingKernel):
     def summand(nu):
-        gh, ghp = kernel.laplace(nu)
+        gh, ghp = _laplace(kernel, nu)
         return -nu * nu * ghp / (nu * nu + nu * gh + omega0 * omega0)
     return summand
 
 
 def _kernel_variance(alpha: float):
     def summand(nu):
-        gh, _ = DampingKernel.ohmic(alpha).laplace(nu)
+        gh, _ = _laplace(DampingKernel.ohmic(alpha), nu)
         return 1.0 / (nu * nu + nu * gh + 1.0)
     return summand
 
@@ -392,7 +374,7 @@ RECORD_SYSTEMS = [
 
 
 def _records_and_summands():
-    # (record, its summand from laplace, the size of what that subtracts)
+    # (record, its summand from the kernel's gh, the size of what that subtracts)
     matsubara = qbrownian.matsubara
     for omega0, kernel in RECORD_SYSTEMS:
         subtracted = (1.0 if omega0 > 0.0 else 2.0) * kernel.gamma * kernel.regularized
@@ -409,7 +391,7 @@ def _records_and_summands():
 
 def test_records_are_the_kernel_summands():
     # the sums share P and Q with PoleSum, so the summands written from the
-    # kernel's laplace check both derivations; nu in |arg nu| <= pi/4, away
+    # kernel's gh check both derivations; nu in |arg nu| <= pi/4, away
     # from every pole, over six decades about the poles
     rng = np.random.default_rng(7)
     checked = 0

@@ -15,38 +15,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qbrownian.core import EPS, where
-from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _K, _LN_GAMMA, _PUSH, _digamma,
-                               _g_terms, _h, _log, _push, _series)
+from qbrownian.core import EPS
+from qbrownian.specfun import _G, _K, _PUSH, _digamma, _g_terms, _h
+
+from gamma_family import _g, _ln_gamma, _ln_gamma_terms, _trigamma
 
 EULER_GAMMA = 0.5772156649015328606065121
 
-
-def _trigamma(z):
-    # psi'(z) = 1/z + (1/2 + h(z)) / z^2, which h sums without cancellation
-    return (1.0 + (0.5 + _h(z)) / z) / z
-
-
-def _ln_gamma_terms(z):
-    # ln Gamma(z)'s two terms from a push of its own, which g's shared push
-    # must match: Stirling's series at z + k and -sum_j ln(z + j), j < k
-    w, logs = _push(z, _log)
-    rw = 1.0 / w
-    return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
-            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)), -logs
-
-
-def _ln_gamma(z):
-    # ln Gamma(z), the sum of _ln_gamma_terms
-    stirling, minus_logs = _ln_gamma_terms(z)
-    return stirling + minus_logs
-
-
-def _g(z):
-    # g(z) = ln Gamma(1 + z) - z psi(1 + z), the sum of _g_terms; g(0) = 0
-    # exactly, not the roundoff of ln Gamma(1)
-    stirling, minus_logs, minus_z_psi = _g_terms(z)
-    return where(z == 0, 0.0j, stirling + minus_logs + minus_z_psi)
 
 LN_GAMMA_REF = complex(0.7853469580738222014792393, 2.583012925115262026571724)
 DIGAMMA_REF = complex(1.607759321607187866120233, 1.570796326794825270487004)
