@@ -700,3 +700,29 @@ for r in (0.01, 0.1, 1.0, 10.0):
         value = pole_heat(numerator, denominator, mp.mpf(1e-3), c)
         print(f"    ({r!r}, {route!r}): {mp.nstr(value, 25)},")
 print("}")
+# h, G and K at real z, from their definitions as above: tests/test_specfun.py's
+# REAL_REF, for the kernels' real arithmetic, on both sides of |z| = 12 and
+# out to 1e-300 and 1e300, each the double nearest the value
+print("REAL_REF = {")
+for z in (1e-300, 1e-8, 0.37, 8.99, 11.99, 12.01, 1e8, 1e300):
+    with mp.workdps(digits(z)):
+        h, G, K = (float(mp.re(f(z))) for f in (h_def, G_def, K_def))
+    print(f"    {z!r}: ({h!r}, {G!r}, {K!r}),")
+print("}")
+# scripts/theta_scaling.py's references for its real nodes: the closed C and S
+# at alpha = 5, and PoleSum's C and S of the free particle at cutoff ratio 10
+# on the energy route, each root its own simple pole, at theta = 10^k
+print("ORACLES (real nodes) = {")
+for k in range(-9, 10):
+    th = 10.0 ** k
+    print(f"    ({k}, 'damped_specific_heat[alpha=5]'): "
+          f"{mp.nstr(at_theta(c_damped, th, 5.0), 17)},")
+    print(f"    ({k}, 'damped_entropy[alpha=5]'): "
+          f"{mp.nstr(at_theta(s_damped, th, 5.0), 17)},")
+    with mp.workdps(max(60, digits(1 / mp.mpf(th)) + 20)):
+        numerator, denominator, c = drude_fraction(0, mp.mpf(1), mp.mpf(10), False)
+        print(f"    ({k}, 'PoleSum.heat[free,r=10]'): "
+              f"{mp.nstr(pole_heat(numerator, denominator, mp.mpf(th), c), 17)},")
+        print(f"    ({k}, 'PoleSum.entropy[free,r=10]'): "
+              f"{mp.nstr(pole_entropy(numerator, denominator, mp.mpf(th), c), 17)},")
+print("}")

@@ -25,8 +25,11 @@ then drude_specific_heat at r = 4 (1 +- 10^-k), k = 6, 8, 10 and 12, for
 theta = 1e-4, 1e-3 and 1e-2, and the lines of `curve --quantities C,S,E`
 through cli.main for each model, kernel (Drude ratios 0.1, 4 and 10) and
 route on a 5-point log grid over [1e-4, 1e4], which show the closed form or
-pole form that curve picks per column; each appended, so that a dump still
-lines up with an older checkout's.  Arrays print through tolist(), so each element shows its
+pole form that curve picks per column, and last the kernels on real floats
+and float64 arrays and PoleSum.energy/.heat/.entropy of two systems whose
+poles are all real (the free particle at cutoff ratio 10, the ohmic
+oscillator at alpha = 5); each appended, so that a dump still lines up with
+an older checkout's.  Arrays print through tolist(), so each element shows its
 full repr; an error prints as its class and message, and a failing command
 as its exit code and message.
 
@@ -51,8 +54,8 @@ from qbrownian.cli import main as cli_main
 from qbrownian.core import where
 from qbrownian.free_particle import _drude_pair
 from qbrownian.oscillator import _lambda_pm
-from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _LN_GAMMA, _digamma, _g_terms, _h,
-                               _log, _push, _series)
+from qbrownian.specfun import (_G, _HALF_LOG_TWO_PI, _K, _LN_GAMMA, _digamma, _g_terms,
+                               _h, _log, _push, _series)
 
 ARGUMENTS = [0.5, 1.0, 10.0, 25.5, 1e-300, 1e200, -0.5, 3.7 + 2.1j, 0.5 + 5j,
              2.5 - 1.3j, -3.5 + 0.1j, 1e-10j, 1e8 + 1e8j, 1e300 + 1e300j]
@@ -177,7 +180,7 @@ def _ln_gamma(z):
     w, logs = _push(z, _log)
     rw = 1.0 / w
     return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
-            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)) - logs
+            + _series(rw, rw * rw, _LN_GAMMA)) - logs
 
 
 def _g(z):
@@ -414,6 +417,30 @@ def curve_columns() -> None:
                     print(label, line)
 
 
+def real_kernels() -> None:
+    # the kernels on real arguments, as floats and as float64 arrays, which
+    # they compute in real arithmetic, and PoleSum's E, C and S on systems
+    # whose every pole is real and simple
+    reals = [z for z in ARGUMENTS if type(z) is float]
+    kernels = [("_digamma", _digamma), ("_trigamma", _trigamma), ("_g", _g), ("_h", _h),
+               ("_G", _G), ("_K", _K)]
+    with np.errstate(all="ignore"):
+        for name, fn in kernels:
+            for z in reals + BAD_ARGUMENTS[:4]:
+                emit(f"{name}({z!r})", fn, z)
+            emit(f"{name}[real arguments]", fn, np.array(reals))
+            for z in BAD_ARGUMENTS[:4]:
+                emit(f"{name}[1.0, {z!r}]", fn, np.array([1.0, z]))
+    forms = []
+    for name, omega0, kernel in (("free-drude-10", 0.0, DampingKernel.drude(1.0, 10.0)),
+                                 ("osc-ohmic-5", 1.0, DampingKernel.ohmic(5.0))):
+        for route in Prescription:
+            poles = PoleSum(omega0, kernel, route)
+            forms += [(f"PoleSum {name} {route.value} {quantity}", getattr(poles, quantity))
+                      for quantity in ("energy", "heat", "entropy")]
+    functions_of_theta(forms)
+
+
 def main() -> None:
     special_functions()
     functions_of_theta(closed_forms())
@@ -426,6 +453,7 @@ def main() -> None:
     small_roots_and_underflow()
     near_critical_cutoff()
     curve_columns()
+    real_kernels()
 
 
 if __name__ == "__main__":

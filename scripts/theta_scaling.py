@@ -12,7 +12,10 @@ against log(1/theta) over the answered decades with theta <= 1, where the
 north star asks for cost flat in 1/theta.  The routes are the closed forms
 at alpha = 1 and cutoff ratio 10 and, for the Drude oscillator
 (gamma, omega_D) = (1, 10) on the energy route, PoleSum.heat, PoleSum.energy,
-PoleSum.entropy and the term-by-term energy_sum.
+PoleSum.entropy and the term-by-term energy_sum; then the routes whose nodes
+are all real, summed in real arithmetic: the closed C and S at alpha = 5
+([alpha=5]) and PoleSum's C and S of the free particle at cutoff ratio 10
+on the energy route ([free,r=10]).
 
     PYTHONPATH=src python3 scripts/theta_scaling.py [K ...] [--repeats N]
 """
@@ -31,7 +34,8 @@ KERNEL = DampingKernel.drude(1.0, 10.0)
 BUDGET_S = 0.02         # each timing repeats a call until it has run this long
 
 # (k, route) -> the value at theta = 10^k, from scripts/freeze_oracles.py: the
-# closed forms' C and S, and the Drude oscillator's E and S from the pole form
+# closed forms' C and S, the Drude oscillator's E and S from the pole form, and
+# the real nodes' C and S: alpha = 5 and the free particle at cutoff ratio 10
 ORACLES = {
     (-9, 'damped_specific_heat'): 1.0471975511965978e-9,
     (-9, 'damped_entropy'): 1.0471975511965978e-9,
@@ -147,19 +151,100 @@ ORACLES = {
     (8, 'PoleSum.entropy'): 19.483651638278258,
     (9, 'PoleSum.energy'): 1000000000.0,
     (9, 'PoleSum.entropy'): 21.786236731272304,
+    (-9, 'damped_specific_heat[alpha=5]'): 5.2359877559829881e-9,
+    (-9, 'damped_entropy[alpha=5]'): 5.2359877559829888e-9,
+    (-9, 'PoleSum.heat[free,r=10]'): 1.0471975511965978e-9,
+    (-9, 'PoleSum.entropy[free,r=10]'): 1.0471975511965978e-9,
+    (-8, 'damped_specific_heat[alpha=5]'): 5.2359877559828979e-8,
+    (-8, 'damped_entropy[alpha=5]'): 5.2359877559829585e-8,
+    (-8, 'PoleSum.heat[free,r=10]'): 1.0471975511965971e-8,
+    (-8, 'PoleSum.entropy[free,r=10]'): 1.0471975511965975e-8,
+    (-7, 'damped_specific_heat[alpha=5]'): 5.2359877559738933e-7,
+    (-7, 'damped_entropy[alpha=5]'): 5.2359877559799568e-7,
+    (-7, 'PoleSum.heat[free,r=10]'): 1.0471975511965316e-7,
+    (-7, 'PoleSum.entropy[free,r=10]'): 1.0471975511965756e-7,
+    (-6, 'damped_specific_heat[alpha=5]'): 5.235987755073471e-6,
+    (-6, 'damped_entropy[alpha=5]'): 5.235987755679816e-6,
+    (-6, 'PoleSum.heat[free,r=10]'): 1.047197551189983e-6,
+    (-6, 'PoleSum.entropy[free,r=10]'): 1.0471975511943928e-6,
+    (-5, 'damped_specific_heat[alpha=5]'): 5.2359876650312501e-5,
+    (-5, 'damped_entropy[alpha=5]'): 5.235987725665742e-5,
+    (-5, 'PoleSum.heat[free,r=10]'): 1.0471975505351306e-5,
+    (-5, 'PoleSum.entropy[free,r=10]'): 1.0471975509761088e-5,
+    (-4, 'damped_specific_heat[alpha=5]'): 0.00052359786608673677,
+    (-4, 'damped_entropy[alpha=5]'): 0.00052359847242699324,
+    (-4, 'PoleSum.heat[free,r=10]'): 0.00010471974850498889,
+    (-4, 'PoleSum.entropy[free,r=10]'): 0.00010471975291476929,
+    (-3, 'damped_specific_heat[alpha=5]'): 0.0052350788265118472,
+    (-3, 'damped_entropy[alpha=5]'): 0.0052356847011380698,
+    (-3, 'PoleSum.heat[free,r=10]'): 0.0010471909366711224,
+    (-3, 'PoleSum.entropy[free,r=10]'): 0.0010471953463351886,
+    (-2, 'damped_specific_heat[alpha=5]'): 0.051502964768588907,
+    (-2, 'damped_entropy[alpha=5]'): 0.052067551455218094,
+    (-2, 'PoleSum.heat[free,r=10]'): 0.01046537546508181,
+    (-2, 'PoleSum.entropy[free,r=10]'): 0.010469773549887478,
+    (-1, 'damped_specific_heat[alpha=5]'): 0.31063875543965485,
+    (-1, 'damped_entropy[alpha=5]'): 0.41735608722686301,
+    (-1, 'PoleSum.heat[free,r=10]'): 0.099174798388448988,
+    (-1, 'PoleSum.entropy[free,r=10]'): 0.10274648064561233,
+    (0, 'damped_specific_heat[alpha=5]'): 0.6462096798300107,
+    (0, 'damped_entropy[alpha=5]'): 1.5176671056543942,
+    (0, 'PoleSum.heat[free,r=10]'): 0.39929748443261499,
+    (0, 'PoleSum.entropy[free,r=10]'): 0.66721805656948045,
+    (1, 'damped_specific_heat[alpha=5]'): 0.92903975061243137,
+    (1, 'damped_entropy[alpha=5]'): 3.3777008092181766,
+    (1, 'PoleSum.heat[free,r=10]'): 0.49664389911715966,
+    (1, 'PoleSum.entropy[free,r=10]'): 1.7434189419880299,
+    (2, 'damped_specific_heat[alpha=5]'): 0.99213703092700985,
+    (2, 'damped_entropy[alpha=5]'): 5.6130803691274316,
+    (2, 'PoleSum.heat[free,r=10]'): 0.49995928412089418,
+    (2, 'PoleSum.entropy[free,r=10]'): 2.8929307849463626,
+    (3, 'damped_specific_heat[alpha=5]'): 0.99920518255284577,
+    (3, 'damped_entropy[alpha=5]'): 7.9085505748860306,
+    (3, 'PoleSum.heat[free,r=10]'): 0.49999958430066621,
+    (3, 'PoleSum.entropy[free,r=10]'): 4.044203024568253,
+    (4, 'damped_specific_heat[alpha=5]'): 0.99992043211072137,
+    (4, 'damped_entropy[alpha=5]'): 10.210419944656417,
+    (4, 'PoleSum.heat[free,r=10]'): 0.49999999583430235,
+    (4, 'PoleSum.entropy[free,r=10]'): 5.195495365137553,
+    (5, 'damped_specific_heat[alpha=5]'): 0.99999204234867767,
+    (5, 'damped_entropy[alpha=5]'): 12.512933422669467,
+    (5, 'PoleSum.heat[free,r=10]'): 0.4999999999583343,
+    (5, 'PoleSum.entropy[free,r=10]'): 6.3467879095723985,
+    (6, 'damped_specific_heat[alpha=5]'): 0.99999920422624287,
+    (6, 'damped_entropy[alpha=5]'): 14.81551135373851,
+    (6, 'PoleSum.heat[free,r=10]'): 0.49999999999958333,
+    (6, 'PoleSum.entropy[free,r=10]'): 7.4980804560487967,
+    (7, 'damped_specific_heat[alpha=5]'): 0.99999992042253804,
+    (7, 'damped_entropy[alpha=5]'): 17.118095730535787,
+    (7, 'PoleSum.heat[free,r=10]'): 0.49999999999999583,
+    (7, 'PoleSum.entropy[free,r=10]'): 8.6493730025456132,
+    (8, 'damped_specific_heat[alpha=5]'): 0.99999999204225294,
+    (8, 'damped_entropy[alpha=5]'): 19.420680751910113,
+    (8, 'PoleSum.heat[free,r=10]'): 0.49999999999999996,
+    (8, 'PoleSum.entropy[free,r=10]'): 9.800665549042634,
+    (9, 'damped_specific_heat[alpha=5]'): 0.99999999920422529,
+    (9, 'damped_entropy[alpha=5]'): 21.723265837742186,
+    (9, 'PoleSum.heat[free,r=10]'): 0.5,
+    (9, 'PoleSum.entropy[free,r=10]'): 10.951958095539657,
 }
 
 
 def routes() -> list:
     poles = PoleSum(1.0, KERNEL, Prescription.ENERGY)
+    free = PoleSum(0.0, KERNEL, Prescription.ENERGY)
     return [
         ("damped_specific_heat", lambda t: damped_specific_heat(t, 1.0).C),
         ("damped_entropy", lambda t: damped_entropy(t, 1.0).S),
+        ("damped_specific_heat[alpha=5]", lambda t: damped_specific_heat(t, 5.0).C),
+        ("damped_entropy[alpha=5]", lambda t: damped_entropy(t, 5.0).S),
         ("ohmic_specific_heat", lambda t: ohmic_specific_heat(t).C),
         ("drude_specific_heat", lambda t: drude_specific_heat(t, 10.0).C),
         ("PoleSum.heat", poles.heat),
         ("PoleSum.energy", poles.energy),
         ("PoleSum.entropy", poles.entropy),
+        ("PoleSum.heat[free,r=10]", free.heat),
+        ("PoleSum.entropy[free,r=10]", free.entropy),
         ("energy_sum", lambda t: energy_sum(1.0, KERNEL, 1.0 / t,
                                             Prescription.ENERGY).value),
     ]

@@ -12,7 +12,9 @@ where x_- is taken from the product x_+ x_- = r, as 1 - s would cancel.
 drude_specific_heat evaluates h at a x_pm, once per pair below r = 4, where
 the kernels' exact conjugate symmetry makes x_-'s term the conjugate of
 x_+'s.  At r = 4 and in a narrow band above it the same evaluation with
-s = 1e-10 i gives the confluent limit.
+s = 1e-10 i gives the confluent limit, complex by construction.  Above the
+band the pair is a pair of floats, and h runs in real arithmetic, as it
+does for the ohmic C at a real a.
 C interpolates between the classical kinetic value 1/2 at high temperature
 and a linear-in-T vanishing at low temperature with the cutoff-independent
 slope pi/3; lowering the cutoff weakens the effective damping and raises C
@@ -42,7 +44,7 @@ def ohmic_specific_heat(theta) -> ThermoPoint:
     Monotonically increasing in theta, bounded by the classical 1/2, and
     linear with slope pi/3 at low temperature.
     """
-    return ThermoPoint(C=_h(1.0 / (TWO_PI * theta)).real)
+    return ThermoPoint(C=_h(1.0 / (TWO_PI * theta)))
 
 
 @gridwise
@@ -53,8 +55,9 @@ def ohmic_lowT_expansion(theta):
 
 def _drude_pair(cutoff_ratio: float):
     # (s, x_+, x_-) for a positive, finite cutoff_ratio; x_- = r / x_+ above
-    # r = 4, and the conjugate of x_+ below
-    s = cmath.sqrt(complex(1.0 - 4.0 / cutoff_ratio, 0.0))
+    # r = 4, where the pair is real, and the conjugate of x_+ below
+    square = 1.0 - 4.0 / cutoff_ratio
+    s = math.sqrt(square) if square >= 0.0 else cmath.sqrt(complex(square, 0.0))
     x_plus = 0.5 * cutoff_ratio * (1.0 + s)
     return s, x_plus, x_plus.conjugate() if cutoff_ratio <= 4.0 else cutoff_ratio / x_plus
 

@@ -511,27 +511,21 @@ def _entropy_terms(nu, s):
     return value / -nu, size / abs(nu)
 
 
-def _share(nodes, coefficients, s, terms):
-    """A pole group's share of sum_i r_i f(p_i), and the sum of |terms| added.
+def _share(coefficients, value, size):
+    """A pole group's share of sum_i r_i f(p_i), and the sum of |terms| added,
+    from f and its sum of |terms| at the group's nodes.
 
-    A single pole is a complex node, its residue the coefficient: the share is
+    A single pole is one node, its residue the coefficient: the share is
     r f(p).  A cluster about c carries the M = _CLUSTER_NODES nodes z_j of a
     circle about c and the coefficients R(z_j) (z_j - c) / M: the share, the
     sum of the terms R f (z - c) / M, is the trapezoid rule for the contour
-    integral of R f around the cluster.  terms(nu, s) gives f and its sum of
-    |terms|; s is a float or an array of any shape, the nodes on a new axis 0.
+    integral of R f around the cluster.  A cluster's value and size hold its
+    nodes on axis 0, over s's shape.
     """
-    if not isinstance(nodes, np.ndarray):
-        value, size = terms(nodes, s)
+    if not isinstance(coefficients, np.ndarray):
         return coefficients * value, abs(coefficients) * size
-    shape = (_CLUSTER_NODES,) + (1,) * np.ndim(s)
-    with np.errstate(all="ignore"):
-        value, size = terms(nodes.reshape(shape), s)
-        weights = coefficients.reshape(shape)
-        share, size = (weights * value).sum(axis=0), (abs(weights) * size).sum(axis=0)
-    if isinstance(s, np.ndarray):
-        return share, size
-    return complex(share), float(size)
+    weights = coefficients.reshape(coefficients.shape + (1,) * (np.ndim(value) - 1))
+    return (weights * value).sum(axis=0), (abs(weights) * size).sum(axis=0)
 
 
 class PoleSum:
@@ -560,8 +554,14 @@ class PoleSum:
     continuous through every degeneracy, and checked_real, against the sum
     of |terms| (and |E0|), sees any cancellation among the circle's terms as
     among simple poles.  theta = 1 / beta, k_B T in the units of omega0 and
-    the kernel's rates, is a float or an ndarray of temperatures, evaluated in
-    one pass.  Poles, residues, circles and s are in units of _rates' radius.
+    the kernel's rates, is a float or an ndarray of temperatures.  A float is
+    evaluated group by group; a grid in one kernel call over every group's
+    nodes, whose shares are then added in the float call's order, so a grid
+    has the bits of its own per-group sums.  Where every group is one real
+    pole (as for the free particle above r = 4 and the ohmic one, and the
+    ohmic oscillator above alpha = 2) the nodes and residues are floats, and
+    the kernels run in real arithmetic.  Poles, residues, circles and s are in
+    units of _rates' radius.
     """
 
     def __init__(self, omega0: float, kernel: DampingKernel, route: Prescription):
@@ -578,9 +578,10 @@ class PoleSum:
         self._radius, self._gamma, self._omega0 = radius, kernel.gamma, omega0
         self._dof = 1.0 if omega0 > 0.0 else 0.5
         poles = _roots(core) + [complex(p) for p in fixed]
-        # (nodes, coefficients) per group, weighted 2 for a complex center
-        # that stands in for its conjugate: see _share
-        self._groups = []
+        # (nodes, coefficients, where the nodes are in self._nodes) per group,
+        # weighted 2 for a complex center that stands in for its conjugate: see
+        # _share
+        self._groups, count = [], 0
         for group in _group_poles(poles):
             c = sum(group) / len(group)
             if c.imag < 0.0 or c == 0.0:
@@ -588,7 +589,8 @@ class PoleSum:
             weight = 2.0 if c.imag > 0.0 else 1.0
             others = [p for p in poles if p not in group]
             if len(group) == 1:
-                self._groups.append((c, weight * _ratio(numerator, c, others)))
+                self._groups.append((c, weight * _ratio(numerator, c, others), count))
+                count += 1
                 continue
             rho = max(abs(p - c) for p in group)
             # psi's poles at nu = s, 2s, ... are at least |c| away, as Re c <= 0;
@@ -597,7 +599,16 @@ class PoleSum:
             z = c + max(math.sqrt(rho * sigma), 0.25 * sigma) * np.exp(
                 -2j * np.pi * np.arange(_CLUSTER_NODES) / _CLUSTER_NODES)
             ratio = _ratio(numerator, z, poles)
-            self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c)))
+            self._groups.append((z, (weight / _CLUSTER_NODES) * ratio * (z - c),
+                                 slice(count, count + _CLUSTER_NODES)))
+            count += _CLUSTER_NODES
+        # where every group is one real pole its node and residue are floats,
+        # whose kernels run in real arithmetic
+        if all(type(nodes) is complex and nodes.imag == 0.0 for nodes, _, _ in self._groups):
+            self._groups = [(nodes.real, coefficients.real, part)
+                            for nodes, coefficients, part in self._groups]
+        # every group's nodes, for a grid's one kernel call
+        self._nodes = np.array([x for nodes, _, _ in self._groups for x in np.ravel(nodes)])
         self._scale = self._dof * radius / TWO_PI
         # E0 by its residue sum, or closed where regularized: 0 for the free
         # particle, else (omega0/pi) sqrt(1 - a^2) arccos a, a = alpha/2, continued
@@ -611,10 +622,25 @@ class PoleSum:
                 math.acos(a) if a <= 1.0 else -math.acosh(a))
 
     def _sum(self, s, terms):
-        # (sum_i Re r_i f(p_i), the sum of |terms|), f by terms at s
+        # (sum_i Re r_i f(p_i), the sum of |terms|), f by terms at s: a grid in
+        # one call of terms over every group's nodes on a new axis 0, a float
+        # group by group; either way the shares are added in the groups' order
         total = magnitude = 0.0 * s   # zeros shaped like s
-        for nodes, coefficients in self._groups:
-            share, size = _share(nodes, coefficients, s, terms)
+        if isinstance(s, np.ndarray):
+            values, sizes = terms(self._nodes.reshape((-1,) + (1,) * s.ndim), s)
+            for _, coefficients, part in self._groups:
+                share, size = _share(coefficients, values[part], sizes[part])
+                total = total + share.real
+                magnitude = magnitude + size
+            return total, magnitude
+        for nodes, coefficients, _ in self._groups:
+            if isinstance(nodes, np.ndarray):
+                with np.errstate(all="ignore"):
+                    share, size = _share(coefficients, *terms(nodes, s))
+                share, size = complex(share), float(size)
+            else:   # _share's single pole, inline: a float call costs its calls
+                value, size = terms(nodes, s)
+                share, size = coefficients * value, abs(coefficients) * size
             total = total + share.real
             magnitude = magnitude + size
         return total, magnitude

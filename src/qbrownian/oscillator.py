@@ -8,13 +8,16 @@ damping and are assembled from the characteristic pair
     lam_pm = (1 / (2 pi theta)) * (alpha/2 +- sqrt((alpha/2)^2 - 1)),
 
 a complex-conjugate pair below critical damping (alpha < 2) and a real pair
-above it, whose small root lam_- is taken from the product lam_+ lam_- =
-(2 pi theta)^-2, where the difference would cancel; each form takes the pair
-from the private _lambda_pm.  Up to alpha = 2 each form evaluates its kernel
-once per pair, at lam_+, and takes lam_-'s term as the conjugate of lam_+'s:
-the kernels map conjugate arguments to exactly conjugate values, so that
-term has the bits that a second evaluation would give (at alpha = 2 up to
-the sign of a zero imaginary part, which the real result drops).  The two
+from it up, whose small root lam_- is taken from the product lam_+ lam_- =
+(2 pi theta)^-2 above alpha = 2, where the difference would cancel; each
+form takes the pair from the private _lambda_pm, as Python complex numbers
+or complex arrays below alpha = 2 and as floats or float64 arrays from it
+up, so that a real pair's kernels run in real arithmetic.  Below alpha = 2
+each form evaluates its kernel once per pair, at lam_+, and takes lam_-'s
+term as the conjugate of lam_+'s: the kernels map conjugate arguments to
+exactly conjugate values, so that term has the bits that a second
+evaluation would give.  At alpha = 2 the two roots are one real number,
+evaluated once.  The two
 specific-heat routes, differentiating the internal energy and the entropy,
 are one sum term by term (g'(z) = -z psi'(1 + z)), so one closed form serves
 both: damped_specific_heat_via_entropy returns damped_specific_heat.
@@ -71,9 +74,11 @@ def _lambda_pm(theta, alpha: float):
     if square == math.inf:
         raise DomainError(f"alpha is too large: (alpha/2)^2 overflows double "
                           f"precision, got alpha={alpha!r}")
-    root = cmath.sqrt(complex(square - 1.0, 0.0))
-    # lam_- = scale^2 / lam_+ above alpha = 2; scale times a complex factor, as
-    # lam_+ is, so that a grid has the bits of its float calls
+    # a real pair from alpha = 2 up, whose kernels then run in real arithmetic
+    root = (math.sqrt(square - 1.0) if square >= 1.0
+            else cmath.sqrt(complex(square - 1.0, 0.0)))
+    # lam_- = scale^2 / lam_+ above alpha = 2; scale times a factor, as lam_+
+    # is, so that a grid has the bits of its float calls
     lam_minus = scale * (half - root if alpha <= 2.0 else 1.0 / (half + root))
     return scale * (half + root), lam_minus, alpha
 

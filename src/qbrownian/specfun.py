@@ -1,4 +1,4 @@
-"""Gamma-family special functions for complex arguments.
+"""Gamma-family special functions for real and complex arguments.
 
 These are the private kernels that the closed forms and PoleSum are built
 from.  _g_terms and _digamma push the argument up to Re(z) >= 10 with the
@@ -13,20 +13,29 @@ Below it G's sum of |terms| counts ln Gamma(1 + z) as its Stirling series and
 its recurrence sum, and z psi(1 + z) apart, all from one push of 1 + z:
 these cancel where |z| is small, and the size must carry what that costs.
 
-Each kernel takes either a Python complex or a complex ndarray.  All of them
-push their argument through one helper, _push, which carries one recurrence
-sum or two in one pass: a complex moves up a step at a time, an array moves
-only its elements still below the threshold, selected by index, so a whole
-temperature grid costs a few dozen numpy operations.  The recurrence and the
-series are the same code for both.  Scalar and array values of one argument
-may differ in the last bits, because numpy rounds complex products, quotients
-and logs differently from Python's complex type.
+Each kernel takes a Python float or complex, or an ndarray, and computes in
+its argument's arithmetic, as numpy does: a float or a float64 array (any
+real array is taken as float64) is pushed and summed in real arithmetic, a
+complex or a complex ndarray in complex arithmetic, and the value has the
+argument's type.  The callers pass real arguments wherever a system's nodes
+are all real, which costs a third to two thirds less on a grid.  All the
+kernels push their argument through one helper, _push, which carries one
+recurrence sum or two in one pass: a number moves up a step at a time, an
+array moves only its elements still below the threshold, selected by index,
+so a whole temperature grid costs a few dozen numpy operations.  The
+recurrence and the series are the same code for every type.  Scalar and
+array values of one complex argument may differ in the last bits, because
+numpy rounds complex products, quotients and logs differently from Python's
+complex type; real ones nearly always agree to the bit.  A real argument's
+value may differ from the real part of its complex twin's by a few ulps, as
+numpy's complex division multiplies by a reciprocal and complex and real logs
+round differently.
 
 The kernels check nothing: a non-finite argument gives nan, and an argument
-at a pole or whose value overflows gives inf or nan (or, for a complex, one
-of Python's OverflowError, ZeroDivisionError and ValueError), which the
-closed forms and PoleSum refuse through core.checked_real and core.gridwise,
-naming the temperature.
+at a pole or whose value overflows gives inf or nan (or, for a Python
+number, one of Python's OverflowError, ZeroDivisionError and ValueError),
+which the closed forms and PoleSum refuse through core.checked_real and
+core.gridwise, naming the temperature.
 
 Every arithmetic step here is componentwise conjugate-symmetric, in Python's
 complex arithmetic and in numpy's alike, so every kernel maps conjugate
@@ -71,8 +80,10 @@ _G_SERIES = tuple(b2k / (2 * k - 1) for k, b2k in enumerate(_H_SERIES, start=1))
 
 
 def _log(z):
-    # cmath.log of a complex, np.log of an array
-    return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
+    # np.log of an array, cmath.log of a complex, math.log of a float
+    if isinstance(z, np.ndarray):
+        return np.log(z)
+    return cmath.log(z) if isinstance(z, complex) else math.log(z)
 
 
 def _push(z, term, other=None, step=1.0):
@@ -81,24 +92,29 @@ def _push(z, term, other=None, step=1.0):
 
     A non-finite element of z is set to nan first, which is not pushed and
     makes the kernel's value nan: inf would leave a finite value (psi'(inf)
-    is 0) and -inf would never reach _PUSH.  A complex is pushed one step
-    at a time.  An array gathers only its elements still below _PUSH at
-    each step, so the work is the complex's, element by element, in the same
-    order; it is pushed in place in a C-ordered complex copy, whose
-    reshape(-1) are views, so z may have any shape and layout.
+    is 0) and -inf would never reach _PUSH.  A Python number is pushed one
+    step at a time, as a float if it is real and as a complex if it is not.
+    An array gathers only its elements still below _PUSH at each step, so
+    the work is the number's, element by element, in the same order; it is
+    pushed in place in a C-ordered copy in float64, or in complex128 if it
+    is complex, whose reshape(-1) are views, so z may have any shape and
+    layout.
     """
     if not isinstance(z, np.ndarray):
-        z = complex(z)
+        if isinstance(z, complex):
+            z, shift = complex(z), 0.0j
+        else:
+            z, shift = float(z), 0.0
         if not cmath.isfinite(z):
-            z = complex(math.nan, math.nan)
-        shift = other_shift = 0.0 + 0.0j
+            z = complex(math.nan, math.nan) if type(z) is complex else math.nan
+        other_shift = shift
         while z.real < _PUSH:
             shift += term(z)
             if other is not None:
                 other_shift += other(z)
             z += step
         return (z, shift) if other is None else (z, shift, other_shift)
-    z = np.array(z, dtype=complex, order="C")
+    z = np.array(z, dtype=np.result_type(z, float), order="C")
     np.copyto(z, math.nan, where=~np.isfinite(z))
     shift = np.zeros_like(z)
     other_shift = shift if other is None else np.zeros_like(z)
@@ -119,8 +135,11 @@ def _reciprocal(w):
     return 1.0 / w
 
 
-def _series(value, power, rz2, coefficients):
-    # value + sum_k coefficients[k] power rz2^k, added term by term in that order
+def _series(power, rz2, coefficients):
+    # sum_k coefficients[k] power rz2^k, added term by term in that order to a
+    # zero of power's arithmetic: 0j for a complex, else 0.0, which an array
+    # takes in its own dtype, as it would take 0j
+    value = 0.0j if isinstance(power, complex) else 0.0
     for coefficient in coefficients:
         value = value + coefficient * power
         power = power * rz2
@@ -131,7 +150,7 @@ def _digamma(z):
     z, shift = _push(z, _reciprocal)
     rz = 1.0 / z
     rz2 = rz * rz
-    value = _log(z) - 0.5 * rz - _series(0.0 + 0.0j, rz2, rz2, _DIGAMMA)
+    value = _log(z) - 0.5 * rz - _series(rz2, rz2, _DIGAMMA)
     return value - shift
 
 
@@ -139,13 +158,14 @@ def _g_terms(z):
     # g(z)'s terms from one push of w = 1 + z: ln Gamma(w) as Stirling's series at
     # w + k and -sum_j ln(w + j), j < k, which cancel where |ln Gamma(w)| is
     # small, and -z psi(w), whose series shares ln(w + k) and 1/(w + k); the
-    # log is picked once, not at every step as _log would
-    log = np.log if isinstance(z, np.ndarray) else cmath.log
+    # log is picked once, as _log picks it, not at every step
+    log = (np.log if isinstance(z, np.ndarray)
+           else cmath.log if isinstance(z, complex) else math.log)
     w, logs, reciprocals = _push(1.0 + z, log, _reciprocal)
     rw = 1.0 / w
     rw2, log_w = rw * rw, log(w)
-    psi = log_w - 0.5 * rw - _series(0.0 + 0.0j, rw2, rw2, _DIGAMMA) - reciprocals
-    return ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI + _series(0.0 + 0.0j, rw, rw2, _LN_GAMMA),
+    psi = log_w - 0.5 * rw - _series(rw2, rw2, _DIGAMMA) - reciprocals
+    return ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI + _series(rw, rw2, _LN_GAMMA),
             -logs, -(z * psi))
 
 
@@ -168,14 +188,14 @@ def _asymptotic(z, coefficients, power: int, direct):
     from |z| = 12, else direct(z), each on its own elements of an array."""
     def series(z):
         rz = 1.0 / z
-        value = _series(0.0 + 0.0j, rz if power == 1 else rz * rz, rz * rz, coefficients)
+        value = _series(rz if power == 1 else rz * rz, rz * rz, coefficients)
         return value, abs(value)
 
     if not isinstance(z, np.ndarray):
-        # 0 is a pole of G and K, where cmath.log raises: a complex 0 is taken as nan
-        return (series if 12.0 <= abs(z) < math.inf else direct)(z or math.nan)
+        # 0 is a pole of G and K, where the scalar logs raise: 0 is taken as nan
+        return (series if 12.0 <= abs(z) < math.inf else direct)(z or z + math.nan)
     far = (12.0 <= np.abs(z)) & np.isfinite(z)
-    value, magnitude = np.empty(z.shape, complex), np.empty(z.shape)
+    value, magnitude = np.empty(z.shape, np.result_type(z, float)), np.empty(z.shape)
     value[far], magnitude[far] = series(z[far])
     value[~far], magnitude[~far] = direct(z[~far])
     return value, magnitude

@@ -23,7 +23,7 @@ def _ln_gamma_terms(z):
     w, logs = _push(z, _log)
     rw = 1.0 / w
     return ((w - 0.5) * _log(w) - w + _HALF_LOG_TWO_PI
-            + _series(0.0 + 0.0j, rw, rw * rw, _LN_GAMMA)), -logs
+            + _series(rw, rw * rw, _LN_GAMMA)), -logs
 
 
 def _ln_gamma(z):

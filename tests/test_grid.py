@@ -74,6 +74,8 @@ def pole_sums():
         "free-drude-critical": (0.0, DampingKernel.drude(1.0, 4.0)),
         "free-drude-0.01": (0.0, DampingKernel.drude(1.0, 0.01)),
         "free-drude-1": (0.0, DampingKernel.drude(1.0, 1.0)),
+        # every pole real and single: summed in real arithmetic
+        "free-drude-10": (0.0, DampingKernel.drude(1.0, 10.0)),
     }
     out = []
     for name, (omega0, kernel) in systems.items():
@@ -320,8 +322,10 @@ def test_float_in_gives_python_float_out():
         for x in (np.float32(0.3), np.float64(0.3), np.array(0.3)):
             got, want = fn(x), fn(float(x))
             assert type(got) is float and repr(got) == repr(want), (name, x)
-    assert all(type(z) is complex
-               for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(10.0)[1:])
+    # a float call's pairs are Python numbers: complex for a conjugate pair,
+    # float for a real one
+    assert all(type(z) is complex for z in _lambda_pm(0.5, 1.0)[:2] + _drude_pair(1.0)[1:])
+    assert all(type(x) is float for x in _lambda_pm(0.5, 5.0)[:2] + _drude_pair(10.0)[1:])
     # so is a numpy damping or frequency: computed as its Python float
     single = np.float32(0.3)
     for name, fn in [

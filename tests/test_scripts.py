@@ -54,7 +54,7 @@ def test_theta_scaling_prints_every_route_and_decade():
     # scripts/theta_scaling.py on a coarse grid of decades, one repeat: a line
     # per route and decade, then the route's answered decades and exponent;
     # the closed C and S answer at every decade within 1e-10 of their
-    # frozen references, PoleSum's E and S within 1e-13, and the
+    # frozen references, PoleSum's E, C and S within 1e-13, and the
     # term-by-term sum refuses at theta = 1e-9
     decades = ["-9", "-3", "0", "3", "9"]
     proc = _run_script("theta_scaling.py", *decades, "--repeats", "1")
@@ -67,9 +67,12 @@ def test_theta_scaling_prints_every_route_and_decade():
             summaries[name] = fields
         else:
             rows[name, fields[0]] = fields[1:]
+    # the real nodes' routes ([alpha=5], [free,r=10]) are held as their twins
     closed = ["damped_specific_heat", "damped_entropy", "ohmic_specific_heat",
-              "drude_specific_heat"]
-    poles = ["PoleSum.energy", "PoleSum.entropy"]
+              "drude_specific_heat", "damped_specific_heat[alpha=5]",
+              "damped_entropy[alpha=5]"]
+    poles = ["PoleSum.energy", "PoleSum.entropy", "PoleSum.heat[free,r=10]",
+             "PoleSum.entropy[free,r=10]"]
     routes = closed + ["PoleSum.heat", *poles, "energy_sum"]
     assert set(summaries) == set(routes)
     assert set(rows) == {(name, k) for name in routes for k in decades}

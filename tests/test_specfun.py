@@ -77,6 +77,19 @@ K_REF = {
     (1e-08+100000j): complex(-8.333333333416667e-12, -1.6666666667e-24),
 }
 
+# h, G and K at real z from their definitions at 40 digits, with 2 log10|z| +
+# 40 where |z| > 1 (scripts/freeze_oracles.py), each the double nearest it: a
+# real argument runs in real arithmetic, on both sides of |z| = 12
+REAL_REF = {
+    1e-300: (0.5, 344.9688254159022, 4.9999999999999995e+299),
+    1e-08: (0.49999999000000017, 8.79140184877151, 49999982.1565349),
+    0.37: (0.27454886702569653, 0.3651436716377818, 0.4496977861953457),
+    8.99: (0.018493638675916028, 0.0185239051512578, 0.0010298282663433783),
+    11.99: (0.013881229350381956, 0.013894045557888672, 0.0005792675228811707),
+    12.01: (0.013858176850258282, 0.013870929385996137, 0.0005773411738869454),
+    100000000.0: (1.6666666666666667e-09, 1.6666666666666667e-09, 8.333333333333334e-18),
+    1e+300: (1.6666666666666665e-301, 1.6666666666666665e-301, 0.0),
+}
 
 def rel_err(got: complex, want: complex) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
@@ -119,6 +132,22 @@ def test_K_against_frozen_references():
         assert abs(value - want) <= min(1e-12 * abs(want), 64.0 * EPS * magnitude), z
         assert value.conjugate() == _K(complex(z).conjugate())[0]
 
+
+
+def test_kernels_at_real_z_against_frozen_references():
+    # a float, and a float64 array, give a real value within the complex
+    # points' tolerances: h within a few eps, G and K within 1e-12 and 64 eps
+    # of the sum of |terms| they report (K(1e300) underflows to exactly 0)
+    for z, (h, G, K) in REAL_REF.items():
+        for argument in (z, np.array([z, z])):
+            value = _h(argument)
+            assert np.result_type(value) == np.float64, z
+            assert np.all(abs(value - h) <= 4.0 * EPS * abs(h)), z
+            for kernel, want in ((_G, G), (_K, K)):
+                value, magnitude = kernel(argument)
+                assert np.result_type(value) == np.float64, z
+                assert np.all(abs(value - want)
+                              <= np.minimum(1e-12 * abs(want), 64.0 * EPS * magnitude)), z
 
 def test_classic_identities():
     assert rel_err(_trigamma(1.0), math.pi ** 2 / 6.0) < 1e-12
